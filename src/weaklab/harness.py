@@ -34,7 +34,6 @@ class WeakSource:
 
     kind: TemplateKind
     multiplier: float
-    weight: float = 1.0
 
 
 @dataclass
@@ -148,8 +147,7 @@ def _source_specs(config: ExperimentConfig, eta: float) -> list:
     specs = [SourceSpec(0, identity_matrix(config.classes), config.clean_count)]
     for i, weak in enumerate(config.weak_sources, start=1):
         matrix = make_template(weak.kind, config.classes, eta)
-        specs.append(SourceSpec(i, matrix, int(round(weak.multiplier * config.clean_count)),
-                                weak.weight))
+        specs.append(SourceSpec(i, matrix, int(round(weak.multiplier * config.clean_count))))
     return specs
 
 
@@ -303,10 +301,12 @@ def _parse_weak_sources(text: str) -> list:
     sources = []
     for token in text.split():
         parts = token.split(":")
+        if len(parts) > 2:
+            raise ValueError(f"[sources] weak token {token!r}: expected kind[:multiplier]; "
+                             "per-source weights are not supported")
         kind = _KIND_BY_VALUE[parts[0]]
         multiplier = float(parts[1]) if len(parts) > 1 else 1.0
-        weight = float(parts[2]) if len(parts) > 2 else 1.0
-        sources.append(WeakSource(kind, multiplier, weight))
+        sources.append(WeakSource(kind, multiplier))
     return sources
 
 
@@ -315,7 +315,7 @@ def load_config(path) -> ExperimentConfig:
 
     Sections and keys (all optional, defaults as in ExperimentConfig):
     [dataset] classes, dim, n_per_class, spread, scale; [sources]
-    clean_count, weak (space-separated kind:multiplier[:weight] tokens),
+    clean_count, weak (space-separated kind[:multiplier] tokens),
     etas (space-separated); [loss] family, q, alpha, beta, A; [train]
     strategy, epochs, batch_size, learning_rate, momentum, weight_decay,
     hidden, seed; [run] seeds (space-separated), combos (space-separated

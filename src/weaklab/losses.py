@@ -45,8 +45,11 @@ class LossSpec:
 
 
 def _check_range(uk):
+    # fmin/fmax skip NaN, so a NaN passes (divergence surfaces later as
+    # TrainingDiverged) while an out-of-range value beside it still raises
     arr = np.asarray(uk, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr > 1.0):
+    if arr.size and (np.fmin.reduce(arr, axis=None) <= 0.0
+                     or np.fmax.reduce(arr, axis=None) > 1.0):
         raise ValueError("target-class probability must lie in (0, 1]")
     return arr
 

@@ -2,11 +2,19 @@
 
 Two architectures: a linear map d -> c, or one ReLU hidden layer
 d -> H -> c. The backward pass consumes a per-sample score-space weighting
-vector omega (from weight_standard / weight_proposed) and contracts it
-against d h / d theta, so the same machinery trains under the vanilla,
-forward and proposed strategies. Optimisation is minibatch SGD with
-Nesterov momentum: the gradient is evaluated at the lookahead point
-theta + mu * v, then v <- mu * v - lr * g and theta <- theta + v.
+vector omega and contracts it against d h / d theta. Training computes
+omega with one kernel, batch_weighting, from a per-sample transition
+column C[i] = T_{s_i}[:, y_i] built once before the epoch loop; the
+vanilla strategy is the same kernel with one-hot (identity) columns, so
+the three strategies share one code path. weight_standard /
+weight_proposed are its per-sample references.
+
+Parameters, velocity, lookahead point and gradient are each one flat
+float64 vector with per-layer views (ModelParameters). Optimisation is
+minibatch SGD with Nesterov momentum: the gradient is evaluated at the
+lookahead point look = theta + mu * v, written into its own buffer, then
+v <- mu * v - lr * (g + wd * theta) and theta <- theta + v, each a
+whole-vector operation.
 """
 
 from __future__ import annotations
@@ -25,12 +33,28 @@ class TrainingDiverged(RuntimeError):
     """Parameters became non-finite during training."""
 
 
-@dataclass(eq=False)
 class ModelParameters:
-    """Weight matrices (out x in) and bias vectors, one pair per layer."""
+    """Weight matrices (out x in) and bias vectors, one pair per layer.
 
-    weights: list
-    biases: list
+    The constructor copies them into one flat float64 vector `flat`, laid
+    out layer by layer as W (row-major) then b, the checkpoint order;
+    `weights` and `biases` are views into it, so writing to either side
+    writes to both. Gradients and velocities use the same layout.
+    """
+
+    def __init__(self, weights, biases):
+        arrays = [np.asarray(a, dtype=np.float64) for pair in zip(weights, biases)
+                  for a in pair]
+        self.flat = np.empty(sum(a.size for a in arrays))
+        views = []
+        offset = 0
+        for a in arrays:
+            view = self.flat[offset:offset + a.size].reshape(a.shape)
+            view[...] = a
+            views.append(view)
+            offset += a.size
+        self.weights = views[0::2]
+        self.biases = views[1::2]
 
     @property
     def d(self) -> int:
@@ -46,19 +70,21 @@ class ModelParameters:
         return 0 if len(self.weights) == 1 else self.weights[0].shape[0]
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters([w.copy() for w in self.weights],
-                               [b.copy() for b in self.biases])
+        return ModelParameters(self.weights, self.biases)
+
+    def zeros_like(self) -> "ModelParameters":
+        return ModelParameters([np.zeros_like(w) for w in self.weights],
+                               [np.zeros_like(b) for b in self.biases])
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.weights + self.biases)
+        return bool(np.isfinite(self.flat).all())
 
 
 @dataclass(eq=False)
 class OptimizerState:
-    """Velocity buffers plus SGD hyperparameters."""
+    """Velocity (same layout as the parameters) plus SGD hyperparameters."""
 
-    vel_w: list
-    vel_b: list
+    velocity: ModelParameters
     learning_rate: float
     momentum: float = 0.9
     weight_decay: float = 0.0
@@ -108,9 +134,7 @@ def init_parameters(d: int, c: int, hidden: int, rng: np.random.Generator) -> Mo
 
 def init_optimizer(params: ModelParameters, learning_rate: float,
                    momentum: float = 0.9, weight_decay: float = 0.0) -> OptimizerState:
-    return OptimizerState([np.zeros_like(w) for w in params.weights],
-                          [np.zeros_like(b) for b in params.biases],
-                          learning_rate, momentum, weight_decay)
+    return OptimizerState(params.zeros_like(), learning_rate, momentum, weight_decay)
 
 
 def forward(params: ModelParameters, x: np.ndarray) -> np.ndarray:
@@ -153,45 +177,35 @@ def backward(params: ModelParameters, x: np.ndarray, omega: np.ndarray) -> list:
             (np.outer(omega, a), omega.copy())]
 
 
-def backward_batch(params: ModelParameters, cache, delta: np.ndarray) -> list:
-    """Batched version of backward: delta holds one weighting vector per row
-    (already divided by the batch size for a mean-loss gradient)."""
+def backward_batch(params: ModelParameters, cache, delta: np.ndarray,
+                   out: ModelParameters) -> ModelParameters:
+    """Batched version of backward, summed over the rows of delta (one
+    weighting vector per row, already divided by the batch size for a
+    mean-loss gradient); written into out, which is returned."""
     if params.hidden == 0:
         (x,) = cache
-        return [(delta.T @ x, delta.sum(axis=0))]
+        np.matmul(delta.T, x, out=out.weights[0])
+        delta.sum(axis=0, out=out.biases[0])
+        return out
     x, z, a = cache
     d_hidden = (delta @ params.weights[1]) * (z > 0.0)
-    return [(d_hidden.T @ x, d_hidden.sum(axis=0)),
-            (delta.T @ a, delta.sum(axis=0))]
+    np.matmul(d_hidden.T, x, out=out.weights[0])
+    d_hidden.sum(axis=0, out=out.biases[0])
+    np.matmul(delta.T, a, out=out.weights[1])
+    delta.sum(axis=0, out=out.biases[1])
+    return out
 
 
-def step(params: ModelParameters, opt_state: OptimizerState, grads: list):
-    """One SGD update: g <- g + wd * theta, v <- mu * v - lr * g,
-    theta <- theta + v. The gradient is expected at the lookahead point
-    theta + mu * v (see lookahead_parameters); params are updated in place.
+def step(params: ModelParameters, opt_state: OptimizerState, grads: ModelParameters):
+    """One SGD update, in place on the flat buffers:
+    v <- mu * v - lr * (g + wd * theta), theta <- theta + v. The gradient
+    is expected at the lookahead point theta + mu * v.
     """
-    lr = opt_state.learning_rate
-    mu = opt_state.momentum
-    wd = opt_state.weight_decay
-    for i, (dw, db) in enumerate(grads):
-        gw = dw + wd * params.weights[i]
-        gb = db + wd * params.biases[i]
-        opt_state.vel_w[i] = mu * opt_state.vel_w[i] - lr * gw
-        opt_state.vel_b[i] = mu * opt_state.vel_b[i] - lr * gb
-        params.weights[i] += opt_state.vel_w[i]
-        params.biases[i] += opt_state.vel_b[i]
+    v = opt_state.velocity.flat
+    v *= opt_state.momentum
+    v -= opt_state.learning_rate * (grads.flat + opt_state.weight_decay * params.flat)
+    params.flat += v
     return params, opt_state
-
-
-def lookahead_parameters(params: ModelParameters, opt_state: OptimizerState) -> ModelParameters:
-    """theta + mu * v, the point where Nesterov momentum takes its gradient."""
-    if opt_state.momentum == 0.0:
-        return params
-    mu = opt_state.momentum
-    return ModelParameters(
-        [w + mu * v for w, v in zip(params.weights, opt_state.vel_w)],
-        [b + mu * v for b, v in zip(params.biases, opt_state.vel_b)],
-    )
 
 
 def predict(params: ModelParameters, x: np.ndarray) -> int:
@@ -205,86 +219,85 @@ def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place in scores."""
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
 
 
-def batch_weighting(u: np.ndarray, labels: np.ndarray, spec: LossSpec,
-                    strategy: str, cols=None, sample_weights=None) -> np.ndarray:
-    """Per-sample score-space weighting vectors for a batch.
+def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
+                       matrices=None) -> np.ndarray:
+    """Per-sample column matrix C[i] = T_{s_i}[:, y_i], shape (n, c).
 
-    u is the (n, c) softmax output; cols holds one transition-matrix column
-    T[:, k_i] per row and is required for the forward/proposed strategies;
-    sample_weights scales the vanilla gradient per sample. Probabilities
-    are floored at PROB_FLOOR before evaluating f' so early-training
-    underflow cannot produce non-finite weights.
+    matrices maps source id -> TransitionMatrix (or raw entries); None
+    gives one-hot rows, the identity columns of the uncorrected loss.
     """
-    n = u.shape[0]
-    rows = np.arange(n)
-    if strategy == "vanilla":
-        uk = u[rows, labels]
-        fprime = loss_derivative(spec, np.clip(uk, PROB_FLOOR, 1.0))
-        if sample_weights is not None:
-            fprime = fprime * sample_weights
-        omega = -(uk * fprime)[:, None] * u
-        omega[rows, labels] += fprime * uk
-        return omega
+    labels = np.asarray(labels, dtype=np.int64)
+    if matrices is None:
+        return np.eye(c)[labels]
+    source_ids = np.asarray(source_ids, dtype=np.int64)
+    cols = np.empty((labels.shape[0], c))
+    for s in np.unique(source_ids):
+        sel = source_ids == s
+        m = matrices[int(s)]
+        cols[sel] = np.asarray(getattr(m, "entries", m), dtype=np.float64).T[labels[sel]]
+    return cols
+
+
+def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec) -> np.ndarray:
+    """Per-sample score-space weighting vectors for a batch:
+    omega_i = f'(ut_i) * (C_i * u_i - ut_i * u_i) with ut_i = C_i . u_i.
+
+    u is the (n, c) softmax output and cols the matching rows of
+    transition_columns. Probabilities are floored at PROB_FLOOR before
+    evaluating f' so early-training underflow cannot produce non-finite
+    weights.
+    """
     tu = cols * u
     ut = tu.sum(axis=1)
-    fprime = loss_derivative(spec, np.clip(ut, PROB_FLOOR, 1.0))
+    fprime = loss_derivative(spec, np.minimum(np.maximum(ut, PROB_FLOOR), 1.0))
     return fprime[:, None] * (tu - ut[:, None] * u)
 
 
 def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
-          c: int, config: TrainConfig, matrices=None, source_weights=None,
+          c: int, config: TrainConfig, matrices=None,
           epoch_callback=None) -> ModelParameters:
     """Train a classifier on weak-labelled data.
 
     matrices maps source id -> TransitionMatrix (or raw entries) and is
-    required unless the strategy is vanilla; source_weights optionally maps
-    source id -> scalar weight for the vanilla objective. epoch_callback is
-    invoked as callback(epoch, params) after each epoch (epochs count from
-    1). Bit-deterministic given (config, inputs).
+    required unless the strategy is vanilla, which ignores it and trains
+    with identity columns. epoch_callback is invoked as
+    callback(epoch, params) after each epoch (epochs count from 1).
+    Bit-deterministic given (config, inputs).
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    source_ids = np.asarray(source_ids, dtype=np.int64)
     n, d = features.shape
     if config.strategy != "vanilla" and matrices is None:
         raise ValueError(f"strategy {config.strategy!r} needs per-source transition matrices")
+    cols = transition_columns(labels, source_ids, c,
+                              None if config.strategy == "vanilla" else matrices)
 
     rng = np.random.default_rng(config.seed)
     params = init_parameters(d, c, config.hidden, rng)
     state = init_optimizer(params, config.learning_rate, config.momentum, config.weight_decay)
-
-    mats = None
-    if config.strategy != "vanilla":
-        mats = {int(s): np.asarray(getattr(m, "entries", m), dtype=np.float64)
-                for s, m in matrices.items()}
-    weights = None
-    if config.strategy == "vanilla" and source_weights is not None:
-        weights = {int(s): float(w) for s, w in source_weights.items()}
+    look = params.zeros_like()
+    grads = params.zeros_like()
+    velocity = state.velocity.flat
+    bs = config.batch_size
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb, sb = features[idx], labels[idx], source_ids[idx]
-            look = lookahead_parameters(params, state)
+        xs, cs = features[order], cols[order]
+        for start in range(0, n, bs):
+            xb = xs[start:start + bs]
+            np.multiply(velocity, config.momentum, out=look.flat)
+            look.flat += params.flat
             scores, cache = forward_batch(look, xb)
-            u = _softmax_rows(scores)
-            cols = None
-            sw = None
-            if mats is not None:
-                cols = np.empty_like(u)
-                for s in np.unique(sb):
-                    sel = sb == s
-                    cols[sel] = mats[int(s)].T[yb[sel]]
-            elif weights is not None:
-                sw = np.array([weights.get(int(s), 1.0) for s in sb])
-            omega = batch_weighting(u, yb, config.loss, config.strategy, cols, sw)
-            grads = backward_batch(look, cache, omega / idx.shape[0])
+            omega = batch_weighting(_softmax_rows(scores), cs[start:start + bs], config.loss)
+            omega /= xb.shape[0]
+            backward_batch(look, cache, omega, grads)
             step(params, state, grads)
         if not params.all_finite():
             raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
@@ -302,9 +315,7 @@ def save_params(path, params: ModelParameters) -> None:
     arch = _ARCH_LINEAR if params.hidden == 0 else _ARCH_HIDDEN
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4i", arch, params.d, params.hidden, params.c))
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_params(path) -> ModelParameters:
@@ -313,6 +324,6 @@ def load_params(path) -> ModelParameters:
         dims = [(c, d)] if arch == _ARCH_LINEAR else [(hidden, d), (c, hidden)]
         weights, biases = [], []
         for rows, cols in dims:
-            weights.append(np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols).copy())
-            biases.append(np.frombuffer(fh.read(8 * rows), dtype="<f8").copy())
+            weights.append(np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols))
+            biases.append(np.frombuffer(fh.read(8 * rows), dtype="<f8"))
     return ModelParameters(weights, biases)

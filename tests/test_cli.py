@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weaklab import correction
 from weaklab.cli import main
 from weaklab.datagen import build_multisource, generate_blobs, load_dataset, save_dataset
 from weaklab.labelspace import SourceSpec, TemplateKind, identity_matrix, make_template, parse_matrix
@@ -57,6 +58,21 @@ def test_validate_gradients_passes(capsys):
 
 def test_validate_gradients_fails_with_absurd_tolerance(capsys):
     assert main(["validate-gradients", "--cases", "20", "--tolerance", "1e-18"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [8, 10, 42, 71, 310])
+def test_validate_gradients_passes_on_near_zero_gradients(capsys, seed):
+    # each of these seeds draws a case whose gradient norm is under 3e-4,
+    # where finite-difference round-off alone exceeds 1e-6 relative
+    assert main(["validate-gradients", "--cases", "1000", "--seed", str(seed)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_validate_gradients_catches_a_relative_error_of_1e_4(monkeypatch, capsys):
+    exact = correction.weight_proposed
+    monkeypatch.setattr(correction, "weight_proposed", lambda *args: 1.0001 * exact(*args))
+    assert main(["validate-gradients", "--cases", "1000", "--seed", "0"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -216,3 +216,11 @@ def test_load_config_defaults(tmp_path):
     assert cfg.spread == 0.30
     assert cfg.train.epochs == 60
     assert cfg.combinations == [("vanilla", cfg.train.loss)]
+
+
+def test_load_config_rejects_source_weight(tmp_path):
+    # a third token field (a per-source weight) would never reach training
+    path = tmp_path / "exp.ini"
+    path.write_text("[sources]\nweak = uniform:3 mixed:9:2\n")
+    with pytest.raises(ValueError, match="mixed:9:2"):
+        load_config(path)

@@ -33,6 +33,20 @@ def test_out_of_range_probability_rejected():
                 loss_derivative(spec, bad)
 
 
+def test_range_check_passes_nan_and_empty():
+    # NaN passes so that divergence surfaces as TrainingDiverged, not here
+    for family in FAMILIES:
+        spec = LossSpec(family)
+        assert loss_derivative(spec, np.array([np.nan, 0.5])).shape == (2,)
+        loss_derivative(spec, np.nan)
+        assert loss_derivative(spec, np.array([])).shape == (0,)
+        for bad in (0.0, -0.1, 1.1):
+            with pytest.raises(ValueError):
+                loss_derivative(spec, bad)
+            with pytest.raises(ValueError):
+                loss_derivative(spec, np.array([[0.5, np.nan], [bad, 0.5]]))
+
+
 def test_cce_values():
     cce = LossSpec("cce")
     assert loss_value(cce, 1.0) == 0.0

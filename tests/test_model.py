@@ -3,10 +3,11 @@ import pytest
 
 from weaklab.correction import corrected_loss, softmax, weight_proposed, weight_standard
 from weaklab.losses import LossSpec, loss_value
-from weaklab.model import (ModelParameters, TrainConfig, TrainingDiverged, backward,
-                           forward, init_optimizer, init_parameters, load_params,
-                           lookahead_parameters, predict, predict_batch, save_params,
-                           step, train)
+from weaklab.model import (ModelParameters, TrainConfig, TrainingDiverged, _softmax_rows,
+                           backward, backward_batch, batch_weighting, forward,
+                           forward_batch, init_optimizer, init_parameters, load_params,
+                           predict, predict_batch, save_params, step, train,
+                           transition_columns)
 
 from conftest import random_row_stochastic
 
@@ -122,7 +123,7 @@ def test_step_plain_sgd_when_momentum_zero(rng):
     params = make_params(rng, 3, 2, 0)
     before = params.copy()
     state = init_optimizer(params, learning_rate=0.1, momentum=0.0, weight_decay=0.0)
-    grads = [(np.ones((2, 3)), np.ones(2))]
+    grads = ModelParameters([np.ones((2, 3))], [np.ones(2)])
     step(params, state, grads)
     assert np.allclose(params.weights[0], before.weights[0] - 0.1)
     assert np.allclose(params.biases[0], before.biases[0] - 0.1)
@@ -131,20 +132,20 @@ def test_step_plain_sgd_when_momentum_zero(rng):
 def test_step_velocity_approaches_geometric_limit(rng):
     params = make_params(rng, 3, 2, 0)
     state = init_optimizer(params, learning_rate=0.1, momentum=0.9, weight_decay=0.0)
-    g = [(np.full((2, 3), 2.0), np.full(2, 2.0))]
+    g = ModelParameters([np.full((2, 3), 2.0)], [np.full(2, 2.0)])
     # v_t = -lr * g * (1 - mu^t) / (1 - mu), limit magnitude lr * g / (1 - mu)
     for t in range(1, 30):
         step(params, state, g)
         expected = -0.1 * 2.0 * (1 - 0.9 ** t) / (1 - 0.9)
-        assert np.allclose(state.vel_w[0], expected, rtol=1e-12)
-    assert abs(state.vel_w[0][0, 0]) < 0.1 * 2.0 / (1 - 0.9)
+        assert np.allclose(state.velocity.weights[0], expected, rtol=1e-12)
+    assert abs(state.velocity.weights[0][0, 0]) < 0.1 * 2.0 / (1 - 0.9)
 
 
 def test_step_noop_on_zero_gradient(rng):
     params = make_params(rng, 3, 2, 0)
     before = params.copy()
     state = init_optimizer(params, learning_rate=0.5, momentum=0.9, weight_decay=0.0)
-    step(params, state, [(np.zeros((2, 3)), np.zeros(2))])
+    step(params, state, params.zeros_like())
     assert np.array_equal(params.weights[0], before.weights[0])
     assert np.array_equal(params.biases[0], before.biases[0])
 
@@ -152,19 +153,64 @@ def test_step_noop_on_zero_gradient(rng):
 def test_step_applies_weight_decay(rng):
     params = ModelParameters([np.full((2, 2), 10.0)], [np.zeros(2)])
     state = init_optimizer(params, learning_rate=0.1, momentum=0.0, weight_decay=0.5)
-    step(params, state, [(np.zeros((2, 2)), np.zeros(2))])
+    step(params, state, params.zeros_like())
     # g = 0 + 0.5 * 10 = 5, theta <- 10 - 0.1 * 5
     assert np.allclose(params.weights[0], 9.5)
 
 
-def test_lookahead_parameters(rng):
-    params = make_params(rng, 3, 2, 0)
-    state = init_optimizer(params, learning_rate=0.1, momentum=0.9)
-    state.vel_w[0][:] = 1.0
-    look = lookahead_parameters(params, state)
-    assert np.allclose(look.weights[0], params.weights[0] + 0.9)
-    state.momentum = 0.0
-    assert lookahead_parameters(params, state) is params
+def _flat_grad(pairs):
+    return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in pairs])
+
+
+@pytest.mark.parametrize("hidden", [0, 32])
+@pytest.mark.parametrize("strategy", ["vanilla", "forward", "proposed"])
+def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
+    # the batched chain train() runs (transition_columns, batch_weighting,
+    # backward_batch) against the per-sample path the finite-difference
+    # oracles check, averaged over one minibatch
+    d, c, m, sources = 6, 5, 16, 3
+    if strategy == "vanilla":
+        mats = {s: np.eye(c) for s in range(sources)}
+    elif strategy == "forward":
+        single = random_row_stochastic(rng, c)
+        mats = {s: single for s in range(sources)}
+    else:
+        mats = {s: random_row_stochastic(rng, c) for s in range(sources)}
+    look = make_params(rng, d, c, hidden)
+    x = rng.standard_normal((m, d))
+    labels = rng.integers(c, size=m)
+    src = rng.integers(sources, size=m)
+    cols = transition_columns(labels, src, c, None if strategy == "vanilla" else mats)
+    for spec in SPECS:
+        scores, cache = forward_batch(look, x)
+        omega = batch_weighting(_softmax_rows(scores), cols, spec)
+        batched = backward_batch(look, cache, omega / m, look.zeros_like()).flat
+        oracle = np.mean([_flat_grad(backward(look, x[i], weight_proposed(
+            spec, mats[src[i]], labels[i], softmax(forward(look, x[i])))))
+            for i in range(m)], axis=0)
+        assert np.linalg.norm(batched - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("hidden", [0, 4])
+def test_vanilla_is_proposed_with_identity_matrices(rng, hidden):
+    feats, labels = _toy_training_data(rng)
+    src = rng.integers(3, size=len(labels))
+    vanilla = train(feats, labels, src, 3, TrainConfig(epochs=3, hidden=hidden, seed=4))
+    proposed = train(feats, labels, src, 3,
+                     TrainConfig(epochs=3, hidden=hidden, seed=4, strategy="proposed"),
+                     matrices={s: np.eye(3) for s in range(3)})
+    assert np.array_equal(vanilla.flat, proposed.flat)
+
+
+def test_parameter_views_share_the_flat_buffer(rng):
+    params = make_params(rng, 3, 2, 4)
+    assert params.flat.size == 4 * 3 + 4 + 2 * 4 + 2
+    params.flat[:] = np.arange(params.flat.size)
+    assert params.weights[0][1, 0] == 3.0 and params.biases[0][0] == 12.0
+    assert params.weights[1][0, 0] == 16.0 and params.biases[1][1] == 25.0
+    copy = params.copy()
+    copy.weights[1][0, 0] = -1.0
+    assert params.flat[16] == 16.0
 
 
 def test_predict_tie_break_and_shift_invariance(rng):

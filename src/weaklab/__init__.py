@@ -1,22 +1,10 @@
 """Training classifiers from multiple weak label sources with
 transition-matrix loss correction."""
 
-from .correction import (DegenerateColumnError, corrected_loss, forward_correct,
-                         gce_weight_closed_form, l1_discrepancy, optimized_classes,
-                         softmax, softmax_grad, weight_proposed, weight_standard)
-from .datagen import (Dataset, LabeledInstance, MultisourceDataset, build_multisource,
-                      corruption_report, generate_blobs, load_dataset, save_dataset)
-from .estimation import (confusion_counts, estimate_per_source, estimate_single,
-                         estimate_transition, train_baseline)
-from .harness import (ExperimentConfig, RunReport, WeakSource, emit_csv, emit_curves,
-                      load_config, overall_accuracy, run_experiment, write_run_dir)
-from .labelspace import (SourceSpec, TemplateKind, TransitionMatrix, balanced_error_rate,
-                         identity_matrix, load_matrix, make_template, mean_row_entropy,
-                         sample_weak_label, sample_weak_labels, satisfies_diagonal_dominance,
-                         save_matrix)
-from .losses import LossSpec, loss_derivative, loss_value
-from .model import (ModelParameters, OptimizerState, TrainConfig, TrainingDiverged,
-                    backward, forward, init_optimizer, init_parameters, load_params,
-                    predict, predict_batch, save_params, step, train)
+from .datagen import build_multisource, generate_blobs
+from .estimation import estimate_per_source, train_baseline
+from .harness import ExperimentConfig, WeakSource, load_config, run_experiment, write_run_dir
+from .labelspace import SourceSpec, TemplateKind, identity_matrix, make_template
+from .losses import LossSpec
 
 __version__ = "0.1.0"

@@ -94,8 +94,10 @@ def _parse_corrupt_spec(path):
     clean_count = src.getint("clean_count", 0)
     weak = []
     for token in src.get("weak", "").split():
-        kind_name, eta, count = token.split(":")
-        weak.append((TemplateKind(kind_name), float(eta), int(count)))
+        parts = token.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"[sources] weak token {token!r}: expected kind:eta:count")
+        weak.append((harness.template_kind(token), float(parts[1]), int(parts[2])))
     return clean_count, weak
 
 

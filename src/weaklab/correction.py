@@ -5,17 +5,19 @@ u_tilde = T^T u before evaluating the loss, so a model supervised with
 weak labels learns the true-label posterior. At gradient level the
 corrected per-sample loss contributes f'(u_tilde_k) * sum_j T[j, k] *
 grad_h(u_j): a single weak label simultaneously optimises every class j
-the source could have flipped into k, weighted by T's k-th column. The
-functions here compute those weighting vectors in closed form; training
-code contracts them against d h / d theta.
+the source could have flipped into k, weighted by T's k-th column.
+Training computes that weighting with one kernel, model.batch_weighting;
+weight_proposed is its independent chain-rule reference (a sum of
+softmax_grad terms), and weight_standard / gce_weight_closed_form are
+one-row calls of the kernel itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .labelspace import TransitionMatrix
 from .losses import LossSpec, loss_derivative, loss_value
+from .model import batch_weighting
 
 
 class DegenerateColumnError(ValueError):
@@ -61,19 +63,29 @@ def corrected_loss(spec: LossSpec, matrix, k: int, u) -> float:
     return float(loss_value(spec, min(ut_k, 1.0)))
 
 
-def weight_standard(spec: LossSpec, omega: float, k: int, u) -> np.ndarray:
-    """Score-gradient of the uncorrected loss, scaled by a source weight:
-    f'(u_k) * omega * u_k (e^k - u)."""
+def _one_row_weighting(spec: LossSpec, column, k: int, u) -> np.ndarray:
+    """batch_weighting on a single sample with transition column `column`.
+
+    The kernel floors u_tilde_k at PROB_FLOOR, so a degenerate column is
+    rejected here rather than silently clamped."""
     u = np.asarray(u, dtype=np.float64)
-    fprime = loss_derivative(spec, u[k])
-    return (fprime * omega) * softmax_grad(u, k)
+    column = np.asarray(column, dtype=np.float64)
+    if float(column @ u) <= 0.0:
+        raise DegenerateColumnError(f"corrected probability of class {k} is zero")
+    return batch_weighting(u[None, :], column[None, :], spec)[0]
+
+
+def weight_standard(spec: LossSpec, k: int, u) -> np.ndarray:
+    """Score-gradient of the uncorrected loss, f'(u_k) * u_k (e^k - u):
+    the kernel with the one-hot column e^k."""
+    return _one_row_weighting(spec, np.eye(len(u))[k], k, u)
 
 
 def weight_proposed(spec: LossSpec, matrix, k: int, u) -> np.ndarray:
     """Score-gradient of the forward-corrected loss:
     f'(u_tilde_k) * sum_j T[j, k] * softmax_grad(u, j).
 
-    With the identity matrix this coincides with weight_standard(omega=1).
+    With the identity matrix this coincides with weight_standard.
     """
     t = _entries(matrix)
     u = np.asarray(u, dtype=np.float64)
@@ -88,15 +100,10 @@ def weight_proposed(spec: LossSpec, matrix, k: int, u) -> np.ndarray:
 
 
 def gce_weight_closed_form(q: float, matrix, k: int, u) -> np.ndarray:
-    """Generalized-cross-entropy weighting vector written directly as
-    -u_tilde_k^q * ((T[:,k] * u) / u_tilde_k - u)."""
-    t = _entries(matrix)
-    u = np.asarray(u, dtype=np.float64)
-    col_u = t[:, k] * u
-    ut_k = float(col_u.sum())
-    if ut_k <= 0.0:
-        raise DegenerateColumnError(f"corrected probability of class {k} is zero")
-    return -(ut_k ** q) * (col_u / ut_k - u)
+    """Generalized-cross-entropy weighting vector in closed form,
+    -u_tilde_k^q * ((T[:,k] * u) / u_tilde_k - u): the kernel with column
+    T[:, k] and LossSpec("gce", q)."""
+    return _one_row_weighting(LossSpec("gce", q=q), _entries(matrix)[:, k], k, u)
 
 
 def optimized_classes(matrix, k: int, u) -> set:

@@ -17,13 +17,6 @@ from .labelspace import SourceSpec, TransitionMatrix, sample_weak_labels
 
 
 @dataclass(eq=False)
-class LabeledInstance:
-    features: np.ndarray
-    label: int
-    source_id: int
-
-
-@dataclass(eq=False)
 class Dataset:
     """A plain labelled dataset: features (n, d) and integer labels (n,)."""
 
@@ -73,11 +66,6 @@ class MultisourceDataset:
         src = np.concatenate([np.full(len(b), b.source_id, dtype=np.int64)
                               for b in self.sources])
         return feats, labs, src
-
-    def instances(self):
-        for blk in self.sources:
-            for i in range(len(blk)):
-                yield LabeledInstance(blk.features[i], int(blk.labels[i]), blk.source_id)
 
     def __len__(self) -> int:
         return sum(len(b) for b in self.sources)

@@ -294,7 +294,15 @@ def write_run_dir(report: RunReport, out_dir) -> None:
                 save_matrix(out / name, matrix)
 
 
-_KIND_BY_VALUE = {k.value: k for k in TemplateKind}
+def template_kind(token: str) -> TemplateKind:
+    """The template kind named by the first field of a [sources] weak token."""
+    name = token.split(":")[0]
+    try:
+        return TemplateKind(name)
+    except ValueError:
+        kinds = ", ".join(k.value for k in TemplateKind)
+        raise ValueError(f"[sources] weak token {token!r}: unknown template kind "
+                         f"{name!r}, expected one of {kinds}") from None
 
 
 def _parse_weak_sources(text: str) -> list:
@@ -304,27 +312,49 @@ def _parse_weak_sources(text: str) -> list:
         if len(parts) > 2:
             raise ValueError(f"[sources] weak token {token!r}: expected kind[:multiplier]; "
                              "per-source weights are not supported")
-        kind = _KIND_BY_VALUE[parts[0]]
         multiplier = float(parts[1]) if len(parts) > 1 else 1.0
-        sources.append(WeakSource(kind, multiplier))
+        sources.append(WeakSource(template_kind(token), multiplier))
     return sources
+
+
+# every section and key load_config reads; anything else in a file is an error
+CONFIG_KEYS = {
+    "dataset": ("classes", "dim", "n_per_class", "spread", "scale"),
+    "sources": ("clean_count", "weak", "etas"),
+    "loss": ("family", "q", "alpha", "beta", "A"),
+    "train": ("strategy", "epochs", "batch_size", "learning_rate", "momentum",
+              "weight_decay", "hidden", "seed"),
+    "run": ("seeds", "combos", "use_clean_in_training", "baseline_epoch_cap",
+            "estimated_vs_true_matrices", "smoothing"),
+}
+
+
+def _check_keys(cp: configparser.ConfigParser) -> None:
+    # keys of a [DEFAULT] section show up in every section, so check it first
+    for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ValueError(f"unknown config section [{section}], expected one of "
+                             + ", ".join(f"[{name}]" for name in CONFIG_KEYS))
+        allowed = {cp.optionxform(key) for key in CONFIG_KEYS[section]}
+        for key in cp[section]:
+            if key not in allowed:
+                raise ValueError(f"unknown key {key!r} in section [{section}], expected one "
+                                 f"of {', '.join(CONFIG_KEYS[section])}")
 
 
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config from a plain-text section/key-value file.
 
-    Sections and keys (all optional, defaults as in ExperimentConfig):
-    [dataset] classes, dim, n_per_class, spread, scale; [sources]
-    clean_count, weak (space-separated kind[:multiplier] tokens),
-    etas (space-separated); [loss] family, q, alpha, beta, A; [train]
-    strategy, epochs, batch_size, learning_rate, momentum, weight_decay,
-    hidden, seed; [run] seeds (space-separated), combos (space-separated
-    strategy:family tokens), use_clean_in_training, baseline_epoch_cap,
-    estimated_vs_true_matrices, smoothing.
+    The sections and keys are those of CONFIG_KEYS, all optional
+    (defaults as in ExperimentConfig); an unknown section or key raises
+    ValueError. weak holds space-separated kind[:multiplier] tokens, etas
+    and seeds space-separated numbers, combos space-separated
+    strategy:family tokens.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     with open(path) as fh:
         cp.read_file(fh)
+    _check_keys(cp)
     cfg = ExperimentConfig()
 
     if cp.has_section("dataset"):

@@ -5,7 +5,7 @@ T where T[j, k] is the probability that an instance whose true class is j
 receives label k. A clean source has the identity matrix. This module
 builds the parametric template family used by the synthetic benchmarks,
 computes matrix diagnostics (balanced error rate, mean row entropy,
-diagonal dominance) and draws weak labels from a matrix row.
+diagonal dominance) and draws weak labels from the matrix rows.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class TransitionMatrix:
 
 @dataclass(eq=False)
 class SourceSpec:
-    """A labelling source: index, transition matrix, sample count, weight.
+    """A labelling source: index, transition matrix, sample count.
 
     Source 0 is by convention the clean source and must carry the identity
     matrix; weak sources have positive indices.
@@ -70,7 +70,6 @@ class SourceSpec:
     id: int
     matrix: TransitionMatrix
     count: int
-    weight: float = 1.0
 
     def __post_init__(self):
         if self.id < 0:
@@ -79,8 +78,6 @@ class SourceSpec:
             raise ValueError("source 0 is the clean source and must have the identity matrix")
         if self.count < 0:
             raise ValueError("source count must be nonnegative")
-        if self.weight <= 0:
-            raise ValueError("source weight must be positive")
 
 
 def identity_matrix(c: int) -> TransitionMatrix:
@@ -127,6 +124,14 @@ _INTERCLASS_TARGETS = {
     9: [(8, 1.0)],
 }
 
+_TARGETS = {
+    TemplateKind.MIXED_CLASS_DEPENDENT: _MIXED_TARGETS,
+    TemplateKind.LAND_COVER_CHANGE: _LANDCOVER_TARGETS,
+    TemplateKind.INTERCLASS_SIMILARITY: _INTERCLASS_TARGETS,
+}
+
+# a template's rate constant is also its eta limit: at eta = rate the
+# diagonal of every affected row reaches zero
 _ETA_LIMIT = {
     TemplateKind.MIXED_CLASS_DEPENDENT: _MIXED_RATE,
     TemplateKind.LAND_COVER_CHANGE: _LANDCOVER_RATE,
@@ -155,17 +160,9 @@ def make_template(kind: TemplateKind, c: int, eta: float) -> TransitionMatrix:
         return TransitionMatrix(m)
     if c != 10:
         raise ValueError(f"{kind.value} template is defined only for c = 10")
-    targets = _MIXED_TARGETS if kind is TemplateKind.MIXED_CLASS_DEPENDENT else (
-        _LANDCOVER_TARGETS if kind is TemplateKind.LAND_COVER_CHANGE else _INTERCLASS_TARGETS
-    )
-    rate = {
-        TemplateKind.MIXED_CLASS_DEPENDENT: _MIXED_RATE,
-        TemplateKind.LAND_COVER_CHANGE: _LANDCOVER_RATE,
-        TemplateKind.INTERCLASS_SIMILARITY: 1.0,
-    }[kind]
-    mass = eta / rate
+    mass = eta / _ETA_LIMIT[kind]
     m = np.eye(c)
-    for row, shares in targets.items():
+    for row, shares in _TARGETS[kind].items():
         m[row, row] = 1.0 - mass
         for target, share in shares:
             m[row, target] = share * mass
@@ -203,12 +200,6 @@ def sample_weak_labels(matrix: TransitionMatrix, true_labels: np.ndarray,
     u = rng.random(labels.shape[0])
     drawn = (cum[labels] <= u[:, None]).sum(axis=1)
     return np.minimum(drawn, c - 1)
-
-
-def sample_weak_label(matrix: TransitionMatrix, true_label: int,
-                      rng: np.random.Generator) -> int:
-    """Draw a single weak label for one instance."""
-    return int(sample_weak_labels(matrix, np.array([true_label]), rng)[0])
 
 
 def format_matrix(matrix: TransitionMatrix) -> str:

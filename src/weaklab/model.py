@@ -1,13 +1,15 @@
 """Small softmax classifiers with hand-derived backpropagation.
 
 Two architectures: a linear map d -> c, or one ReLU hidden layer
-d -> H -> c. The backward pass consumes a per-sample score-space weighting
-vector omega and contracts it against d h / d theta. Training computes
-omega with one kernel, batch_weighting, from a per-sample transition
-column C[i] = T_{s_i}[:, y_i] built once before the epoch loop; the
-vanilla strategy is the same kernel with one-hot (identity) columns, so
-the three strategies share one code path. weight_standard /
-weight_proposed are its per-sample references.
+d -> H -> c. Every pass is batched (rows are samples; a single sample is
+a one-row batch). The backward pass consumes one score-space weighting
+vector omega per row and contracts it against d h / d theta. Training
+computes omega with one kernel, batch_weighting, from a per-sample
+transition column C[i] = T_{s_i}[:, y_i] built once before the epoch
+loop; the vanilla strategy is the same kernel with one-hot (identity)
+columns, so the three strategies share one code path.
+correction.weight_proposed, the chain-rule form over softmax_grad, is
+its independent per-sample reference.
 
 Parameters, velocity, lookahead point and gradient are each one flat
 float64 vector with per-layer views (ModelParameters). Optimisation is
@@ -137,18 +139,6 @@ def init_optimizer(params: ModelParameters, learning_rate: float,
     return OptimizerState(params.zeros_like(), learning_rate, momentum, weight_decay)
 
 
-def forward(params: ModelParameters, x: np.ndarray) -> np.ndarray:
-    """Score vector h(x) for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.d,):
-        raise ValueError(f"expected feature vector of length {params.d}, got shape {x.shape}")
-    if params.hidden == 0:
-        return params.weights[0] @ x + params.biases[0]
-    z = params.weights[0] @ x + params.biases[0]
-    a = np.maximum(z, 0.0)
-    return params.weights[1] @ a + params.biases[1]
-
-
 def forward_batch(params: ModelParameters, x: np.ndarray):
     """Scores for a batch (n, d); also returns the activation cache."""
     x = np.asarray(x, dtype=np.float64)
@@ -159,29 +149,12 @@ def forward_batch(params: ModelParameters, x: np.ndarray):
     return a @ params.weights[1].T + params.biases[1], (x, z, a)
 
 
-def backward(params: ModelParameters, x: np.ndarray, omega: np.ndarray) -> list:
-    """Contract a score-space weighting vector against d h / d theta.
-
-    Returns one (dW, db) pair per layer; linear in omega.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.shape != (params.c,):
-        raise ValueError(f"expected weighting vector of length {params.c}, got shape {omega.shape}")
-    if params.hidden == 0:
-        return [(np.outer(omega, x), omega.copy())]
-    z = params.weights[0] @ x + params.biases[0]
-    a = np.maximum(z, 0.0)
-    d_hidden = (params.weights[1].T @ omega) * (z > 0.0)
-    return [(np.outer(d_hidden, x), d_hidden),
-            (np.outer(omega, a), omega.copy())]
-
-
 def backward_batch(params: ModelParameters, cache, delta: np.ndarray,
                    out: ModelParameters) -> ModelParameters:
-    """Batched version of backward, summed over the rows of delta (one
-    weighting vector per row, already divided by the batch size for a
-    mean-loss gradient); written into out, which is returned."""
+    """Contract the weighting vectors in the rows of delta against d h /
+    d theta and sum over the rows (divide delta by the batch size first
+    for a mean-loss gradient); linear in delta. Written into out, which
+    is returned."""
     if params.hidden == 0:
         (x,) = cache
         np.matmul(delta.T, x, out=out.weights[0])
@@ -208,12 +181,8 @@ def step(params: ModelParameters, opt_state: OptimizerState, grads: ModelParamet
     return params, opt_state
 
 
-def predict(params: ModelParameters, x: np.ndarray) -> int:
-    """Argmax class; ties break toward the lowest index."""
-    return int(np.argmax(forward(params, x)))
-
-
 def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
+    """Argmax class per row; ties break toward the lowest index."""
     scores, _ = forward_batch(params, x)
     return scores.argmax(axis=1)
 

@@ -18,7 +18,10 @@ from weaklab.labelspace import (SourceSpec, TemplateKind, balanced_error_rate,
                                 identity_matrix, make_template, mean_row_entropy,
                                 satisfies_diagonal_dominance)
 from weaklab.losses import LossSpec, loss_value
-from weaklab.model import TrainConfig, backward, forward, init_parameters
+from weaklab.model import (TrainConfig, backward_batch, batch_weighting, forward_batch,
+                           init_parameters)
+
+from conftest import random_row_stochastic
 
 SPECS = [LossSpec("cce"), LossSpec("mae"), LossSpec("gce", q=0.7), LossSpec("sl")]
 MIXED = TemplateKind.MIXED_CLASS_DEPENDENT
@@ -29,18 +32,13 @@ def _result(criterion, ok, detail):
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-def _random_stochastic(rng, c):
-    m = rng.random((c, c)) + 1e-3
-    return m / m.sum(axis=1, keepdims=True)
-
-
 def _random_case(rng, specs=SPECS, min_ut=1e-3):
     # corrected probabilities are kept away from the singularity so the
     # finite-difference truncation error stays far below the tolerance
     while True:
         spec = specs[rng.integers(len(specs))]
         c = int(rng.choice([2, 5, 10]))
-        t = _random_stochastic(rng, c)
+        t = random_row_stochastic(rng, c)
         h = rng.standard_normal(c)
         k = int(rng.integers(c))
         if float(forward_correct(t, softmax(h))[k]) >= min_ut:
@@ -58,31 +56,34 @@ def _fd_scores(fn, h, step=1e-6):
 
 
 def _fd_params(params, scalar_fn, step=1e-6):
-    flat = []
-    for arrays in (params.weights, params.biases):
-        for a in arrays:
-            it = np.nditer(a, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = a[idx]
-                a[idx] = orig + step
-                fp = scalar_fn()
-                a[idx] = orig - step
-                fm = scalar_fn()
-                a[idx] = orig
-                flat.append((fp - fm) / (2 * step))
-    return np.array(flat)
+    # walks params.flat, of which the weights and biases are views
+    flat = params.flat
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        fp = scalar_fn()
+        flat[i] = orig - step
+        fm = scalar_fn()
+        flat[i] = orig
+        grad[i] = (fp - fm) / (2 * step)
+    return grad
+
+
+def _scores(params, x):
+    return forward_batch(params, x[None, :])[0][0]
 
 
 def test_criterion_1_gradient_oracle_suite():
+    # the kernels that train (batch_weighting, forward_batch, backward_batch),
+    # each called on one row, against finite differences of corrected_loss
     start = time.perf_counter()
     rng = np.random.default_rng(101)
 
     worst_weight = 0.0
     for _ in range(1000):
         spec, t, k, h = _random_case(rng)
-        u = softmax(h)
-        analytic = weight_proposed(spec, t, k, u)
+        analytic = batch_weighting(softmax(h)[None, :], t[:, k][None, :], spec)[0]
         numeric = _fd_scores(lambda hh: corrected_loss(spec, t, k, softmax(hh)), h)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst_weight = max(worst_weight, rel)
@@ -94,18 +95,18 @@ def test_criterion_1_gradient_oracle_suite():
         hidden = 0 if case % 2 == 0 else 6
         params = init_parameters(d, c, hidden, rng)
         x = rng.standard_normal(d)
-        u = softmax(forward(params, x))
+        scores, cache = forward_batch(params, x[None, :])
+        u = softmax(scores[0])
         if float(forward_correct(t, u)[k]) < 1e-3 or u[k] < 1e-3:
             continue
         if case % 4 < 2:
-            omega = weight_proposed(spec, t, k, u)
-            scalar = lambda: corrected_loss(spec, t, k, softmax(forward(params, x)))
+            column = t[:, k]
+            scalar = lambda: corrected_loss(spec, t, k, softmax(_scores(params, x)))
         else:
-            omega = weight_standard(spec, 1.0, k, u)
-            scalar = lambda: loss_value(spec, softmax(forward(params, x))[k])
-        grads = backward(params, x, omega)
-        # flatten in the same order _fd_params walks: weights, then biases
-        exact = np.concatenate([dw.ravel() for dw, _ in grads] + [db for _, db in grads])
+            column = np.eye(c)[k]
+            scalar = lambda: loss_value(spec, softmax(_scores(params, x))[k])
+        omega = batch_weighting(u[None, :], column[None, :], spec)
+        exact = backward_batch(params, cache, omega, params.zeros_like()).flat
         numeric = _fd_params(params, scalar)
         rel = np.linalg.norm(exact - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst_backward = max(worst_backward, rel)
@@ -125,7 +126,7 @@ def test_criterion_2_reduction_identity():
         u = softmax(rng.standard_normal(c))
         k = int(rng.integers(c))
         wp = weight_proposed(spec, np.eye(c), k, u)
-        ws = weight_standard(spec, 1.0, k, u)
+        ws = weight_standard(spec, k, u)
         worst = max(worst, float(np.abs(wp - ws).max()))
     _result(2, worst <= 1e-12, f"identity-matrix reduction max diff {worst:.2e} (<=1e-12)")
 
@@ -177,7 +178,7 @@ def test_criterion_5_l1_bound():
     realized_max = 0.0
     for _ in range(100_000):
         c = int(rng.choice([2, 5, 10]))
-        t = _random_stochastic(rng, c)
+        t = random_row_stochastic(rng, c)
         u = softmax(rng.standard_normal(c) * rng.uniform(0.5, 20.0))
         k = int(rng.integers(c))
         val = l1_discrepancy(t, k, u)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weaklab import correction
-from weaklab.cli import main
+from weaklab.cli import _parse_corrupt_spec, main
 from weaklab.datagen import build_multisource, generate_blobs, load_dataset, save_dataset
 from weaklab.labelspace import SourceSpec, TemplateKind, identity_matrix, make_template, parse_matrix
 
@@ -117,3 +117,14 @@ def test_run_command_deterministic(tmp_path):
     main(["run", "--config", str(cfg), "--out", str(out2)])
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
     assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
+
+
+@pytest.mark.parametrize("weak, message", [
+    ("mixed:0.3", r"'mixed:0.3': expected kind:eta:count"),
+    ("mixd:0.3:900", r"'mixd:0.3:900': unknown template kind 'mixd', expected one of mixed"),
+], ids=["field_count", "unknown_kind"])
+def test_corrupt_spec_names_the_bad_token(tmp_path, weak, message):
+    spec_path = tmp_path / "sources.ini"
+    spec_path.write_text(f"[sources]\nclean_count = 100\nweak = uniform:0.3:900 {weak}\n")
+    with pytest.raises(ValueError, match=message):
+        _parse_corrupt_spec(spec_path)

@@ -141,9 +141,13 @@ def test_corrected_loss_mae_zero_at_certain_column():
 def test_degenerate_column_raises():
     t = np.array([[1.0, 0.0], [1.0, 0.0]])
     u = np.array([0.3, 0.7])
+    # the kernel behind weight_standard and gce_weight_closed_form floors
+    # u_tilde_k at PROB_FLOOR, so these must reject the column themselves
     for fn in (lambda: corrected_loss(LossSpec("cce"), t, 1, u),
                lambda: weight_proposed(LossSpec("cce"), t, 1, u),
-               lambda: l1_discrepancy(t, 1, u)):
+               lambda: l1_discrepancy(t, 1, u),
+               lambda: weight_standard(LossSpec("cce"), 0, np.array([0.0, 1.0])),
+               lambda: gce_weight_closed_form(0.7, t, 1, u)):
         with pytest.raises(DegenerateColumnError):
             fn()
 
@@ -167,7 +171,7 @@ def test_weight_proposed_identity_reduction(rng):
         u = softmax(rng.standard_normal(c))
         k = int(rng.integers(c))
         wp = weight_proposed(spec, np.eye(c), k, u)
-        ws = weight_standard(spec, 1.0, k, u)
+        ws = weight_standard(spec, k, u)
         assert np.abs(wp - ws).max() <= 1e-12
 
 
@@ -216,7 +220,7 @@ def test_gce_closed_form_equals_chain_rule(rng):
 
 def test_weight_standard_cce_classical_identity(rng):
     u = np.array([0.5, 0.3, 0.2])
-    w = weight_standard(LossSpec("cce"), 1.0, 0, u)
+    w = weight_standard(LossSpec("cce"), 0, u)
     assert w == pytest.approx([-0.5, 0.3, 0.2])
     # and in general: u - e^k
     for _ in range(20):
@@ -224,20 +228,12 @@ def test_weight_standard_cce_classical_identity(rng):
         k = int(rng.integers(6))
         expected = u.copy()
         expected[k] -= 1.0
-        assert np.allclose(weight_standard(LossSpec("cce"), 1.0, k, u), expected, atol=1e-12)
+        assert np.allclose(weight_standard(LossSpec("cce"), k, u), expected, atol=1e-12)
 
 
 def test_weight_standard_zero_at_saturation():
     u = np.array([0.0, 0.0, 1.0])
-    assert np.all(weight_standard(LossSpec("mae"), 1.0, 2, u) == 0.0)
-
-
-def test_weight_standard_linear_in_source_weight(rng):
-    u = softmax(rng.standard_normal(4))
-    k = 1
-    w1 = weight_standard(LossSpec("gce", q=0.7), 1.0, k, u)
-    w2 = weight_standard(LossSpec("gce", q=0.7), 2.0, k, u)
-    assert np.allclose(w2, 2.0 * w1, rtol=1e-15)
+    assert np.all(weight_standard(LossSpec("mae"), 2, u) == 0.0)
 
 
 def test_weight_standard_matches_finite_differences(rng):
@@ -247,7 +243,7 @@ def test_weight_standard_matches_finite_differences(rng):
             c = int(rng.choice([2, 5, 10]))
             h = rng.standard_normal(c)
             k = int(rng.integers(c))
-            exact = weight_standard(spec, 1.0, k, softmax(h))
+            exact = weight_standard(spec, k, softmax(h))
             approx = fd_score_gradient(lambda hh: loss_value(spec, softmax(hh)[k]), h)
             assert np.linalg.norm(exact - approx) <= 1e-6 * max(1.0, np.linalg.norm(approx))
 

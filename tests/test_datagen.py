@@ -154,6 +154,5 @@ def test_stacked_view_consistent():
     feats, labels, src = ms.stacked()
     assert feats.shape == (90, 3)
     assert np.bincount(src).tolist() == [30, 60]
-    inst = list(ms.instances())
-    assert len(inst) == 90
-    assert inst[0].source_id == 0 and inst[-1].source_id == 1
+    assert np.array_equal(feats[30:], ms.block(1).features)
+    assert np.array_equal(labels[30:], ms.block(1).labels)

@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from weaklab.harness import (CSV_HEADER, ExperimentConfig, ReportRow, RunReport,
+from weaklab.harness import (CONFIG_KEYS, CSV_HEADER, ExperimentConfig, ReportRow, RunReport,
                              SeedResult, WeakSource, emit_csv, emit_curves, load_config,
                              overall_accuracy, run_experiment, write_run_dir)
 from weaklab.labelspace import TemplateKind
@@ -224,3 +227,26 @@ def test_load_config_rejects_source_weight(tmp_path):
     path.write_text("[sources]\nweak = uniform:3 mixed:9:2\n")
     with pytest.raises(ValueError, match="mixed:9:2"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[train]\nlearning_rat = 5.0\n", r"'learning_rat' in section \[train\]"),
+    ("[sourcez]\nweak = mixed:9\n", r"section \[sourcez\]"),
+    ("[DEFAULT]\nepochs = 3\n", r"section \[DEFAULT\]"),
+    ("[sources]\nweak = uniform:3 mixd:9\n", r"'mixd:9'.*expected one of mixed, uniform"),
+], ids=["key", "section", "default_section", "template_kind"])
+def test_load_config_rejects_unknown_names(tmp_path, text, message):
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
+def test_readme_config_table_lists_the_allowed_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        m = re.match(r"\| `\[(\w+)\]` \| (.*) \|$", line)
+        if m:
+            table[m.group(1)] = tuple(re.findall(r"`(\w+)`", m.group(2)))
+    assert table == CONFIG_KEYS

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from weaklab.labelspace import (SourceSpec, TemplateKind, TransitionMatrix,
                                 balanced_error_rate, format_matrix, identity_matrix,
                                 load_matrix, make_template, mean_row_entropy, parse_matrix,
-                                sample_weak_label, sample_weak_labels,
+                                sample_weak_labels,
                                 satisfies_diagonal_dominance, save_matrix)
 
 TEN_CLASS_KINDS = [TemplateKind.MIXED_CLASS_DEPENDENT, TemplateKind.LAND_COVER_CHANGE,
@@ -29,8 +29,7 @@ def test_transition_matrix_rejects_bad_rows():
 def test_source_zero_must_be_clean():
     with pytest.raises(ValueError):
         SourceSpec(0, make_template(TemplateKind.UNIFORM, 4, 0.1), 10)
-    spec = SourceSpec(0, identity_matrix(4), 10)
-    assert spec.weight == 1.0
+    assert SourceSpec(0, identity_matrix(4), 10).count == 10
 
 
 def test_uniform_template_layout():
@@ -139,9 +138,8 @@ def test_dominance_flip_point_by_bisection():
 
 
 def test_sample_weak_label_identity_is_noop(rng):
-    t = identity_matrix(8)
-    for label in range(8):
-        assert sample_weak_label(t, label, rng) == label
+    labels = np.arange(8).repeat(10)
+    assert np.array_equal(sample_weak_labels(identity_matrix(8), labels, rng), labels)
 
 
 def test_sample_weak_label_water_rows_never_flip(rng):
@@ -169,7 +167,9 @@ def test_sample_weak_label_empirical_distribution(rng):
 
 def test_sample_weak_label_rejects_bad_label(rng):
     with pytest.raises(ValueError):
-        sample_weak_label(identity_matrix(4), 4, rng)
+        sample_weak_labels(identity_matrix(4), np.array([4]), rng)
+    with pytest.raises(ValueError):
+        sample_weak_labels(identity_matrix(4), np.array([-1]), rng)
 
 
 def test_sampling_deterministic_given_seed():

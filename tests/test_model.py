@@ -4,10 +4,9 @@ import pytest
 from weaklab.correction import corrected_loss, softmax, weight_proposed, weight_standard
 from weaklab.losses import LossSpec, loss_value
 from weaklab.model import (ModelParameters, TrainConfig, TrainingDiverged, _softmax_rows,
-                           backward, backward_batch, batch_weighting, forward,
-                           forward_batch, init_optimizer, init_parameters, load_params,
-                           predict, predict_batch, save_params, step, train,
-                           transition_columns)
+                           backward_batch, batch_weighting, forward_batch, init_optimizer,
+                           init_parameters, load_params, predict_batch, save_params, step,
+                           train, transition_columns)
 
 from conftest import random_row_stochastic
 
@@ -18,30 +17,36 @@ def make_params(rng, d, c, hidden):
     return init_parameters(d, c, hidden, rng)
 
 
+def scores_of(params, x):
+    """Score vector of one sample: forward_batch on a one-row batch."""
+    return forward_batch(params, x[None, :])[0][0]
+
+
+def one_row_gradient(params, x, omega):
+    """backward_batch on a one-row batch, as a flat gradient vector."""
+    _, cache = forward_batch(params, x[None, :])
+    return backward_batch(params, cache, np.asarray(omega)[None, :], params.zeros_like()).flat
+
+
 def per_parameter_fd(params, scalar_fn, step=1e-6):
-    """Central finite differences of scalar_fn(params) w.r.t. every entry."""
-    grads = []
-    for arrays in (params.weights, params.biases):
-        for a in arrays:
-            g = np.zeros_like(a)
-            it = np.nditer(a, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = a[idx]
-                a[idx] = orig + step
-                fp = scalar_fn(params)
-                a[idx] = orig - step
-                fm = scalar_fn(params)
-                a[idx] = orig
-                g[idx] = (fp - fm) / (2 * step)
-            grads.append(g)
-    n = len(params.weights)
-    return [(grads[i], grads[n + i]) for i in range(n)]
+    """Central finite differences of scalar_fn(params) w.r.t. every entry
+    of params.flat (the weights and biases are views into it)."""
+    flat = params.flat
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        fp = scalar_fn(params)
+        flat[i] = orig - step
+        fm = scalar_fn(params)
+        flat[i] = orig
+        grad[i] = (fp - fm) / (2 * step)
+    return grad
 
 
 def test_forward_zero_params_gives_uniform():
     params = ModelParameters([np.zeros((4, 3))], [np.zeros(4)])
-    h = forward(params, np.array([1.0, -2.0, 0.5]))
+    h = scores_of(params, np.array([1.0, -2.0, 0.5]))
     assert np.all(h == 0.0)
     assert np.allclose(softmax(h), 0.25)
 
@@ -51,7 +56,7 @@ def test_forward_linear_identity_block():
     np.fill_diagonal(w, 1.0)
     params = ModelParameters([w], [np.zeros(3)])
     x = np.array([0.0, 1.0, 0.0])
-    assert np.array_equal(forward(params, x), x)
+    assert np.array_equal(scores_of(params, x), x)
 
 
 def test_forward_matches_straight_line_reimplementation(rng):
@@ -59,35 +64,30 @@ def test_forward_matches_straight_line_reimplementation(rng):
     x = rng.standard_normal(7)
     z = params.weights[0] @ x + params.biases[0]
     expected = params.weights[1] @ np.where(z > 0, z, 0.0) + params.biases[1]
-    assert np.allclose(forward(params, x), expected, atol=1e-14)
+    assert np.allclose(scores_of(params, x), expected, atol=1e-14)
 
     lin = make_params(rng, 7, 4, 0)
-    assert np.allclose(forward(lin, x), lin.weights[0] @ x + lin.biases[0], atol=1e-14)
+    assert np.allclose(scores_of(lin, x), lin.weights[0] @ x + lin.biases[0], atol=1e-14)
 
 
 def test_forward_rejects_wrong_length(rng):
     params = make_params(rng, 5, 3, 0)
     with pytest.raises(ValueError):
-        forward(params, np.zeros(4))
+        forward_batch(params, np.zeros((1, 4)))
 
 
 def test_backward_zero_omega_gives_zero_grads(rng):
     params = make_params(rng, 6, 4, 8)
-    grads = backward(params, rng.standard_normal(6), np.zeros(4))
-    for dw, db in grads:
-        assert np.all(dw == 0.0) and np.all(db == 0.0)
+    assert np.all(one_row_gradient(params, rng.standard_normal(6), np.zeros(4)) == 0.0)
 
 
 def test_backward_linear_in_omega(rng):
     params = make_params(rng, 6, 4, 8)
     x = rng.standard_normal(6)
     w1, w2 = rng.standard_normal(4), rng.standard_normal(4)
-    ga = backward(params, x, w1)
-    gb = backward(params, x, w2)
-    gsum = backward(params, x, w1 + w2)
-    for (dwa, dba), (dwb, dbb), (dws, dbs) in zip(ga, gb, gsum):
-        assert np.allclose(dwa + dwb, dws, atol=1e-12)
-        assert np.allclose(dba + dbb, dbs, atol=1e-12)
+    ga = one_row_gradient(params, x, w1)
+    gb = one_row_gradient(params, x, w2)
+    assert np.allclose(ga + gb, one_row_gradient(params, x, w1 + w2), atol=1e-12)
 
 
 @pytest.mark.parametrize("hidden", [0, 6])
@@ -102,20 +102,19 @@ def test_backward_matches_parameter_finite_differences(rng, hidden):
                 k = int(rng.integers(c))
                 t = random_row_stochastic(rng, c)
 
+                u = softmax(scores_of(params, x))
                 if strategy == "vanilla":
                     def scalar_fn(p):
-                        return loss_value(spec, softmax(forward(p, x))[k])
-                    omega = weight_standard(spec, 1.0, k, softmax(forward(params, x)))
+                        return loss_value(spec, softmax(scores_of(p, x))[k])
+                    omega = weight_standard(spec, k, u)
                 else:
                     def scalar_fn(p):
-                        return corrected_loss(spec, t, k, softmax(forward(p, x)))
-                    omega = weight_proposed(spec, t, k, softmax(forward(params, x)))
+                        return corrected_loss(spec, t, k, softmax(scores_of(p, x)))
+                    omega = weight_proposed(spec, t, k, u)
 
-                exact = backward(params, x, omega)
+                exact = one_row_gradient(params, x, omega)
                 approx = per_parameter_fd(params, scalar_fn)
-                flat_e = np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in exact])
-                flat_a = np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in approx])
-                rel = np.linalg.norm(flat_e - flat_a) / max(np.linalg.norm(flat_a), 1e-12)
+                rel = np.linalg.norm(exact - approx) / max(np.linalg.norm(approx), 1e-12)
                 assert rel <= 1e-5
 
 
@@ -158,16 +157,12 @@ def test_step_applies_weight_decay(rng):
     assert np.allclose(params.weights[0], 9.5)
 
 
-def _flat_grad(pairs):
-    return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in pairs])
-
-
 @pytest.mark.parametrize("hidden", [0, 32])
 @pytest.mark.parametrize("strategy", ["vanilla", "forward", "proposed"])
 def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
     # the batched chain train() runs (transition_columns, batch_weighting,
-    # backward_batch) against the per-sample path the finite-difference
-    # oracles check, averaged over one minibatch
+    # backward_batch) on one minibatch, against the mean over its rows of
+    # the chain-rule reference weight_proposed contracted one row at a time
     d, c, m, sources = 6, 5, 16, 3
     if strategy == "vanilla":
         mats = {s: np.eye(c) for s in range(sources)}
@@ -185,8 +180,8 @@ def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
         scores, cache = forward_batch(look, x)
         omega = batch_weighting(_softmax_rows(scores), cols, spec)
         batched = backward_batch(look, cache, omega / m, look.zeros_like()).flat
-        oracle = np.mean([_flat_grad(backward(look, x[i], weight_proposed(
-            spec, mats[src[i]], labels[i], softmax(forward(look, x[i])))))
+        oracle = np.mean([one_row_gradient(look, x[i], weight_proposed(
+            spec, mats[src[i]], labels[i], softmax(scores_of(look, x[i]))))
             for i in range(m)], axis=0)
         assert np.linalg.norm(batched - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
@@ -215,14 +210,14 @@ def test_parameter_views_share_the_flat_buffer(rng):
 
 def test_predict_tie_break_and_shift_invariance(rng):
     params = ModelParameters([np.zeros((3, 2))], [np.array([3.0, 1.0, 2.0])])
-    assert predict(params, np.zeros(2)) == 0
+    assert predict_batch(params, np.zeros((1, 2)))[0] == 0
     params.biases[0][:] = 0.0
-    assert predict(params, np.zeros(2)) == 0  # uniform scores: lowest index wins
+    assert predict_batch(params, np.zeros((1, 2)))[0] == 0  # uniform scores: lowest index wins
     params2 = make_params(rng, 4, 3, 0)
-    x = rng.standard_normal(4)
-    base = predict(params2, x)
+    x = rng.standard_normal((1, 4))
+    base = predict_batch(params2, x)[0]
     params2.biases[0] += 7.5  # shifting all scores cannot change the argmax
-    assert predict(params2, x) == base
+    assert predict_batch(params2, x)[0] == base
 
 
 def _toy_training_data(rng, n=300):

@@ -86,10 +86,17 @@ def _cmd_validate_gradients(args) -> int:
     return 0 if ok else 1
 
 
+# the sections and keys of a corrupt spec file; anything else is an error
+CORRUPT_SPEC_KEYS = {"sources": ("clean_count", "weak")}
+
+
 def _parse_corrupt_spec(path):
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     with open(path) as fh:
         cp.read_file(fh)
+    harness._check_keys(cp, CORRUPT_SPEC_KEYS)
+    if not cp.has_section("sources"):
+        raise ValueError(f"corrupt spec {path}: missing the [sources] section")
     src = cp["sources"]
     clean_count = src.getint("clean_count", 0)
     weak = []

@@ -30,11 +30,14 @@ def _entries(matrix) -> np.ndarray:
 
 
 def softmax(scores) -> np.ndarray:
-    """Probability vector exp(h_i) / sum_j exp(h_j), max-shifted for stability."""
+    """Probability vector exp(h_i) / sum_j exp(h_j), max-shifted for stability.
+
+    An (m, c) stack of score rows gives the (m, c) stack of their softmaxes,
+    each row equal to the call on that row alone."""
     h = np.asarray(scores, dtype=np.float64)
-    shifted = h - h.max()
+    shifted = h - h.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_grad(u, j: int) -> np.ndarray:
@@ -47,20 +50,33 @@ def softmax_grad(u, j: int) -> np.ndarray:
 
 
 def forward_correct(matrix, u) -> np.ndarray:
-    """Corrected probabilities u_tilde = T^T u (u_tilde_k = sum_j T[j,k] u_j)."""
+    """Corrected probabilities u_tilde = T^T u (u_tilde_k = sum_j T[j,k] u_j).
+
+    u may be an (m, c) stack of probability rows; each row is corrected by
+    its own matrix-vector product, so it equals the call on that row alone."""
     t = _entries(matrix)
     u = np.asarray(u, dtype=np.float64)
-    if u.shape[0] != t.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {t.shape[0]}-class, u has {u.shape[0]}")
-    return t.T @ u
+    if u.shape[-1] != t.shape[0]:
+        raise ValueError(f"dimension mismatch: matrix is {t.shape[0]}-class, u has {u.shape[-1]}")
+    if u.ndim == 1:
+        return t.T @ u
+    # a stacked matmul runs one matrix-vector product per row; u @ t would
+    # be one matrix product, whose summation order differs in the last bit
+    return (t.T @ u[..., None])[..., 0]
 
 
-def corrected_loss(spec: LossSpec, matrix, k: int, u) -> float:
-    """Loss evaluated at the corrected probability of the given label k."""
-    ut_k = float(forward_correct(matrix, u)[k])
-    if ut_k <= 0.0:
+def corrected_loss(spec: LossSpec, matrix, k: int, u):
+    """Loss evaluated at the corrected probability of the given label k.
+
+    A probability vector u gives a float; an (m, c) stack of them gives the
+    m losses as an array, and DegenerateColumnError if any row is degenerate.
+    """
+    ut_k = forward_correct(matrix, u)[..., k]
+    if np.any(ut_k <= 0.0):
         raise DegenerateColumnError(f"corrected probability of class {k} is zero")
-    return float(loss_value(spec, min(ut_k, 1.0)))
+    if ut_k.ndim == 0:
+        return float(loss_value(spec, min(float(ut_k), 1.0)))
+    return loss_value(spec, np.minimum(ut_k, 1.0))
 
 
 def _one_row_weighting(spec: LossSpec, column, k: int, u) -> np.ndarray:
@@ -132,17 +148,13 @@ def numerical_score_gradient(spec: LossSpec, matrix, k: int, h,
                              step: float = 1e-6) -> np.ndarray:
     """Central finite differences of corrected_loss(softmax(h)) w.r.t. h.
 
-    Diagnostic used by the CLI gradient validator; the test suite keeps its
-    own independent differencer.
+    The 2c shifted score rows h + step e^i and h - step e^i are evaluated
+    as one stack: one softmax and one corrected_loss call. Diagnostic used
+    by the CLI gradient validator; the test suite keeps its own
+    independent differencer.
     """
     h = np.asarray(h, dtype=np.float64)
-    grad = np.zeros_like(h)
-    for i in range(h.shape[0]):
-        hp = h.copy()
-        hm = h.copy()
-        hp[i] += step
-        hm[i] -= step
-        fp = corrected_loss(spec, matrix, k, softmax(hp))
-        fm = corrected_loss(spec, matrix, k, softmax(hm))
-        grad[i] = (fp - fm) / (2.0 * step)
-    return grad
+    c = h.shape[0]
+    shift = step * np.eye(c)
+    losses = corrected_loss(spec, matrix, k, softmax(np.concatenate((h + shift, h - shift))))
+    return (losses[:c] - losses[c:]) / (2.0 * step)

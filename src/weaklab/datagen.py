@@ -9,6 +9,7 @@ matrix. Same seed, same bytes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,27 +150,103 @@ def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
     return report
 
 
+# rows formatted or parsed per block; larger blocks are no faster and
+# hold more transient Python objects (peak memory)
+IO_BLOCK_ROWS = 1024
+
+
 def save_dataset(path, ms: MultisourceDataset) -> None:
-    """Text form: header `c d n`, then `source_id label f_1 ... f_d` per line."""
+    """Text form: header `c d n`, then `source_id label f_1 ... f_d` per line,
+    each feature as repr of the float (shortest round-tripping digits)."""
     with open(path, "w") as fh:
         fh.write(f"{ms.c} {ms.d} {len(ms)}\n")
         for blk in ms.sources:
-            for i in range(len(blk)):
-                feats = " ".join(repr(float(v)) for v in blk.features[i])
-                fh.write(f"{blk.source_id} {int(blk.labels[i])} {feats}\n")
+            for start in range(0, len(blk), IO_BLOCK_ROWS):
+                stop = start + IO_BLOCK_ROWS
+                labels = blk.labels[start:stop].astype(np.int64, copy=False).tolist()
+                rows = blk.features[start:stop].tolist()
+                fh.write("".join([f"{blk.source_id} {label} {' '.join(map(repr, row))}\n"
+                                  for label, row in zip(labels, rows)]))
+
+
+def _bad_line(path, lineno: int, what: str) -> ValueError:
+    return ValueError(f"{path}, line {lineno}: {what}")
+
+
+def _parse_header(path, line: str):
+    parts = line.split()
+    try:
+        c, d, n = (int(v) for v in parts)
+    except ValueError:
+        raise _bad_line(path, 1, f"header {line.strip()!r} is not three integers `c d n`") from None
+    if c < 1 or d < 1 or n < 0:
+        raise _bad_line(path, 1, f"header {line.strip()!r} needs c >= 1, d >= 1, n >= 0")
+    return c, d, n
+
+
+def _check_row(path, lineno: int, line: str, row_type: np.dtype) -> None:
+    parts = line.split()
+    d = row_type["features"].shape[0]
+    if len(parts) != d + 2:
+        raise _bad_line(path, lineno, f"expected {d + 2} fields (source id, label and "
+                        f"{d} features), found {len(parts)}")
+    for name, text in (("source id", parts[0]), ("label", parts[1])):
+        if not text.lstrip("+-").isdigit():
+            raise _bad_line(path, lineno, f"{name} {text!r} is not an integer")
+    try:
+        np.loadtxt([line], dtype=row_type, comments=None)
+    except ValueError as exc:
+        raise _bad_line(path, lineno, f"unreadable row ({exc})") from None
 
 
 def load_dataset(path) -> MultisourceDataset:
+    """Read the text form written by save_dataset.
+
+    Raises ValueError naming the file and the 1-based line when the header
+    is not three integers `c d n`, a row has other than d + 2 fields or
+    lacks its final newline, a source id or label is not an integer, a
+    label lies outside [0, c), a source id is negative, or the file holds
+    other than n rows.
+    """
     with open(path) as fh:
-        c, d, n = (int(v) for v in fh.readline().split())
+        c, d, n = _parse_header(path, fh.readline())
         src = np.empty(n, dtype=np.int64)
         labels = np.empty(n, dtype=np.int64)
         features = np.empty((n, d))
-        for i in range(n):
-            parts = fh.readline().split()
-            src[i] = int(parts[0])
-            labels[i] = int(parts[1])
-            features[i] = [float(v) for v in parts[2:]]
+        row_type = np.dtype([("source", np.int64), ("label", np.int64),
+                             ("features", np.float64, (d,))])
+        start = 0
+        while start < n:
+            lines = list(itertools.islice(fh, min(IO_BLOCK_ROWS, n - start)))
+            if not lines:
+                break
+            if not lines[-1].endswith("\n"):
+                raise _bad_line(path, start + 1 + len(lines), "row does not end with a "
+                                "newline (truncated file?)")
+            try:
+                block = np.loadtxt(lines, dtype=row_type, comments=None, ndmin=1)
+            except ValueError:
+                block = None
+            if block is None or len(block) != len(lines):  # loadtxt skips blank lines
+                # rare error path: find and name the bad line; the header is line 1
+                for offset, line in enumerate(lines):
+                    _check_row(path, start + 2 + offset, line, row_type)
+                raise _bad_line(path, start + 2, "unreadable block of rows")
+            stop = start + len(lines)
+            src[start:stop] = block["source"]
+            labels[start:stop] = block["label"]
+            features[start:stop] = block["features"]
+            start = stop
+        if start < n:
+            raise _bad_line(path, start + 2, f"file ends after {start} rows, but the "
+                            f"header's n is {n}")
+        if fh.readline():
+            raise _bad_line(path, n + 2, f"more rows than the header's n = {n}")
+    for values, ok, what in ((labels, (labels >= 0) & (labels < c), f"label outside [0, {c})"),
+                             (src, src >= 0, "negative source id")):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise _bad_line(path, i + 2, f"{what}: {int(values[i])}")
     blocks = [SourceBlock(int(s), features[src == s], labels[src == s])
               for s in np.unique(src)]
     return MultisourceDataset(blocks, c, d)

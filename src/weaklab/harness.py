@@ -22,9 +22,9 @@ from .datagen import Dataset, MultisourceDataset, build_multisource, generate_bl
 from .estimation import estimate_per_source, estimate_single
 from .labelspace import (SourceSpec, TemplateKind, TransitionMatrix, identity_matrix,
                          make_template, satisfies_diagonal_dominance, save_matrix)
-from .losses import LossSpec
-from .model import (ModelParameters, TrainConfig, TrainingDiverged, predict_batch,
-                    save_params, train)
+from .losses import FAMILIES, LossSpec
+from .model import (STRATEGIES, ModelParameters, TrainConfig, TrainingDiverged,
+                    predict_batch, save_params, train)
 
 
 @dataclass
@@ -329,17 +329,35 @@ CONFIG_KEYS = {
 }
 
 
-def _check_keys(cp: configparser.ConfigParser) -> None:
+def _check_keys(cp: configparser.ConfigParser, table: dict = CONFIG_KEYS) -> None:
+    """Reject any section or key of cp that the table (section -> keys) lacks."""
     # keys of a [DEFAULT] section show up in every section, so check it first
     for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
-        if section not in CONFIG_KEYS:
+        if section not in table:
             raise ValueError(f"unknown config section [{section}], expected one of "
-                             + ", ".join(f"[{name}]" for name in CONFIG_KEYS))
-        allowed = {cp.optionxform(key) for key in CONFIG_KEYS[section]}
+                             + ", ".join(f"[{name}]" for name in table))
+        allowed = {cp.optionxform(key) for key in table[section]}
         for key in cp[section]:
             if key not in allowed:
                 raise ValueError(f"unknown key {key!r} in section [{section}], expected one "
-                                 f"of {', '.join(CONFIG_KEYS[section])}")
+                                 f"of {', '.join(table[section])}")
+
+
+def _parse_combos(text: str, base_loss: LossSpec) -> list:
+    combos = []
+    for token in text.split():
+        parts = token.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"[run] combos token {token!r}: expected strategy:family")
+        strategy, family = parts
+        if strategy not in STRATEGIES:
+            raise ValueError(f"[run] combos token {token!r}: unknown strategy {strategy!r}, "
+                             f"expected one of {', '.join(STRATEGIES)}")
+        if family not in FAMILIES:
+            raise ValueError(f"[run] combos token {token!r}: unknown loss family {family!r}, "
+                             f"expected one of {', '.join(FAMILIES)}")
+        combos.append((strategy, replace(base_loss, family=family)))
+    return combos
 
 
 def load_config(path) -> ExperimentConfig:
@@ -401,10 +419,7 @@ def load_config(path) -> ExperimentConfig:
         if "seeds" in run:
             cfg.seeds = [int(v) for v in run["seeds"].split()]
         if "combos" in run:
-            combos = []
-            for token in run["combos"].split():
-                strategy, fam = token.split(":")
-                combos.append((strategy, replace(base_loss, family=fam)))
+            combos = _parse_combos(run["combos"], base_loss)
         cfg.use_clean_in_training = run.getboolean("use_clean_in_training",
                                                    cfg.use_clean_in_training)
         cfg.baseline_epoch_cap = run.getint("baseline_epoch_cap", cfg.baseline_epoch_cap)

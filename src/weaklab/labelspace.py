@@ -210,12 +210,35 @@ def format_matrix(matrix: TransitionMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str) -> TransitionMatrix:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    c = int(lines[0])
+def parse_matrix(text: str, source: str = "matrix") -> TransitionMatrix:
+    """Read the format_matrix text form. Raises ValueError naming `source`
+    (the file, for load_matrix) and the 1-based line when the first line is
+    not a positive class count c, a row does not hold c numbers, or there
+    are other than c rows."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise ValueError(f"{source}: empty, expected a class count line")
+    lineno, first = lines[0]
+    try:
+        c = int(first)
+    except ValueError:
+        raise ValueError(f"{source}, line {lineno}: class count {first.strip()!r} "
+                         "is not an integer") from None
+    if c < 1:
+        raise ValueError(f"{source}, line {lineno}: class count {c} is not positive")
     if len(lines) != c + 1:
-        raise ValueError(f"expected {c} matrix rows, found {len(lines) - 1}")
-    rows = [[float(v) for v in ln.split()] for ln in lines[1:]]
+        raise ValueError(f"{source}: expected {c} matrix rows, found {len(lines) - 1}")
+    rows = []
+    for lineno, ln in lines[1:]:
+        fields = ln.split()
+        if len(fields) != c:
+            raise ValueError(f"{source}, line {lineno}: expected {c} numbers, "
+                             f"found {len(fields)}")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError:
+            raise ValueError(f"{source}, line {lineno}: {ln.strip()!r} holds a "
+                             "non-number") from None
     return TransitionMatrix(np.array(rows))
 
 
@@ -226,4 +249,4 @@ def save_matrix(path, matrix: TransitionMatrix) -> None:
 
 def load_matrix(path) -> TransitionMatrix:
     with open(path) as fh:
-        return parse_matrix(fh.read())
+        return parse_matrix(fh.read(), str(path))

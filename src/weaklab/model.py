@@ -288,11 +288,37 @@ def save_params(path, params: ModelParameters) -> None:
 
 
 def load_params(path) -> ModelParameters:
+    """Read a save_params checkpoint.
+
+    Raises ValueError naming the file when the arch code is not 0 or 1,
+    d or c is not positive, hidden is nonzero for arch 0 or not positive
+    for arch 1, or the file is not exactly the header's byte length.
+    """
     with open(path, "rb") as fh:
-        arch, d, hidden, c = struct.unpack("<4i", fh.read(16))
-        dims = [(c, d)] if arch == _ARCH_LINEAR else [(hidden, d), (c, hidden)]
-        weights, biases = [], []
-        for rows, cols in dims:
-            weights.append(np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols))
-            biases.append(np.frombuffer(fh.read(8 * rows), dtype="<f8"))
+        data = fh.read()
+    if len(data) < 16:
+        raise ValueError(f"{path}: {len(data)} bytes, shorter than the 16-byte checkpoint header")
+    arch, d, hidden, c = struct.unpack_from("<4i", data)
+    if arch not in (_ARCH_LINEAR, _ARCH_HIDDEN):
+        raise ValueError(f"{path}: arch code {arch}, expected {_ARCH_LINEAR} (linear) "
+                         f"or {_ARCH_HIDDEN} (one hidden layer)")
+    if d <= 0 or c <= 0:
+        raise ValueError(f"{path}: d = {d} and c = {c} must be positive")
+    if arch == _ARCH_LINEAR and hidden != 0:
+        raise ValueError(f"{path}: hidden = {hidden}, expected 0 for arch 0")
+    if arch == _ARCH_HIDDEN and hidden <= 0:
+        raise ValueError(f"{path}: hidden = {hidden}, expected a positive width for arch 1")
+    dims = [(c, d)] if arch == _ARCH_LINEAR else [(hidden, d), (c, hidden)]
+    size = 16 + 8 * sum(rows * cols + rows for rows, cols in dims)
+    if len(data) != size:
+        raise ValueError(f"{path}: {len(data)} bytes, expected {size} for arch {arch}, "
+                         f"d = {d}, hidden = {hidden}, c = {c}")
+    flat = np.frombuffer(data, dtype="<f8", offset=16)
+    weights, biases = [], []
+    offset = 0
+    for rows, cols in dims:
+        weights.append(flat[offset:offset + rows * cols].reshape(rows, cols))
+        offset += rows * cols
+        biases.append(flat[offset:offset + rows])
+        offset += rows
     return ModelParameters(weights, biases)

@@ -128,3 +128,16 @@ def test_corrupt_spec_names_the_bad_token(tmp_path, weak, message):
     spec_path.write_text(f"[sources]\nclean_count = 100\nweak = uniform:0.3:900 {weak}\n")
     with pytest.raises(ValueError, match=message):
         _parse_corrupt_spec(spec_path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[sources]\nclean_cout = 5\nweak = uniform:0.3:900\n",
+     r"unknown key 'clean_cout' in section \[sources\], expected one of clean_count, weak"),
+    ("[source]\nclean_count = 5\n", r"unknown config section \[source\]"),
+    ("", r"missing the \[sources\] section"),
+], ids=["key", "section", "missing_sources"])
+def test_corrupt_spec_rejects_unknown_names(tmp_path, text, message):
+    spec_path = tmp_path / "sources.ini"
+    spec_path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        _parse_corrupt_spec(spec_path)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaklab.correction import (DegenerateColumnError, corrected_loss, forward_correct,
-                                gce_weight_closed_form, l1_discrepancy, optimized_classes,
-                                softmax, softmax_grad, weight_proposed, weight_standard)
+                                gce_weight_closed_form, l1_discrepancy,
+                                numerical_score_gradient, optimized_classes, softmax,
+                                softmax_grad, weight_proposed, weight_standard)
 from weaklab.losses import LossSpec
 
 from conftest import random_row_stochastic
@@ -150,6 +151,41 @@ def test_degenerate_column_raises():
                lambda: gce_weight_closed_form(0.7, t, 1, u)):
         with pytest.raises(DegenerateColumnError):
             fn()
+
+
+@pytest.mark.parametrize("c", [2, 5, 10])
+def test_stacked_softmax_and_corrected_loss_equal_row_calls(rng, c):
+    t = random_row_stochastic(rng, c)
+    scores = 3.0 * rng.standard_normal((2 * c, c))
+    probs = softmax(scores)
+    for i in range(2 * c):
+        assert np.array_equal(probs[i], softmax(scores[i]))
+    for spec in SPECS:
+        for k in range(c):
+            losses = corrected_loss(spec, t, k, probs)
+            assert losses.shape == (2 * c,)
+            for i in range(2 * c):
+                one = corrected_loss(spec, t, k, probs[i])
+                assert isinstance(one, float) and losses[i] == one
+
+
+def test_stacked_corrected_loss_rejects_any_degenerate_row():
+    probs = np.array([[0.5, 0.5], [1.0, 0.0]])
+    assert corrected_loss(LossSpec("cce"), np.eye(2), 1, probs[0]) == pytest.approx(np.log(2))
+    with pytest.raises(DegenerateColumnError):
+        corrected_loss(LossSpec("cce"), np.eye(2), 1, probs)
+
+
+@pytest.mark.parametrize("c", [2, 5, 10])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+def test_numerical_score_gradient_matches_per_component_differences(rng, spec, c):
+    for _ in range(25):
+        t = random_row_stochastic(rng, c)
+        h = rng.standard_normal(c)
+        k = int(rng.integers(c))
+        per_component = fd_score_gradient(lambda hh: corrected_loss(spec, t, k, softmax(hh)), h)
+        np.testing.assert_allclose(numerical_score_gradient(spec, t, k, h), per_component,
+                                   rtol=0, atol=1e-9)
 
 
 def test_weight_proposed_matches_finite_differences(rng):

@@ -1,9 +1,16 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weaklab.datagen import (Dataset, as_clean_dataset, build_multisource,
-                             corruption_report, generate_blobs, load_dataset,
-                             save_dataset)
+from weaklab import datagen
+from weaklab.datagen import (Dataset, MultisourceDataset, SourceBlock, as_clean_dataset,
+                             build_multisource, corruption_report, generate_blobs,
+                             load_dataset, save_dataset)
 from weaklab.labelspace import SourceSpec, TemplateKind, identity_matrix, make_template
 from weaklab.model import TrainConfig, train
 from weaklab.harness import overall_accuracy
@@ -144,6 +151,108 @@ def test_dataset_text_round_trip(tmp_path):
         assert np.array_equal(back.block(s).labels, ms.block(s).labels)
     clean = as_clean_dataset(back)
     assert isinstance(clean, Dataset) and len(clean) == 90
+
+
+def reference_save(path, ms):
+    """The one-value-at-a-time writer whose bytes save_dataset must keep."""
+    with open(path, "w") as fh:
+        fh.write(f"{ms.c} {ms.d} {len(ms)}\n")
+        for blk in ms.sources:
+            for i in range(len(blk)):
+                feats = " ".join(repr(float(v)) for v in blk.features[i])
+                fh.write(f"{blk.source_id} {int(blk.labels[i])} {feats}\n")
+
+
+@st.composite
+def multisource_datasets(draw):
+    c = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+    floats = st.floats(allow_nan=False, width=64)
+    blocks = []
+    for sid in sorted(ids):
+        size = draw(st.integers(0, 6))  # empty blocks included
+        feats = draw(st.lists(st.lists(floats, min_size=d, max_size=d),
+                              min_size=size, max_size=size))
+        labels = draw(st.lists(st.integers(0, c - 1), min_size=size, max_size=size))
+        blocks.append(SourceBlock(sid, np.array(feats, dtype=np.float64).reshape(size, d),
+                                  np.array(labels, dtype=np.int64)))
+    return MultisourceDataset(blocks, c, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ms=multisource_datasets(), block_rows=st.integers(1, 4))
+def test_dataset_text_matches_reference_writer_and_round_trips(ms, block_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, ref = Path(tmp) / "data.txt", Path(tmp) / "ref.txt"
+        reference_save(ref, ms)
+        with mock.patch.object(datagen, "IO_BLOCK_ROWS", block_rows):
+            save_dataset(path, ms)
+            back = load_dataset(path)
+        assert path.read_bytes() == ref.read_bytes()
+    assert (back.c, back.d, len(back)) == (ms.c, ms.d, len(ms))
+    kept = [b for b in ms.sources if len(b)]
+    assert [b.source_id for b in back.sources] == [b.source_id for b in kept]
+    for a, b in zip(back.sources, kept):
+        assert a.features.tobytes() == b.features.tobytes()  # -0.0 and inf included
+        assert np.array_equal(a.labels, b.labels)
+
+
+# c = 3, d = 2, n = 4; line 1 is the header, rows are lines 2-5
+VALID = "3 2 4\n0 0 0.5 -1.25\n0 2 1e-05 3.0\n1 1 -0.0 2.5\n1 0 7.0 8.0\n"
+
+
+def test_valid_fixture_loads(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text(VALID)
+    ms = load_dataset(path)
+    assert [len(b) for b in ms.sources] == [2, 2]
+    assert ms.block(0).labels.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("3 2\n", 1, "not three integers"),
+    ("3 2 x\n", 1, "not three integers"),
+    ("3 0 4\n", 1, "d >= 1"),
+    (VALID.replace("0 2 1e-05 3.0", "0 2 1e-05"), 3, "expected 4 fields"),
+    (VALID.replace("0 2 1e-05 3.0", "0 2 1e-05 3.0 4.0"), 3, "found 5"),
+    (VALID.replace("\n1 1 -0.0", "\n\n1 1 -0.0"), 4, "found 0"),
+    (VALID.replace("1 1 -0.0", "1 3.5 -0.0"), 4, "label '3.5' is not an integer"),
+    (VALID.replace("1 1 -0.0", "a 1 -0.0"), 4, "source id 'a' is not an integer"),
+    (VALID.replace("1 1 -0.0", "1 1 zero"), 4, "unreadable row"),
+    (VALID.replace("1 1 -0.0", "1 3 -0.0"), 4, r"label outside \[0, 3\): 3"),
+    (VALID.replace("1 1 -0.0", "1 -1 -0.0"), 4, r"label outside \[0, 3\): -1"),
+    (VALID.replace("1 1 -0.0", "-1 1 -0.0"), 4, "negative source id"),
+    (VALID + "1 0 1.0 1.0\n", 6, "more rows than the header's n = 4"),
+    (VALID.replace("3 2 4", "3 2 5"), 6, "file ends after 4 rows"),
+    (VALID[:-1], 5, "does not end with a newline"),
+], ids=["short_header", "bad_header", "zero_d", "dropped_field", "extra_field", "blank_line",
+        "float_label", "bad_source", "bad_feature", "label_c", "negative_label",
+        "negative_source", "extra_row", "missing_row", "truncated_row"])
+def test_load_dataset_names_the_bad_line(tmp_path, text, line, message):
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"data.txt, line {line}: .*{message}"):
+        load_dataset(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut=st.integers(0, len(VALID) - 1))
+def test_load_dataset_rejects_every_truncation(cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        path.write_text(VALID[:cut])
+        with pytest.raises(ValueError, match="data.txt, line"):
+            load_dataset(path)
+
+
+def test_load_dataset_names_a_bad_line_past_the_first_block(tmp_path):
+    rows = "".join(f"0 1 {i}.5\n" for i in range(9))
+    path = tmp_path / "data.txt"
+    path.write_text("2 1 9\n" + rows.replace("0 1 6.5", "0 1 6.5 1.0"))
+    with mock.patch.object(datagen, "IO_BLOCK_ROWS", 4):
+        with pytest.raises(ValueError, match="line 8: expected 3 fields"):
+            load_dataset(path)
 
 
 def test_stacked_view_consistent():

@@ -234,7 +234,13 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[sourcez]\nweak = mixed:9\n", r"section \[sourcez\]"),
     ("[DEFAULT]\nepochs = 3\n", r"section \[DEFAULT\]"),
     ("[sources]\nweak = uniform:3 mixd:9\n", r"'mixd:9'.*expected one of mixed, uniform"),
-], ids=["key", "section", "default_section", "template_kind"])
+    ("[run]\ncombos = vanilla:cce propsed:cce\n",
+     r"\[run\] combos token 'propsed:cce': unknown strategy 'propsed', expected one of vanilla"),
+    ("[run]\ncombos = proposed\n", r"\[run\] combos token 'proposed': expected strategy:family"),
+    ("[run]\ncombos = proposed:xce\n",
+     r"\[run\] combos token 'proposed:xce': unknown loss family 'xce', expected one of cce"),
+], ids=["key", "section", "default_section", "template_kind", "combos_strategy",
+        "combos_no_family", "combos_family"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)

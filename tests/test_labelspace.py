@@ -189,3 +189,23 @@ def test_matrix_text_round_trip(tmp_path):
     path = tmp_path / "t.txt"
     save_matrix(path, t)
     assert np.array_equal(load_matrix(path).entries, t.entries)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3\n0.5 0.5 0\n0 1\n0 0 1\n", "line 3: expected 3 numbers, found 2"),
+    ("2\n1 0\n0 x\n", "line 3: '0 x' holds a non-number"),
+    ("two\n1 0\n0 1\n", "line 1: class count 'two' is not an integer"),
+    ("0\n", "line 1: class count 0 is not positive"),
+    ("2\n1 0\n", "expected 2 matrix rows, found 1"),
+    ("\n", "empty"),
+], ids=["ragged_row", "non_number", "bad_count", "zero_count", "missing_row", "empty"])
+def test_parse_matrix_names_the_bad_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_matrix(text)
+
+
+def test_load_matrix_names_the_file(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("2\n\n1 0\n0 1 0\n")
+    with pytest.raises(ValueError, match="t.txt, line 4: expected 2 numbers, found 3"):
+        load_matrix(path)

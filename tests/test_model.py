@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,34 @@ def test_params_binary_round_trip(tmp_path, rng, hidden):
     assert int.from_bytes(raw[4:8], "little") == 6
     assert int.from_bytes(raw[8:12], "little") == hidden
     assert int.from_bytes(raw[12:16], "little") == 4
+
+
+@pytest.mark.parametrize("header, tail, message", [
+    ((7, 6, 0, 4), 0, "arch code 7, expected 0"),
+    ((0, 0, 0, 4), 0, "d = 0 and c = 4 must be positive"),
+    ((0, 6, 0, -4), 0, "must be positive"),
+    ((0, 6, 5, 4), 0, "hidden = 5, expected 0 for arch 0"),
+    ((1, 6, 0, 4), 0, "hidden = 0, expected a positive width"),
+    ((0, 6, 0, 4), -8, "232 bytes, expected 240"),
+    ((0, 6, 0, 4), 8, "248 bytes, expected 240"),
+], ids=["arch", "zero_d", "negative_c", "hidden_for_linear", "no_hidden_for_arch1",
+        "truncated", "trailing_bytes"])
+def test_load_params_rejects_bad_checkpoints(tmp_path, rng, header, tail, message):
+    path = tmp_path / "model.params"
+    save_params(path, make_params(rng, 6, 4, 0))  # 16 + 8 * (4 * 6 + 4) = 240 bytes
+    raw = path.read_bytes()
+    raw = struct.pack("<4i", *header) + raw[16:]
+    raw = raw[:tail] if tail < 0 else raw + bytes(tail)
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"model.params: .*{message}"):
+        load_params(path)
+
+
+def test_load_params_rejects_a_file_shorter_than_the_header(tmp_path):
+    path = tmp_path / "model.params"
+    path.write_bytes(bytes(10))
+    with pytest.raises(ValueError, match="10 bytes, shorter than the 16-byte"):
+        load_params(path)
 
 
 def test_train_config_validation():

@@ -10,13 +10,12 @@ file as a multisource weak-labelled one.
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 
 import numpy as np
 
 from . import correction, datagen, harness, labelspace
-from .labelspace import SourceSpec, TemplateKind, identity_matrix, make_template
+from .labelspace import TemplateKind, make_template
 from .losses import LossSpec
 
 
@@ -86,35 +85,25 @@ def _cmd_validate_gradients(args) -> int:
     return 0 if ok else 1
 
 
-# the sections and keys of a corrupt spec file; anything else is an error
-CORRUPT_SPEC_KEYS = {"sources": ("clean_count", "weak")}
+# section -> key -> parser of a corrupt spec file; anything else is an error
+CORRUPT_SPEC_SCHEMA = {"sources": {"clean_count": harness.count, "weak": harness.tokens(
+    {"kind": harness.template_kind, "eta": harness.typed(float), "count": harness.count})}}
 
 
 def _parse_corrupt_spec(path):
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    with open(path) as fh:
-        cp.read_file(fh)
-    harness._check_keys(cp, CORRUPT_SPEC_KEYS)
-    if not cp.has_section("sources"):
+    src = harness.read_ini(path, CORRUPT_SPEC_SCHEMA).get("sources")
+    if src is None:
         raise ValueError(f"corrupt spec {path}: missing the [sources] section")
-    src = cp["sources"]
-    clean_count = src.getint("clean_count", 0)
-    weak = []
-    for token in src.get("weak", "").split():
-        parts = token.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"[sources] weak token {token!r}: expected kind:eta:count")
-        weak.append((harness.template_kind(token), float(parts[1]), int(parts[2])))
-    return clean_count, weak
+    if "clean_count" not in src:
+        raise ValueError(f"corrupt spec {path}: missing [sources] clean_count")
+    return src["clean_count"], src.get("weak", [])
 
 
 def _cmd_corrupt(args) -> int:
     ms_in = datagen.load_dataset(args.load_dataset)
     clean = datagen.as_clean_dataset(ms_in)  # input labels are trusted as true
     clean_count, weak = _parse_corrupt_spec(args.spec)
-    specs = [SourceSpec(0, identity_matrix(clean.c), clean_count)]
-    for i, (kind, eta, count) in enumerate(weak, start=1):
-        specs.append(SourceSpec(i, make_template(kind, clean.c, eta), count))
+    specs = harness.source_specs(clean.c, clean_count, weak)
     ms, _ = datagen.build_multisource(clean, specs, args.seed)
     datagen.save_dataset(args.emit_dataset, ms)
     sizes = ", ".join(f"source {b.source_id}: {len(b)}" for b in ms.sources)

@@ -50,16 +50,11 @@ def estimate_transition(counts: np.ndarray, smoothing: float = DEFAULT_SMOOTHING
     back to the identity row (the no-noise assumption).
     """
     counts = np.asarray(counts, dtype=np.float64)
-    c = counts.shape[0]
-    out = np.empty_like(counts)
-    for j in range(c):
-        total = counts[j].sum()
-        if total == 0:
-            out[j] = 0.0
-            out[j, j] = 1.0
-        else:
-            row = counts[j] + smoothing
-            out[j] = row / row.sum()
+    rows = counts + smoothing
+    # empty rows are skipped by the division and keep the identity row
+    nonempty = (counts.sum(axis=1) != 0)[:, None]
+    out = np.divide(rows, rows.sum(axis=1, keepdims=True), out=np.eye(counts.shape[0]),
+                    where=nonempty)
     return TransitionMatrix(out)
 
 

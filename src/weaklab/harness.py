@@ -13,13 +13,15 @@ config reproduces the report files byte for byte.
 from __future__ import annotations
 
 import configparser
+import typing
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .datagen import Dataset, MultisourceDataset, build_multisource, generate_blobs
-from .estimation import estimate_per_source, estimate_single
+from .estimation import estimate_per_source, estimate_single, train_baseline
 from .labelspace import (SourceSpec, TemplateKind, TransitionMatrix, identity_matrix,
                          make_template, satisfies_diagonal_dominance, save_matrix)
 from .losses import FAMILIES, LossSpec
@@ -46,10 +48,10 @@ class ExperimentConfig:
     clean_count: int = 500
     weak_sources: list = field(default_factory=lambda: [
         WeakSource(TemplateKind.MIXED_CLASS_DEPENDENT, 9.0)])
-    etas: list = field(default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5])
+    etas: list[float] = field(default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5])
     combinations: list = field(default_factory=lambda: [
         ("vanilla", LossSpec("cce")), ("proposed", LossSpec("cce"))])
-    seeds: list = field(default_factory=lambda: [0, 1, 2])
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     train: TrainConfig = field(default_factory=TrainConfig)
     baseline_epoch_cap: int = 0          # cap baseline epochs when > 0
     use_clean_in_training: bool = True   # False: drop the clean source from training
@@ -61,6 +63,13 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if not self.combinations:
             raise ValueError("need at least one (strategy, loss) combination")
+        # every weak template must exist at every eta before any training
+        for kind, eta in product(dict.fromkeys(w.kind for w in self.weak_sources), self.etas):
+            try:
+                make_template(kind, self.classes, eta)
+            except ValueError as err:
+                raise ValueError(f"weak kind {kind.value} at eta {eta:g} with "
+                                 f"{self.classes} classes: {err}") from None
 
     def source_layout(self) -> str:
         return "+".join(f"{w.kind.value}:x{w.multiplier:g}" for w in self.weak_sources)
@@ -116,9 +125,10 @@ def _aggregate(results: list):
     return mean, std
 
 
-def _train_tracked(features, labels, source_ids, c, tconf, test, matrices=None):
-    """Train while recording test accuracy per epoch; returns the best-epoch
-    snapshot, its (oa, epoch), and the full per-epoch history."""
+def _train_tracked(test, fit, *args, **kwargs):
+    """Run fit(*args, **kwargs) while recording test accuracy per epoch
+    through its epoch callback; returns the best-epoch snapshot, its
+    (oa, epoch), and the full per-epoch history."""
     best = {"oa": -1.0, "epoch": 0, "params": None}
     history = []
 
@@ -130,8 +140,7 @@ def _train_tracked(features, labels, source_ids, c, tconf, test, matrices=None):
             best["epoch"] = epoch
             best["params"] = params.copy()
 
-    train(features, labels, source_ids, c, tconf, matrices=matrices,
-          epoch_callback=callback)
+    fit(*args, epoch_callback=callback, **kwargs)
     return best["params"], best["oa"], best["epoch"], history
 
 
@@ -143,12 +152,11 @@ def _blend_true_matrices(specs: list) -> TransitionMatrix:
     return TransitionMatrix(blend)
 
 
-def _source_specs(config: ExperimentConfig, eta: float) -> list:
-    specs = [SourceSpec(0, identity_matrix(config.classes), config.clean_count)]
-    for i, weak in enumerate(config.weak_sources, start=1):
-        matrix = make_template(weak.kind, config.classes, eta)
-        specs.append(SourceSpec(i, matrix, int(round(weak.multiplier * config.clean_count))))
-    return specs
+def source_specs(c: int, clean_count: int, weak: list) -> list:
+    """The clean source 0, then one template source per (kind, eta, count)."""
+    return [SourceSpec(0, identity_matrix(c), clean_count)] + [
+        SourceSpec(i, make_template(kind, c, eta), count)
+        for i, (kind, eta, count) in enumerate(weak, start=1)]
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -166,7 +174,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                                np.random.default_rng(seed), config.scale)
         baseline_params = None
         for eta in config.etas:
-            specs = _source_specs(config, eta)
+            specs = source_specs(c, config.clean_count, [
+                (w.kind, eta, int(round(w.multiplier * config.clean_count)))
+                for w in config.weak_sources])
             ms, test = build_multisource(blobs, specs, seed)
 
             if baseline_params is None:
@@ -177,10 +187,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 epochs = config.train.epochs
                 if config.baseline_epoch_cap > 0:
                     epochs = min(epochs, config.baseline_epoch_cap)
-                bconf = replace(config.train, strategy="vanilla", seed=seed, epochs=epochs)
-                src0 = np.zeros(len(clean), dtype=np.int64)
+                bconf = replace(config.train, seed=seed, epochs=epochs)
                 baseline_params, b_oa, b_epoch, hist = _train_tracked(
-                    clean.features, clean.labels, src0, c, bconf, test)
+                    test, train_baseline, clean, bconf)
                 baselines[seed] = baseline_params
                 baseline_results.append(SeedResult(seed, b_oa, b_epoch))
                 curves.extend(("baseline", bconf.loss.family, None, seed, ep, oa)
@@ -212,7 +221,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 tconf = replace(config.train, strategy=strategy, loss=lspec, seed=seed)
                 try:
                     _, oa, epoch, hist = _train_tracked(
-                        feats, labels, src, c, tconf, test, matrices=matrices)
+                        test, train, feats, labels, src, c, tconf, matrices=matrices)
                     result = SeedResult(seed, oa, epoch)
                 except TrainingDiverged:
                     result = SeedResult(seed, float("nan"), 0, failed=True)
@@ -294,137 +303,134 @@ def write_run_dir(report: RunReport, out_dir) -> None:
                 save_matrix(out / name, matrix)
 
 
-def template_kind(token: str) -> TemplateKind:
-    """The template kind named by the first field of a [sources] weak token."""
-    name = token.split(":")[0]
-    try:
-        return TemplateKind(name)
-    except ValueError:
-        kinds = ", ".join(k.value for k in TemplateKind)
-        raise ValueError(f"[sources] weak token {token!r}: unknown template kind "
-                         f"{name!r}, expected one of {kinds}") from None
+def typed(kind):
+    """Parser of one config value of a field type (int, float, bool, str,
+    or a list of one of these as space-separated words)."""
+    if typing.get_origin(kind) is list:
+        item = typed(typing.get_args(kind)[0])
+        return lambda text: [item(word) for word in text.split()]
+
+    def parse(text):
+        try:
+            return (configparser.ConfigParser.BOOLEAN_STATES[text.lower()] if kind is bool
+                    else kind(text))
+        except (KeyError, ValueError):
+            raise ValueError(f"value {text!r} is not of type {kind.__name__}") from None
+    return parse
 
 
-def _parse_weak_sources(text: str) -> list:
-    sources = []
-    for token in text.split():
+def count(text: str) -> int:
+    """Parser of a sample count: an integer of at least 1."""
+    n = typed(int)(text)
+    if n < 1:
+        raise ValueError(f"value {n} is below 1")
+    return n
+
+
+def choice(what: str, names, convert=str):
+    """Parser of one of the names, returned through convert."""
+    def parse(text):
+        if text not in names:
+            raise ValueError(f"unknown {what} {text!r}, expected one of {', '.join(names)}")
+        return convert(text)
+    return parse
+
+
+template_kind = choice("template kind", [k.value for k in TemplateKind], TemplateKind)
+
+
+def tokens(fields: dict, defaults: tuple = ()):
+    """Parser of space-separated `field:field...` tokens into tuples.
+
+    fields maps each field name to its parser; the last len(defaults)
+    fields may be left out and take these defaults. Errors name the token.
+    """
+    required = len(fields) - len(defaults)
+    names = list(fields)
+    grammar = ":".join(names[:required]) + "".join(f"[:{name}]" for name in names[required:])
+
+    def parse(token):
         parts = token.split(":")
-        if len(parts) > 2:
-            raise ValueError(f"[sources] weak token {token!r}: expected kind[:multiplier]; "
-                             "per-source weights are not supported")
-        multiplier = float(parts[1]) if len(parts) > 1 else 1.0
-        sources.append(WeakSource(template_kind(token), multiplier))
-    return sources
+        if not required <= len(parts) <= len(fields):
+            raise ValueError(f"token {token!r}: expected {grammar}")
+        try:
+            values = [read(text) for read, text in zip(fields.values(), parts)]
+        except ValueError as err:
+            raise ValueError(f"token {token!r}: {err}") from None
+        return (*values, *defaults[len(parts) - required:])
+    return lambda text: [parse(token) for token in text.split()]
 
 
-# every section and key load_config reads; anything else in a file is an error
-CONFIG_KEYS = {
-    "dataset": ("classes", "dim", "n_per_class", "spread", "scale"),
-    "sources": ("clean_count", "weak", "etas"),
-    "loss": ("family", "q", "alpha", "beta", "A"),
-    "train": ("strategy", "epochs", "batch_size", "learning_rate", "momentum",
-              "weight_decay", "hidden", "seed"),
-    "run": ("seeds", "combos", "use_clean_in_training", "baseline_epoch_cap",
-            "estimated_vs_true_matrices", "smoothing"),
+def _fields(cls, *names, **parsers) -> dict:
+    """Schema entries: the plain keys that set the same-named fields of
+    cls, parsed by the field types, then the keys with their own parsers."""
+    types = typing.get_type_hints(cls)
+    return {**{name: typed(types[name]) for name in names}, **parsers}
+
+
+# section -> key -> parser for every key a config file may hold
+CONFIG_SCHEMA = {
+    "dataset": _fields(ExperimentConfig, "classes", "dim", "n_per_class", "spread", "scale"),
+    "sources": _fields(ExperimentConfig, "clean_count", "etas", weak=tokens(
+        {"kind": template_kind, "multiplier": typed(float)}, (1.0,))),
+    "loss": _fields(LossSpec, "family", "q", "alpha", "beta", "A"),
+    "train": _fields(TrainConfig, "epochs", "batch_size", "learning_rate", "momentum",
+                     "weight_decay", "hidden"),
+    "run": _fields(ExperimentConfig, "seeds", "use_clean_in_training", "baseline_epoch_cap",
+                   "estimated_vs_true_matrices", "smoothing", combos=tokens(
+                       {"strategy": choice("strategy", STRATEGIES),
+                        "family": choice("loss family", FAMILIES)})),
 }
+CONFIG_KEYS = {section: tuple(keys) for section, keys in CONFIG_SCHEMA.items()}
 
 
-def _check_keys(cp: configparser.ConfigParser, table: dict = CONFIG_KEYS) -> None:
-    """Reject any section or key of cp that the table (section -> keys) lacks."""
+def read_ini(path, schema: dict) -> dict:
+    """Read a section/key-value file into {section: {key: value}} for the
+    sections it holds, each value read by its parser in the schema
+    (section -> key -> parser). An unknown section or key, or a value its
+    parser rejects, raises ValueError naming the section and key."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp.optionxform = str  # keys are case-sensitive, spelled as in the schema
+    with open(path) as fh:
+        cp.read_file(fh)
+    values = {}
     # keys of a [DEFAULT] section show up in every section, so check it first
     for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
-        if section not in table:
+        if section not in schema:
             raise ValueError(f"unknown config section [{section}], expected one of "
-                             + ", ".join(f"[{name}]" for name in table))
-        allowed = {cp.optionxform(key) for key in table[section]}
-        for key in cp[section]:
-            if key not in allowed:
+                             + ", ".join(f"[{name}]" for name in schema))
+        values[section] = {}
+        for key, text in cp[section].items():
+            if key not in schema[section]:
                 raise ValueError(f"unknown key {key!r} in section [{section}], expected one "
-                                 f"of {', '.join(table[section])}")
+                                 f"of {', '.join(schema[section])}")
+            try:
+                values[section][key] = schema[section][key](text)
+            except ValueError as err:
+                raise ValueError(f"[{section}] {key} {err}") from None
+    return values
 
 
-def _parse_combos(text: str, base_loss: LossSpec) -> list:
-    combos = []
-    for token in text.split():
-        parts = token.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"[run] combos token {token!r}: expected strategy:family")
-        strategy, family = parts
-        if strategy not in STRATEGIES:
-            raise ValueError(f"[run] combos token {token!r}: unknown strategy {strategy!r}, "
-                             f"expected one of {', '.join(STRATEGIES)}")
-        if family not in FAMILIES:
-            raise ValueError(f"[run] combos token {token!r}: unknown loss family {family!r}, "
-                             f"expected one of {', '.join(FAMILIES)}")
-        combos.append((strategy, replace(base_loss, family=family)))
-    return combos
+def _construct(section: str, cls, **kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ValueError(f"[{section}] {err}") from None
 
 
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config from a plain-text section/key-value file.
 
-    The sections and keys are those of CONFIG_KEYS, all optional
-    (defaults as in ExperimentConfig); an unknown section or key raises
-    ValueError. weak holds space-separated kind[:multiplier] tokens, etas
-    and seeds space-separated numbers, combos space-separated
-    strategy:family tokens.
+    The sections and keys are those of CONFIG_SCHEMA, all optional
+    (defaults as in ExperimentConfig, whose default combinations take the
+    [loss] hyperparameters). Unknown names and bad values raise ValueError.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    with open(path) as fh:
-        cp.read_file(fh)
-    _check_keys(cp)
-    cfg = ExperimentConfig()
-
-    if cp.has_section("dataset"):
-        ds = cp["dataset"]
-        cfg.classes = ds.getint("classes", cfg.classes)
-        cfg.dim = ds.getint("dim", cfg.dim)
-        cfg.n_per_class = ds.getint("n_per_class", cfg.n_per_class)
-        cfg.spread = ds.getfloat("spread", cfg.spread)
-        cfg.scale = ds.getfloat("scale", cfg.scale)
-    if cp.has_section("sources"):
-        src = cp["sources"]
-        cfg.clean_count = src.getint("clean_count", cfg.clean_count)
-        if "weak" in src:
-            cfg.weak_sources = _parse_weak_sources(src["weak"])
-        if "etas" in src:
-            cfg.etas = [float(v) for v in src["etas"].split()]
-    loss_kwargs = {}
-    family = "cce"
-    if cp.has_section("loss"):
-        ls = cp["loss"]
-        family = ls.get("family", family)
-        for key in ("q", "alpha", "beta", "A"):
-            if key in ls:
-                loss_kwargs[key] = ls.getfloat(key)
-    base_loss = LossSpec(family, **loss_kwargs)
-    t = TrainConfig(loss=base_loss)
-    if cp.has_section("train"):
-        tr = cp["train"]
-        t = TrainConfig(
-            epochs=tr.getint("epochs", t.epochs),
-            batch_size=tr.getint("batch_size", t.batch_size),
-            learning_rate=tr.getfloat("learning_rate", t.learning_rate),
-            momentum=tr.getfloat("momentum", t.momentum),
-            weight_decay=tr.getfloat("weight_decay", t.weight_decay),
-            seed=tr.getint("seed", t.seed),
-            strategy=tr.get("strategy", t.strategy),
-            hidden=tr.getint("hidden", t.hidden),
-            loss=base_loss,
-        )
-    cfg.train = t
-    combos = [(cfg.train.strategy, base_loss)]
-    if cp.has_section("run"):
-        run = cp["run"]
-        if "seeds" in run:
-            cfg.seeds = [int(v) for v in run["seeds"].split()]
-        if "combos" in run:
-            combos = _parse_combos(run["combos"], base_loss)
-        cfg.use_clean_in_training = run.getboolean("use_clean_in_training",
-                                                   cfg.use_clean_in_training)
-        cfg.baseline_epoch_cap = run.getint("baseline_epoch_cap", cfg.baseline_epoch_cap)
-        cfg.estimated_vs_true_matrices = run.getboolean("estimated_vs_true_matrices",
-                                                        cfg.estimated_vs_true_matrices)
-        cfg.smoothing = run.getfloat("smoothing", cfg.smoothing)
-    cfg.combinations = combos
-    return cfg
+    values = {section: {} for section in CONFIG_SCHEMA} | read_ini(path, CONFIG_SCHEMA)
+    loss = _construct("loss", LossSpec, **{"family": "cce", **values["loss"]})
+    train = _construct("train", TrainConfig, loss=loss, **values["train"])
+    sources, run = values["sources"], values["run"]
+    if "weak" in sources:
+        sources["weak_sources"] = [WeakSource(*token) for token in sources.pop("weak")]
+    combos = run.pop("combos", [(s, spec.family) for s, spec in ExperimentConfig().combinations])
+    return ExperimentConfig(**values["dataset"], **sources, **run, train=train,
+                            combinations=[(s, replace(loss, family=f)) for s, f in combos])

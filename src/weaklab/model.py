@@ -119,6 +119,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.hidden < 0:
+            raise ValueError(f"hidden must be >= 0, got {self.hidden}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
 

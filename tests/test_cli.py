@@ -135,7 +135,12 @@ def test_corrupt_spec_names_the_bad_token(tmp_path, weak, message):
      r"unknown key 'clean_cout' in section \[sources\], expected one of clean_count, weak"),
     ("[source]\nclean_count = 5\n", r"unknown config section \[source\]"),
     ("", r"missing the \[sources\] section"),
-], ids=["key", "section", "missing_sources"])
+    ("[sources]\nweak = uniform:0.3:900\n", r"missing \[sources\] clean_count"),
+    ("[sources]\nclean_count = 0\n", r"\[sources\] clean_count value 0 is below 1"),
+    ("[sources]\nclean_count = 5\nweak = uniform:0.3:0\n",
+     r"\[sources\] weak token 'uniform:0.3:0': value 0 is below 1"),
+], ids=["key", "section", "missing_sources", "missing_clean_count", "zero_clean_count",
+        "zero_weak_count"])
 def test_corrupt_spec_rejects_unknown_names(tmp_path, text, message):
     spec_path = tmp_path / "sources.ini"
     spec_path.write_text(text)

@@ -175,7 +175,6 @@ beta = 0.5
 A = -2.0
 
 [train]
-strategy = proposed
 epochs = 4
 batch_size = 16
 learning_rate = 0.1
@@ -218,7 +217,8 @@ def test_load_config_defaults(tmp_path):
     cfg = load_config(path)
     assert cfg.spread == 0.30
     assert cfg.train.epochs == 60
-    assert cfg.combinations == [("vanilla", cfg.train.loss)]
+    assert cfg.combinations == [("vanilla", cfg.train.loss), ("proposed", cfg.train.loss)]
+    assert cfg.combinations == ExperimentConfig().combinations
 
 
 def test_load_config_rejects_source_weight(tmp_path):
@@ -239,8 +239,23 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[run]\ncombos = proposed\n", r"\[run\] combos token 'proposed': expected strategy:family"),
     ("[run]\ncombos = proposed:xce\n",
      r"\[run\] combos token 'proposed:xce': unknown loss family 'xce', expected one of cce"),
+    ("[train]\nseed = 0\n", r"'seed' in section \[train\]"),
+    ("[train]\nstrategy = proposed\n", r"'strategy' in section \[train\]"),
+    ("[dataset]\nclasses = ten\n", r"\[dataset\] classes value 'ten' is not of type int"),
+    ("[run]\nuse_clean_in_training = maybe\n",
+     r"\[run\] use_clean_in_training value 'maybe' is not of type bool"),
+    ("[sources]\netas = 0.1 x\n", r"\[sources\] etas value 'x' is not of type float"),
+    ("[sources]\nweak = mixed:nine\n",
+     r"\[sources\] weak token 'mixed:nine': value 'nine' is not of type float"),
+    ("[train]\nhidden = -1\n", r"\[train\] hidden must be >= 0, got -1"),
+    ("[sources]\nweak = uniform:3 mixed:9\netas = 0.1 0.85\n",
+     r"weak kind mixed at eta 0.85 with 10 classes: eta = 0.85 outside \[0, 0.8\)"),
+    ("[dataset]\nclasses = 5\n",
+     r"weak kind mixed at eta 0.1 with 5 classes: mixed template is defined only for c = 10"),
 ], ids=["key", "section", "default_section", "template_kind", "combos_strategy",
-        "combos_no_family", "combos_family"])
+        "combos_no_family", "combos_family", "dead_seed", "dead_strategy", "int_value",
+        "bool_value", "float_list_value", "weak_multiplier", "negative_hidden", "eta_range",
+        "ten_class_kind"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labelspace import SourceSpec, TransitionMatrix, sample_weak_labels
+from .labelspace import SourceSpec, TransitionMatrix, check_labels, sample_weak_labels
 
 
 @dataclass(eq=False)
@@ -127,26 +127,67 @@ def build_multisource(dataset: Dataset, specs: list, seed: int):
     return ms, test
 
 
+def _row_keys(features: np.ndarray) -> np.ndarray:
+    """Each float64 row as one np.void scalar of its bytes (a view when the
+    rows are contiguous), so rows sort and compare by exact bytes."""
+    f = np.ascontiguousarray(features, dtype=np.float64)
+    return f.view(np.dtype((np.void, f.itemsize * f.shape[1]))).reshape(-1)
+
+
+# rows whose matches _last_match confirms per step: bounds the keys it
+# gathers (8 d bytes per row) whatever the block size
+MATCH_BLOCK_ROWS = 4096
+
+
+def _last_match(keys: np.ndarray, order: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """Index in keys of the last key equal to each of found, -1 where
+    there is none; order is the stable argsort of keys."""
+    # equal keys sit in index order, so the one before the right insertion
+    # point is the last; below the smallest key it is -1
+    last = np.searchsorted(keys, found, side="right", sorter=order) - 1
+    if len(keys):
+        for start in range(0, len(found), MATCH_BLOCK_ROWS):
+            part = slice(start, start + MATCH_BLOCK_ROWS)
+            index = order[last[part]]  # a -1 picks a key that cannot match
+            last[part] = np.where(keys[index] == found[part], index, -1)
+    return last
+
+
 def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
     """Per-source empirical flip matrices (true label -> assigned label).
 
     Rows are normalised to frequencies; rows of classes a source never saw
     stay all-zero. Instances are matched back to the original dataset by
     exact feature bytes, which is reliable because corruption never touches
-    features.
+    features; a row the original holds more than once takes the label of
+    its last occurrence. The original's rows are sorted once (a stable
+    argsort of their byte keys) and each block row is found by binary
+    search, so memory grows with the row count, not with rows x width.
+
+    Raises ValueError naming the source id (and block row) of a block
+    whose rows are wider or narrower than the original's, of the first
+    instance that is not in the original, or of one whose label (or
+    original label) lies outside [0, c).
     """
-    lookup = {original.features[i].tobytes(): int(original.labels[i])
-              for i in range(len(original))}
+    keys = _row_keys(original.features)
+    order = np.argsort(keys, kind="stable")
     c = ms.c
     report = {}
     for blk in ms.sources:
-        counts = np.zeros((c, c))
-        for i in range(len(blk)):
-            true = lookup[blk.features[i].tobytes()]
-            counts[true, blk.labels[i]] += 1
+        found = _row_keys(blk.features)
+        if found.dtype != keys.dtype:
+            raise ValueError(f"source {blk.source_id}: {blk.features.shape[1]} features per "
+                             f"row, the original has {original.features.shape[1]}")
+        match = _last_match(keys, order, found)
+        if np.any(match < 0):
+            raise ValueError(f"source {blk.source_id}, row {int(np.argmax(match < 0))}: "
+                             f"features not found in the original dataset")
+        labels = check_labels(blk.labels, c, f"source {blk.source_id}")
+        true = check_labels(original.labels[match], c,
+                            f"source {blk.source_id} (label in the original)")
+        counts = np.bincount(true * c + labels, minlength=c * c).reshape(c, c)
         sums = counts.sum(axis=1, keepdims=True)
-        report[blk.source_id] = np.divide(counts, sums, out=np.zeros_like(counts),
-                                          where=sums > 0)
+        report[blk.source_id] = np.divide(counts, sums, out=np.zeros((c, c)), where=sums > 0)
     return report
 
 
@@ -202,6 +243,11 @@ def _check_row(path, lineno: int, line: str, row_type: np.dtype) -> None:
 def load_dataset(path) -> MultisourceDataset:
     """Read the text form written by save_dataset.
 
+    The rows go into one (n, d) feature array and one label array; each
+    source's block is a slice of them (a view), in source-id order. Files
+    whose sources interleave are first reordered once by source id,
+    keeping the file order within each source.
+
     Raises ValueError naming the file and the 1-based line when the header
     is not three integers `c d n`, a row has other than d + 2 fields or
     lacks its final newline, a source id or label is not an integer, a
@@ -247,12 +293,27 @@ def load_dataset(path) -> MultisourceDataset:
         if not ok.all():
             i = int(np.argmin(ok))
             raise _bad_line(path, i + 2, f"{what}: {int(values[i])}")
-    blocks = [SourceBlock(int(s), features[src == s], labels[src == s])
-              for s in np.unique(src)]
+    starts = _run_starts(src)
+    if len(np.unique(src[starts])) < len(starts):  # a source id in two runs
+        order = np.argsort(src, kind="stable")  # file order kept within a source
+        src, labels, features = src[order], labels[order], features[order]
+        starts = _run_starts(src)
+    bounds = np.append(starts, n).tolist()
+    blocks = sorted((SourceBlock(int(src[a]), features[a:b], labels[a:b])
+                     for a, b in zip(bounds, bounds[1:])), key=lambda blk: blk.source_id)
     return MultisourceDataset(blocks, c, d)
 
 
+def _run_starts(src: np.ndarray) -> np.ndarray:
+    """First row of every run of equal source ids (ids are nonnegative)."""
+    return np.flatnonzero(np.diff(src, prepend=-1))
+
+
 def as_clean_dataset(ms: MultisourceDataset) -> Dataset:
-    """Flatten a multisource dataset into a plain one, trusting its labels."""
+    """Flatten a multisource dataset into a plain one, trusting its labels;
+    a single source's arrays are used as they are, without a copy."""
+    if len(ms.sources) == 1:
+        blk = ms.sources[0]
+        return Dataset(blk.features, blk.labels, ms.c)
     feats, labs, _ = ms.stacked()
     return Dataset(feats, labs, ms.c)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .datagen import Dataset, MultisourceDataset
-from .labelspace import TransitionMatrix
+from .labelspace import TransitionMatrix, check_labels
 from .model import ModelParameters, TrainConfig, predict_batch, train
 
 DEFAULT_SMOOTHING = 0.5
@@ -32,11 +32,18 @@ def train_baseline(clean: Dataset, config: TrainConfig, epoch_callback=None) -> 
 def confusion_counts(baseline: ModelParameters, features: np.ndarray,
                      labels: np.ndarray, c: int) -> np.ndarray:
     """Counts[j, k] = instances the baseline assigns to class j whose source
-    label is k; the baseline prediction plays the role of the true label."""
+    label is k; the baseline prediction plays the role of the true label.
+
+    Raises ValueError on empty data, on features and labels of different
+    lengths, and on a label outside [0, c), naming the first bad row.
+    """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if features.shape[0] == 0:
         raise ValueError("source data is empty")
+    if len(labels) != features.shape[0]:
+        raise ValueError(f"row {min(len(labels), features.shape[0])}: {features.shape[0]} "
+                         f"feature rows but {len(labels)} labels")
+    labels = check_labels(labels, c, "source labels")
     preds = predict_batch(baseline, features)
     counts = np.bincount(preds * c + labels, minlength=c * c)
     return counts.reshape(c, c).astype(np.float64)

@@ -32,10 +32,13 @@ from .model import (STRATEGIES, ModelParameters, TrainConfig, TrainingDiverged,
 @dataclass
 class WeakSource:
     """Template descriptor of one weak source in a sweep; its sample count
-    is multiplier x clean_count."""
+    is multiplier x clean_count, rounded to the nearest integer."""
 
     kind: TemplateKind
     multiplier: float
+
+    def count(self, clean_count: int) -> int:
+        return int(round(self.multiplier * clean_count))
 
 
 @dataclass
@@ -63,6 +66,11 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if not self.combinations:
             raise ValueError("need at least one (strategy, loss) combination")
+        for w in self.weak_sources:
+            if w.count(self.clean_count) < 1:
+                raise ValueError(f"weak kind {w.kind.value} with multiplier {w.multiplier:g}: "
+                                 f"round({w.multiplier:g} x clean_count {self.clean_count}) = "
+                                 f"{w.count(self.clean_count)} instances, need at least 1")
         # every weak template must exist at every eta before any training
         for kind, eta in product(dict.fromkeys(w.kind for w in self.weak_sources), self.etas):
             try:
@@ -175,7 +183,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         baseline_params = None
         for eta in config.etas:
             specs = source_specs(c, config.clean_count, [
-                (w.kind, eta, int(round(w.multiplier * config.clean_count)))
+                (w.kind, eta, w.count(config.clean_count))
                 for w in config.weak_sources])
             ms, test = build_multisource(blobs, specs, seed)
 

@@ -189,13 +189,22 @@ def satisfies_diagonal_dominance(matrix: TransitionMatrix) -> bool:
     return bool(np.all(diag > off.max(axis=1)))
 
 
+def check_labels(labels, c: int, what: str) -> np.ndarray:
+    """The labels as an int64 array; raises ValueError naming `what` and
+    the first row whose label lies outside [0, c)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = (labels < 0) | (labels >= c)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{what}, row {row}: label {labels[row]} outside [0, {c})")
+    return labels
+
+
 def sample_weak_labels(matrix: TransitionMatrix, true_labels: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw one weak label per true label from the matrix rows."""
-    labels = np.asarray(true_labels, dtype=np.int64)
     c = matrix.c
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError("true labels out of range")
+    labels = check_labels(true_labels, c, "true labels")
     cum = np.cumsum(matrix.entries, axis=1)
     u = rng.random(labels.shape[0])
     drawn = (cum[labels] <= u[:, None]).sum(axis=1)

@@ -183,10 +183,28 @@ def step(params: ModelParameters, opt_state: OptimizerState, grads: ModelParamet
     return params, opt_state
 
 
+# most rows per forward pass in predict_batch: the (rows, H) activations of
+# one block stay near 1 MB whatever the input size, at full speed
+PREDICT_BLOCK_ROWS = 4096
+
+
 def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties break toward the lowest index."""
-    scores, _ = forward_batch(params, x)
-    return scores.argmax(axis=1)
+    """Argmax class per row; ties break toward the lowest index.
+
+    Runs forward_batch on the fewest blocks of at most PREDICT_BLOCK_ROWS
+    rows, sized within one row of each other, so memory stays bounded on
+    large inputs. Even sizes leave no small tail block, for which BLAS may
+    take a kernel that rounds differently from the whole-input product.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    blocks = max(1, -(-n // PREDICT_BLOCK_ROWS))  # an empty input makes one pass
+    bounds = [i * n // blocks for i in range(blocks + 1)]
+    out = np.empty(n, dtype=np.int64)
+    for start, stop in zip(bounds, bounds[1:]):
+        scores, _ = forward_batch(params, x[start:stop])
+        scores.argmax(axis=1, out=out[start:stop])
+    return out
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:

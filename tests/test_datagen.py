@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -265,3 +266,157 @@ def test_stacked_view_consistent():
     assert np.bincount(src).tolist() == [30, 60]
     assert np.array_equal(feats[30:], ms.block(1).features)
     assert np.array_equal(labels[30:], ms.block(1).labels)
+
+
+def write_rows(path, c, src, labels, features):
+    """A dataset text file with rows in the given order (any source order)."""
+    with open(path, "w") as fh:
+        fh.write(f"{c} {features.shape[1]} {len(src)}\n")
+        for s, label, row in zip(src, labels, features):
+            fh.write(f"{s} {label} {' '.join(map(repr, row.tolist()))}\n")
+
+
+def mask_reference(src, labels, features):
+    """(source id, features, labels) per source by boolean masks, as
+    load_dataset built its blocks before they became views."""
+    return [(int(s), features[src == s], labels[src == s]) for s in np.unique(src)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), order=st.sampled_from(["as_drawn", "sorted", "grouped_descending"]))
+def test_load_dataset_blocks_are_views_of_one_buffer(data, order):
+    n = data.draw(st.integers(0, 12))
+    d = data.draw(st.integers(1, 3))
+    src = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
+    if order != "as_drawn":  # grouped files, ids ascending or descending
+        src = np.sort(src) if order == "sorted" else np.sort(src)[::-1].copy()
+    labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                      dtype=np.int64)
+    features = np.array(data.draw(st.lists(st.floats(allow_nan=False, width=64),
+                                           min_size=n * d, max_size=n * d))).reshape(n, d)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        write_rows(path, 3, src, labels, features)
+        with mock.patch.object(datagen, "IO_BLOCK_ROWS", 4):
+            ms = load_dataset(path)
+    ref = mask_reference(src, labels, features)
+    assert [b.source_id for b in ms.sources] == [sid for sid, _, _ in ref]
+    for blk, (_, feats, labs) in zip(ms.sources, ref):
+        assert blk.features.tobytes() == feats.tobytes()
+        assert blk.labels.dtype == np.int64 and np.array_equal(blk.labels, labs)
+    for blk in ms.sources:  # slices of one (n, d) and one (n,) array
+        assert blk.features.base is ms.sources[0].features.base
+        assert blk.labels.base is ms.sources[0].labels.base
+        assert np.shares_memory(blk.features, blk.features.base)
+    if ms.sources:
+        assert ms.sources[0].features.base.shape == (n, d)
+
+
+def test_load_dataset_keeps_a_grouped_file_in_place(tmp_path):
+    rng = np.random.default_rng(3)
+    src = np.repeat([2, 0, 1], [3, 4, 2])
+    features = rng.standard_normal((9, 2))
+    write_rows(tmp_path / "data.txt", 3, src, np.zeros(9, dtype=np.int64), features)
+    ms = load_dataset(tmp_path / "data.txt")
+    assert [b.source_id for b in ms.sources] == [0, 1, 2]
+    # each block is the slice of its file rows in one (9, 2) buffer
+    base = ms.block(2).features.base
+    assert base.shape == (9, 2) and np.array_equal(base, features)
+    assert all(b.features.base is base and np.shares_memory(b.features, base)
+               for b in ms.sources)
+    assert np.array_equal(ms.block(0).features, features[3:7])
+    assert np.array_equal(ms.block(2).features, features[:3])
+
+
+def test_as_clean_dataset_of_one_source_is_a_view():
+    blk = SourceBlock(0, np.ones((3, 2)), np.array([0, 1, 0]))
+    clean = as_clean_dataset(MultisourceDataset([blk], 2, 2))
+    assert clean.features is blk.features and clean.labels is blk.labels
+
+
+def dict_report(ms, original):
+    """The feature-bytes dictionary and per-row loop that corruption_report
+    used before it sorted the original (last duplicate wins)."""
+    lookup = {original.features[i].tobytes(): int(original.labels[i])
+              for i in range(len(original))}
+    report = {}
+    for blk in ms.sources:
+        counts = np.zeros((ms.c, ms.c))
+        for i in range(len(blk)):
+            counts[lookup[blk.features[i].tobytes()], blk.labels[i]] += 1
+        sums = counts.sum(axis=1, keepdims=True)
+        report[blk.source_id] = np.divide(counts, sums, out=np.zeros_like(counts),
+                                          where=sums > 0)
+    return report
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), block_rows=st.integers(1, 4))
+def test_corruption_report_matches_dict_reference(data, block_rows):
+    c = data.draw(st.integers(2, 4))
+    d = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 20))
+    # few distinct values, so rows repeat (with different labels) and 0.0 and
+    # -0.0 rows must stay apart
+    values = st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf])
+    features = np.array(data.draw(st.lists(values, min_size=m * d, max_size=m * d)))
+    original = Dataset(features.reshape(m, d),
+                       np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=m,
+                                                   max_size=m)), dtype=np.int64), c)
+    blocks = []
+    for sid in range(data.draw(st.integers(1, 3))):
+        rows = data.draw(st.lists(st.integers(0, m - 1), max_size=12))
+        labels = data.draw(st.lists(st.integers(0, c - 1), min_size=len(rows),
+                                    max_size=len(rows)))
+        blocks.append(SourceBlock(sid, original.features[rows].reshape(len(rows), d),
+                                  np.array(labels, dtype=np.int64)))
+    ms = MultisourceDataset(blocks, c, d)
+    with mock.patch.object(datagen, "MATCH_BLOCK_ROWS", block_rows):
+        got = corruption_report(ms, original)
+    want = dict_report(ms, original)
+    assert list(got) == list(want)
+    for sid in want:
+        assert got[sid].tobytes() == want[sid].tobytes()
+
+
+def test_corruption_report_names_a_row_missing_from_the_original():
+    original = Dataset(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0, 1]), 2)
+    weak = SourceBlock(3, np.array([[2.0, 3.0], [-0.0, 1.0]]), np.array([1, 1]))
+    ms = MultisourceDataset([SourceBlock(0, original.features[:1], np.array([0])), weak], 2, 2)
+    with pytest.raises(ValueError, match="source 3, row 1: features not found in the original"):
+        corruption_report(ms, original)  # -0.0 is not 0.0: bytes are matched exactly
+    # all-zero bytes sort before every row of the original
+    below = SourceBlock(1, np.array([[2.0, 3.0], [0.0, 0.0]]), np.array([1, 1]))
+    with pytest.raises(ValueError, match="source 1, row 1: features not found"):
+        corruption_report(MultisourceDataset([below], 2, 2), original)
+    empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
+    with pytest.raises(ValueError, match="source 0, row 0: features not found in the original"):
+        corruption_report(ms, empty)
+    assert corruption_report(MultisourceDataset([], 2, 2), empty) == {}
+
+
+def test_corruption_report_rejects_bad_widths_and_labels():
+    original = Dataset(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0, 1]), 2)
+    wide = SourceBlock(1, np.zeros((1, 3)), np.array([0]))
+    with pytest.raises(ValueError, match="source 1: 3 features per row, the original has 2"):
+        corruption_report(MultisourceDataset([wide], 2, 3), original)
+    bad = SourceBlock(1, original.features.copy(), np.array([0, 2]))
+    with pytest.raises(ValueError, match=r"source 1, row 1: label 2 outside \[0, 2\)"):
+        corruption_report(MultisourceDataset([bad], 2, 2), original)
+
+
+def test_corruption_report_memory_is_bounded():
+    # the dictionary of 128-byte row keys and the per-row loop peaked at about 42 MB
+    blobs = generate_blobs(10, 16, 20_000, 0.3, np.random.default_rng(12))
+    specs = [SourceSpec(0, identity_matrix(10), 10_000),
+             SourceSpec(1, make_template(TemplateKind.UNIFORM, 10, 0.3), 150_000)]
+    ms, _ = build_multisource(blobs, specs, 12)
+    tracemalloc.start()
+    try:
+        report = corruption_report(ms, blobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
+    assert np.array_equal(report[0], np.eye(10))
+    assert np.abs(report[1] - make_template(TemplateKind.UNIFORM, 10, 0.3).entries).max() < 0.01

@@ -70,6 +70,21 @@ def test_confusion_counts_oracle_on_weak_source_matches_template():
     assert np.abs(freq - t.entries).max() <= 0.03
 
 
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros((4, 2)), [0, 2, 1, 4], r"source labels, row 3: label 4 outside \[0, 3\)"),
+    (np.zeros((4, 2)), [0, -1, 1, 2], r"source labels, row 1: label -1 outside \[0, 3\)"),
+    (np.zeros((4, 2)), [0, 1, 2], r"row 3: 4 feature rows but 3 labels"),
+    (np.zeros((2, 2)), [0, 1, 2], r"row 2: 2 feature rows but 3 labels"),
+    (np.zeros((0, 2)), [], "source data is empty"),
+], ids=["label_c_plus_1", "negative_label", "short_labels", "long_labels", "empty"])
+def test_confusion_counts_rejects_bad_labels(features, labels, message):
+    # a zero linear model predicts class 0 for every row; label 4 on such a
+    # row would land in cell (1, 1) of the flat c x c count
+    params = ModelParameters([np.zeros((3, 2))], [np.zeros(3)])
+    with pytest.raises(ValueError, match=message):
+        confusion_counts(params, features, np.array(labels, dtype=np.int64), 3)
+
+
 def test_estimate_transition_identity_counts():
     t = estimate_transition(1000.0 * np.eye(2), smoothing=0.5)
     assert np.abs(t.entries - np.eye(2)).max() <= 1e-3

@@ -252,10 +252,17 @@ def test_load_config_rejects_source_weight(tmp_path):
      r"weak kind mixed at eta 0.85 with 10 classes: eta = 0.85 outside \[0, 0.8\)"),
     ("[dataset]\nclasses = 5\n",
      r"weak kind mixed at eta 0.1 with 5 classes: mixed template is defined only for c = 10"),
+    ("[sources]\nweak = uniform:0\n",
+     r"weak kind uniform with multiplier 0: round\(0 x clean_count 500\) = 0 instances, need "
+     r"at least 1"),
+    ("[sources]\nweak = mixed:9 uniform:-1\n",
+     r"weak kind uniform with multiplier -1: .* = -500 instances"),
+    ("[sources]\nweak = uniform:0.0001\n",
+     r"weak kind uniform with multiplier 0.0001: round\(0.0001 x clean_count 500\) = 0 "),
 ], ids=["key", "section", "default_section", "template_kind", "combos_strategy",
         "combos_no_family", "combos_family", "dead_seed", "dead_strategy", "int_value",
         "bool_value", "float_list_value", "weak_multiplier", "negative_hidden", "eta_range",
-        "ten_class_kind"])
+        "ten_class_kind", "zero_multiplier", "negative_multiplier", "multiplier_rounds_to_0"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)

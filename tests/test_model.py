@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from weaklab import model
 from weaklab.correction import corrected_loss, softmax, weight_proposed, weight_standard
 from weaklab.losses import LossSpec, loss_value
 from weaklab.model import (ModelParameters, TrainConfig, TrainingDiverged, _softmax_rows,
@@ -220,6 +222,34 @@ def test_predict_tie_break_and_shift_invariance(rng):
     base = predict_batch(params2, x)[0]
     params2.biases[0] += 7.5  # shifting all scores cannot change the argmax
     assert predict_batch(params2, x)[0] == base
+
+
+@pytest.mark.parametrize("hidden", [0, 32])
+def test_predict_batch_blocks_equal_one_whole_pass(rng, hidden):
+    params = make_params(rng, 16, 10, hidden)
+    b = model.PREDICT_BLOCK_ROWS
+    x = rng.standard_normal((2 * b + 3, 16))
+    for n in (0, 1, b - 1, b, b + 1, 2 * b + 3):
+        scores, _ = forward_batch(params, x[:n])
+        preds = predict_batch(params, x[:n])
+        assert preds.dtype == np.int64 and preds.shape == (n,)
+        assert np.array_equal(preds, scores.argmax(axis=1))
+    with pytest.raises(ValueError):
+        predict_batch(params, np.zeros((0, 15)))  # the wrong width, even with no rows
+
+
+def test_predict_batch_memory_is_bounded(rng):
+    # one whole-input pass holds (n, H) activations: about 95 MB here
+    params = make_params(rng, 16, 10, 32)
+    x = rng.standard_normal((200_000, 16))
+    tracemalloc.start()
+    try:
+        preds = predict_batch(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert np.array_equal(preds[:1000], forward_batch(params, x[:1000])[0].argmax(axis=1))
 
 
 def _toy_training_data(rng, n=300):

@@ -61,15 +61,45 @@ class MultisourceDataset:
         raise KeyError(f"no source {source_id}")
 
     def stacked(self):
-        """(features, labels, source_ids) over all sources, in source order."""
-        feats = np.concatenate([b.features for b in self.sources])
-        labs = np.concatenate([b.labels for b in self.sources])
-        src = np.concatenate([np.full(len(b), b.source_id, dtype=np.int64)
-                              for b in self.sources])
+        """(features, labels, source_ids) over all sources, in source order.
+
+        When the blocks are adjacent slices of one buffer in source order,
+        as load_dataset makes them, the features and labels are views of
+        that buffer and share memory with the blocks; otherwise they are
+        new arrays."""
+        feats = _joined([b.features for b in self.sources])
+        labs = _joined([b.labels for b in self.sources])
+        src = np.repeat(np.array([b.source_id for b in self.sources], dtype=np.int64),
+                        [len(b) for b in self.sources])
         return feats, labs, src
 
     def __len__(self) -> int:
         return sum(len(b) for b in self.sources)
+
+
+def _owner(a: np.ndarray):
+    """The object that owns a's memory: a itself, or the base of a view."""
+    return a if a.base is None else a.base
+
+
+def _joined(parts: list) -> np.ndarray:
+    """np.concatenate(parts), or the view of their common C-contiguous
+    buffer that spans them when they are adjacent row slices of it, in
+    order."""
+    owner = _owner(parts[0]) if parts else None
+    if isinstance(owner, np.ndarray) and owner.ndim and owner.size and owner.flags.c_contiguous:
+        row = owner.nbytes // owner.shape[0]
+        start = pos = parts[0].ctypes.data - owner.ctypes.data
+        for p in parts:
+            if (_owner(p) is not owner or p.dtype != owner.dtype
+                    or p.shape[1:] != owner.shape[1:] or not p.flags.c_contiguous
+                    or p.ctypes.data - owner.ctypes.data != pos):
+                break
+            pos += p.nbytes
+        else:
+            if start % row == 0:
+                return owner[start // row:pos // row]
+    return np.concatenate(parts)
 
 
 def generate_blobs(c: int, d: int, n_per_class: int, spread: float,

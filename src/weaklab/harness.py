@@ -102,6 +102,11 @@ class ReportRow:
     std_oa: float | None
     dominance_ok: bool | None  # None for the baseline row
 
+    @property
+    def n_failed(self) -> int:
+        """Seeds that diverged; mean_oa and std_oa leave them out."""
+        return sum(sr.failed for sr in self.per_seed)
+
 
 @dataclass
 class RunReport:
@@ -263,19 +268,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-CSV_HEADER = "strategy,loss,eta,source_layout,seed,best_oa,best_epoch,mean_oa,std_oa,dominance_ok"
+CSV_HEADER = ("strategy,loss,eta,source_layout,seed,best_oa,best_epoch,mean_oa,std_oa,"
+              "n_failed,dominance_ok")
 
 
 def emit_csv(report: RunReport, path) -> None:
-    """Per-seed rows plus one `all`-seed aggregate row per combination."""
+    """Per-seed rows plus one `all`-seed aggregate row per combination,
+    which also counts the diverged seeds that its mean leaves out."""
     lines = [CSV_HEADER]
     for row in report.rows:
         base = f"{row.strategy},{row.loss_family},{_fmt(row.eta)},{row.source_layout}"
         for sr in row.per_seed:
             oa = "" if sr.failed else _fmt(sr.best_oa)
             epoch = "" if sr.failed else str(sr.best_epoch)
-            lines.append(f"{base},{sr.seed},{oa},{epoch},,,{_fmt(row.dominance_ok)}")
-        lines.append(f"{base},all,,,{_fmt(row.mean_oa)},{_fmt(row.std_oa)},{_fmt(row.dominance_ok)}")
+            lines.append(f"{base},{sr.seed},{oa},{epoch},,,,{_fmt(row.dominance_ok)}")
+        lines.append(f"{base},all,,,{_fmt(row.mean_oa)},{_fmt(row.std_oa)},{row.n_failed},"
+                     f"{_fmt(row.dominance_ok)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

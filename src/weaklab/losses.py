@@ -17,8 +17,10 @@ import numpy as np
 
 FAMILIES = ("cce", "mae", "gce", "sl")
 
-# floor applied to probabilities inside training loops before evaluating
-# f'; the public functions reject out-of-range input instead of clamping
+# floor of the clamp to [PROB_FLOOR, 1] that the training kernel asks of
+# loss_derivative (its floor= keyword) so that early-training underflow
+# cannot give non-finite weights; without floor=, loss_value and
+# loss_derivative reject out-of-range input instead of clamping
 PROB_FLOOR = 1e-12
 
 
@@ -68,15 +70,33 @@ def loss_value(spec: LossSpec, uk):
     return float(out) if out.ndim == 0 else out
 
 
-def loss_derivative(spec: LossSpec, uk):
-    """d loss / d uk. Negative everywhere on (0, 1] for every family."""
-    u = _check_range(uk)
+def loss_derivative(spec: LossSpec, uk, floor: float | None = None, out=None):
+    """d loss / d uk. Negative everywhere on (0, 1] for every family.
+
+    Without floor, uk must lie in (0, 1] (ValueError otherwise; NaN
+    passes). With floor, uk is clamped to [floor, 1] instead of checked,
+    NaN still passing through: the training kernel's path, which clamps
+    once and checks nothing. out, a float64 array of uk's shape, receives
+    the result (and, with floor, the clamped uk first); by default a new
+    array is returned, or a float for a scalar uk.
+    """
+    if floor is None:
+        u = _check_range(uk)
+        if out is None:
+            out = np.empty_like(u)
+    else:
+        if out is None:
+            out = np.empty(np.shape(uk))
+        u = np.maximum(uk, floor, out=out)  # maximum and minimum propagate NaN
+        np.minimum(u, 1.0, out=u)
     if spec.family == "cce":
-        out = -1.0 / u
+        np.divide(-1.0, u, out=out)
     elif spec.family == "mae":
-        out = np.full_like(u, -2.0)
+        out.fill(-2.0)
     elif spec.family == "gce":
-        out = -u ** (spec.q - 1.0)
+        np.power(u, spec.q - 1.0, out=out)
+        np.negative(out, out=out)
     else:  # sl
-        out = -spec.alpha / u + spec.beta * spec.A
+        np.divide(-spec.alpha, u, out=out)
+        out += spec.beta * spec.A
     return float(out) if out.ndim == 0 else out

@@ -11,6 +11,17 @@ columns, so the three strategies share one code path.
 correction.weight_proposed, the chain-rule form over softmax_grad, is
 its independent per-sample reference.
 
+A minibatch step is a few dozen numpy calls on matrices of about 32 x 16,
+so its cost is call overhead, not arithmetic. train therefore allocates
+one workspace per call: the epoch's permuted features and columns, and a
+BatchBuffers of batch-size arrays that the three kernels (forward_batch,
+batch_weighting, backward_batch) write into instead of allocating; the
+short last batch uses leading-row views of it. Called without buffers,
+each kernel allocates its results. Inside the kernels the bias gradients
+are matrix-vector products with a ones vector, loss_derivative clamps
+the corrected probability to [PROB_FLOOR, 1] once instead of
+range-checking it, and the 1/m mean-loss scale rides on the per-row f'.
+
 Parameters, velocity, lookahead point and gradient are each one flat
 float64 vector with per-layer views (ModelParameters). Optimisation is
 minibatch SGD with Nesterov momentum: the gradient is evaluated at the
@@ -141,33 +152,86 @@ def init_optimizer(params: ModelParameters, learning_rate: float,
     return OptimizerState(params.zeros_like(), learning_rate, momentum, weight_decay)
 
 
-def forward_batch(params: ModelParameters, x: np.ndarray):
-    """Scores for a batch (n, d); also returns the activation cache."""
+class BatchBuffers:
+    """Output arrays of the minibatch kernels for batches of `rows` rows.
+
+    forward_batch writes z, a and scores; _softmax_rows uses the column
+    col; batch_weighting writes tu, ut, fprime and omega; backward_batch
+    writes dh and mask and sums rows through ones. A kernel's results are
+    views of these arrays, valid until the next call that is given the
+    same buffers.
+    """
+
+    def __init__(self, rows: int, c: int, hidden: int):
+        self.z = np.empty((rows, hidden))
+        self.a = np.empty((rows, hidden))
+        self.mask = np.empty((rows, hidden))
+        self.dh = np.empty((rows, hidden))
+        self.scores = np.empty((rows, c))
+        self.tu = np.empty((rows, c))
+        self.omega = np.empty((rows, c))
+        self.col = np.empty((rows, 1))
+        self.ut = np.empty((rows, 1))
+        self.fprime = np.empty((rows, 1))
+        self.ones = np.ones(rows)
+
+    def head(self, rows: int) -> "BatchBuffers":
+        """The same buffers cut to their leading rows, for a short batch."""
+        view = object.__new__(BatchBuffers)
+        view.__dict__.update({name: arr[:rows] for name, arr in vars(self).items()})
+        return view
+
+
+class _Allocate:
+    """The buffers of a kernel called without BatchBuffers: every one is
+    None, so each numpy call allocates its result."""
+
+    def __getattr__(self, name):
+        return None
+
+
+_ALLOCATE = _Allocate()
+
+
+def forward_batch(params: ModelParameters, x: np.ndarray, buf: BatchBuffers | None = None):
+    """Scores for a batch (n, d); also returns the activation cache.
+    buf, if given, holds n rows and receives the activations and scores."""
     x = np.asarray(x, dtype=np.float64)
+    buf = _ALLOCATE if buf is None else buf
     if params.hidden == 0:
-        return x @ params.weights[0].T + params.biases[0], (x,)
-    z = x @ params.weights[0].T + params.biases[0]
-    a = np.maximum(z, 0.0)
-    return a @ params.weights[1].T + params.biases[1], (x, z, a)
+        scores = np.matmul(x, params.weights[0].T, out=buf.scores)
+        scores += params.biases[0]
+        return scores, (x,)
+    z = np.matmul(x, params.weights[0].T, out=buf.z)
+    z += params.biases[0]
+    a = np.maximum(z, 0.0, out=buf.a)
+    scores = np.matmul(a, params.weights[1].T, out=buf.scores)
+    scores += params.biases[1]
+    return scores, (x, z, a)
 
 
 def backward_batch(params: ModelParameters, cache, delta: np.ndarray,
-                   out: ModelParameters) -> ModelParameters:
+                   out: ModelParameters, buf: BatchBuffers | None = None) -> ModelParameters:
     """Contract the weighting vectors in the rows of delta against d h /
-    d theta and sum over the rows (divide delta by the batch size first
-    for a mean-loss gradient); linear in delta. Written into out, which
-    is returned."""
+    d theta and sum over the rows (scale delta by 1/m first for a
+    mean-loss gradient); linear in delta. Written into out, which is
+    returned. buf, if given, holds len(delta) rows and receives the
+    hidden delta and the ReLU mask."""
+    buf = _ALLOCATE if buf is None else buf
+    ones = np.ones(len(delta)) if buf.ones is None else buf.ones
     if params.hidden == 0:
         (x,) = cache
         np.matmul(delta.T, x, out=out.weights[0])
-        delta.sum(axis=0, out=out.biases[0])
+        np.matmul(ones, delta, out=out.biases[0])
         return out
     x, z, a = cache
-    d_hidden = (delta @ params.weights[1]) * (z > 0.0)
+    d_hidden = np.matmul(delta, params.weights[1], out=buf.dh)
+    # a = max(z, 0) >= 0, so sign(a) is the 0/1 derivative of the ReLU at z
+    d_hidden *= np.sign(a, out=buf.mask)
     np.matmul(d_hidden.T, x, out=out.weights[0])
-    d_hidden.sum(axis=0, out=out.biases[0])
+    np.matmul(ones, d_hidden, out=out.biases[0])
     np.matmul(delta.T, a, out=out.weights[1])
-    delta.sum(axis=0, out=out.biases[1])
+    np.matmul(ones, delta, out=out.biases[1])
     return out
 
 
@@ -207,11 +271,13 @@ def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place in scores."""
-    scores -= scores.max(axis=1, keepdims=True)
+def _softmax_rows(scores: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax, computed in place in scores; col, an (n, 1)
+    array, receives the row maxima and then the row sums."""
+    col = scores.max(axis=1, keepdims=True, out=col)
+    scores -= col
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
+    scores /= scores.sum(axis=1, keepdims=True, out=col)
     return scores
 
 
@@ -234,19 +300,27 @@ def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
     return cols
 
 
-def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec) -> np.ndarray:
+def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale: float = 1.0,
+                    buf: BatchBuffers | None = None) -> np.ndarray:
     """Per-sample score-space weighting vectors for a batch:
-    omega_i = f'(ut_i) * (C_i * u_i - ut_i * u_i) with ut_i = C_i . u_i.
+    omega_i = scale * f'(ut_i) * (C_i * u_i - ut_i * u_i), ut_i = C_i . u_i.
 
     u is the (n, c) softmax output and cols the matching rows of
-    transition_columns. Probabilities are floored at PROB_FLOOR before
-    evaluating f' so early-training underflow cannot produce non-finite
-    weights.
+    transition_columns; scale = 1/n gives the mean-loss weighting.
+    loss_derivative clamps ut to [PROB_FLOOR, 1] before evaluating f', so
+    early-training underflow cannot produce non-finite weights. buf, if
+    given, holds n rows, must not hold u or cols, and receives omega.
     """
-    tu = cols * u
-    ut = tu.sum(axis=1)
-    fprime = loss_derivative(spec, np.minimum(np.maximum(ut, PROB_FLOOR), 1.0))
-    return fprime[:, None] * (tu - ut[:, None] * u)
+    buf = _ALLOCATE if buf is None else buf
+    tu = np.multiply(cols, u, out=buf.tu)
+    ut = tu.sum(axis=1, keepdims=True, out=buf.ut)
+    fprime = loss_derivative(spec, ut, floor=PROB_FLOOR, out=buf.fprime)
+    if scale != 1.0:
+        fprime *= scale
+    omega = np.multiply(ut, u, out=buf.omega)
+    np.subtract(tu, omega, out=omega)
+    omega *= fprime
+    return omega
 
 
 def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
@@ -274,19 +348,28 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
     look = params.zeros_like()
     grads = params.zeros_like()
     velocity = state.velocity.flat
+
+    # the workspace: the epoch's permuted rows, and per minibatch its views
+    # of them, its buffers (leading rows for a short last batch) and 1/m
     bs = config.batch_size
+    xs, cs = np.empty((n, d)), np.empty((n, c))
+    full = BatchBuffers(min(bs, n), c, config.hidden)
+    batches = []
+    for start in range(0, n, bs):
+        m = min(bs, n - start)
+        buf = full if m == bs else full.head(m)
+        batches.append((xs[start:start + m], cs[start:start + m], buf, 1.0 / m))
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        xs, cs = features[order], cols[order]
-        for start in range(0, n, bs):
-            xb = xs[start:start + bs]
+        np.take(features, order, axis=0, out=xs)
+        np.take(cols, order, axis=0, out=cs)
+        for xb, cb, buf, scale in batches:
             np.multiply(velocity, config.momentum, out=look.flat)
             look.flat += params.flat
-            scores, cache = forward_batch(look, xb)
-            omega = batch_weighting(_softmax_rows(scores), cs[start:start + bs], config.loss)
-            omega /= xb.shape[0]
-            backward_batch(look, cache, omega, grads)
+            scores, cache = forward_batch(look, xb, buf)
+            omega = batch_weighting(_softmax_rows(scores, buf.col), cb, config.loss, scale, buf)
+            backward_batch(look, cache, omega, grads, buf)
             step(params, state, grads)
         if not params.all_finite():
             raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")

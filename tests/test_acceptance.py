@@ -18,8 +18,8 @@ from weaklab.labelspace import (SourceSpec, TemplateKind, balanced_error_rate,
                                 identity_matrix, make_template, mean_row_entropy,
                                 satisfies_diagonal_dominance)
 from weaklab.losses import LossSpec, loss_value
-from weaklab.model import (TrainConfig, backward_batch, batch_weighting, forward_batch,
-                           init_parameters)
+from weaklab.model import (BatchBuffers, TrainConfig, backward_batch, batch_weighting,
+                           forward_batch, init_parameters)
 
 from conftest import random_row_stochastic
 
@@ -76,14 +76,23 @@ def _scores(params, x):
 
 def test_criterion_1_gradient_oracle_suite():
     # the kernels that train (batch_weighting, forward_batch, backward_batch),
-    # each called on one row, against finite differences of corrected_loss
+    # each called on one row with the preallocated buffers that train
+    # gives them (one set per shape, reused across cases), against finite
+    # differences of corrected_loss
     start = time.perf_counter()
     rng = np.random.default_rng(101)
+    buffers = {}
+
+    def buf(c, hidden):
+        if (c, hidden) not in buffers:
+            buffers[c, hidden] = BatchBuffers(1, c, hidden)
+        return buffers[c, hidden]
 
     worst_weight = 0.0
     for _ in range(1000):
         spec, t, k, h = _random_case(rng)
-        analytic = batch_weighting(softmax(h)[None, :], t[:, k][None, :], spec)[0]
+        analytic = batch_weighting(softmax(h)[None, :], t[:, k][None, :], spec,
+                                   buf=buf(len(h), 0))[0]
         numeric = _fd_scores(lambda hh: corrected_loss(spec, t, k, softmax(hh)), h)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst_weight = max(worst_weight, rel)
@@ -95,7 +104,7 @@ def test_criterion_1_gradient_oracle_suite():
         hidden = 0 if case % 2 == 0 else 6
         params = init_parameters(d, c, hidden, rng)
         x = rng.standard_normal(d)
-        scores, cache = forward_batch(params, x[None, :])
+        scores, cache = forward_batch(params, x[None, :], buf(c, hidden))
         u = softmax(scores[0])
         if float(forward_correct(t, u)[k]) < 1e-3 or u[k] < 1e-3:
             continue
@@ -105,8 +114,8 @@ def test_criterion_1_gradient_oracle_suite():
         else:
             column = np.eye(c)[k]
             scalar = lambda: loss_value(spec, softmax(_scores(params, x))[k])
-        omega = batch_weighting(u[None, :], column[None, :], spec)
-        exact = backward_batch(params, cache, omega, params.zeros_like()).flat
+        omega = batch_weighting(u[None, :], column[None, :], spec, buf=buf(c, hidden))
+        exact = backward_batch(params, cache, omega, params.zeros_like(), buf(c, hidden)).flat
         numeric = _fd_params(params, scalar)
         rel = np.linalg.norm(exact - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst_backward = max(worst_backward, rel)

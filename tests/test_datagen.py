@@ -328,6 +328,34 @@ def test_load_dataset_keeps_a_grouped_file_in_place(tmp_path):
     assert np.array_equal(ms.block(2).features, features[:3])
 
 
+def test_stacked_is_a_view_of_a_loaded_file_and_a_copy_otherwise(tmp_path):
+    rng = np.random.default_rng(4)
+    features = rng.standard_normal((9, 2))
+    labels = rng.integers(3, size=9)
+    for order, shared in (([0, 1, 2], True), ([2, 0, 1], False)):
+        src = np.repeat(order, [3, 4, 2])
+        write_rows(tmp_path / "data.txt", 3, src, labels, features)
+        ms = load_dataset(tmp_path / "data.txt")
+        feats, labs, ids = ms.stacked()
+        # sources in file order 0, 1, 2 lie in source order in one buffer; in
+        # file order 2, 0, 1 they do not, and the result is a new array
+        assert np.shares_memory(feats, ms.sources[0].features) is shared
+        assert np.shares_memory(labs, ms.sources[0].labels) is shared
+        assert np.array_equal(feats, np.concatenate([b.features for b in ms.sources]))
+        assert np.array_equal(labs, np.concatenate([b.labels for b in ms.sources]))
+        assert ids.dtype == np.int64 and np.array_equal(ids, np.sort(src))
+    built, _ = build_multisource(generate_blobs(3, 2, 20, 0.3, rng), [
+        SourceSpec(0, identity_matrix(3), 10), SourceSpec(1, identity_matrix(3), 15)], 0)
+    feats, _, _ = built.stacked()  # blocks of separate arrays: copied
+    assert not any(np.shares_memory(feats, b.features) for b in built.sources)
+    base = np.arange(20.0).reshape(10, 2)
+    gap = MultisourceDataset([SourceBlock(0, base[:3], np.zeros(3, dtype=np.int64)),
+                              SourceBlock(1, base[4:], np.zeros(6, dtype=np.int64))], 3, 2)
+    feats, _, _ = gap.stacked()  # one buffer, but row 3 lies between the blocks
+    assert not np.shares_memory(feats, base)
+    assert np.array_equal(feats, np.concatenate([base[:3], base[4:]]))
+
+
 def test_as_clean_dataset_of_one_source_is_a_view():
     blk = SourceBlock(0, np.ones((3, 2)), np.array([0, 1, 0]))
     clean = as_clean_dataset(MultisourceDataset([blk], 2, 2))

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from weaklab.datagen import Dataset, build_multisource, generate_blobs
+from weaklab.datagen import Dataset, build_multisource, generate_blobs, load_dataset, save_dataset
 from weaklab.estimation import (confusion_counts, estimate_per_source, estimate_single,
                                 estimate_transition, train_baseline)
 from weaklab.harness import overall_accuracy
@@ -149,3 +151,28 @@ def test_estimate_single_clean_only_is_identity():
     ms, _ = build_multisource(blobs, specs, 11)
     single = estimate_single(oracle_params(blobs), ms, smoothing=0.0)
     assert np.array_equal(single.entries, np.eye(10))
+
+
+def test_estimate_single_on_a_loaded_file_does_not_copy_the_rows(tmp_path):
+    # the prep layout: 10k clean + 3 x 50k weak rows, saved and reloaded, so
+    # the blocks are adjacent slices of one buffer and stacked() is a view
+    blobs = generate_blobs(10, 16, 20_000, 0.3, np.random.default_rng(21))
+    specs = [SourceSpec(0, identity_matrix(10), 10_000)] + [
+        SourceSpec(i, make_template(kind, 10, 0.4), 50_000) for i, kind in enumerate(
+            (TemplateKind.UNIFORM, TemplateKind.LAND_COVER_CHANGE,
+             TemplateKind.INTERCLASS_SIMILARITY), start=1)]
+    ms, _ = build_multisource(blobs, specs, 21)
+    save_dataset(tmp_path / "data.txt", ms)
+    loaded = load_dataset(tmp_path / "data.txt")
+    assert len(loaded) == 160_000 and len(loaded.sources) == 4
+    baseline = ModelParameters([blobs.means.copy()], [np.zeros(10)])
+    tracemalloc.start()
+    try:
+        single = estimate_single(baseline, loaded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6  # a stacked copy of the (160k, 16) features alone is 20.5 MB
+    copied = confusion_counts(baseline, np.concatenate([b.features for b in loaded.sources]),
+                              np.concatenate([b.labels for b in loaded.sources]), 10)
+    assert np.array_equal(single.entries, estimate_transition(copied).entries)

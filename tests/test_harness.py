@@ -105,8 +105,8 @@ def test_emit_csv_aggregate_std(tmp_path):
     emit_csv(RunReport([row], [], {}, {}), path)
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert lines[1] == "vanilla,cce,0.1,uniform:x3,0,0.9,3,,,true"
-    assert lines[4] == "vanilla,cce,0.1,uniform:x3,all,,,0.92,0.02,true"
+    assert lines[1] == "vanilla,cce,0.1,uniform:x3,0,0.9,3,,,,true"
+    assert lines[4] == "vanilla,cce,0.1,uniform:x3,all,,,0.92,0.02,0,true"
 
 
 def test_emit_csv_deterministic(tmp_path):
@@ -135,8 +135,18 @@ def test_write_run_dir_layout(tmp_path):
     assert np.array_equal(t.entries, report.estimates[(0, 0.2)][1].entries)
 
 
+def _all_rows(path):
+    """The rows of an emitted report.csv as dicts by column: the `all` rows
+    keyed by (strategy, eta), and every row."""
+    lines = Path(path).read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert all(len(r) == len(header) for r in rows)
+    return {(r["strategy"], r["eta"]): r for r in rows if r["seed"] == "all"}, rows
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergent_combination_recorded_as_failure():
+def test_divergent_combination_recorded_as_failure(tmp_path):
     cfg = tiny_config(seeds=[0],
                       train=TrainConfig(epochs=3, batch_size=16, hidden=0,
                                         learning_rate=1e12, weight_decay=1e12))
@@ -144,6 +154,18 @@ def test_divergent_combination_recorded_as_failure():
     row = report.row("vanilla", "cce", 0.2)
     assert row.per_seed[0].failed
     assert row.mean_oa is None
+    assert row.n_failed == 1
+    emit_csv(report, tmp_path / "diverged.csv")
+    aggregates, rows = _all_rows(tmp_path / "diverged.csv")
+    assert aggregates[("vanilla", "0.2")]["n_failed"] == "1"
+    assert aggregates[("vanilla", "0.2")]["mean_oa"] == ""
+    assert all(r["n_failed"] == "" for r in rows if r["seed"] != "all")
+
+    emit_csv(run_experiment(tiny_config(seeds=[0])), tmp_path / "healthy.csv")
+    aggregates, rows = _all_rows(tmp_path / "healthy.csv")
+    assert aggregates[("vanilla", "0.2")]["n_failed"] == "0"
+    assert all(r["n_failed"] == "0" for r in aggregates.values())
+    assert all(r["n_failed"] == "" for r in rows if r["seed"] != "all")
 
 
 def test_use_clean_in_training_flag_changes_data():

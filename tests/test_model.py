@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from weaklab import model
 from weaklab.correction import corrected_loss, softmax, weight_proposed, weight_standard
 from weaklab.losses import LossSpec, loss_value
-from weaklab.model import (ModelParameters, TrainConfig, TrainingDiverged, _softmax_rows,
-                           backward_batch, batch_weighting, forward_batch, init_optimizer,
-                           init_parameters, load_params, predict_batch, save_params, step,
-                           train, transition_columns)
+from weaklab.model import (BatchBuffers, ModelParameters, TrainConfig, TrainingDiverged,
+                           _softmax_rows, backward_batch, batch_weighting, forward_batch,
+                           init_optimizer, init_parameters, load_params, predict_batch,
+                           save_params, step, train, transition_columns)
 
 from conftest import random_row_stochastic
 
@@ -165,8 +166,9 @@ def test_step_applies_weight_decay(rng):
 @pytest.mark.parametrize("strategy", ["vanilla", "forward", "proposed"])
 def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
     # the batched chain train() runs (transition_columns, batch_weighting,
-    # backward_batch) on one minibatch, against the mean over its rows of
-    # the chain-rule reference weight_proposed contracted one row at a time
+    # backward_batch, with the 1/m scale and one set of buffers reused for
+    # every loss) on one minibatch, against the mean over its rows of the
+    # chain-rule reference weight_proposed contracted one row at a time
     d, c, m, sources = 6, 5, 16, 3
     if strategy == "vanilla":
         mats = {s: np.eye(c) for s in range(sources)}
@@ -180,10 +182,11 @@ def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
     labels = rng.integers(c, size=m)
     src = rng.integers(sources, size=m)
     cols = transition_columns(labels, src, c, None if strategy == "vanilla" else mats)
+    buf = BatchBuffers(m, c, hidden)
     for spec in SPECS:
-        scores, cache = forward_batch(look, x)
-        omega = batch_weighting(_softmax_rows(scores), cols, spec)
-        batched = backward_batch(look, cache, omega / m, look.zeros_like()).flat
+        scores, cache = forward_batch(look, x, buf)
+        omega = batch_weighting(_softmax_rows(scores, buf.col), cols, spec, 1.0 / m, buf)
+        batched = backward_batch(look, cache, omega, look.zeros_like(), buf).flat
         oracle = np.mean([one_row_gradient(look, x[i], weight_proposed(
             spec, mats[src[i]], labels[i], softmax(scores_of(look, x[i]))))
             for i in range(m)], axis=0)
@@ -194,11 +197,81 @@ def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
 def test_vanilla_is_proposed_with_identity_matrices(rng, hidden):
     feats, labels = _toy_training_data(rng)
     src = rng.integers(3, size=len(labels))
-    vanilla = train(feats, labels, src, 3, TrainConfig(epochs=3, hidden=hidden, seed=4))
-    proposed = train(feats, labels, src, 3,
-                     TrainConfig(epochs=3, hidden=hidden, seed=4, strategy="proposed"),
-                     matrices={s: np.eye(3) for s in range(3)})
-    assert np.array_equal(vanilla.flat, proposed.flat)
+    # 300 rows: batches of 32 and of 7 end in a short one, 1000 makes one batch
+    for batch_size in (32, 7, 1000):
+        cfg = TrainConfig(epochs=3, hidden=hidden, seed=4, batch_size=batch_size)
+        vanilla = train(feats, labels, src, 3, cfg)
+        proposed = train(feats, labels, src, 3, replace(cfg, strategy="proposed"),
+                         matrices={s: np.eye(3) for s in range(3)})
+        assert np.array_equal(vanilla.flat, proposed.flat)
+
+
+def fresh_step(params, x, cols, spec):
+    """One minibatch through the kernels called without buffers, each
+    allocating its results: (omega, gradient)."""
+    scores, cache = forward_batch(params, x)
+    omega = batch_weighting(_softmax_rows(scores), cols, spec, 1.0 / len(x))
+    return omega, backward_batch(params, cache, omega, params.zeros_like())
+
+
+def buffered_step(params, x, cols, spec, buf):
+    scores, cache = forward_batch(params, x, buf)
+    omega = batch_weighting(_softmax_rows(scores, buf.col), cols, spec, 1.0 / len(x), buf)
+    return omega, backward_batch(params, cache, omega, params.zeros_like(), buf)
+
+
+@pytest.mark.parametrize("hidden", [0, 32])
+def test_reused_buffers_equal_fresh_allocating_calls(rng, hidden):
+    # consecutive batches through one set of buffers, one of them a short
+    # batch in their leading rows, bit-equal to allocating calls: a buffer
+    # read after a write that shares it (tu or omega written over u, say)
+    # would show here
+    d, c, bs = 16, 10, 32
+    buf = BatchBuffers(bs, c, hidden)
+    for m, spec in [(bs, LossSpec("gce", q=0.7)), (bs, LossSpec("sl")), (11, LossSpec("cce")),
+                    (bs, LossSpec("mae"))]:
+        params = make_params(rng, d, c, hidden)
+        x = rng.standard_normal((m, d))
+        cols = random_row_stochastic(rng, c)[:, rng.integers(c, size=m)].T.copy()
+        omega, grad = buffered_step(params, x, cols, spec, buf if m == bs else buf.head(m))
+        assert np.shares_memory(omega, buf.omega)
+        expected_omega, expected_grad = fresh_step(params, x, cols, spec)
+        assert np.array_equal(omega, expected_omega)
+        assert np.array_equal(grad.flat, expected_grad.flat)
+
+
+def reference_train(features, labels, source_ids, c, config, matrices=None):
+    """train's loop with the kernels allocating their results and each
+    epoch's rows gathered by fancy indexing, as before train had a
+    workspace."""
+    cols = transition_columns(labels, source_ids, c,
+                              None if config.strategy == "vanilla" else matrices)
+    rng = np.random.default_rng(config.seed)
+    params = init_parameters(features.shape[1], c, config.hidden, rng)
+    state = init_optimizer(params, config.learning_rate, config.momentum, config.weight_decay)
+    look = params.zeros_like()
+    bs = config.batch_size
+    for _ in range(config.epochs):
+        order = rng.permutation(len(labels))
+        xs, cs = features[order], cols[order]
+        for start in range(0, len(labels), bs):
+            look.flat[:] = params.flat + config.momentum * state.velocity.flat
+            _, grads = fresh_step(look, xs[start:start + bs], cs[start:start + bs], config.loss)
+            step(params, state, grads)
+    return params
+
+
+@pytest.mark.parametrize("hidden", [0, 6])
+def test_train_workspace_equals_allocating_kernels_on_a_short_last_batch(rng, hidden):
+    # 301 rows in batches of 32: nine full batches and one of 13 rows
+    feats, labels = _toy_training_data(rng, n=301)
+    src = rng.integers(2, size=301)
+    mats = {s: random_row_stochastic(rng, 3) for s in range(2)}
+    cfg = TrainConfig(epochs=2, hidden=hidden, seed=5, strategy="proposed",
+                      loss=LossSpec("gce", q=0.7))
+    assert len(labels) % cfg.batch_size != 0
+    trained = train(feats, labels, src, 3, cfg, matrices=mats)
+    assert np.array_equal(trained.flat, reference_train(feats, labels, src, 3, cfg, mats).flat)
 
 
 def test_parameter_views_share_the_flat_buffer(rng):

@@ -111,6 +111,18 @@ def _cmd_corrupt(args) -> int:
     return 0
 
 
+def _positive(kind):
+    """argparse type: a value of kind that is > 0 (NaN is rejected); argparse
+    names the flag in the error."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="weaklab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -130,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate-gradients",
                            help="check closed-form gradient weights against finite differences")
-    p_val.add_argument("--cases", type=int, default=1000)
+    p_val.add_argument("--cases", type=_positive(int), default=1000)
     p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--tolerance", type=float, default=1e-6)
+    p_val.add_argument("--tolerance", type=_positive(float), default=1e-6)
     p_val.set_defaults(func=_cmd_validate_gradients)
 
     p_cor = sub.add_parser("corrupt",

@@ -12,22 +12,31 @@ correction.weight_proposed, the chain-rule form over softmax_grad, is
 its independent per-sample reference.
 
 A minibatch step is a few dozen numpy calls on matrices of about 32 x 16,
-so its cost is call overhead, not arithmetic. train therefore allocates
-one workspace per call: the epoch's permuted features and columns, and a
-BatchBuffers of batch-size arrays that the three kernels (forward_batch,
+so its cost is call overhead, not arithmetic, and the step allocates
+nothing. train allocates one workspace per call: the epoch's permuted
+features and columns, gathered with np.take(..., out=, mode="clip") (the
+rows are a permutation, so clipping changes no index, and the default
+mode="raise" copies through a temporary), and a BatchBuffers of
+batch-size arrays that the three kernels (forward_batch,
 batch_weighting, backward_batch) write into instead of allocating; the
 short last batch uses leading-row views of it. Called without buffers,
-each kernel allocates its results. Inside the kernels the bias gradients
-are matrix-vector products with a ones vector, loss_derivative clamps
-the corrected probability to [PROB_FLOOR, 1] once instead of
-range-checking it, and the 1/m mean-loss scale rides on the per-row f'.
+each kernel allocates its results. Inside the kernels the products are
+np.dot(..., out=), which dispatches faster than np.matmul on these
+shapes and gives the same bits; the bias gradients are matrix-vector
+products with a ones vector; the row maxima and sums call
+np.maximum.reduce and np.add.reduce directly rather than the ndarray
+methods that wrap them; the architecture is read from len(weights) or
+the activation cache; loss_derivative clamps the corrected probability
+to [PROB_FLOOR, 1] once instead of range-checking it, and the 1/m
+mean-loss scale rides on the per-row f'.
 
 Parameters, velocity, lookahead point and gradient are each one flat
 float64 vector with per-layer views (ModelParameters). Optimisation is
 minibatch SGD with Nesterov momentum: the gradient is evaluated at the
 lookahead point look = theta + mu * v, written into its own buffer, then
 v <- mu * v - lr * (g + wd * theta) and theta <- theta + v, each a
-whole-vector operation.
+whole-vector operation; the bracket is built, in that order, in a
+scratch vector that OptimizerState preallocates.
 """
 
 from __future__ import annotations
@@ -95,12 +104,15 @@ class ModelParameters:
 
 @dataclass(eq=False)
 class OptimizerState:
-    """Velocity (same layout as the parameters) plus SGD hyperparameters."""
+    """Velocity (same layout as the parameters) plus SGD hyperparameters,
+    and a flat scratch vector of the same size that step writes its
+    update into."""
 
     velocity: ModelParameters
     learning_rate: float
     momentum: float = 0.9
     weight_decay: float = 0.0
+    scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -109,6 +121,7 @@ class OptimizerState:
             raise ValueError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight decay must be nonnegative")
+        self.scratch = np.empty_like(self.velocity.flat)
 
 
 @dataclass
@@ -198,15 +211,16 @@ def forward_batch(params: ModelParameters, x: np.ndarray, buf: BatchBuffers | No
     buf, if given, holds n rows and receives the activations and scores."""
     x = np.asarray(x, dtype=np.float64)
     buf = _ALLOCATE if buf is None else buf
-    if params.hidden == 0:
-        scores = np.matmul(x, params.weights[0].T, out=buf.scores)
-        scores += params.biases[0]
+    weights, biases = params.weights, params.biases
+    if len(weights) == 1:
+        scores = np.dot(x, weights[0].T, out=buf.scores)
+        scores += biases[0]
         return scores, (x,)
-    z = np.matmul(x, params.weights[0].T, out=buf.z)
-    z += params.biases[0]
+    z = np.dot(x, weights[0].T, out=buf.z)
+    z += biases[0]
     a = np.maximum(z, 0.0, out=buf.a)
-    scores = np.matmul(a, params.weights[1].T, out=buf.scores)
-    scores += params.biases[1]
+    scores = np.dot(a, weights[1].T, out=buf.scores)
+    scores += biases[1]
     return scores, (x, z, a)
 
 
@@ -219,30 +233,35 @@ def backward_batch(params: ModelParameters, cache, delta: np.ndarray,
     hidden delta and the ReLU mask."""
     buf = _ALLOCATE if buf is None else buf
     ones = np.ones(len(delta)) if buf.ones is None else buf.ones
-    if params.hidden == 0:
+    if len(cache) == 1:
         (x,) = cache
-        np.matmul(delta.T, x, out=out.weights[0])
-        np.matmul(ones, delta, out=out.biases[0])
+        np.dot(delta.T, x, out=out.weights[0])
+        np.dot(ones, delta, out=out.biases[0])
         return out
     x, z, a = cache
-    d_hidden = np.matmul(delta, params.weights[1], out=buf.dh)
+    d_hidden = np.dot(delta, params.weights[1], out=buf.dh)
     # a = max(z, 0) >= 0, so sign(a) is the 0/1 derivative of the ReLU at z
     d_hidden *= np.sign(a, out=buf.mask)
-    np.matmul(d_hidden.T, x, out=out.weights[0])
-    np.matmul(ones, d_hidden, out=out.biases[0])
-    np.matmul(delta.T, a, out=out.weights[1])
-    np.matmul(ones, delta, out=out.biases[1])
+    np.dot(d_hidden.T, x, out=out.weights[0])
+    np.dot(ones, d_hidden, out=out.biases[0])
+    np.dot(delta.T, a, out=out.weights[1])
+    np.dot(ones, delta, out=out.biases[1])
     return out
 
 
 def step(params: ModelParameters, opt_state: OptimizerState, grads: ModelParameters):
     """One SGD update, in place on the flat buffers:
     v <- mu * v - lr * (g + wd * theta), theta <- theta + v. The gradient
-    is expected at the lookahead point theta + mu * v.
+    is expected at the lookahead point theta + mu * v. The bracket is
+    built in opt_state.scratch, in the formula's order, so nothing is
+    allocated.
     """
     v = opt_state.velocity.flat
+    update = np.multiply(params.flat, opt_state.weight_decay, out=opt_state.scratch)
+    update += grads.flat
+    update *= opt_state.learning_rate
     v *= opt_state.momentum
-    v -= opt_state.learning_rate * (grads.flat + opt_state.weight_decay * params.flat)
+    v -= update
     params.flat += v
     return params, opt_state
 
@@ -274,10 +293,10 @@ def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
 def _softmax_rows(scores: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax, computed in place in scores; col, an (n, 1)
     array, receives the row maxima and then the row sums."""
-    col = scores.max(axis=1, keepdims=True, out=col)
+    col = np.maximum.reduce(scores, axis=1, keepdims=True, out=col)
     scores -= col
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True, out=col)
+    scores /= np.add.reduce(scores, axis=1, keepdims=True, out=col)
     return scores
 
 
@@ -287,6 +306,8 @@ def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
 
     matrices maps source id -> TransitionMatrix (or raw entries); None
     gives one-hot rows, the identity columns of the uncorrected loss.
+    Raises ValueError naming the source id when a source in source_ids
+    has no matrix or one that is not c x c.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if matrices is None:
@@ -294,9 +315,17 @@ def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
     source_ids = np.asarray(source_ids, dtype=np.int64)
     cols = np.empty((labels.shape[0], c))
     for s in np.unique(source_ids):
+        s = int(s)
+        try:
+            m = matrices[s]
+        except KeyError:
+            raise ValueError(f"no transition matrix for source id {s}") from None
+        entries = np.asarray(getattr(m, "entries", m), dtype=np.float64)
+        if entries.shape != (c, c):
+            raise ValueError(f"transition matrix of source id {s} has shape "
+                             f"{entries.shape}, expected {c} x {c}")
         sel = source_ids == s
-        m = matrices[int(s)]
-        cols[sel] = np.asarray(getattr(m, "entries", m), dtype=np.float64).T[labels[sel]]
+        cols[sel] = entries.T[labels[sel]]
     return cols
 
 
@@ -313,7 +342,7 @@ def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale: floa
     """
     buf = _ALLOCATE if buf is None else buf
     tu = np.multiply(cols, u, out=buf.tu)
-    ut = tu.sum(axis=1, keepdims=True, out=buf.ut)
+    ut = np.add.reduce(tu, axis=1, keepdims=True, out=buf.ut)
     fprime = loss_derivative(spec, ut, floor=PROB_FLOOR, out=buf.fprime)
     if scale != 1.0:
         fprime *= scale
@@ -362,8 +391,10 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        np.take(features, order, axis=0, out=xs)
-        np.take(cols, order, axis=0, out=cs)
+        # order is a permutation, so clipping changes no index; the default
+        # mode="raise" would copy through a temporary buffer
+        np.take(features, order, axis=0, out=xs, mode="clip")
+        np.take(cols, order, axis=0, out=cs, mode="clip")
         for xb, cb, buf, scale in batches:
             np.multiply(velocity, config.momentum, out=look.flat)
             look.flat += params.flat

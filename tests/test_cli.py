@@ -61,6 +61,23 @@ def test_validate_gradients_fails_with_absurd_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_validate_gradients_rejects_fewer_than_one_case(capsys, value):
+    # zero cases used to print "PASS: 0 cases" and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-gradients", "--cases", value])
+    assert exc.value.code == 2
+    assert f"argument --cases: must be > 0, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_validate_gradients_rejects_a_tolerance_that_is_not_positive(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-gradients", "--cases", "5", "--tolerance", value])
+    assert exc.value.code == 2
+    assert f"argument --tolerance: must be > 0, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", [8, 10, 42, 71, 310])
 def test_validate_gradients_passes_on_near_zero_gradients(capsys, seed):
     # each of these seeds draws a case whose gradient norm is under 3e-4,

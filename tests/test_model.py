@@ -7,7 +7,7 @@ import pytest
 
 from weaklab import model
 from weaklab.correction import corrected_loss, softmax, weight_proposed, weight_standard
-from weaklab.losses import LossSpec, loss_value
+from weaklab.losses import PROB_FLOOR, LossSpec, loss_value
 from weaklab.model import (BatchBuffers, ModelParameters, TrainConfig, TrainingDiverged,
                            _softmax_rows, backward_batch, batch_weighting, forward_batch,
                            init_optimizer, init_parameters, load_params, predict_batch,
@@ -272,6 +272,100 @@ def test_train_workspace_equals_allocating_kernels_on_a_short_last_batch(rng, hi
     assert len(labels) % cfg.batch_size != 0
     trained = train(feats, labels, src, 3, cfg, matrices=mats)
     assert np.array_equal(trained.flat, reference_train(feats, labels, src, 3, cfg, mats).flat)
+
+
+def plain_loss_derivative(spec, u):
+    if spec.family == "cce":
+        return -1.0 / u
+    if spec.family == "mae":
+        return np.full_like(u, -2.0)
+    if spec.family == "gce":
+        return -(u ** (spec.q - 1.0))
+    return -spec.alpha / u + spec.beta * spec.A
+
+
+def plain_train(features, labels, source_ids, c, config, matrices):
+    """train written from its formulas alone, calling none of model's
+    kernels: @ products, the .max() and .sum() methods, fancy-index gathers
+    and the allocating update v = mu*v - lr*(g + wd*theta), in the
+    operation order the kernels use (bias sums as ones @ delta, the 1/m
+    scale on f', the ReLU derivative as a 0/1 factor)."""
+    cols = np.array([np.asarray(matrices[s], dtype=np.float64)[:, y]
+                     for s, y in zip(source_ids, labels)])
+    rng = np.random.default_rng(config.seed)
+    params = init_parameters(features.shape[1], c, config.hidden, rng)
+    theta, v = params.flat.copy(), np.zeros_like(params.flat)
+    look = params.copy()
+    n, bs, mu = len(labels), config.batch_size, config.momentum
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        xs, cs = features[order], cols[order]
+        for start in range(0, n, bs):
+            x, cb = xs[start:start + bs], cs[start:start + bs]
+            m = len(x)
+            look.flat[:] = theta + mu * v
+            w, b = look.weights, look.biases
+            a = x if config.hidden == 0 else np.maximum(x @ w[0].T + b[0], 0.0)
+            scores = a @ w[-1].T + b[-1]
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            u = e / e.sum(axis=1, keepdims=True)
+            ut = (cb * u).sum(axis=1, keepdims=True)
+            fprime = plain_loss_derivative(config.loss, np.minimum(np.maximum(ut, PROB_FLOOR), 1.0))
+            omega = (cb * u - ut * u) * (fprime * (1.0 / m))
+            ones = np.ones(m)
+            grads = [omega.T @ a, ones @ omega]
+            if config.hidden:
+                dh = (omega @ w[1]) * (a > 0)
+                grads = [dh.T @ x, ones @ dh] + grads
+            g = np.concatenate([part.ravel() for part in grads])
+            v = mu * v - config.learning_rate * (g + config.weight_decay * theta)
+            theta = theta + v
+    return theta
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+@pytest.mark.parametrize("hidden", [0, 32])
+def test_train_equals_the_plain_formulas(rng, hidden, spec):
+    # pins every output bit of train to the formulas: a kernel rewrite
+    # (other products, reductions, gathers or update order) that moves a
+    # bit fails here, which a reference built on the kernels cannot show
+    feats, labels = _toy_training_data(rng, n=301)
+    src = rng.integers(3, size=301)
+    mats = {s: random_row_stochastic(rng, 3) for s in range(3)}
+    cfg = TrainConfig(epochs=2, hidden=hidden, seed=6, strategy="proposed", loss=spec)
+    assert len(labels) % cfg.batch_size != 0
+    trained = train(feats, labels, src, 3, cfg, matrices=mats)
+    assert np.array_equal(trained.flat, plain_train(feats, labels, src, 3, cfg, mats))
+
+
+def test_step_allocates_nothing(rng):
+    params = make_params(rng, 16, 10, 32)
+    state = init_optimizer(params, learning_rate=0.05, momentum=0.9, weight_decay=1e-6)
+    grads = make_params(rng, 16, 10, 32)
+    tracemalloc.start()
+    try:
+        for _ in range(500):
+            step(params, state, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.flat.nbytes
+
+
+def test_train_names_a_source_without_a_transition_matrix(rng):
+    feats, labels = _toy_training_data(rng)
+    src = rng.integers(3, size=len(labels))
+    cfg = TrainConfig(epochs=1, strategy="proposed")
+    with pytest.raises(ValueError, match="no transition matrix for source id 1"):
+        train(feats, labels, src, 3, cfg, matrices={0: np.eye(3), 2: np.eye(3)})
+
+
+def test_train_names_a_source_whose_transition_matrix_has_the_wrong_shape(rng):
+    feats, labels = _toy_training_data(rng)
+    src = rng.integers(3, size=len(labels))
+    mats = {0: np.eye(3), 1: np.eye(3), 2: np.eye(4)}
+    with pytest.raises(ValueError, match=r"source id 2 has shape \(4, 4\), expected 3 x 3"):
+        train(feats, labels, src, 3, TrainConfig(epochs=1, strategy="forward"), matrices=mats)
 
 
 def test_parameter_views_share_the_flat_buffer(rng):

@@ -10,6 +10,7 @@ file as a multisource weak-labelled one.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 
 import numpy as np
@@ -111,13 +112,13 @@ def _cmd_corrupt(args) -> int:
     return 0
 
 
-def _positive(kind):
-    """argparse type: a value of kind that is > 0 (NaN is rejected); argparse
-    names the flag in the error."""
+def _bounded(kind, op, bound):
+    """argparse type: a value of kind with `value op bound`, op ">" or ">="
+    (NaN fails both); argparse names the flag in the error."""
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        if not {">": operator.gt, ">=": operator.ge}[op](value, bound):
+            raise argparse.ArgumentTypeError(f"must be {op} {bound}, got {text}")
         return value
     parse.__name__ = kind.__name__
     return parse
@@ -142,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate-gradients",
                            help="check closed-form gradient weights against finite differences")
-    p_val.add_argument("--cases", type=_positive(int), default=1000)
-    p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--tolerance", type=_positive(float), default=1e-6)
+    p_val.add_argument("--cases", type=_bounded(int, ">", 0), default=1000)
+    p_val.add_argument("--seed", type=_bounded(int, ">=", 0), default=0)
+    p_val.add_argument("--tolerance", type=_bounded(float, ">", 0), default=1e-6)
     p_val.set_defaults(func=_cmd_validate_gradients)
 
     p_cor = sub.add_parser("corrupt",
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--load-dataset", required=True)
     p_cor.add_argument("--spec", required=True, help="sources spec file")
     p_cor.add_argument("--emit-dataset", required=True)
-    p_cor.add_argument("--seed", type=int, default=0)
+    p_cor.add_argument("--seed", type=_bounded(int, ">=", 0), default=0)
     p_cor.set_defaults(func=_cmd_corrupt)
     return parser
 

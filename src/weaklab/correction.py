@@ -1,4 +1,5 @@
-"""Softmax, forward loss correction, and gradient-weighting vectors.
+"""Forward loss correction, one sample at a time: the reference for the
+training kernel, and the paper's two diagnostics.
 
 Forward correction replaces the predicted class probabilities u by
 u_tilde = T^T u before evaluating the loss, so a model supervised with
@@ -8,8 +9,10 @@ grad_h(u_j): a single weak label simultaneously optimises every class j
 the source could have flipped into k, weighted by T's k-th column.
 Training computes that weighting with one kernel, model.batch_weighting;
 weight_proposed is its independent chain-rule reference (a sum of
-softmax_grad terms), and weight_standard / gce_weight_closed_form are
-one-row calls of the kernel itself.
+softmax_grad terms); this module imports nothing from model, so it cannot
+call the kernel it checks. optimized_classes and l1_discrepancy are the
+diagnostics. Matrices are read with np.asarray: a TransitionMatrix or an
+array.
 """
 
 from __future__ import annotations
@@ -17,16 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import LossSpec, loss_derivative, loss_value
-from .model import batch_weighting
 
 
 class DegenerateColumnError(ValueError):
     """Raised when the corrected probability of the given label is zero:
     column k of T has no mass on any class the model deems possible."""
-
-
-def _entries(matrix) -> np.ndarray:
-    return np.asarray(getattr(matrix, "entries", matrix), dtype=np.float64)
 
 
 def softmax(scores) -> np.ndarray:
@@ -54,7 +52,7 @@ def forward_correct(matrix, u) -> np.ndarray:
 
     u may be an (m, c) stack of probability rows; each row is corrected by
     its own matrix-vector product, so it equals the call on that row alone."""
-    t = _entries(matrix)
+    t = np.asarray(matrix, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if u.shape[-1] != t.shape[0]:
         raise ValueError(f"dimension mismatch: matrix is {t.shape[0]}-class, u has {u.shape[-1]}")
@@ -79,31 +77,14 @@ def corrected_loss(spec: LossSpec, matrix, k: int, u):
     return loss_value(spec, np.minimum(ut_k, 1.0))
 
 
-def _one_row_weighting(spec: LossSpec, column, k: int, u) -> np.ndarray:
-    """batch_weighting on a single sample with transition column `column`.
-
-    The kernel floors u_tilde_k at PROB_FLOOR, so a degenerate column is
-    rejected here rather than silently clamped."""
-    u = np.asarray(u, dtype=np.float64)
-    column = np.asarray(column, dtype=np.float64)
-    if float(column @ u) <= 0.0:
-        raise DegenerateColumnError(f"corrected probability of class {k} is zero")
-    return batch_weighting(u[None, :], column[None, :], spec)[0]
-
-
-def weight_standard(spec: LossSpec, k: int, u) -> np.ndarray:
-    """Score-gradient of the uncorrected loss, f'(u_k) * u_k (e^k - u):
-    the kernel with the one-hot column e^k."""
-    return _one_row_weighting(spec, np.eye(len(u))[k], k, u)
-
-
 def weight_proposed(spec: LossSpec, matrix, k: int, u) -> np.ndarray:
     """Score-gradient of the forward-corrected loss:
     f'(u_tilde_k) * sum_j T[j, k] * softmax_grad(u, j).
 
-    With the identity matrix this coincides with weight_standard.
+    With the identity matrix this is the uncorrected loss's
+    f'(u_k) * u_k (e^k - u).
     """
-    t = _entries(matrix)
+    t = np.asarray(matrix, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     ut_k = float(forward_correct(t, u)[k])
     if ut_k <= 0.0:
@@ -115,17 +96,10 @@ def weight_proposed(spec: LossSpec, matrix, k: int, u) -> np.ndarray:
     return fprime * acc
 
 
-def gce_weight_closed_form(q: float, matrix, k: int, u) -> np.ndarray:
-    """Generalized-cross-entropy weighting vector in closed form,
-    -u_tilde_k^q * ((T[:,k] * u) / u_tilde_k - u): the kernel with column
-    T[:, k] and LossSpec("gce", q)."""
-    return _one_row_weighting(LossSpec("gce", q=q), _entries(matrix)[:, k], k, u)
-
-
 def optimized_classes(matrix, k: int, u) -> set:
     """Classes whose score the corrected gradient pushes up:
     { j : u_j > 0 and T[j, k] > u_tilde_k }."""
-    t = _entries(matrix)
+    t = np.asarray(matrix, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     ut_k = float(forward_correct(t, u)[k])
     return {int(j) for j in range(u.shape[0]) if u[j] > 0.0 and t[j, k] > ut_k}
@@ -134,7 +108,7 @@ def optimized_classes(matrix, k: int, u) -> set:
 def l1_discrepancy(matrix, k: int, u) -> float:
     """L1 distance between the prior-true-label distribution implied by
     label k, (T[:,k] * u) / u_tilde_k, and the prediction u. Lies in [0, 2]."""
-    t = _entries(matrix)
+    t = np.asarray(matrix, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     col_u = t[:, k] * u
     ut_k = float(col_u.sum())

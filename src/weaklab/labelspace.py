@@ -51,6 +51,10 @@ class TransitionMatrix:
         e.setflags(write=False)
         self.entries = e
 
+    def __array__(self, dtype=None, copy=None):
+        """The entries, so np.asarray reads a TransitionMatrix as its array."""
+        return np.array(self.entries, dtype=dtype, copy=copy)
+
     @property
     def c(self) -> int:
         return self.entries.shape[0]

@@ -19,16 +19,18 @@ rows are a permutation, so clipping changes no index, and the default
 mode="raise" copies through a temporary), and a BatchBuffers of
 batch-size arrays that the three kernels (forward_batch,
 batch_weighting, backward_batch) write into instead of allocating; the
-short last batch uses leading-row views of it. Called without buffers,
-each kernel allocates its results. Inside the kernels the products are
-np.dot(..., out=), which dispatches faster than np.matmul on these
-shapes and gives the same bits; the bias gradients are matrix-vector
-products with a ones vector; the row maxima and sums call
-np.maximum.reduce and np.add.reduce directly rather than the ndarray
-methods that wrap them; the architecture is read from len(weights) or
-the activation cache; loss_derivative clamps the corrected probability
-to [PROB_FLOOR, 1] once instead of range-checking it, and the 1/m
-mean-loss scale rides on the per-row f'.
+short last batch uses leading-row views of it. Every kernel takes its
+buffers as a required argument, so each has one calling convention;
+predict_batch makes one BatchBuffers per call and cuts it to each
+block. Inside the kernels the products are np.dot(..., out=), which
+dispatches faster than np.matmul on these shapes and gives the same
+bits; the bias gradients are matrix-vector products with a ones vector;
+the row maxima and sums call np.maximum.reduce and np.add.reduce
+directly rather than the ndarray methods that wrap them; the
+architecture is read from len(weights) or the activation cache;
+loss_derivative clamps the corrected probability to [PROB_FLOOR, 1] once
+instead of range-checking it, and the 1/m mean-loss scale rides on the
+per-row f'.
 
 Parameters, velocity, lookahead point and gradient are each one flat
 float64 vector with per-layer views (ModelParameters). Optimisation is
@@ -105,8 +107,8 @@ class ModelParameters:
 @dataclass(eq=False)
 class OptimizerState:
     """Velocity (same layout as the parameters) plus SGD hyperparameters,
-    and a flat scratch vector of the same size that step writes its
-    update into."""
+    which TrainConfig checks, and a flat scratch vector of the same size
+    that step writes its update into."""
 
     velocity: ModelParameters
     learning_rate: float
@@ -115,12 +117,6 @@ class OptimizerState:
     scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be nonnegative")
         self.scratch = np.empty_like(self.velocity.flat)
 
 
@@ -145,6 +141,13 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.hidden < 0:
             raise ValueError(f"hidden must be >= 0, got {self.hidden}")
+        # written so that NaN fails each check
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
 
@@ -195,22 +198,10 @@ class BatchBuffers:
         return view
 
 
-class _Allocate:
-    """The buffers of a kernel called without BatchBuffers: every one is
-    None, so each numpy call allocates its result."""
-
-    def __getattr__(self, name):
-        return None
-
-
-_ALLOCATE = _Allocate()
-
-
-def forward_batch(params: ModelParameters, x: np.ndarray, buf: BatchBuffers | None = None):
+def forward_batch(params: ModelParameters, x: np.ndarray, buf: BatchBuffers):
     """Scores for a batch (n, d); also returns the activation cache.
-    buf, if given, holds n rows and receives the activations and scores."""
+    buf holds n rows and receives the activations and scores."""
     x = np.asarray(x, dtype=np.float64)
-    buf = _ALLOCATE if buf is None else buf
     weights, biases = params.weights, params.biases
     if len(weights) == 1:
         scores = np.dot(x, weights[0].T, out=buf.scores)
@@ -225,27 +216,25 @@ def forward_batch(params: ModelParameters, x: np.ndarray, buf: BatchBuffers | No
 
 
 def backward_batch(params: ModelParameters, cache, delta: np.ndarray,
-                   out: ModelParameters, buf: BatchBuffers | None = None) -> ModelParameters:
+                   out: ModelParameters, buf: BatchBuffers) -> ModelParameters:
     """Contract the weighting vectors in the rows of delta against d h /
     d theta and sum over the rows (scale delta by 1/m first for a
     mean-loss gradient); linear in delta. Written into out, which is
-    returned. buf, if given, holds len(delta) rows and receives the
-    hidden delta and the ReLU mask."""
-    buf = _ALLOCATE if buf is None else buf
-    ones = np.ones(len(delta)) if buf.ones is None else buf.ones
+    returned. buf holds len(delta) rows and receives the hidden delta
+    and the ReLU mask."""
     if len(cache) == 1:
         (x,) = cache
         np.dot(delta.T, x, out=out.weights[0])
-        np.dot(ones, delta, out=out.biases[0])
+        np.dot(buf.ones, delta, out=out.biases[0])
         return out
     x, z, a = cache
     d_hidden = np.dot(delta, params.weights[1], out=buf.dh)
     # a = max(z, 0) >= 0, so sign(a) is the 0/1 derivative of the ReLU at z
     d_hidden *= np.sign(a, out=buf.mask)
     np.dot(d_hidden.T, x, out=out.weights[0])
-    np.dot(ones, d_hidden, out=out.biases[0])
+    np.dot(buf.ones, d_hidden, out=out.biases[0])
     np.dot(delta.T, a, out=out.weights[1])
-    np.dot(ones, delta, out=out.biases[1])
+    np.dot(buf.ones, delta, out=out.biases[1])
     return out
 
 
@@ -278,19 +267,21 @@ def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     rows, sized within one row of each other, so memory stays bounded on
     large inputs. Even sizes leave no small tail block, for which BLAS may
     take a kernel that rounds differently from the whole-input product.
+    One BatchBuffers of the largest block's rows serves every block.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     blocks = max(1, -(-n // PREDICT_BLOCK_ROWS))  # an empty input makes one pass
     bounds = [i * n // blocks for i in range(blocks + 1)]
+    buf = BatchBuffers(-(-n // blocks), params.c, params.hidden)
     out = np.empty(n, dtype=np.int64)
     for start, stop in zip(bounds, bounds[1:]):
-        scores, _ = forward_batch(params, x[start:stop])
+        scores, _ = forward_batch(params, x[start:stop], buf.head(stop - start))
         scores.argmax(axis=1, out=out[start:stop])
     return out
 
 
-def _softmax_rows(scores: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
+def _softmax_rows(scores: np.ndarray, col: np.ndarray) -> np.ndarray:
     """Row-wise softmax, computed in place in scores; col, an (n, 1)
     array, receives the row maxima and then the row sums."""
     col = np.maximum.reduce(scores, axis=1, keepdims=True, out=col)
@@ -304,8 +295,8 @@ def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
                        matrices=None) -> np.ndarray:
     """Per-sample column matrix C[i] = T_{s_i}[:, y_i], shape (n, c).
 
-    matrices maps source id -> TransitionMatrix (or raw entries); None
-    gives one-hot rows, the identity columns of the uncorrected loss.
+    matrices maps source id -> TransitionMatrix or c x c array, each read
+    with np.asarray; None gives one-hot rows, the identity columns of the uncorrected loss.
     Raises ValueError naming the source id when a source in source_ids
     has no matrix or one that is not c x c.
     """
@@ -320,7 +311,7 @@ def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
             m = matrices[s]
         except KeyError:
             raise ValueError(f"no transition matrix for source id {s}") from None
-        entries = np.asarray(getattr(m, "entries", m), dtype=np.float64)
+        entries = np.asarray(m, dtype=np.float64)
         if entries.shape != (c, c):
             raise ValueError(f"transition matrix of source id {s} has shape "
                              f"{entries.shape}, expected {c} x {c}")
@@ -329,18 +320,17 @@ def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
     return cols
 
 
-def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale: float = 1.0,
-                    buf: BatchBuffers | None = None) -> np.ndarray:
+def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale: float,
+                    buf: BatchBuffers) -> np.ndarray:
     """Per-sample score-space weighting vectors for a batch:
     omega_i = scale * f'(ut_i) * (C_i * u_i - ut_i * u_i), ut_i = C_i . u_i.
 
     u is the (n, c) softmax output and cols the matching rows of
     transition_columns; scale = 1/n gives the mean-loss weighting.
     loss_derivative clamps ut to [PROB_FLOOR, 1] before evaluating f', so
-    early-training underflow cannot produce non-finite weights. buf, if
-    given, holds n rows, must not hold u or cols, and receives omega.
+    early-training underflow cannot produce non-finite weights. buf holds
+    n rows, must not hold u or cols, and receives omega.
     """
-    buf = _ALLOCATE if buf is None else buf
     tu = np.multiply(cols, u, out=buf.tu)
     ut = np.add.reduce(tu, axis=1, keepdims=True, out=buf.ut)
     fprime = loss_derivative(spec, ut, floor=PROB_FLOOR, out=buf.fprime)
@@ -357,7 +347,7 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
           epoch_callback=None) -> ModelParameters:
     """Train a classifier on weak-labelled data.
 
-    matrices maps source id -> TransitionMatrix (or raw entries) and is
+    matrices maps source id -> TransitionMatrix or c x c array and is
     required unless the strategy is vanilla, which ignores it and trains
     with identity columns. epoch_callback is invoked as
     callback(epoch, params) after each epoch (epochs count from 1).

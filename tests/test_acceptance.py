@@ -7,9 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from weaklab.correction import (corrected_loss, forward_correct, gce_weight_closed_form,
-                                l1_discrepancy, optimized_classes, softmax,
-                                weight_proposed, weight_standard)
+from weaklab.correction import (corrected_loss, forward_correct, l1_discrepancy,
+                                optimized_classes, softmax, weight_proposed)
 from weaklab.datagen import Dataset, build_multisource, corruption_report, generate_blobs
 from weaklab.estimation import estimate_per_source, train_baseline
 from weaklab.harness import (ExperimentConfig, WeakSource, emit_csv, emit_curves,
@@ -21,7 +20,7 @@ from weaklab.losses import LossSpec, loss_value
 from weaklab.model import (BatchBuffers, TrainConfig, backward_batch, batch_weighting,
                            forward_batch, init_parameters)
 
-from conftest import random_row_stochastic
+from conftest import kernel_weighting, random_row_stochastic
 
 SPECS = [LossSpec("cce"), LossSpec("mae"), LossSpec("gce", q=0.7), LossSpec("sl")]
 MIXED = TemplateKind.MIXED_CLASS_DEPENDENT
@@ -71,7 +70,7 @@ def _fd_params(params, scalar_fn, step=1e-6):
 
 
 def _scores(params, x):
-    return forward_batch(params, x[None, :])[0][0]
+    return forward_batch(params, x[None, :], BatchBuffers(1, params.c, params.hidden))[0][0]
 
 
 def test_criterion_1_gradient_oracle_suite():
@@ -91,8 +90,8 @@ def test_criterion_1_gradient_oracle_suite():
     worst_weight = 0.0
     for _ in range(1000):
         spec, t, k, h = _random_case(rng)
-        analytic = batch_weighting(softmax(h)[None, :], t[:, k][None, :], spec,
-                                   buf=buf(len(h), 0))[0]
+        analytic = batch_weighting(softmax(h)[None, :], t[:, k][None, :], spec, 1.0,
+                                   buf(len(h), 0))[0]
         numeric = _fd_scores(lambda hh: corrected_loss(spec, t, k, softmax(hh)), h)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst_weight = max(worst_weight, rel)
@@ -114,7 +113,7 @@ def test_criterion_1_gradient_oracle_suite():
         else:
             column = np.eye(c)[k]
             scalar = lambda: loss_value(spec, softmax(_scores(params, x))[k])
-        omega = batch_weighting(u[None, :], column[None, :], spec, buf=buf(c, hidden))
+        omega = batch_weighting(u[None, :], column[None, :], spec, 1.0, buf(c, hidden))
         exact = backward_batch(params, cache, omega, params.zeros_like(), buf(c, hidden)).flat
         numeric = _fd_params(params, scalar)
         rel = np.linalg.norm(exact - numeric) / max(np.linalg.norm(numeric), 1e-12)
@@ -127,6 +126,8 @@ def test_criterion_1_gradient_oracle_suite():
 
 
 def test_criterion_2_reduction_identity():
+    # the training kernel with the one-hot column e^k against the
+    # chain-rule reference with the identity matrix
     rng = np.random.default_rng(102)
     worst = 0.0
     for _ in range(10_000):
@@ -135,12 +136,14 @@ def test_criterion_2_reduction_identity():
         u = softmax(rng.standard_normal(c))
         k = int(rng.integers(c))
         wp = weight_proposed(spec, np.eye(c), k, u)
-        ws = weight_standard(spec, k, u)
+        ws = kernel_weighting(spec, np.eye(c)[k], u)
         worst = max(worst, float(np.abs(wp - ws).max()))
     _result(2, worst <= 1e-12, f"identity-matrix reduction max diff {worst:.2e} (<=1e-12)")
 
 
 def test_criterion_3_closed_form_equals_chain_rule():
+    # the training kernel with column T[:, k] against the chain-rule
+    # reference, for generalized cross entropy
     rng = np.random.default_rng(103)
     spec = LossSpec("gce", q=0.7)
     worst = 0.0
@@ -148,7 +151,7 @@ def test_criterion_3_closed_form_equals_chain_rule():
         _, t, k, h = _random_case(rng, specs=[spec])
         u = softmax(h)
         chain = weight_proposed(spec, t, k, u)
-        closed = gce_weight_closed_form(0.7, t, k, u)
+        closed = kernel_weighting(spec, t[:, k], u)
         worst = max(worst, float(np.abs(chain - closed).max()))
     _result(3, worst <= 1e-12, f"closed form vs chain rule max diff {worst:.2e} (<=1e-12)")
 

@@ -78,6 +78,23 @@ def test_validate_gradients_rejects_a_tolerance_that_is_not_positive(capsys, val
     assert f"argument --tolerance: must be > 0, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate-gradients", "--cases", "5"],
+    ["corrupt", "--load-dataset", "clean.txt", "--spec", "sources.ini",
+     "--emit-dataset", "weak.txt"],
+], ids=["validate_gradients", "corrupt"])
+@pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+def test_seed_must_be_a_non_negative_integer(capsys, argv, value):
+    # a negative seed used to end in numpy's ValueError from default_rng,
+    # naming neither the flag nor the command
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"weaklab {argv[0]}: error: argument --seed: " in err
+    assert ("must be >= 0, got -1" if value == "-1" else f"invalid int value: '{value}'") in err
+
+
 @pytest.mark.parametrize("seed", [8, 10, 42, 71, 310])
 def test_validate_gradients_passes_on_near_zero_gradients(capsys, seed):
     # each of these seeds draws a case whose gradient norm is under 3e-4,

@@ -1,15 +1,18 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaklab.correction import (DegenerateColumnError, corrected_loss, forward_correct,
-                                gce_weight_closed_form, l1_discrepancy,
-                                numerical_score_gradient, optimized_classes, softmax,
-                                softmax_grad, weight_proposed, weight_standard)
+                                l1_discrepancy, numerical_score_gradient, optimized_classes,
+                                softmax, softmax_grad, weight_proposed)
+from weaklab.labelspace import TransitionMatrix
 from weaklab.losses import LossSpec
 
-from conftest import random_row_stochastic
+from conftest import kernel_weighting, random_row_stochastic
 
 SPECS = [LossSpec("cce"), LossSpec("mae"), LossSpec("gce", q=0.7), LossSpec("sl")]
 
@@ -142,13 +145,11 @@ def test_corrected_loss_mae_zero_at_certain_column():
 def test_degenerate_column_raises():
     t = np.array([[1.0, 0.0], [1.0, 0.0]])
     u = np.array([0.3, 0.7])
-    # the kernel behind weight_standard and gce_weight_closed_form floors
-    # u_tilde_k at PROB_FLOOR, so these must reject the column themselves
+    # the training kernel floors u_tilde_k at PROB_FLOOR; the reference and
+    # the diagnostics must reject the column instead
     for fn in (lambda: corrected_loss(LossSpec("cce"), t, 1, u),
                lambda: weight_proposed(LossSpec("cce"), t, 1, u),
-               lambda: l1_discrepancy(t, 1, u),
-               lambda: weight_standard(LossSpec("cce"), 0, np.array([0.0, 1.0])),
-               lambda: gce_weight_closed_form(0.7, t, 1, u)):
+               lambda: l1_discrepancy(t, 1, u)):
         with pytest.raises(DegenerateColumnError):
             fn()
 
@@ -207,7 +208,7 @@ def test_weight_proposed_identity_reduction(rng):
         u = softmax(rng.standard_normal(c))
         k = int(rng.integers(c))
         wp = weight_proposed(spec, np.eye(c), k, u)
-        ws = weight_standard(spec, k, u)
+        ws = kernel_weighting(spec, np.eye(c)[k], u)
         assert np.abs(wp - ws).max() <= 1e-12
 
 
@@ -250,13 +251,13 @@ def test_gce_closed_form_equals_chain_rule(rng):
         _, t, k, h = random_case(rng, specs=[spec])
         u = softmax(h)
         chain = weight_proposed(spec, t, k, u)
-        closed = gce_weight_closed_form(0.7, t, k, u)
+        closed = kernel_weighting(spec, t[:, k], u)
         assert np.abs(chain - closed).max() <= 1e-12
 
 
 def test_weight_standard_cce_classical_identity(rng):
     u = np.array([0.5, 0.3, 0.2])
-    w = weight_standard(LossSpec("cce"), 0, u)
+    w = kernel_weighting(LossSpec("cce"), np.eye(3)[0], u)
     assert w == pytest.approx([-0.5, 0.3, 0.2])
     # and in general: u - e^k
     for _ in range(20):
@@ -264,12 +265,13 @@ def test_weight_standard_cce_classical_identity(rng):
         k = int(rng.integers(6))
         expected = u.copy()
         expected[k] -= 1.0
-        assert np.allclose(weight_standard(LossSpec("cce"), k, u), expected, atol=1e-12)
+        assert np.allclose(kernel_weighting(LossSpec("cce"), np.eye(6)[k], u), expected,
+                           atol=1e-12)
 
 
 def test_weight_standard_zero_at_saturation():
     u = np.array([0.0, 0.0, 1.0])
-    assert np.all(weight_standard(LossSpec("mae"), 2, u) == 0.0)
+    assert np.all(kernel_weighting(LossSpec("mae"), np.eye(3)[2], u) == 0.0)
 
 
 def test_weight_standard_matches_finite_differences(rng):
@@ -279,7 +281,7 @@ def test_weight_standard_matches_finite_differences(rng):
             c = int(rng.choice([2, 5, 10]))
             h = rng.standard_normal(c)
             k = int(rng.integers(c))
-            exact = weight_standard(spec, k, softmax(h))
+            exact = kernel_weighting(spec, np.eye(c)[k], softmax(h))
             approx = fd_score_gradient(lambda hh: loss_value(spec, softmax(hh)[k]), h)
             assert np.linalg.norm(exact - approx) <= 1e-6 * max(1.0, np.linalg.norm(approx))
 
@@ -320,6 +322,33 @@ def test_column_argmax_always_optimized_argmin_never(rng):
         assert int(t[:, k].argmax()) in opt
         assert int(t[:, k].argmin()) not in opt
         checked += 1
+
+
+def test_correction_reads_a_transition_matrix_as_its_entries(rng):
+    for _ in range(50):
+        spec, t, k, h = random_case(rng)
+        u = softmax(h)
+        m = TransitionMatrix(t)
+        assert np.array_equal(forward_correct(m, u), forward_correct(m.entries, u))
+        assert np.array_equal(weight_proposed(spec, m, k, u),
+                              weight_proposed(spec, m.entries, k, u))
+        assert l1_discrepancy(m, k, u) == l1_discrepancy(m.entries, k, u)
+
+
+def test_correction_imports_nothing_from_model():
+    # the per-sample reference must not be able to call the kernel it checks
+    source = Path(__file__).resolve().parents[1] / "src" / "weaklab" / "correction.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported, "no imports found: the parse went wrong"
+    assert not any(name == "model" or name.endswith(".model") for name in imported), \
+        sorted(imported)
+    assert ".losses" in imported
 
 
 def test_l1_discrepancy_zero_when_distributions_coincide():

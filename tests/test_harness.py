@@ -281,10 +281,15 @@ def test_load_config_rejects_source_weight(tmp_path):
      r"weak kind uniform with multiplier -1: .* = -500 instances"),
     ("[sources]\nweak = uniform:0.0001\n",
      r"weak kind uniform with multiplier 0.0001: round\(0.0001 x clean_count 500\) = 0 "),
+    ("[train]\nlearning_rate = -1\n", r"\[train\] learning_rate must be finite and > 0, got -1"),
+    ("[train]\nlearning_rate = nan\n", r"\[train\] learning_rate must be finite and > 0, got nan"),
+    ("[train]\nmomentum = 1\n", r"\[train\] momentum must lie in \[0, 1\), got 1"),
+    ("[train]\nweight_decay = nan\n", r"\[train\] weight_decay must be finite and >= 0, got nan"),
 ], ids=["key", "section", "default_section", "template_kind", "combos_strategy",
         "combos_no_family", "combos_family", "dead_seed", "dead_strategy", "int_value",
         "bool_value", "float_list_value", "weak_multiplier", "negative_hidden", "eta_range",
-        "ten_class_kind", "zero_multiplier", "negative_multiplier", "multiplier_rounds_to_0"])
+        "ten_class_kind", "zero_multiplier", "negative_multiplier", "multiplier_rounds_to_0",
+        "negative_learning_rate", "nan_learning_rate", "momentum_of_1", "nan_weight_decay"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)

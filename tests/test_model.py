@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from weaklab import model
-from weaklab.correction import corrected_loss, softmax, weight_proposed, weight_standard
+from weaklab.correction import corrected_loss, softmax, weight_proposed
+from weaklab.labelspace import TransitionMatrix
 from weaklab.losses import PROB_FLOOR, LossSpec, loss_value
 from weaklab.model import (BatchBuffers, ModelParameters, TrainConfig, TrainingDiverged,
                            _softmax_rows, backward_batch, batch_weighting, forward_batch,
@@ -22,15 +23,21 @@ def make_params(rng, d, c, hidden):
     return init_parameters(d, c, hidden, rng)
 
 
+def fresh_buffers(params, rows):
+    return BatchBuffers(rows, params.c, params.hidden)
+
+
 def scores_of(params, x):
     """Score vector of one sample: forward_batch on a one-row batch."""
-    return forward_batch(params, x[None, :])[0][0]
+    return forward_batch(params, x[None, :], fresh_buffers(params, 1))[0][0]
 
 
 def one_row_gradient(params, x, omega):
     """backward_batch on a one-row batch, as a flat gradient vector."""
-    _, cache = forward_batch(params, x[None, :])
-    return backward_batch(params, cache, np.asarray(omega)[None, :], params.zeros_like()).flat
+    buf = fresh_buffers(params, 1)
+    _, cache = forward_batch(params, x[None, :], buf)
+    return backward_batch(params, cache, np.asarray(omega)[None, :], params.zeros_like(),
+                          buf).flat
 
 
 def per_parameter_fd(params, scalar_fn, step=1e-6):
@@ -78,7 +85,7 @@ def test_forward_matches_straight_line_reimplementation(rng):
 def test_forward_rejects_wrong_length(rng):
     params = make_params(rng, 5, 3, 0)
     with pytest.raises(ValueError):
-        forward_batch(params, np.zeros((1, 4)))
+        forward_batch(params, np.zeros((1, 4)), fresh_buffers(params, 1))
 
 
 def test_backward_zero_omega_gives_zero_grads(rng):
@@ -111,7 +118,7 @@ def test_backward_matches_parameter_finite_differences(rng, hidden):
                 if strategy == "vanilla":
                     def scalar_fn(p):
                         return loss_value(spec, softmax(scores_of(p, x))[k])
-                    omega = weight_standard(spec, k, u)
+                    omega = weight_proposed(spec, np.eye(c), k, u)
                 else:
                     def scalar_fn(p):
                         return corrected_loss(spec, t, k, softmax(scores_of(p, x)))
@@ -206,26 +213,24 @@ def test_vanilla_is_proposed_with_identity_matrices(rng, hidden):
         assert np.array_equal(vanilla.flat, proposed.flat)
 
 
-def fresh_step(params, x, cols, spec):
-    """One minibatch through the kernels called without buffers, each
-    allocating its results: (omega, gradient)."""
-    scores, cache = forward_batch(params, x)
-    omega = batch_weighting(_softmax_rows(scores), cols, spec, 1.0 / len(x))
-    return omega, backward_batch(params, cache, omega, params.zeros_like())
-
-
 def buffered_step(params, x, cols, spec, buf):
+    """One minibatch through the kernels, writing into buf: (omega, gradient)."""
     scores, cache = forward_batch(params, x, buf)
     omega = batch_weighting(_softmax_rows(scores, buf.col), cols, spec, 1.0 / len(x), buf)
     return omega, backward_batch(params, cache, omega, params.zeros_like(), buf)
 
 
+def fresh_step(params, x, cols, spec):
+    """buffered_step into buffers of its own, allocated for this call."""
+    return buffered_step(params, x, cols, spec, fresh_buffers(params, len(x)))
+
+
 @pytest.mark.parametrize("hidden", [0, 32])
 def test_reused_buffers_equal_fresh_allocating_calls(rng, hidden):
     # consecutive batches through one set of buffers, one of them a short
-    # batch in their leading rows, bit-equal to allocating calls: a buffer
-    # read after a write that shares it (tu or omega written over u, say)
-    # would show here
+    # batch in their leading rows, bit-equal to calls given fresh buffers: a
+    # kernel reading a value left over from the previous batch would show
+    # here (a buffer shared within one call shows in the plain-formula test)
     d, c, bs = 16, 10, 32
     buf = BatchBuffers(bs, c, hidden)
     for m, spec in [(bs, LossSpec("gce", q=0.7)), (bs, LossSpec("sl")), (11, LossSpec("cce")),
@@ -241,7 +246,7 @@ def test_reused_buffers_equal_fresh_allocating_calls(rng, hidden):
 
 
 def reference_train(features, labels, source_ids, c, config, matrices=None):
-    """train's loop with the kernels allocating their results and each
+    """train's loop with fresh buffers for every minibatch and each
     epoch's rows gathered by fancy indexing, as before train had a
     workspace."""
     cols = transition_columns(labels, source_ids, c,
@@ -368,6 +373,17 @@ def test_train_names_a_source_whose_transition_matrix_has_the_wrong_shape(rng):
         train(feats, labels, src, 3, TrainConfig(epochs=1, strategy="forward"), matrices=mats)
 
 
+@pytest.mark.parametrize("strategy", ["forward", "proposed"])
+def test_train_reads_a_transition_matrix_as_its_entries(rng, strategy):
+    feats, labels = _toy_training_data(rng)
+    src = rng.integers(3, size=len(labels))
+    mats = {s: TransitionMatrix(random_row_stochastic(rng, 3)) for s in range(3)}
+    cfg = TrainConfig(epochs=2, hidden=4, seed=3, strategy=strategy)
+    trained = train(feats, labels, src, 3, cfg, matrices=mats)
+    arrays = {s: m.entries for s, m in mats.items()}
+    assert np.array_equal(trained.flat, train(feats, labels, src, 3, cfg, matrices=arrays).flat)
+
+
 def test_parameter_views_share_the_flat_buffer(rng):
     params = make_params(rng, 3, 2, 4)
     assert params.flat.size == 4 * 3 + 4 + 2 * 4 + 2
@@ -397,7 +413,7 @@ def test_predict_batch_blocks_equal_one_whole_pass(rng, hidden):
     b = model.PREDICT_BLOCK_ROWS
     x = rng.standard_normal((2 * b + 3, 16))
     for n in (0, 1, b - 1, b, b + 1, 2 * b + 3):
-        scores, _ = forward_batch(params, x[:n])
+        scores, _ = forward_batch(params, x[:n], fresh_buffers(params, n))
         preds = predict_batch(params, x[:n])
         assert preds.dtype == np.int64 and preds.shape == (n,)
         assert np.array_equal(preds, scores.argmax(axis=1))
@@ -416,7 +432,8 @@ def test_predict_batch_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    assert np.array_equal(preds[:1000], forward_batch(params, x[:1000])[0].argmax(axis=1))
+    scores, _ = forward_batch(params, x[:1000], fresh_buffers(params, 1000))
+    assert np.array_equal(preds[:1000], scores.argmax(axis=1))
 
 
 def _toy_training_data(rng, n=300):
@@ -531,3 +548,17 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(strategy="backward")
+    for field, value, message in [
+            ("learning_rate", 0.0, "learning_rate must be finite and > 0, got 0.0"),
+            ("learning_rate", -1.0, "learning_rate must be finite and > 0, got -1.0"),
+            ("learning_rate", float("nan"), "learning_rate must be finite and > 0, got nan"),
+            ("learning_rate", float("inf"), "learning_rate must be finite and > 0, got inf"),
+            ("momentum", 1.0, r"momentum must lie in \[0, 1\), got 1.0"),
+            ("momentum", -0.1, r"momentum must lie in \[0, 1\), got -0.1"),
+            ("momentum", float("nan"), r"momentum must lie in \[0, 1\), got nan"),
+            ("weight_decay", -1e-6, "weight_decay must be finite and >= 0, got -1e-06"),
+            ("weight_decay", float("nan"), "weight_decay must be finite and >= 0, got nan")]:
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+    # the boundary values that are allowed
+    TrainConfig(momentum=0.0, weight_decay=0.0)

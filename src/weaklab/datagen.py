@@ -103,17 +103,19 @@ def _joined(parts: list) -> np.ndarray:
 
 
 def generate_blobs(c: int, d: int, n_per_class: int, spread: float,
-                   rng: np.random.Generator, scale: float = 1.0) -> Dataset:
-    """Isotropic Gaussian blobs around seeded class means on a sphere.
+                   rng: np.random.Generator) -> Dataset:
+    """Isotropic Gaussian blobs around seeded class means on the unit sphere.
 
-    Means are seeded random directions scaled to radius `scale`, so some
-    class pairs sit closer than others; features are mean + spread *
-    standard normal noise. Labels are the generating component.
+    Means are seeded random unit directions, so some class pairs sit
+    closer than others; features are mean + spread * standard normal
+    noise. Labels are the generating component.
     """
-    if c < 2 or d < 2 or n_per_class < 1 or spread <= 0:
-        raise ValueError("need c >= 2, d >= 2, n_per_class >= 1, spread > 0")
+    # written so that a NaN spread fails
+    if c < 2 or d < 2 or n_per_class < 1 or not 0.0 < spread < np.inf:
+        raise ValueError(f"need c >= 2, d >= 2, n_per_class >= 1 and a finite spread > 0, "
+                         f"got c = {c}, d = {d}, n_per_class = {n_per_class}, spread = {spread}")
     directions = rng.standard_normal((d, c))
-    means = scale * (directions / np.linalg.norm(directions, axis=0)).T
+    means = (directions / np.linalg.norm(directions, axis=0)).T
     labels = np.repeat(np.arange(c), n_per_class)
     features = means[labels] + spread * rng.standard_normal((labels.shape[0], d))
     return Dataset(features, labels, c, means=means)

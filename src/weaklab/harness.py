@@ -47,7 +47,6 @@ class ExperimentConfig:
     dim: int = 16
     n_per_class: int = 625
     spread: float = 0.30
-    scale: float = 1.0
     clean_count: int = 500
     weak_sources: list = field(default_factory=lambda: [
         WeakSource(TemplateKind.MIXED_CLASS_DEPENDENT, 9.0)])
@@ -64,6 +63,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if not self.etas:
+            raise ValueError("need at least one eta")
         if not self.combinations:
             raise ValueError("need at least one (strategy, loss) combination")
         for w in self.weak_sources:
@@ -71,6 +72,8 @@ class ExperimentConfig:
                 raise ValueError(f"weak kind {w.kind.value} with multiplier {w.multiplier:g}: "
                                  f"round({w.multiplier:g} x clean_count {self.clean_count}) = "
                                  f"{w.count(self.clean_count)} instances, need at least 1")
+        if not 0.0 <= self.smoothing < np.inf:  # written so that NaN fails
+            raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
         # every weak template must exist at every eta before any training
         for kind, eta in product(dict.fromkeys(w.kind for w in self.weak_sources), self.etas):
             try:
@@ -112,6 +115,7 @@ class ReportRow:
 class RunReport:
     rows: list
     curves: list       # (strategy, loss_family, eta, seed, epoch, oa)
+    errors: list       # (seed, eta, source_id or "single", mean_row_l1, max_abs_error)
     estimates: dict    # (seed, eta) -> {source_id or "single": TransitionMatrix}
     baselines: dict    # seed -> best-epoch ModelParameters
 
@@ -165,6 +169,13 @@ def _blend_true_matrices(specs: list) -> TransitionMatrix:
     return TransitionMatrix(blend)
 
 
+def _estimate_error(estimate: TransitionMatrix, true: TransitionMatrix):
+    """(mean row L1 distance, largest absolute entry error) of an
+    estimated transition matrix against the true one."""
+    diff = np.abs(estimate.entries - true.entries)
+    return float(diff.sum(axis=1).mean()), float(diff.max())
+
+
 def source_specs(c: int, clean_count: int, weak: list) -> list:
     """The clean source 0, then one template source per (kind, eta, count)."""
     return [SourceSpec(0, identity_matrix(c), clean_count)] + [
@@ -177,6 +188,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     c = config.classes
     layout = config.source_layout()
     curves = []
+    errors = []
     estimates = {}
     baselines = {}
     baseline_results = []
@@ -184,7 +196,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     for seed in config.seeds:
         blobs = generate_blobs(c, config.dim, config.n_per_class, config.spread,
-                               np.random.default_rng(seed), config.scale)
+                               np.random.default_rng(seed))
         baseline_params = None
         for eta in config.etas:
             specs = source_specs(c, config.clean_count, [
@@ -208,13 +220,16 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 curves.extend(("baseline", bconf.loss.family, None, seed, ep, oa)
                               for ep, oa in hist)
 
+            true = dict({s.id: s.matrix for s in specs if s.id != 0},
+                        single=_blend_true_matrices(specs))
             if config.estimated_vs_true_matrices:
-                per_source = {s.id: s.matrix for s in specs if s.id != 0}
-                single = _blend_true_matrices(specs)
+                estimated = true
             else:
-                per_source = estimate_per_source(baseline_params, ms, config.smoothing)
-                single = estimate_single(baseline_params, ms, config.smoothing)
-            estimates[(seed, eta)] = dict(per_source, single=single)
+                estimated = dict(estimate_per_source(baseline_params, ms, config.smoothing),
+                                 single=estimate_single(baseline_params, ms, config.smoothing))
+            estimates[(seed, eta)] = estimated
+            errors.extend((seed, eta, key, *_estimate_error(matrix, true[key]))
+                          for key, matrix in estimated.items())
 
             if config.use_clean_in_training:
                 feats, labels, src = ms.stacked()
@@ -225,10 +240,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
             for strategy, lspec in config.combinations:
                 if strategy == "proposed":
-                    matrices = dict(per_source)
-                    matrices[0] = identity_matrix(c)
+                    matrices = {**estimated, 0: identity_matrix(c)}
                 elif strategy == "forward":
-                    matrices = {int(s): single for s in np.unique(src)}
+                    matrices = {int(s): estimated["single"] for s in np.unique(src)}
                 else:
                     matrices = None
                 tconf = replace(config.train, strategy=strategy, loss=lspec, seed=seed)
@@ -255,7 +269,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             mean, std = _aggregate(results)
             rows.append(ReportRow(strategy, lspec.family, eta, layout,
                                   results, mean, std, dominance))
-    return RunReport(rows, curves, estimates, baselines)
+    return RunReport(rows, curves, errors, estimates, baselines)
 
 
 def _fmt(value) -> str:
@@ -295,28 +309,36 @@ def emit_curves(report: RunReport, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def emit_estimates(report: RunReport, path) -> None:
+    """How far each estimated matrix lies from the true one, by seed, then
+    eta, then source (the weak source ids in order, then `single`)."""
+    lines = ["seed,eta,source,mean_row_l1,max_abs_error"]
+    # a stable sort keeps each cell's sources in the order run_experiment made them
+    for seed, eta, source, l1, max_abs in sorted(report.errors, key=lambda e: e[:2]):
+        lines.append(f"{seed},{_fmt(eta)},{source},{_fmt(l1)},{_fmt(max_abs)}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_run_dir(report: RunReport, out_dir) -> None:
-    """Write report.csv, curves.csv, baseline checkpoints and the estimated
-    matrices. Top-level baseline.params / T_hat_source<s>.txt hold the first
-    seed (and first error rate); the full per-cell set lives under runs/."""
+    """Write report.csv, curves.csv, estimates.csv, and under runs/ each
+    seed's baseline checkpoint and each (seed, eta) cell's estimated
+    matrices: runs/seed<k>/baseline.params and
+    runs/seed<k>/eta<v>/T_hat_source<s>.txt, T_hat_single.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(report, out / "report.csv")
     emit_curves(report, out / "curves.csv")
-    for i, (seed, params) in enumerate(sorted(report.baselines.items())):
+    emit_estimates(report, out / "estimates.csv")
+    for seed, params in report.baselines.items():
         cell = out / "runs" / f"seed{seed}"
         cell.mkdir(parents=True, exist_ok=True)
         save_params(cell / "baseline.params", params)
-        if i == 0:
-            save_params(out / "baseline.params", params)
-    for i, ((seed, eta), mats) in enumerate(sorted(report.estimates.items())):
+    for (seed, eta), mats in report.estimates.items():
         cell = out / "runs" / f"seed{seed}" / f"eta{eta:g}"
         cell.mkdir(parents=True, exist_ok=True)
-        for key, matrix in sorted(mats.items(), key=lambda kv: str(kv[0])):
+        for key, matrix in mats.items():
             name = "T_hat_single.txt" if key == "single" else f"T_hat_source{key}.txt"
             save_matrix(cell / name, matrix)
-            if i == 0:
-                save_matrix(out / name, matrix)
 
 
 def typed(kind):
@@ -386,7 +408,7 @@ def _fields(cls, *names, **parsers) -> dict:
 
 # section -> key -> parser for every key a config file may hold
 CONFIG_SCHEMA = {
-    "dataset": _fields(ExperimentConfig, "classes", "dim", "n_per_class", "spread", "scale"),
+    "dataset": _fields(ExperimentConfig, "classes", "dim", "n_per_class", "spread"),
     "sources": _fields(ExperimentConfig, "clean_count", "etas", weak=tokens(
         {"kind": template_kind, "multiplier": typed(float)}, (1.0,))),
     "loss": _fields(LossSpec, "family", "q", "alpha", "beta", "A"),

@@ -42,8 +42,9 @@ class TransitionMatrix:
         e = np.array(self.entries, dtype=np.float64)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {e.shape}")
-        if np.any(e < 0.0) or np.any(e > 1.0):
-            raise ValueError("transition matrix entries must lie in [0, 1]")
+        # written so that NaN fails the range check
+        if not np.all((e >= 0.0) & (e <= 1.0)):
+            raise ValueError("transition matrix entries must be finite and lie in [0, 1]")
         row_sums = e.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
             worst = float(np.abs(row_sums - 1.0).max())
@@ -156,7 +157,7 @@ def make_template(kind: TemplateKind, c: int, eta: float) -> TransitionMatrix:
         if eta != 0.0:
             raise ValueError("identity template requires eta = 0")
         return identity_matrix(c)
-    if eta < 0.0 or eta >= _ETA_LIMIT[kind]:
+    if not 0.0 <= eta < _ETA_LIMIT[kind]:  # written so that NaN fails
         raise ValueError(f"eta = {eta:g} outside [0, {_ETA_LIMIT[kind]:g}) for {kind.value}")
     if kind is TemplateKind.UNIFORM:
         m = np.full((c, c), eta / (c - 1))

@@ -11,8 +11,8 @@ from weaklab.correction import (corrected_loss, forward_correct, l1_discrepancy,
                                 optimized_classes, softmax, weight_proposed)
 from weaklab.datagen import Dataset, build_multisource, corruption_report, generate_blobs
 from weaklab.estimation import estimate_per_source, train_baseline
-from weaklab.harness import (ExperimentConfig, WeakSource, emit_csv, emit_curves,
-                             overall_accuracy, run_experiment)
+from weaklab.harness import (ExperimentConfig, WeakSource, overall_accuracy, run_experiment,
+                             write_run_dir)
 from weaklab.labelspace import (SourceSpec, TemplateKind, balanced_error_rate,
                                 identity_matrix, make_template, mean_row_entropy,
                                 satisfies_diagonal_dominance)
@@ -365,13 +365,10 @@ def test_criterion_11_byte_identical_reports(tmp_path):
         weak_sources=[WeakSource(MIXED, 9.0)], etas=[0.2, 0.5], seeds=[0],
         combinations=[("vanilla", LossSpec("cce")), ("proposed", LossSpec("cce"))],
         train=TrainConfig(epochs=8))
+    names = ("report.csv", "curves.csv", "estimates.csv")
     files = []
-    for name in ("first", "second"):
-        report = run_experiment(config)
-        rep_path = tmp_path / f"report_{name}.csv"
-        cur_path = tmp_path / f"curves_{name}.csv"
-        emit_csv(report, rep_path)
-        emit_curves(report, cur_path)
-        files.append((rep_path.read_bytes(), cur_path.read_bytes()))
-    ok = files[0][0] == files[1][0] and files[0][1] == files[1][1]
-    _result(11, ok, f"repeated run report.csv and curves.csv byte-identical: {ok}")
+    for run in ("first", "second"):
+        write_run_dir(run_experiment(config), tmp_path / run)
+        files.append([(tmp_path / run / name).read_bytes() for name in names])
+    ok = files[0] == files[1]
+    _result(11, ok, f"repeated run {', '.join(names)} byte-identical: {ok}")

@@ -46,9 +46,12 @@ def test_gen_template_to_file(tmp_path):
     assert t.entries[0, 0] == pytest.approx(0.5)
 
 
-def test_gen_template_rejects_bad_eta():
+def test_gen_template_rejects_bad_eta(capsys):
     with pytest.raises(ValueError):
         main(["gen-template", "--kind", "mixed", "--eta", "0.9"])
+    with pytest.raises(ValueError, match=r"eta = nan outside \[0, 1\) for uniform"):
+        main(["gen-template", "--kind", "uniform", "--eta", "nan", "--classes", "3"])
+    assert capsys.readouterr().out == ""
 
 
 def test_validate_gradients_passes(capsys):

@@ -18,7 +18,9 @@ def test_configs_are_shipped():
     assert {CORRUPT_SPEC, "single_source_sweep.ini", "error_rate_sweep.ini",
             "strategy_comparison.ini", "three_source_comparison.ini",
             "clean_source_ablation_with_clean.ini",
-            "clean_source_ablation_without_clean.ini"} <= {p.name for p in CONFIGS}
+            "clean_source_ablation_without_clean.ini", "estimation_accuracy_full.ini",
+            "estimation_accuracy_cap3.ini", "estimation_accuracy_cap2.ini"} <= {
+        p.name for p in CONFIGS}
 
 
 def test_corrupt_spec_loads():

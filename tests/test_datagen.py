@@ -33,7 +33,8 @@ def test_generate_blobs_shapes_and_determinism():
 
 def test_generate_blobs_validation():
     rng = np.random.default_rng(0)
-    for bad in ((1, 16, 10, 0.3), (10, 1, 10, 0.3), (10, 16, 0, 0.3), (10, 16, 10, 0.0)):
+    for bad in ((1, 16, 10, 0.3), (10, 1, 10, 0.3), (10, 16, 0, 0.3), (10, 16, 10, 0.0),
+                (10, 16, 10, float("nan")), (10, 16, 10, float("inf"))):
         with pytest.raises(ValueError):
             generate_blobs(*bad, rng)
 

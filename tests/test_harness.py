@@ -1,4 +1,5 @@
 import re
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from weaklab.harness import (CONFIG_KEYS, CSV_HEADER, ExperimentConfig, ReportRow, RunReport,
                              SeedResult, WeakSource, emit_csv, emit_curves, load_config,
                              overall_accuracy, run_experiment, write_run_dir)
-from weaklab.labelspace import TemplateKind
+from weaklab.labelspace import TemplateKind, load_matrix, make_template
 from weaklab.losses import LossSpec
 from weaklab.model import ModelParameters, TrainConfig
 
@@ -93,7 +94,7 @@ def test_curves_structure():
 
 def test_emit_csv_empty_report(tmp_path):
     path = tmp_path / "report.csv"
-    emit_csv(RunReport([], [], {}, {}), path)
+    emit_csv(RunReport([], [], [], {}, {}), path)
     assert path.read_text() == CSV_HEADER + "\n"
 
 
@@ -102,7 +103,7 @@ def test_emit_csv_aggregate_std(tmp_path):
                     [SeedResult(0, 0.90, 3), SeedResult(1, 0.92, 4), SeedResult(2, 0.94, 2)],
                     0.92, float(np.std([0.90, 0.92, 0.94], ddof=1)), True)
     path = tmp_path / "report.csv"
-    emit_csv(RunReport([row], [], {}, {}), path)
+    emit_csv(RunReport([row], [], [], {}, {}), path)
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1] == "vanilla,cce,0.1,uniform:x3,0,0.9,3,,,,true"
@@ -123,16 +124,47 @@ def test_write_run_dir_layout(tmp_path):
     report = run_experiment(cfg)
     out = tmp_path / "run"
     write_run_dir(report, out)
-    assert (out / "report.csv").exists()
-    assert (out / "curves.csv").exists()
-    assert (out / "baseline.params").exists()
-    assert (out / "T_hat_source1.txt").exists()
-    assert (out / "runs" / "seed0" / "baseline.params").exists()
-    assert (out / "runs" / "seed0" / "eta0.2" / "T_hat_source1.txt").exists()
-    assert (out / "runs" / "seed0" / "eta0.2" / "T_hat_single.txt").exists()
-    from weaklab.labelspace import load_matrix
-    t = load_matrix(out / "T_hat_source1.txt")
+    # each file once: checkpoints and matrices only under runs/
+    assert {p.name for p in out.iterdir()} == {"report.csv", "curves.csv", "estimates.csv",
+                                               "runs"}
+    assert {p.name for p in (out / "runs" / "seed0").iterdir()} == {"baseline.params", "eta0.2"}
+    cell = out / "runs" / "seed0" / "eta0.2"
+    assert {p.name for p in cell.iterdir()} == {"T_hat_source1.txt", "T_hat_single.txt"}
+    t = load_matrix(cell / "T_hat_source1.txt")
     assert np.array_equal(t.entries, report.estimates[(0, 0.2)][1].entries)
+
+
+def test_estimates_csv_equals_a_recomputation_from_the_saved_matrices(tmp_path):
+    # two weak sources, two etas and seeds given out of order: the rows come
+    # by seed, then eta, then source, and each pair of numbers is the error
+    # of the saved T_hat against make_template (for `single`, against the
+    # count-weighted blend of the sources' true matrices, clean included)
+    cfg = tiny_config(seeds=[1, 0], etas=[0.1, 0.3],
+                      weak_sources=[WeakSource(TemplateKind.UNIFORM, 3.0),
+                                    WeakSource(TemplateKind.UNIFORM, 1.5)])
+    write_run_dir(run_experiment(cfg), tmp_path)
+    counts = [cfg.clean_count] + [w.count(cfg.clean_count) for w in cfg.weak_sources]
+    expected = ["seed,eta,source,mean_row_l1,max_abs_error"]
+    for seed, eta in product(sorted(cfg.seeds), cfg.etas):
+        true = [np.eye(cfg.classes)] + [make_template(w.kind, cfg.classes, eta).entries
+                                        for w in cfg.weak_sources]
+        true.append(sum((n / sum(counts)) * t for n, t in zip(counts, true)))
+        cell = tmp_path / "runs" / f"seed{seed}" / f"eta{eta:g}"
+        files = ["T_hat_source1.txt", "T_hat_source2.txt", "T_hat_single.txt"]
+        for source, name, truth in zip(["1", "2", "single"], files, true[1:]):
+            diff = np.abs(load_matrix(cell / name).entries - truth)
+            expected.append(f"{seed},{eta:g},{source},{diff.sum(axis=1).mean():.6g},"
+                            f"{diff.max():.6g}")
+    assert (tmp_path / "estimates.csv").read_text().splitlines() == expected
+
+
+def test_estimates_csv_is_zero_under_the_true_matrices(tmp_path):
+    cfg = tiny_config(estimated_vs_true_matrices=True)
+    write_run_dir(run_experiment(cfg), tmp_path)
+    rows = (tmp_path / "estimates.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["0", "0.2", "1"], ["0", "0.2", "single"], ["1", "0.2", "1"], ["1", "0.2", "single"]]
+    assert all(row.split(",")[3:] == ["0", "0"] for row in rows)
 
 
 def _all_rows(path):
@@ -285,11 +317,20 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[train]\nlearning_rate = nan\n", r"\[train\] learning_rate must be finite and > 0, got nan"),
     ("[train]\nmomentum = 1\n", r"\[train\] momentum must lie in \[0, 1\), got 1"),
     ("[train]\nweight_decay = nan\n", r"\[train\] weight_decay must be finite and >= 0, got nan"),
+    ("[sources]\netas = nan\n",
+     r"weak kind mixed at eta nan with 10 classes: eta = nan outside \[0, 0.8\)"),
+    ("[sources]\netas =\n", r"need at least one eta"),
+    ("[run]\nsmoothing = nan\n", r"smoothing must be finite and >= 0, got nan"),
+    ("[run]\nsmoothing = -0.4\n", r"smoothing must be finite and >= 0, got -0.4"),
+    ("[run]\nsmoothing = inf\n", r"smoothing must be finite and >= 0, got inf"),
+    ("[dataset]\nscale = 1.0\n", r"'scale' in section \[dataset\]"),
 ], ids=["key", "section", "default_section", "template_kind", "combos_strategy",
         "combos_no_family", "combos_family", "dead_seed", "dead_strategy", "int_value",
         "bool_value", "float_list_value", "weak_multiplier", "negative_hidden", "eta_range",
         "ten_class_kind", "zero_multiplier", "negative_multiplier", "multiplier_rounds_to_0",
-        "negative_learning_rate", "nan_learning_rate", "momentum_of_1", "nan_weight_decay"])
+        "negative_learning_rate", "nan_learning_rate", "momentum_of_1", "nan_weight_decay",
+        "nan_eta", "empty_etas", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
+        "removed_scale"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)

@@ -24,6 +24,11 @@ def test_transition_matrix_rejects_bad_rows():
         TransitionMatrix(np.array([[1.2, -0.2], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         TransitionMatrix(np.ones((2, 3)) / 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TransitionMatrix(np.array([[bad, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            TransitionMatrix(np.full((3, 3), bad))
 
 
 def test_source_zero_must_be_clean():
@@ -65,6 +70,9 @@ def test_template_eta_range_rejected():
             make_template(kind, 10, -0.1)
     with pytest.raises(ValueError):
         make_template(TemplateKind.MIXED_CLASS_DEPENDENT, 9, 0.2)
+    for kind in [*ETA_LIMITS, TemplateKind.IDENTITY]:
+        with pytest.raises(ValueError, match="eta"):
+            make_template(kind, 10, float("nan"))
 
 
 @given(st.sampled_from(list(ETA_LIMITS)), st.floats(0.0, 0.999))

@@ -221,12 +221,12 @@ def buffered_step(params, x, cols, spec, buf):
 
 
 def fresh_step(params, x, cols, spec):
-    """buffered_step into buffers of its own, allocated for this call."""
+    """buffered_step into a new BatchBuffers made for this one batch."""
     return buffered_step(params, x, cols, spec, fresh_buffers(params, len(x)))
 
 
 @pytest.mark.parametrize("hidden", [0, 32])
-def test_reused_buffers_equal_fresh_allocating_calls(rng, hidden):
+def test_reused_buffers_equal_fresh_buffers(rng, hidden):
     # consecutive batches through one set of buffers, one of them a short
     # batch in their leading rows, bit-equal to calls given fresh buffers: a
     # kernel reading a value left over from the previous batch would show
@@ -243,40 +243,6 @@ def test_reused_buffers_equal_fresh_allocating_calls(rng, hidden):
         expected_omega, expected_grad = fresh_step(params, x, cols, spec)
         assert np.array_equal(omega, expected_omega)
         assert np.array_equal(grad.flat, expected_grad.flat)
-
-
-def reference_train(features, labels, source_ids, c, config, matrices=None):
-    """train's loop with fresh buffers for every minibatch and each
-    epoch's rows gathered by fancy indexing, as before train had a
-    workspace."""
-    cols = transition_columns(labels, source_ids, c,
-                              None if config.strategy == "vanilla" else matrices)
-    rng = np.random.default_rng(config.seed)
-    params = init_parameters(features.shape[1], c, config.hidden, rng)
-    state = init_optimizer(params, config.learning_rate, config.momentum, config.weight_decay)
-    look = params.zeros_like()
-    bs = config.batch_size
-    for _ in range(config.epochs):
-        order = rng.permutation(len(labels))
-        xs, cs = features[order], cols[order]
-        for start in range(0, len(labels), bs):
-            look.flat[:] = params.flat + config.momentum * state.velocity.flat
-            _, grads = fresh_step(look, xs[start:start + bs], cs[start:start + bs], config.loss)
-            step(params, state, grads)
-    return params
-
-
-@pytest.mark.parametrize("hidden", [0, 6])
-def test_train_workspace_equals_allocating_kernels_on_a_short_last_batch(rng, hidden):
-    # 301 rows in batches of 32: nine full batches and one of 13 rows
-    feats, labels = _toy_training_data(rng, n=301)
-    src = rng.integers(2, size=301)
-    mats = {s: random_row_stochastic(rng, 3) for s in range(2)}
-    cfg = TrainConfig(epochs=2, hidden=hidden, seed=5, strategy="proposed",
-                      loss=LossSpec("gce", q=0.7))
-    assert len(labels) % cfg.batch_size != 0
-    trained = train(feats, labels, src, 3, cfg, matrices=mats)
-    assert np.array_equal(trained.flat, reference_train(feats, labels, src, 3, cfg, mats).flat)
 
 
 def plain_loss_derivative(spec, u):

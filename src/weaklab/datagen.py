@@ -102,18 +102,30 @@ def _joined(parts: list) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def check_blobs(classes: int, dim: int, n_per_class: int, spread: float) -> None:
+    """Raise ValueError naming the first of generate_blobs' arguments that
+    is out of range: classes or dim below 2, n_per_class below 1, or a
+    spread that is not finite and > 0."""
+    if classes < 2:
+        raise ValueError(f"classes must be >= 2, got {classes}")
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    if n_per_class < 1:
+        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+    if not 0.0 < spread < np.inf:  # written so that NaN fails
+        raise ValueError(f"spread must be finite and > 0, got {spread}")
+
+
 def generate_blobs(c: int, d: int, n_per_class: int, spread: float,
                    rng: np.random.Generator) -> Dataset:
     """Isotropic Gaussian blobs around seeded class means on the unit sphere.
 
     Means are seeded random unit directions, so some class pairs sit
     closer than others; features are mean + spread * standard normal
-    noise. Labels are the generating component.
+    noise. Labels are the generating component. Arguments out of range
+    raise ValueError through check_blobs.
     """
-    # written so that a NaN spread fails
-    if c < 2 or d < 2 or n_per_class < 1 or not 0.0 < spread < np.inf:
-        raise ValueError(f"need c >= 2, d >= 2, n_per_class >= 1 and a finite spread > 0, "
-                         f"got c = {c}, d = {d}, n_per_class = {n_per_class}, spread = {spread}")
+    check_blobs(c, d, n_per_class, spread)
     directions = rng.standard_normal((d, c))
     means = (directions / np.linalg.norm(directions, axis=0)).T
     labels = np.repeat(np.arange(c), n_per_class)

@@ -19,11 +19,10 @@ DEFAULT_SMOOTHING = 0.5
 
 
 def train_baseline(clean: Dataset, config: TrainConfig, epoch_callback=None) -> ModelParameters:
-    """Train the baseline classifier on clean-source data (vanilla only)."""
+    """Train the baseline classifier on clean-source data (vanilla only:
+    given no transition matrices, train rejects any other strategy)."""
     if len(clean) == 0:
         raise ValueError("clean dataset is empty")
-    if config.strategy != "vanilla":
-        raise ValueError("the baseline is trained with the vanilla strategy")
     source_ids = np.zeros(len(clean), dtype=np.int64)
     return train(clean.features, clean.labels, source_ids, clean.c, config,
                  epoch_callback=epoch_callback)

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, MultisourceDataset, build_multisource, generate_blobs
-from .estimation import estimate_per_source, estimate_single, train_baseline
+from .datagen import Dataset, MultisourceDataset, build_multisource, check_blobs, generate_blobs
+from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single, train_baseline
 from .labelspace import (SourceSpec, TemplateKind, TransitionMatrix, identity_matrix,
                          make_template, satisfies_diagonal_dominance, save_matrix)
 from .losses import FAMILIES, LossSpec
@@ -58,29 +58,35 @@ class ExperimentConfig:
     baseline_epoch_cap: int = 0          # cap baseline epochs when > 0
     use_clean_in_training: bool = True   # False: drop the clean source from training
     estimated_vs_true_matrices: bool = False  # True: correction uses the true matrices
-    smoothing: float = 0.5
+    smoothing: float = DEFAULT_SMOOTHING
 
     def __post_init__(self):
+        # each error starts with the config file section and key it is about
+        try:
+            check_blobs(self.classes, self.dim, self.n_per_class, self.spread)
+        except ValueError as err:
+            raise ValueError(f"[dataset] {err}") from None
         if not self.seeds:
-            raise ValueError("need at least one seed")
+            raise ValueError("[run] seeds: need at least one seed")
         if not self.etas:
-            raise ValueError("need at least one eta")
+            raise ValueError("[sources] etas: need at least one eta")
         if not self.combinations:
-            raise ValueError("need at least one (strategy, loss) combination")
+            raise ValueError("[run] combos: need at least one (strategy, loss) combination")
         for w in self.weak_sources:
             if w.count(self.clean_count) < 1:
-                raise ValueError(f"weak kind {w.kind.value} with multiplier {w.multiplier:g}: "
-                                 f"round({w.multiplier:g} x clean_count {self.clean_count}) = "
-                                 f"{w.count(self.clean_count)} instances, need at least 1")
+                raise ValueError(f"[sources] weak: weak kind {w.kind.value} with multiplier "
+                                 f"{w.multiplier:g}: round({w.multiplier:g} x clean_count "
+                                 f"{self.clean_count}) = {w.count(self.clean_count)} instances, "
+                                 f"need at least 1")
         if not 0.0 <= self.smoothing < np.inf:  # written so that NaN fails
-            raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
+            raise ValueError(f"[run] smoothing must be finite and >= 0, got {self.smoothing}")
         # every weak template must exist at every eta before any training
         for kind, eta in product(dict.fromkeys(w.kind for w in self.weak_sources), self.etas):
             try:
                 make_template(kind, self.classes, eta)
             except ValueError as err:
-                raise ValueError(f"weak kind {kind.value} at eta {eta:g} with "
-                                 f"{self.classes} classes: {err}") from None
+                raise ValueError(f"[sources] weak, etas: weak kind {kind.value} at eta {eta:g} "
+                                 f"with {self.classes} classes: {err}") from None
 
     def source_layout(self) -> str:
         return "+".join(f"{w.kind.value}:x{w.multiplier:g}" for w in self.weak_sources)

@@ -38,7 +38,8 @@ minibatch SGD with Nesterov momentum: the gradient is evaluated at the
 lookahead point look = theta + mu * v, written into its own buffer, then
 v <- mu * v - lr * (g + wd * theta) and theta <- theta + v, each a
 whole-vector operation; the bracket is built, in that order, in a
-scratch vector that OptimizerState preallocates.
+scratch vector that train allocates beside the velocity, so step
+allocates nothing. TrainConfig holds the hyperparameters step reads.
 """
 
 from __future__ import annotations
@@ -104,22 +105,6 @@ class ModelParameters:
         return bool(np.isfinite(self.flat).all())
 
 
-@dataclass(eq=False)
-class OptimizerState:
-    """Velocity (same layout as the parameters) plus SGD hyperparameters,
-    which TrainConfig checks, and a flat scratch vector of the same size
-    that step writes its update into."""
-
-    velocity: ModelParameters
-    learning_rate: float
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    scratch: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.scratch = np.empty_like(self.velocity.flat)
-
-
 @dataclass
 class TrainConfig:
     """Hyperparameters of one training run."""
@@ -163,15 +148,10 @@ def init_parameters(d: int, c: int, hidden: int, rng: np.random.Generator) -> Mo
     return ModelParameters(weights, biases)
 
 
-def init_optimizer(params: ModelParameters, learning_rate: float,
-                   momentum: float = 0.9, weight_decay: float = 0.0) -> OptimizerState:
-    return OptimizerState(params.zeros_like(), learning_rate, momentum, weight_decay)
-
-
 class BatchBuffers:
     """Output arrays of the minibatch kernels for batches of `rows` rows.
 
-    forward_batch writes z, a and scores; _softmax_rows uses the column
+    forward_batch writes a and scores; _softmax_rows uses the column
     col; batch_weighting writes tu, ut, fprime and omega; backward_batch
     writes dh and mask and sums rows through ones. A kernel's results are
     views of these arrays, valid until the next call that is given the
@@ -179,7 +159,6 @@ class BatchBuffers:
     """
 
     def __init__(self, rows: int, c: int, hidden: int):
-        self.z = np.empty((rows, hidden))
         self.a = np.empty((rows, hidden))
         self.mask = np.empty((rows, hidden))
         self.dh = np.empty((rows, hidden))
@@ -207,12 +186,12 @@ def forward_batch(params: ModelParameters, x: np.ndarray, buf: BatchBuffers):
         scores = np.dot(x, weights[0].T, out=buf.scores)
         scores += biases[0]
         return scores, (x,)
-    z = np.dot(x, weights[0].T, out=buf.z)
-    z += biases[0]
-    a = np.maximum(z, 0.0, out=buf.a)
+    a = np.dot(x, weights[0].T, out=buf.a)
+    a += biases[0]
+    np.maximum(a, 0.0, out=a)
     scores = np.dot(a, weights[1].T, out=buf.scores)
     scores += biases[1]
-    return scores, (x, z, a)
+    return scores, (x, a)
 
 
 def backward_batch(params: ModelParameters, cache, delta: np.ndarray,
@@ -227,9 +206,10 @@ def backward_batch(params: ModelParameters, cache, delta: np.ndarray,
         np.dot(delta.T, x, out=out.weights[0])
         np.dot(buf.ones, delta, out=out.biases[0])
         return out
-    x, z, a = cache
+    x, a = cache
     d_hidden = np.dot(delta, params.weights[1], out=buf.dh)
-    # a = max(z, 0) >= 0, so sign(a) is the 0/1 derivative of the ReLU at z
+    # a = max(z, 0) >= 0, so sign(a) is the 0/1 derivative of the ReLU at
+    # the pre-activation z
     d_hidden *= np.sign(a, out=buf.mask)
     np.dot(d_hidden.T, x, out=out.weights[0])
     np.dot(buf.ones, d_hidden, out=out.biases[0])
@@ -238,21 +218,21 @@ def backward_batch(params: ModelParameters, cache, delta: np.ndarray,
     return out
 
 
-def step(params: ModelParameters, opt_state: OptimizerState, grads: ModelParameters):
-    """One SGD update, in place on the flat buffers:
-    v <- mu * v - lr * (g + wd * theta), theta <- theta + v. The gradient
-    is expected at the lookahead point theta + mu * v. The bracket is
-    built in opt_state.scratch, in the formula's order, so nothing is
-    allocated.
+def step(params: ModelParameters, grads: ModelParameters, velocity: np.ndarray,
+         scratch: np.ndarray, config: TrainConfig) -> None:
+    """One SGD update, in place on the flat buffers, with the learning
+    rate lr, momentum mu and weight decay wd of config:
+    v <- mu * v - lr * (g + wd * theta), theta <- theta + v. velocity and
+    scratch are flat vectors of the parameter size; the gradient is
+    expected at the lookahead point theta + mu * v. The bracket is built
+    in scratch, in the formula's order, so nothing is allocated.
     """
-    v = opt_state.velocity.flat
-    update = np.multiply(params.flat, opt_state.weight_decay, out=opt_state.scratch)
+    update = np.multiply(params.flat, config.weight_decay, out=scratch)
     update += grads.flat
-    update *= opt_state.learning_rate
-    v *= opt_state.momentum
-    v -= update
-    params.flat += v
-    return params, opt_state
+    update *= config.learning_rate
+    velocity *= config.momentum
+    velocity -= update
+    params.flat += velocity
 
 
 # most rows per forward pass in predict_batch: the (rows, H) activations of
@@ -334,8 +314,7 @@ def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale: floa
     tu = np.multiply(cols, u, out=buf.tu)
     ut = np.add.reduce(tu, axis=1, keepdims=True, out=buf.ut)
     fprime = loss_derivative(spec, ut, floor=PROB_FLOOR, out=buf.fprime)
-    if scale != 1.0:
-        fprime *= scale
+    fprime *= scale
     omega = np.multiply(ut, u, out=buf.omega)
     np.subtract(tu, omega, out=omega)
     omega *= fprime
@@ -363,10 +342,9 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
 
     rng = np.random.default_rng(config.seed)
     params = init_parameters(d, c, config.hidden, rng)
-    state = init_optimizer(params, config.learning_rate, config.momentum, config.weight_decay)
     look = params.zeros_like()
     grads = params.zeros_like()
-    velocity = state.velocity.flat
+    velocity, scratch = np.zeros_like(params.flat), np.empty_like(params.flat)
 
     # the workspace: the epoch's permuted rows, and per minibatch its views
     # of them, its buffers (leading rows for a short last batch) and 1/m
@@ -391,7 +369,7 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
             scores, cache = forward_batch(look, xb, buf)
             omega = batch_weighting(_softmax_rows(scores, buf.col), cb, config.loss, scale, buf)
             backward_batch(look, cache, omega, grads, buf)
-            step(params, state, grads)
+            step(params, grads, velocity, scratch, config)
         if not params.all_finite():
             raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
         if epoch_callback is not None:

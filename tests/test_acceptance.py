@@ -3,6 +3,7 @@ PASS/FAIL line (run with -s to see them). The heavyweight experiment
 fixtures are session-scoped and shared between criteria."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from weaklab.correction import (corrected_loss, forward_correct, l1_discrepancy,
                                 optimized_classes, softmax, weight_proposed)
 from weaklab.datagen import Dataset, build_multisource, corruption_report, generate_blobs
 from weaklab.estimation import estimate_per_source, train_baseline
-from weaklab.harness import (ExperimentConfig, WeakSource, overall_accuracy, run_experiment,
-                             write_run_dir)
+from weaklab.harness import (ExperimentConfig, WeakSource, load_config, overall_accuracy,
+                             run_experiment, write_run_dir)
 from weaklab.labelspace import (SourceSpec, TemplateKind, balanced_error_rate,
                                 identity_matrix, make_template, mean_row_entropy,
                                 satisfies_diagonal_dominance)
@@ -20,57 +21,16 @@ from weaklab.losses import LossSpec, loss_value
 from weaklab.model import (BatchBuffers, TrainConfig, backward_batch, batch_weighting,
                            forward_batch, init_parameters)
 
-from conftest import kernel_weighting, random_row_stochastic
+from conftest import (SPECS, fd_score_gradient, kernel_weighting, per_parameter_fd,
+                      random_case, random_row_stochastic, scores_of)
 
-SPECS = [LossSpec("cce"), LossSpec("mae"), LossSpec("gce", q=0.7), LossSpec("sl")]
 MIXED = TemplateKind.MIXED_CLASS_DEPENDENT
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _result(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-def _random_case(rng, specs=SPECS, min_ut=1e-3):
-    # corrected probabilities are kept away from the singularity so the
-    # finite-difference truncation error stays far below the tolerance
-    while True:
-        spec = specs[rng.integers(len(specs))]
-        c = int(rng.choice([2, 5, 10]))
-        t = random_row_stochastic(rng, c)
-        h = rng.standard_normal(c)
-        k = int(rng.integers(c))
-        if float(forward_correct(t, softmax(h))[k]) >= min_ut:
-            return spec, t, k, h
-
-
-def _fd_scores(fn, h, step=1e-6):
-    grad = np.zeros_like(h)
-    for i in range(h.shape[0]):
-        hp, hm = h.copy(), h.copy()
-        hp[i] += step
-        hm[i] -= step
-        grad[i] = (fn(hp) - fn(hm)) / (2 * step)
-    return grad
-
-
-def _fd_params(params, scalar_fn, step=1e-6):
-    # walks params.flat, of which the weights and biases are views
-    flat = params.flat
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = scalar_fn()
-        flat[i] = orig - step
-        fm = scalar_fn()
-        flat[i] = orig
-        grad[i] = (fp - fm) / (2 * step)
-    return grad
-
-
-def _scores(params, x):
-    return forward_batch(params, x[None, :], BatchBuffers(1, params.c, params.hidden))[0][0]
 
 
 def test_criterion_1_gradient_oracle_suite():
@@ -89,16 +49,16 @@ def test_criterion_1_gradient_oracle_suite():
 
     worst_weight = 0.0
     for _ in range(1000):
-        spec, t, k, h = _random_case(rng)
+        spec, t, k, h = random_case(rng)
         analytic = batch_weighting(softmax(h)[None, :], t[:, k][None, :], spec, 1.0,
                                    buf(len(h), 0))[0]
-        numeric = _fd_scores(lambda hh: corrected_loss(spec, t, k, softmax(hh)), h)
+        numeric = fd_score_gradient(lambda hh: corrected_loss(spec, t, k, softmax(hh)), h)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst_weight = max(worst_weight, rel)
 
     worst_backward = 0.0
     for case in range(200):
-        spec, t, k, h_unused = _random_case(rng)
+        spec, t, k, h_unused = random_case(rng)
         d, c = 5, t.shape[0]
         hidden = 0 if case % 2 == 0 else 6
         params = init_parameters(d, c, hidden, rng)
@@ -109,13 +69,13 @@ def test_criterion_1_gradient_oracle_suite():
             continue
         if case % 4 < 2:
             column = t[:, k]
-            scalar = lambda: corrected_loss(spec, t, k, softmax(_scores(params, x)))
+            scalar = lambda p: corrected_loss(spec, t, k, softmax(scores_of(p, x)))
         else:
             column = np.eye(c)[k]
-            scalar = lambda: loss_value(spec, softmax(_scores(params, x))[k])
+            scalar = lambda p: loss_value(spec, softmax(scores_of(p, x))[k])
         omega = batch_weighting(u[None, :], column[None, :], spec, 1.0, buf(c, hidden))
         exact = backward_batch(params, cache, omega, params.zeros_like(), buf(c, hidden)).flat
-        numeric = _fd_params(params, scalar)
+        numeric = per_parameter_fd(params, scalar)
         rel = np.linalg.norm(exact - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst_backward = max(worst_backward, rel)
 
@@ -148,7 +108,7 @@ def test_criterion_3_closed_form_equals_chain_rule():
     spec = LossSpec("gce", q=0.7)
     worst = 0.0
     for _ in range(10_000):
-        _, t, k, h = _random_case(rng, specs=[spec])
+        _, t, k, h = random_case(rng, specs=[spec])
         u = softmax(h)
         chain = weight_proposed(spec, t, k, u)
         closed = kernel_weighting(spec, t[:, k], u)
@@ -162,7 +122,7 @@ def test_criterion_4_sign_law():
     checked = 0
     ok = True
     while checked < 10_000:
-        _, t, k, h = _random_case(rng, specs=[spec])
+        _, t, k, h = random_case(rng, specs=[spec])
         u = softmax(h)
         ut = float(forward_correct(t, u)[k])
         # boundary cases (exact zeros / ties) are excluded by resampling
@@ -298,11 +258,10 @@ def test_criterion_8_estimation_fidelity():
 
 @pytest.fixture(scope="session")
 def sweep():
-    """Single weak source, 9x the clean set, class-dependent template,
-    eta in {0.1..0.5}, three seeds: the headline desk-scale experiment."""
-    config = ExperimentConfig(
-        combinations=[("vanilla", LossSpec("cce")), ("proposed", LossSpec("cce")),
-                      ("forward", LossSpec("cce"))])
+    """The shipped headline study, configs/single_source_sweep.ini: single
+    weak source, 9x the clean set, class-dependent template, eta in
+    {0.1..0.5}, three seeds."""
+    config = load_config(CONFIGS / "single_source_sweep.ini")
     start = time.perf_counter()
     report = run_experiment(config)
     return report, time.perf_counter() - start

@@ -1,17 +1,27 @@
 """Every shipped config loads, and every run config completes one cell
 (first seed, first eta, one epoch), so the study configs cannot drift
-away from what the loader and the harness accept."""
+away from what the loader and the harness accept. Likewise every code
+name the README cites exists, so the README cannot drift from the code."""
 
+import builtins
+import importlib
+import pkgutil
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import weaklab
 from weaklab.cli import _parse_corrupt_spec
 from weaklab.harness import load_config, run_experiment
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
 CORRUPT_SPEC = "corrupt_spec.ini"
+MODULES = {m.name: importlib.import_module(f"weaklab.{m.name}")
+           for m in pkgutil.iter_modules(weaklab.__path__)}
+README_NAMES = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
 
 
 def test_configs_are_shipped():
@@ -37,3 +47,28 @@ def test_run_config_completes_one_cell(path):
     report = run_experiment(cfg)
     assert len(report.rows) == 1 + len(cfg.combinations)
     assert all(r.mean_oa is not None for r in report.rows)
+
+
+def test_readme_dotted_names_resolve():
+    # `model.step`, `weaklab.harness.ExperimentConfig`, `weaklab.model`, ...
+    checked = 0
+    for name in dict.fromkeys(README_NAMES):
+        m = re.fullmatch(r"(?:weaklab\.)?(\w+)((?:\.\w+)*)", name)
+        if not m or m[1] not in MODULES or (not m[2] and not name.startswith("weaklab.")):
+            continue
+        target = MODULES[m[1]]
+        for attr in m[2].split(".")[1:]:
+            assert hasattr(target, attr), f"README cites `{name}`, which does not exist"
+            target = getattr(target, attr)
+        checked += 1
+    assert checked >= 14
+
+
+def test_readme_camel_case_names_resolve():
+    # `TrainConfig`, `BatchBuffers`, `ValueError`, ...
+    camel = {name for name in README_NAMES
+             if re.fullmatch(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+", name)}
+    assert camel
+    missing = sorted(name for name in camel if not hasattr(builtins, name)
+                     and not any(hasattr(module, name) for module in MODULES.values()))
+    assert not missing, f"README cites names that are no weaklab attribute or builtin: {missing}"

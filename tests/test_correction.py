@@ -12,36 +12,11 @@ from weaklab.correction import (DegenerateColumnError, corrected_loss, forward_c
 from weaklab.labelspace import TransitionMatrix
 from weaklab.losses import LossSpec
 
-from conftest import kernel_weighting, random_row_stochastic
-
-SPECS = [LossSpec("cce"), LossSpec("mae"), LossSpec("gce", q=0.7), LossSpec("sl")]
+from conftest import (SPECS, fd_score_gradient, kernel_weighting, random_case,
+                      random_row_stochastic)
 
 T2 = np.array([[0.8, 0.2], [0.2, 0.8]])
 U2 = np.array([0.6, 0.4])
-
-
-def fd_score_gradient(fn, h, step=1e-6):
-    """Independent central-difference gradient of a scalar fn of the scores."""
-    grad = np.zeros_like(h)
-    for i in range(h.shape[0]):
-        hp, hm = h.copy(), h.copy()
-        hp[i] += step
-        hm[i] -= step
-        grad[i] = (fn(hp) - fn(hm)) / (2 * step)
-    return grad
-
-
-def random_case(rng, specs=SPECS, min_ut=1e-3):
-    """Random (spec, T, k, h) with the corrected probability bounded away
-    from the singularity so finite differences stay accurate."""
-    while True:
-        spec = specs[rng.integers(len(specs))]
-        c = int(rng.choice([2, 5, 10]))
-        t = random_row_stochastic(rng, c)
-        h = rng.standard_normal(c)
-        k = int(rng.integers(c))
-        if float(forward_correct(t, softmax(h))[k]) >= min_ut:
-            return spec, t, k, h
 
 
 def test_softmax_uniform_on_equal_scores():

@@ -49,7 +49,8 @@ def test_train_baseline_deterministic():
 def test_train_baseline_validation():
     blobs = generate_blobs(5, 8, 10, 0.2, np.random.default_rng(2))
     clean = Dataset(blobs.features, blobs.labels, 5)
-    with pytest.raises(ValueError):
+    # train rejects a non-vanilla strategy given no transition matrices
+    with pytest.raises(ValueError, match="strategy 'proposed' needs per-source transition"):
         train_baseline(clean, TrainConfig(strategy="proposed"))
     with pytest.raises(ValueError):
         train_baseline(Dataset(np.empty((0, 8)), np.empty(0, dtype=int), 5), TrainConfig())

@@ -303,7 +303,8 @@ def test_load_config_rejects_source_weight(tmp_path):
      r"\[sources\] weak token 'mixed:nine': value 'nine' is not of type float"),
     ("[train]\nhidden = -1\n", r"\[train\] hidden must be >= 0, got -1"),
     ("[sources]\nweak = uniform:3 mixed:9\netas = 0.1 0.85\n",
-     r"weak kind mixed at eta 0.85 with 10 classes: eta = 0.85 outside \[0, 0.8\)"),
+     r"^\[sources\] weak, etas: weak kind mixed at eta 0.85 with 10 classes: "
+     r"eta = 0.85 outside \[0, 0.8\)"),
     ("[dataset]\nclasses = 5\n",
      r"weak kind mixed at eta 0.1 with 5 classes: mixed template is defined only for c = 10"),
     ("[sources]\nweak = uniform:0\n",
@@ -318,19 +319,22 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[train]\nmomentum = 1\n", r"\[train\] momentum must lie in \[0, 1\), got 1"),
     ("[train]\nweight_decay = nan\n", r"\[train\] weight_decay must be finite and >= 0, got nan"),
     ("[sources]\netas = nan\n",
-     r"weak kind mixed at eta nan with 10 classes: eta = nan outside \[0, 0.8\)"),
-    ("[sources]\netas =\n", r"need at least one eta"),
-    ("[run]\nsmoothing = nan\n", r"smoothing must be finite and >= 0, got nan"),
-    ("[run]\nsmoothing = -0.4\n", r"smoothing must be finite and >= 0, got -0.4"),
-    ("[run]\nsmoothing = inf\n", r"smoothing must be finite and >= 0, got inf"),
+     r"^\[sources\] weak, etas: weak kind mixed at eta nan with 10 classes: "
+     r"eta = nan outside \[0, 0.8\)"),
+    ("[sources]\netas =\n", r"^\[sources\] etas: need at least one eta"),
+    ("[run]\nsmoothing = nan\n", r"^\[run\] smoothing must be finite and >= 0, got nan"),
+    ("[run]\nsmoothing = -0.4\n", r"^\[run\] smoothing must be finite and >= 0, got -0.4"),
+    ("[run]\nsmoothing = inf\n", r"^\[run\] smoothing must be finite and >= 0, got inf"),
     ("[dataset]\nscale = 1.0\n", r"'scale' in section \[dataset\]"),
+    ("[dataset]\nspread = nan\n", r"^\[dataset\] spread must be finite and > 0, got nan"),
+    ("[dataset]\ndim = 1\n", r"^\[dataset\] dim must be >= 2, got 1"),
 ], ids=["key", "section", "default_section", "template_kind", "combos_strategy",
         "combos_no_family", "combos_family", "dead_seed", "dead_strategy", "int_value",
         "bool_value", "float_list_value", "weak_multiplier", "negative_hidden", "eta_range",
         "ten_class_kind", "zero_multiplier", "negative_multiplier", "multiplier_rounds_to_0",
         "negative_learning_rate", "nan_learning_rate", "momentum_of_1", "nan_weight_decay",
         "nan_eta", "empty_etas", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
-        "removed_scale"])
+        "removed_scale", "nan_spread", "dim_of_1"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)

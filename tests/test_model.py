@@ -11,12 +11,10 @@ from weaklab.labelspace import TransitionMatrix
 from weaklab.losses import PROB_FLOOR, LossSpec, loss_value
 from weaklab.model import (BatchBuffers, ModelParameters, TrainConfig, TrainingDiverged,
                            _softmax_rows, backward_batch, batch_weighting, forward_batch,
-                           init_optimizer, init_parameters, load_params, predict_batch,
+                           init_parameters, load_params, predict_batch,
                            save_params, step, train, transition_columns)
 
-from conftest import random_row_stochastic
-
-SPECS = [LossSpec("cce"), LossSpec("mae"), LossSpec("gce", q=0.7), LossSpec("sl")]
+from conftest import SPECS, per_parameter_fd, random_row_stochastic, scores_of
 
 
 def make_params(rng, d, c, hidden):
@@ -27,11 +25,6 @@ def fresh_buffers(params, rows):
     return BatchBuffers(rows, params.c, params.hidden)
 
 
-def scores_of(params, x):
-    """Score vector of one sample: forward_batch on a one-row batch."""
-    return forward_batch(params, x[None, :], fresh_buffers(params, 1))[0][0]
-
-
 def one_row_gradient(params, x, omega):
     """backward_batch on a one-row batch, as a flat gradient vector."""
     buf = fresh_buffers(params, 1)
@@ -40,20 +33,9 @@ def one_row_gradient(params, x, omega):
                           buf).flat
 
 
-def per_parameter_fd(params, scalar_fn, step=1e-6):
-    """Central finite differences of scalar_fn(params) w.r.t. every entry
-    of params.flat (the weights and biases are views into it)."""
-    flat = params.flat
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = scalar_fn(params)
-        flat[i] = orig - step
-        fm = scalar_fn(params)
-        flat[i] = orig
-        grad[i] = (fp - fm) / (2 * step)
-    return grad
+def optimizer_vectors(params):
+    """The flat velocity (zero) and scratch vectors that train gives step."""
+    return np.zeros_like(params.flat), np.empty_like(params.flat)
 
 
 def test_forward_zero_params_gives_uniform():
@@ -133,38 +115,40 @@ def test_backward_matches_parameter_finite_differences(rng, hidden):
 def test_step_plain_sgd_when_momentum_zero(rng):
     params = make_params(rng, 3, 2, 0)
     before = params.copy()
-    state = init_optimizer(params, learning_rate=0.1, momentum=0.0, weight_decay=0.0)
+    config = TrainConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
     grads = ModelParameters([np.ones((2, 3))], [np.ones(2)])
-    step(params, state, grads)
+    step(params, grads, *optimizer_vectors(params), config)
     assert np.allclose(params.weights[0], before.weights[0] - 0.1)
     assert np.allclose(params.biases[0], before.biases[0] - 0.1)
 
 
 def test_step_velocity_approaches_geometric_limit(rng):
     params = make_params(rng, 3, 2, 0)
-    state = init_optimizer(params, learning_rate=0.1, momentum=0.9, weight_decay=0.0)
+    config = TrainConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
+    velocity = params.zeros_like()  # per-layer views of the flat velocity
+    scratch = np.empty_like(params.flat)
     g = ModelParameters([np.full((2, 3), 2.0)], [np.full(2, 2.0)])
     # v_t = -lr * g * (1 - mu^t) / (1 - mu), limit magnitude lr * g / (1 - mu)
     for t in range(1, 30):
-        step(params, state, g)
+        step(params, g, velocity.flat, scratch, config)
         expected = -0.1 * 2.0 * (1 - 0.9 ** t) / (1 - 0.9)
-        assert np.allclose(state.velocity.weights[0], expected, rtol=1e-12)
-    assert abs(state.velocity.weights[0][0, 0]) < 0.1 * 2.0 / (1 - 0.9)
+        assert np.allclose(velocity.weights[0], expected, rtol=1e-12)
+    assert abs(velocity.weights[0][0, 0]) < 0.1 * 2.0 / (1 - 0.9)
 
 
 def test_step_noop_on_zero_gradient(rng):
     params = make_params(rng, 3, 2, 0)
     before = params.copy()
-    state = init_optimizer(params, learning_rate=0.5, momentum=0.9, weight_decay=0.0)
-    step(params, state, params.zeros_like())
+    config = TrainConfig(learning_rate=0.5, momentum=0.9, weight_decay=0.0)
+    step(params, params.zeros_like(), *optimizer_vectors(params), config)
     assert np.array_equal(params.weights[0], before.weights[0])
     assert np.array_equal(params.biases[0], before.biases[0])
 
 
 def test_step_applies_weight_decay(rng):
     params = ModelParameters([np.full((2, 2), 10.0)], [np.zeros(2)])
-    state = init_optimizer(params, learning_rate=0.1, momentum=0.0, weight_decay=0.5)
-    step(params, state, params.zeros_like())
+    config = TrainConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.5)
+    step(params, params.zeros_like(), *optimizer_vectors(params), config)
     # g = 0 + 0.5 * 10 = 5, theta <- 10 - 0.1 * 5
     assert np.allclose(params.weights[0], 9.5)
 
@@ -311,12 +295,13 @@ def test_train_equals_the_plain_formulas(rng, hidden, spec):
 
 def test_step_allocates_nothing(rng):
     params = make_params(rng, 16, 10, 32)
-    state = init_optimizer(params, learning_rate=0.05, momentum=0.9, weight_decay=1e-6)
+    config = TrainConfig(learning_rate=0.05, momentum=0.9, weight_decay=1e-6)
+    velocity, scratch = optimizer_vectors(params)
     grads = make_params(rng, 16, 10, 32)
     tracemalloc.start()
     try:
         for _ in range(500):
-            step(params, state, grads)
+            step(params, grads, velocity, scratch, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -159,8 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A bad input file or value ends it with one
+    `weaklab <command>: <message>` line on stderr and exit code 2, the
+    code argparse gives a usage error; 1 is a failed gradient check."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        print(f"weaklab {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -56,8 +56,6 @@ def forward_correct(matrix, u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.shape[-1] != t.shape[0]:
         raise ValueError(f"dimension mismatch: matrix is {t.shape[0]}-class, u has {u.shape[-1]}")
-    if u.ndim == 1:
-        return t.T @ u
     # a stacked matmul runs one matrix-vector product per row; u @ t would
     # be one matrix product, whose summation order differs in the last bit
     return (t.T @ u[..., None])[..., 0]
@@ -72,8 +70,6 @@ def corrected_loss(spec: LossSpec, matrix, k: int, u):
     ut_k = forward_correct(matrix, u)[..., k]
     if np.any(ut_k <= 0.0):
         raise DegenerateColumnError(f"corrected probability of class {k} is zero")
-    if ut_k.ndim == 0:
-        return float(loss_value(spec, min(float(ut_k), 1.0)))
     return loss_value(spec, np.minimum(ut_k, 1.0))
 
 

@@ -3,11 +3,11 @@
 An experiment sweeps (strategy, loss) combinations over error rates and
 seeds on a synthetic multisource dataset. Per seed: generate the data,
 train a baseline on the clean source, estimate per-source transition
-matrices with it, train one model per combination while tracking overall
-accuracy on the held-out test set every epoch, and record the best epoch.
-Results aggregate to mean and unbiased (n-1) standard deviation across
-seeds. Everything is deterministic given the config, so re-running a
-config reproduces the report files byte for byte.
+matrices with it, and train one model per combination, recording its
+test accuracy every epoch in a Cell. A report row aggregates the Cells of
+one combination to the mean and unbiased (n-1) standard deviation of
+their best accuracies across seeds. Everything is deterministic given the
+config, so re-running a config reproduces the report files byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, MultisourceDataset, build_multisource, check_blobs, generate_blobs
+from .datagen import Dataset, as_clean_dataset, build_multisource, check_blobs, generate_blobs
 from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single, train_baseline
 from .labelspace import (SourceSpec, TemplateKind, TransitionMatrix, identity_matrix,
                          make_template, satisfies_diagonal_dominance, save_matrix)
@@ -72,6 +72,15 @@ class ExperimentConfig:
             raise ValueError("[sources] etas: need at least one eta")
         if not self.combinations:
             raise ValueError("[run] combos: need at least one (strategy, loss) combination")
+        # a repeated value would train the same models twice; etas compare as printed
+        axes = {"[run] seeds": self.seeds, "[sources] etas": [f"{eta:g}" for eta in self.etas],
+                "[run] combos": [f"{s}:{spec.family}" for s, spec in self.combinations]}
+        for key, names in axes.items():
+            twice = [name for i, name in enumerate(names) if name in names[:i]]
+            if twice:
+                raise ValueError(f"{key}: {twice[0]} given twice")
+        if self.clean_count < 1:
+            raise ValueError(f"[sources] clean_count must be >= 1, got {self.clean_count}")
         for w in self.weak_sources:
             if w.count(self.clean_count) < 1:
                 raise ValueError(f"[sources] weak: weak kind {w.kind.value} with multiplier "
@@ -93,11 +102,29 @@ class ExperimentConfig:
 
 
 @dataclass
-class SeedResult:
+class Cell:
+    """One trained model: where it sits in the sweep, and its test accuracy
+    after every epoch as (epoch, oa) pairs, empty when training diverged."""
+
+    strategy: str
+    loss_family: str
+    eta: float | None  # None for the clean-only baseline
     seed: int
-    best_oa: float
-    best_epoch: int
-    failed: bool = False
+    curve: list
+
+    @property
+    def failed(self) -> bool:
+        return not self.curve
+
+    @property
+    def best_oa(self) -> float:
+        """The highest accuracy on the curve; NaN when failed."""
+        return max((oa for _, oa in self.curve), default=float("nan"))
+
+    @property
+    def best_epoch(self) -> int | None:
+        """The first epoch with the highest accuracy; None when failed."""
+        return max(self.curve, key=lambda point: point[1], default=(None, None))[0]
 
 
 @dataclass
@@ -106,21 +133,29 @@ class ReportRow:
     loss_family: str
     eta: float | None          # None for the clean-only baseline row
     source_layout: str
-    per_seed: list
-    mean_oa: float | None
-    std_oa: float | None
+    per_seed: list             # the row's Cells, one per seed
     dominance_ok: bool | None  # None for the baseline row
 
     @property
     def n_failed(self) -> int:
         """Seeds that diverged; mean_oa and std_oa leave them out."""
-        return sum(sr.failed for sr in self.per_seed)
+        return sum(cell.failed for cell in self.per_seed)
+
+    @property
+    def mean_oa(self) -> float | None:
+        oas = [cell.best_oa for cell in self.per_seed if not cell.failed]
+        return float(np.mean(oas)) if oas else None
+
+    @property
+    def std_oa(self) -> float | None:
+        oas = [cell.best_oa for cell in self.per_seed if not cell.failed]
+        return float(np.std(oas, ddof=1)) if len(oas) > 1 else None
 
 
 @dataclass
 class RunReport:
     rows: list
-    curves: list       # (strategy, loss_family, eta, seed, epoch, oa)
+    cells: list        # every trained model's Cell, in training order
     errors: list       # (seed, eta, source_id or "single", mean_row_l1, max_abs_error)
     estimates: dict    # (seed, eta) -> {source_id or "single": TransitionMatrix}
     baselines: dict    # seed -> best-epoch ModelParameters
@@ -139,32 +174,21 @@ def overall_accuracy(params: ModelParameters, test: Dataset) -> float:
     return float(np.mean(predict_batch(params, test.features) == test.labels))
 
 
-def _aggregate(results: list):
-    oas = [r.best_oa for r in results if not r.failed]
-    if not oas:
-        return None, None
-    mean = float(np.mean(oas))
-    std = float(np.std(oas, ddof=1)) if len(oas) > 1 else None
-    return mean, std
-
-
 def _train_tracked(test, fit, *args, **kwargs):
     """Run fit(*args, **kwargs) while recording test accuracy per epoch
-    through its epoch callback; returns the best-epoch snapshot, its
-    (oa, epoch), and the full per-epoch history."""
-    best = {"oa": -1.0, "epoch": 0, "params": None}
-    history = []
+    through its epoch callback; returns the parameters of the first epoch
+    with the highest accuracy, and the (epoch, oa) curve."""
+    best = {"oa": -1.0, "params": None}
+    curve = []
 
     def callback(epoch, params):
         oa = overall_accuracy(params, test)
-        history.append((epoch, oa))
+        curve.append((epoch, oa))
         if oa > best["oa"]:
-            best["oa"] = oa
-            best["epoch"] = epoch
-            best["params"] = params.copy()
+            best.update(oa=oa, params=params.copy())
 
     fit(*args, epoch_callback=callback, **kwargs)
-    return best["params"], best["oa"], best["epoch"], history
+    return best["params"], curve
 
 
 def _blend_true_matrices(specs: list) -> TransitionMatrix:
@@ -192,57 +216,40 @@ def source_specs(c: int, clean_count: int, weak: list) -> list:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run the full sweep described by the config; see the module docstring."""
     c = config.classes
-    layout = config.source_layout()
-    curves = []
+    cap = config.baseline_epoch_cap
+    bepochs = min(config.train.epochs, cap) if cap > 0 else config.train.epochs
+    specs = {eta: source_specs(c, config.clean_count, [
+        (w.kind, eta, w.count(config.clean_count)) for w in config.weak_sources])
+        for eta in config.etas}
+    cells = []
     errors = []
     estimates = {}
     baselines = {}
-    baseline_results = []
-    combo_results = {}  # (eta, strategy, family) -> list[SeedResult]
 
     for seed in config.seeds:
         blobs = generate_blobs(c, config.dim, config.n_per_class, config.spread,
                                np.random.default_rng(seed))
-        baseline_params = None
+        # the clean block and the test split do not depend on the weak
+        # sources, so one baseline per seed serves every eta
+        clean, test = build_multisource(blobs, source_specs(c, config.clean_count, []), seed)
+        bconf = replace(config.train, seed=seed, epochs=bepochs)
+        baselines[seed], curve = _train_tracked(
+            test, train_baseline, as_clean_dataset(clean), bconf)
+        cells.append(Cell("baseline", bconf.loss.family, None, seed, curve))
+
         for eta in config.etas:
-            specs = source_specs(c, config.clean_count, [
-                (w.kind, eta, w.count(config.clean_count))
-                for w in config.weak_sources])
-            ms, test = build_multisource(blobs, specs, seed)
-
-            if baseline_params is None:
-                # the clean block and test split do not depend on eta, so one
-                # baseline per seed serves the whole sweep
-                clean_blk = ms.block(0)
-                clean = Dataset(clean_blk.features, clean_blk.labels, c)
-                epochs = config.train.epochs
-                if config.baseline_epoch_cap > 0:
-                    epochs = min(epochs, config.baseline_epoch_cap)
-                bconf = replace(config.train, seed=seed, epochs=epochs)
-                baseline_params, b_oa, b_epoch, hist = _train_tracked(
-                    test, train_baseline, clean, bconf)
-                baselines[seed] = baseline_params
-                baseline_results.append(SeedResult(seed, b_oa, b_epoch))
-                curves.extend(("baseline", bconf.loss.family, None, seed, ep, oa)
-                              for ep, oa in hist)
-
-            true = dict({s.id: s.matrix for s in specs if s.id != 0},
-                        single=_blend_true_matrices(specs))
-            if config.estimated_vs_true_matrices:
-                estimated = true
-            else:
-                estimated = dict(estimate_per_source(baseline_params, ms, config.smoothing),
-                                 single=estimate_single(baseline_params, ms, config.smoothing))
+            ms, _ = build_multisource(blobs, specs[eta], seed)
+            true = dict({s.id: s.matrix for s in specs[eta][1:]},
+                        single=_blend_true_matrices(specs[eta]))
+            estimated = true if config.estimated_vs_true_matrices else dict(
+                estimate_per_source(baselines[seed], ms, config.smoothing),
+                single=estimate_single(baselines[seed], ms, config.smoothing))
             estimates[(seed, eta)] = estimated
             errors.extend((seed, eta, key, *_estimate_error(matrix, true[key]))
                           for key, matrix in estimated.items())
 
-            if config.use_clean_in_training:
-                feats, labels, src = ms.stacked()
-            else:
-                weak_only = MultisourceDataset(
-                    [b for b in ms.sources if b.source_id != 0], ms.c, ms.d)
-                feats, labels, src = weak_only.stacked()
+            kept = [b for b in ms.sources if config.use_clean_in_training or b.source_id != 0]
+            feats, labels, src = replace(ms, sources=kept).stacked()
 
             for strategy, lspec in config.combinations:
                 if strategy == "proposed":
@@ -253,29 +260,23 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                     matrices = None
                 tconf = replace(config.train, strategy=strategy, loss=lspec, seed=seed)
                 try:
-                    _, oa, epoch, hist = _train_tracked(
+                    _, curve = _train_tracked(
                         test, train, feats, labels, src, c, tconf, matrices=matrices)
-                    result = SeedResult(seed, oa, epoch)
                 except TrainingDiverged:
-                    result = SeedResult(seed, float("nan"), 0, failed=True)
-                    hist = []
-                combo_results.setdefault((eta, strategy, lspec.family), []).append(result)
-                curves.extend((strategy, lspec.family, eta, seed, ep, oa)
-                              for ep, oa in hist)
+                    curve = []
+                cells.append(Cell(strategy, lspec.family, eta, seed, curve))
 
-    rows = []
-    mean, std = _aggregate(baseline_results)
-    rows.append(ReportRow("baseline", config.train.loss.family, None, "clean_only",
-                          baseline_results, mean, std, None))
-    for eta in config.etas:
-        dominance = all(satisfies_diagonal_dominance(make_template(w.kind, c, eta))
-                        for w in config.weak_sources)
-        for strategy, lspec in config.combinations:
-            results = combo_results[(eta, strategy, lspec.family)]
-            mean, std = _aggregate(results)
-            rows.append(ReportRow(strategy, lspec.family, eta, layout,
-                                  results, mean, std, dominance))
-    return RunReport(rows, curves, errors, estimates, baselines)
+    def row(strategy, family, eta, layout, dominance_ok):
+        return ReportRow(strategy, family, eta, layout, [
+            cell for cell in cells
+            if (cell.strategy, cell.loss_family, cell.eta) == (strategy, family, eta)],
+            dominance_ok)
+
+    rows = [row("baseline", config.train.loss.family, None, "clean_only", None)] + [
+        row(strategy, lspec.family, eta, config.source_layout(),
+            all(satisfies_diagonal_dominance(s.matrix) for s in specs[eta][1:]))
+        for eta in config.etas for strategy, lspec in config.combinations]
+    return RunReport(rows, cells, errors, estimates, baselines)
 
 
 def _fmt(value) -> str:
@@ -298,10 +299,8 @@ def emit_csv(report: RunReport, path) -> None:
     lines = [CSV_HEADER]
     for row in report.rows:
         base = f"{row.strategy},{row.loss_family},{_fmt(row.eta)},{row.source_layout}"
-        for sr in row.per_seed:
-            oa = "" if sr.failed else _fmt(sr.best_oa)
-            epoch = "" if sr.failed else str(sr.best_epoch)
-            lines.append(f"{base},{sr.seed},{oa},{epoch},,,,{_fmt(row.dominance_ok)}")
+        lines.extend(f"{base},{cell.seed},{_fmt(cell.best_oa)},{_fmt(cell.best_epoch)},,,,"
+                     f"{_fmt(row.dominance_ok)}" for cell in row.per_seed)
         lines.append(f"{base},all,,,{_fmt(row.mean_oa)},{_fmt(row.std_oa)},{row.n_failed},"
                      f"{_fmt(row.dominance_ok)}")
     Path(path).write_text("\n".join(lines) + "\n")
@@ -310,8 +309,9 @@ def emit_csv(report: RunReport, path) -> None:
 def emit_curves(report: RunReport, path) -> None:
     """Per-epoch test accuracy in long form."""
     lines = ["strategy,loss,eta,seed,epoch,oa"]
-    for strategy, family, eta, seed, epoch, oa in report.curves:
-        lines.append(f"{strategy},{family},{_fmt(eta)},{seed},{epoch},{_fmt(oa)}")
+    for cell in report.cells:
+        lines.extend(f"{cell.strategy},{cell.loss_family},{_fmt(cell.eta)},{cell.seed},{epoch},"
+                     f"{_fmt(oa)}" for epoch, oa in cell.curve)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

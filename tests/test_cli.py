@@ -47,11 +47,29 @@ def test_gen_template_to_file(tmp_path):
 
 
 def test_gen_template_rejects_bad_eta(capsys):
-    with pytest.raises(ValueError):
-        main(["gen-template", "--kind", "mixed", "--eta", "0.9"])
-    with pytest.raises(ValueError, match=r"eta = nan outside \[0, 1\) for uniform"):
-        main(["gen-template", "--kind", "uniform", "--eta", "nan", "--classes", "3"])
-    assert capsys.readouterr().out == ""
+    assert main(["gen-template", "--kind", "mixed", "--eta", "0.9"]) == 2
+    assert capsys.readouterr().err == "weaklab gen-template: eta = 0.9 outside [0, 0.8) for mixed\n"
+    assert main(["gen-template", "--kind", "uniform", "--eta", "nan", "--classes", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "weaklab gen-template: eta = nan outside [0, 1) for uniform\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[dataset]\nspread = nan\n", "[dataset] spread must be finite and > 0, got nan"),
+    ("[train]\nepochs = 0\n", "[train] epochs"),
+    (None, "No such file or directory"),
+], ids=["dataset", "train", "missing_file"])
+def test_run_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "exp.ini"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("weaklab run: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_validate_gradients_passes(capsys):

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weaklab.harness import (CONFIG_KEYS, CSV_HEADER, ExperimentConfig, ReportRow, RunReport,
-                             SeedResult, WeakSource, emit_csv, emit_curves, load_config,
+from weaklab.harness import (CONFIG_KEYS, CSV_HEADER, Cell, ExperimentConfig, ReportRow,
+                             RunReport, WeakSource, emit_csv, emit_curves, load_config,
                              overall_accuracy, run_experiment, write_run_dir)
 from weaklab.labelspace import TemplateKind, load_matrix, make_template
 from weaklab.losses import LossSpec
@@ -68,14 +68,26 @@ def test_run_experiment_identity_weak_source_reduction():
     assert abs(van.mean_oa - prop.mean_oa) <= 0.02
 
 
-def test_best_oa_is_running_maximum():
-    report = run_experiment(tiny_config(seeds=[0]))
-    for row in report.rows:
-        for sr in row.per_seed:
-            curve = [oa for (s, f, e, seed, ep, oa) in report.curves
-                     if s == row.strategy and e == row.eta and seed == sr.seed]
-            assert sr.best_oa == max(curve)
-            assert sr.best_oa >= curve[0]
+def test_cell_best_epoch_is_the_first_of_tied_maxima():
+    cell = Cell("vanilla", "cce", 0.2, 0, [(1, 0.5), (2, 0.75), (3, 0.625), (4, 0.75)])
+    assert not cell.failed
+    assert (cell.best_oa, cell.best_epoch) == (0.75, 2)
+    diverged = Cell("vanilla", "cce", 0.2, 0, [])
+    assert diverged.failed
+    assert np.isnan(diverged.best_oa) and diverged.best_epoch is None
+
+
+def test_best_oa_is_running_maximum(tmp_path):
+    # report.csv's best_oa and best_epoch are the first maximum of curves.csv
+    write_run_dir(run_experiment(tiny_config()), tmp_path)
+    _, rows = _all_rows(tmp_path / "report.csv")
+    curves = [line.split(",") for line in (tmp_path / "curves.csv").read_text().splitlines()[1:]]
+    for r in (r for r in rows if r["seed"] != "all"):
+        curve = [(int(ep), float(oa)) for s, f, e, seed, ep, oa in curves
+                 if (s, f, e, seed) == (r["strategy"], r["loss"], r["eta"], r["seed"])]
+        best = max(oa for _, oa in curve)
+        assert float(r["best_oa"]) == best
+        assert int(r["best_epoch"]) == next(ep for ep, oa in curve if oa == best)
 
 
 def test_dominance_flag_tracks_template():
@@ -86,10 +98,14 @@ def test_dominance_flag_tracks_template():
 def test_curves_structure():
     cfg = tiny_config(seeds=[0])
     report = run_experiment(cfg)
-    baseline_rows = [c for c in report.curves if c[0] == "baseline"]
-    assert len(baseline_rows) == cfg.train.epochs
-    van_rows = [c for c in report.curves if c[0] == "vanilla"]
-    assert [ep for (_, _, _, _, ep, _) in van_rows] == list(range(1, cfg.train.epochs + 1))
+    [baseline] = [cell for cell in report.cells if cell.strategy == "baseline"]
+    assert len(baseline.curve) == cfg.train.epochs
+    [vanilla] = [cell for cell in report.cells if cell.strategy == "vanilla"]
+    assert [ep for ep, _ in vanilla.curve] == list(range(1, cfg.train.epochs + 1))
+    # every trained model once, in training order, and each row holds its own
+    assert [(cell.strategy, cell.seed) for cell in report.cells] == [
+        ("baseline", 0), ("vanilla", 0), ("proposed", 0)]
+    assert [cell for row in report.rows for cell in row.per_seed] == report.cells
 
 
 def test_emit_csv_empty_report(tmp_path):
@@ -99,9 +115,12 @@ def test_emit_csv_empty_report(tmp_path):
 
 
 def test_emit_csv_aggregate_std(tmp_path):
+    curves = [[(1, 0.5), (2, 0.8), (3, 0.90), (4, 0.90)], [(4, 0.92)], [(1, 0.9), (2, 0.94)]]
     row = ReportRow("vanilla", "cce", 0.1, "uniform:x3",
-                    [SeedResult(0, 0.90, 3), SeedResult(1, 0.92, 4), SeedResult(2, 0.94, 2)],
-                    0.92, float(np.std([0.90, 0.92, 0.94], ddof=1)), True)
+                    [Cell("vanilla", "cce", 0.1, seed, curve) for seed, curve in enumerate(curves)],
+                    True)
+    assert row.mean_oa == pytest.approx(0.92)
+    assert row.std_oa == pytest.approx(float(np.std([0.90, 0.92, 0.94], ddof=1)))
     path = tmp_path / "report.csv"
     emit_csv(RunReport([row], [], [], {}, {}), path)
     lines = path.read_text().splitlines()
@@ -328,13 +347,21 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[dataset]\nscale = 1.0\n", r"'scale' in section \[dataset\]"),
     ("[dataset]\nspread = nan\n", r"^\[dataset\] spread must be finite and > 0, got nan"),
     ("[dataset]\ndim = 1\n", r"^\[dataset\] dim must be >= 2, got 1"),
+    ("[run]\nseeds = 0 1 0\n", r"^\[run\] seeds: 0 given twice"),
+    ("[sources]\netas = 0.2 0.2\n", r"^\[sources\] etas: 0.2 given twice"),
+    ("[sources]\netas = 0.2 0.3 0.2000001\n", r"^\[sources\] etas: 0.2 given twice"),
+    ("[run]\ncombos = vanilla:cce proposed:cce vanilla:cce\n",
+     r"^\[run\] combos: vanilla:cce given twice"),
+    ("[sources]\nclean_count = 0\n", r"^\[sources\] clean_count must be >= 1, got 0"),
+    ("[sources]\nclean_count = -5\n", r"^\[sources\] clean_count must be >= 1, got -5"),
 ], ids=["key", "section", "default_section", "template_kind", "combos_strategy",
         "combos_no_family", "combos_family", "dead_seed", "dead_strategy", "int_value",
         "bool_value", "float_list_value", "weak_multiplier", "negative_hidden", "eta_range",
         "ten_class_kind", "zero_multiplier", "negative_multiplier", "multiplier_rounds_to_0",
         "negative_learning_rate", "nan_learning_rate", "momentum_of_1", "nan_weight_decay",
         "nan_eta", "empty_etas", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
-        "removed_scale", "nan_spread", "dim_of_1"])
+        "removed_scale", "nan_spread", "dim_of_1", "repeated_seed", "repeated_eta",
+        "etas_printed_alike", "repeated_combo", "zero_clean_count", "negative_clean_count"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)

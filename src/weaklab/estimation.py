@@ -28,23 +28,26 @@ def train_baseline(clean: Dataset, config: TrainConfig, epoch_callback=None) -> 
                  epoch_callback=epoch_callback)
 
 
-def confusion_counts(baseline: ModelParameters, features: np.ndarray,
-                     labels: np.ndarray, c: int) -> np.ndarray:
-    """Counts[j, k] = instances the baseline assigns to class j whose source
-    label is k; the baseline prediction plays the role of the true label.
+def confusion_counts(baseline: ModelParameters, blocks: list, c: int) -> np.ndarray:
+    """Counts[j, k] = instances of the source blocks that the baseline
+    assigns to class j and whose source label is k; the baseline prediction
+    plays the role of the true label. Counted block by block, so the rows
+    are never joined into one copy.
 
-    Raises ValueError on empty data, on features and labels of different
-    lengths, and on a label outside [0, c), naming the first bad row.
+    Raises ValueError when no block has rows, and on a length mismatch or a
+    label outside [0, c), naming the source and the row within its block.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] == 0:
+    if not any(len(blk) for blk in blocks):
         raise ValueError("source data is empty")
-    if len(labels) != features.shape[0]:
-        raise ValueError(f"row {min(len(labels), features.shape[0])}: {features.shape[0]} "
-                         f"feature rows but {len(labels)} labels")
-    labels = check_labels(labels, c, "source labels")
-    preds = predict_batch(baseline, features)
-    counts = np.bincount(preds * c + labels, minlength=c * c)
+    counts = np.zeros(c * c, dtype=np.int64)
+    for blk in blocks:
+        where = f"source {blk.source_id}"
+        if len(blk.labels) != len(blk):
+            raise ValueError(f"{where}, row {min(len(blk.labels), len(blk))}: {len(blk)} "
+                             f"feature rows but {len(blk.labels)} labels")
+        labels = check_labels(blk.labels, c, where)
+        counts += np.bincount(predict_batch(baseline, blk.features) * c + labels,
+                              minlength=c * c)
     return counts.reshape(c, c).astype(np.float64)
 
 
@@ -68,12 +71,11 @@ def estimate_per_source(baseline: ModelParameters, ms: MultisourceDataset,
                         smoothing: float = DEFAULT_SMOOTHING) -> dict:
     """Estimated transition matrix of every weak source (id >= 1)."""
     return {blk.source_id: estimate_transition(
-                confusion_counts(baseline, blk.features, blk.labels, ms.c), smoothing)
+                confusion_counts(baseline, [blk], ms.c), smoothing)
             for blk in ms.sources if blk.source_id != 0}
 
 
 def estimate_single(baseline: ModelParameters, ms: MultisourceDataset,
                     smoothing: float = DEFAULT_SMOOTHING) -> TransitionMatrix:
     """One matrix estimated on the entire training set, ignoring sources."""
-    feats, labels, _ = ms.stacked()
-    return estimate_transition(confusion_counts(baseline, feats, labels, ms.c), smoothing)
+    return estimate_transition(confusion_counts(baseline, ms.sources, ms.c), smoothing)

@@ -68,6 +68,11 @@ class ExperimentConfig:
             raise ValueError(f"[dataset] {err}") from None
         if not self.seeds:
             raise ValueError("[run] seeds: need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError(f"[run] seeds must be >= 0, got {min(self.seeds)}")
+        if self.baseline_epoch_cap < 0:
+            raise ValueError(f"[run] baseline_epoch_cap must be >= 0, got "
+                             f"{self.baseline_epoch_cap}")
         if not self.etas:
             raise ValueError("[sources] etas: need at least one eta")
         if not self.combinations:
@@ -233,18 +238,26 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         # sources, so one baseline per seed serves every eta
         clean, test = build_multisource(blobs, source_specs(c, config.clean_count, []), seed)
         bconf = replace(config.train, seed=seed, epochs=bepochs)
-        baselines[seed], curve = _train_tracked(
-            test, train_baseline, as_clean_dataset(clean), bconf)
+        try:
+            baselines[seed], curve = _train_tracked(
+                test, train_baseline, as_clean_dataset(clean), bconf)
+        except TrainingDiverged:
+            curve = []
         cells.append(Cell("baseline", bconf.loss.family, None, seed, curve))
 
         for eta in config.etas:
             ms, _ = build_multisource(blobs, specs[eta], seed)
             true = dict({s.id: s.matrix for s in specs[eta][1:]},
                         single=_blend_true_matrices(specs[eta]))
-            estimated = true if config.estimated_vs_true_matrices else dict(
-                estimate_per_source(baselines[seed], ms, config.smoothing),
-                single=estimate_single(baselines[seed], ms, config.smoothing))
-            estimates[(seed, eta)] = estimated
+            if config.estimated_vs_true_matrices:
+                estimated = true
+            elif seed in baselines:
+                estimated = dict(estimate_per_source(baselines[seed], ms, config.smoothing),
+                                 single=estimate_single(baselines[seed], ms, config.smoothing))
+            else:  # the baseline diverged: no T-hat
+                estimated = {}
+            if estimated:
+                estimates[(seed, eta)] = estimated
             errors.extend((seed, eta, key, *_estimate_error(matrix, true[key]))
                           for key, matrix in estimated.items())
 
@@ -252,18 +265,20 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             feats, labels, src = replace(ms, sources=kept).stacked()
 
             for strategy, lspec in config.combinations:
-                if strategy == "proposed":
-                    matrices = {**estimated, 0: identity_matrix(c)}
-                elif strategy == "forward":
-                    matrices = {int(s): estimated["single"] for s in np.unique(src)}
-                else:
-                    matrices = None
-                tconf = replace(config.train, strategy=strategy, loss=lspec, seed=seed)
-                try:
-                    _, curve = _train_tracked(
-                        test, train, feats, labels, src, c, tconf, matrices=matrices)
-                except TrainingDiverged:
-                    curve = []
+                curve = []  # a failed Cell: training diverged, or no T-hat to correct with
+                if strategy == "vanilla" or estimated:
+                    if strategy == "proposed":
+                        matrices = {**estimated, 0: identity_matrix(c)}
+                    elif strategy == "forward":
+                        matrices = {int(s): estimated["single"] for s in np.unique(src)}
+                    else:
+                        matrices = None
+                    tconf = replace(config.train, strategy=strategy, loss=lspec, seed=seed)
+                    try:
+                        _, curve = _train_tracked(
+                            test, train, feats, labels, src, c, tconf, matrices=matrices)
+                    except TrainingDiverged:
+                        pass
                 cells.append(Cell(strategy, lspec.family, eta, seed, curve))
 
     def row(strategy, family, eta, layout, dominance_ok):
@@ -425,7 +440,6 @@ CONFIG_SCHEMA = {
                        {"strategy": choice("strategy", STRATEGIES),
                         "family": choice("loss family", FAMILIES)})),
 }
-CONFIG_KEYS = {section: tuple(keys) for section, keys in CONFIG_SCHEMA.items()}
 
 
 def read_ini(path, schema: dict) -> dict:

@@ -164,6 +164,24 @@ def test_run_command_writes_report(tmp_path, capsys):
     assert "proposed,cce,0.2" in text
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_records_a_diverged_baseline_and_goes_on(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(RUN_CONFIG.replace("learning_rate = 0.1", "learning_rate = 1e200")
+                   .replace("seeds = 0", "seeds = 0 1"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    lines = (out / "report.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [(r["strategy"], r["n_failed"]) for r in rows if r["seed"] == "all"] == [
+        ("baseline", "2"), ("vanilla", "2"), ("proposed", "2")]
+    # no baseline, so no checkpoint and no estimates
+    assert not list(out.rglob("*.params")) and not list(out.rglob("T_hat_*.txt"))
+    assert (out / "estimates.csv").read_text() == "seed,eta,source,mean_row_l1,max_abs_error\n"
+
+
 def test_run_command_deterministic(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(RUN_CONFIG)

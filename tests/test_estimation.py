@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weaklab.datagen import Dataset, build_multisource, generate_blobs, load_dataset, save_dataset
+from weaklab.datagen import (Dataset, SourceBlock, build_multisource, generate_blobs,
+                             load_dataset, save_dataset)
 from weaklab.estimation import (confusion_counts, estimate_per_source, estimate_single,
                                 estimate_transition, train_baseline)
 from weaklab.harness import overall_accuracy
@@ -59,7 +60,7 @@ def test_train_baseline_validation():
 def test_confusion_counts_oracle_on_clean_source():
     blobs, _, ms, _ = oracle_setup(2000, 0.3)
     blk = ms.block(0)
-    counts = confusion_counts(oracle_params(blobs), blk.features, blk.labels, 10)
+    counts = confusion_counts(oracle_params(blobs), [blk], 10)
     assert counts.sum() == len(blk)
     assert np.all(counts == np.diag(np.diag(counts)))  # diagonal only
 
@@ -67,25 +68,30 @@ def test_confusion_counts_oracle_on_clean_source():
 def test_confusion_counts_oracle_on_weak_source_matches_template():
     blobs, t, ms, _ = oracle_setup(20_000, 0.3)
     blk = ms.block(1)
-    counts = confusion_counts(oracle_params(blobs), blk.features, blk.labels, 10)
+    counts = confusion_counts(oracle_params(blobs), [blk], 10)
     assert counts.sum() == len(blk)
     freq = counts / counts.sum(axis=1, keepdims=True)
     assert np.abs(freq - t.entries).max() <= 0.03
 
 
-@pytest.mark.parametrize("features, labels, message", [
-    (np.zeros((4, 2)), [0, 2, 1, 4], r"source labels, row 3: label 4 outside \[0, 3\)"),
-    (np.zeros((4, 2)), [0, -1, 1, 2], r"source labels, row 1: label -1 outside \[0, 3\)"),
-    (np.zeros((4, 2)), [0, 1, 2], r"row 3: 4 feature rows but 3 labels"),
-    (np.zeros((2, 2)), [0, 1, 2], r"row 2: 2 feature rows but 3 labels"),
-    (np.zeros((0, 2)), [], "source data is empty"),
-], ids=["label_c_plus_1", "negative_label", "short_labels", "long_labels", "empty"])
-def test_confusion_counts_rejects_bad_labels(features, labels, message):
+@pytest.mark.parametrize("blocks, message", [
+    ([(1, 4, [0, 2, 1, 4])], r"^source 1, row 3: label 4 outside \[0, 3\)"),
+    ([(1, 4, [0, -1, 1, 2])], r"^source 1, row 1: label -1 outside \[0, 3\)"),
+    ([(1, 4, [0, 1, 2])], r"^source 1, row 3: 4 feature rows but 3 labels"),
+    ([(1, 2, [0, 1, 2])], r"^source 1, row 2: 2 feature rows but 3 labels"),
+    ([(1, 0, [])], "^source data is empty"),
+    ([(0, 0, []), (1, 0, [])], "^source data is empty"),
+    ([(0, 2, [0, 1]), (2, 3, [0, 3, 1])], r"^source 2, row 1: label 3 outside \[0, 3\)"),
+], ids=["label_c_plus_1", "negative_label", "short_labels", "long_labels", "empty",
+        "all_blocks_empty", "row_within_second_block"])
+def test_confusion_counts_rejects_bad_labels(blocks, message):
     # a zero linear model predicts class 0 for every row; label 4 on such a
     # row would land in cell (1, 1) of the flat c x c count
     params = ModelParameters([np.zeros((3, 2))], [np.zeros(3)])
+    blocks = [SourceBlock(sid, np.zeros((rows, 2)), np.array(labels, dtype=np.int64))
+              for sid, rows, labels in blocks]
     with pytest.raises(ValueError, match=message):
-        confusion_counts(params, features, np.array(labels, dtype=np.int64), 3)
+        confusion_counts(params, blocks, 3)
 
 
 def test_estimate_transition_identity_counts():
@@ -156,7 +162,7 @@ def test_estimate_single_clean_only_is_identity():
 
 def test_estimate_single_on_a_loaded_file_does_not_copy_the_rows(tmp_path):
     # the prep layout: 10k clean + 3 x 50k weak rows, saved and reloaded, so
-    # the blocks are adjacent slices of one buffer and stacked() is a view
+    # the blocks are slices of one buffer, and they are counted one by one
     blobs = generate_blobs(10, 16, 20_000, 0.3, np.random.default_rng(21))
     specs = [SourceSpec(0, identity_matrix(10), 10_000)] + [
         SourceSpec(i, make_template(kind, 10, 0.4), 50_000) for i, kind in enumerate(
@@ -174,6 +180,5 @@ def test_estimate_single_on_a_loaded_file_does_not_copy_the_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8e6  # a stacked copy of the (160k, 16) features alone is 20.5 MB
-    copied = confusion_counts(baseline, np.concatenate([b.features for b in loaded.sources]),
-                              np.concatenate([b.labels for b in loaded.sources]), 10)
+    copied = confusion_counts(baseline, [SourceBlock(0, *loaded.stacked()[:2])], 10)
     assert np.array_equal(single.entries, estimate_transition(copied).entries)

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weaklab.harness import (CONFIG_KEYS, CSV_HEADER, Cell, ExperimentConfig, ReportRow,
+from weaklab import harness
+from weaklab.harness import (CONFIG_SCHEMA, CSV_HEADER, Cell, ExperimentConfig, ReportRow,
                              RunReport, WeakSource, emit_csv, emit_curves, load_config,
                              overall_accuracy, run_experiment, write_run_dir)
 from weaklab.labelspace import TemplateKind, load_matrix, make_template
 from weaklab.losses import LossSpec
-from weaklab.model import ModelParameters, TrainConfig
+from weaklab.model import ModelParameters, TrainConfig, TrainingDiverged
 
 
 def tiny_config(**overrides):
@@ -60,12 +61,31 @@ def test_run_experiment_report_shape():
 
 def test_run_experiment_identity_weak_source_reduction():
     # with a perfectly clean weak source and the true (identity) matrices,
-    # the corrected objective coincides with the vanilla one
-    cfg = tiny_config(etas=[0.0], estimated_vs_true_matrices=True, seeds=[0, 1])
+    # both corrected objectives coincide with the vanilla one, epoch by epoch
+    combos = [(s, LossSpec("cce")) for s in ("vanilla", "proposed", "forward")]
+    cfg = tiny_config(etas=[0.0], estimated_vs_true_matrices=True, seeds=[0, 1],
+                      combinations=combos)
     report = run_experiment(cfg)
-    van = report.row("vanilla", "cce", 0.0)
-    prop = report.row("proposed", "cce", 0.0)
-    assert abs(van.mean_oa - prop.mean_oa) <= 0.02
+    for seed in cfg.seeds:
+        van, prop, fwd = (cell.curve for cell in report.cells
+                          if cell.eta == 0.0 and cell.seed == seed)
+        assert van and van == prop == fwd
+
+
+@pytest.mark.parametrize("true_matrices", [False, True], ids=["estimated", "true"])
+def test_run_experiment_goes_on_past_a_diverged_baseline(monkeypatch, true_matrices):
+    def diverge(*args, **kwargs):
+        raise TrainingDiverged("non-finite parameters after epoch 1")
+    monkeypatch.setattr(harness, "train_baseline", diverge)
+    combos = [(s, LossSpec("cce")) for s in ("vanilla", "proposed", "forward")]
+    report = run_experiment(tiny_config(seeds=[0], combinations=combos,
+                                        estimated_vs_true_matrices=true_matrices))
+    failed = {cell.strategy: cell.failed for cell in report.cells}
+    # without a baseline there is no T-hat, so only the true matrices can correct
+    assert failed == {"baseline": True, "vanilla": False,
+                      "proposed": not true_matrices, "forward": not true_matrices}
+    assert report.baselines == {}
+    assert bool(report.estimates) is bool(report.errors) is true_matrices
 
 
 def test_cell_best_epoch_is_the_first_of_tied_maxima():
@@ -354,6 +374,8 @@ def test_load_config_rejects_source_weight(tmp_path):
      r"^\[run\] combos: vanilla:cce given twice"),
     ("[sources]\nclean_count = 0\n", r"^\[sources\] clean_count must be >= 1, got 0"),
     ("[sources]\nclean_count = -5\n", r"^\[sources\] clean_count must be >= 1, got -5"),
+    ("[run]\nseeds = 0 -1\n", r"^\[run\] seeds must be >= 0, got -1"),
+    ("[run]\nbaseline_epoch_cap = -3\n", r"^\[run\] baseline_epoch_cap must be >= 0"),
 ], ids=["key", "section", "default_section", "template_kind", "combos_strategy",
         "combos_no_family", "combos_family", "dead_seed", "dead_strategy", "int_value",
         "bool_value", "float_list_value", "weak_multiplier", "negative_hidden", "eta_range",
@@ -361,7 +383,8 @@ def test_load_config_rejects_source_weight(tmp_path):
         "negative_learning_rate", "nan_learning_rate", "momentum_of_1", "nan_weight_decay",
         "nan_eta", "empty_etas", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
         "removed_scale", "nan_spread", "dim_of_1", "repeated_seed", "repeated_eta",
-        "etas_printed_alike", "repeated_combo", "zero_clean_count", "negative_clean_count"])
+        "etas_printed_alike", "repeated_combo", "zero_clean_count", "negative_clean_count",
+        "negative_seed", "negative_baseline_epoch_cap"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)
@@ -376,4 +399,4 @@ def test_readme_config_table_lists_the_allowed_keys():
         m = re.match(r"\| `\[(\w+)\]` \| (.*) \|$", line)
         if m:
             table[m.group(1)] = tuple(re.findall(r"`(\w+)`", m.group(2)))
-    assert table == CONFIG_KEYS
+    assert table == {section: tuple(keys) for section, keys in CONFIG_SCHEMA.items()}

@@ -21,8 +21,6 @@ DEFAULT_SMOOTHING = 0.5
 def train_baseline(clean: Dataset, config: TrainConfig, epoch_callback=None) -> ModelParameters:
     """Train the baseline classifier on clean-source data (vanilla only:
     given no transition matrices, train rejects any other strategy)."""
-    if len(clean) == 0:
-        raise ValueError("clean dataset is empty")
     source_ids = np.zeros(len(clean), dtype=np.int64)
     return train(clean.features, clean.labels, source_ids, clean.c, config,
                  epoch_callback=epoch_callback)
@@ -34,14 +32,21 @@ def confusion_counts(baseline: ModelParameters, blocks: list, c: int) -> np.ndar
     plays the role of the true label. Counted block by block, so the rows
     are never joined into one copy.
 
-    Raises ValueError when no block has rows, and on a length mismatch or a
-    label outside [0, c), naming the source and the row within its block.
+    Raises ValueError when the baseline predicts other than c classes, when
+    no block has rows, when a block's feature width is not the baseline's,
+    and on a length mismatch or a label outside [0, c), naming the source
+    and the row within its block.
     """
+    if baseline.c != c:
+        raise ValueError(f"baseline predicts {baseline.c} classes, expected c = {c}")
     if not any(len(blk) for blk in blocks):
         raise ValueError("source data is empty")
     counts = np.zeros(c * c, dtype=np.int64)
     for blk in blocks:
         where = f"source {blk.source_id}"
+        if blk.features.shape[1] != baseline.d:
+            raise ValueError(f"{where}: {blk.features.shape[1]} features per row, but the "
+                             f"baseline takes {baseline.d}")
         if len(blk.labels) != len(blk):
             raise ValueError(f"{where}, row {min(len(blk.labels), len(blk))}: {len(blk)} "
                              f"feature rows but {len(blk.labels)} labels")

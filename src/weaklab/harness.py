@@ -51,10 +51,11 @@ class ExperimentConfig:
     weak_sources: list = field(default_factory=lambda: [
         WeakSource(TemplateKind.MIXED_CLASS_DEPENDENT, 9.0)])
     etas: list[float] = field(default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5])
-    combinations: list = field(default_factory=lambda: [
-        ("vanilla", LossSpec("cce")), ("proposed", LossSpec("cce"))])
+    # (strategy, loss family) names; every model takes the train.loss hyperparameters
+    combinations: list[tuple[str, str]] = field(default_factory=lambda: [
+        ("vanilla", "cce"), ("proposed", "cce")])
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
-    train: TrainConfig = field(default_factory=TrainConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)  # seed and strategy set per model
     baseline_epoch_cap: int = 0          # cap baseline epochs when > 0
     use_clean_in_training: bool = True   # False: drop the clean source from training
     estimated_vs_true_matrices: bool = False  # True: correction uses the true matrices
@@ -77,9 +78,20 @@ class ExperimentConfig:
             raise ValueError("[sources] etas: need at least one eta")
         if not self.combinations:
             raise ValueError("[run] combos: need at least one (strategy, loss) combination")
+        for strategy, family in self.combinations:
+            try:
+                choice("strategy", STRATEGIES)(strategy)
+                choice("loss family", FAMILIES)(family)
+            except ValueError as err:
+                raise ValueError(f"[run] combos token '{strategy}:{family}': {err}") from None
+        # the sweep sets each model's seed and strategy, so a value here would be lost
+        for name, key in (("seed", "[run] seeds"), ("strategy", "[run] combos")):
+            value = getattr(self.train, name)
+            if value != getattr(TrainConfig, name):
+                raise ValueError(f"[train] {name} is set per model from {key}, got {value!r}")
         # a repeated value would train the same models twice; etas compare as printed
         axes = {"[run] seeds": self.seeds, "[sources] etas": [f"{eta:g}" for eta in self.etas],
-                "[run] combos": [f"{s}:{spec.family}" for s, spec in self.combinations]}
+                "[run] combos": [f"{s}:{f}" for s, f in self.combinations]}
         for key, names in axes.items():
             twice = [name for i, name in enumerate(names) if name in names[:i]]
             if twice:
@@ -264,7 +276,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             kept = [b for b in ms.sources if config.use_clean_in_training or b.source_id != 0]
             feats, labels, src = replace(ms, sources=kept).stacked()
 
-            for strategy, lspec in config.combinations:
+            for strategy, family in config.combinations:
                 curve = []  # a failed Cell: training diverged, or no T-hat to correct with
                 if strategy == "vanilla" or estimated:
                     if strategy == "proposed":
@@ -273,13 +285,14 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                         matrices = {int(s): estimated["single"] for s in np.unique(src)}
                     else:
                         matrices = None
-                    tconf = replace(config.train, strategy=strategy, loss=lspec, seed=seed)
+                    tconf = replace(config.train, strategy=strategy, seed=seed,
+                                    loss=replace(config.train.loss, family=family))
                     try:
                         _, curve = _train_tracked(
                             test, train, feats, labels, src, c, tconf, matrices=matrices)
                     except TrainingDiverged:
                         pass
-                cells.append(Cell(strategy, lspec.family, eta, seed, curve))
+                cells.append(Cell(strategy, family, eta, seed, curve))
 
     def row(strategy, family, eta, layout, dominance_ok):
         return ReportRow(strategy, family, eta, layout, [
@@ -288,9 +301,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             dominance_ok)
 
     rows = [row("baseline", config.train.loss.family, None, "clean_only", None)] + [
-        row(strategy, lspec.family, eta, config.source_layout(),
+        row(strategy, family, eta, config.source_layout(),
             all(satisfies_diagonal_dominance(s.matrix) for s in specs[eta][1:]))
-        for eta in config.etas for strategy, lspec in config.combinations]
+        for eta in config.etas for strategy, family in config.combinations]
     return RunReport(rows, cells, errors, estimates, baselines)
 
 
@@ -436,9 +449,8 @@ CONFIG_SCHEMA = {
     "train": _fields(TrainConfig, "epochs", "batch_size", "learning_rate", "momentum",
                      "weight_decay", "hidden"),
     "run": _fields(ExperimentConfig, "seeds", "use_clean_in_training", "baseline_epoch_cap",
-                   "estimated_vs_true_matrices", "smoothing", combos=tokens(
-                       {"strategy": choice("strategy", STRATEGIES),
-                        "family": choice("loss family", FAMILIES)})),
+                   "estimated_vs_true_matrices", "smoothing",
+                   combos=tokens({"strategy": str, "family": str})),
 }
 
 
@@ -479,9 +491,9 @@ def _construct(section: str, cls, **kwargs):
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config from a plain-text section/key-value file.
 
-    The sections and keys are those of CONFIG_SCHEMA, all optional
-    (defaults as in ExperimentConfig, whose default combinations take the
-    [loss] hyperparameters). Unknown names and bad values raise ValueError.
+    The sections and keys are those of CONFIG_SCHEMA, all optional, with
+    the defaults of ExperimentConfig; [run] combos sets its combinations.
+    Unknown names and bad values raise ValueError.
     """
     values = {section: {} for section in CONFIG_SCHEMA} | read_ini(path, CONFIG_SCHEMA)
     loss = _construct("loss", LossSpec, **{"family": "cce", **values["loss"]})
@@ -489,6 +501,6 @@ def load_config(path) -> ExperimentConfig:
     sources, run = values["sources"], values["run"]
     if "weak" in sources:
         sources["weak_sources"] = [WeakSource(*token) for token in sources.pop("weak")]
-    combos = run.pop("combos", [(s, spec.family) for s, spec in ExperimentConfig().combinations])
-    return ExperimentConfig(**values["dataset"], **sources, **run, train=train,
-                            combinations=[(s, replace(loss, family=f)) for s, f in combos])
+    if "combos" in run:
+        run["combinations"] = run.pop("combos")
+    return ExperimentConfig(**values["dataset"], **sources, **run, train=train)

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .labelspace import check_labels
 from .losses import PROB_FLOOR, LossSpec, loss_derivative
 
 STRATEGIES = ("vanilla", "forward", "proposed")
@@ -331,10 +332,20 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
     with identity columns. epoch_callback is invoked as
     callback(epoch, params) after each epoch (epochs count from 1).
     Bit-deterministic given (config, inputs).
+
+    Raises ValueError when there are no rows, when labels or source_ids
+    do not have one entry per feature row, or on a label outside [0, c).
+    Overflow in an epoch's steps is not warned about: it leaves the
+    parameters non-finite, which raises TrainingDiverged.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     n, d = features.shape
+    if n == 0:
+        raise ValueError("training data is empty")
+    for what, values in (("labels", labels), ("source ids", source_ids)):
+        if len(values) != n:
+            raise ValueError(f"{n} feature rows but {len(values)} {what}")
+    labels = check_labels(labels, c, "labels")
     if config.strategy != "vanilla" and matrices is None:
         raise ValueError(f"strategy {config.strategy!r} needs per-source transition matrices")
     cols = transition_columns(labels, source_ids, c,
@@ -363,13 +374,15 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
         # mode="raise" would copy through a temporary buffer
         np.take(features, order, axis=0, out=xs, mode="clip")
         np.take(cols, order, axis=0, out=cs, mode="clip")
-        for xb, cb, buf, scale in batches:
-            np.multiply(velocity, config.momentum, out=look.flat)
-            look.flat += params.flat
-            scores, cache = forward_batch(look, xb, buf)
-            omega = batch_weighting(_softmax_rows(scores, buf.col), cb, config.loss, scale, buf)
-            backward_batch(look, cache, omega, grads, buf)
-            step(params, grads, velocity, scratch, config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for xb, cb, buf, scale in batches:
+                np.multiply(velocity, config.momentum, out=look.flat)
+                look.flat += params.flat
+                scores, cache = forward_batch(look, xb, buf)
+                u = _softmax_rows(scores, buf.col)
+                omega = batch_weighting(u, cb, config.loss, scale, buf)
+                backward_batch(look, cache, omega, grads, buf)
+                step(params, grads, velocity, scratch, config)
         if not params.all_finite():
             raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
         if epoch_callback is not None:

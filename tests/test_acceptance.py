@@ -295,7 +295,7 @@ def test_criterion_9_error_rate_trend(sweep):
 @pytest.fixture(scope="session")
 def ablation():
     """Proposed-GCE at eta 0.3 with and without the clean source in training."""
-    base = dict(etas=[0.3], combinations=[("proposed", LossSpec("gce", q=0.7))])
+    base = dict(etas=[0.3], combinations=[("proposed", "gce")])
     with_clean = run_experiment(ExperimentConfig(**base))
     without_clean = run_experiment(ExperimentConfig(**base, use_clean_in_training=False))
     return with_clean, without_clean
@@ -322,7 +322,7 @@ def test_criterion_11_byte_identical_reports(tmp_path):
     config = ExperimentConfig(
         n_per_class=150, clean_count=100,
         weak_sources=[WeakSource(MIXED, 9.0)], etas=[0.2, 0.5], seeds=[0],
-        combinations=[("vanilla", LossSpec("cce")), ("proposed", LossSpec("cce"))],
+        combinations=[("vanilla", "cce"), ("proposed", "cce")],
         train=TrainConfig(epochs=8))
     names = ("report.csv", "curves.csv", "estimates.csv")
     files = []

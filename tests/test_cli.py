@@ -164,7 +164,6 @@ def test_run_command_writes_report(tmp_path, capsys):
     assert "proposed,cce,0.2" in text
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_records_a_diverged_baseline_and_goes_on(tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(RUN_CONFIG.replace("learning_rate = 0.1", "learning_rate = 1e200")

@@ -74,20 +74,26 @@ def test_confusion_counts_oracle_on_weak_source_matches_template():
     assert np.abs(freq - t.entries).max() <= 0.03
 
 
-@pytest.mark.parametrize("blocks, message", [
-    ([(1, 4, [0, 2, 1, 4])], r"^source 1, row 3: label 4 outside \[0, 3\)"),
-    ([(1, 4, [0, -1, 1, 2])], r"^source 1, row 1: label -1 outside \[0, 3\)"),
-    ([(1, 4, [0, 1, 2])], r"^source 1, row 3: 4 feature rows but 3 labels"),
-    ([(1, 2, [0, 1, 2])], r"^source 1, row 2: 2 feature rows but 3 labels"),
-    ([(1, 0, [])], "^source data is empty"),
-    ([(0, 0, []), (1, 0, [])], "^source data is empty"),
-    ([(0, 2, [0, 1]), (2, 3, [0, 3, 1])], r"^source 2, row 1: label 3 outside \[0, 3\)"),
+@pytest.mark.parametrize("shape, blocks, message", [
+    ((3, 2), [(1, 4, [0, 2, 1, 4])], r"^source 1, row 3: label 4 outside \[0, 3\)"),
+    ((3, 2), [(1, 4, [0, -1, 1, 2])], r"^source 1, row 1: label -1 outside \[0, 3\)"),
+    ((3, 2), [(1, 4, [0, 1, 2])], r"^source 1, row 3: 4 feature rows but 3 labels"),
+    ((3, 2), [(1, 2, [0, 1, 2])], r"^source 1, row 2: 2 feature rows but 3 labels"),
+    ((3, 2), [(1, 0, [])], "^source data is empty"),
+    ((3, 2), [(0, 0, []), (1, 0, [])], "^source data is empty"),
+    ((3, 2), [(0, 2, [0, 1]), (2, 3, [0, 3, 1])], r"^source 2, row 1: label 3 outside \[0, 3\)"),
+    ((2, 2), [(1, 4, [0, 1, 2, 0])], "^baseline predicts 2 classes, expected c = 3"),
+    ((5, 2), [(1, 4, [0, 1, 2, 0])], "^baseline predicts 5 classes, expected c = 3"),
+    ((3, 4), [(0, 2, [0, 1]), (2, 3, [0, 2, 1])],
+     "^source 0: 2 features per row, but the baseline takes 4"),
 ], ids=["label_c_plus_1", "negative_label", "short_labels", "long_labels", "empty",
-        "all_blocks_empty", "row_within_second_block"])
-def test_confusion_counts_rejects_bad_labels(blocks, message):
+        "all_blocks_empty", "row_within_second_block", "baseline_of_fewer_classes",
+        "baseline_of_more_classes", "baseline_of_another_width"])
+def test_confusion_counts_rejects_bad_labels(shape, blocks, message):
     # a zero linear model predicts class 0 for every row; label 4 on such a
     # row would land in cell (1, 1) of the flat c x c count
-    params = ModelParameters([np.zeros((3, 2))], [np.zeros(3)])
+    classes, width = shape
+    params = ModelParameters([np.zeros((classes, width))], [np.zeros(classes)])
     blocks = [SourceBlock(sid, np.zeros((rows, 2)), np.array(labels, dtype=np.int64))
               for sid, rows, labels in blocks]
     with pytest.raises(ValueError, match=message):

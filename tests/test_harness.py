@@ -10,7 +10,6 @@ from weaklab.harness import (CONFIG_SCHEMA, CSV_HEADER, Cell, ExperimentConfig, 
                              RunReport, WeakSource, emit_csv, emit_curves, load_config,
                              overall_accuracy, run_experiment, write_run_dir)
 from weaklab.labelspace import TemplateKind, load_matrix, make_template
-from weaklab.losses import LossSpec
 from weaklab.model import ModelParameters, TrainConfig, TrainingDiverged
 
 
@@ -19,7 +18,7 @@ def tiny_config(**overrides):
         classes=5, dim=4, n_per_class=75, spread=0.25, clean_count=40,
         weak_sources=[WeakSource(TemplateKind.UNIFORM, 3.0)],
         etas=[0.2], seeds=[0, 1],
-        combinations=[("vanilla", LossSpec("cce")), ("proposed", LossSpec("cce"))],
+        combinations=[("vanilla", "cce"), ("proposed", "cce")],
         train=TrainConfig(epochs=4, batch_size=16, hidden=0, learning_rate=0.1),
     )
     defaults.update(overrides)
@@ -42,6 +41,16 @@ def test_config_validation():
         tiny_config(seeds=[])
     with pytest.raises(ValueError):
         tiny_config(combinations=[])
+    # a config built in Python is checked as a file's is, at construction
+    with pytest.raises(ValueError, match=r"^\[run\] combos token 'propsed:cce': unknown "
+                                         r"strategy 'propsed', expected one of vanilla"):
+        tiny_config(combinations=[("vanilla", "cce"), ("propsed", "cce")])
+    # the sweep sets each model's seed and strategy, so neither may be set here
+    with pytest.raises(ValueError, match=r"^\[train\] seed is set per model from \[run\] seeds"):
+        tiny_config(train=TrainConfig(epochs=4, seed=1))
+    with pytest.raises(ValueError,
+                       match=r"^\[train\] strategy is set per model from \[run\] combos"):
+        tiny_config(train=TrainConfig(epochs=4, strategy="proposed"))
 
 
 def test_run_experiment_report_shape():
@@ -62,7 +71,7 @@ def test_run_experiment_report_shape():
 def test_run_experiment_identity_weak_source_reduction():
     # with a perfectly clean weak source and the true (identity) matrices,
     # both corrected objectives coincide with the vanilla one, epoch by epoch
-    combos = [(s, LossSpec("cce")) for s in ("vanilla", "proposed", "forward")]
+    combos = [(s, "cce") for s in ("vanilla", "proposed", "forward")]
     cfg = tiny_config(etas=[0.0], estimated_vs_true_matrices=True, seeds=[0, 1],
                       combinations=combos)
     report = run_experiment(cfg)
@@ -77,7 +86,7 @@ def test_run_experiment_goes_on_past_a_diverged_baseline(monkeypatch, true_matri
     def diverge(*args, **kwargs):
         raise TrainingDiverged("non-finite parameters after epoch 1")
     monkeypatch.setattr(harness, "train_baseline", diverge)
-    combos = [(s, LossSpec("cce")) for s in ("vanilla", "proposed", "forward")]
+    combos = [(s, "cce") for s in ("vanilla", "proposed", "forward")]
     report = run_experiment(tiny_config(seeds=[0], combinations=combos,
                                         estimated_vs_true_matrices=true_matrices))
     failed = {cell.strategy: cell.failed for cell in report.cells}
@@ -216,7 +225,6 @@ def _all_rows(path):
     return {(r["strategy"], r["eta"]): r for r in rows if r["seed"] == "all"}, rows
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_combination_recorded_as_failure(tmp_path):
     cfg = tiny_config(seeds=[0],
                       train=TrainConfig(epochs=3, batch_size=16, hidden=0,
@@ -298,10 +306,25 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.train.epochs == 4 and cfg.train.momentum == 0.8 and cfg.train.hidden == 0
     assert cfg.train.loss.family == "gce" and cfg.train.loss.q == 0.5
     assert cfg.train.loss.alpha == 2.0 and cfg.train.loss.A == -2.0
-    assert [(s, l.family) for s, l in cfg.combinations] == [("vanilla", "cce"), ("proposed", "gce")]
-    assert cfg.combinations[1][1].q == 0.5  # hyperparameters shared from [loss]
+    assert cfg.combinations == [("vanilla", "cce"), ("proposed", "gce")]
     assert cfg.baseline_epoch_cap == 2 and cfg.smoothing == 0.25
     assert cfg.use_clean_in_training is True
+
+
+def test_loss_hyperparameters_reach_every_combination(tmp_path):
+    # [loss] q reaches the gce model and leaves the cce models as they were;
+    # the baseline trains with [loss] family cce, so the T-hat is the same
+    curves = []
+    for q in ("0.5", "0.9"):
+        path = tmp_path / f"q{q}.ini"
+        path.write_text(CONFIG_TEXT.replace("family = gce", "family = cce")
+                        .replace("q = 0.5", f"q = {q}").replace("seeds = 0 1", "seeds = 0")
+                        .replace("etas = 0.1 0.3", "etas = 0.3"))
+        report = run_experiment(load_config(path))
+        curves.append({(cell.strategy, cell.loss_family): cell.curve for cell in report.cells})
+    assert curves[0][("baseline", "cce")] == curves[1][("baseline", "cce")]
+    assert curves[0][("vanilla", "cce")] == curves[1][("vanilla", "cce")]
+    assert curves[0][("proposed", "gce")] != curves[1][("proposed", "gce")]
 
 
 def test_load_config_defaults(tmp_path):
@@ -310,7 +333,7 @@ def test_load_config_defaults(tmp_path):
     cfg = load_config(path)
     assert cfg.spread == 0.30
     assert cfg.train.epochs == 60
-    assert cfg.combinations == [("vanilla", cfg.train.loss), ("proposed", cfg.train.loss)]
+    assert cfg.combinations == [("vanilla", "cce"), ("proposed", "cce")]
     assert cfg.combinations == ExperimentConfig().combinations
 
 

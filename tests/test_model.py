@@ -308,6 +308,24 @@ def test_step_allocates_nothing(rng):
     assert peak < params.flat.nbytes
 
 
+@pytest.mark.parametrize("rows, labels, sources, message", [
+    (0, [], [], "^training data is empty"),
+    (4, [0, 1, 2], [0, 0, 0, 0], "^4 feature rows but 3 labels"),
+    (4, [0, 1, 2, 0, 1], [0, 0, 0, 0], "^4 feature rows but 5 labels"),
+    (4, [0, -1, 2, 0], [0, 0, 0, 0], r"^labels, row 1: label -1 outside \[0, 3\)"),
+    (4, [0, 1, 2, 3], [0, 0, 0, 0], r"^labels, row 3: label 3 outside \[0, 3\)"),
+    (4, [0, 1, 2, 0], [0, 1, 1], "^4 feature rows but 3 source ids"),
+], ids=["no_rows", "short_labels", "long_labels", "negative_label", "label_c",
+        "short_source_ids"])
+@pytest.mark.parametrize("strategy", ["vanilla", "proposed"])
+def test_train_rejects_input_it_would_mis_train_on(rows, labels, sources, message, strategy):
+    mats = {0: np.eye(3), 1: np.full((3, 3), 1 / 3)}
+    with pytest.raises(ValueError, match=message):
+        train(np.zeros((rows, 2)), np.array(labels, dtype=np.int64),
+              np.array(sources, dtype=np.int64), 3,
+              TrainConfig(epochs=1, strategy=strategy), matrices=mats)
+
+
 def test_train_names_a_source_without_a_transition_matrix(rng):
     feats, labels = _toy_training_data(rng)
     src = rng.integers(3, size=len(labels))
@@ -425,7 +443,6 @@ def test_train_proposed_strategy_needs_matrices(rng):
         train(feats, labels, np.zeros(len(labels), dtype=np.int64), 3, cfg)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_diverges_raises(rng):
     feats, labels = _toy_training_data(rng)
     cfg = TrainConfig(epochs=5, hidden=0, learning_rate=1e9, weight_decay=1e9)

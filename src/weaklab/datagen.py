@@ -105,6 +105,12 @@ def generate_blobs(c: int, d: int, n_per_class: int, spread: float,
     return Dataset(features, labels, c, means=means)
 
 
+def training_pool_size(m: int) -> int:
+    """Rows of an m-row dataset that build_multisource leaves for the
+    sources: all but the floor(0.2 m) test rows."""
+    return m - int(np.floor(0.2 * m))
+
+
 def build_multisource(dataset: Dataset, specs: list, seed: int):
     """Split a clean dataset and corrupt it into per-source weak-label blocks.
 
@@ -118,8 +124,8 @@ def build_multisource(dataset: Dataset, specs: list, seed: int):
     if not specs or specs[0].id != 0:
         raise ValueError("specs[0] must be the clean source (id 0)")
     m = len(dataset)
-    m_test = int(np.floor(0.2 * m))
-    m_train = m - m_test
+    m_train = training_pool_size(m)
+    m_test = m - m_train
     total = sum(s.count for s in specs)
     if total > m_train:
         raise ValueError(f"sources request {total} instances but the training pool has {m_train}")

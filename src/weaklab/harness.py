@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, as_clean_dataset, build_multisource, check_blobs, generate_blobs
+from .datagen import (Dataset, as_clean_dataset, build_multisource, check_blobs, generate_blobs,
+                      training_pool_size)
 from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single, train_baseline
 from .labelspace import (SourceSpec, TemplateKind, TransitionMatrix, identity_matrix,
                          make_template, satisfies_diagonal_dominance, save_matrix)
@@ -113,6 +114,15 @@ class ExperimentConfig:
             except ValueError as err:
                 raise ValueError(f"[sources] weak, etas: weak kind {kind.value} at eta {eta:g} "
                                  f"with {self.classes} classes: {err}") from None
+        # build_multisource would refuse the sources only after the baseline trained
+        rows = self.classes * self.n_per_class
+        pool = training_pool_size(rows)
+        wanted = self.clean_count + sum(w.count(self.clean_count) for w in self.weak_sources)
+        if wanted > pool:
+            raise ValueError(f"[sources] clean_count and weak request {wanted} instances, but "
+                             f"the training pool has {pool}: [dataset] classes {self.classes} "
+                             f"x n_per_class {self.n_per_class} = {rows} rows, less "
+                             f"{rows - pool} test rows")
 
     def source_layout(self) -> str:
         return "+".join(f"{w.kind.value}:x{w.multiplier:g}" for w in self.weak_sources)

@@ -12,8 +12,8 @@ correction.weight_proposed, the chain-rule form over softmax_grad, is
 its independent per-sample reference.
 
 A minibatch step is a few dozen numpy calls on matrices of about 32 x 16,
-so its cost is call overhead, not arithmetic, and the step allocates
-nothing. train allocates one workspace per call: the epoch's permuted
+so its cost is call overhead, not arithmetic, and the step allocates no
+array of its own. train allocates one workspace per call: the epoch's permuted
 features and columns, gathered with np.take(..., out=, mode="clip") (the
 rows are a permutation, so clipping changes no index, and the default
 mode="raise" copies through a temporary), and a BatchBuffers of
@@ -21,16 +21,19 @@ batch-size arrays that the three kernels (forward_batch,
 batch_weighting, backward_batch) write into instead of allocating; the
 short last batch uses leading-row views of it. Every kernel takes its
 buffers as a required argument, so each has one calling convention;
-predict_batch makes one BatchBuffers per call and cuts it to each
-block. Inside the kernels the products are np.dot(..., out=), which
-dispatches faster than np.matmul on these shapes and gives the same
-bits; the bias gradients are matrix-vector products with a ones vector;
-the row maxima and sums call np.maximum.reduce and np.add.reduce
-directly rather than the ndarray methods that wrap them; the
-architecture is read from len(weights) or the activation cache;
-loss_derivative clamps the corrected probability to [PROB_FLOOR, 1] once
-instead of range-checking it, and the 1/m mean-loss scale rides on the
-per-row f'.
+predict_batch makes one ForwardBuffers, the two arrays forward_batch
+writes, per call and cuts it to each block. Inside the kernels every
+product is ndarray.dot(..., out=): the same BLAS call as np.dot, so the
+same bits, without the dispatch np.dot and np.matmul add on these
+shapes. Sums are products with a ones vector too: the bias gradients
+sum over rows with a length-rows one, and the softmax denominator and
+the corrected probability ut sum over classes with a length-c one,
+each written into a 1-D view of its (rows, 1) column buffer. The row
+maxima call np.maximum.reduce directly rather than the ndarray method
+that wraps it; the architecture is read from len(weights) or the
+activation cache; loss_derivative clamps the corrected probability to
+[PROB_FLOOR, 1] once instead of range-checking it, and the 1/m
+mean-loss scale rides on the per-row f'.
 
 Parameters, velocity, lookahead point and gradient are each one flat
 float64 vector with per-layer views (ModelParameters). Optimisation is
@@ -149,48 +152,68 @@ def init_parameters(d: int, c: int, hidden: int, rng: np.random.Generator) -> Mo
     return ModelParameters(weights, biases)
 
 
-class BatchBuffers:
-    """Output arrays of the minibatch kernels for batches of `rows` rows.
-
-    forward_batch writes a and scores; _softmax_rows uses the column
-    col; batch_weighting writes tu, ut, fprime and omega; backward_batch
-    writes dh and mask and sums rows through ones. A kernel's results are
-    views of these arrays, valid until the next call that is given the
-    same buffers.
+class ForwardBuffers:
+    """Output arrays of forward_batch for batches of `rows` rows: the
+    hidden activations a and the scores. Its results are views of these
+    arrays, valid until the next call that is given the same buffers.
     """
 
     def __init__(self, rows: int, c: int, hidden: int):
         self.a = np.empty((rows, hidden))
-        self.mask = np.empty((rows, hidden))
-        self.dh = np.empty((rows, hidden))
         self.scores = np.empty((rows, c))
-        self.tu = np.empty((rows, c))
-        self.omega = np.empty((rows, c))
-        self.col = np.empty((rows, 1))
-        self.ut = np.empty((rows, 1))
-        self.fprime = np.empty((rows, 1))
-        self.ones = np.ones(rows)
 
-    def head(self, rows: int) -> "BatchBuffers":
+    def head(self, rows: int):
         """The same buffers cut to their leading rows, for a short batch."""
-        view = object.__new__(BatchBuffers)
+        view = object.__new__(type(self))
         view.__dict__.update({name: arr[:rows] for name, arr in vars(self).items()})
         return view
 
 
-def forward_batch(params: ModelParameters, x: np.ndarray, buf: BatchBuffers):
+class BatchBuffers(ForwardBuffers):
+    """Output arrays of the minibatch kernels for batches of `rows` rows.
+
+    Beyond the ForwardBuffers: _softmax_rows uses the column col;
+    batch_weighting writes tu, ut, fprime and omega; backward_batch writes
+    dh and mask. The class sums write into col_vec and ut_vec, 1-D views
+    of col and ut, through class_ones (length c); backward_batch sums
+    rows through row_ones.
+    """
+
+    def __init__(self, rows: int, c: int, hidden: int):
+        super().__init__(rows, c, hidden)
+        self.mask = np.empty((rows, hidden))
+        self.dh = np.empty((rows, hidden))
+        self.tu = np.empty((rows, c))
+        self.omega = np.empty((rows, c))
+        self.col = np.empty((rows, 1))
+        self.ut = np.empty((rows, 1))
+        self.col_vec = self.col[:, 0]
+        self.ut_vec = self.ut[:, 0]
+        self.fprime = np.empty((rows, 1))
+        self.row_ones = np.ones(rows)
+        self.class_ones = np.ones(c)
+
+    def head(self, rows: int) -> "BatchBuffers":
+        """The per-row buffers cut to their leading rows, for a short batch;
+        class_ones, one entry per class, stays whole."""
+        view = super().head(rows)
+        view.class_ones = self.class_ones
+        return view
+
+
+def forward_batch(params: ModelParameters, x: np.ndarray, buf: ForwardBuffers):
     """Scores for a batch (n, d); also returns the activation cache.
     buf holds n rows and receives the activations and scores."""
     x = np.asarray(x, dtype=np.float64)
     weights, biases = params.weights, params.biases
     if len(weights) == 1:
-        scores = np.dot(x, weights[0].T, out=buf.scores)
+        scores = x.dot(weights[0].T, out=buf.scores)
         scores += biases[0]
         return scores, (x,)
-    a = np.dot(x, weights[0].T, out=buf.a)
+    a = x.dot(weights[0].T, out=buf.a)
     a += biases[0]
     np.maximum(a, 0.0, out=a)
-    scores = np.dot(a, weights[1].T, out=buf.scores)
+    scores = a.dot(weights[1].T, out=buf.scores)
     scores += biases[1]
     return scores, (x, a)
 
@@ -204,18 +227,18 @@ def backward_batch(params: ModelParameters, cache, delta: np.ndarray,
     and the ReLU mask."""
     if len(cache) == 1:
         (x,) = cache
-        np.dot(delta.T, x, out=out.weights[0])
-        np.dot(buf.ones, delta, out=out.biases[0])
+        delta.T.dot(x, out=out.weights[0])
+        buf.row_ones.dot(delta, out=out.biases[0])
         return out
     x, a = cache
-    d_hidden = np.dot(delta, params.weights[1], out=buf.dh)
+    d_hidden = delta.dot(params.weights[1], out=buf.dh)
     # a = max(z, 0) >= 0, so sign(a) is the 0/1 derivative of the ReLU at
     # the pre-activation z
     d_hidden *= np.sign(a, out=buf.mask)
-    np.dot(d_hidden.T, x, out=out.weights[0])
-    np.dot(buf.ones, d_hidden, out=out.biases[0])
-    np.dot(delta.T, a, out=out.weights[1])
-    np.dot(buf.ones, delta, out=out.biases[1])
+    d_hidden.T.dot(x, out=out.weights[0])
+    buf.row_ones.dot(d_hidden, out=out.biases[0])
+    delta.T.dot(a, out=out.weights[1])
+    buf.row_ones.dot(delta, out=out.biases[1])
     return out
 
 
@@ -248,13 +271,13 @@ def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     rows, sized within one row of each other, so memory stays bounded on
     large inputs. Even sizes leave no small tail block, for which BLAS may
     take a kernel that rounds differently from the whole-input product.
-    One BatchBuffers of the largest block's rows serves every block.
+    One ForwardBuffers of the largest block's rows serves every block.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     blocks = max(1, -(-n // PREDICT_BLOCK_ROWS))  # an empty input makes one pass
     bounds = [i * n // blocks for i in range(blocks + 1)]
-    buf = BatchBuffers(-(-n // blocks), params.c, params.hidden)
+    buf = ForwardBuffers(-(-n // blocks), params.c, params.hidden)
     out = np.empty(n, dtype=np.int64)
     for start, stop in zip(bounds, bounds[1:]):
         scores, _ = forward_batch(params, x[start:stop], buf.head(stop - start))
@@ -262,13 +285,15 @@ def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_rows(scores: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place in scores; col, an (n, 1)
-    array, receives the row maxima and then the row sums."""
-    col = np.maximum.reduce(scores, axis=1, keepdims=True, out=col)
+def _softmax_rows(scores: np.ndarray, buf: BatchBuffers) -> np.ndarray:
+    """Row-wise softmax, computed in place in scores; buf holds
+    len(scores) rows, and its column col receives the row maxima and then
+    the row sums."""
+    col = np.maximum.reduce(scores, axis=1, keepdims=True, out=buf.col)
     scores -= col
     np.exp(scores, out=scores)
-    scores /= np.add.reduce(scores, axis=1, keepdims=True, out=col)
+    scores.dot(buf.class_ones, out=buf.col_vec)
+    scores /= col
     return scores
 
 
@@ -313,7 +338,8 @@ def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale: floa
     n rows, must not hold u or cols, and receives omega.
     """
     tu = np.multiply(cols, u, out=buf.tu)
-    ut = np.add.reduce(tu, axis=1, keepdims=True, out=buf.ut)
+    tu.dot(buf.class_ones, out=buf.ut_vec)
+    ut = buf.ut
     fprime = loss_derivative(spec, ut, floor=PROB_FLOOR, out=buf.fprime)
     fprime *= scale
     omega = np.multiply(ut, u, out=buf.omega)
@@ -379,7 +405,7 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
                 np.multiply(velocity, config.momentum, out=look.flat)
                 look.flat += params.flat
                 scores, cache = forward_batch(look, xb, buf)
-                u = _softmax_rows(scores, buf.col)
+                u = _softmax_rows(scores, buf)
                 omega = batch_weighting(u, cb, config.loss, scale, buf)
                 backward_batch(look, cache, omega, grads, buf)
                 step(params, grads, velocity, scratch, config)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weaklab import correction
+from weaklab import correction, estimation, harness
 from weaklab.cli import _parse_corrupt_spec, main
 from weaklab.datagen import build_multisource, generate_blobs, load_dataset, save_dataset
 from weaklab.labelspace import SourceSpec, TemplateKind, identity_matrix, make_template, parse_matrix
@@ -70,6 +70,24 @@ def test_run_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     assert captured.err.startswith("weaklab run: ") and message in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_run_rejects_sources_beyond_the_training_pool_before_training(tmp_path, capsys,
+                                                                     monkeypatch):
+    # 5 x 75 rows leave a training pool of 300; 40 clean + 9 x 40 weak is 400
+    trained = []
+    for module in (harness, estimation):
+        monkeypatch.setattr(module, "train", lambda *args, **kwargs: trained.append(args))
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(RUN_CONFIG.replace("weak = uniform:3", "weak = uniform:9"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("weaklab run: [sources] clean_count and weak "
+                                   "request 400 instances, but the training pool has 300")
+    assert "[dataset] classes 5 x n_per_class 75" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists() and trained == []
 
 
 def test_validate_gradients_passes(capsys):

@@ -51,6 +51,12 @@ def test_config_validation():
     with pytest.raises(ValueError,
                        match=r"^\[train\] strategy is set per model from \[run\] combos"):
         tiny_config(train=TrainConfig(epochs=4, strategy="proposed"))
+    # 5 x 75 rows leave a pool of 300: 40 clean + 3 x 40 weak fit, 40 + 7 x 40 do not
+    tiny_config(weak_sources=[WeakSource(TemplateKind.UNIFORM, 6.5)])
+    with pytest.raises(ValueError, match=r"^\[sources\] clean_count and weak request 320 "
+                                         r"instances, but the training pool has 300: \[dataset\] "
+                                         r"classes 5 x n_per_class 75 = 375 rows, less 75 test"):
+        tiny_config(weak_sources=[WeakSource(TemplateKind.UNIFORM, 7.0)])
 
 
 def test_run_experiment_report_shape():

@@ -176,7 +176,7 @@ def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
     buf = BatchBuffers(m, c, hidden)
     for spec in SPECS:
         scores, cache = forward_batch(look, x, buf)
-        omega = batch_weighting(_softmax_rows(scores, buf.col), cols, spec, 1.0 / m, buf)
+        omega = batch_weighting(_softmax_rows(scores, buf), cols, spec, 1.0 / m, buf)
         batched = backward_batch(look, cache, omega, look.zeros_like(), buf).flat
         oracle = np.mean([one_row_gradient(look, x[i], weight_proposed(
             spec, mats[src[i]], labels[i], softmax(scores_of(look, x[i]))))
@@ -200,7 +200,7 @@ def test_vanilla_is_proposed_with_identity_matrices(rng, hidden):
 def buffered_step(params, x, cols, spec, buf):
     """One minibatch through the kernels, writing into buf: (omega, gradient)."""
     scores, cache = forward_batch(params, x, buf)
-    omega = batch_weighting(_softmax_rows(scores, buf.col), cols, spec, 1.0 / len(x), buf)
+    omega = batch_weighting(_softmax_rows(scores, buf), cols, spec, 1.0 / len(x), buf)
     return omega, backward_batch(params, cache, omega, params.zeros_like(), buf)
 
 
@@ -211,14 +211,16 @@ def fresh_step(params, x, cols, spec):
 
 @pytest.mark.parametrize("hidden", [0, 32])
 def test_reused_buffers_equal_fresh_buffers(rng, hidden):
-    # consecutive batches through one set of buffers, one of them a short
-    # batch in their leading rows, bit-equal to calls given fresh buffers: a
+    # consecutive batches through one set of buffers, two of them short
+    # batches in their leading rows, bit-equal to calls given fresh buffers: a
     # kernel reading a value left over from the previous batch would show
-    # here (a buffer shared within one call shows in the plain-formula test)
+    # here (a buffer shared within one call shows in the plain-formula test);
+    # the batch of fewer rows than classes shows a head that cuts the
+    # length-c ones vector
     d, c, bs = 16, 10, 32
     buf = BatchBuffers(bs, c, hidden)
     for m, spec in [(bs, LossSpec("gce", q=0.7)), (bs, LossSpec("sl")), (11, LossSpec("cce")),
-                    (bs, LossSpec("mae"))]:
+                    (3, LossSpec("gce", q=0.7)), (bs, LossSpec("mae"))]:
         params = make_params(rng, d, c, hidden)
         x = rng.standard_normal((m, d))
         cols = random_row_stochastic(rng, c)[:, rng.integers(c, size=m)].T.copy()
@@ -241,10 +243,12 @@ def plain_loss_derivative(spec, u):
 
 def plain_train(features, labels, source_ids, c, config, matrices):
     """train written from its formulas alone, calling none of model's
-    kernels: @ products, the .max() and .sum() methods, fancy-index gathers
-    and the allocating update v = mu*v - lr*(g + wd*theta), in the
-    operation order the kernels use (bias sums as ones @ delta, the 1/m
-    scale on f', the ReLU derivative as a 0/1 factor)."""
+    kernels: @ products, the .max() method, fancy-index gathers and the
+    allocating update v = mu*v - lr*(g + wd*theta), in the operation order
+    the kernels use (every sum a product with a ones vector: bias sums as
+    ones @ delta over rows, the softmax denominator and ut as
+    e @ ones over classes; the 1/m scale on f', the ReLU derivative as a
+    0/1 factor)."""
     cols = np.array([np.asarray(matrices[s], dtype=np.float64)[:, y]
                      for s, y in zip(source_ids, labels)])
     rng = np.random.default_rng(config.seed)
@@ -252,6 +256,7 @@ def plain_train(features, labels, source_ids, c, config, matrices):
     theta, v = params.flat.copy(), np.zeros_like(params.flat)
     look = params.copy()
     n, bs, mu = len(labels), config.batch_size, config.momentum
+    class_ones = np.ones(c)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         xs, cs = features[order], cols[order]
@@ -263,8 +268,8 @@ def plain_train(features, labels, source_ids, c, config, matrices):
             a = x if config.hidden == 0 else np.maximum(x @ w[0].T + b[0], 0.0)
             scores = a @ w[-1].T + b[-1]
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
-            u = e / e.sum(axis=1, keepdims=True)
-            ut = (cb * u).sum(axis=1, keepdims=True)
+            u = e / (e @ class_ones)[:, None]
+            ut = ((cb * u) @ class_ones)[:, None]
             fprime = plain_loss_derivative(config.loss, np.minimum(np.maximum(ut, PROB_FLOOR), 1.0))
             omega = (cb * u - ut * u) * (fprime * (1.0 / m))
             ones = np.ones(m)
@@ -283,17 +288,22 @@ def plain_train(features, labels, source_ids, c, config, matrices):
 def test_train_equals_the_plain_formulas(rng, hidden, spec):
     # pins every output bit of train to the formulas: a kernel rewrite
     # (other products, reductions, gathers or update order) that moves a
-    # bit fails here, which a reference built on the kernels cannot show
+    # bit fails here, which a reference built on the kernels cannot show.
+    # Sums over 3 classes round alike in any order that adds left to
+    # right, so 10 classes pin the class sums too
     feats, labels = _toy_training_data(rng, n=301)
-    src = rng.integers(3, size=301)
-    mats = {s: random_row_stochastic(rng, 3) for s in range(3)}
     cfg = TrainConfig(epochs=2, hidden=hidden, seed=6, strategy="proposed", loss=spec)
     assert len(labels) % cfg.batch_size != 0
-    trained = train(feats, labels, src, 3, cfg, matrices=mats)
-    assert np.array_equal(trained.flat, plain_train(feats, labels, src, 3, cfg, mats))
+    for c, x, y in [(3, feats, labels),
+                    (10, rng.standard_normal((301, 4)), rng.integers(10, size=301))]:
+        src = rng.integers(3, size=301)
+        mats = {s: random_row_stochastic(rng, c) for s in range(3)}
+        trained = train(x, y, src, c, cfg, matrices=mats)
+        assert np.array_equal(trained.flat, plain_train(x, y, src, c, cfg, mats)), c
 
 
 def test_step_allocates_nothing(rng):
+    # step alone allocates nothing of the parameter size
     params = make_params(rng, 16, 10, 32)
     config = TrainConfig(learning_rate=0.05, momentum=0.9, weight_decay=1e-6)
     velocity, scratch = optimizer_vectors(params)
@@ -306,6 +316,32 @@ def test_step_allocates_nothing(rng):
     finally:
         tracemalloc.stop()
     assert peak < params.flat.nbytes
+    # nor does a whole minibatch as train runs it, for every loss family,
+    # into the buffers train allocates before its loop. A broadcasting ufunc
+    # (the bias adds, the column shifts) lets numpy allocate an iterator
+    # buffer of up to 8192 elements (64 KB) per call, so the batch is large
+    # enough that one (rows, 1) column outweighs it: a kernel temporary of
+    # that size or larger shows
+    d, c, bs = 16, 10, 16384
+    x = rng.standard_normal((bs, d))
+    cols = random_row_stochastic(rng, c)[:, rng.integers(c, size=bs)].T.copy()
+    for hidden in (0, 32):
+        params = make_params(rng, d, c, hidden)
+        velocity, scratch = optimizer_vectors(params)
+        grads = params.zeros_like()
+        buf = BatchBuffers(bs, c, hidden)
+        tracemalloc.start()
+        try:
+            for spec in SPECS:
+                scores, cache = forward_batch(params, x, buf)
+                u = _softmax_rows(scores, buf)
+                omega = batch_weighting(u, cols, spec, 1.0 / bs, buf)
+                backward_batch(params, cache, omega, grads, buf)
+                step(params, grads, velocity, scratch, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buf.col.nbytes, hidden
 
 
 @pytest.mark.parametrize("rows, labels, sources, message", [
@@ -403,6 +439,22 @@ def test_predict_batch_memory_is_bounded(rng):
     assert peak < 8e6
     scores, _ = forward_batch(params, x[:1000], fresh_buffers(params, 1000))
     assert np.array_equal(preds[:1000], scores.argmax(axis=1))
+
+
+def test_predict_batch_allocates_only_the_forward_buffers(rng):
+    # one per-epoch evaluation: 1250 test rows through a hidden-32 model;
+    # the (rows, 32) activations, (rows, 10) scores and labels take 0.43 MB
+    params = make_params(rng, 16, 10, 32)
+    x = rng.standard_normal((1250, 16))
+    tracemalloc.start()
+    try:
+        preds = predict_batch(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+    scores, _ = forward_batch(params, x, fresh_buffers(params, len(x)))
+    assert np.array_equal(preds, scores.argmax(axis=1))
 
 
 def _toy_training_data(rng, n=300):

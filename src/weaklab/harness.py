@@ -13,6 +13,7 @@ config, so re-running a config reproduces the report files byte for byte.
 from __future__ import annotations
 
 import configparser
+import io
 import typing
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -99,6 +100,9 @@ class ExperimentConfig:
                 raise ValueError(f"{key}: {twice[0]} given twice")
         if self.clean_count < 1:
             raise ValueError(f"[sources] clean_count must be >= 1, got {self.clean_count}")
+        # with no weak source every combination trains the baseline's model again
+        if not self.weak_sources:
+            raise ValueError("[sources] weak: need at least one weak source")
         for w in self.weak_sources:
             if w.count(self.clean_count) < 1:
                 raise ValueError(f"[sources] weak: weak kind {w.kind.value} with multiplier "
@@ -363,11 +367,22 @@ def emit_estimates(report: RunReport, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def check_out_dir(out_dir) -> None:
+    """Raise ValueError unless out_dir is missing or an empty directory,
+    so that a run directory never mixes with the files of another."""
+    out = Path(out_dir)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ValueError(f"output directory {out} exists and is not empty; a run writes only "
+                         f"into a new or empty directory")
+
+
 def write_run_dir(report: RunReport, out_dir) -> None:
     """Write report.csv, curves.csv, estimates.csv, and under runs/ each
     seed's baseline checkpoint and each (seed, eta) cell's estimated
     matrices: runs/seed<k>/baseline.params and
-    runs/seed<k>/eta<v>/T_hat_source<s>.txt, T_hat_single.txt."""
+    runs/seed<k>/eta<v>/T_hat_source<s>.txt, T_hat_single.txt. out_dir
+    must pass check_out_dir; nothing already there is deleted."""
+    check_out_dir(out_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(report, out / "report.csv")
@@ -464,15 +479,44 @@ CONFIG_SCHEMA = {
 }
 
 
+def _syntax_error(path, lines: list, err: configparser.Error) -> ValueError:
+    """The error configparser raised on reading lines, as a one-line
+    ValueError naming the file and line."""
+    if isinstance(err, configparser.DuplicateOptionError):
+        return ValueError(f"{path}, line {err.lineno}: [{err.section}] {err.option} given twice")
+    if isinstance(err, configparser.DuplicateSectionError):
+        return ValueError(f"{path}, line {err.lineno}: section [{err.section}] given twice")
+    if isinstance(err, configparser.MissingSectionHeaderError):
+        return ValueError(f"{path}, line {err.lineno}: {lines[err.lineno - 1].strip()!r} comes "
+                          f"before any [section] header")
+    lineno = err.errors[0][0]  # a ParsingError, which lists every bad line
+    return ValueError(f"{path}, line {lineno}: {lines[lineno - 1].strip()!r} is not a "
+                      f"[section] header or a key = value line")
+
+
 def read_ini(path, schema: dict) -> dict:
-    """Read a section/key-value file into {section: {key: value}} for the
-    sections it holds, each value read by its parser in the schema
-    (section -> key -> parser). An unknown section or key, or a value its
-    parser rejects, raises ValueError naming the section and key."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    """Read a UTF-8 section/key-value file into {section: {key: value}}
+    for the sections it holds, each value read by its parser in the
+    schema (section -> key -> parser). A byte that is not UTF-8, a line
+    that is not a header or key = value, a key before the first header or
+    a repeated section or key raises ValueError naming the file and line;
+    an unknown section or key, or a value its parser rejects, raises
+    ValueError naming the section and key. Values are taken as written:
+    a % in one is a plain character."""
+    data = Path(path).read_bytes()
+    try:
+        # newline=None reads \r\n and \r line ends as open() does
+        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}, line {lineno}: byte 0x{data[err.start]:02x} is not "
+                         f"UTF-8 text") from None
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     cp.optionxform = str  # keys are case-sensitive, spelled as in the schema
-    with open(path) as fh:
-        cp.read_file(fh)
+    try:
+        cp.read_file(lines, source=str(path))
+    except configparser.Error as err:
+        raise _syntax_error(path, lines, err) from None
     values = {}
     # keys of a [DEFAULT] section show up in every section, so check it first
     for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():

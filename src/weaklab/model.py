@@ -16,13 +16,14 @@ so its cost is call overhead, not arithmetic, and the step allocates no
 array of its own. train allocates one workspace per call: the epoch's permuted
 features and columns, gathered with np.take(..., out=, mode="clip") (the
 rows are a permutation, so clipping changes no index, and the default
-mode="raise" copies through a temporary), and a BatchBuffers of
-batch-size arrays that the three kernels (forward_batch,
-batch_weighting, backward_batch) write into instead of allocating; the
-short last batch uses leading-row views of it. Every kernel takes its
-buffers as a required argument, so each has one calling convention;
+mode="raise" copies through a temporary), and one BatchBuffers per
+batch size (the full one, and the short last batch's) that the three
+kernels (forward_batch, batch_weighting, backward_batch) write into
+instead of allocating. Every kernel takes its buffers as a required
+argument, each array shaped for exactly the batch it is given;
 predict_batch makes one ForwardBuffers, the two arrays forward_batch
-writes, per call and cuts it to each block. Inside the kernels every
+writes, per block. backward_batch reads the hidden activations that
+forward_batch left in buf.a. Inside the kernels every
 product is ndarray.dot(..., out=): the same BLAS call as np.dot, so the
 same bits, without the dispatch np.dot and np.matmul add on these
 shapes. Sums are products with a ones vector too: the bias gradients
@@ -30,8 +31,8 @@ sum over rows with a length-rows one, and the softmax denominator and
 the corrected probability ut sum over classes with a length-c one,
 each written into a 1-D view of its (rows, 1) column buffer. The row
 maxima call np.maximum.reduce directly rather than the ndarray method
-that wraps it; the architecture is read from len(weights) or the
-activation cache; loss_derivative clamps the corrected probability to
+that wraps it; the architecture is read from len(weights);
+loss_derivative clamps the corrected probability to
 [PROB_FLOOR, 1] once instead of range-checking it, and the 1/m
 mean-loss scale rides on the per-row f'.
 
@@ -153,8 +154,8 @@ def init_parameters(d: int, c: int, hidden: int, rng: np.random.Generator) -> Mo
 
 
 class ForwardBuffers:
-    """Output arrays of forward_batch for batches of `rows` rows: the
-    hidden activations a and the scores. Its results are views of these
+    """Output arrays of forward_batch for a batch of exactly `rows` rows:
+    the hidden activations a and the scores. Its results are these
     arrays, valid until the next call that is given the same buffers.
     """
 
@@ -162,21 +163,16 @@ class ForwardBuffers:
         self.a = np.empty((rows, hidden))
         self.scores = np.empty((rows, c))
 
-    def head(self, rows: int):
-        """The same buffers cut to their leading rows, for a short batch."""
-        view = object.__new__(type(self))
-        view.__dict__.update({name: arr[:rows] for name, arr in vars(self).items()})
-        return view
-
 
 class BatchBuffers(ForwardBuffers):
-    """Output arrays of the minibatch kernels for batches of `rows` rows.
+    """Output arrays of the minibatch kernels for a batch of exactly `rows`
+    rows; a batch of another size takes its own BatchBuffers.
 
     Beyond the ForwardBuffers: _softmax_rows uses the column col;
-    batch_weighting writes tu, ut, fprime and omega; backward_batch writes
-    dh and mask. The class sums write into col_vec and ut_vec, 1-D views
-    of col and ut, through class_ones (length c); backward_batch sums
-    rows through row_ones.
+    batch_weighting writes tu, ut, fprime and omega; backward_batch reads
+    a and writes dh and mask. The class sums write into col_vec and
+    ut_vec, 1-D views of col and ut, through class_ones (length c);
+    backward_batch sums rows through row_ones.
     """
 
     def __init__(self, rows: int, c: int, hidden: int):
@@ -193,52 +189,40 @@ class BatchBuffers(ForwardBuffers):
         self.row_ones = np.ones(rows)
         self.class_ones = np.ones(c)
 
-    def head(self, rows: int) -> "BatchBuffers":
-        """The per-row buffers cut to their leading rows, for a short batch;
-        class_ones, one entry per class, stays whole."""
-        view = super().head(rows)
-        view.class_ones = self.class_ones
-        return view
 
-
-def forward_batch(params: ModelParameters, x: np.ndarray, buf: ForwardBuffers):
-    """Scores for a batch (n, d); also returns the activation cache.
-    buf holds n rows and receives the activations and scores."""
-    x = np.asarray(x, dtype=np.float64)
+def forward_batch(params: ModelParameters, x: np.ndarray,
+                  buf: ForwardBuffers) -> np.ndarray:
+    """Scores buf.scores of a float64 batch x (n, d); buf holds n rows and
+    also receives the hidden activations, in buf.a."""
     weights, biases = params.weights, params.biases
-    if len(weights) == 1:
-        scores = x.dot(weights[0].T, out=buf.scores)
-        scores += biases[0]
-        return scores, (x,)
-    a = x.dot(weights[0].T, out=buf.a)
-    a += biases[0]
-    np.maximum(a, 0.0, out=a)
-    scores = a.dot(weights[1].T, out=buf.scores)
-    scores += biases[1]
-    return scores, (x, a)
+    a = x  # the input of the output layer
+    if len(weights) == 2:
+        a = x.dot(weights[0].T, out=buf.a)
+        a += biases[0]
+        np.maximum(a, 0.0, out=a)
+    scores = a.dot(weights[-1].T, out=buf.scores)
+    scores += biases[-1]
+    return scores
 
 
-def backward_batch(params: ModelParameters, cache, delta: np.ndarray,
+def backward_batch(params: ModelParameters, x: np.ndarray, delta: np.ndarray,
                    out: ModelParameters, buf: BatchBuffers) -> ModelParameters:
     """Contract the weighting vectors in the rows of delta against d h /
     d theta and sum over the rows (scale delta by 1/m first for a
     mean-loss gradient); linear in delta. Written into out, which is
-    returned. buf holds len(delta) rows and receives the hidden delta
-    and the ReLU mask."""
-    if len(cache) == 1:
-        (x,) = cache
-        delta.T.dot(x, out=out.weights[0])
-        buf.row_ones.dot(delta, out=out.biases[0])
-        return out
-    x, a = cache
-    d_hidden = delta.dot(params.weights[1], out=buf.dh)
-    # a = max(z, 0) >= 0, so sign(a) is the 0/1 derivative of the ReLU at
-    # the pre-activation z
-    d_hidden *= np.sign(a, out=buf.mask)
-    d_hidden.T.dot(x, out=out.weights[0])
-    buf.row_ones.dot(d_hidden, out=out.biases[0])
-    delta.T.dot(a, out=out.weights[1])
-    buf.row_ones.dot(delta, out=out.biases[1])
+    returned. x and buf are the batch and buffers of the forward_batch
+    call that made delta's scores: the hidden activations are read from
+    buf.a, and buf receives the hidden delta and the ReLU mask."""
+    hidden = len(params.weights) == 2
+    delta.T.dot(buf.a if hidden else x, out=out.weights[-1])
+    buf.row_ones.dot(delta, out=out.biases[-1])
+    if hidden:
+        d_hidden = delta.dot(params.weights[1], out=buf.dh)
+        # a = max(z, 0) >= 0, so sign(a) is the 0/1 derivative of the ReLU
+        # at the pre-activation z
+        d_hidden *= np.sign(buf.a, out=buf.mask)
+        d_hidden.T.dot(x, out=out.weights[0])
+        buf.row_ones.dot(d_hidden, out=out.biases[0])
     return out
 
 
@@ -271,16 +255,16 @@ def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     rows, sized within one row of each other, so memory stays bounded on
     large inputs. Even sizes leave no small tail block, for which BLAS may
     take a kernel that rounds differently from the whole-input product.
-    One ForwardBuffers of the largest block's rows serves every block.
+    Each block takes a ForwardBuffers of its own rows.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     blocks = max(1, -(-n // PREDICT_BLOCK_ROWS))  # an empty input makes one pass
     bounds = [i * n // blocks for i in range(blocks + 1)]
-    buf = ForwardBuffers(-(-n // blocks), params.c, params.hidden)
     out = np.empty(n, dtype=np.int64)
     for start, stop in zip(bounds, bounds[1:]):
-        scores, _ = forward_batch(params, x[start:stop], buf.head(stop - start))
+        buf = ForwardBuffers(stop - start, params.c, params.hidden)
+        scores = forward_batch(params, x[start:stop], buf)
         scores.argmax(axis=1, out=out[start:stop])
     return out
 
@@ -384,15 +368,14 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
     velocity, scratch = np.zeros_like(params.flat), np.empty_like(params.flat)
 
     # the workspace: the epoch's permuted rows, and per minibatch its views
-    # of them, its buffers (leading rows for a short last batch) and 1/m
+    # of them, the buffers of its size (one set per distinct size) and 1/m
     bs = config.batch_size
     xs, cs = np.empty((n, d)), np.empty((n, c))
-    full = BatchBuffers(min(bs, n), c, config.hidden)
-    batches = []
-    for start in range(0, n, bs):
-        m = min(bs, n - start)
-        buf = full if m == bs else full.head(m)
-        batches.append((xs[start:start + m], cs[start:start + m], buf, 1.0 / m))
+    starts = range(0, n, bs)
+    sizes = [min(bs, n - start) for start in starts]
+    buffers = {m: BatchBuffers(m, c, config.hidden) for m in set(sizes)}
+    batches = [(xs[start:start + m], cs[start:start + m], buffers[m], 1.0 / m)
+               for start, m in zip(starts, sizes)]
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -404,10 +387,10 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
             for xb, cb, buf, scale in batches:
                 np.multiply(velocity, config.momentum, out=look.flat)
                 look.flat += params.flat
-                scores, cache = forward_batch(look, xb, buf)
+                scores = forward_batch(look, xb, buf)
                 u = _softmax_rows(scores, buf)
                 omega = batch_weighting(u, cb, config.loss, scale, buf)
-                backward_batch(look, cache, omega, grads, buf)
+                backward_batch(look, xb, omega, grads, buf)
                 step(params, grads, velocity, scratch, config)
         if not params.all_finite():
             raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")

@@ -71,4 +71,4 @@ def per_parameter_fd(params, scalar_fn, step=1e-6):
 
 def scores_of(params, x):
     """Score vector of one sample: forward_batch on a one-row batch."""
-    return forward_batch(params, x[None, :], BatchBuffers(1, params.c, params.hidden))[0][0]
+    return forward_batch(params, x[None, :], BatchBuffers(1, params.c, params.hidden))[0]

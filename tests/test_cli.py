@@ -3,7 +3,8 @@ import pytest
 
 from weaklab import correction, estimation, harness
 from weaklab.cli import _parse_corrupt_spec, main
-from weaklab.datagen import build_multisource, generate_blobs, load_dataset, save_dataset
+from weaklab.datagen import (MultisourceDataset, SourceBlock, build_multisource, generate_blobs,
+                             load_dataset, save_dataset)
 from weaklab.labelspace import SourceSpec, TemplateKind, identity_matrix, make_template, parse_matrix
 
 RUN_CONFIG = """
@@ -59,11 +60,17 @@ def test_gen_template_rejects_bad_eta(capsys):
     ("[dataset]\nspread = nan\n", "[dataset] spread must be finite and > 0, got nan"),
     ("[train]\nepochs = 0\n", "[train] epochs"),
     (None, "No such file or directory"),
-], ids=["dataset", "train", "missing_file"])
+    ("[train]\nepochs = 3\nhidden = 0\nepochs = 4\n", "exp.ini, line 4: [train] epochs given twice"),
+    ("epochs = 3\n[train]\n", "exp.ini, line 1: 'epochs = 3' comes before any [section] header"),
+    ("[train]\nepochs 3\n",
+     "exp.ini, line 2: 'epochs 3' is not a [section] header or a key = value line"),
+    (b"[train]\nepochs = 3\n\xff\n", "exp.ini, line 3: byte 0xff is not UTF-8 text"),
+], ids=["dataset", "train", "missing_file", "repeated_key", "key_before_header",
+        "line_without_equals", "not_utf8"])
 def test_run_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     cfg = tmp_path / "exp.ini"
     if text is not None:
-        cfg.write_text(text)
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -88,6 +95,34 @@ def test_run_rejects_sources_beyond_the_training_pool_before_training(tmp_path, 
     assert "[dataset] classes 5 x n_per_class 75" in captured.err
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert not out.exists() and trained == []
+
+
+def test_run_refuses_an_out_directory_that_is_not_empty_before_training(tmp_path, capsys,
+                                                                       monkeypatch):
+    # a 2-seed run and then a 1-seed run into one directory used to leave
+    # runs/seed1/ beside a report.csv of seed 0 alone
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(RUN_CONFIG.replace("seeds = 0", "seeds = 0 1"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    first = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    trained = []
+    for module in (harness, estimation):
+        monkeypatch.setattr(module, "train", lambda *args, **kwargs: trained.append(args))
+    cfg.write_text(RUN_CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"weaklab run: output directory {out} exists and is not empty; "
+                            f"a run writes only into a new or empty directory\n")
+    assert captured.out == "" and trained == []
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == first
+    # an empty directory is as good as a new one
+    monkeypatch.undo()
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["run", "--config", str(cfg), "--out", str(empty)]) == 0
+    assert (empty / "report.csv").exists()
 
 
 def test_validate_gradients_passes(capsys):
@@ -207,6 +242,36 @@ def test_run_command_deterministic(tmp_path):
     main(["run", "--config", str(cfg), "--out", str(out2)])
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
     assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
+
+
+def test_corrupt_reports_a_repeated_spec_key_in_one_line(tmp_path, capsys):
+    # the spec is read before the dataset, so its error comes first
+    spec_path = tmp_path / "sources.ini"
+    spec_path.write_text("[sources]\nclean_count = 100\nclean_count = 200\n")
+    assert main(["corrupt", "--load-dataset", str(tmp_path / "clean.txt"), "--spec",
+                 str(spec_path), "--emit-dataset", str(tmp_path / "weak.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"weaklab corrupt: {spec_path}, line 3: [sources] clean_count "
+                            f"given twice\n")
+    assert captured.out == ""
+
+
+def test_corrupt_names_the_spec_keys_and_the_file_when_the_pool_is_short(tmp_path, capsys):
+    # 5 classes x 4 rows: 16 for the training pool, 4 for the test set
+    blobs = generate_blobs(5, 2, 4, 0.3, np.random.default_rng(0))
+    clean_path = tmp_path / "clean.txt"
+    save_dataset(clean_path, MultisourceDataset([SourceBlock(0, blobs.features, blobs.labels)],
+                                                5, 2))
+    spec_path = tmp_path / "sources.ini"
+    spec_path.write_text("[sources]\nclean_count = 10\nweak = uniform:0.3:7\n")
+    out_path = tmp_path / "weak.txt"
+    assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
+                 "--emit-dataset", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"weaklab corrupt: {spec_path}: [sources] clean_count and weak "
+                            f"request 17 instances, but the training pool has 16: {clean_path} "
+                            f"has 20 rows, less 4 test rows\n")
+    assert captured.out == "" and not out_path.exists()
 
 
 @pytest.mark.parametrize("weak, message", [

@@ -57,6 +57,9 @@ def test_config_validation():
                                          r"instances, but the training pool has 300: \[dataset\] "
                                          r"classes 5 x n_per_class 75 = 375 rows, less 75 test"):
         tiny_config(weak_sources=[WeakSource(TemplateKind.UNIFORM, 7.0)])
+    # with no weak source every combination would train the baseline's model
+    with pytest.raises(ValueError, match=r"^\[sources\] weak: need at least one weak source"):
+        tiny_config(weak_sources=[])
 
 
 def test_run_experiment_report_shape():
@@ -186,6 +189,12 @@ def test_write_run_dir_layout(tmp_path):
     assert {p.name for p in cell.iterdir()} == {"T_hat_source1.txt", "T_hat_single.txt"}
     t = load_matrix(cell / "T_hat_source1.txt")
     assert np.array_equal(t.entries, report.estimates[(0, 0.2)][1].entries)
+    # a second report never lands beside the first
+    files = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    with pytest.raises(ValueError, match=f"output directory {re.escape(str(out))} exists and "
+                                         f"is not empty"):
+        write_run_dir(report, out)
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == files
 
 
 def test_estimates_csv_equals_a_recomputation_from_the_saved_matrices(tmp_path):
@@ -390,6 +399,7 @@ def test_load_config_rejects_source_weight(tmp_path):
      r"^\[sources\] weak, etas: weak kind mixed at eta nan with 10 classes: "
      r"eta = nan outside \[0, 0.8\)"),
     ("[sources]\netas =\n", r"^\[sources\] etas: need at least one eta"),
+    ("[sources]\nweak =\n", r"^\[sources\] weak: need at least one weak source"),
     ("[run]\nsmoothing = nan\n", r"^\[run\] smoothing must be finite and >= 0, got nan"),
     ("[run]\nsmoothing = -0.4\n", r"^\[run\] smoothing must be finite and >= 0, got -0.4"),
     ("[run]\nsmoothing = inf\n", r"^\[run\] smoothing must be finite and >= 0, got inf"),
@@ -410,7 +420,7 @@ def test_load_config_rejects_source_weight(tmp_path):
         "bool_value", "float_list_value", "weak_multiplier", "negative_hidden", "eta_range",
         "ten_class_kind", "zero_multiplier", "negative_multiplier", "multiplier_rounds_to_0",
         "negative_learning_rate", "nan_learning_rate", "momentum_of_1", "nan_weight_decay",
-        "nan_eta", "empty_etas", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
+        "nan_eta", "empty_etas", "empty_weak", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
         "removed_scale", "nan_spread", "dim_of_1", "repeated_seed", "repeated_eta",
         "etas_printed_alike", "repeated_combo", "zero_clean_count", "negative_clean_count",
         "negative_seed", "negative_baseline_epoch_cap"])

@@ -28,8 +28,8 @@ def fresh_buffers(params, rows):
 def one_row_gradient(params, x, omega):
     """backward_batch on a one-row batch, as a flat gradient vector."""
     buf = fresh_buffers(params, 1)
-    _, cache = forward_batch(params, x[None, :], buf)
-    return backward_batch(params, cache, np.asarray(omega)[None, :], params.zeros_like(),
+    forward_batch(params, x[None, :], buf)
+    return backward_batch(params, x[None, :], np.asarray(omega)[None, :], params.zeros_like(),
                           buf).flat
 
 
@@ -175,9 +175,9 @@ def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
     cols = transition_columns(labels, src, c, None if strategy == "vanilla" else mats)
     buf = BatchBuffers(m, c, hidden)
     for spec in SPECS:
-        scores, cache = forward_batch(look, x, buf)
+        scores = forward_batch(look, x, buf)
         omega = batch_weighting(_softmax_rows(scores, buf), cols, spec, 1.0 / m, buf)
-        batched = backward_batch(look, cache, omega, look.zeros_like(), buf).flat
+        batched = backward_batch(look, x, omega, look.zeros_like(), buf).flat
         oracle = np.mean([one_row_gradient(look, x[i], weight_proposed(
             spec, mats[src[i]], labels[i], softmax(scores_of(look, x[i]))))
             for i in range(m)], axis=0)
@@ -199,9 +199,9 @@ def test_vanilla_is_proposed_with_identity_matrices(rng, hidden):
 
 def buffered_step(params, x, cols, spec, buf):
     """One minibatch through the kernels, writing into buf: (omega, gradient)."""
-    scores, cache = forward_batch(params, x, buf)
+    scores = forward_batch(params, x, buf)
     omega = batch_weighting(_softmax_rows(scores, buf), cols, spec, 1.0 / len(x), buf)
-    return omega, backward_batch(params, cache, omega, params.zeros_like(), buf)
+    return omega, backward_batch(params, x, omega, params.zeros_like(), buf)
 
 
 def fresh_step(params, x, cols, spec):
@@ -211,20 +211,21 @@ def fresh_step(params, x, cols, spec):
 
 @pytest.mark.parametrize("hidden", [0, 32])
 def test_reused_buffers_equal_fresh_buffers(rng, hidden):
-    # consecutive batches through one set of buffers, two of them short
-    # batches in their leading rows, bit-equal to calls given fresh buffers: a
-    # kernel reading a value left over from the previous batch would show
-    # here (a buffer shared within one call shows in the plain-formula test);
-    # the batch of fewer rows than classes shows a head that cuts the
-    # length-c ones vector
+    # consecutive full batches through one set of buffers, with short
+    # batches between them through their own, bit-equal to calls given
+    # fresh buffers: a kernel reading a value left over from the previous
+    # batch would show here (a buffer shared within one call shows in the
+    # plain-formula test); the batch of fewer rows than classes shows a
+    # ones vector sized by rows where it should be sized by classes
     d, c, bs = 16, 10, 32
-    buf = BatchBuffers(bs, c, hidden)
+    full = BatchBuffers(bs, c, hidden)
     for m, spec in [(bs, LossSpec("gce", q=0.7)), (bs, LossSpec("sl")), (11, LossSpec("cce")),
                     (3, LossSpec("gce", q=0.7)), (bs, LossSpec("mae"))]:
         params = make_params(rng, d, c, hidden)
         x = rng.standard_normal((m, d))
         cols = random_row_stochastic(rng, c)[:, rng.integers(c, size=m)].T.copy()
-        omega, grad = buffered_step(params, x, cols, spec, buf if m == bs else buf.head(m))
+        buf = full if m == bs else BatchBuffers(m, c, hidden)
+        omega, grad = buffered_step(params, x, cols, spec, buf)
         assert np.shares_memory(omega, buf.omega)
         expected_omega, expected_grad = fresh_step(params, x, cols, spec)
         assert np.array_equal(omega, expected_omega)
@@ -333,10 +334,10 @@ def test_step_allocates_nothing(rng):
         tracemalloc.start()
         try:
             for spec in SPECS:
-                scores, cache = forward_batch(params, x, buf)
+                scores = forward_batch(params, x, buf)
                 u = _softmax_rows(scores, buf)
                 omega = batch_weighting(u, cols, spec, 1.0 / bs, buf)
-                backward_batch(params, cache, omega, grads, buf)
+                backward_batch(params, x, omega, grads, buf)
                 step(params, grads, velocity, scratch, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -418,7 +419,7 @@ def test_predict_batch_blocks_equal_one_whole_pass(rng, hidden):
     b = model.PREDICT_BLOCK_ROWS
     x = rng.standard_normal((2 * b + 3, 16))
     for n in (0, 1, b - 1, b, b + 1, 2 * b + 3):
-        scores, _ = forward_batch(params, x[:n], fresh_buffers(params, n))
+        scores = forward_batch(params, x[:n], fresh_buffers(params, n))
         preds = predict_batch(params, x[:n])
         assert preds.dtype == np.int64 and preds.shape == (n,)
         assert np.array_equal(preds, scores.argmax(axis=1))
@@ -437,7 +438,7 @@ def test_predict_batch_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    scores, _ = forward_batch(params, x[:1000], fresh_buffers(params, 1000))
+    scores = forward_batch(params, x[:1000], fresh_buffers(params, 1000))
     assert np.array_equal(preds[:1000], scores.argmax(axis=1))
 
 
@@ -453,7 +454,7 @@ def test_predict_batch_allocates_only_the_forward_buffers(rng):
     finally:
         tracemalloc.stop()
     assert peak < 0.5e6
-    scores, _ = forward_batch(params, x, fresh_buffers(params, len(x)))
+    scores = forward_batch(params, x, fresh_buffers(params, len(x)))
     assert np.array_equal(preds, scores.argmax(axis=1))
 
 

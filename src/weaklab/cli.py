@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import operator
+import os
 import sys
 
 import numpy as np
@@ -101,7 +102,20 @@ def _parse_corrupt_spec(path):
     return src["clean_count"], src.get("weak", [])
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths a and b name one existing file, also through `./`,
+    `..` or a symlink."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either one missing or not reachable
+        return False
+
+
 def _cmd_corrupt(args) -> int:
+    # any other existing file is overwritten
+    if _same_file(args.load_dataset, args.emit_dataset):
+        raise ValueError(f"--emit-dataset {args.emit_dataset} is the --load-dataset file "
+                         f"{args.load_dataset}; writing it would replace the input")
     clean_count, weak = _parse_corrupt_spec(args.spec)
     ms_in = datagen.load_dataset(args.load_dataset)
     clean = datagen.as_clean_dataset(ms_in)  # input labels are trusted as true

@@ -1,49 +1,58 @@
 """Small softmax classifiers with hand-derived backpropagation.
 
 Two architectures: a linear map d -> c, or one ReLU hidden layer
-d -> H -> c. Every pass is batched (rows are samples; a single sample is
-a one-row batch). The backward pass consumes one score-space weighting
-vector omega per row and contracts it against d h / d theta. Training
-computes omega with one kernel, batch_weighting, from a per-sample
-transition column C[i] = T_{s_i}[:, y_i] built once before the epoch
-loop; the vanilla strategy is the same kernel with one-hot (identity)
-columns, so the three strategies share one code path.
+d -> H -> c. Each layer is one (out, in + 1) matrix [W | b], and every
+pass is class-major: a batch of m samples is a (d + 1, m) matrix whose
+columns are the samples and whose last row is ones, so a layer's
+[W | b] @ [x; 1] = W x + b is one product, and the hidden activations
+sit in an (H + 1, m) buffer whose last row is ones as well. The backward
+pass consumes one score-space weighting vector omega per column and
+contracts it against d h / d theta; through the same ones rows its
+products give each layer's bias gradient beside its weight gradient.
+Training computes omega with one kernel, batch_weighting, from a
+per-sample transition column C[:, i] = T_{s_i}[:, y_i] built once before
+the epoch loop; the vanilla strategy is the same kernel with one-hot
+(identity) columns, so the three strategies share one code path.
 correction.weight_proposed, the chain-rule form over softmax_grad, is
 its independent per-sample reference.
 
-A minibatch step is a few dozen numpy calls on matrices of about 32 x 16,
-so its cost is call overhead, not arithmetic, and the step allocates no
-array of its own. train allocates one workspace per call: the epoch's permuted
-features and columns, gathered with np.take(..., out=, mode="clip") (the
-rows are a permutation, so clipping changes no index, and the default
-mode="raise" copies through a temporary), and one BatchBuffers per
-batch size (the full one, and the short last batch's) that the three
-kernels (forward_batch, batch_weighting, backward_batch) write into
-instead of allocating. Every kernel takes its buffers as a required
-argument, each array shaped for exactly the batch it is given;
-predict_batch makes one ForwardBuffers, the two arrays forward_batch
-writes, per block. backward_batch reads the hidden activations that
-forward_batch left in buf.a. Inside the kernels every
-product is ndarray.dot(..., out=): the same BLAS call as np.dot, so the
-same bits, without the dispatch np.dot and np.matmul add on these
-shapes. Sums are products with a ones vector too: the bias gradients
-sum over rows with a length-rows one, and the softmax denominator and
-the corrected probability ut sum over classes with a length-c one,
-each written into a 1-D view of its (rows, 1) column buffer. The row
-maxima call np.maximum.reduce directly rather than the ndarray method
-that wraps it; the architecture is read from len(weights);
-loss_derivative clamps the corrected probability to
-[PROB_FLOOR, 1] once instead of range-checking it, and the 1/m
-mean-loss scale rides on the per-row f'.
+A minibatch step is about thirty numpy calls on matrices of about
+16 x 32, so its cost is call overhead, not arithmetic, and the step
+allocates no array of its own. train allocates one workspace per call:
+the class-major (d + 1, n) inputs and (c, n) transition columns, built
+once; the epoch's permuted copies of them, gathered along axis 1 with
+np.take(..., out=, mode="clip") (the indices are a permutation, so
+clipping changes none, and the default mode="raise" copies through a
+temporary); and one BatchBuffers per batch size (the full one, and the
+short last batch's) that the three kernels (forward_batch,
+batch_weighting, backward_batch) write into instead of allocating. Every
+kernel takes its buffers as a required argument, each array shaped for
+exactly the batch it is given; predict_batch makes one ForwardBuffers,
+the arrays forward_batch writes, per block. backward_batch reads the
+hidden activations that forward_batch left in buf.a. Inside the kernels
+every product is ndarray.dot(..., out=): the same BLAS call as np.dot, so
+the same bits, without the dispatch np.dot and np.matmul add on these
+shapes. The per-sample reductions run over axis 0, the classes: the
+softmax denominator and the corrected probability ut are products with
+a length-c ones vector, the column maxima a direct np.maximum.reduce.
+Each gives a plain (m,) vector that broadcasts over the class rows,
+cheaper per call than a (rows, 1) column over row-major scores.
+loss_derivative clamps the corrected probability to [PROB_FLOOR, 1] once
+instead of range-checking it, and the 1/m mean-loss scale rides on the
+per-sample f'. Every scalar that a step
+gives a ufunc (the ReLU's 0, the clamp's floor, 1/m, and step's rates)
+is a read-only 0-d array made once (losses.scalar_operand).
 
 Parameters, velocity, lookahead point and gradient are each one flat
-float64 vector with per-layer views (ModelParameters). Optimisation is
+float64 vector in the layout of ModelParameters. Optimisation is
 minibatch SGD with Nesterov momentum: the gradient is evaluated at the
-lookahead point look = theta + mu * v, written into its own buffer, then
-v <- mu * v - lr * (g + wd * theta) and theta <- theta + v, each a
-whole-vector operation; the bracket is built, in that order, in a
-scratch vector that train allocates beside the velocity, so step
-allocates nothing. TrainConfig holds the hyperparameters step reads.
+lookahead point look = theta + mu * v, then v <- mu * v - lr * (g + wd *
+theta) and theta <- theta + v, each a whole-vector operation. The
+velocity buffer holds mu * v, which both formulas read, and step writes
+the next lookahead into its own buffer; the bracket is built, in that
+order, in a scratch vector that train allocates beside the velocity, so
+step allocates nothing. TrainConfig holds the hyperparameters;
+step_rates turns the three that step reads into its operands.
 """
 
 from __future__ import annotations
@@ -54,9 +63,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labelspace import check_labels
-from .losses import PROB_FLOOR, LossSpec, loss_derivative
+from .losses import PROB_FLOOR, LossSpec, loss_derivative, scalar_operand
 
 STRATEGIES = ("vanilla", "forward", "proposed")
+
+_ZERO, _PROB_FLOOR = scalar_operand(0.0), scalar_operand(PROB_FLOOR)
 
 
 class TrainingDiverged(RuntimeError):
@@ -64,27 +75,31 @@ class TrainingDiverged(RuntimeError):
 
 
 class ModelParameters:
-    """Weight matrices (out x in) and bias vectors, one pair per layer.
+    """One (out, in + 1) matrix [W | b] per layer: the weights W
+    (out x in) and the biases b.
 
-    The constructor copies them into one flat float64 vector `flat`, laid
-    out layer by layer as W (row-major) then b, the checkpoint order;
-    `weights` and `biases` are views into it, so writing to either side
-    writes to both. Gradients and velocities use the same layout.
+    The constructor copies the given weight matrices and bias vectors into
+    one flat float64 vector `flat`, laid out layer by layer, each layer's
+    [W | b] row-major (row i of W, then b_i). `layers` are the
+    (out, in + 1) views of it, and `weights` and `biases` are views of
+    those (their first `in` columns, their last column), so writing any of
+    them writes `flat`. Gradients and velocities use the same layout; the
+    checkpoint (save_params) stores each W row-major and then its b.
     """
 
     def __init__(self, weights, biases):
-        arrays = [np.asarray(a, dtype=np.float64) for pair in zip(weights, biases)
-                  for a in pair]
-        self.flat = np.empty(sum(a.size for a in arrays))
-        views = []
+        self.flat = np.empty(sum(np.shape(w)[0] * (np.shape(w)[1] + 1) for w in weights))
+        self.layers = []
         offset = 0
-        for a in arrays:
-            view = self.flat[offset:offset + a.size].reshape(a.shape)
-            view[...] = a
-            views.append(view)
-            offset += a.size
-        self.weights = views[0::2]
-        self.biases = views[1::2]
+        for w, b in zip(weights, biases):
+            rows, cols = np.shape(w)
+            layer = self.flat[offset:offset + rows * (cols + 1)].reshape(rows, cols + 1)
+            layer[:, :-1] = w
+            layer[:, -1] = b
+            self.layers.append(layer)
+            offset += layer.size
+        self.weights = [layer[:, :-1] for layer in self.layers]
+        self.biases = [layer[:, -1] for layer in self.layers]
 
     @property
     def d(self) -> int:
@@ -153,148 +168,184 @@ def init_parameters(d: int, c: int, hidden: int, rng: np.random.Generator) -> Mo
     return ModelParameters(weights, biases)
 
 
+def class_major(x: np.ndarray) -> np.ndarray:
+    """The class-major batch [x^T; 1], (d + 1, m), of m sample rows x, (m, d)."""
+    out = np.empty((x.shape[1] + 1, x.shape[0]))
+    out[:-1] = x.T
+    out[-1] = 1.0
+    return out
+
+
 class ForwardBuffers:
-    """Output arrays of forward_batch for a batch of exactly `rows` rows:
-    the hidden activations a and the scores. Its results are these
-    arrays, valid until the next call that is given the same buffers.
+    """Output arrays of forward_batch for a batch of exactly m samples: the
+    (H + 1, m) hidden activations a, whose last row is ones (forward_batch
+    writes only a_hidden, the first H rows), and the (c, m) scores. Its
+    results are these arrays, valid until the next call that is given the
+    same buffers.
     """
 
-    def __init__(self, rows: int, c: int, hidden: int):
-        self.a = np.empty((rows, hidden))
-        self.scores = np.empty((rows, c))
+    def __init__(self, m: int, c: int, hidden: int):
+        self.a = np.empty((hidden + 1, m))
+        self.a[hidden] = 1.0
+        self.a_hidden = self.a[:hidden]
+        self.scores = np.empty((c, m))
 
 
 class BatchBuffers(ForwardBuffers):
-    """Output arrays of the minibatch kernels for a batch of exactly `rows`
-    rows; a batch of another size takes its own BatchBuffers.
+    """Output arrays of the minibatch kernels for a batch of exactly m
+    samples; a batch of another size takes its own BatchBuffers.
 
-    Beyond the ForwardBuffers: _softmax_rows uses the column col;
-    batch_weighting writes tu, ut, fprime and omega; backward_batch reads
-    a and writes dh and mask. The class sums write into col_vec and
-    ut_vec, 1-D views of col and ut, through class_ones (length c);
-    backward_batch sums rows through row_ones.
+    Beyond the ForwardBuffers: _softmax_columns writes the column maxima
+    and then the column sums into col; batch_weighting writes tu, ut,
+    fprime and omega; backward_batch reads a and writes dh and mask. dh is
+    (H + 1, m): its first H rows, dh_hidden, are the hidden delta, and its
+    last row is unused. The (m,) class sums are products with class_ones
+    (length c).
     """
 
-    def __init__(self, rows: int, c: int, hidden: int):
-        super().__init__(rows, c, hidden)
-        self.mask = np.empty((rows, hidden))
-        self.dh = np.empty((rows, hidden))
-        self.tu = np.empty((rows, c))
-        self.omega = np.empty((rows, c))
-        self.col = np.empty((rows, 1))
-        self.ut = np.empty((rows, 1))
-        self.col_vec = self.col[:, 0]
-        self.ut_vec = self.ut[:, 0]
-        self.fprime = np.empty((rows, 1))
-        self.row_ones = np.ones(rows)
+    def __init__(self, m: int, c: int, hidden: int):
+        super().__init__(m, c, hidden)
+        self.dh = np.empty((hidden + 1, m))
+        self.dh_hidden = self.dh[:hidden]
+        self.mask = np.empty((hidden, m))
+        self.tu = np.empty((c, m))
+        self.omega = np.empty((c, m))
+        self.col = np.empty(m)
+        self.ut = np.empty(m)
+        self.fprime = np.empty(m)
         self.class_ones = np.ones(c)
 
 
 def forward_batch(params: ModelParameters, x: np.ndarray,
                   buf: ForwardBuffers) -> np.ndarray:
-    """Scores buf.scores of a float64 batch x (n, d); buf holds n rows and
-    also receives the hidden activations, in buf.a."""
-    weights, biases = params.weights, params.biases
+    """Scores buf.scores, (c, m), of a class-major float64 batch x,
+    (d + 1, m) with a last row of ones; buf holds m samples and also
+    receives the hidden activations, in buf.a."""
+    layers = params.layers
     a = x  # the input of the output layer
-    if len(weights) == 2:
-        a = x.dot(weights[0].T, out=buf.a)
-        a += biases[0]
-        np.maximum(a, 0.0, out=a)
-    scores = a.dot(weights[-1].T, out=buf.scores)
-    scores += biases[-1]
-    return scores
+    if len(layers) == 2:
+        z = layers[0].dot(x, out=buf.a_hidden)
+        np.maximum(z, _ZERO, out=z)
+        a = buf.a
+    return layers[-1].dot(a, out=buf.scores)
 
 
 def backward_batch(params: ModelParameters, x: np.ndarray, delta: np.ndarray,
                    out: ModelParameters, buf: BatchBuffers) -> ModelParameters:
-    """Contract the weighting vectors in the rows of delta against d h /
-    d theta and sum over the rows (scale delta by 1/m first for a
-    mean-loss gradient); linear in delta. Written into out, which is
-    returned. x and buf are the batch and buffers of the forward_batch
-    call that made delta's scores: the hidden activations are read from
-    buf.a, and buf receives the hidden delta and the ReLU mask."""
-    hidden = len(params.weights) == 2
-    delta.T.dot(buf.a if hidden else x, out=out.weights[-1])
-    buf.row_ones.dot(delta, out=out.biases[-1])
+    """Contract the weighting vectors in the columns of delta, (c, m),
+    against d h / d theta and sum over the samples (scale delta by 1/m
+    first for a mean-loss gradient); linear in delta. Written into out,
+    which is returned. x and buf are the batch and buffers of the
+    forward_batch call that made delta's scores: the hidden activations
+    are read from buf.a, and buf receives the hidden delta and the ReLU
+    mask. The ones rows of x and buf.a make each product's last column a
+    bias gradient."""
+    layers = params.layers
+    hidden = len(layers) == 2
+    delta.dot((buf.a if hidden else x).T, out=out.layers[-1])
     if hidden:
-        d_hidden = delta.dot(params.weights[1], out=buf.dh)
+        layers[1].T.dot(delta, out=buf.dh)  # [W1 | b1]^T delta; row H is unused
+        d_hidden = buf.dh_hidden
         # a = max(z, 0) >= 0, so sign(a) is the 0/1 derivative of the ReLU
         # at the pre-activation z
-        d_hidden *= np.sign(buf.a, out=buf.mask)
-        d_hidden.T.dot(x, out=out.weights[0])
-        buf.row_ones.dot(d_hidden, out=out.biases[0])
+        d_hidden *= np.sign(buf.a_hidden, out=buf.mask)
+        d_hidden.dot(x.T, out=out.layers[0])
     return out
+
+
+def step_rates(config: TrainConfig) -> tuple:
+    """(momentum, learning rate, weight decay) of config as the read-only
+    0-d arrays that step takes."""
+    return tuple(scalar_operand(value) for value in
+                 (config.momentum, config.learning_rate, config.weight_decay))
 
 
 def step(params: ModelParameters, grads: ModelParameters, velocity: np.ndarray,
-         scratch: np.ndarray, config: TrainConfig) -> None:
-    """One SGD update, in place on the flat buffers, with the learning
-    rate lr, momentum mu and weight decay wd of config:
-    v <- mu * v - lr * (g + wd * theta), theta <- theta + v. velocity and
-    scratch are flat vectors of the parameter size; the gradient is
-    expected at the lookahead point theta + mu * v. The bracket is built
-    in scratch, in the formula's order, so nothing is allocated.
+         scratch: np.ndarray, look: np.ndarray, rates: tuple) -> None:
+    """One SGD update with Nesterov momentum, in place on flat vectors,
+    with the momentum mu, learning rate lr and weight decay wd in rates
+    (step_rates): v <- mu * v - lr * (g + wd * theta), theta <- theta + v.
+    velocity holds mu * v before and after; grads holds the gradient at
+    the lookahead point theta + mu * v, and look receives the next one.
+    velocity, scratch and look are flat vectors of the parameter size; the
+    bracket is built in scratch, in the formula's order, so nothing is
+    allocated.
     """
-    update = np.multiply(params.flat, config.weight_decay, out=scratch)
+    mu, lr, wd = rates
+    update = np.multiply(params.flat, wd, out=scratch)
     update += grads.flat
-    update *= config.learning_rate
-    velocity *= config.momentum
-    velocity -= update
+    update *= lr
+    velocity -= update  # now v
     params.flat += velocity
+    velocity *= mu
+    np.add(params.flat, velocity, out=look)
 
 
-# most rows per forward pass in predict_batch: the (rows, H) activations of
-# one block stay near 1 MB whatever the input size, at full speed
-PREDICT_BLOCK_ROWS = 4096
+# most rows per forward pass in predict_batch: one block's arrays take about
+# a quarter megabyte at hidden 32 whatever the input size; a multiple of 8,
+# the column step of the BLAS kernel (see predict_batch)
+PREDICT_BLOCK_ROWS = 512
 
 
 def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties break toward the lowest index.
+    """Argmax class per row of x, (n, d); ties break toward the lowest index.
 
-    Runs forward_batch on the fewest blocks of at most PREDICT_BLOCK_ROWS
-    rows, sized within one row of each other, so memory stays bounded on
-    large inputs. Even sizes leave no small tail block, for which BLAS may
-    take a kernel that rounds differently from the whole-input product.
-    Each block takes a ForwardBuffers of its own rows.
+    Runs forward_batch on blocks of PREDICT_BLOCK_ROWS rows that start
+    at multiples of PREDICT_BLOCK_ROWS, the last one shorter, so memory
+    stays bounded on large inputs; one block's buffers are alive at a
+    time. The scores, and so in a near-tie the argmax, can differ from one
+    whole-input pass's in the last bit. On the OpenBLAS build this was
+    measured with, a product rounds its last (columns mod 8) columns
+    differently from the rest when that remainder is 1 to 4, and numpy
+    runs a one-column product as a matrix-vector product, which rounds
+    differently again. With blocks of 512, the scores of a whole pass came
+    out bit for bit at hidden 0, 8 and 32 for 1, 7, 8, 9, 511, 512, 1250
+    and 3000 rows, but not when the last block held one row (513 and 1025
+    rows), nor at hidden 64 with 1250 rows.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    blocks = max(1, -(-n // PREDICT_BLOCK_ROWS))  # an empty input makes one pass
-    bounds = [i * n // blocks for i in range(blocks + 1)]
     out = np.empty(n, dtype=np.int64)
-    for start, stop in zip(bounds, bounds[1:]):
-        buf = ForwardBuffers(stop - start, params.c, params.hidden)
-        scores = forward_batch(params, x[start:stop], buf)
-        scores.argmax(axis=1, out=out[start:stop])
+    for start in range(0, max(n, 1), PREDICT_BLOCK_ROWS):  # an empty input makes one pass
+        stop = min(start + PREDICT_BLOCK_ROWS, n)
+        _predict_block(params, x[start:stop], out[start:stop])
     return out
 
 
-def _softmax_rows(scores: np.ndarray, buf: BatchBuffers) -> np.ndarray:
-    """Row-wise softmax, computed in place in scores; buf holds
-    len(scores) rows, and its column col receives the row maxima and then
-    the row sums."""
-    col = np.maximum.reduce(scores, axis=1, keepdims=True, out=buf.col)
+def _predict_block(params: ModelParameters, x: np.ndarray, out: np.ndarray) -> None:
+    """Argmax class of each row of x into out, through buffers that live
+    only for this call."""
+    scores = forward_batch(params, class_major(x), ForwardBuffers(len(x), params.c,
+                                                                  params.hidden))
+    scores.argmax(axis=0, out=out)
+
+
+def _softmax_columns(scores: np.ndarray, buf: BatchBuffers) -> np.ndarray:
+    """Softmax of each column of scores, (c, m), computed in place; buf
+    holds m samples, and its col receives the column maxima and then the
+    column sums."""
+    col = np.maximum.reduce(scores, axis=0, out=buf.col)
     scores -= col
     np.exp(scores, out=scores)
-    scores.dot(buf.class_ones, out=buf.col_vec)
+    buf.class_ones.dot(scores, out=col)
     scores /= col
     return scores
 
 
 def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
                        matrices=None) -> np.ndarray:
-    """Per-sample column matrix C[i] = T_{s_i}[:, y_i], shape (n, c).
+    """Per-sample columns C[:, i] = T_{s_i}[:, y_i], shape (c, n).
 
     matrices maps source id -> TransitionMatrix or c x c array, each read
-    with np.asarray; None gives one-hot rows, the identity columns of the uncorrected loss.
-    Raises ValueError naming the source id when a source in source_ids
-    has no matrix or one that is not c x c.
+    with np.asarray; None gives one-hot columns, the identity columns of
+    the uncorrected loss. Raises ValueError naming the source id when a
+    source in source_ids has no matrix or one that is not c x c.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if matrices is None:
-        return np.eye(c)[labels]
+        return np.eye(c)[:, labels]
     source_ids = np.asarray(source_ids, dtype=np.int64)
-    cols = np.empty((labels.shape[0], c))
+    cols = np.empty((c, labels.shape[0]))
     for s in np.unique(source_ids):
         s = int(s)
         try:
@@ -306,25 +357,25 @@ def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
             raise ValueError(f"transition matrix of source id {s} has shape "
                              f"{entries.shape}, expected {c} x {c}")
         sel = source_ids == s
-        cols[sel] = entries.T[labels[sel]]
+        cols[:, sel] = entries[:, labels[sel]]
     return cols
 
 
-def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale: float,
+def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale,
                     buf: BatchBuffers) -> np.ndarray:
     """Per-sample score-space weighting vectors for a batch:
-    omega_i = scale * f'(ut_i) * (C_i * u_i - ut_i * u_i), ut_i = C_i . u_i.
+    omega_i = scale * f'(ut_i) * (C_i * u_i - ut_i * u_i), ut_i = C_i . u_i,
+    with sample i in column i.
 
-    u is the (n, c) softmax output and cols the matching rows of
-    transition_columns; scale = 1/n gives the mean-loss weighting.
+    u is the (c, m) softmax output and cols the matching columns of
+    transition_columns; scale = 1/m gives the mean-loss weighting.
     loss_derivative clamps ut to [PROB_FLOOR, 1] before evaluating f', so
     early-training underflow cannot produce non-finite weights. buf holds
-    n rows, must not hold u or cols, and receives omega.
+    m samples, must not hold u or cols, and receives omega.
     """
     tu = np.multiply(cols, u, out=buf.tu)
-    tu.dot(buf.class_ones, out=buf.ut_vec)
-    ut = buf.ut
-    fprime = loss_derivative(spec, ut, floor=PROB_FLOOR, out=buf.fprime)
+    ut = buf.class_ones.dot(tu, out=buf.ut)
+    fprime = loss_derivative(spec, ut, floor=_PROB_FLOOR, out=buf.fprime)
     fprime *= scale
     omega = np.multiply(ut, u, out=buf.omega)
     np.subtract(tu, omega, out=omega)
@@ -360,38 +411,40 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
         raise ValueError(f"strategy {config.strategy!r} needs per-source transition matrices")
     cols = transition_columns(labels, source_ids, c,
                               None if config.strategy == "vanilla" else matrices)
+    inputs = class_major(features)
 
     rng = np.random.default_rng(config.seed)
     params = init_parameters(d, c, config.hidden, rng)
-    look = params.zeros_like()
     grads = params.zeros_like()
     velocity, scratch = np.zeros_like(params.flat), np.empty_like(params.flat)
+    look = params.copy()  # the lookahead theta + mu * v, at v = 0
+    rates = step_rates(config)
 
-    # the workspace: the epoch's permuted rows, and per minibatch its views
-    # of them, the buffers of its size (one set per distinct size) and 1/m
+    # the workspace: the epoch's permuted samples, and per minibatch its
+    # views of them, the buffers of its size (one set per distinct size)
+    # and 1/m
     bs = config.batch_size
-    xs, cs = np.empty((n, d)), np.empty((n, c))
+    xs, cs = np.empty((d + 1, n)), np.empty((c, n))
     starts = range(0, n, bs)
     sizes = [min(bs, n - start) for start in starts]
-    buffers = {m: BatchBuffers(m, c, config.hidden) for m in set(sizes)}
-    batches = [(xs[start:start + m], cs[start:start + m], buffers[m], 1.0 / m)
+    buffers = {m: (BatchBuffers(m, c, config.hidden), scalar_operand(1.0 / m))
+               for m in set(sizes)}
+    batches = [(xs[:, start:start + m], cs[:, start:start + m]) + buffers[m]
                for start, m in zip(starts, sizes)]
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         # order is a permutation, so clipping changes no index; the default
         # mode="raise" would copy through a temporary buffer
-        np.take(features, order, axis=0, out=xs, mode="clip")
-        np.take(cols, order, axis=0, out=cs, mode="clip")
+        np.take(inputs, order, axis=1, out=xs, mode="clip")
+        np.take(cols, order, axis=1, out=cs, mode="clip")
         with np.errstate(over="ignore", invalid="ignore"):
             for xb, cb, buf, scale in batches:
-                np.multiply(velocity, config.momentum, out=look.flat)
-                look.flat += params.flat
                 scores = forward_batch(look, xb, buf)
-                u = _softmax_rows(scores, buf)
+                u = _softmax_columns(scores, buf)
                 omega = batch_weighting(u, cb, config.loss, scale, buf)
                 backward_batch(look, xb, omega, grads, buf)
-                step(params, grads, velocity, scratch, config)
+                step(params, grads, velocity, scratch, look.flat, rates)
         if not params.all_finite():
             raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
         if epoch_callback is not None:
@@ -404,11 +457,13 @@ _ARCH_LINEAR, _ARCH_HIDDEN = 0, 1
 
 def save_params(path, params: ModelParameters) -> None:
     """Flat binary checkpoint: little-endian int32 header (arch, d, H, c)
-    followed by row-major float64 arrays per layer (W then b)."""
+    followed by little-endian float64 arrays per layer: W row-major, then b."""
     arch = _ARCH_LINEAR if params.hidden == 0 else _ARCH_HIDDEN
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4i", arch, params.d, params.hidden, params.c))
-        fh.write(params.flat.astype("<f8", copy=False).tobytes())
+        for w, b in zip(params.weights, params.biases):
+            fh.write(w.astype("<f8", copy=False).tobytes())
+            fh.write(b.astype("<f8", copy=False).tobytes())
 
 
 def load_params(path) -> ModelParameters:

@@ -3,7 +3,7 @@ import pytest
 
 from weaklab.correction import forward_correct, softmax
 from weaklab.losses import LossSpec
-from weaklab.model import BatchBuffers, batch_weighting, forward_batch
+from weaklab.model import BatchBuffers, batch_weighting, class_major, forward_batch
 
 SPECS = [LossSpec("cce"), LossSpec("mae"), LossSpec("gce", q=0.7), LossSpec("sl")]
 
@@ -22,11 +22,11 @@ def random_row_stochastic(rng, c, floor=1e-3):
 def kernel_weighting(spec, column, u):
     """The training kernel, model.batch_weighting, on one sample u with
     transition column `column` (e^k for the uncorrected loss, T[:, k] for
-    the corrected one), written into a fresh one-row buffer."""
+    the corrected one), written into a fresh one-sample buffer."""
     u = np.asarray(u, dtype=np.float64)
     column = np.asarray(column, dtype=np.float64)
-    return batch_weighting(u[None, :], column[None, :], spec, 1.0,
-                           BatchBuffers(1, len(u), 0))[0]
+    return batch_weighting(u[:, None], column[:, None], spec, 1.0,
+                           BatchBuffers(1, len(u), 0))[:, 0]
 
 
 def random_case(rng, specs=SPECS, min_ut=1e-3):
@@ -70,5 +70,6 @@ def per_parameter_fd(params, scalar_fn, step=1e-6):
 
 
 def scores_of(params, x):
-    """Score vector of one sample: forward_batch on a one-row batch."""
-    return forward_batch(params, x[None, :], BatchBuffers(1, params.c, params.hidden))[0]
+    """Score vector of one sample: forward_batch on a one-sample batch."""
+    return forward_batch(params, class_major(x[None, :]),
+                         BatchBuffers(1, params.c, params.hidden))[:, 0]

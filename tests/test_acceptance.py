@@ -19,7 +19,7 @@ from weaklab.labelspace import (SourceSpec, TemplateKind, balanced_error_rate,
                                 satisfies_diagonal_dominance)
 from weaklab.losses import LossSpec, loss_value
 from weaklab.model import (BatchBuffers, TrainConfig, backward_batch, batch_weighting,
-                           forward_batch, init_parameters)
+                           class_major, forward_batch, init_parameters)
 
 from conftest import (SPECS, fd_score_gradient, kernel_weighting, per_parameter_fd,
                       random_case, random_row_stochastic, scores_of)
@@ -35,7 +35,7 @@ def _result(criterion, ok, detail):
 
 def test_criterion_1_gradient_oracle_suite():
     # the kernels that train (batch_weighting, forward_batch, backward_batch),
-    # each called on one row with the preallocated buffers that train
+    # each called on one sample with the preallocated buffers that train
     # gives them (one set per shape, reused across cases), against finite
     # differences of corrected_loss
     start = time.perf_counter()
@@ -50,8 +50,8 @@ def test_criterion_1_gradient_oracle_suite():
     worst_weight = 0.0
     for _ in range(1000):
         spec, t, k, h = random_case(rng)
-        analytic = batch_weighting(softmax(h)[None, :], t[:, k][None, :], spec, 1.0,
-                                   buf(len(h), 0))[0]
+        analytic = batch_weighting(softmax(h)[:, None], t[:, k][:, None], spec, 1.0,
+                                   buf(len(h), 0))[:, 0]
         numeric = fd_score_gradient(lambda hh: corrected_loss(spec, t, k, softmax(hh)), h)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst_weight = max(worst_weight, rel)
@@ -63,8 +63,9 @@ def test_criterion_1_gradient_oracle_suite():
         hidden = 0 if case % 2 == 0 else 6
         params = init_parameters(d, c, hidden, rng)
         x = rng.standard_normal(d)
-        scores = forward_batch(params, x[None, :], buf(c, hidden))
-        u = softmax(scores[0])
+        xb = class_major(x[None, :])
+        scores = forward_batch(params, xb, buf(c, hidden))
+        u = softmax(scores[:, 0])
         if float(forward_correct(t, u)[k]) < 1e-3 or u[k] < 1e-3:
             continue
         if case % 4 < 2:
@@ -73,8 +74,8 @@ def test_criterion_1_gradient_oracle_suite():
         else:
             column = np.eye(c)[k]
             scalar = lambda p: loss_value(spec, softmax(scores_of(p, x))[k])
-        omega = batch_weighting(u[None, :], column[None, :], spec, 1.0, buf(c, hidden))
-        exact = backward_batch(params, x[None, :], omega, params.zeros_like(),
+        omega = batch_weighting(u[:, None], column[:, None], spec, 1.0, buf(c, hidden))
+        exact = backward_batch(params, xb, omega, params.zeros_like(),
                                buf(c, hidden)).flat
         numeric = per_parameter_fd(params, scalar)
         rel = np.linalg.norm(exact - numeric) / max(np.linalg.norm(numeric), 1e-12)

@@ -205,6 +205,41 @@ def test_corrupt_round_trip(tmp_path, capsys):
     assert abs(np.mean(true != blk.labels) - 0.3) < 0.05
 
 
+@pytest.mark.parametrize("emit", ["clean.txt", "./clean.txt", "sub/../clean.txt", "link.txt"])
+def test_corrupt_refuses_to_overwrite_its_input(tmp_path, monkeypatch, capsys, emit):
+    blobs = generate_blobs(5, 2, 4, 0.3, np.random.default_rng(0))
+    monkeypatch.chdir(tmp_path)
+    save_dataset("clean.txt", MultisourceDataset([SourceBlock(0, blobs.features, blobs.labels)],
+                                                 5, 2))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.txt").symlink_to(tmp_path / "clean.txt")
+    before = (tmp_path / "clean.txt").read_bytes()
+    # the spec does not exist: the refusal comes before it is read
+    assert main(["corrupt", "--load-dataset", "clean.txt", "--spec", "missing.ini",
+                 "--emit-dataset", emit]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"weaklab corrupt: --emit-dataset {emit} is the --load-dataset "
+                            f"file clean.txt; writing it would replace the input\n")
+    assert captured.out == ""
+    assert (tmp_path / "clean.txt").read_bytes() == before
+
+
+def test_corrupt_overwrites_another_existing_file(tmp_path, capsys):
+    blobs = generate_blobs(5, 2, 40, 0.3, np.random.default_rng(0))
+    clean_path = tmp_path / "clean.txt"
+    save_dataset(clean_path, MultisourceDataset([SourceBlock(0, blobs.features, blobs.labels)],
+                                                5, 2))
+    before = clean_path.read_bytes()
+    spec_path = tmp_path / "sources.ini"
+    spec_path.write_text("[sources]\nclean_count = 10\nweak = uniform:0.3:20\n")
+    out_path = tmp_path / "weak.txt"
+    out_path.write_text("an older file\n")
+    assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
+                 "--emit-dataset", str(out_path)]) == 0
+    assert [len(b) for b in load_dataset(out_path).sources] == [10, 20]
+    assert clean_path.read_bytes() == before
+
+
 def test_run_command_writes_report(tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(RUN_CONFIG)

@@ -10,9 +10,9 @@ from weaklab.correction import corrected_loss, softmax, weight_proposed
 from weaklab.labelspace import TransitionMatrix
 from weaklab.losses import PROB_FLOOR, LossSpec, loss_value
 from weaklab.model import (BatchBuffers, ModelParameters, TrainConfig, TrainingDiverged,
-                           _softmax_rows, backward_batch, batch_weighting, forward_batch,
-                           init_parameters, load_params, predict_batch,
-                           save_params, step, train, transition_columns)
+                           _softmax_columns, backward_batch, batch_weighting, class_major,
+                           forward_batch, init_parameters, load_params, predict_batch,
+                           save_params, step, step_rates, train, transition_columns)
 
 from conftest import SPECS, per_parameter_fd, random_row_stochastic, scores_of
 
@@ -21,21 +21,23 @@ def make_params(rng, d, c, hidden):
     return init_parameters(d, c, hidden, rng)
 
 
-def fresh_buffers(params, rows):
-    return BatchBuffers(rows, params.c, params.hidden)
+def fresh_buffers(params, m):
+    return BatchBuffers(m, params.c, params.hidden)
 
 
 def one_row_gradient(params, x, omega):
-    """backward_batch on a one-row batch, as a flat gradient vector."""
+    """backward_batch on a one-sample batch, as a flat gradient vector."""
     buf = fresh_buffers(params, 1)
-    forward_batch(params, x[None, :], buf)
-    return backward_batch(params, x[None, :], np.asarray(omega)[None, :], params.zeros_like(),
+    xb = class_major(x[None, :])
+    forward_batch(params, xb, buf)
+    return backward_batch(params, xb, np.asarray(omega)[:, None], params.zeros_like(),
                           buf).flat
 
 
 def optimizer_vectors(params):
-    """The flat velocity (zero) and scratch vectors that train gives step."""
-    return np.zeros_like(params.flat), np.empty_like(params.flat)
+    """The flat velocity (zero), scratch and lookahead (theta) vectors that
+    train gives step."""
+    return np.zeros_like(params.flat), np.empty_like(params.flat), params.flat.copy()
 
 
 def test_forward_zero_params_gives_uniform():
@@ -67,7 +69,7 @@ def test_forward_matches_straight_line_reimplementation(rng):
 def test_forward_rejects_wrong_length(rng):
     params = make_params(rng, 5, 3, 0)
     with pytest.raises(ValueError):
-        forward_batch(params, np.zeros((1, 4)), fresh_buffers(params, 1))
+        forward_batch(params, class_major(np.zeros((1, 4))), fresh_buffers(params, 1))
 
 
 def test_backward_zero_omega_gives_zero_grads(rng):
@@ -117,7 +119,7 @@ def test_step_plain_sgd_when_momentum_zero(rng):
     before = params.copy()
     config = TrainConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
     grads = ModelParameters([np.ones((2, 3))], [np.ones(2)])
-    step(params, grads, *optimizer_vectors(params), config)
+    step(params, grads, *optimizer_vectors(params), step_rates(config))
     assert np.allclose(params.weights[0], before.weights[0] - 0.1)
     assert np.allclose(params.biases[0], before.biases[0] - 0.1)
 
@@ -125,22 +127,22 @@ def test_step_plain_sgd_when_momentum_zero(rng):
 def test_step_velocity_approaches_geometric_limit(rng):
     params = make_params(rng, 3, 2, 0)
     config = TrainConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
-    velocity = params.zeros_like()  # per-layer views of the flat velocity
-    scratch = np.empty_like(params.flat)
+    velocity = params.zeros_like()  # per-layer views of the flat velocity, mu * v
+    scratch, look = np.empty_like(params.flat), params.flat.copy()
     g = ModelParameters([np.full((2, 3), 2.0)], [np.full(2, 2.0)])
     # v_t = -lr * g * (1 - mu^t) / (1 - mu), limit magnitude lr * g / (1 - mu)
     for t in range(1, 30):
-        step(params, g, velocity.flat, scratch, config)
+        step(params, g, velocity.flat, scratch, look, step_rates(config))
         expected = -0.1 * 2.0 * (1 - 0.9 ** t) / (1 - 0.9)
-        assert np.allclose(velocity.weights[0], expected, rtol=1e-12)
-    assert abs(velocity.weights[0][0, 0]) < 0.1 * 2.0 / (1 - 0.9)
+        assert np.allclose(velocity.weights[0], 0.9 * expected, rtol=1e-12)
+    assert abs(velocity.weights[0][0, 0]) < 0.9 * 0.1 * 2.0 / (1 - 0.9)
 
 
 def test_step_noop_on_zero_gradient(rng):
     params = make_params(rng, 3, 2, 0)
     before = params.copy()
     config = TrainConfig(learning_rate=0.5, momentum=0.9, weight_decay=0.0)
-    step(params, params.zeros_like(), *optimizer_vectors(params), config)
+    step(params, params.zeros_like(), *optimizer_vectors(params), step_rates(config))
     assert np.array_equal(params.weights[0], before.weights[0])
     assert np.array_equal(params.biases[0], before.biases[0])
 
@@ -148,9 +150,30 @@ def test_step_noop_on_zero_gradient(rng):
 def test_step_applies_weight_decay(rng):
     params = ModelParameters([np.full((2, 2), 10.0)], [np.zeros(2)])
     config = TrainConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.5)
-    step(params, params.zeros_like(), *optimizer_vectors(params), config)
+    step(params, params.zeros_like(), *optimizer_vectors(params), step_rates(config))
     # g = 0 + 0.5 * 10 = 5, theta <- 10 - 0.1 * 5
     assert np.allclose(params.weights[0], 9.5)
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_step_equals_the_plain_formulas(rng, momentum):
+    # theta, mu * v (the velocity buffer) and the next lookahead bit for
+    # bit against v = mu*v - lr*(g + wd*theta), theta = theta + v written
+    # out with allocating operators
+    params = make_params(rng, 5, 4, 3)
+    config = TrainConfig(learning_rate=0.05, momentum=momentum, weight_decay=1e-3)
+    velocity, scratch, look = optimizer_vectors(params)
+    grads = params.zeros_like()
+    theta, v = params.flat.copy(), np.zeros_like(params.flat)
+    mu, lr, wd = config.momentum, config.learning_rate, config.weight_decay
+    for _ in range(50):
+        grads.flat[:] = rng.standard_normal(grads.flat.size)
+        step(params, grads, velocity, scratch, look, step_rates(config))
+        v = mu * v - lr * (grads.flat + wd * theta)
+        theta = theta + v
+        assert np.array_equal(params.flat, theta)
+        assert np.array_equal(velocity, mu * v)
+        assert np.array_equal(look, theta + mu * v)
 
 
 @pytest.mark.parametrize("hidden", [0, 32])
@@ -158,8 +181,8 @@ def test_step_applies_weight_decay(rng):
 def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
     # the batched chain train() runs (transition_columns, batch_weighting,
     # backward_batch, with the 1/m scale and one set of buffers reused for
-    # every loss) on one minibatch, against the mean over its rows of the
-    # chain-rule reference weight_proposed contracted one row at a time
+    # every loss) on one minibatch, against the mean over its samples of
+    # the chain-rule reference weight_proposed contracted one at a time
     d, c, m, sources = 6, 5, 16, 3
     if strategy == "vanilla":
         mats = {s: np.eye(c) for s in range(sources)}
@@ -174,10 +197,11 @@ def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
     src = rng.integers(sources, size=m)
     cols = transition_columns(labels, src, c, None if strategy == "vanilla" else mats)
     buf = BatchBuffers(m, c, hidden)
+    xb = class_major(x)
     for spec in SPECS:
-        scores = forward_batch(look, x, buf)
-        omega = batch_weighting(_softmax_rows(scores, buf), cols, spec, 1.0 / m, buf)
-        batched = backward_batch(look, x, omega, look.zeros_like(), buf).flat
+        scores = forward_batch(look, xb, buf)
+        omega = batch_weighting(_softmax_columns(scores, buf), cols, spec, 1.0 / m, buf)
+        batched = backward_batch(look, xb, omega, look.zeros_like(), buf).flat
         oracle = np.mean([one_row_gradient(look, x[i], weight_proposed(
             spec, mats[src[i]], labels[i], softmax(scores_of(look, x[i]))))
             for i in range(m)], axis=0)
@@ -198,15 +222,16 @@ def test_vanilla_is_proposed_with_identity_matrices(rng, hidden):
 
 
 def buffered_step(params, x, cols, spec, buf):
-    """One minibatch through the kernels, writing into buf: (omega, gradient)."""
+    """One class-major minibatch through the kernels, writing into buf:
+    (omega, gradient)."""
     scores = forward_batch(params, x, buf)
-    omega = batch_weighting(_softmax_rows(scores, buf), cols, spec, 1.0 / len(x), buf)
+    omega = batch_weighting(_softmax_columns(scores, buf), cols, spec, 1.0 / x.shape[1], buf)
     return omega, backward_batch(params, x, omega, params.zeros_like(), buf)
 
 
 def fresh_step(params, x, cols, spec):
     """buffered_step into a new BatchBuffers made for this one batch."""
-    return buffered_step(params, x, cols, spec, fresh_buffers(params, len(x)))
+    return buffered_step(params, x, cols, spec, fresh_buffers(params, x.shape[1]))
 
 
 @pytest.mark.parametrize("hidden", [0, 32])
@@ -215,15 +240,15 @@ def test_reused_buffers_equal_fresh_buffers(rng, hidden):
     # batches between them through their own, bit-equal to calls given
     # fresh buffers: a kernel reading a value left over from the previous
     # batch would show here (a buffer shared within one call shows in the
-    # plain-formula test); the batch of fewer rows than classes shows a
-    # ones vector sized by rows where it should be sized by classes
+    # plain-formula test); the batch of fewer samples than classes shows a
+    # ones vector sized by samples where it should be sized by classes
     d, c, bs = 16, 10, 32
     full = BatchBuffers(bs, c, hidden)
     for m, spec in [(bs, LossSpec("gce", q=0.7)), (bs, LossSpec("sl")), (11, LossSpec("cce")),
                     (3, LossSpec("gce", q=0.7)), (bs, LossSpec("mae"))]:
         params = make_params(rng, d, c, hidden)
-        x = rng.standard_normal((m, d))
-        cols = random_row_stochastic(rng, c)[:, rng.integers(c, size=m)].T.copy()
+        x = class_major(rng.standard_normal((m, d)))
+        cols = random_row_stochastic(rng, c)[:, rng.integers(c, size=m)]
         buf = full if m == bs else BatchBuffers(m, c, hidden)
         omega, grad = buffered_step(params, x, cols, spec, buf)
         assert np.shares_memory(omega, buf.omega)
@@ -246,41 +271,46 @@ def plain_train(features, labels, source_ids, c, config, matrices):
     """train written from its formulas alone, calling none of model's
     kernels: @ products, the .max() method, fancy-index gathers and the
     allocating update v = mu*v - lr*(g + wd*theta), in the operation order
-    the kernels use (every sum a product with a ones vector: bias sums as
-    ones @ delta over rows, the softmax denominator and ut as
-    e @ ones over classes; the 1/m scale on f', the ReLU derivative as a
-    0/1 factor)."""
+    the kernels use: samples are columns, each layer is one product
+    [W | b] @ [x; 1], every class sum is ones @ e over axis 0 (the softmax
+    denominator, ut), the 1/m scale rides on f', the ReLU derivative is a
+    0/1 factor, and mu * v is kept from one step to the next."""
     cols = np.array([np.asarray(matrices[s], dtype=np.float64)[:, y]
-                     for s, y in zip(source_ids, labels)])
+                     for s, y in zip(source_ids, labels)]).T
     rng = np.random.default_rng(config.seed)
     params = init_parameters(features.shape[1], c, config.hidden, rng)
-    theta, v = params.flat.copy(), np.zeros_like(params.flat)
-    look = params.copy()
+    layers = [np.hstack([w, b[:, None]]) for w, b in zip(params.weights, params.biases)]
+    theta = np.concatenate([layer.ravel() for layer in layers])
+    shapes = [layer.shape for layer in layers]
+    splits = np.cumsum([layer.size for layer in layers])[:-1]
+    mv = np.zeros_like(theta)  # mu * v
     n, bs, mu = len(labels), config.batch_size, config.momentum
     class_ones = np.ones(c)
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        xs, cs = features[order], cols[order]
+        xs, cs = features[order].T, cols[:, order]
         for start in range(0, n, bs):
-            x, cb = xs[start:start + bs], cs[start:start + bs]
-            m = len(x)
-            look.flat[:] = theta + mu * v
-            w, b = look.weights, look.biases
-            a = x if config.hidden == 0 else np.maximum(x @ w[0].T + b[0], 0.0)
-            scores = a @ w[-1].T + b[-1]
-            e = np.exp(scores - scores.max(axis=1, keepdims=True))
-            u = e / (e @ class_ones)[:, None]
-            ut = ((cb * u) @ class_ones)[:, None]
+            cb = cs[:, start:start + bs]
+            m = cb.shape[1]
+            x = np.vstack([xs[:, start:start + bs], np.ones(m)])
+            layers = [part.reshape(shape) for part, shape in
+                      zip(np.split(theta + mv, splits), shapes)]  # at the lookahead
+            a = x if config.hidden == 0 else np.vstack([np.maximum(layers[0] @ x, 0.0),
+                                                        np.ones(m)])
+            scores = layers[-1] @ a
+            e = np.exp(scores - scores.max(axis=0))
+            u = e / (class_ones @ e)
+            ut = class_ones @ (cb * u)
             fprime = plain_loss_derivative(config.loss, np.minimum(np.maximum(ut, PROB_FLOOR), 1.0))
             omega = (cb * u - ut * u) * (fprime * (1.0 / m))
-            ones = np.ones(m)
-            grads = [omega.T @ a, ones @ omega]
+            grads = [omega @ a.T]
             if config.hidden:
-                dh = (omega @ w[1]) * (a > 0)
-                grads = [dh.T @ x, ones @ dh] + grads
+                dh = (layers[1].T @ omega)[:-1] * (a[:-1] > 0)
+                grads = [dh @ x.T] + grads
             g = np.concatenate([part.ravel() for part in grads])
-            v = mu * v - config.learning_rate * (g + config.weight_decay * theta)
+            v = mv - config.learning_rate * (g + config.weight_decay * theta)
             theta = theta + v
+            mv = mu * v
     return theta
 
 
@@ -307,42 +337,44 @@ def test_step_allocates_nothing(rng):
     # step alone allocates nothing of the parameter size
     params = make_params(rng, 16, 10, 32)
     config = TrainConfig(learning_rate=0.05, momentum=0.9, weight_decay=1e-6)
-    velocity, scratch = optimizer_vectors(params)
+    rates = step_rates(config)
+    velocity, scratch, look = optimizer_vectors(params)
     grads = make_params(rng, 16, 10, 32)
     tracemalloc.start()
     try:
         for _ in range(500):
-            step(params, grads, velocity, scratch, config)
+            step(params, grads, velocity, scratch, look, rates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < params.flat.nbytes
     # nor does a whole minibatch as train runs it, for every loss family,
-    # into the buffers train allocates before its loop. A broadcasting ufunc
-    # (the bias adds, the column shifts) lets numpy allocate an iterator
-    # buffer of up to 8192 elements (64 KB) per call, so the batch is large
-    # enough that one (rows, 1) column outweighs it: a kernel temporary of
-    # that size or larger shows
+    # into the buffers train allocates before its loop. A ufunc that
+    # broadcasts a per-sample (m,) vector over the class rows (the shifts
+    # and scales of softmax and batch_weighting) lets numpy allocate an
+    # iterator of about 1 KB per call, whatever m is; with 16384 samples
+    # every (m,) vector is 128 KB, so a kernel temporary of any batch-sized
+    # array breaks the bound
     d, c, bs = 16, 10, 16384
-    x = rng.standard_normal((bs, d))
-    cols = random_row_stochastic(rng, c)[:, rng.integers(c, size=bs)].T.copy()
+    x = class_major(rng.standard_normal((bs, d)))
+    cols = random_row_stochastic(rng, c)[:, rng.integers(c, size=bs)]
     for hidden in (0, 32):
         params = make_params(rng, d, c, hidden)
-        velocity, scratch = optimizer_vectors(params)
+        velocity, scratch, look = optimizer_vectors(params)
         grads = params.zeros_like()
         buf = BatchBuffers(bs, c, hidden)
         tracemalloc.start()
         try:
             for spec in SPECS:
                 scores = forward_batch(params, x, buf)
-                u = _softmax_rows(scores, buf)
+                u = _softmax_columns(scores, buf)
                 omega = batch_weighting(u, cols, spec, 1.0 / bs, buf)
                 backward_batch(params, x, omega, grads, buf)
-                step(params, grads, velocity, scratch, config)
+                step(params, grads, velocity, scratch, look, rates)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < buf.col.nbytes, hidden
+        assert peak < 4096, (hidden, peak)
 
 
 @pytest.mark.parametrize("rows, labels, sources, message", [
@@ -394,8 +426,11 @@ def test_parameter_views_share_the_flat_buffer(rng):
     params = make_params(rng, 3, 2, 4)
     assert params.flat.size == 4 * 3 + 4 + 2 * 4 + 2
     params.flat[:] = np.arange(params.flat.size)
-    assert params.weights[0][1, 0] == 3.0 and params.biases[0][0] == 12.0
+    # layer by layer, each [W | b] row-major: the (4, 4) [W0 | b0], then the (2, 5) [W1 | b1]
+    assert params.weights[0][1, 0] == 4.0 and params.biases[0][0] == 3.0
     assert params.weights[1][0, 0] == 16.0 and params.biases[1][1] == 25.0
+    assert np.array_equal(params.layers[0], np.arange(16.0).reshape(4, 4))
+    assert np.array_equal(params.layers[1], np.arange(16.0, 26.0).reshape(2, 5))
     copy = params.copy()
     copy.weights[1][0, 0] = -1.0
     assert params.flat[16] == 16.0
@@ -419,10 +454,10 @@ def test_predict_batch_blocks_equal_one_whole_pass(rng, hidden):
     b = model.PREDICT_BLOCK_ROWS
     x = rng.standard_normal((2 * b + 3, 16))
     for n in (0, 1, b - 1, b, b + 1, 2 * b + 3):
-        scores = forward_batch(params, x[:n], fresh_buffers(params, n))
+        scores = forward_batch(params, class_major(x[:n]), fresh_buffers(params, n))
         preds = predict_batch(params, x[:n])
         assert preds.dtype == np.int64 and preds.shape == (n,)
-        assert np.array_equal(preds, scores.argmax(axis=1))
+        assert np.array_equal(preds, scores.argmax(axis=0))
     with pytest.raises(ValueError):
         predict_batch(params, np.zeros((0, 15)))  # the wrong width, even with no rows
 
@@ -438,13 +473,15 @@ def test_predict_batch_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    scores = forward_batch(params, x[:1000], fresh_buffers(params, 1000))
-    assert np.array_equal(preds[:1000], scores.argmax(axis=1))
+    scores = forward_batch(params, class_major(x[:1000]), fresh_buffers(params, 1000))
+    assert np.array_equal(preds[:1000], scores.argmax(axis=0))
 
 
 def test_predict_batch_allocates_only_the_forward_buffers(rng):
     # one per-epoch evaluation: 1250 test rows through a hidden-32 model;
-    # the (rows, 32) activations, (rows, 10) scores and labels take 0.43 MB
+    # one block's class-major inputs, activations and scores (each 8 bytes
+    # times 17, 33 and 10 per row) and the labels, with a block of all 1250
+    # rows, would take 0.53 MB
     params = make_params(rng, 16, 10, 32)
     x = rng.standard_normal((1250, 16))
     tracemalloc.start()
@@ -454,8 +491,8 @@ def test_predict_batch_allocates_only_the_forward_buffers(rng):
     finally:
         tracemalloc.stop()
     assert peak < 0.5e6
-    scores = forward_batch(params, x, fresh_buffers(params, len(x)))
-    assert np.array_equal(preds, scores.argmax(axis=1))
+    scores = forward_batch(params, class_major(x), fresh_buffers(params, len(x)))
+    assert np.array_equal(preds, scores.argmax(axis=0))
 
 
 def _toy_training_data(rng, n=300):
@@ -532,6 +569,26 @@ def test_params_binary_round_trip(tmp_path, rng, hidden):
     assert int.from_bytes(raw[4:8], "little") == 6
     assert int.from_bytes(raw[8:12], "little") == hidden
     assert int.from_bytes(raw[12:16], "little") == 4
+
+
+@pytest.mark.parametrize("hidden", [0, 5])
+def test_save_params_writes_the_checkpoint_format(tmp_path, rng, hidden):
+    # the bytes built by hand: the int32 header, then per layer W row-major
+    # and b, each as little-endian float64
+    params = make_params(rng, 6, 4, hidden)
+    for b in params.biases:
+        b[:] = rng.standard_normal(b.size)
+    expected = struct.pack("<4i", 0 if hidden == 0 else 1, 6, hidden, 4)
+    for w, b in zip(params.weights, params.biases):
+        expected += struct.pack(f"<{w.size}d", *np.ascontiguousarray(w).ravel())
+        expected += struct.pack(f"<{b.size}d", *b)
+    path = tmp_path / "model.params"
+    save_params(path, params)
+    assert path.read_bytes() == expected
+    loaded = load_params(path)
+    assert np.array_equal(loaded.flat, params.flat)
+    save_params(tmp_path / "again.params", loaded)
+    assert (tmp_path / "again.params").read_bytes() == expected
 
 
 @pytest.mark.parametrize("header, tail, message", [

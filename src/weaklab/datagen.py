@@ -10,6 +10,8 @@ matrix. Same seed, same bytes.
 from __future__ import annotations
 
 import itertools
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,6 +249,18 @@ def _parse_header(path, line: str):
     return c, d, n
 
 
+def _check_room(path, fh, header: str, d: int, n: int) -> None:
+    """Reject a header whose n rows cannot fit in the rest of a regular
+    file, before its arrays are allocated: a row of d + 2 fields takes at
+    least 2(d + 2) bytes, one character per field and one per separator
+    or newline."""
+    info = os.fstat(fh.fileno())
+    rest = info.st_size - len(header.encode(fh.encoding))
+    if stat.S_ISREG(info.st_mode) and n * 2 * (d + 2) > rest:
+        raise _bad_line(path, 1, f"header {header.strip()!r} asks for {n} rows of {d + 2} "
+                        f"fields, at least {n * 2 * (d + 2)} bytes, but {rest} bytes follow it")
+
+
 def _check_row(path, lineno: int, line: str, row_type: np.dtype) -> None:
     parts = line.split()
     d = row_type["features"].shape[0]
@@ -274,10 +288,13 @@ def load_dataset(path) -> MultisourceDataset:
     is not three integers `c d n`, a row has other than d + 2 fields or
     lacks its final newline, a source id or label is not an integer, a
     label lies outside [0, c), a source id is negative, or the file holds
-    other than n rows.
+    other than n rows. A regular file too short to hold the header's n
+    rows is refused at line 1, before any array is allocated.
     """
     with open(path) as fh:
-        c, d, n = _parse_header(path, fh.readline())
+        header = fh.readline()
+        c, d, n = _parse_header(path, header)
+        _check_room(path, fh, header, d, n)
         src = np.empty(n, dtype=np.int64)
         labels = np.empty(n, dtype=np.int64)
         features = np.empty((n, d))

@@ -3,11 +3,13 @@
 An experiment sweeps (strategy, loss) combinations over error rates and
 seeds on a synthetic multisource dataset. Per seed: generate the data,
 train a baseline on the clean source, estimate per-source transition
-matrices with it, and train one model per combination, recording its
-test accuracy every epoch in a Cell. A report row aggregates the Cells of
-one combination to the mean and unbiased (n-1) standard deviation of
-their best accuracies across seeds. Everything is deterministic given the
-config, so re-running a config reproduces the report files byte for byte.
+matrices (T-hat) with it, and train one model per combination. Every
+model, the baseline too, takes one path that records its test accuracy
+each epoch in a Cell, failed if the model diverged or lacked the T-hat of
+a diverged baseline. A report row aggregates a combination's Cells to the
+mean and unbiased (n-1) std of their best accuracies across seeds, and
+counts the failed Cells it leaves out. Re-running a config reproduces the
+report files byte for byte.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ class ExperimentConfig:
 
 @dataclass
 class Cell:
-    """One trained model: where it sits in the sweep, and its test accuracy
-    after every epoch as (epoch, oa) pairs, empty when training diverged."""
+    """One model of a sweep: where it sits, and its test accuracy after
+    every epoch as (epoch, oa) pairs, empty when the model failed."""
 
     strategy: str
     loss_family: str
@@ -205,21 +207,32 @@ def overall_accuracy(params: ModelParameters, test: Dataset) -> float:
     return float(np.mean(predict_batch(params, test.features) == test.labels))
 
 
-def _train_tracked(test, fit, *args, **kwargs):
-    """Run fit(*args, **kwargs) while recording test accuracy per epoch
-    through its epoch callback; returns the parameters of the first epoch
-    with the highest accuracy, and the (epoch, oa) curve."""
-    best = {"oa": -1.0, "params": None}
-    curve = []
+def _train_cell(key: tuple, test: Dataset, fit, *args, **kwargs):
+    """Train one model of a sweep by fit(*args, **kwargs) and return its Cell,
+    keyed by key = (strategy, loss family, eta, seed), with the parameters of
+    its best_epoch; a model whose training diverges is a failed Cell, with None."""
+    cell = Cell(*key, [])
+    best = {}
 
     def callback(epoch, params):
-        oa = overall_accuracy(params, test)
-        curve.append((epoch, oa))
-        if oa > best["oa"]:
-            best.update(oa=oa, params=params.copy())
+        cell.curve.append((epoch, overall_accuracy(params, test)))
+        if cell.best_epoch == epoch:
+            best["params"] = params.copy()
 
-    fit(*args, epoch_callback=callback, **kwargs)
-    return best["params"], curve
+    try:
+        fit(*args, epoch_callback=callback, **kwargs)
+    except TrainingDiverged:
+        return Cell(*key, []), None
+    return cell, best["params"]
+
+
+def _strategy_matrices(estimated: dict, src: np.ndarray, c: int) -> dict:
+    """strategy -> transition matrices, from one (seed, eta)'s T-hat and the
+    source ids; without a T-hat only vanilla, which takes none, can train."""
+    if not estimated:
+        return {"vanilla": None}
+    return {"vanilla": None, "proposed": {**estimated, 0: identity_matrix(c)},
+            "forward": {int(s): estimated["single"] for s in np.unique(src)}}
 
 
 def _blend_true_matrices(specs: list) -> TransitionMatrix:
@@ -247,11 +260,12 @@ def source_specs(c: int, clean_count: int, weak: list) -> list:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run the full sweep described by the config; see the module docstring."""
     c = config.classes
-    cap = config.baseline_epoch_cap
-    bepochs = min(config.train.epochs, cap) if cap > 0 else config.train.epochs
+    bepochs = min(config.train.epochs, config.baseline_epoch_cap or config.train.epochs)
     specs = {eta: source_specs(c, config.clean_count, [
         (w.kind, eta, w.count(config.clean_count)) for w in config.weak_sources])
         for eta in config.etas}
+    dominance_ok = {None: None} | {eta: all(satisfies_diagonal_dominance(s.matrix)
+                                            for s in specs[eta][1:]) for eta in config.etas}
     cells = []
     errors = []
     estimates = {}
@@ -264,24 +278,22 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         # sources, so one baseline per seed serves every eta
         clean, test = build_multisource(blobs, source_specs(c, config.clean_count, []), seed)
         bconf = replace(config.train, seed=seed, epochs=bepochs)
-        try:
-            baselines[seed], curve = _train_tracked(
-                test, train_baseline, as_clean_dataset(clean), bconf)
-        except TrainingDiverged:
-            curve = []
-        cells.append(Cell("baseline", bconf.loss.family, None, seed, curve))
+        cell, params = _train_cell(("baseline", bconf.loss.family, None, seed), test,
+                                   train_baseline, as_clean_dataset(clean), bconf)
+        cells.append(cell)
+        if not cell.failed:
+            baselines[seed] = params
 
         for eta in config.etas:
             ms, _ = build_multisource(blobs, specs[eta], seed)
             true = dict({s.id: s.matrix for s in specs[eta][1:]},
                         single=_blend_true_matrices(specs[eta]))
+            estimated = {}  # stays empty when the baseline diverged: no T-hat
             if config.estimated_vs_true_matrices:
                 estimated = true
             elif seed in baselines:
                 estimated = dict(estimate_per_source(baselines[seed], ms, config.smoothing),
                                  single=estimate_single(baselines[seed], ms, config.smoothing))
-            else:  # the baseline diverged: no T-hat
-                estimated = {}
             if estimated:
                 estimates[(seed, eta)] = estimated
             errors.extend((seed, eta, key, *_estimate_error(matrix, true[key]))
@@ -289,36 +301,24 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
             kept = [b for b in ms.sources if config.use_clean_in_training or b.source_id != 0]
             feats, labels, src = replace(ms, sources=kept).stacked()
-
+            matrices = _strategy_matrices(estimated, src, c)
             for strategy, family in config.combinations:
-                curve = []  # a failed Cell: training diverged, or no T-hat to correct with
-                if strategy == "vanilla" or estimated:
-                    if strategy == "proposed":
-                        matrices = {**estimated, 0: identity_matrix(c)}
-                    elif strategy == "forward":
-                        matrices = {int(s): estimated["single"] for s in np.unique(src)}
-                    else:
-                        matrices = None
-                    tconf = replace(config.train, strategy=strategy, seed=seed,
-                                    loss=replace(config.train.loss, family=family))
-                    try:
-                        _, curve = _train_tracked(
-                            test, train, feats, labels, src, c, tconf, matrices=matrices)
-                    except TrainingDiverged:
-                        pass
-                cells.append(Cell(strategy, family, eta, seed, curve))
+                if strategy not in matrices:  # no T-hat to correct with
+                    cells.append(Cell(strategy, family, eta, seed, []))
+                    continue
+                tconf = replace(config.train, strategy=strategy, seed=seed,
+                                loss=replace(config.train.loss, family=family))
+                cells.append(_train_cell((strategy, family, eta, seed), test, train, feats, labels,
+                                         src, c, tconf, matrices=matrices[strategy])[0])
 
-    def row(strategy, family, eta, layout, dominance_ok):
-        return ReportRow(strategy, family, eta, layout, [
-            cell for cell in cells
-            if (cell.strategy, cell.loss_family, cell.eta) == (strategy, family, eta)],
-            dominance_ok)
-
-    rows = [row("baseline", config.train.loss.family, None, "clean_only", None)] + [
-        row(strategy, family, eta, config.source_layout(),
-            all(satisfies_diagonal_dominance(s.matrix) for s in specs[eta][1:]))
-        for eta in config.etas for strategy, family in config.combinations]
-    return RunReport(rows, cells, errors, estimates, baselines)
+    rows = {}  # (strategy, loss family, eta) -> ReportRow, in the first seed's order
+    for cell in cells:
+        key = (cell.strategy, cell.loss_family, cell.eta)
+        if key not in rows:
+            layout = "clean_only" if cell.eta is None else config.source_layout()
+            rows[key] = ReportRow(*key, layout, [], dominance_ok[cell.eta])
+        rows[key].per_seed.append(cell)
+    return RunReport(list(rows.values()), cells, errors, estimates, baselines)
 
 
 def _fmt(value) -> str:

@@ -11,7 +11,7 @@ stand-in A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,10 @@ class LossSpec:
     alpha: float = 1.0
     beta: float = 1.0
     A: float = -4.0
+    # loss_derivative's scalar_operand forms of q - 1, -alpha and beta * A
+    q_minus_one: np.ndarray = field(init=False, repr=False, compare=False)
+    minus_alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    beta_times_a: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -57,6 +61,9 @@ class LossSpec:
             raise ValueError("alpha and beta must be positive")
         if self.A >= 0:
             raise ValueError("A must be negative")
+        for name, value in (("q_minus_one", self.q - 1.0), ("minus_alpha", -self.alpha),
+                            ("beta_times_a", self.beta * self.A)):
+            object.__setattr__(self, name, scalar_operand(value))
 
 
 def _check_range(uk):
@@ -107,9 +114,9 @@ def loss_derivative(spec: LossSpec, uk, floor: float | None = None, out=None):
     elif spec.family == "mae":
         out.fill(-2.0)
     elif spec.family == "gce":
-        np.power(u, spec.q - 1.0, out=out)
+        np.power(u, spec.q_minus_one, out=out)
         np.negative(out, out=out)
     else:  # sl
-        np.divide(-spec.alpha, u, out=out)
-        out += spec.beta * spec.A
+        np.divide(spec.minus_alpha, u, out=out)
+        out += spec.beta_times_a
     return float(out) if out.ndim == 0 else out

@@ -291,6 +291,23 @@ def test_corrupt_reports_a_repeated_spec_key_in_one_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("header, asks", [
+    ("10 16 99999999999", "99999999999 rows of 18 fields, at least 3599999999964 bytes"),
+    ("10 99999999999 2", "2 rows of 100000000001 fields, at least 400000000004 bytes"),
+], ids=["huge_n", "huge_d"])
+def test_corrupt_refuses_a_header_the_file_cannot_hold(tmp_path, capsys, header, asks):
+    clean_path = tmp_path / "clean.txt"
+    clean_path.write_text(f"{header}\n0 1 0.5\n")
+    spec_path = tmp_path / "sources.ini"
+    spec_path.write_text("[sources]\nclean_count = 1\nweak = uniform:0.3:1\n")
+    assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
+                 "--emit-dataset", str(tmp_path / "weak.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"weaklab corrupt: {clean_path}, line 1: header '{header}' asks "
+                            f"for {asks}, but 8 bytes follow it\n")
+    assert captured.out == ""
+
+
 def test_corrupt_names_the_spec_keys_and_the_file_when_the_pool_is_short(tmp_path, capsys):
     # 5 classes x 4 rows: 16 for the training pool, 4 for the test set
     blobs = generate_blobs(5, 2, 4, 0.3, np.random.default_rng(0))

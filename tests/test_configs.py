@@ -1,12 +1,18 @@
-"""Every shipped config loads, and every run config completes one cell
-(first seed, first eta, one epoch), so the study configs cannot drift
-away from what the loader and the harness accept. Likewise every code
-name the README cites exists, so the README cannot drift from the code."""
+"""Every shipped config loads, and every run config writes, at seed 0
+and 5 epochs, the run directory whose digests tests/golden/digests.txt
+pins, so neither the study configs nor the bytes a sweep writes can
+drift unnoticed. Likewise every code name the README cites exists, so
+the README cannot drift from the code.
+
+Regenerate the digests, after a change that alters a run directory on
+purpose, with `PYTHONPATH=src python tests/test_configs.py`."""
 
 import builtins
+import hashlib
 import importlib
 import pkgutil
 import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,11 +20,13 @@ import pytest
 
 import weaklab
 from weaklab.cli import _parse_corrupt_spec
-from weaklab.harness import load_config, run_experiment
+from weaklab.harness import load_config, run_experiment, write_run_dir
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
 CORRUPT_SPEC = "corrupt_spec.ini"
+RUN_CONFIGS = [p for p in CONFIGS if p.name != CORRUPT_SPEC]
+GOLDEN = ROOT / "tests" / "golden" / "digests.txt"
 MODULES = {m.name: importlib.import_module(f"weaklab.{m.name}")
            for m in pkgutil.iter_modules(weaklab.__path__)}
 README_NAMES = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
@@ -38,15 +46,34 @@ def test_corrupt_spec_loads():
     assert clean_count > 0 and weak
 
 
-@pytest.mark.parametrize("path", [p for p in CONFIGS if p.name != CORRUPT_SPEC],
-                         ids=lambda p: p.stem)
-def test_run_config_completes_one_cell(path):
+def run_digests(path, out: Path) -> dict:
+    """Write the run directory of the config at path, with seeds = 0 and
+    epochs = 5, into out; return {"<config>/<file>": sha256} of its
+    files, except the .params checkpoints (see the golden test)."""
     cfg = load_config(path)
-    cfg = replace(cfg, seeds=cfg.seeds[:1], etas=cfg.etas[:1],
-                  train=replace(cfg.train, epochs=1))
-    report = run_experiment(cfg)
-    assert len(report.rows) == 1 + len(cfg.combinations)
-    assert all(r.mean_oa is not None for r in report.rows)
+    report = run_experiment(replace(cfg, seeds=[0], train=replace(cfg.train, epochs=5)))
+    write_run_dir(report, out)
+    return {f"{path.stem}/{f.relative_to(out).as_posix()}":
+            hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.rglob("*")) if f.is_file() and f.suffix != ".params"}
+
+
+@pytest.mark.parametrize("path", RUN_CONFIGS, ids=lambda p: p.stem)
+def test_run_config_matches_the_golden_digests(path, tmp_path):
+    # The .params checkpoints are left out: their last bits depend on the
+    # BLAS kernel (under OPENBLAS_CORETYPE=Haswell 608 of the 874 entries of
+    # a 60-epoch baseline differed, by at most 4.4e-16), while report.csv,
+    # curves.csv, estimates.csv and the T_hat files agreed under every kernel
+    # tried. The pinned report.csv also pins its row count and mean_oa.
+    golden = dict(reversed(line.split("  ")) for line in GOLDEN.read_text().splitlines())
+    want = {name: digest for name, digest in golden.items()
+            if name.startswith(f"{path.stem}/")}
+    got = run_digests(path, tmp_path / path.stem)
+    assert sorted(got) == sorted(want), (f"{path.stem}: files without a digest "
+                                         f"{sorted(got.keys() - want.keys())}, digests without "
+                                         f"a file {sorted(want.keys() - got.keys())}")
+    for name, digest in want.items():
+        assert got[name] == digest, f"{name} differs from its golden digest"
 
 
 def test_readme_dotted_names_resolve():
@@ -72,3 +99,10 @@ def test_readme_camel_case_names_resolve():
     missing = sorted(name for name in camel if not hasattr(builtins, name)
                      and not any(hasattr(module, name) for module in MODULES.values()))
     assert not missing, f"README cites names that are no weaklab attribute or builtin: {missing}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: digest for path in RUN_CONFIGS
+                   for name, digest in run_digests(path, Path(tmp) / path.stem).items()}
+    GOLDEN.write_text("".join(f"{digest}  {name}\n" for name, digest in digests.items()))

@@ -226,15 +226,31 @@ def test_valid_fixture_loads(tmp_path):
     (VALID.replace("1 1 -0.0", "1 -1 -0.0"), 4, r"label outside \[0, 3\): -1"),
     (VALID.replace("1 1 -0.0", "-1 1 -0.0"), 4, "negative source id"),
     (VALID + "1 0 1.0 1.0\n", 6, "more rows than the header's n = 4"),
+    # one row more than the file holds: rows longer than the shortest pass the
+    # room check, so the reading finds the missing one
     (VALID.replace("3 2 4", "3 2 5"), 6, "file ends after 4 rows"),
     (VALID[:-1], 5, "does not end with a newline"),
+    # numpy would ask for 745 GiB and 1.46 TiB before reading a row
+    ("10 16 99999999999\n0 1 0.5\n", 1, "asks for 99999999999 rows of 18 fields"),
+    ("10 99999999999 2\n0 1 0.5\n", 1, "asks for 2 rows of 100000000001 fields"),
 ], ids=["short_header", "bad_header", "zero_d", "dropped_field", "extra_field", "blank_line",
         "float_label", "bad_source", "bad_feature", "label_c", "negative_label",
-        "negative_source", "extra_row", "missing_row", "truncated_row"])
+        "negative_source", "extra_row", "missing_row", "truncated_row", "huge_n", "huge_d"])
 def test_load_dataset_names_the_bad_line(tmp_path, text, line, message):
     path = tmp_path / "data.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"data.txt, line {line}: .*{message}"):
+        load_dataset(path)
+
+
+def test_load_dataset_room_check_is_exact_at_the_shortest_rows(tmp_path):
+    path = tmp_path / "data.txt"
+    rows = "0 1 5\n" * 3  # d = 1: the shortest rows, 2(d + 2) = 6 bytes each
+    path.write_text("2 1 3\n" + rows)
+    assert len(load_dataset(path).block(0)) == 3
+    path.write_text("2 1 4\n" + rows)
+    with pytest.raises(ValueError, match="data.txt, line 1: header '2 1 4' asks for 4 rows "
+                                         "of 3 fields, at least 24 bytes, but 18 bytes"):
         load_dataset(path)
 
 

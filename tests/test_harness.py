@@ -106,6 +106,29 @@ def test_run_experiment_goes_on_past_a_diverged_baseline(monkeypatch, true_matri
     assert bool(report.estimates) is bool(report.errors) is true_matrices
 
 
+@pytest.mark.parametrize("diverges", [False, True], ids=["trained", "diverged"])
+def test_train_cell_keeps_the_parameters_of_its_best_epoch(monkeypatch, diverges):
+    oas = iter([0.5, 0.75, 0.625, 0.75])
+    monkeypatch.setattr(harness, "overall_accuracy", lambda params, test: next(oas))
+
+    def fit(size, epoch_callback):
+        params = np.zeros(size)
+        for epoch in range(1, 5):
+            params += 1.0  # one buffer, as train updates in place
+            epoch_callback(epoch, params)
+        if diverges:
+            raise TrainingDiverged("non-finite parameters after epoch 4")
+        return params
+
+    cell, params = harness._train_cell(("vanilla", "cce", 0.2, 3), None, fit, 2)
+    if diverges:
+        assert cell == Cell("vanilla", "cce", 0.2, 3, []) and params is None
+    else:
+        assert cell == Cell("vanilla", "cce", 0.2, 3, [(1, 0.5), (2, 0.75), (3, 0.625),
+                                                        (4, 0.75)])
+        assert params.tolist() == [2.0, 2.0]  # a copy of the first of the tied maxima
+
+
 def test_cell_best_epoch_is_the_first_of_tied_maxima():
     cell = Cell("vanilla", "cce", 0.2, 0, [(1, 0.5), (2, 0.75), (3, 0.625), (4, 0.75)])
     assert not cell.failed

@@ -121,6 +121,20 @@ def test_gce_derivative_value():
     assert loss_derivative(gce, 0.5) == pytest.approx(-1.23114, abs=1e-5)
 
 
+def test_derivative_operands_are_read_only_and_keep_the_bits():
+    spec = LossSpec("sl", q=0.3, alpha=0.7, beta=1.3, A=-2.9)
+    for operand, value in ((spec.q_minus_one, 0.3 - 1.0), (spec.minus_alpha, -0.7),
+                           (spec.beta_times_a, 1.3 * -2.9)):
+        assert operand.shape == () and not operand.flags.writeable and operand == value
+    # derived from the fields, so they stay out of eq and repr
+    assert spec == LossSpec("sl", q=0.3, alpha=0.7, beta=1.3, A=-2.9)
+    assert repr(spec) == "LossSpec(family='sl', q=0.3, alpha=0.7, beta=1.3, A=-2.9)"
+    u = np.random.default_rng(0).uniform(1e-3, 1.0, 64)
+    assert np.array_equal(loss_derivative(spec, u), -0.7 / u + 1.3 * -2.9)
+    gce = LossSpec("gce", q=0.3)
+    assert np.array_equal(loss_derivative(gce, u), -np.power(u, 0.3 - 1.0))
+
+
 def test_sl_zero_at_perfect_prediction():
     sl = LossSpec("sl", alpha=1.0, beta=1.0, A=-4.0)
     assert loss_value(sl, 1.0) == 0.0

@@ -119,14 +119,11 @@ def _cmd_corrupt(args) -> int:
     clean_count, weak = _parse_corrupt_spec(args.spec)
     ms_in = datagen.load_dataset(args.load_dataset)
     clean = datagen.as_clean_dataset(ms_in)  # input labels are trusted as true
-    specs = harness.source_specs(clean.c, clean_count, weak)
-    rows = len(clean)
-    pool = datagen.training_pool_size(rows)
-    wanted = sum(spec.count for spec in specs)
-    if wanted > pool:
-        raise ValueError(f"{args.spec}: [sources] clean_count and weak request {wanted} "
-                         f"instances, but the training pool has {pool}: "
-                         f"{args.load_dataset} has {rows} rows, less {rows - pool} test rows")
+    try:
+        specs = datagen.source_specs(clean.c, clean_count, weak, len(clean))
+    except ValueError as err:
+        raise ValueError(f"{args.spec}: [sources] clean_count, weak with {args.load_dataset}: "
+                         f"{err}") from None
     ms, _ = datagen.build_multisource(clean, specs, args.seed)
     datagen.save_dataset(args.emit_dataset, ms)
     sizes = ", ".join(f"source {b.source_id}: {len(b)}" for b in ms.sources)

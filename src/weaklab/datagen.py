@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labelspace import SourceSpec, TransitionMatrix, check_labels, sample_weak_labels
+from .labelspace import SourceSpec, check_labels, identity_matrix, make_template, sample_weak_labels
 
 
 @dataclass(eq=False)
@@ -64,7 +64,10 @@ class MultisourceDataset:
 
     def stacked(self):
         """(features, labels, source_ids) over all sources, in source order:
-        a single block's own arrays, or new arrays joining several."""
+        a single block's own arrays, new arrays joining several, or empty
+        (0, d) float64 and (0,) int64 arrays when there is no source."""
+        if not self.sources:
+            return np.empty((0, self.d)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         joined = (lambda parts: parts[0]) if len(self.sources) == 1 else np.concatenate
         feats = joined([b.features for b in self.sources])
         labs = joined([b.labels for b in self.sources])
@@ -107,10 +110,29 @@ def generate_blobs(c: int, d: int, n_per_class: int, spread: float,
     return Dataset(features, labels, c, means=means)
 
 
-def training_pool_size(m: int) -> int:
-    """Rows of an m-row dataset that build_multisource leaves for the
-    sources: all but the floor(0.2 m) test rows."""
-    return m - int(np.floor(0.2 * m))
+def split_sizes(m: int) -> tuple[int, int]:
+    """(training pool, test set) rows of an m-row dataset: floor(0.2 m) test rows."""
+    test = int(np.floor(0.2 * m))
+    return m - test, test
+
+
+def _fitting_pool(specs: list, m: int) -> int:
+    """The training pool of an m-row dataset; ValueError unless the specs fit it."""
+    pool, test = split_sizes(m)
+    wanted = sum(spec.count for spec in specs)
+    if wanted > pool:
+        raise ValueError(f"{len(specs)} sources request {wanted} instances, but the training "
+                         f"pool has {pool}: {m} rows, less {test} test rows")
+    return pool
+
+
+def source_specs(c: int, clean_count: int, weak: list, m: int) -> list:
+    """Clean source 0, a template source per weak (kind, eta, count), checked to fit m rows."""
+    specs = [SourceSpec(0, identity_matrix(c), clean_count)] + [
+        SourceSpec(i, make_template(kind, c, eta), count)
+        for i, (kind, eta, count) in enumerate(weak, start=1)]
+    _fitting_pool(specs, m)
+    return specs
 
 
 def build_multisource(dataset: Dataset, specs: list, seed: int):
@@ -126,11 +148,7 @@ def build_multisource(dataset: Dataset, specs: list, seed: int):
     if not specs or specs[0].id != 0:
         raise ValueError("specs[0] must be the clean source (id 0)")
     m = len(dataset)
-    m_train = training_pool_size(m)
-    m_test = m - m_train
-    total = sum(s.count for s in specs)
-    if total > m_train:
-        raise ValueError(f"sources request {total} instances but the training pool has {m_train}")
+    m_train = _fitting_pool(specs, m)
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
@@ -249,6 +267,17 @@ def _parse_header(path, line: str):
     return c, d, n
 
 
+def _row_type(path, header: str, d: int) -> np.dtype:
+    """The dtype of one row of d features; a d too large for a numpy
+    dtype is refused at line 1."""
+    try:
+        return np.dtype([("source", np.int64), ("label", np.int64),
+                         ("features", np.float64, (d,))])
+    except ValueError as exc:
+        raise _bad_line(path, 1, f"header {header.strip()!r}: d = {d} features per row are "
+                        f"too many ({exc})") from None
+
+
 def _check_room(path, fh, header: str, d: int, n: int) -> None:
     """Reject a header whose n rows cannot fit in the rest of a regular
     file, before its arrays are allocated: a row of d + 2 fields takes at
@@ -289,17 +318,17 @@ def load_dataset(path) -> MultisourceDataset:
     lacks its final newline, a source id or label is not an integer, a
     label lies outside [0, c), a source id is negative, or the file holds
     other than n rows. A regular file too short to hold the header's n
-    rows is refused at line 1, before any array is allocated.
+    rows, or a header d too large for a row dtype, is refused at line 1,
+    before any array is allocated.
     """
     with open(path) as fh:
         header = fh.readline()
         c, d, n = _parse_header(path, header)
         _check_room(path, fh, header, d, n)
+        row_type = _row_type(path, header, d)
         src = np.empty(n, dtype=np.int64)
         labels = np.empty(n, dtype=np.int64)
         features = np.empty((n, d))
-        row_type = np.dtype([("source", np.int64), ("label", np.int64),
-                             ("features", np.float64, (d,))])
         start = 0
         while start < n:
             lines = list(itertools.islice(fh, min(IO_BLOCK_ROWS, n - start)))

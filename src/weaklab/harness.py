@@ -18,16 +18,15 @@ import configparser
 import io
 import typing
 from dataclasses import dataclass, field, replace
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .datagen import (Dataset, as_clean_dataset, build_multisource, check_blobs, generate_blobs,
-                      training_pool_size)
+                      source_specs, split_sizes)
 from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single, train_baseline
-from .labelspace import (SourceSpec, TemplateKind, TransitionMatrix, identity_matrix,
-                         make_template, satisfies_diagonal_dominance, save_matrix)
+from .labelspace import (TemplateKind, TransitionMatrix, identity_matrix,
+                         satisfies_diagonal_dominance, save_matrix)
 from .losses import FAMILIES, LossSpec
 from .model import (STRATEGIES, ModelParameters, TrainConfig, TrainingDiverged,
                     predict_batch, save_params, train)
@@ -113,22 +112,23 @@ class ExperimentConfig:
                                  f"need at least 1")
         if not 0.0 <= self.smoothing < np.inf:  # written so that NaN fails
             raise ValueError(f"[run] smoothing must be finite and >= 0, got {self.smoothing}")
-        # every weak template must exist at every eta before any training
-        for kind, eta in product(dict.fromkeys(w.kind for w in self.weak_sources), self.etas):
-            try:
-                make_template(kind, self.classes, eta)
-            except ValueError as err:
-                raise ValueError(f"[sources] weak, etas: weak kind {kind.value} at eta {eta:g} "
-                                 f"with {self.classes} classes: {err}") from None
-        # build_multisource would refuse the sources only after the baseline trained
         rows = self.classes * self.n_per_class
-        pool = training_pool_size(rows)
-        wanted = self.clean_count + sum(w.count(self.clean_count) for w in self.weak_sources)
-        if wanted > pool:
-            raise ValueError(f"[sources] clean_count and weak request {wanted} instances, but "
-                             f"the training pool has {pool}: [dataset] classes {self.classes} "
-                             f"x n_per_class {self.n_per_class} = {rows} rows, less "
-                             f"{rows - pool} test rows")
+        if split_sizes(rows)[1] < 1:
+            raise ValueError(f"[dataset] classes {self.classes} x n_per_class "
+                             f"{self.n_per_class} = {rows} rows leave 0 test rows")
+        # build_multisource would refuse the sources only after the baseline trained
+        for eta in self.etas:
+            try:
+                self.sources(eta)
+            except ValueError as err:
+                raise ValueError(f"[sources] clean_count, weak, etas at eta {eta:g}, [dataset] "
+                                 f"classes {self.classes} x n_per_class {self.n_per_class}: "
+                                 f"{err}") from None
+
+    def sources(self, eta: float) -> list:
+        """The SourceSpecs at one eta: datagen.source_specs for the generated rows."""
+        weak = [(w.kind, eta, w.count(self.clean_count)) for w in self.weak_sources]
+        return source_specs(self.classes, self.clean_count, weak, self.classes * self.n_per_class)
 
     def source_layout(self) -> str:
         return "+".join(f"{w.kind.value}:x{w.multiplier:g}" for w in self.weak_sources)
@@ -250,20 +250,11 @@ def _estimate_error(estimate: TransitionMatrix, true: TransitionMatrix):
     return float(diff.sum(axis=1).mean()), float(diff.max())
 
 
-def source_specs(c: int, clean_count: int, weak: list) -> list:
-    """The clean source 0, then one template source per (kind, eta, count)."""
-    return [SourceSpec(0, identity_matrix(c), clean_count)] + [
-        SourceSpec(i, make_template(kind, c, eta), count)
-        for i, (kind, eta, count) in enumerate(weak, start=1)]
-
-
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run the full sweep described by the config; see the module docstring."""
     c = config.classes
     bepochs = min(config.train.epochs, config.baseline_epoch_cap or config.train.epochs)
-    specs = {eta: source_specs(c, config.clean_count, [
-        (w.kind, eta, w.count(config.clean_count)) for w in config.weak_sources])
-        for eta in config.etas}
+    specs = {eta: config.sources(eta) for eta in config.etas}
     dominance_ok = {None: None} | {eta: all(satisfies_diagonal_dominance(s.matrix)
                                             for s in specs[eta][1:]) for eta in config.etas}
     cells = []
@@ -276,7 +267,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                                np.random.default_rng(seed))
         # the clean block and the test split do not depend on the weak
         # sources, so one baseline per seed serves every eta
-        clean, test = build_multisource(blobs, source_specs(c, config.clean_count, []), seed)
+        clean, test = build_multisource(blobs, specs[config.etas[0]][:1], seed)
         bconf = replace(config.train, seed=seed, epochs=bepochs)
         cell, params = _train_cell(("baseline", bconf.loss.family, None, seed), test,
                                    train_baseline, as_clean_dataset(clean), bconf)

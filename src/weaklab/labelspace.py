@@ -92,9 +92,8 @@ def identity_matrix(c: int) -> TransitionMatrix:
 # Off-diagonal layouts of the fixed 10-class templates. Each affected row
 # maps to a list of (target class, share of the row's off-diagonal mass);
 # rows not listed stay clean. The off-diagonal mass of an affected row is
-# eta divided by the template's rate constant (the fraction of affected
-# rows), which makes the balanced error rate of the matrix equal to eta.
-_MIXED_RATE = 0.8
+# eta divided by the template's eta limit (the fraction of affected rows),
+# which makes the balanced error rate of the matrix equal to eta.
 _MIXED_TARGETS = {
     0: [(5, 0.5), (6, 0.5)],
     1: [(2, 1.0)],
@@ -106,7 +105,6 @@ _MIXED_TARGETS = {
     7: [(1, 0.5), (4, 0.5)],
 }
 
-_LANDCOVER_RATE = 0.6
 _LANDCOVER_TARGETS = {
     0: [(1, 0.5), (5, 0.5)],
     3: [(1, 0.5), (2, 0.5)],
@@ -135,14 +133,9 @@ _TARGETS = {
     TemplateKind.INTERCLASS_SIMILARITY: _INTERCLASS_TARGETS,
 }
 
-# a template's rate constant is also its eta limit: at eta = rate the
-# diagonal of every affected row reaches zero
-_ETA_LIMIT = {
-    TemplateKind.MIXED_CLASS_DEPENDENT: _MIXED_RATE,
-    TemplateKind.LAND_COVER_CHANGE: _LANDCOVER_RATE,
-    TemplateKind.UNIFORM: 1.0,
-    TemplateKind.INTERCLASS_SIMILARITY: 1.0,
-}
+# at eta = limit the diagonal of every affected row reaches zero
+_ETA_LIMIT = {TemplateKind.UNIFORM: 1.0} | {kind: len(targets) / 10
+                                            for kind, targets in _TARGETS.items()}
 
 
 def make_template(kind: TemplateKind, c: int, eta: float) -> TransitionMatrix:

@@ -90,10 +90,11 @@ def test_run_rejects_sources_beyond_the_training_pool_before_training(tmp_path, 
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("weaklab run: [sources] clean_count and weak "
-                                   "request 400 instances, but the training pool has 300")
-    assert "[dataset] classes 5 x n_per_class 75" in captured.err
-    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert captured.err == ("weaklab run: [sources] clean_count, weak, etas at eta 0.2, "
+                            "[dataset] classes 5 x n_per_class 75: 2 sources request 400 "
+                            "instances, but the training pool has 300: 375 rows, less 75 test "
+                            "rows\n")
+    assert captured.out == ""
     assert not out.exists() and trained == []
 
 
@@ -320,10 +321,42 @@ def test_corrupt_names_the_spec_keys_and_the_file_when_the_pool_is_short(tmp_pat
     assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
                  "--emit-dataset", str(out_path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == (f"weaklab corrupt: {spec_path}: [sources] clean_count and weak "
-                            f"request 17 instances, but the training pool has 16: {clean_path} "
-                            f"has 20 rows, less 4 test rows\n")
+    assert captured.err == (f"weaklab corrupt: {spec_path}: [sources] clean_count, weak with "
+                            f"{clean_path}: 2 sources request 17 instances, but the training "
+                            f"pool has 16: 20 rows, less 4 test rows\n")
     assert captured.out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("weak, message", [
+    ("uniform:0.3:1", "2 sources request 2 instances, but the training pool has 0: 0 rows, "
+                      "less 0 test rows"),
+    ("mixed:0.9:1", "eta = 0.9 outside [0, 0.8) for mixed"),
+], ids=["pool", "eta_range"])
+def test_corrupt_names_the_spec_and_the_file_of_sources_for_a_header_only_file(tmp_path, capsys,
+                                                                               weak, message):
+    clean_path = tmp_path / "clean.txt"
+    clean_path.write_text("10 16 0\n")
+    spec_path = tmp_path / "sources.ini"
+    spec_path.write_text(f"[sources]\nclean_count = 1\nweak = {weak}\n")
+    out_path = tmp_path / "weak.txt"
+    assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
+                 "--emit-dataset", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"weaklab corrupt: {spec_path}: [sources] clean_count, weak with "
+                            f"{clean_path}: {message}\n")
+    assert captured.out == "" and not out_path.exists()
+
+
+def test_corrupt_accepts_a_file_too_small_for_a_test_split(tmp_path, capsys):
+    # 4 rows leave floor(0.8) = 0 test rows, which corrupt does not write anyway
+    clean_path = tmp_path / "clean.txt"
+    clean_path.write_text("2 1 4\n0 0 0.5\n0 1 1.5\n0 0 2.5\n0 1 3.5\n")
+    spec_path = tmp_path / "sources.ini"
+    spec_path.write_text("[sources]\nclean_count = 1\nweak = uniform:0.5:3\n")
+    out_path = tmp_path / "weak.txt"
+    assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
+                 "--emit-dataset", str(out_path)]) == 0
+    assert capsys.readouterr().out == f"wrote {out_path} (source 0: 1, source 1: 3)\n"
 
 
 @pytest.mark.parametrize("weak, message", [

@@ -58,6 +58,20 @@ def run_digests(path, out: Path) -> dict:
             for f in sorted(out.rglob("*")) if f.is_file() and f.suffix != ".params"}
 
 
+def golden_digests() -> dict:
+    """{"<config>/<file>": sha256} as tests/golden/digests.txt lists them."""
+    return dict(reversed(line.split("  ")) for line in GOLDEN.read_text().splitlines())
+
+
+def test_golden_digests_name_only_and_every_run_config():
+    # the test below reads only the entries of shipped configs, so an entry
+    # of a removed or renamed config would otherwise stay unnoticed
+    listed = {name.split("/")[0] for name in golden_digests()}
+    shipped = {path.stem for path in RUN_CONFIGS}
+    assert listed == shipped, (f"digests of no run config {sorted(listed - shipped)}, run "
+                               f"configs without digests {sorted(shipped - listed)}")
+
+
 @pytest.mark.parametrize("path", RUN_CONFIGS, ids=lambda p: p.stem)
 def test_run_config_matches_the_golden_digests(path, tmp_path):
     # The .params checkpoints are left out: their last bits depend on the
@@ -65,8 +79,7 @@ def test_run_config_matches_the_golden_digests(path, tmp_path):
     # a 60-epoch baseline differed, by at most 4.4e-16), while report.csv,
     # curves.csv, estimates.csv and the T_hat files agreed under every kernel
     # tried. The pinned report.csv also pins its row count and mean_oa.
-    golden = dict(reversed(line.split("  ")) for line in GOLDEN.read_text().splitlines())
-    want = {name: digest for name, digest in golden.items()
+    want = {name: digest for name, digest in golden_digests().items()
             if name.startswith(f"{path.stem}/")}
     got = run_digests(path, tmp_path / path.stem)
     assert sorted(got) == sorted(want), (f"{path.stem}: files without a digest "

@@ -233,9 +233,12 @@ def test_valid_fixture_loads(tmp_path):
     # numpy would ask for 745 GiB and 1.46 TiB before reading a row
     ("10 16 99999999999\n0 1 0.5\n", 1, "asks for 99999999999 rows of 18 fields"),
     ("10 99999999999 2\n0 1 0.5\n", 1, "asks for 2 rows of 100000000001 fields"),
+    # no rows pass the room check, but no numpy row dtype holds that many features
+    ("10 99999999999 0\n", 1, "d = 99999999999 features per row are too many"),
 ], ids=["short_header", "bad_header", "zero_d", "dropped_field", "extra_field", "blank_line",
         "float_label", "bad_source", "bad_feature", "label_c", "negative_label",
-        "negative_source", "extra_row", "missing_row", "truncated_row", "huge_n", "huge_d"])
+        "negative_source", "extra_row", "missing_row", "truncated_row", "huge_n", "huge_d",
+        "huge_d_no_rows"])
 def test_load_dataset_names_the_bad_line(tmp_path, text, line, message):
     path = tmp_path / "data.txt"
     path.write_text(text)
@@ -357,6 +360,9 @@ def test_stacked_joins_the_blocks_in_source_order(tmp_path):
         assert np.array_equal(feats, np.concatenate([b.features for b in ms.sources]))
         assert np.array_equal(labs, np.concatenate([b.labels for b in ms.sources]))
         assert ids.dtype == np.int64 and np.array_equal(ids, np.sort(src))
+    feats, labs, ids = MultisourceDataset([], 3, 2).stacked()
+    assert feats.shape == (0, 2) and feats.dtype == np.float64
+    assert labs.shape == ids.shape == (0,) and labs.dtype == ids.dtype == np.int64
 
 
 def test_as_clean_dataset_of_one_source_is_a_view():

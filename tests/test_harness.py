@@ -53,9 +53,10 @@ def test_config_validation():
         tiny_config(train=TrainConfig(epochs=4, strategy="proposed"))
     # 5 x 75 rows leave a pool of 300: 40 clean + 3 x 40 weak fit, 40 + 7 x 40 do not
     tiny_config(weak_sources=[WeakSource(TemplateKind.UNIFORM, 6.5)])
-    with pytest.raises(ValueError, match=r"^\[sources\] clean_count and weak request 320 "
-                                         r"instances, but the training pool has 300: \[dataset\] "
-                                         r"classes 5 x n_per_class 75 = 375 rows, less 75 test"):
+    with pytest.raises(ValueError, match=r"^\[sources\] clean_count, weak, etas at eta 0.2, "
+                                         r"\[dataset\] classes 5 x n_per_class 75: 2 sources "
+                                         r"request 320 instances, but the training pool has 300: "
+                                         r"375 rows, less 75 test rows$"):
         tiny_config(weak_sources=[WeakSource(TemplateKind.UNIFORM, 7.0)])
     # with no weak source every combination would train the baseline's model
     with pytest.raises(ValueError, match=r"^\[sources\] weak: need at least one weak source"):
@@ -402,11 +403,13 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[sources]\nweak = mixed:nine\n",
      r"\[sources\] weak token 'mixed:nine': value 'nine' is not of type float"),
     ("[train]\nhidden = -1\n", r"\[train\] hidden must be >= 0, got -1"),
-    ("[sources]\nweak = uniform:3 mixed:9\netas = 0.1 0.85\n",
-     r"^\[sources\] weak, etas: weak kind mixed at eta 0.85 with 10 classes: "
-     r"eta = 0.85 outside \[0, 0.8\)"),
+    # 500 + 3 x 500 + 5 x 500 rows fit the pool of 5000, so only the eta is at fault
+    ("[sources]\nweak = uniform:3 mixed:5\netas = 0.1 0.85\n",
+     r"^\[sources\] clean_count, weak, etas at eta 0.85, \[dataset\] classes 10 x n_per_class "
+     r"625: eta = 0.85 outside \[0, 0.8\) for mixed$"),
     ("[dataset]\nclasses = 5\n",
-     r"weak kind mixed at eta 0.1 with 5 classes: mixed template is defined only for c = 10"),
+     r"^\[sources\] clean_count, weak, etas at eta 0.1, \[dataset\] classes 5 x n_per_class "
+     r"625: mixed template is defined only for c = 10$"),
     ("[sources]\nweak = uniform:0\n",
      r"weak kind uniform with multiplier 0: round\(0 x clean_count 500\) = 0 instances, need "
      r"at least 1"),
@@ -419,8 +422,8 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[train]\nmomentum = 1\n", r"\[train\] momentum must lie in \[0, 1\), got 1"),
     ("[train]\nweight_decay = nan\n", r"\[train\] weight_decay must be finite and >= 0, got nan"),
     ("[sources]\netas = nan\n",
-     r"^\[sources\] weak, etas: weak kind mixed at eta nan with 10 classes: "
-     r"eta = nan outside \[0, 0.8\)"),
+     r"^\[sources\] clean_count, weak, etas at eta nan, \[dataset\] classes 10 x n_per_class "
+     r"625: eta = nan outside \[0, 0.8\) for mixed$"),
     ("[sources]\netas =\n", r"^\[sources\] etas: need at least one eta"),
     ("[sources]\nweak =\n", r"^\[sources\] weak: need at least one weak source"),
     ("[run]\nsmoothing = nan\n", r"^\[run\] smoothing must be finite and >= 0, got nan"),
@@ -438,6 +441,9 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[sources]\nclean_count = -5\n", r"^\[sources\] clean_count must be >= 1, got -5"),
     ("[run]\nseeds = 0 -1\n", r"^\[run\] seeds must be >= 0, got -1"),
     ("[run]\nbaseline_epoch_cap = -3\n", r"^\[run\] baseline_epoch_cap must be >= 0"),
+    ("[dataset]\nclasses = 2\nn_per_class = 2\ndim = 2\n[sources]\nclean_count = 1\n"
+     "weak = uniform:1\n",
+     r"^\[dataset\] classes 2 x n_per_class 2 = 4 rows leave 0 test rows$"),
 ], ids=["key", "section", "default_section", "template_kind", "combos_strategy",
         "combos_no_family", "combos_family", "dead_seed", "dead_strategy", "int_value",
         "bool_value", "float_list_value", "weak_multiplier", "negative_hidden", "eta_range",
@@ -446,7 +452,7 @@ def test_load_config_rejects_source_weight(tmp_path):
         "nan_eta", "empty_etas", "empty_weak", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
         "removed_scale", "nan_spread", "dim_of_1", "repeated_seed", "repeated_eta",
         "etas_printed_alike", "repeated_combo", "zero_clean_count", "negative_clean_count",
-        "negative_seed", "negative_baseline_epoch_cap"])
+        "negative_seed", "negative_baseline_epoch_cap", "empty_test_split"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)

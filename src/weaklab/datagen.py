@@ -5,28 +5,77 @@ around class means on a sphere); build_multisource shuffles it, splits off
 a test set, assigns disjoint chunks of the training pool to the configured
 sources and resamples each weak source's labels through its transition
 matrix. Same seed, same bytes.
+
+save_dataset and load_dataset keep datasets as text. Rows read from a
+file remember where their lines lie in it (RowText), and as_clean_dataset
+and build_multisource carry that along into the sources, so save_dataset
+writes such a row by copying its feature tokens from the file instead of
+formatting its floats again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .labelspace import SourceSpec, check_labels, identity_matrix, make_template, sample_weak_labels
+from .labelspace import (MAX_CLASSES, SourceSpec, check_labels, identity_matrix, make_template,
+                         sample_weak_labels)
+
+
+@dataclass(eq=False, frozen=True)
+class RowText:
+    """Where rows read from a dataset text file lie in that file.
+
+    path is the file's absolute path, size and mtime_ns its stat when it
+    was read, and spans an (n, 2) int64 array of the [start, stop) byte
+    range of each row's line, indexed like the rows' features.
+    """
+
+    path: str
+    size: int
+    mtime_ns: int
+    spans: np.ndarray
+
+    @property
+    def reading(self) -> tuple:
+        """The file and its state when read: rows with one reading share a file."""
+        return self.path, self.size, self.mtime_ns
+
+
+def _take(text: RowText | None, index) -> RowText | None:
+    """The text of the rows at index (a slice or an index array), if any."""
+    return None if text is None else replace(text, spans=text.spans[index])
+
+
+def _attach_text(features: np.ndarray, text: RowText | None) -> None:
+    """Check that text, if any, has one span per row, and make the
+    features read-only: save_dataset writes the file's tokens for them,
+    so a changed value would not be written."""
+    if text is not None:
+        if text.spans.shape != (len(features), 2):
+            raise ValueError(f"{text.path}: {len(text.spans)} row spans for "
+                             f"{len(features)} rows")
+        features.setflags(write=False)
 
 
 @dataclass(eq=False)
 class Dataset:
-    """A plain labelled dataset: features (n, d) and integer labels (n,)."""
+    """A plain labelled dataset: features (n, d) and integer labels (n,);
+    text when its rows were read from a file (their features read-only)."""
 
     features: np.ndarray
     labels: np.ndarray
     c: int
     means: np.ndarray | None = None  # class means when synthetically generated
+    text: RowText | None = None
+
+    def __post_init__(self):
+        _attach_text(self.features, self.text)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -38,11 +87,16 @@ class Dataset:
 
 @dataclass(eq=False)
 class SourceBlock:
-    """Instances assigned to one source, with that source's labels."""
+    """Instances assigned to one source, with that source's labels; text
+    when the rows were read from a file (their features read-only)."""
 
     source_id: int
     features: np.ndarray
     labels: np.ndarray
+    text: RowText | None = None
+
+    def __post_init__(self):
+        _attach_text(self.features, self.text)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -81,10 +135,12 @@ class MultisourceDataset:
 
 def check_blobs(classes: int, dim: int, n_per_class: int, spread: float) -> None:
     """Raise ValueError naming the first of generate_blobs' arguments that
-    is out of range: classes or dim below 2, n_per_class below 1, or a
-    spread that is not finite and > 0."""
+    is out of range: classes below 2 or above MAX_CLASSES, dim below 2,
+    n_per_class below 1, or a spread that is not finite and > 0."""
     if classes < 2:
         raise ValueError(f"classes must be >= 2, got {classes}")
+    if classes > MAX_CLASSES:
+        raise ValueError(f"classes must be <= {MAX_CLASSES}, got {classes}")
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     if n_per_class < 1:
@@ -142,8 +198,9 @@ def build_multisource(dataset: Dataset, specs: list, seed: int):
     pool and a test set (test size floor(0.2 m), remainder to the pool).
     Sources draw disjoint consecutive chunks of the shuffled pool, so no
     instance is labelled by two sources; every source s >= 1 redraws its
-    labels from its transition matrix rows. Returns (MultisourceDataset,
-    test Dataset).
+    labels from its transition matrix rows. The sources' rows keep the
+    text of rows read from a file; the test set has none. Returns
+    (MultisourceDataset, test Dataset).
     """
     if not specs or specs[0].id != 0:
         raise ValueError("specs[0] must be the clean source (id 0)")
@@ -163,7 +220,7 @@ def build_multisource(dataset: Dataset, specs: list, seed: int):
         feats = dataset.features[idx]
         true = dataset.labels[idx]
         labs = true.copy() if spec.id == 0 else sample_weak_labels(spec.matrix, true, rng)
-        blocks.append(SourceBlock(spec.id, feats, labs))
+        blocks.append(SourceBlock(spec.id, feats, labs, _take(dataset.text, idx)))
     ms = MultisourceDataset(blocks, dataset.c, dataset.d)
     test = Dataset(dataset.features[test_idx], dataset.labels[test_idx].copy(), dataset.c)
     return ms, test
@@ -233,23 +290,95 @@ def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
     return report
 
 
-# rows formatted or parsed per block; larger blocks are no faster and
-# hold more transient Python objects (peak memory)
+# rows formatted, copied or parsed per block; larger blocks are no faster
+# and hold more transient Python objects (peak memory)
 IO_BLOCK_ROWS = 1024
 
 
 def save_dataset(path, ms: MultisourceDataset) -> None:
-    """Text form: header `c d n`, then `source_id label f_1 ... f_d` per line,
-    each feature as repr of the float (shortest round-tripping digits)."""
-    with open(path, "w") as fh:
-        fh.write(f"{ms.c} {ms.d} {len(ms)}\n")
-        for blk in ms.sources:
-            for start in range(0, len(blk), IO_BLOCK_ROWS):
-                stop = start + IO_BLOCK_ROWS
-                labels = blk.labels[start:stop].astype(np.int64, copy=False).tolist()
-                rows = blk.features[start:stop].tolist()
-                fh.write("".join([f"{blk.source_id} {label} {' '.join(map(repr, row))}\n"
-                                  for label, row in zip(labels, rows)]))
+    """Text form: header `c d n`, then `source_id label f_1 ... f_d` per line.
+
+    A row made in memory is written with each feature as repr of the float
+    (shortest round-tripping digits). A row read from a file (a block with
+    text) is written as its source id and label followed by its own
+    feature tokens in that file, read back with os.pread a block at a
+    time, when every line of the block holds single-spaced ASCII fields
+    and ends in LF; any other block (tabs, runs of blanks, CR line ends,
+    non-ASCII) is written with repr like rows made in memory. A file that
+    save_dataset wrote holds the repr of each float, so its rows are
+    rewritten byte for byte.
+
+    Raises ValueError naming the file when a file whose rows are copied
+    changed (size or mtime) since it was read, or when path is that file,
+    which opening path for writing would truncate before its rows are read.
+    """
+    with contextlib.ExitStack() as stack:
+        files = {}  # RowText.reading -> descriptor of that file
+        for text in (blk.text for blk in ms.sources if blk.text is not None):
+            if text.reading not in files:
+                files[text.reading] = _open_source(text, path, stack)
+        with open(path, "wb") as fh:
+            fh.write(f"{ms.c} {ms.d} {len(ms)}\n".encode())
+            for blk in ms.sources:
+                fd = None if blk.text is None else files[blk.text.reading]
+                for start in range(0, len(blk), IO_BLOCK_ROWS):
+                    fh.write(_rows_text(blk, slice(start, start + IO_BLOCK_ROWS), fd, ms.d))
+
+
+def _rows_text(blk: SourceBlock, rows: slice, fd: int | None, d: int) -> bytes:
+    """The lines of blk's rows: copied from the file fd that blk's text
+    lies in when _copied_rows can, else with the repr of each feature."""
+    labels = blk.labels[rows].astype(np.int64, copy=False).tolist()
+    if fd is not None:
+        text = _copied_rows(fd, blk.text.spans[rows], blk.source_id, labels, d)
+        if text is not None:
+            return text
+    feats = blk.features[rows].tolist()
+    return "".join([f"{blk.source_id} {label} {' '.join(map(repr, row))}\n"
+                    for label, row in zip(labels, feats)]).encode()
+
+
+def _open_source(text: RowText, dest, stack: contextlib.ExitStack) -> int:
+    """A descriptor of the file text was read from, open until stack
+    closes; ValueError unless that file is unchanged and is not dest."""
+    fd = stack.enter_context(open(text.path, "rb")).fileno()
+    info = os.fstat(fd)
+    if (info.st_size, info.st_mtime_ns) != (text.size, text.mtime_ns):
+        raise ValueError(f"{text.path}: changed since its rows were read (size {text.size} -> "
+                         f"{info.st_size} bytes, mtime_ns {text.mtime_ns} -> "
+                         f"{info.st_mtime_ns}); its rows cannot be copied")
+    try:
+        same = os.path.samestat(os.stat(dest), info)
+    except OSError:  # no such file yet, or not reachable
+        same = False
+    if same:
+        raise ValueError(f"{dest} is the file {text.path} whose rows it would copy; writing it "
+                         f"would truncate them first")
+    return fd
+
+
+def _single_spaced(text: bytes, rows: int, d: int) -> bool:
+    """Whether text is `rows` lines of d + 2 ASCII fields, each line its
+    fields joined by single spaces and ended by LF."""
+    if not text.isascii():
+        return False
+    b = np.frombuffer(text, dtype=np.uint8)
+    at = np.flatnonzero(b <= 32)  # spaces, LFs and all other whitespace and control bytes
+    if len(at) != rows * (d + 2) or np.any(np.diff(at) == 1):  # no two in a row
+        return False
+    line = np.array([32] * (d + 1) + [10], dtype=np.uint8)  # d + 1 spaces, then LF
+    return bool((b[at].reshape(rows, d + 2) == line).all())
+
+
+def _copied_rows(fd: int, spans: np.ndarray, source_id: int, labels: list, d: int):
+    """Lines `source_id label f_1 ... f_d`, one per label, with the feature
+    tokens of the file lines at spans (one (start, stop) row per label);
+    None unless those tokens are single-spaced ASCII ending in LF."""
+    text = b"".join([b"%d %d %s" % (source_id, label,
+                                    os.pread(fd, stop - at, at).split(None, 2)[-1])
+                     for label, at, stop in zip(labels, spans[:, 0].tolist(),
+                                                spans[:, 1].tolist())])
+    return text if _single_spaced(text, len(labels), d) else None
 
 
 def _bad_line(path, lineno: int, what: str) -> ValueError:
@@ -264,6 +393,9 @@ def _parse_header(path, line: str):
         raise _bad_line(path, 1, f"header {line.strip()!r} is not three integers `c d n`") from None
     if c < 1 or d < 1 or n < 0:
         raise _bad_line(path, 1, f"header {line.strip()!r} needs c >= 1, d >= 1, n >= 0")
+    if c > MAX_CLASSES:
+        raise _bad_line(path, 1, f"header {line.strip()!r}: c = {c} classes, above the limit "
+                        f"of {MAX_CLASSES}")
     return c, d, n
 
 
@@ -278,13 +410,12 @@ def _row_type(path, header: str, d: int) -> np.dtype:
                         f"too many ({exc})") from None
 
 
-def _check_room(path, fh, header: str, d: int, n: int) -> None:
+def _check_room(path, info: os.stat_result, header: str, d: int, n: int) -> None:
     """Reject a header whose n rows cannot fit in the rest of a regular
-    file, before its arrays are allocated: a row of d + 2 fields takes at
-    least 2(d + 2) bytes, one character per field and one per separator
-    or newline."""
-    info = os.fstat(fh.fileno())
-    rest = info.st_size - len(header.encode(fh.encoding))
+    file (info is its stat), before its arrays are allocated: a row of
+    d + 2 fields takes at least 2(d + 2) bytes, one character per field
+    and one per separator or newline."""
+    rest = info.st_size - len(header.encode())
     if stat.S_ISREG(info.st_mode) and n * 2 * (d + 2) > rest:
         raise _bad_line(path, 1, f"header {header.strip()!r} asks for {n} rows of {d + 2} "
                         f"fields, at least {n * 2 * (d + 2)} bytes, but {rest} bytes follow it")
@@ -306,35 +437,42 @@ def _check_row(path, lineno: int, line: str, row_type: np.dtype) -> None:
 
 
 def load_dataset(path) -> MultisourceDataset:
-    """Read the text form written by save_dataset.
+    """Read the text form written by save_dataset, as UTF-8.
 
-    The rows go into one (n, d) feature array and one label array; each
-    source's block is a slice of them (a view), in source-id order. Files
-    whose sources interleave are first reordered once by source id,
-    keeping the file order within each source.
+    Lines may end in LF, CR LF or CR, and fields may be split by any
+    whitespace. The rows go into one (n, d) feature array and one label
+    array; each source's block is a slice of them (a view), in source-id
+    order. Files whose sources interleave are first reordered once by
+    source id, keeping the file order within each source. The blocks of a
+    regular file carry the RowText of their rows (the byte span of each
+    row's line), and their features are read-only.
 
     Raises ValueError naming the file and the 1-based line when the header
     is not three integers `c d n`, a row has other than d + 2 fields or
     lacks its final newline, a source id or label is not an integer, a
     label lies outside [0, c), a source id is negative, or the file holds
-    other than n rows. A regular file too short to hold the header's n
-    rows, or a header d too large for a row dtype, is refused at line 1,
-    before any array is allocated.
+    other than n rows. A header c above MAX_CLASSES, a regular file too
+    short to hold the header's n rows, or a header d too large for a row
+    dtype, is refused at line 1, before any array is allocated.
     """
-    with open(path) as fh:
+    # newline="": lines split at \n, \r\n and \r, each ending kept, so
+    # the encoded lengths of the lines are their byte spans
+    with open(path, encoding="utf-8", newline="") as fh:
+        info = os.fstat(fh.fileno())
         header = fh.readline()
         c, d, n = _parse_header(path, header)
-        _check_room(path, fh, header, d, n)
+        _check_room(path, info, header, d, n)
         row_type = _row_type(path, header, d)
         src = np.empty(n, dtype=np.int64)
         labels = np.empty(n, dtype=np.int64)
         features = np.empty((n, d))
+        line_bytes = np.empty(n, dtype=np.int64)
         start = 0
         while start < n:
             lines = list(itertools.islice(fh, min(IO_BLOCK_ROWS, n - start)))
             if not lines:
                 break
-            if not lines[-1].endswith("\n"):
+            if not lines[-1].endswith(("\n", "\r")):
                 raise _bad_line(path, start + 1 + len(lines), "row does not end with a "
                                 "newline (truncated file?)")
             try:
@@ -350,6 +488,8 @@ def load_dataset(path) -> MultisourceDataset:
             src[start:stop] = block["source"]
             labels[start:stop] = block["label"]
             features[start:stop] = block["features"]
+            line_bytes[start:stop] = np.fromiter(map(len, map(str.encode, lines)), np.int64,
+                                                 len(lines))
             start = stop
         if start < n:
             raise _bad_line(path, start + 2, f"file ends after {start} rows, but the "
@@ -361,13 +501,18 @@ def load_dataset(path) -> MultisourceDataset:
         if not ok.all():
             i = int(np.argmin(ok))
             raise _bad_line(path, i + 2, f"{what}: {int(values[i])}")
+    text = None
+    if stat.S_ISREG(info.st_mode):  # only a regular file can be read again at an offset
+        stops = np.cumsum(line_bytes) + len(header.encode())
+        text = RowText(os.path.abspath(path), info.st_size, info.st_mtime_ns,
+                       np.stack([stops - line_bytes, stops], axis=1))
     starts = _run_starts(src)
     if len(np.unique(src[starts])) < len(starts):  # a source id in two runs
         order = np.argsort(src, kind="stable")  # file order kept within a source
-        src, labels, features = src[order], labels[order], features[order]
+        src, labels, features, text = src[order], labels[order], features[order], _take(text, order)
         starts = _run_starts(src)
     bounds = np.append(starts, n).tolist()
-    blocks = sorted((SourceBlock(int(src[a]), features[a:b], labels[a:b])
+    blocks = sorted((SourceBlock(int(src[a]), features[a:b], labels[a:b], _take(text, slice(a, b)))
                      for a, b in zip(bounds, bounds[1:])), key=lambda blk: blk.source_id)
     return MultisourceDataset(blocks, c, d)
 
@@ -379,5 +524,13 @@ def _run_starts(src: np.ndarray) -> np.ndarray:
 
 def as_clean_dataset(ms: MultisourceDataset) -> Dataset:
     """Flatten a multisource dataset into a plain one, trusting its labels;
-    a single source's arrays are used as they are, without a copy."""
-    return Dataset(*ms.stacked()[:2], ms.c)
+    a single source's arrays are used as they are, without a copy. The
+    rows keep their text when every block has text from one reading of
+    one file."""
+    features, labels, _ = ms.stacked()
+    texts = [blk.text for blk in ms.sources]
+    text = None
+    if texts and all(t is not None and t.reading == texts[0].reading for t in texts):
+        text = texts[0] if len(texts) == 1 else replace(
+            texts[0], spans=np.concatenate([t.spans for t in texts]))
+    return Dataset(features, labels, ms.c, text=text)

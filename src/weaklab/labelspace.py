@@ -17,6 +17,10 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-9
 
+# the most classes any input may ask for: a c x c float64 matrix of them
+# takes 8 MB, where an unchecked count could ask for terabytes
+MAX_CLASSES = 1000
+
 
 class TemplateKind(Enum):
     """Error-pattern families for synthetic weak sources.
@@ -142,10 +146,13 @@ def make_template(kind: TemplateKind, c: int, eta: float) -> TransitionMatrix:
     """Build a template transition matrix with balanced error rate eta.
 
     Raises ValueError if eta falls outside the range where the template's
-    diagonal stays nonnegative, or if c is unsupported for the kind.
+    diagonal stays nonnegative, or if c is unsupported for the kind or
+    above MAX_CLASSES.
     """
     if c < 2:
         raise ValueError("templates need at least 2 classes")
+    if c > MAX_CLASSES:
+        raise ValueError(f"templates take at most {MAX_CLASSES} classes, got {c}")
     if kind is TemplateKind.IDENTITY:
         if eta != 0.0:
             raise ValueError("identity template requires eta = 0")

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from weaklab import correction, estimation, harness
+from weaklab import correction, datagen, estimation, harness
 from weaklab.cli import _parse_corrupt_spec, main
-from weaklab.datagen import (MultisourceDataset, SourceBlock, build_multisource, generate_blobs,
-                             load_dataset, save_dataset)
-from weaklab.labelspace import SourceSpec, TemplateKind, identity_matrix, make_template, parse_matrix
+from weaklab.datagen import (MultisourceDataset, SourceBlock, as_clean_dataset, build_multisource,
+                             generate_blobs, load_dataset, save_dataset)
+from weaklab.labelspace import (MAX_CLASSES, SourceSpec, TemplateKind, identity_matrix,
+                                make_template, parse_matrix)
 
 RUN_CONFIG = """
 [dataset]
@@ -206,6 +207,39 @@ def test_corrupt_round_trip(tmp_path, capsys):
     assert abs(np.mean(true != blk.labels) - 0.3) < 0.05
 
 
+def noncanonical_rows(line_end):
+    """A clean file of 6 rows with tabs, runs of spaces, trailing blanks and
+    tokens that are not the repr of their floats."""
+    rows = ["3 2 6", "0 0 1.50 +2", "0\t1  1E3\t-0.0 ", "  0 2 -1.5e-3   7", "0 1 0.1 0.2",
+            "0 0 +0.0 1e+300", "0 2 -inf 2.50"]
+    return "".join(row + line_end for row in rows).encode()
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "lone_cr"])
+def test_corrupt_of_a_noncanonical_file_writes_single_spaced_lines(tmp_path, capsys,
+                                                                    monkeypatch, line_end):
+    src_path, out_path = tmp_path / "clean.txt", tmp_path / "weak.txt"
+    src_path.write_bytes(noncanonical_rows(line_end))
+    spec_path = tmp_path / "sources.ini"
+    spec_path.write_text("[sources]\nclean_count = 2\nweak = uniform:0.3:3\n")
+    monkeypatch.setattr(datagen, "IO_BLOCK_ROWS", 2)  # blocks of copied rows split
+    assert main(["corrupt", "--load-dataset", str(src_path), "--spec", str(spec_path),
+                 "--emit-dataset", str(out_path), "--seed", "4"]) == 0
+    text = out_path.read_bytes()
+    assert text.endswith(b"\n") and b"\r" not in text
+    assert all(line == b" ".join(line.split()) for line in text.split(b"\n")[:-1])
+    loaded = load_dataset(src_path)
+    assert loaded.block(0).features.tolist() == [[1.5, 2.0], [1000.0, -0.0], [-0.0015, 7.0],
+                                                 [0.1, 0.2], [0.0, 1e300], [-np.inf, 2.5]]
+    specs = datagen.source_specs(3, 2, [(TemplateKind.UNIFORM, 0.3, 3)], 6)
+    expected, _ = build_multisource(as_clean_dataset(loaded), specs, 4)
+    back = load_dataset(out_path)
+    assert [b.source_id for b in back.sources] == [b.source_id for b in expected.sources]
+    for a, b in zip(back.sources, expected.sources):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert np.array_equal(a.labels, b.labels)
+
+
 @pytest.mark.parametrize("emit", ["clean.txt", "./clean.txt", "sub/../clean.txt", "link.txt"])
 def test_corrupt_refuses_to_overwrite_its_input(tmp_path, monkeypatch, capsys, emit):
     blobs = generate_blobs(5, 2, 4, 0.3, np.random.default_rng(0))
@@ -289,6 +323,29 @@ def test_corrupt_reports_a_repeated_spec_key_in_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == (f"weaklab corrupt: {spec_path}, line 3: [sources] clean_count "
                             f"given twice\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["gen-template", "corrupt", "run"])
+def test_a_class_count_above_the_limit_is_one_error_line(tmp_path, capsys, command):
+    # unchecked, each would ask numpy for a 10^6 x 10^6 matrix (7.28 TiB)
+    clean_path, cfg = tmp_path / "clean.txt", tmp_path / "exp.ini"
+    clean_path.write_text("1000000 2 0\n")
+    (tmp_path / "sources.ini").write_text("[sources]\nclean_count = 1\n")
+    cfg.write_text("[dataset]\nclasses = 1000000\n")
+    argv, message = {
+        "gen-template": (["--kind", "uniform", "--eta", "0.1", "--classes", "1000000"],
+                         f"templates take at most {MAX_CLASSES} classes, got 1000000"),
+        "corrupt": (["--load-dataset", str(clean_path), "--spec", str(tmp_path / "sources.ini"),
+                     "--emit-dataset", str(tmp_path / "weak.txt")],
+                    f"{clean_path}, line 1: header '1000000 2 0': c = 1000000 classes, above "
+                    f"the limit of {MAX_CLASSES}"),
+        "run": (["--config", str(cfg), "--out", str(tmp_path / "out")],
+                f"[dataset] classes must be <= {MAX_CLASSES}, got 1000000"),
+    }[command]
+    assert main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"weaklab {command}: {message}\n"
     assert captured.out == ""
 
 

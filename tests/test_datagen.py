@@ -1,3 +1,4 @@
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from weaklab import datagen
 from weaklab.datagen import (Dataset, MultisourceDataset, SourceBlock, as_clean_dataset,
                              build_multisource, corruption_report, generate_blobs,
-                             load_dataset, save_dataset)
-from weaklab.labelspace import SourceSpec, TemplateKind, identity_matrix, make_template
+                             load_dataset, save_dataset, source_specs, split_sizes)
+from weaklab.labelspace import (MAX_CLASSES, SourceSpec, TemplateKind, identity_matrix,
+                                make_template)
 from weaklab.model import TrainConfig, train
 from weaklab.harness import overall_accuracy
 
@@ -37,6 +39,8 @@ def test_generate_blobs_validation():
                 (10, 16, 10, float("nan")), (10, 16, 10, float("inf"))):
         with pytest.raises(ValueError):
             generate_blobs(*bad, rng)
+    with pytest.raises(ValueError, match=f"classes must be <= {MAX_CLASSES}, got 1000000"):
+        generate_blobs(1_000_000, 16, 10, 0.3, rng)
 
 
 def test_tiny_spread_is_linearly_separable():
@@ -165,12 +169,17 @@ def reference_save(path, ms):
                 fh.write(f"{blk.source_id} {int(blk.labels[i])} {feats}\n")
 
 
+FLOATS = st.floats(allow_nan=False, width=64)
+# values whose repr is easy to get wrong: sign of zero, exponent forms, the
+# smallest subnormal
+SPECIAL_FLOATS = st.sampled_from([-0.0, np.inf, 1e-05, 5e-324])
+
+
 @st.composite
-def multisource_datasets(draw):
+def multisource_datasets(draw, floats=FLOATS):
     c = draw(st.integers(2, 5))
     d = draw(st.integers(1, 4))
     ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
-    floats = st.floats(allow_nan=False, width=64)
     blocks = []
     for sid in sorted(ids):
         size = draw(st.integers(0, 6))  # empty blocks included
@@ -198,6 +207,123 @@ def test_dataset_text_matches_reference_writer_and_round_trips(ms, block_rows):
     for a, b in zip(back.sources, kept):
         assert a.features.tobytes() == b.features.tobytes()  # -0.0 and inf included
         assert np.array_equal(a.labels, b.labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), block_rows=st.integers(1, 4))
+def test_copied_rows_match_the_reference_writer(data, block_rows):
+    # save -> load -> as_clean_dataset -> build_multisource -> save copies
+    # every row's tokens; the bytes are those of formatting its floats
+    ms = data.draw(multisource_datasets(st.one_of(FLOATS, SPECIAL_FLOATS)))
+    pool, _ = split_sizes(len(ms))
+    clean = data.draw(st.integers(0, pool))
+    specs = [SourceSpec(0, identity_matrix(ms.c), clean),
+             SourceSpec(1, make_template(TemplateKind.UNIFORM, ms.c, 0.5),
+                        data.draw(st.integers(0, pool - clean)))]
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, copied, ref = (Path(tmp) / name for name in ("first.txt", "copied.txt", "ref.txt"))
+        with mock.patch.object(datagen, "IO_BLOCK_ROWS", block_rows):
+            save_dataset(first, ms)
+            out, _ = build_multisource(as_clean_dataset(load_dataset(first)), specs, seed)
+            save_dataset(copied, out)
+        reference_save(ref, out)
+        assert copied.read_bytes() == ref.read_bytes()
+    # rows read from a file carry their text; a file without rows has none
+    assert all(blk.text is not None for blk in out.sources) == (len(ms) > 0)
+
+
+def test_rows_read_from_a_file_carry_their_line_spans(tmp_path):
+    path = tmp_path / "data.txt"
+    # sources interleave, so the loader reorders the rows and their spans
+    path.write_bytes(b"3 1 4\n1 0 0.5\n0 2 -1.25\r\n1 1 7\n0 0 1e-05\n")
+    ms = load_dataset(path)
+    data = path.read_bytes()
+    for blk in ms.sources:
+        assert blk.text.path == str(path) and blk.text.size == len(data)
+        assert not blk.features.flags.writeable
+        lines = [data[a:b] for a, b in blk.text.spans.tolist()]
+        assert [float(line.split()[2]) for line in lines] == blk.features[:, 0].tolist()
+    assert [data[a:b] for a, b in ms.block(0).text.spans.tolist()] == [b"0 2 -1.25\r\n",
+                                                                       b"0 0 1e-05\n"]
+    clean = as_clean_dataset(ms)
+    assert np.array_equal(clean.text.spans, np.concatenate([b.text.spans for b in ms.sources]))
+    specs = [SourceSpec(0, identity_matrix(3), 1),
+             SourceSpec(1, make_template(TemplateKind.UNIFORM, 3, 0.2), 2)]
+    out, test = build_multisource(clean, specs, 0)
+    for blk in out.sources:  # each row keeps the span of its own line
+        assert [float(data[a:b].split()[2]) for a, b in blk.text.spans.tolist()] == \
+            blk.features[:, 0].tolist()
+        assert not blk.features.flags.writeable
+    assert test.text is None
+    # rows made in memory have no text, and a block of them none once joined
+    made = SourceBlock(2, np.zeros((1, 1)), np.array([0]))
+    assert made.text is None and made.features.flags.writeable
+    assert as_clean_dataset(MultisourceDataset([*ms.sources, made], 3, 1)).text is None
+    with pytest.raises(ValueError, match="data.txt: 2 row spans for 1 rows"):
+        SourceBlock(0, np.zeros((1, 1)), np.array([0]), ms.block(0).text)
+
+
+def test_rows_of_a_non_ascii_separator_are_formatted_again(tmp_path, monkeypatch):
+    # U+00A0 and U+2003 separate fields for the loader but not for bytes.split;
+    # the block of 2 rows that holds them is written with repr, the other
+    # block is copied
+    path, out = tmp_path / "clean.txt", tmp_path / "weak.txt"
+    path.write_text("3 2 3\n0\u00a01 0.5 2\n0 2\u2003-1 3\n0 0 4 5\n", encoding="utf-8")
+    monkeypatch.setattr(datagen, "IO_BLOCK_ROWS", 2)
+    save_dataset(out, load_dataset(path))
+    assert out.read_text() == "3 2 3\n0 1 0.5 2.0\n0 2 -1.0 3.0\n0 0 4 5\n"
+
+
+def test_save_dataset_refuses_a_source_file_changed_since_it_was_read(tmp_path):
+    path, out = tmp_path / "clean.txt", tmp_path / "weak.txt"
+    path.write_text(VALID)
+    ms = load_dataset(path)
+    info = path.stat()
+    os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns + 10**9))  # same size, later mtime
+    with pytest.raises(ValueError, match=r"clean.txt: changed since its rows were read "
+                                         r"\(size 59 -> 59 bytes") as err:
+        save_dataset(out, ms)
+    assert "\n" not in str(err.value) and not out.exists()
+    ms = load_dataset(path)
+    path.write_text(VALID.replace("7.0", "7.5"))  # the same size again, a new mtime
+    with pytest.raises(ValueError, match="clean.txt: changed since its rows were read"):
+        save_dataset(out, ms)
+    ms = load_dataset(path)
+    path.write_text(VALID + "\n")
+    with pytest.raises(ValueError, match=r"clean.txt: changed .*\(size 59 -> 60 bytes"):
+        save_dataset(out, ms)
+
+
+@pytest.mark.parametrize("dest", ["clean.txt", "link.txt"])
+def test_save_dataset_refuses_to_write_over_the_file_it_copies_from(tmp_path, dest):
+    path = tmp_path / "clean.txt"
+    path.write_text(VALID)
+    (tmp_path / "link.txt").symlink_to(path)
+    ms = load_dataset(path)
+    with pytest.raises(ValueError, match=f"{dest} is the file .*clean.txt whose rows it would "
+                                         f"copy; writing it would truncate them first") as err:
+        save_dataset(tmp_path / dest, ms)
+    assert "\n" not in str(err.value) and path.read_text() == VALID
+
+
+def test_copied_rows_memory_is_bounded(tmp_path):
+    # holding every row's text (13 MB), or the spans of all rows at once as
+    # Python ints (3 MB or more), would exceed one block of text plus the spans
+    blobs = generate_blobs(10, 16, 5000, 0.3, np.random.default_rng(13))
+    path = tmp_path / "clean.txt"
+    save_dataset(path, MultisourceDataset([SourceBlock(0, blobs.features, blobs.labels)], 10, 16))
+    specs = source_specs(10, 5000, [(TemplateKind.UNIFORM, 0.3, 35000)], len(blobs))
+    ms, _ = build_multisource(as_clean_dataset(load_dataset(path)), specs, 13)
+    longest = max(int(np.max(np.diff(blk.text.spans, axis=1))) for blk in ms.sources)
+    tracemalloc.start()
+    try:
+        save_dataset(tmp_path / "weak.txt", ms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < datagen.IO_BLOCK_ROWS * longest + 16 * len(ms)
+    assert [len(b) for b in load_dataset(tmp_path / "weak.txt").sources] == [5000, 35000]
 
 
 # c = 3, d = 2, n = 4; line 1 is the header, rows are lines 2-5
@@ -235,10 +361,11 @@ def test_valid_fixture_loads(tmp_path):
     ("10 99999999999 2\n0 1 0.5\n", 1, "asks for 2 rows of 100000000001 fields"),
     # no rows pass the room check, but no numpy row dtype holds that many features
     ("10 99999999999 0\n", 1, "d = 99999999999 features per row are too many"),
+    (f"{MAX_CLASSES + 1} 2 0\n", 1, f"c = {MAX_CLASSES + 1} classes, above the limit"),
 ], ids=["short_header", "bad_header", "zero_d", "dropped_field", "extra_field", "blank_line",
         "float_label", "bad_source", "bad_feature", "label_c", "negative_label",
         "negative_source", "extra_row", "missing_row", "truncated_row", "huge_n", "huge_d",
-        "huge_d_no_rows"])
+        "huge_d_no_rows", "too_many_classes"])
 def test_load_dataset_names_the_bad_line(tmp_path, text, line, message):
     path = tmp_path / "data.txt"
     path.write_text(text)

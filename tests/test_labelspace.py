@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaklab.labelspace import (SourceSpec, TemplateKind, TransitionMatrix,
+from weaklab.labelspace import (MAX_CLASSES, SourceSpec, TemplateKind, TransitionMatrix,
                                 balanced_error_rate, format_matrix, identity_matrix,
                                 load_matrix, make_template, mean_row_entropy, parse_matrix,
                                 sample_weak_labels,
@@ -73,6 +73,14 @@ def test_template_eta_range_rejected():
     for kind in [*ETA_LIMITS, TemplateKind.IDENTITY]:
         with pytest.raises(ValueError, match="eta"):
             make_template(kind, 10, float("nan"))
+
+
+def test_template_class_count_is_bounded():
+    assert make_template(TemplateKind.UNIFORM, MAX_CLASSES, 0.1).c == MAX_CLASSES
+    # refused before the c x c matrix (8 TB here) is allocated
+    for kind, eta in ((TemplateKind.UNIFORM, 0.1), (TemplateKind.IDENTITY, 0.0)):
+        with pytest.raises(ValueError, match=f"at most {MAX_CLASSES} classes, got 1000000"):
+            make_template(kind, 1_000_000, eta)
 
 
 @given(st.sampled_from(list(ETA_LIMITS)), st.floats(0.0, 0.999))

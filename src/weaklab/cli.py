@@ -178,13 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. A bad input file or value ends it with one
-    `weaklab <command>: <message>` line on stderr and exit code 2, the
-    code argparse gives a usage error; 1 is a failed gradient check."""
+    """Run one subcommand. A bad input file or value, or sizes too large
+    to allocate, end it with one `weaklab <command>: <message>` line on
+    stderr and exit code 2, the code argparse gives a usage error; 1 is a
+    failed gradient check."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"weaklab {args.command}: {err}", file=sys.stderr)
         return 2
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .labelspace import (MAX_CLASSES, SourceSpec, check_labels, identity_matrix, make_template,
-                         sample_weak_labels)
+from .labelspace import (MAX_CLASSES, SourceSpec, check_labels, check_utf8, identity_matrix,
+                         make_template, sample_weak_labels)
 
 
 @dataclass(eq=False, frozen=True)
@@ -422,6 +422,7 @@ def _check_room(path, info: os.stat_result, header: str, d: int, n: int) -> None
 
 
 def _check_row(path, lineno: int, line: str, row_type: np.dtype) -> None:
+    check_utf8(path, lineno, line)
     parts = line.split()
     d = row_type["features"].shape[0]
     if len(parts) != d + 2:
@@ -447,19 +448,22 @@ def load_dataset(path) -> MultisourceDataset:
     regular file carry the RowText of their rows (the byte span of each
     row's line), and their features are read-only.
 
-    Raises ValueError naming the file and the 1-based line when the header
-    is not three integers `c d n`, a row has other than d + 2 fields or
-    lacks its final newline, a source id or label is not an integer, a
-    label lies outside [0, c), a source id is negative, or the file holds
-    other than n rows. A header c above MAX_CLASSES, a regular file too
-    short to hold the header's n rows, or a header d too large for a row
-    dtype, is refused at line 1, before any array is allocated.
+    Raises ValueError naming the file and the 1-based line when a byte is
+    not UTF-8, the header is not three integers `c d n`, a row has other
+    than d + 2 fields or lacks its final newline, a source id or label is
+    not an integer, a label lies outside [0, c), a source id is negative,
+    or the file holds other than n rows. A header c above MAX_CLASSES, a
+    regular file too short to hold the header's n rows, or a header d too
+    large for a row dtype, is refused at line 1, before any array is
+    allocated.
     """
     # newline="": lines split at \n, \r\n and \r, each ending kept, so
-    # the encoded lengths of the lines are their byte spans
-    with open(path, encoding="utf-8", newline="") as fh:
+    # the encoded lengths of the lines are their byte spans; a byte that is
+    # not UTF-8 fails its row's parse, and the error path names it
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         info = os.fstat(fh.fileno())
         header = fh.readline()
+        check_utf8(path, 1, header)
         c, d, n = _parse_header(path, header)
         _check_room(path, info, header, d, n)
         row_type = _row_type(path, header, d)

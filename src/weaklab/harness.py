@@ -14,8 +14,7 @@ report files byte for byte.
 
 from __future__ import annotations
 
-import configparser
-import io
+import re
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,11 +24,10 @@ import numpy as np
 from .datagen import (Dataset, as_clean_dataset, build_multisource, check_blobs, generate_blobs,
                       source_specs, split_sizes)
 from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single, train_baseline
-from .labelspace import (TemplateKind, TransitionMatrix, identity_matrix,
+from .labelspace import (TemplateKind, TransitionMatrix, check_utf8, identity_matrix,
                          satisfies_diagonal_dominance, save_matrix)
-from .losses import FAMILIES, LossSpec
-from .model import (STRATEGIES, ModelParameters, TrainConfig, TrainingDiverged,
-                    predict_batch, save_params, train)
+from .losses import LossSpec
+from .model import ModelParameters, TrainConfig, TrainingDiverged, predict_batch, save_params, train
 
 
 @dataclass
@@ -83,8 +81,7 @@ class ExperimentConfig:
             raise ValueError("[run] combos: need at least one (strategy, loss) combination")
         for strategy, family in self.combinations:
             try:
-                choice("strategy", STRATEGIES)(strategy)
-                choice("loss family", FAMILIES)(family)
+                model_config(self.train, strategy, family, self.seeds[0])
             except ValueError as err:
                 raise ValueError(f"[run] combos token '{strategy}:{family}': {err}") from None
         # the sweep sets each model's seed and strategy, so a value here would be lost
@@ -200,6 +197,13 @@ class RunReport:
         raise KeyError(f"no row for ({strategy}, {loss_family}, eta={eta})")
 
 
+def model_config(train: TrainConfig, strategy: str, family: str, seed: int) -> TrainConfig:
+    """The TrainConfig of one combination's model in a sweep: train with
+    the strategy, the seed and the loss family; TrainConfig and LossSpec
+    reject an unknown name."""
+    return replace(train, strategy=strategy, seed=seed, loss=replace(train.loss, family=family))
+
+
 def overall_accuracy(params: ModelParameters, test: Dataset) -> float:
     """Fraction of test instances whose predicted class matches the label."""
     if len(test) == 0:
@@ -297,8 +301,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 if strategy not in matrices:  # no T-hat to correct with
                     cells.append(Cell(strategy, family, eta, seed, []))
                     continue
-                tconf = replace(config.train, strategy=strategy, seed=seed,
-                                loss=replace(config.train.loss, family=family))
+                tconf = model_config(config.train, strategy, family, seed)
                 cells.append(_train_cell((strategy, family, eta, seed), test, train, feats, labels,
                                          src, c, tconf, matrices=matrices[strategy])[0])
 
@@ -391,6 +394,11 @@ def write_run_dir(report: RunReport, out_dir) -> None:
             save_matrix(cell / name, matrix)
 
 
+# the spellings of a bool config value, in any case
+BOOLEANS = {"1": True, "yes": True, "true": True, "on": True,
+            "0": False, "no": False, "false": False, "off": False}
+
+
 def typed(kind):
     """Parser of one config value of a field type (int, float, bool, str,
     or a list of one of these as space-separated words)."""
@@ -400,8 +408,7 @@ def typed(kind):
 
     def parse(text):
         try:
-            return (configparser.ConfigParser.BOOLEAN_STATES[text.lower()] if kind is bool
-                    else kind(text))
+            return BOOLEANS[text.lower()] if kind is bool else kind(text)
         except (KeyError, ValueError):
             raise ValueError(f"value {text!r} is not of type {kind.__name__}") from None
     return parse
@@ -470,59 +477,52 @@ CONFIG_SCHEMA = {
 }
 
 
-def _syntax_error(path, lines: list, err: configparser.Error) -> ValueError:
-    """The error configparser raised on reading lines, as a one-line
-    ValueError naming the file and line."""
-    if isinstance(err, configparser.DuplicateOptionError):
-        return ValueError(f"{path}, line {err.lineno}: [{err.section}] {err.option} given twice")
-    if isinstance(err, configparser.DuplicateSectionError):
-        return ValueError(f"{path}, line {err.lineno}: section [{err.section}] given twice")
-    if isinstance(err, configparser.MissingSectionHeaderError):
-        return ValueError(f"{path}, line {err.lineno}: {lines[err.lineno - 1].strip()!r} comes "
-                          f"before any [section] header")
-    lineno = err.errors[0][0]  # a ParsingError, which lists every bad line
-    return ValueError(f"{path}, line {lineno}: {lines[lineno - 1].strip()!r} is not a "
-                      f"[section] header or a key = value line")
+# a comment starts at a # or ; that begins the line or follows a blank
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
 
 
 def read_ini(path, schema: dict) -> dict:
     """Read a UTF-8 section/key-value file into {section: {key: value}}
     for the sections it holds, each value read by its parser in the
-    schema (section -> key -> parser). A byte that is not UTF-8, a line
-    that is not a header or key = value, a key before the first header or
-    a repeated section or key raises ValueError naming the file and line;
-    an unknown section or key, or a value its parser rejects, raises
-    ValueError naming the section and key. Values are taken as written:
-    a % in one is a plain character."""
-    data = Path(path).read_bytes()
-    try:
-        # newline=None reads \r\n and \r line ends as open() does
-        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
-    except UnicodeDecodeError as err:
-        lineno = data.count(b"\n", 0, err.start) + 1
-        raise ValueError(f"{path}, line {lineno}: byte 0x{data[err.start]:02x} is not "
-                         f"UTF-8 text") from None
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
-    cp.optionxform = str  # keys are case-sensitive, spelled as in the schema
-    try:
-        cp.read_file(lines, source=str(path))
-    except configparser.Error as err:
-        raise _syntax_error(path, lines, err) from None
+    schema (section -> key -> parser). Each line stands alone: blank, a
+    comment, a `[section]` header or `key = value`, its outer blanks and
+    comment left out. A byte that is not UTF-8, a line of another form, a
+    key before the first header, a repeated or unknown section or key, or
+    a value its parser rejects raises ValueError naming the file and the
+    line. Values are taken as written: a % is a plain character."""
     values = {}
-    # keys of a [DEFAULT] section show up in every section, so check it first
-    for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
-        if section not in schema:
-            raise ValueError(f"unknown config section [{section}], expected one of "
-                             + ", ".join(f"[{name}]" for name in schema))
-        values[section] = {}
-        for key, text in cp[section].items():
+    section = None
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            check_utf8(path, lineno, line)
+            line = _COMMENT.split(line, maxsplit=1)[0].strip()
+            if not line:
+                continue
+            where = f"{path}, line {lineno}"
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1]
+                if section not in schema:
+                    raise ValueError(f"{where}: unknown config section [{section}], expected one "
+                                     f"of {', '.join(f'[{name}]' for name in schema)}")
+                if section in values:
+                    raise ValueError(f"{where}: section [{section}] given twice")
+                values[section] = {}
+                continue
+            key, equals, text = (part.strip() for part in line.partition("="))
+            if not key or not equals:
+                raise ValueError(f"{where}: {line!r} is not a [section] header or a key = value "
+                                 f"line")
+            if section is None:
+                raise ValueError(f"{where}: {line!r} comes before any [section] header")
             if key not in schema[section]:
-                raise ValueError(f"unknown key {key!r} in section [{section}], expected one "
-                                 f"of {', '.join(schema[section])}")
+                raise ValueError(f"{where}: unknown key {key!r} in section [{section}], expected "
+                                 f"one of {', '.join(schema[section])}")
+            if key in values[section]:
+                raise ValueError(f"{where}: [{section}] {key} given twice")
             try:
                 values[section][key] = schema[section][key](text)
             except ValueError as err:
-                raise ValueError(f"[{section}] {key} {err}") from None
+                raise ValueError(f"{where}: [{section}] {key} {err}") from None
     return values
 
 

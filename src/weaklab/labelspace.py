@@ -5,7 +5,8 @@ T where T[j, k] is the probability that an instance whose true class is j
 receives label k. A clean source has the identity matrix. This module
 builds the parametric template family used by the synthetic benchmarks,
 computes matrix diagnostics (balanced error rate, mean row entropy,
-diagonal dominance) and draws weak labels from the matrix rows.
+diagonal dominance), draws weak labels from the matrix rows and reads
+and writes matrices as text.
 """
 
 from __future__ import annotations
@@ -261,6 +262,20 @@ def save_matrix(path, matrix: TransitionMatrix) -> None:
         fh.write(format_matrix(matrix))
 
 
+def check_utf8(path, lineno: int, line: str) -> None:
+    """Raise ValueError naming the file, the 1-based line and the byte if
+    line, read with errors="surrogateescape", holds a byte that is not UTF-8
+    (every text reader of the package reads its files this way)."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as err:  # the escapes of bad bytes are lone surrogates
+        raise ValueError(f"{path}, line {lineno}: byte 0x{ord(line[err.start]) - 0xDC00:02x} is "
+                         f"not UTF-8 text") from None
+
+
 def load_matrix(path) -> TransitionMatrix:
-    with open(path) as fh:
-        return parse_matrix(fh.read(), str(path))
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    for lineno, line in enumerate(text.splitlines(), start=1):  # the lines parse_matrix counts
+        check_utf8(path, lineno, line)
+    return parse_matrix(text, str(path))

@@ -54,7 +54,8 @@ class LossSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown loss family {self.family!r}, expected one of {FAMILIES}")
+            raise ValueError(f"unknown loss family {self.family!r}, expected one of "
+                             f"{', '.join(FAMILIES)}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
         if self.alpha <= 0 or self.beta <= 0:

@@ -154,7 +154,8 @@ class TrainConfig:
         if not 0.0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
+            raise ValueError(f"unknown strategy {self.strategy!r}, expected one of "
+                             f"{', '.join(STRATEGIES)}")
 
 
 def init_parameters(d: int, c: int, hidden: int, rng: np.random.Generator) -> ModelParameters:

@@ -66,8 +66,18 @@ def test_gen_template_rejects_bad_eta(capsys):
     ("[train]\nepochs 3\n",
      "exp.ini, line 2: 'epochs 3' is not a [section] header or a key = value line"),
     (b"[train]\nepochs = 3\n\xff\n", "exp.ini, line 3: byte 0xff is not UTF-8 text"),
+    ("[train]\nepochs: 5\n",
+     "exp.ini, line 2: 'epochs: 5' is not a [section] header or a key = value line"),
+    ("[run]\nseeds = 5\n  7 8\n",
+     "exp.ini, line 3: '7 8' is not a [section] header or a key = value line"),
+    ("[run]\nseeds = 4\n\n  9\n",
+     "exp.ini, line 4: '9' is not a [section] header or a key = value line"),
+    ("[train] extra words\nepochs = 7\n",
+     "exp.ini, line 1: '[train] extra words' is not a [section] header or a key = value line"),
+    ("[train]\nlearning_rat = 5.0\n", "exp.ini, line 2: unknown key 'learning_rat'"),
 ], ids=["dataset", "train", "missing_file", "repeated_key", "key_before_header",
-        "line_without_equals", "not_utf8"])
+        "line_without_equals", "not_utf8", "colon", "continuation", "continuation_after_blank",
+        "text_after_header", "unknown_key"])
 def test_run_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     cfg = tmp_path / "exp.ini"
     if text is not None:
@@ -77,6 +87,22 @@ def test_run_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     captured = capsys.readouterr()
     assert captured.err.startswith("weaklab run: ") and message in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_run_reports_sizes_too_large_to_allocate_in_one_line(tmp_path, capsys, monkeypatch):
+    # numpy raises a MemoryError subclass for an array it cannot allocate
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                          "and data type float64")
+    monkeypatch.setattr(harness, "generate_blobs", allocate)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(RUN_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("weaklab run: Unable to allocate 7.28 TiB for an array with shape "
+                            "(1000000000000,) and data type float64\n")
     assert captured.out == "" and not out.exists()
 
 
@@ -324,6 +350,19 @@ def test_corrupt_reports_a_repeated_spec_key_in_one_line(tmp_path, capsys):
     assert captured.err == (f"weaklab corrupt: {spec_path}, line 3: [sources] clean_count "
                             f"given twice\n")
     assert captured.out == ""
+
+
+def test_corrupt_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    clean_path = tmp_path / "clean.txt"
+    clean_path.write_bytes(b"2 1 4\n0 0 0.5\n0 1 1.5\xff\n0 0 2.5\n0 1 3.5\n")
+    spec_path = tmp_path / "sources.ini"
+    spec_path.write_text("[sources]\nclean_count = 1\nweak = uniform:0.5:3\n")
+    out_path = tmp_path / "weak.txt"
+    assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
+                 "--emit-dataset", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"weaklab corrupt: {clean_path}, line 3: byte 0xff is not UTF-8 text\n"
+    assert captured.out == "" and not out_path.exists()
 
 
 @pytest.mark.parametrize("command", ["gen-template", "corrupt", "run"])

@@ -362,15 +362,30 @@ def test_valid_fixture_loads(tmp_path):
     # no rows pass the room check, but no numpy row dtype holds that many features
     ("10 99999999999 0\n", 1, "d = 99999999999 features per row are too many"),
     (f"{MAX_CLASSES + 1} 2 0\n", 1, f"c = {MAX_CLASSES + 1} classes, above the limit"),
+    (b"3 2 4\xff\n" + VALID.encode()[6:], 1, "byte 0xff is not UTF-8 text$"),
+    (VALID.encode().replace(b"0 2 1e-05", b"0 2 1e-05\xff"), 3, "byte 0xff is not UTF-8 text$"),
+    # a lead byte without its continuation byte, in a file with CR line ends
+    (VALID.encode().replace(b"\n", b"\r").replace(b"7.0", b"7.\xc30"), 5,
+     "byte 0xc3 is not UTF-8 text$"),
 ], ids=["short_header", "bad_header", "zero_d", "dropped_field", "extra_field", "blank_line",
         "float_label", "bad_source", "bad_feature", "label_c", "negative_label",
         "negative_source", "extra_row", "missing_row", "truncated_row", "huge_n", "huge_d",
-        "huge_d_no_rows", "too_many_classes"])
+        "huge_d_no_rows", "too_many_classes", "not_utf8_header", "not_utf8_row",
+        "not_utf8_cr_line_ends"])
 def test_load_dataset_names_the_bad_line(tmp_path, text, line, message):
     path = tmp_path / "data.txt"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=f"data.txt, line {line}: .*{message}"):
         load_dataset(path)
+
+
+def test_load_dataset_names_a_byte_that_is_not_utf8_past_the_first_block(tmp_path):
+    rows = "".join(f"0 1 {i}.5\n" for i in range(9)).encode()
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"2 1 9\n" + rows.replace(b"0 1 6.5", b"0 1 6.5\xff"))
+    with mock.patch.object(datagen, "IO_BLOCK_ROWS", 4):
+        with pytest.raises(ValueError, match="data.txt, line 8: byte 0xff is not UTF-8 text"):
+            load_dataset(path)
 
 
 def test_load_dataset_room_check_is_exact_at_the_shortest_rows(tmp_path):

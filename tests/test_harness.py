@@ -1,14 +1,19 @@
+import configparser
 import re
+import tempfile
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaklab import harness
 from weaklab.harness import (CONFIG_SCHEMA, CSV_HEADER, Cell, ExperimentConfig, ReportRow,
                              RunReport, WeakSource, emit_csv, emit_curves, load_config,
-                             overall_accuracy, run_experiment, write_run_dir)
+                             model_config, overall_accuracy, read_ini, run_experiment,
+                             write_run_dir)
 from weaklab.labelspace import TemplateKind, load_matrix, make_template
 from weaklab.model import ModelParameters, TrainConfig, TrainingDiverged
 
@@ -458,6 +463,120 @@ def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         load_config(path)
+
+
+# each value parses to its own text, so the reader and configparser are
+# compared on the raw values
+TOY_SCHEMA = {"alpha": {"n": str, "Mixed_Case": str, "x": str},
+              "beta": {"words": str, "y": str}, "gamma": {"z": str}}
+BLANKS = st.text(" \t", max_size=2)
+# what follows a comment mark: any text that does not end a line
+COMMENT = st.builds(lambda blank, mark, text: blank + mark + text, BLANKS, st.sampled_from("#;"),
+                    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+                            max_size=8))
+# values hold blanks and the marks of comments, keys and headers
+VALUE = st.text(st.sampled_from("ab09.:=%#;[] \t"), max_size=10)
+
+
+@st.composite
+def ini_texts(draw):
+    """A file in the documented grammar over TOY_SCHEMA: headers and
+    key = value lines at the start of their lines, with blanks around `=`,
+    inline comments, and blank and comment lines between them."""
+    def filler():
+        return draw(st.lists(st.one_of(BLANKS, COMMENT), max_size=2))
+
+    def inline():
+        return draw(st.one_of(st.just(""), COMMENT.map(lambda text: " " + text)))
+
+    lines = filler()
+    for section in draw(st.lists(st.sampled_from(list(TOY_SCHEMA)), unique=True)):
+        lines += [f"[{section}]{draw(BLANKS)}{inline()}", *filler()]
+        for key in draw(st.lists(st.sampled_from(list(TOY_SCHEMA[section])), unique=True)):
+            lines += [f"{key}{draw(BLANKS)}={draw(BLANKS)}{draw(VALUE)}{draw(BLANKS)}{inline()}",
+                      *filler()]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=ini_texts())
+def test_read_ini_reads_the_documented_grammar_as_configparser_does(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "toy.ini"
+        path.write_bytes(text.encode("utf-8"))
+        # the configparser settings the reader replaces, but with ; folded
+        # into #: given two inline prefixes, configparser advances each by
+        # one occurrence a round and stops at the first round with a hit,
+        # so it can miss the first comment (see the test below); with one
+        # prefix it scans in order
+        oracle = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        oracle.optionxform = str
+        with open(path, encoding="utf-8") as fh:
+            oracle.read_file(line.replace(";", "#") for line in fh)
+        assert ({name: {key: value.replace(";", "#") for key, value in keys.items()}
+                 for name, keys in read_ini(path, TOY_SCHEMA).items()}
+                == {name: dict(oracle[name]) for name in oracle.sections()})
+
+
+@pytest.mark.parametrize("line, value", [
+    ("z=# # ;", "#"),
+    ("z = a;; ;c #d", "a;;"),
+    ("z = a## #c ;d", "a##"),
+])
+def test_read_ini_ends_a_value_at_its_first_comment(tmp_path, line, value):
+    # configparser with inline_comment_prefixes=(";", "#") reads these as
+    # '# #', 'a;; ;c' and 'a## #c'
+    path = tmp_path / "toy.ini"
+    path.write_text(f"[gamma]\n{line}\n")
+    assert read_ini(path, TOY_SCHEMA) == {"gamma": {"z": value}}
+
+
+def test_bool_values_take_the_configparser_spellings():
+    assert harness.BOOLEANS == configparser.ConfigParser.BOOLEAN_STATES
+    for text in ("On", "NO", "tRuE", "0", "Yes", "OFF"):
+        assert harness.typed(bool)(text) is harness.BOOLEANS[text.lower()]
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("[train]\nepochs = 3\n\n[sourcez]\n", 4,
+     "unknown config section [sourcez], expected one of [dataset], [sources], [loss], [train], "
+     "[run]"),
+    ("[DEFAULT]\nepochs = 3\n", 1,
+     "unknown config section [DEFAULT], expected one of [dataset], [sources], [loss], [train], "
+     "[run]"),
+    ("# rates\n[train]\nlearning_rat = 5.0\n", 3,
+     "unknown key 'learning_rat' in section [train], expected one of epochs, batch_size, "
+     "learning_rate, momentum, weight_decay, hidden"),
+    ("[dataset]\r\nclasses = ten ; words\r\n", 2,
+     "[dataset] classes value 'ten' is not of type int"),
+    ("[run]\n[train]\n[run]\n", 3, "section [run] given twice"),
+], ids=["section", "default_section", "key", "value", "repeated_section"])
+def test_read_ini_names_the_line_of_every_error(tmp_path, text, line, message):
+    path = tmp_path / "exp.ini"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as err:
+        read_ini(path, CONFIG_SCHEMA)
+    assert str(err.value) == f"{path}, line {line}: {message}"
+
+
+def test_read_ini_reads_indented_lines(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("  [train]\n\tepochs = 7   # seven\n  [run] ; seeds\n  seeds = 3\n")
+    cfg = load_config(path)
+    assert cfg.train.epochs == 7 and cfg.seeds == [3]
+
+
+def test_model_config_names_are_checked_by_their_owners():
+    train = TrainConfig(epochs=4, hidden=0)
+    tconf = model_config(train, "proposed", "gce", 7)
+    assert (tconf.strategy, tconf.loss.family, tconf.seed, tconf.epochs) == ("proposed", "gce", 7, 4)
+    with pytest.raises(ValueError, match=r"^unknown strategy 'propsed', expected one of vanilla, "
+                                         r"forward, proposed$"):
+        model_config(train, "propsed", "cce", 0)
+    with pytest.raises(ValueError, match=r"^unknown loss family 'xce', expected one of cce, mae, "
+                                         r"gce, sl$"):
+        model_config(train, "vanilla", "xce", 0)
 
 
 def test_readme_config_table_lists_the_allowed_keys():

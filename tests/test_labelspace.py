@@ -225,3 +225,15 @@ def test_load_matrix_names_the_file(tmp_path):
     path.write_text("2\n\n1 0\n0 1 0\n")
     with pytest.raises(ValueError, match="t.txt, line 4: expected 2 numbers, found 3"):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"2\n1 0\n0 \xff1\n", "line 3: byte 0xff is not UTF-8 text"),
+    # read as UTF-8 whatever the locale's encoding
+    ("2\n1 0\n0 1\u00e9\n".encode(), "line 3: '0 1\u00e9' holds a non-number"),
+], ids=["not_utf8", "utf8"])
+def test_load_matrix_reads_utf8(tmp_path, data, message):
+    path = tmp_path / "t.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"t.txt, {message}"):
+        load_matrix(path)

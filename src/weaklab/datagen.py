@@ -157,12 +157,19 @@ def generate_blobs(c: int, d: int, n_per_class: int, spread: float,
     closer than others; features are mean + spread * standard normal
     noise. Labels are the generating component. Arguments out of range
     raise ValueError through check_blobs.
+
+    The noise is drawn into the features array and scaled and shifted in
+    place, so the call allocates no feature-sized temporary; the bits
+    equal means[labels] + spread * noise, since IEEE addition and
+    multiplication commute.
     """
     check_blobs(c, d, n_per_class, spread)
     directions = rng.standard_normal((d, c))
     means = (directions / np.linalg.norm(directions, axis=0)).T
     labels = np.repeat(np.arange(c), n_per_class)
-    features = means[labels] + spread * rng.standard_normal((labels.shape[0], d))
+    features = rng.standard_normal((labels.shape[0], d))
+    features *= spread
+    features.reshape(c, n_per_class, d)[...] += means[:, None, :]  # class j's rows are block j
     return Dataset(features, labels, c, means=means)
 
 

@@ -11,6 +11,7 @@ and writes matrices as text.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from enum import Enum
 
@@ -206,15 +207,31 @@ def check_labels(labels, c: int, what: str) -> np.ndarray:
     return labels
 
 
+# rows whose (rows, c) comparison sample_weak_labels makes per step:
+# bounds its working memory beyond the output whatever the row count
+SAMPLE_BLOCK_ROWS = 4096
+
+
 def sample_weak_labels(matrix: TransitionMatrix, true_labels: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
-    """Draw one weak label per true label from the matrix rows."""
+    """Draw one weak label per true label from the matrix rows.
+
+    One uniform u per row, drawn in a single call; the label is the
+    number of cumulative row probabilities <= u, capped at c - 1. The
+    counts are made in blocks of SAMPLE_BLOCK_ROWS rows and written over
+    the draws they were made from, so the int64 result shares the
+    draws' buffer and the call allocates nothing else of the row count.
+    """
     c = matrix.c
     labels = check_labels(true_labels, c, "true labels")
     cum = np.cumsum(matrix.entries, axis=1)
     u = rng.random(labels.shape[0])
-    drawn = (cum[labels] <= u[:, None]).sum(axis=1)
-    return np.minimum(drawn, c - 1)
+    drawn = u.view(np.int64)
+    for start in range(0, len(u), SAMPLE_BLOCK_ROWS):
+        part = slice(start, start + SAMPLE_BLOCK_ROWS)
+        below = cum[labels[part]] <= u[part, None]  # made before drawn[part] is written
+        below.sum(axis=1, out=drawn[part])
+    return np.minimum(drawn, c - 1, out=drawn)
 
 
 def format_matrix(matrix: TransitionMatrix) -> str:
@@ -225,12 +242,19 @@ def format_matrix(matrix: TransitionMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _numbered_lines(text: str):
+    """(1-based number, line) of each line of text, split only at LF, CR LF
+    and CR like the package's other text readers (str.splitlines would also
+    split at \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029)."""
+    return enumerate(io.StringIO(text, newline=""), start=1)
+
+
 def parse_matrix(text: str, source: str = "matrix") -> TransitionMatrix:
     """Read the format_matrix text form. Raises ValueError naming `source`
     (the file, for load_matrix) and the 1-based line when the first line is
     not a positive class count c, a row does not hold c numbers, or there
     are other than c rows."""
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = [(i, ln) for i, ln in _numbered_lines(text) if ln.strip()]
     if not lines:
         raise ValueError(f"{source}: empty, expected a class count line")
     lineno, first = lines[0]
@@ -276,6 +300,6 @@ def check_utf8(path, lineno: int, line: str) -> None:
 def load_matrix(path) -> TransitionMatrix:
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read()
-    for lineno, line in enumerate(text.splitlines(), start=1):  # the lines parse_matrix counts
+    for lineno, line in _numbered_lines(text):  # the lines parse_matrix counts
         check_utf8(path, lineno, line)
     return parse_matrix(text, str(path))

@@ -33,6 +33,39 @@ def test_generate_blobs_shapes_and_determinism():
     assert np.allclose(np.linalg.norm(a.means, axis=1), 1.0)
 
 
+def reference_blobs(c, d, n_per_class, spread, rng):
+    """The one-expression generator: means[labels] + spread * noise."""
+    directions = rng.standard_normal((d, c))
+    means = (directions / np.linalg.norm(directions, axis=0)).T
+    labels = np.repeat(np.arange(c), n_per_class)
+    return means, labels, means[labels] + spread * rng.standard_normal((labels.shape[0], d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=st.integers(2, 6), d=st.integers(2, 5), n_per_class=st.integers(1, 7),
+       spread=st.floats(1e-6, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_generate_blobs_matches_the_reference_bytes(c, d, n_per_class, spread, seed):
+    got = generate_blobs(c, d, n_per_class, spread, np.random.default_rng(seed))
+    means, labels, features = reference_blobs(c, d, n_per_class, spread,
+                                              np.random.default_rng(seed))
+    assert got.features.dtype == features.dtype and got.features.shape == features.shape
+    assert got.features.tobytes() == features.tobytes()
+    assert got.labels.dtype == labels.dtype and got.labels.tobytes() == labels.tobytes()
+    assert got.means.tobytes() == means.tobytes()
+
+
+def test_generate_blobs_memory_is_its_output():
+    # the reference expression held the gathered means and the scaled noise
+    # beside the output: about twice the feature bytes
+    tracemalloc.start()
+    try:
+        blobs = generate_blobs(10, 16, 5000, 0.3, np.random.default_rng(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * blobs.features.nbytes
+
+
 def test_generate_blobs_validation():
     rng = np.random.default_rng(0)
     for bad in ((1, 16, 10, 0.3), (10, 1, 10, 0.3), (10, 16, 0, 0.3), (10, 16, 10, 0.0),

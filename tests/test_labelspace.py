@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weaklab import labelspace
 from weaklab.labelspace import (MAX_CLASSES, SourceSpec, TemplateKind, TransitionMatrix,
                                 balanced_error_rate, format_matrix, identity_matrix,
                                 load_matrix, make_template, mean_row_entropy, parse_matrix,
@@ -196,6 +200,47 @@ def test_sampling_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
+def reference_weak_labels(matrix, labels, rng):
+    """The one-expression sampler: count cum[labels] <= u over all rows at once."""
+    cum = np.cumsum(matrix.entries, axis=1)
+    u = rng.random(labels.shape[0])
+    return np.minimum((cum[labels] <= u[:, None]).sum(axis=1), matrix.c - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=st.integers(2, 6), n=st.integers(0, 20), seed=st.integers(0, 2**32 - 1),
+       block_rows=st.integers(1, 3))
+def test_sample_weak_labels_matches_the_reference_bytes(c, n, seed, block_rows):
+    rng = np.random.default_rng(seed)
+    # rows with zeros, so some cumulative sums repeat, and rounding can leave
+    # the last one below 1, where the cap at c - 1 acts
+    entries = rng.random((c, c)) * (rng.random((c, c)) < 0.6) + np.eye(c)
+    matrix = TransitionMatrix(entries / entries.sum(axis=1, keepdims=True))
+    labels = rng.integers(0, c, n)
+    with mock.patch.object(labelspace, "SAMPLE_BLOCK_ROWS", block_rows):
+        got = sample_weak_labels(matrix, labels, np.random.default_rng(seed + 1))
+    want = reference_weak_labels(matrix, labels, np.random.default_rng(seed + 1))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_sample_weak_labels_memory_is_its_output_and_a_block():
+    # the reference expression held an (n, c) float and an (n, c) bool array:
+    # 13.5 MB beside the 1.2 MB output at 150k rows and 10 classes
+    t = make_template(TemplateKind.MIXED_CLASS_DEPENDENT, 10, 0.4)
+    bound = labelspace.SAMPLE_BLOCK_ROWS * t.c * 16  # the block's comparison, whatever n
+    for n in (150_000, 600_001):
+        labels = np.random.default_rng(n).integers(0, 10, n)
+        tracemalloc.start()
+        try:
+            drawn = sample_weak_labels(t, labels, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= drawn.nbytes + bound
+        want = reference_weak_labels(t, labels, np.random.default_rng(3))
+        assert drawn.tobytes() == want.tobytes()
+
+
 def test_matrix_text_round_trip(tmp_path):
     t = make_template(TemplateKind.LAND_COVER_CHANGE, 10, 0.25)
     text = format_matrix(t)
@@ -218,6 +263,19 @@ def test_matrix_text_round_trip(tmp_path):
 def test_parse_matrix_names_the_bad_line(text, message):
     with pytest.raises(ValueError, match=message):
         parse_matrix(text)
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u2029"])
+def test_matrix_lines_break_only_at_lf_crlf_and_cr(tmp_path, sep):
+    # inside a line these are blanks between fields, as load_dataset reads them
+    assert parse_matrix(f"2\n0.5{sep}0.5\n0 1\n").entries.tolist() == [[0.5, 0.5], [0, 1]]
+    with pytest.raises(ValueError, match="line 3: expected 2 numbers, found 3"):
+        parse_matrix(f"2\n1 0\n0 1{sep}x\n")
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"2\r\n1 0\r0 1" + sep.encode() + b"\xff\n")
+    with pytest.raises(ValueError, match="t.txt, line 3: byte 0xff is not UTF-8 text"):
+        load_matrix(path)
 
 
 def test_load_matrix_names_the_file(tmp_path):

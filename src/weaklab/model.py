@@ -7,8 +7,9 @@ columns are the samples and whose last row is ones, so a layer's
 [W | b] @ [x; 1] = W x + b is one product, and the hidden activations
 sit in an (H + 1, m) buffer whose last row is ones as well. The backward
 pass consumes one score-space weighting vector omega per column and
-contracts it against d h / d theta; through the same ones rows its
-products give each layer's bias gradient beside its weight gradient.
+contracts it against d h / d theta, reading the batch row-major, (m,
+d + 1), with a last column of ones; through the ones its products give
+each layer's bias gradient beside its weight gradient.
 Training computes omega with one kernel, batch_weighting, from a
 per-sample transition column C[:, i] = T_{s_i}[:, y_i] built once before
 the epoch loop; the vanilla strategy is the same kernel with one-hot
@@ -17,24 +18,42 @@ correction.weight_proposed, the chain-rule form over softmax_grad, is
 its independent per-sample reference.
 
 A minibatch step is about thirty numpy calls on matrices of about
-16 x 32, so its cost is call overhead, not arithmetic, and the step
-allocates no array of its own. train allocates one workspace per call:
-the class-major (d + 1, n) inputs and (c, n) transition columns, built
-once; the epoch's permuted copies of them, gathered along axis 1 with
+16 x 32, so its cost is call overhead, not arithmetic. train allocates
+one workspace per call, a Minibatches: the samples' row-major [x, 1]
+rows, (n, d + 1), and transition columns, (n, c), built once; the
+epoch's permuted copies of them, gathered along axis 0 with
 np.take(..., out=, mode="clip") (the indices are a permutation, so
 clipping changes none, and the default mode="raise" copies through a
-temporary); and one BatchBuffers per batch size (the full one, and the
-short last batch's) that the three kernels (forward_batch,
-batch_weighting, backward_batch) write into instead of allocating. Every
-kernel takes its buffers as a required argument, each array shaped for
-exactly the batch it is given; predict_batch makes one ForwardBuffers,
-the arrays forward_batch writes, per block. backward_batch reads the
-hidden activations that forward_batch left in buf.a. Inside the kernels
-every product is ndarray.dot(..., out=): the same BLAS call as np.dot, so
-the same bits, without the dispatch np.dot and np.matmul add on these
-shapes. The per-sample reductions run over axis 0, the classes: the
-softmax denominator and the corrected probability ut are products with
-a length-c ones vector, the column maxima a direct np.maximum.reduce.
+temporary) into one buffer, the columns first; two flat buffers, filled
+from those by one block-transposing copy each per epoch; and one
+BatchBuffers per batch size (the full one, and the short last batch's)
+that the three kernels (forward_batch, batch_weighting, backward_batch)
+write into instead of allocating. Every operand of a step is one
+C-contiguous block in the layout its product wants: forward_batch takes
+the batch's class-major (d + 1, m) block of the inputs buffer,
+backward_batch its row-major (m, d + 1) rows of the permuted rows for
+the input-layer gradient, and batch_weighting its (c, m) block of the
+columns buffer. These are the arrays that numpy itself builds from
+strided views of one (d + 1, n) or (c, n) epoch array, copying each
+(for the gradient, its transpose) into a C-contiguous temporary before
+dot calls BLAS, or running it through np.multiply's buffered iterator;
+so BLAS makes the same calls on the same arrays as with such views, with
+the same bits, and no copy is made. The gradient does not multiply by
+the transpose of the class-major block: that F-order operand takes
+BLAS's transposed path, which rounds differently. The step allocates no
+array of its own; what remains is the iterator buffer numpy takes for
+each of the four ufuncs that broadcast a per-sample (m,) vector over the
+class rows (the softmax shift and scale, ut * u and omega *= fprime),
+3.7 KB each at c 10 and m 32. Every kernel takes its buffers as a
+required argument, each array shaped for exactly the batch it is given;
+predict_batch makes one ForwardBuffers, the arrays forward_batch writes,
+per block. backward_batch reads the hidden activations that
+forward_batch left in buf.a. Inside the kernels every product is
+ndarray.dot(..., out=): the same BLAS call as np.dot, so the same bits,
+without the dispatch np.dot and np.matmul add on these shapes. The
+per-sample reductions run over axis 0, the classes: the softmax
+denominator and the corrected probability ut are products with a
+length-c ones vector, the column maxima a direct np.maximum.reduce.
 Each gives a plain (m,) vector that broadcasts over the class rows,
 cheaper per call than a (rows, 1) column over row-major scores.
 loss_derivative clamps the corrected probability to [PROB_FLOOR, 1] once
@@ -231,26 +250,27 @@ def forward_batch(params: ModelParameters, x: np.ndarray,
     return layers[-1].dot(a, out=buf.scores)
 
 
-def backward_batch(params: ModelParameters, x: np.ndarray, delta: np.ndarray,
+def backward_batch(params: ModelParameters, x_rows: np.ndarray, delta: np.ndarray,
                    out: ModelParameters, buf: BatchBuffers) -> ModelParameters:
     """Contract the weighting vectors in the columns of delta, (c, m),
     against d h / d theta and sum over the samples (scale delta by 1/m
     first for a mean-loss gradient); linear in delta. Written into out,
-    which is returned. x and buf are the batch and buffers of the
-    forward_batch call that made delta's scores: the hidden activations
-    are read from buf.a, and buf receives the hidden delta and the ReLU
-    mask. The ones rows of x and buf.a make each product's last column a
-    bias gradient."""
+    which is returned. x_rows, (m, d + 1), is the batch of the
+    forward_batch call that made delta's scores, row-major: the transpose
+    of its x, with a last column of ones. buf holds that call's buffers:
+    the hidden activations are read from buf.a, and buf receives the
+    hidden delta and the ReLU mask. The ones column of x_rows and the ones
+    row of buf.a make each product's last column a bias gradient."""
     layers = params.layers
     hidden = len(layers) == 2
-    delta.dot((buf.a if hidden else x).T, out=out.layers[-1])
+    delta.dot(buf.a.T if hidden else x_rows, out=out.layers[-1])
     if hidden:
         layers[1].T.dot(delta, out=buf.dh)  # [W1 | b1]^T delta; row H is unused
         d_hidden = buf.dh_hidden
         # a = max(z, 0) >= 0, so sign(a) is the 0/1 derivative of the ReLU
         # at the pre-activation z
         d_hidden *= np.sign(buf.a_hidden, out=buf.mask)
-        d_hidden.dot(x.T, out=out.layers[0])
+        d_hidden.dot(x_rows, out=out.layers[0])
     return out
 
 
@@ -384,6 +404,69 @@ def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale,
     return omega
 
 
+class Minibatches:
+    """train's epoch workspace: n samples, and their permuted copy in
+    minibatches of batch_size, the last one shorter, laid out so that
+    every operand of a step is one C-contiguous block.
+
+    Built from the features, (n, d), and the samples' transition columns
+    as rows, (n, c); it copies the features once into the row-major [x, 1]
+    rows, (n, d + 1), and keeps the columns, copying them only when they
+    are not C-contiguous float64. load(order) then writes the samples in
+    that order into three buffers: rows, (n, d + 1), whose rows start to
+    start + m are a batch's row-major x_rows for backward_batch; inputs,
+    flat, which holds each batch's class-major (d + 1, m) block for
+    forward_batch in turn; and columns, flat, each batch's (c, m)
+    transition columns for batch_weighting. The permuted (n, c) columns
+    pass through the buffer of rows on their way to columns, before the
+    rows are gathered, so they take no buffer of their own. batches lists
+    per minibatch (x, x_rows, cols, buf, scale): its views of the three
+    buffers, the BatchBuffers of its size (one per distinct size) and 1/m.
+    """
+
+    def __init__(self, features: np.ndarray, col_rows: np.ndarray, batch_size: int,
+                 hidden: int):
+        n, d = features.shape
+        c = col_rows.shape[1]
+        self.batch_size = batch_size
+        self._rows = np.empty((n, d + 1))
+        self._rows[:, :d] = features
+        self._rows[:, d] = 1.0
+        self._cols = np.ascontiguousarray(col_rows, dtype=np.float64)
+        gathered = np.empty(n * max(d + 1, c))
+        self.rows = gathered[:n * (d + 1)].reshape(n, d + 1)
+        self._gathered_cols = gathered[:n * c].reshape(n, c)
+        self.inputs, self.columns = np.empty(n * (d + 1)), np.empty(n * c)
+        starts = range(0, n, batch_size)
+        sizes = [min(batch_size, n - start) for start in starts]
+        buffers = {m: (BatchBuffers(m, c, hidden), scalar_operand(1.0 / m)) for m in set(sizes)}
+        self.batches = [(self.inputs[start * (d + 1):(start + m) * (d + 1)].reshape(d + 1, m),
+                         self.rows[start:start + m],
+                         self.columns[start * c:(start + m) * c].reshape(c, m)) + buffers[m]
+                        for start, m in zip(starts, sizes)]
+
+    def load(self, order: np.ndarray) -> None:
+        """Lay out the samples in the order of the permutation order."""
+        # order is a permutation, so clipping changes no index; the default
+        # mode="raise" would copy through a temporary buffer
+        np.take(self._cols, order, axis=0, out=self._gathered_cols, mode="clip")
+        _transpose_blocks(self._gathered_cols, self.columns, self.batch_size)
+        np.take(self._rows, order, axis=0, out=self.rows, mode="clip")
+        _transpose_blocks(self.rows, self.inputs, self.batch_size)
+
+
+def _transpose_blocks(rows: np.ndarray, flat: np.ndarray, size: int) -> None:
+    """Write each block of size consecutive rows of rows, (n, w), the last
+    block shorter, transposed into flat: the m rows from row start become
+    the C-contiguous (w, m) array at offset start * w."""
+    n, w = rows.shape
+    k, tail = divmod(n, size)
+    full = k * size
+    np.copyto(flat[:full * w].reshape(k, w, size),
+              rows[:full].reshape(k, size, w).transpose(0, 2, 1))
+    np.copyto(flat[full * w:].reshape(w, tail), rows[full:].T)
+
+
 def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
           c: int, config: TrainConfig, matrices=None,
           epoch_callback=None) -> ModelParameters:
@@ -410,9 +493,10 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
     labels = check_labels(labels, c, "labels")
     if config.strategy != "vanilla" and matrices is None:
         raise ValueError(f"strategy {config.strategy!r} needs per-source transition matrices")
-    cols = transition_columns(labels, source_ids, c,
-                              None if config.strategy == "vanilla" else matrices)
-    inputs = class_major(features)
+    # the (c, n) columns are freed before Minibatches allocates its buffers
+    col_rows = np.ascontiguousarray(transition_columns(
+        labels, source_ids, c, None if config.strategy == "vanilla" else matrices).T)
+    minibatches = Minibatches(features, col_rows, config.batch_size, config.hidden)
 
     rng = np.random.default_rng(config.seed)
     params = init_parameters(d, c, config.hidden, rng)
@@ -421,30 +505,14 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
     look = params.copy()  # the lookahead theta + mu * v, at v = 0
     rates = step_rates(config)
 
-    # the workspace: the epoch's permuted samples, and per minibatch its
-    # views of them, the buffers of its size (one set per distinct size)
-    # and 1/m
-    bs = config.batch_size
-    xs, cs = np.empty((d + 1, n)), np.empty((c, n))
-    starts = range(0, n, bs)
-    sizes = [min(bs, n - start) for start in starts]
-    buffers = {m: (BatchBuffers(m, c, config.hidden), scalar_operand(1.0 / m))
-               for m in set(sizes)}
-    batches = [(xs[:, start:start + m], cs[:, start:start + m]) + buffers[m]
-               for start, m in zip(starts, sizes)]
-
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        # order is a permutation, so clipping changes no index; the default
-        # mode="raise" would copy through a temporary buffer
-        np.take(inputs, order, axis=1, out=xs, mode="clip")
-        np.take(cols, order, axis=1, out=cs, mode="clip")
+        minibatches.load(rng.permutation(n))
         with np.errstate(over="ignore", invalid="ignore"):
-            for xb, cb, buf, scale in batches:
+            for xb, x_rows, cb, buf, scale in minibatches.batches:
                 scores = forward_batch(look, xb, buf)
                 u = _softmax_columns(scores, buf)
                 omega = batch_weighting(u, cb, config.loss, scale, buf)
-                backward_batch(look, xb, omega, grads, buf)
+                backward_batch(look, x_rows, omega, grads, buf)
                 step(params, grads, velocity, scratch, look.flat, rates)
         if not params.all_finite():
             raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")

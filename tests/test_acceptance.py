@@ -75,7 +75,7 @@ def test_criterion_1_gradient_oracle_suite():
             column = np.eye(c)[k]
             scalar = lambda p: loss_value(spec, softmax(scores_of(p, x))[k])
         omega = batch_weighting(u[:, None], column[:, None], spec, 1.0, buf(c, hidden))
-        exact = backward_batch(params, xb, omega, params.zeros_like(),
+        exact = backward_batch(params, xb.T, omega, params.zeros_like(),
                                buf(c, hidden)).flat
         numeric = per_parameter_fd(params, scalar)
         rel = np.linalg.norm(exact - numeric) / max(np.linalg.norm(numeric), 1e-12)

@@ -9,10 +9,11 @@ from weaklab import model
 from weaklab.correction import corrected_loss, softmax, weight_proposed
 from weaklab.labelspace import TransitionMatrix
 from weaklab.losses import PROB_FLOOR, LossSpec, loss_value
-from weaklab.model import (BatchBuffers, ModelParameters, TrainConfig, TrainingDiverged,
-                           _softmax_columns, backward_batch, batch_weighting, class_major,
-                           forward_batch, init_parameters, load_params, predict_batch,
-                           save_params, step, step_rates, train, transition_columns)
+from weaklab.model import (BatchBuffers, Minibatches, ModelParameters, TrainConfig,
+                           TrainingDiverged, _softmax_columns, backward_batch,
+                           batch_weighting, class_major, forward_batch, init_parameters,
+                           load_params, predict_batch, save_params, step, step_rates, train,
+                           transition_columns)
 
 from conftest import SPECS, per_parameter_fd, random_row_stochastic, scores_of
 
@@ -30,7 +31,7 @@ def one_row_gradient(params, x, omega):
     buf = fresh_buffers(params, 1)
     xb = class_major(x[None, :])
     forward_batch(params, xb, buf)
-    return backward_batch(params, xb, np.asarray(omega)[:, None], params.zeros_like(),
+    return backward_batch(params, xb.T, np.asarray(omega)[:, None], params.zeros_like(),
                           buf).flat
 
 
@@ -201,7 +202,7 @@ def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
     for spec in SPECS:
         scores = forward_batch(look, xb, buf)
         omega = batch_weighting(_softmax_columns(scores, buf), cols, spec, 1.0 / m, buf)
-        batched = backward_batch(look, xb, omega, look.zeros_like(), buf).flat
+        batched = backward_batch(look, xb.T, omega, look.zeros_like(), buf).flat
         oracle = np.mean([one_row_gradient(look, x[i], weight_proposed(
             spec, mats[src[i]], labels[i], softmax(scores_of(look, x[i]))))
             for i in range(m)], axis=0)
@@ -226,7 +227,7 @@ def buffered_step(params, x, cols, spec, buf):
     (omega, gradient)."""
     scores = forward_batch(params, x, buf)
     omega = batch_weighting(_softmax_columns(scores, buf), cols, spec, 1.0 / x.shape[1], buf)
-    return omega, backward_batch(params, x, omega, params.zeros_like(), buf)
+    return omega, backward_batch(params, x.T, omega, params.zeros_like(), buf)
 
 
 def fresh_step(params, x, cols, spec):
@@ -317,11 +318,15 @@ def plain_train(features, labels, source_ids, c, config, matrices):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
 @pytest.mark.parametrize("hidden", [0, 32])
 def test_train_equals_the_plain_formulas(rng, hidden, spec):
-    # pins every output bit of train to the formulas: a kernel rewrite
-    # (other products, reductions, gathers or update order) that moves a
-    # bit fails here, which a reference built on the kernels cannot show.
-    # Sums over 3 classes round alike in any order that adds left to
-    # right, so 10 classes pin the class sums too
+    # pins the output bits of train to the formulas at the shapes run here:
+    # 301 rows (nine batches of 32 and one of 13), d 2 with c 3, and d 4
+    # with c 10. A kernel rewrite (other products, reductions, gathers or
+    # update order) that moves a bit at these shapes fails here, which a
+    # reference built on the kernels cannot show. Sums over 3 classes round
+    # alike in any order that adds left to right, so 10 classes pin the
+    # class sums too. It does not pin train at other shapes: at d 16 and
+    # c 10 the two differ in the last bits for, among others, 20, 258 to
+    # 260, 265, 276, 284 and 500 rows (the size of the shipped baselines)
     feats, labels = _toy_training_data(rng, n=301)
     cfg = TrainConfig(epochs=2, hidden=hidden, seed=6, strategy="proposed", loss=spec)
     assert len(labels) % cfg.batch_size != 0
@@ -331,6 +336,24 @@ def test_train_equals_the_plain_formulas(rng, hidden, spec):
         mats = {s: random_row_stochastic(rng, c) for s in range(3)}
         trained = train(x, y, src, c, cfg, matrices=mats)
         assert np.array_equal(trained.flat, plain_train(x, y, src, c, cfg, mats)), c
+
+
+@pytest.mark.parametrize("hidden", [0, 32])
+def test_train_bits_do_not_depend_on_input_layout(rng, hidden):
+    # train copies its inputs into its own layout once, so Fortran-order
+    # features, a strided view and int32 labels and source ids train to
+    # the bits of the C-contiguous float64 and int64 call
+    n, d, c = 301, 16, 10
+    wide = rng.standard_normal((n, 2 * d))
+    feats = np.ascontiguousarray(wide[:, ::2])
+    labels, src = rng.integers(c, size=n), rng.integers(3, size=n)
+    mats = {s: random_row_stochastic(rng, c) for s in range(3)}
+    cfg = TrainConfig(epochs=2, hidden=hidden, seed=6, strategy="proposed")
+    expected = train(feats, labels, src, c, cfg, matrices=mats).flat
+    for x, y, s in [(np.asfortranarray(feats), labels, src),
+                    (wide[:, ::2], labels, src),
+                    (feats, labels.astype(np.int32), src.astype(np.int32))]:
+        assert np.array_equal(train(x, y, s, c, cfg, matrices=mats).flat, expected)
 
 
 def test_step_allocates_nothing(rng):
@@ -349,32 +372,54 @@ def test_step_allocates_nothing(rng):
         tracemalloc.stop()
     assert peak < params.flat.nbytes
     # nor does a whole minibatch as train runs it, for every loss family,
-    # into the buffers train allocates before its loop. A ufunc that
-    # broadcasts a per-sample (m,) vector over the class rows (the shifts
-    # and scales of softmax and batch_weighting) lets numpy allocate an
-    # iterator of about 1 KB per call, whatever m is; with 16384 samples
-    # every (m,) vector is 128 KB, so a kernel temporary of any batch-sized
-    # array breaks the bound
+    # on the views and into the buffers of the workspace train builds (a
+    # full batch of 16384 samples and a short one of 16). Each operand is
+    # a C-contiguous block of its epoch buffer, the blocks tile it in
+    # order, and they hold the permuted samples. A ufunc that broadcasts a
+    # per-sample (m,) vector over the class rows (the shifts and scales of
+    # softmax and batch_weighting) lets numpy allocate an iterator buffer
+    # of about 1 KB per call on the full batch and of the operand's size
+    # on the short one; on the full batch every (m,) vector is 128 KB, so
+    # a kernel temporary of any batch-sized array, or a copy of a strided
+    # operand, breaks the bound
     d, c, bs = 16, 10, 16384
-    x = class_major(rng.standard_normal((bs, d)))
-    cols = random_row_stochastic(rng, c)[:, rng.integers(c, size=bs)]
+    n = bs + 16
+    features = rng.standard_normal((n, d))
+    cols = random_row_stochastic(rng, c)[:, rng.integers(c, size=n)]
+    order = rng.permutation(n)
     for hidden in (0, 32):
+        minibatches = Minibatches(features, cols.T, bs, hidden)
+        minibatches.load(order)
+        assert [batch[0].shape[1] for batch in minibatches.batches] == [bs, 16]
+        for part, buffer in enumerate((minibatches.inputs, minibatches.rows,
+                                       minibatches.columns)):
+            address = buffer.ctypes.data
+            for block in (batch[part] for batch in minibatches.batches):
+                assert block.flags.c_contiguous and np.shares_memory(block, buffer)
+                assert block.ctypes.data == address
+                address += block.nbytes
+            assert address == buffer.ctypes.data + buffer.nbytes
+        for start, (x, x_rows, cb, _, _) in zip((0, bs), minibatches.batches):
+            rows = order[start:start + x.shape[1]]
+            assert np.array_equal(x, class_major(features[rows]))
+            assert np.array_equal(x_rows, x.T)
+            assert np.array_equal(cb, cols[:, rows])
         params = make_params(rng, d, c, hidden)
         velocity, scratch, look = optimizer_vectors(params)
         grads = params.zeros_like()
-        buf = BatchBuffers(bs, c, hidden)
-        tracemalloc.start()
-        try:
-            for spec in SPECS:
-                scores = forward_batch(params, x, buf)
-                u = _softmax_columns(scores, buf)
-                omega = batch_weighting(u, cols, spec, 1.0 / bs, buf)
-                backward_batch(params, x, omega, grads, buf)
-                step(params, grads, velocity, scratch, look, rates)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4096, (hidden, peak)
+        for x, x_rows, cb, buf, scale in minibatches.batches:
+            tracemalloc.start()
+            try:
+                for spec in SPECS:
+                    scores = forward_batch(params, x, buf)
+                    u = _softmax_columns(scores, buf)
+                    omega = batch_weighting(u, cb, spec, scale, buf)
+                    backward_batch(params, x_rows, omega, grads, buf)
+                    step(params, grads, velocity, scratch, look, rates)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4096, (hidden, x.shape[1], peak)
 
 
 @pytest.mark.parametrize("rows, labels, sources, message", [

@@ -4,7 +4,7 @@ Subcommands: `run` executes a configured experiment sweep and writes the
 run directory; `gen-template` prints a template transition matrix;
 `validate-gradients` checks the closed-form weighting vectors against
 finite differences on random cases; `corrupt` rewrites a clean dataset
-file as a multisource weak-labelled one.
+file as a multisource weak-labelled one, and can write its test split.
 """
 
 from __future__ import annotations
@@ -103,19 +103,24 @@ def _parse_corrupt_spec(path):
 
 
 def _same_file(a, b) -> bool:
-    """Whether paths a and b name one existing file, also through `./`,
-    `..` or a symlink."""
+    """Whether paths a and b name one file, also through `./`, `..` or a
+    symlink, or, while either is missing, resolve to one path."""
     try:
         return os.path.samefile(a, b)
     except OSError:  # either one missing or not reachable
-        return False
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _cmd_corrupt(args) -> int:
     # any other existing file is overwritten
-    if _same_file(args.load_dataset, args.emit_dataset):
-        raise ValueError(f"--emit-dataset {args.emit_dataset} is the --load-dataset file "
-                         f"{args.load_dataset}; writing it would replace the input")
+    paths = {"--load-dataset": args.load_dataset, "--emit-dataset": args.emit_dataset,
+             "--emit-test": args.emit_test}
+    for flag, other in (("--emit-dataset", "--load-dataset"), ("--emit-test", "--load-dataset"),
+                        ("--emit-test", "--emit-dataset")):
+        if paths[flag] is not None and _same_file(paths[other], paths[flag]):
+            lost = "the input" if other == "--load-dataset" else "the corrupted dataset"
+            raise ValueError(f"{flag} {paths[flag]} is the {other} file {paths[other]}; writing "
+                             f"it would replace {lost}")
     clean_count, weak = _parse_corrupt_spec(args.spec)
     ms_in = datagen.load_dataset(args.load_dataset)
     clean = datagen.as_clean_dataset(ms_in)  # input labels are trusted as true
@@ -124,10 +129,14 @@ def _cmd_corrupt(args) -> int:
     except ValueError as err:
         raise ValueError(f"{args.spec}: [sources] clean_count, weak with {args.load_dataset}: "
                          f"{err}") from None
-    ms, _ = datagen.build_multisource(clean, specs, args.seed)
+    ms, test = datagen.build_multisource(clean, specs, args.seed)
     datagen.save_dataset(args.emit_dataset, ms)
     sizes = ", ".join(f"source {b.source_id}: {len(b)}" for b in ms.sources)
     print(f"wrote {args.emit_dataset} ({sizes})")
+    if args.emit_test is not None:
+        datagen.save_dataset(args.emit_test, datagen.MultisourceDataset(
+            [datagen.SourceBlock(0, test.features, test.labels, test.origin)], test.c, test.d))
+        print(f"wrote {args.emit_test} (test split: {len(test)})")
     return 0
 
 
@@ -172,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--load-dataset", required=True)
     p_cor.add_argument("--spec", required=True, help="sources spec file")
     p_cor.add_argument("--emit-dataset", required=True)
+    p_cor.add_argument("--emit-test", help="also write the test split, with its true labels")
     p_cor.add_argument("--seed", type=_bounded(int, ">=", 0), default=0)
     p_cor.set_defaults(func=_cmd_corrupt)
     return parser

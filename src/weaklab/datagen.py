@@ -1,81 +1,38 @@
-"""Synthetic clean data and multisource weak-label corruption.
+"""Synthetic clean data, multisource weak-label corruption, and the dataset file.
 
 generate_blobs supplies a clean classification dataset (Gaussian blobs
 around class means on a sphere); build_multisource shuffles it, splits off
 a test set, assigns disjoint chunks of the training pool to the configured
 sources and resamples each weak source's labels through its transition
-matrix. Same seed, same bytes.
-
-save_dataset and load_dataset keep datasets as text. Rows read from a
-file remember where their lines lie in it (RowText), and as_clean_dataset
-and build_multisource carry that along into the sources, so save_dataset
-writes such a row by copying its feature tokens from the file instead of
-formatting its floats again.
+matrix. Same seed, same bytes. Every row it hands out keeps its origin,
+its index in the dataset it was drawn from, where corruption_report
+finds its true label. save_dataset and load_dataset keep a multisource
+dataset in one binary file, laid out as save_dataset describes.
 """
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import os
 import stat
-from dataclasses import dataclass, replace
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 
-from .labelspace import (MAX_CLASSES, SourceSpec, check_labels, check_utf8, identity_matrix,
-                         make_template, sample_weak_labels)
-
-
-@dataclass(eq=False, frozen=True)
-class RowText:
-    """Where rows read from a dataset text file lie in that file.
-
-    path is the file's absolute path, size and mtime_ns its stat when it
-    was read, and spans an (n, 2) int64 array of the [start, stop) byte
-    range of each row's line, indexed like the rows' features.
-    """
-
-    path: str
-    size: int
-    mtime_ns: int
-    spans: np.ndarray
-
-    @property
-    def reading(self) -> tuple:
-        """The file and its state when read: rows with one reading share a file."""
-        return self.path, self.size, self.mtime_ns
-
-
-def _take(text: RowText | None, index) -> RowText | None:
-    """The text of the rows at index (a slice or an index array), if any."""
-    return None if text is None else replace(text, spans=text.spans[index])
-
-
-def _attach_text(features: np.ndarray, text: RowText | None) -> None:
-    """Check that text, if any, has one span per row, and make the
-    features read-only: save_dataset writes the file's tokens for them,
-    so a changed value would not be written."""
-    if text is not None:
-        if text.spans.shape != (len(features), 2):
-            raise ValueError(f"{text.path}: {len(text.spans)} row spans for "
-                             f"{len(features)} rows")
-        features.setflags(write=False)
+from .labelspace import (MAX_CLASSES, SourceSpec, check_labels, identity_matrix, make_template,
+                         sample_weak_labels)
 
 
 @dataclass(eq=False)
 class Dataset:
     """A plain labelled dataset: features (n, d) and integer labels (n,);
-    text when its rows were read from a file (their features read-only)."""
+    origin, when known, each row's index in the dataset it was drawn from."""
 
     features: np.ndarray
     labels: np.ndarray
     c: int
     means: np.ndarray | None = None  # class means when synthetically generated
-    text: RowText | None = None
-
-    def __post_init__(self):
-        _attach_text(self.features, self.text)
+    origin: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -87,16 +44,14 @@ class Dataset:
 
 @dataclass(eq=False)
 class SourceBlock:
-    """Instances assigned to one source, with that source's labels; text
-    when the rows were read from a file (their features read-only)."""
+    """Instances assigned to one source, with that source's labels; origin,
+    when known, each row's index in the dataset it was drawn from (-1 for
+    a row of a file that does not know it)."""
 
     source_id: int
     features: np.ndarray
     labels: np.ndarray
-    text: RowText | None = None
-
-    def __post_init__(self):
-        _attach_text(self.features, self.text)
+    origin: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -205,8 +160,8 @@ def build_multisource(dataset: Dataset, specs: list, seed: int):
     pool and a test set (test size floor(0.2 m), remainder to the pool).
     Sources draw disjoint consecutive chunks of the shuffled pool, so no
     instance is labelled by two sources; every source s >= 1 redraws its
-    labels from its transition matrix rows. The sources' rows keep the
-    text of rows read from a file; the test set has none. Returns
+    labels from its transition matrix rows. Each block's and the test
+    set's origin holds the dataset rows they drew. Returns
     (MultisourceDataset, test Dataset).
     """
     if not specs or specs[0].id != 0:
@@ -227,303 +182,145 @@ def build_multisource(dataset: Dataset, specs: list, seed: int):
         feats = dataset.features[idx]
         true = dataset.labels[idx]
         labs = true.copy() if spec.id == 0 else sample_weak_labels(spec.matrix, true, rng)
-        blocks.append(SourceBlock(spec.id, feats, labs, _take(dataset.text, idx)))
+        blocks.append(SourceBlock(spec.id, feats, labs, idx))
     ms = MultisourceDataset(blocks, dataset.c, dataset.d)
-    test = Dataset(dataset.features[test_idx], dataset.labels[test_idx].copy(), dataset.c)
+    test = Dataset(dataset.features[test_idx], dataset.labels[test_idx].copy(), dataset.c,
+                   origin=test_idx)
     return ms, test
 
 
-def _row_keys(features: np.ndarray) -> np.ndarray:
-    """Each float64 row as one np.void scalar of its bytes (a view when the
-    rows are contiguous), so rows sort and compare by exact bytes."""
-    f = np.ascontiguousarray(features, dtype=np.float64)
-    return f.view(np.dtype((np.void, f.itemsize * f.shape[1]))).reshape(-1)
-
-
-# rows whose matches _last_match confirms per step: bounds the keys it
-# gathers (8 d bytes per row) whatever the block size
-MATCH_BLOCK_ROWS = 4096
-
-
-def _last_match(keys: np.ndarray, order: np.ndarray, found: np.ndarray) -> np.ndarray:
-    """Index in keys of the last key equal to each of found, -1 where
-    there is none; order is the stable argsort of keys."""
-    # equal keys sit in index order, so the one before the right insertion
-    # point is the last; below the smallest key it is -1
-    last = np.searchsorted(keys, found, side="right", sorter=order) - 1
-    if len(keys):
-        for start in range(0, len(found), MATCH_BLOCK_ROWS):
-            part = slice(start, start + MATCH_BLOCK_ROWS)
-            index = order[last[part]]  # a -1 picks a key that cannot match
-            last[part] = np.where(keys[index] == found[part], index, -1)
-    return last
+def _bits(values: np.ndarray) -> np.ndarray:
+    """A column of float64 values as int64 bit patterns, so that -0.0 and
+    0.0 differ and a NaN equals itself."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
 def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
     """Per-source empirical flip matrices (true label -> assigned label).
 
     Rows are normalised to frequencies; rows of classes a source never saw
-    stay all-zero. Instances are matched back to the original dataset by
-    exact feature bytes, which is reliable because corruption never touches
-    features; a row the original holds more than once takes the label of
-    its last occurrence. The original's rows are sorted once (a stable
-    argsort of their byte keys) and each block row is found by binary
-    search, so memory grows with the row count, not with rows x width.
+    stay all-zero. A block row's true label is the original's at its
+    origin, so a feature row the original holds twice is matched to the
+    one it was drawn from. Its features must equal that row's bit for bit,
+    checked a column at a time: memory grows with rows, not rows x width.
 
-    Raises ValueError naming the source id (and block row) of a block
-    whose rows are wider or narrower than the original's, of the first
-    instance that is not in the original, or of one whose label (or
-    original label) lies outside [0, c).
+    Raises ValueError naming the source id (and block row) of a block of
+    another width than the original's, a row whose origin (-1 when it has
+    none) is not a row of the original or whose features differ from that
+    row's, and a label (or original label) outside [0, c).
     """
-    keys = _row_keys(original.features)
-    order = np.argsort(keys, kind="stable")
     c = ms.c
     report = {}
     for blk in ms.sources:
-        found = _row_keys(blk.features)
-        if found.dtype != keys.dtype:
-            raise ValueError(f"source {blk.source_id}: {blk.features.shape[1]} features per "
-                             f"row, the original has {original.features.shape[1]}")
-        match = _last_match(keys, order, found)
-        if np.any(match < 0):
-            raise ValueError(f"source {blk.source_id}, row {int(np.argmax(match < 0))}: "
-                             f"features not found in the original dataset")
-        labels = check_labels(blk.labels, c, f"source {blk.source_id}")
-        true = check_labels(original.labels[match], c,
-                            f"source {blk.source_id} (label in the original)")
+        where = f"source {blk.source_id}"
+        if blk.features.shape[1] != original.d:
+            raise ValueError(f"{where}: {blk.features.shape[1]} features per row, the original "
+                             f"has {original.d}")
+        origin = np.full(len(blk), -1) if blk.origin is None else blk.origin
+        bad = (origin < 0) | (origin >= len(original))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{where}, row {i}: origin {int(origin[i])}, not one of the "
+                             f"original dataset's {len(original)} rows")
+        differs = np.zeros(len(blk), dtype=bool)
+        for j in range(original.d):
+            differs |= _bits(original.features[:, j].take(origin)) != _bits(blk.features[:, j])
+        if differs.any():
+            i = int(np.argmax(differs))
+            raise ValueError(f"{where}, row {i}: features differ from the original dataset's "
+                             f"row {int(origin[i])}, its origin")
+        labels = check_labels(blk.labels, c, where)
+        true = check_labels(original.labels[origin], c, f"{where} (label in the original)")
         counts = np.bincount(true * c + labels, minlength=c * c).reshape(c, c)
         sums = counts.sum(axis=1, keepdims=True)
         report[blk.source_id] = np.divide(counts, sums, out=np.zeros((c, c)), where=sums > 0)
     return report
 
 
-# rows formatted, copied or parsed per block; larger blocks are no faster
-# and hold more transient Python objects (peak memory)
-IO_BLOCK_ROWS = 1024
+DATASET_MAGIC = b"WEAKLAB\x01"  # the last byte is the format version
+_HEADER = struct.Struct("<8s3q")  # magic, then c, d, n as int64
 
 
 def save_dataset(path, ms: MultisourceDataset) -> None:
-    """Text form: header `c d n`, then `source_id label f_1 ... f_d` per line.
-
-    A row made in memory is written with each feature as repr of the float
-    (shortest round-tripping digits). A row read from a file (a block with
-    text) is written as its source id and label followed by its own
-    feature tokens in that file, read back with os.pread a block at a
-    time, when every line of the block holds single-spaced ASCII fields
-    and ends in LF; any other block (tabs, runs of blanks, CR line ends,
-    non-ASCII) is written with repr like rows made in memory. A file that
-    save_dataset wrote holds the repr of each float, so its rows are
-    rewritten byte for byte.
-
-    Raises ValueError naming the file when a file whose rows are copied
-    changed (size or mtime) since it was read, or when path is that file,
-    which opening path for writing would truncate before its rows are read.
+    """Write ms to exactly path: a header (DATASET_MAGIC, then c, d and n
+    as int64), the n rows' int64 labels, source ids and origins (-1 for a
+    block without origin), then their row-major float64 features, all
+    little-endian. Each field holds one block's rows after another, in
+    ms.sources order, from the blocks' own arrays. Same dataset, same bytes.
     """
-    with contextlib.ExitStack() as stack:
-        files = {}  # RowText.reading -> descriptor of that file
-        for text in (blk.text for blk in ms.sources if blk.text is not None):
-            if text.reading not in files:
-                files[text.reading] = _open_source(text, path, stack)
-        with open(path, "wb") as fh:
-            fh.write(f"{ms.c} {ms.d} {len(ms)}\n".encode())
-            for blk in ms.sources:
-                fd = None if blk.text is None else files[blk.text.reading]
-                for start in range(0, len(blk), IO_BLOCK_ROWS):
-                    fh.write(_rows_text(blk, slice(start, start + IO_BLOCK_ROWS), fd, ms.d))
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(DATASET_MAGIC, ms.c, ms.d, len(ms)))
+        for blk in ms.sources:
+            fh.write(np.ascontiguousarray(blk.labels, dtype="<i8"))
+        for blk in ms.sources:
+            fh.write(np.full(len(blk), blk.source_id, dtype="<i8"))
+        for blk in ms.sources:
+            origin = -1 if blk.origin is None else blk.origin
+            fh.write(np.ascontiguousarray(np.broadcast_to(origin, len(blk)), dtype="<i8"))
+        for blk in ms.sources:
+            fh.write(np.ascontiguousarray(blk.features, dtype="<f8"))
 
 
-def _rows_text(blk: SourceBlock, rows: slice, fd: int | None, d: int) -> bytes:
-    """The lines of blk's rows: copied from the file fd that blk's text
-    lies in when _copied_rows can, else with the repr of each feature."""
-    labels = blk.labels[rows].astype(np.int64, copy=False).tolist()
-    if fd is not None:
-        text = _copied_rows(fd, blk.text.spans[rows], blk.source_id, labels, d)
-        if text is not None:
-            return text
-    feats = blk.features[rows].tolist()
-    return "".join([f"{blk.source_id} {label} {' '.join(map(repr, row))}\n"
-                    for label, row in zip(labels, feats)]).encode()
-
-
-def _open_source(text: RowText, dest, stack: contextlib.ExitStack) -> int:
-    """A descriptor of the file text was read from, open until stack
-    closes; ValueError unless that file is unchanged and is not dest."""
-    fd = stack.enter_context(open(text.path, "rb")).fileno()
-    info = os.fstat(fd)
-    if (info.st_size, info.st_mtime_ns) != (text.size, text.mtime_ns):
-        raise ValueError(f"{text.path}: changed since its rows were read (size {text.size} -> "
-                         f"{info.st_size} bytes, mtime_ns {text.mtime_ns} -> "
-                         f"{info.st_mtime_ns}); its rows cannot be copied")
-    try:
-        same = os.path.samestat(os.stat(dest), info)
-    except OSError:  # no such file yet, or not reachable
-        same = False
-    if same:
-        raise ValueError(f"{dest} is the file {text.path} whose rows it would copy; writing it "
-                         f"would truncate them first")
-    return fd
-
-
-def _single_spaced(text: bytes, rows: int, d: int) -> bool:
-    """Whether text is `rows` lines of d + 2 ASCII fields, each line its
-    fields joined by single spaces and ended by LF."""
-    if not text.isascii():
-        return False
-    b = np.frombuffer(text, dtype=np.uint8)
-    at = np.flatnonzero(b <= 32)  # spaces, LFs and all other whitespace and control bytes
-    if len(at) != rows * (d + 2) or np.any(np.diff(at) == 1):  # no two in a row
-        return False
-    line = np.array([32] * (d + 1) + [10], dtype=np.uint8)  # d + 1 spaces, then LF
-    return bool((b[at].reshape(rows, d + 2) == line).all())
-
-
-def _copied_rows(fd: int, spans: np.ndarray, source_id: int, labels: list, d: int):
-    """Lines `source_id label f_1 ... f_d`, one per label, with the feature
-    tokens of the file lines at spans (one (start, stop) row per label);
-    None unless those tokens are single-spaced ASCII ending in LF."""
-    text = b"".join([b"%d %d %s" % (source_id, label,
-                                    os.pread(fd, stop - at, at).split(None, 2)[-1])
-                     for label, at, stop in zip(labels, spans[:, 0].tolist(),
-                                                spans[:, 1].tolist())])
-    return text if _single_spaced(text, len(labels), d) else None
-
-
-def _bad_line(path, lineno: int, what: str) -> ValueError:
-    return ValueError(f"{path}, line {lineno}: {what}")
-
-
-def _parse_header(path, line: str):
-    parts = line.split()
-    try:
-        c, d, n = (int(v) for v in parts)
-    except ValueError:
-        raise _bad_line(path, 1, f"header {line.strip()!r} is not three integers `c d n`") from None
-    if c < 1 or d < 1 or n < 0:
-        raise _bad_line(path, 1, f"header {line.strip()!r} needs c >= 1, d >= 1, n >= 0")
-    if c > MAX_CLASSES:
-        raise _bad_line(path, 1, f"header {line.strip()!r}: c = {c} classes, above the limit "
-                        f"of {MAX_CLASSES}")
-    return c, d, n
-
-
-def _row_type(path, header: str, d: int) -> np.dtype:
-    """The dtype of one row of d features; a d too large for a numpy
-    dtype is refused at line 1."""
-    try:
-        return np.dtype([("source", np.int64), ("label", np.int64),
-                         ("features", np.float64, (d,))])
-    except ValueError as exc:
-        raise _bad_line(path, 1, f"header {header.strip()!r}: d = {d} features per row are "
-                        f"too many ({exc})") from None
-
-
-def _check_room(path, info: os.stat_result, header: str, d: int, n: int) -> None:
-    """Reject a header whose n rows cannot fit in the rest of a regular
-    file (info is its stat), before its arrays are allocated: a row of
-    d + 2 fields takes at least 2(d + 2) bytes, one character per field
-    and one per separator or newline."""
-    rest = info.st_size - len(header.encode())
-    if stat.S_ISREG(info.st_mode) and n * 2 * (d + 2) > rest:
-        raise _bad_line(path, 1, f"header {header.strip()!r} asks for {n} rows of {d + 2} "
-                        f"fields, at least {n * 2 * (d + 2)} bytes, but {rest} bytes follow it")
-
-
-def _check_row(path, lineno: int, line: str, row_type: np.dtype) -> None:
-    check_utf8(path, lineno, line)
-    parts = line.split()
-    d = row_type["features"].shape[0]
-    if len(parts) != d + 2:
-        raise _bad_line(path, lineno, f"expected {d + 2} fields (source id, label and "
-                        f"{d} features), found {len(parts)}")
-    for name, text in (("source id", parts[0]), ("label", parts[1])):
-        if not text.lstrip("+-").isdigit():
-            raise _bad_line(path, lineno, f"{name} {text!r} is not an integer")
-    try:
-        np.loadtxt([line], dtype=row_type, comments=None)
-    except ValueError as exc:
-        raise _bad_line(path, lineno, f"unreadable row ({exc})") from None
+def _read(fh, path, dtype: str, shape) -> np.ndarray:
+    """The next array of dtype and shape in fh."""
+    values = np.empty(shape, dtype=dtype)
+    if fh.readinto(values) != values.nbytes:
+        raise ValueError(f"{path}: the file ended early; it changed while it was read")
+    return values
 
 
 def load_dataset(path) -> MultisourceDataset:
-    """Read the text form written by save_dataset, as UTF-8.
+    """Read a file that save_dataset wrote.
 
-    Lines may end in LF, CR LF or CR, and fields may be split by any
-    whitespace. The rows go into one (n, d) feature array and one label
-    array; each source's block is a slice of them (a view), in source-id
-    order. Files whose sources interleave are first reordered once by
-    source id, keeping the file order within each source. The blocks of a
-    regular file carry the RowText of their rows (the byte span of each
-    row's line), and their features are read-only.
+    The rows go into one (n, d) feature array and one label and one origin
+    array; each source's block is a view of them, in source-id order, after
+    one stable reorder by source id if the file's sources interleave.
 
-    Raises ValueError naming the file and the 1-based line when a byte is
-    not UTF-8, the header is not three integers `c d n`, a row has other
-    than d + 2 fields or lacks its final newline, a source id or label is
-    not an integer, a label lies outside [0, c), a source id is negative,
-    or the file holds other than n rows. A header c above MAX_CLASSES, a
-    regular file too short to hold the header's n rows, or a header d too
-    large for a row dtype, is refused at line 1, before any array is
-    allocated.
+    Raises ValueError naming the file and the field at fault for a magic
+    other than DATASET_MAGIC (as in the text files of earlier versions), a
+    short header, a c outside [1, MAX_CLASSES], a d below 1 or too large
+    for an array row, an n below 0, and, before any array is allocated, a
+    file that is not regular or not exactly as long as the header's rows;
+    naming the row, too, for a label outside [0, c), a negative source id
+    and an origin below -1.
     """
-    # newline="": lines split at \n, \r\n and \r, each ending kept, so
-    # the encoded lengths of the lines are their byte spans; a byte that is
-    # not UTF-8 fails its row's parse, and the error path names it
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        info = os.fstat(fh.fileno())
-        header = fh.readline()
-        check_utf8(path, 1, header)
-        c, d, n = _parse_header(path, header)
-        _check_room(path, info, header, d, n)
-        row_type = _row_type(path, header, d)
-        src = np.empty(n, dtype=np.int64)
-        labels = np.empty(n, dtype=np.int64)
-        features = np.empty((n, d))
-        line_bytes = np.empty(n, dtype=np.int64)
-        start = 0
-        while start < n:
-            lines = list(itertools.islice(fh, min(IO_BLOCK_ROWS, n - start)))
-            if not lines:
-                break
-            if not lines[-1].endswith(("\n", "\r")):
-                raise _bad_line(path, start + 1 + len(lines), "row does not end with a "
-                                "newline (truncated file?)")
-            try:
-                block = np.loadtxt(lines, dtype=row_type, comments=None, ndmin=1)
-            except ValueError:
-                block = None
-            if block is None or len(block) != len(lines):  # loadtxt skips blank lines
-                # rare error path: find and name the bad line; the header is line 1
-                for offset, line in enumerate(lines):
-                    _check_row(path, start + 2 + offset, line, row_type)
-                raise _bad_line(path, start + 2, "unreadable block of rows")
-            stop = start + len(lines)
-            src[start:stop] = block["source"]
-            labels[start:stop] = block["label"]
-            features[start:stop] = block["features"]
-            line_bytes[start:stop] = np.fromiter(map(len, map(str.encode, lines)), np.int64,
-                                                 len(lines))
-            start = stop
-        if start < n:
-            raise _bad_line(path, start + 2, f"file ends after {start} rows, but the "
-                            f"header's n is {n}")
-        if fh.readline():
-            raise _bad_line(path, n + 2, f"more rows than the header's n = {n}")
-    for values, ok, what in ((labels, (labels >= 0) & (labels < c), f"label outside [0, {c})"),
-                             (src, src >= 0, "negative source id")):
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise _bad_line(path, i + 2, f"{what}: {int(values[i])}")
-    text = None
-    if stat.S_ISREG(info.st_mode):  # only a regular file can be read again at an offset
-        stops = np.cumsum(line_bytes) + len(header.encode())
-        text = RowText(os.path.abspath(path), info.st_size, info.st_mtime_ns,
-                       np.stack([stops - line_bytes, stops], axis=1))
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if not DATASET_MAGIC.startswith(head[:8]):  # a short file may hold part of it
+            raise ValueError(f"{path}: magic {head[:8]!r}, expected {DATASET_MAGIC!r}: not a "
+                             f"weaklab dataset file (earlier versions wrote text)")
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: {len(head)} bytes, shorter than the {_HEADER.size}-byte "
+                             f"header (magic, c, d, n)")
+        _, c, d, n = _HEADER.unpack(head)
+        if not 1 <= c <= MAX_CLASSES:
+            raise ValueError(f"{path}: header c = {c} classes, expected 1 to {MAX_CLASSES}")
+        if not 1 <= d <= np.iinfo(np.intp).max // 8:  # bytes of one float64 row
+            raise ValueError(f"{path}: header d = {d} features per row, expected at least 1 "
+                             f"and few enough for an array row")
+        if n < 0:
+            raise ValueError(f"{path}: header n = {n} rows, expected at least 0")
+        info, expected = os.fstat(fh.fileno()), _HEADER.size + 8 * n * (3 + d)
+        if not stat.S_ISREG(info.st_mode):
+            raise ValueError(f"{path}: not a regular file: its length is unknown before reading")
+        if info.st_size != expected:
+            raise ValueError(f"{path}: {info.st_size} bytes, but the header's n = {n} rows of "
+                             f"d = {d} features take {expected}")
+        labels, src, origin = (_read(fh, path, "<i8", n) for _ in range(3))
+        features = _read(fh, path, "<f8", (n, d))
+    checks = ((f"label {{}} outside [0, {c})", labels, (labels < 0) | (labels >= c)),
+              ("negative source id {}", src, src < 0), ("origin {} below -1", origin, origin < -1))
+    for what, values, bad in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{path}, row {i}: " + what.format(int(values[i])))
     starts = _run_starts(src)
     if len(np.unique(src[starts])) < len(starts):  # a source id in two runs
         order = np.argsort(src, kind="stable")  # file order kept within a source
-        src, labels, features, text = src[order], labels[order], features[order], _take(text, order)
+        src, labels, origin, features = src[order], labels[order], origin[order], features[order]
         starts = _run_starts(src)
     bounds = np.append(starts, n).tolist()
-    blocks = sorted((SourceBlock(int(src[a]), features[a:b], labels[a:b], _take(text, slice(a, b)))
+    blocks = sorted((SourceBlock(int(src[a]), features[a:b], labels[a:b], origin[a:b])
                      for a, b in zip(bounds, bounds[1:])), key=lambda blk: blk.source_id)
     return MultisourceDataset(blocks, c, d)
 
@@ -535,13 +332,6 @@ def _run_starts(src: np.ndarray) -> np.ndarray:
 
 def as_clean_dataset(ms: MultisourceDataset) -> Dataset:
     """Flatten a multisource dataset into a plain one, trusting its labels;
-    a single source's arrays are used as they are, without a copy. The
-    rows keep their text when every block has text from one reading of
-    one file."""
+    a single source's arrays are used as they are, without a copy."""
     features, labels, _ = ms.stacked()
-    texts = [blk.text for blk in ms.sources]
-    text = None
-    if texts and all(t is not None and t.reading == texts[0].reading for t in texts):
-        text = texts[0] if len(texts) == 1 else replace(
-            texts[0], spans=np.concatenate([t.spans for t in texts]))
-    return Dataset(features, labels, ms.c, text=text)
+    return Dataset(features, labels, ms.c)

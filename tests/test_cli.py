@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
-from weaklab import correction, datagen, estimation, harness
+from conftest import BAD_DATASET_FILES, dataset_bytes
+from weaklab import correction, estimation, harness
 from weaklab.cli import _parse_corrupt_spec, main
-from weaklab.datagen import (MultisourceDataset, SourceBlock, as_clean_dataset, build_multisource,
+from weaklab.datagen import (DATASET_MAGIC, MultisourceDataset, SourceBlock, build_multisource,
                              generate_blobs, load_dataset, save_dataset)
 from weaklab.labelspace import (MAX_CLASSES, SourceSpec, TemplateKind, identity_matrix,
                                 make_template, parse_matrix)
@@ -233,39 +236,6 @@ def test_corrupt_round_trip(tmp_path, capsys):
     assert abs(np.mean(true != blk.labels) - 0.3) < 0.05
 
 
-def noncanonical_rows(line_end):
-    """A clean file of 6 rows with tabs, runs of spaces, trailing blanks and
-    tokens that are not the repr of their floats."""
-    rows = ["3 2 6", "0 0 1.50 +2", "0\t1  1E3\t-0.0 ", "  0 2 -1.5e-3   7", "0 1 0.1 0.2",
-            "0 0 +0.0 1e+300", "0 2 -inf 2.50"]
-    return "".join(row + line_end for row in rows).encode()
-
-
-@pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "lone_cr"])
-def test_corrupt_of_a_noncanonical_file_writes_single_spaced_lines(tmp_path, capsys,
-                                                                    monkeypatch, line_end):
-    src_path, out_path = tmp_path / "clean.txt", tmp_path / "weak.txt"
-    src_path.write_bytes(noncanonical_rows(line_end))
-    spec_path = tmp_path / "sources.ini"
-    spec_path.write_text("[sources]\nclean_count = 2\nweak = uniform:0.3:3\n")
-    monkeypatch.setattr(datagen, "IO_BLOCK_ROWS", 2)  # blocks of copied rows split
-    assert main(["corrupt", "--load-dataset", str(src_path), "--spec", str(spec_path),
-                 "--emit-dataset", str(out_path), "--seed", "4"]) == 0
-    text = out_path.read_bytes()
-    assert text.endswith(b"\n") and b"\r" not in text
-    assert all(line == b" ".join(line.split()) for line in text.split(b"\n")[:-1])
-    loaded = load_dataset(src_path)
-    assert loaded.block(0).features.tolist() == [[1.5, 2.0], [1000.0, -0.0], [-0.0015, 7.0],
-                                                 [0.1, 0.2], [0.0, 1e300], [-np.inf, 2.5]]
-    specs = datagen.source_specs(3, 2, [(TemplateKind.UNIFORM, 0.3, 3)], 6)
-    expected, _ = build_multisource(as_clean_dataset(loaded), specs, 4)
-    back = load_dataset(out_path)
-    assert [b.source_id for b in back.sources] == [b.source_id for b in expected.sources]
-    for a, b in zip(back.sources, expected.sources):
-        assert a.features.tobytes() == b.features.tobytes()
-        assert np.array_equal(a.labels, b.labels)
-
-
 @pytest.mark.parametrize("emit", ["clean.txt", "./clean.txt", "sub/../clean.txt", "link.txt"])
 def test_corrupt_refuses_to_overwrite_its_input(tmp_path, monkeypatch, capsys, emit):
     blobs = generate_blobs(5, 2, 4, 0.3, np.random.default_rng(0))
@@ -299,6 +269,76 @@ def test_corrupt_overwrites_another_existing_file(tmp_path, capsys):
                  "--emit-dataset", str(out_path)]) == 0
     assert [len(b) for b in load_dataset(out_path).sources] == [10, 20]
     assert clean_path.read_bytes() == before
+
+
+def corrupt_input(tmp_path):
+    """A clean dataset file of 5 x 40 generated blobs (one source, no
+    origins), the blobs and a spec path."""
+    blobs = generate_blobs(5, 2, 40, 0.3, np.random.default_rng(0))
+    clean_path = tmp_path / "clean.bin"
+    save_dataset(clean_path, MultisourceDataset([SourceBlock(0, blobs.features, blobs.labels)],
+                                                5, 2))
+    return clean_path, blobs, tmp_path / "sources.ini"
+
+
+def test_corrupt_emit_test_writes_the_rows_no_source_drew(tmp_path, capsys):
+    # 200 rows: the sources take the whole 160-row pool, the test split 40
+    clean_path, blobs, spec_path = corrupt_input(tmp_path)
+    spec_path.write_text("[sources]\nclean_count = 40\nweak = uniform:0.3:70 uniform:0.2:50\n")
+    out_path, test_path = tmp_path / "weak.bin", tmp_path / "test.bin"
+    assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
+                 "--emit-dataset", str(out_path), "--emit-test", str(test_path),
+                 "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (f"wrote {out_path} (source 0: 40, source 1: 70, "
+                                       f"source 2: 50)\nwrote {test_path} (test split: 40)\n")
+    ms, test = load_dataset(out_path), load_dataset(test_path)
+    assert [b.source_id for b in test.sources] == [0] and (test.c, test.d) == (5, 2)
+    split = test.block(0)
+    origins = [split.origin] + [blk.origin for blk in ms.sources]
+    assert sorted(np.concatenate(origins).tolist()) == list(range(len(blobs)))  # disjoint, all
+    assert split.features.tobytes() == blobs.features[split.origin].tobytes()
+    assert np.array_equal(split.labels, blobs.labels[split.origin])  # true labels
+    _, expected = build_multisource(blobs, [SourceSpec(0, identity_matrix(5), 40)] * 3, 3)
+    assert np.array_equal(split.origin, expected.origin)  # the split of the same shuffle
+
+
+@pytest.mark.parametrize("emit_test, other", [
+    ("clean.bin", "--load-dataset file clean.bin; writing it would replace the input"),
+    ("./clean.bin", "--load-dataset file clean.bin; writing it would replace the input"),
+    ("link.bin", "--load-dataset file clean.bin; writing it would replace the input"),
+    # weak.bin does not exist yet: the paths are compared
+    ("weak.bin", "--emit-dataset file weak.bin; writing it would replace the corrupted dataset"),
+    ("sub/../weak.bin", "--emit-dataset file weak.bin; writing it would replace the corrupted "
+                        "dataset"),
+], ids=["input", "input_dot", "input_link", "output", "output_dotdot"])
+def test_corrupt_refuses_an_emit_test_that_is_its_input_or_output(tmp_path, monkeypatch, capsys,
+                                                                  emit_test, other):
+    monkeypatch.chdir(tmp_path)
+    corrupt_input(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.bin").symlink_to(tmp_path / "clean.bin")
+    before = (tmp_path / "clean.bin").read_bytes()
+    # the spec does not exist: the refusal comes before it is read
+    assert main(["corrupt", "--load-dataset", "clean.bin", "--spec", "missing.ini",
+                 "--emit-dataset", "weak.bin", "--emit-test", emit_test]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"weaklab corrupt: --emit-test {emit_test} is the {other}\n"
+    assert captured.out == "" and not (tmp_path / "weak.bin").exists()
+    assert (tmp_path / "clean.bin").read_bytes() == before
+
+
+def test_corrupt_twice_writes_the_same_bytes(tmp_path, capsys):
+    clean_path, _, spec_path = corrupt_input(tmp_path)
+    spec_path.write_text("[sources]\nclean_count = 20\nweak = uniform:0.3:100\n")
+    runs = []
+    for run in ("a", "b"):
+        out, test = tmp_path / f"weak_{run}.txt", tmp_path / f"test_{run}.txt"
+        assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
+                     "--emit-dataset", str(out), "--emit-test", str(test), "--seed", "7"]) == 0
+        runs.append((out.read_bytes(), test.read_bytes()))
+    assert runs[0] == runs[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "clean.bin", "sources.ini", "test_a.txt", "test_b.txt", "weak_a.txt", "weak_b.txt"]
 
 
 def test_run_command_writes_report(tmp_path, capsys):
@@ -352,33 +392,19 @@ def test_corrupt_reports_a_repeated_spec_key_in_one_line(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_corrupt_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
-    clean_path = tmp_path / "clean.txt"
-    clean_path.write_bytes(b"2 1 4\n0 0 0.5\n0 1 1.5\xff\n0 0 2.5\n0 1 3.5\n")
-    spec_path = tmp_path / "sources.ini"
-    spec_path.write_text("[sources]\nclean_count = 1\nweak = uniform:0.5:3\n")
-    out_path = tmp_path / "weak.txt"
-    assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
-                 "--emit-dataset", str(out_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"weaklab corrupt: {clean_path}, line 3: byte 0xff is not UTF-8 text\n"
-    assert captured.out == "" and not out_path.exists()
-
-
 @pytest.mark.parametrize("command", ["gen-template", "corrupt", "run"])
 def test_a_class_count_above_the_limit_is_one_error_line(tmp_path, capsys, command):
     # unchecked, each would ask numpy for a 10^6 x 10^6 matrix (7.28 TiB)
-    clean_path, cfg = tmp_path / "clean.txt", tmp_path / "exp.ini"
-    clean_path.write_text("1000000 2 0\n")
+    clean_path, cfg = tmp_path / "clean.bin", tmp_path / "exp.ini"
+    clean_path.write_bytes(struct.pack("<8s3q", DATASET_MAGIC, 1000000, 2, 0))
     (tmp_path / "sources.ini").write_text("[sources]\nclean_count = 1\n")
     cfg.write_text("[dataset]\nclasses = 1000000\n")
     argv, message = {
         "gen-template": (["--kind", "uniform", "--eta", "0.1", "--classes", "1000000"],
                          f"templates take at most {MAX_CLASSES} classes, got 1000000"),
         "corrupt": (["--load-dataset", str(clean_path), "--spec", str(tmp_path / "sources.ini"),
-                     "--emit-dataset", str(tmp_path / "weak.txt")],
-                    f"{clean_path}, line 1: header '1000000 2 0': c = 1000000 classes, above "
-                    f"the limit of {MAX_CLASSES}"),
+                     "--emit-dataset", str(tmp_path / "weak.bin")],
+                    f"{clean_path}: header c = 1000000 classes, expected 1 to {MAX_CLASSES}"),
         "run": (["--config", str(cfg), "--out", str(tmp_path / "out")],
                 f"[dataset] classes must be <= {MAX_CLASSES}, got 1000000"),
     }[command]
@@ -388,21 +414,19 @@ def test_a_class_count_above_the_limit_is_one_error_line(tmp_path, capsys, comma
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("header, asks", [
-    ("10 16 99999999999", "99999999999 rows of 18 fields, at least 3599999999964 bytes"),
-    ("10 99999999999 2", "2 rows of 100000000001 fields, at least 400000000004 bytes"),
-], ids=["huge_n", "huge_d"])
-def test_corrupt_refuses_a_header_the_file_cannot_hold(tmp_path, capsys, header, asks):
-    clean_path = tmp_path / "clean.txt"
-    clean_path.write_text(f"{header}\n0 1 0.5\n")
+@pytest.mark.parametrize("data, message", [case[1:] for case in BAD_DATASET_FILES],
+                         ids=[case[0] for case in BAD_DATASET_FILES])
+def test_corrupt_refuses_a_header_the_file_cannot_hold(tmp_path, capsys, data, message):
+    # every refusal of the reader, huge_n and huge_d among them, is one line
+    clean_path = tmp_path / "clean.bin"
+    clean_path.write_bytes(data)
     spec_path = tmp_path / "sources.ini"
     spec_path.write_text("[sources]\nclean_count = 1\nweak = uniform:0.3:1\n")
     assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
-                 "--emit-dataset", str(tmp_path / "weak.txt")]) == 2
+                 "--emit-dataset", str(tmp_path / "weak.bin")]) == 2
     captured = capsys.readouterr()
-    assert captured.err == (f"weaklab corrupt: {clean_path}, line 1: header '{header}' asks "
-                            f"for {asks}, but 8 bytes follow it\n")
-    assert captured.out == ""
+    assert captured.err == f"weaklab corrupt: {clean_path}{message}\n"
+    assert captured.out == "" and not (tmp_path / "weak.bin").exists()
 
 
 def test_corrupt_names_the_spec_keys_and_the_file_when_the_pool_is_short(tmp_path, capsys):
@@ -430,8 +454,8 @@ def test_corrupt_names_the_spec_keys_and_the_file_when_the_pool_is_short(tmp_pat
 ], ids=["pool", "eta_range"])
 def test_corrupt_names_the_spec_and_the_file_of_sources_for_a_header_only_file(tmp_path, capsys,
                                                                                weak, message):
-    clean_path = tmp_path / "clean.txt"
-    clean_path.write_text("10 16 0\n")
+    clean_path = tmp_path / "clean.bin"
+    clean_path.write_bytes(struct.pack("<8s3q", DATASET_MAGIC, 10, 16, 0))
     spec_path = tmp_path / "sources.ini"
     spec_path.write_text(f"[sources]\nclean_count = 1\nweak = {weak}\n")
     out_path = tmp_path / "weak.txt"
@@ -444,15 +468,19 @@ def test_corrupt_names_the_spec_and_the_file_of_sources_for_a_header_only_file(t
 
 
 def test_corrupt_accepts_a_file_too_small_for_a_test_split(tmp_path, capsys):
-    # 4 rows leave floor(0.8) = 0 test rows, which corrupt does not write anyway
-    clean_path = tmp_path / "clean.txt"
-    clean_path.write_text("2 1 4\n0 0 0.5\n0 1 1.5\n0 0 2.5\n0 1 3.5\n")
+    # 4 rows leave floor(0.8) = 0 test rows, an --emit-test file without rows
+    clean_path = tmp_path / "clean.bin"
+    clean_path.write_bytes(dataset_bytes(2, 1, [0] * 4, [0, 1, 0, 1], [-1] * 4,
+                                         [[0.5], [1.5], [2.5], [3.5]]))
     spec_path = tmp_path / "sources.ini"
     spec_path.write_text("[sources]\nclean_count = 1\nweak = uniform:0.5:3\n")
-    out_path = tmp_path / "weak.txt"
+    out_path, test_path = tmp_path / "weak.bin", tmp_path / "test.bin"
     assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
-                 "--emit-dataset", str(out_path)]) == 0
-    assert capsys.readouterr().out == f"wrote {out_path} (source 0: 1, source 1: 3)\n"
+                 "--emit-dataset", str(out_path), "--emit-test", str(test_path)]) == 0
+    assert capsys.readouterr().out == (f"wrote {out_path} (source 0: 1, source 1: 3)\n"
+                                       f"wrote {test_path} (test split: 0)\n")
+    test = load_dataset(test_path)
+    assert (test.c, test.d, test.sources) == (2, 1, [])
 
 
 @pytest.mark.parametrize("weak, message", [

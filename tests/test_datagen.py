@@ -1,18 +1,20 @@
 import os
+import re
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaklab import datagen
-from weaklab.datagen import (Dataset, MultisourceDataset, SourceBlock, as_clean_dataset,
-                             build_multisource, corruption_report, generate_blobs,
-                             load_dataset, save_dataset, source_specs, split_sizes)
+from conftest import BAD_DATASET_FILES, VALID_DATASET, dataset_bytes
+from weaklab.datagen import (DATASET_MAGIC, Dataset, MultisourceDataset, SourceBlock,
+                             as_clean_dataset, build_multisource, corruption_report,
+                             generate_blobs, load_dataset, save_dataset, source_specs,
+                             split_sizes)
 from weaklab.labelspace import (MAX_CLASSES, SourceSpec, TemplateKind, identity_matrix,
                                 make_template)
 from weaklab.model import TrainConfig, train
@@ -174,37 +176,37 @@ def test_requires_clean_first():
         build_multisource(blobs, [weak], 1)
 
 
-def test_dataset_text_round_trip(tmp_path):
+def test_dataset_file_round_trip(tmp_path):
     blobs = generate_blobs(4, 3, 30, 0.3, np.random.default_rng(8))
     specs = [SourceSpec(0, identity_matrix(4), 40),
              SourceSpec(1, make_template(TemplateKind.UNIFORM, 4, 0.4), 50)]
     ms, _ = build_multisource(blobs, specs, 8)
-    path = tmp_path / "data.txt"
+    path = tmp_path / "data.bin"
     save_dataset(path, ms)
-    header = path.read_text().splitlines()[0]
-    assert header == "4 3 90"
+    data = path.read_bytes()
+    assert data[:32] == struct.pack("<8s3q", DATASET_MAGIC, 4, 3, 90)
+    assert len(data) == 32 + 90 * 8 * (3 + 3)
     back = load_dataset(path)
     assert back.c == 4 and back.d == 3 and len(back) == 90
     for s in (0, 1):
         assert np.array_equal(back.block(s).features, ms.block(s).features)
         assert np.array_equal(back.block(s).labels, ms.block(s).labels)
+        assert np.array_equal(back.block(s).origin, ms.block(s).origin)
     clean = as_clean_dataset(back)
     assert isinstance(clean, Dataset) and len(clean) == 90
 
 
 def reference_save(path, ms):
     """The one-value-at-a-time writer whose bytes save_dataset must keep."""
-    with open(path, "w") as fh:
-        fh.write(f"{ms.c} {ms.d} {len(ms)}\n")
-        for blk in ms.sources:
-            for i in range(len(blk)):
-                feats = " ".join(repr(float(v)) for v in blk.features[i])
-                fh.write(f"{blk.source_id} {int(blk.labels[i])} {feats}\n")
+    rows = [(blk, i) for blk in ms.sources for i in range(len(blk))]
+    path.write_bytes(dataset_bytes(
+        ms.c, ms.d, [blk.source_id for blk, _ in rows], [blk.labels[i] for blk, i in rows],
+        [-1 if blk.origin is None else blk.origin[i] for blk, i in rows],
+        [blk.features[i] for blk, i in rows]))
 
 
 FLOATS = st.floats(allow_nan=False, width=64)
-# values whose repr is easy to get wrong: sign of zero, exponent forms, the
-# smallest subnormal
+# values a writer could get wrong: sign of zero, infinity, the smallest subnormal
 SPECIAL_FLOATS = st.sampled_from([-0.0, np.inf, 1e-05, 5e-324])
 
 
@@ -219,20 +221,21 @@ def multisource_datasets(draw, floats=FLOATS):
         feats = draw(st.lists(st.lists(floats, min_size=d, max_size=d),
                               min_size=size, max_size=size))
         labels = draw(st.lists(st.integers(0, c - 1), min_size=size, max_size=size))
+        origin = draw(st.none() | st.lists(st.integers(-1, 99), min_size=size, max_size=size))
         blocks.append(SourceBlock(sid, np.array(feats, dtype=np.float64).reshape(size, d),
-                                  np.array(labels, dtype=np.int64)))
+                                  np.array(labels, dtype=np.int64),
+                                  None if origin is None else np.array(origin, dtype=np.int64)))
     return MultisourceDataset(blocks, c, d)
 
 
 @settings(max_examples=60, deadline=None)
-@given(ms=multisource_datasets(), block_rows=st.integers(1, 4))
-def test_dataset_text_matches_reference_writer_and_round_trips(ms, block_rows):
+@given(ms=multisource_datasets(st.one_of(FLOATS, SPECIAL_FLOATS)))
+def test_dataset_file_matches_reference_writer_and_round_trips(ms):
     with tempfile.TemporaryDirectory() as tmp:
-        path, ref = Path(tmp) / "data.txt", Path(tmp) / "ref.txt"
+        path, ref = Path(tmp) / "data.bin", Path(tmp) / "ref.bin"
         reference_save(ref, ms)
-        with mock.patch.object(datagen, "IO_BLOCK_ROWS", block_rows):
-            save_dataset(path, ms)
-            back = load_dataset(path)
+        save_dataset(path, ms)
+        back = load_dataset(path)
         assert path.read_bytes() == ref.read_bytes()
     assert (back.c, back.d, len(back)) == (ms.c, ms.d, len(ms))
     kept = [b for b in ms.sources if len(b)]
@@ -240,13 +243,15 @@ def test_dataset_text_matches_reference_writer_and_round_trips(ms, block_rows):
     for a, b in zip(back.sources, kept):
         assert a.features.tobytes() == b.features.tobytes()  # -0.0 and inf included
         assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.origin, np.full(len(b), -1) if b.origin is None else b.origin)
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), block_rows=st.integers(1, 4))
-def test_copied_rows_match_the_reference_writer(data, block_rows):
-    # save -> load -> as_clean_dataset -> build_multisource -> save copies
-    # every row's tokens; the bytes are those of formatting its floats
+@given(data=st.data())
+def test_copied_rows_match_the_reference_writer(data):
+    # save -> load -> as_clean_dataset -> build_multisource -> save, as
+    # `weaklab corrupt` runs: every output row is the input row at its
+    # origin, and the file holds the bytes of the reference writer
     ms = data.draw(multisource_datasets(st.one_of(FLOATS, SPECIAL_FLOATS)))
     pool, _ = split_sizes(len(ms))
     clean = data.draw(st.integers(0, pool))
@@ -255,199 +260,130 @@ def test_copied_rows_match_the_reference_writer(data, block_rows):
                         data.draw(st.integers(0, pool - clean)))]
     seed = data.draw(st.integers(0, 2**32 - 1))
     with tempfile.TemporaryDirectory() as tmp:
-        first, copied, ref = (Path(tmp) / name for name in ("first.txt", "copied.txt", "ref.txt"))
-        with mock.patch.object(datagen, "IO_BLOCK_ROWS", block_rows):
-            save_dataset(first, ms)
-            out, _ = build_multisource(as_clean_dataset(load_dataset(first)), specs, seed)
-            save_dataset(copied, out)
+        first, copied, ref = (Path(tmp) / name for name in ("first.bin", "copied.bin", "ref.bin"))
+        save_dataset(first, ms)
+        rows = as_clean_dataset(load_dataset(first))
+        out, _ = build_multisource(rows, specs, seed)
+        save_dataset(copied, out)
         reference_save(ref, out)
         assert copied.read_bytes() == ref.read_bytes()
-    # rows read from a file carry their text; a file without rows has none
-    assert all(blk.text is not None for blk in out.sources) == (len(ms) > 0)
-
-
-def test_rows_read_from_a_file_carry_their_line_spans(tmp_path):
-    path = tmp_path / "data.txt"
-    # sources interleave, so the loader reorders the rows and their spans
-    path.write_bytes(b"3 1 4\n1 0 0.5\n0 2 -1.25\r\n1 1 7\n0 0 1e-05\n")
-    ms = load_dataset(path)
-    data = path.read_bytes()
-    for blk in ms.sources:
-        assert blk.text.path == str(path) and blk.text.size == len(data)
-        assert not blk.features.flags.writeable
-        lines = [data[a:b] for a, b in blk.text.spans.tolist()]
-        assert [float(line.split()[2]) for line in lines] == blk.features[:, 0].tolist()
-    assert [data[a:b] for a, b in ms.block(0).text.spans.tolist()] == [b"0 2 -1.25\r\n",
-                                                                       b"0 0 1e-05\n"]
-    clean = as_clean_dataset(ms)
-    assert np.array_equal(clean.text.spans, np.concatenate([b.text.spans for b in ms.sources]))
-    specs = [SourceSpec(0, identity_matrix(3), 1),
-             SourceSpec(1, make_template(TemplateKind.UNIFORM, 3, 0.2), 2)]
-    out, test = build_multisource(clean, specs, 0)
-    for blk in out.sources:  # each row keeps the span of its own line
-        assert [float(data[a:b].split()[2]) for a, b in blk.text.spans.tolist()] == \
-            blk.features[:, 0].tolist()
-        assert not blk.features.flags.writeable
-    assert test.text is None
-    # rows made in memory have no text, and a block of them none once joined
-    made = SourceBlock(2, np.zeros((1, 1)), np.array([0]))
-    assert made.text is None and made.features.flags.writeable
-    assert as_clean_dataset(MultisourceDataset([*ms.sources, made], 3, 1)).text is None
-    with pytest.raises(ValueError, match="data.txt: 2 row spans for 1 rows"):
-        SourceBlock(0, np.zeros((1, 1)), np.array([0]), ms.block(0).text)
-
-
-def test_rows_of_a_non_ascii_separator_are_formatted_again(tmp_path, monkeypatch):
-    # U+00A0 and U+2003 separate fields for the loader but not for bytes.split;
-    # the block of 2 rows that holds them is written with repr, the other
-    # block is copied
-    path, out = tmp_path / "clean.txt", tmp_path / "weak.txt"
-    path.write_text("3 2 3\n0\u00a01 0.5 2\n0 2\u2003-1 3\n0 0 4 5\n", encoding="utf-8")
-    monkeypatch.setattr(datagen, "IO_BLOCK_ROWS", 2)
-    save_dataset(out, load_dataset(path))
-    assert out.read_text() == "3 2 3\n0 1 0.5 2.0\n0 2 -1.0 3.0\n0 0 4 5\n"
-
-
-def test_save_dataset_refuses_a_source_file_changed_since_it_was_read(tmp_path):
-    path, out = tmp_path / "clean.txt", tmp_path / "weak.txt"
-    path.write_text(VALID)
-    ms = load_dataset(path)
-    info = path.stat()
-    os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns + 10**9))  # same size, later mtime
-    with pytest.raises(ValueError, match=r"clean.txt: changed since its rows were read "
-                                         r"\(size 59 -> 59 bytes") as err:
-        save_dataset(out, ms)
-    assert "\n" not in str(err.value) and not out.exists()
-    ms = load_dataset(path)
-    path.write_text(VALID.replace("7.0", "7.5"))  # the same size again, a new mtime
-    with pytest.raises(ValueError, match="clean.txt: changed since its rows were read"):
-        save_dataset(out, ms)
-    ms = load_dataset(path)
-    path.write_text(VALID + "\n")
-    with pytest.raises(ValueError, match=r"clean.txt: changed .*\(size 59 -> 60 bytes"):
-        save_dataset(out, ms)
-
-
-@pytest.mark.parametrize("dest", ["clean.txt", "link.txt"])
-def test_save_dataset_refuses_to_write_over_the_file_it_copies_from(tmp_path, dest):
-    path = tmp_path / "clean.txt"
-    path.write_text(VALID)
-    (tmp_path / "link.txt").symlink_to(path)
-    ms = load_dataset(path)
-    with pytest.raises(ValueError, match=f"{dest} is the file .*clean.txt whose rows it would "
-                                         f"copy; writing it would truncate them first") as err:
-        save_dataset(tmp_path / dest, ms)
-    assert "\n" not in str(err.value) and path.read_text() == VALID
+        back = load_dataset(copied)
+    for blk in back.sources:
+        assert blk.features.tobytes() == rows.features[blk.origin].tobytes()
+        if blk.source_id == 0:
+            assert np.array_equal(blk.labels, rows.labels[blk.origin])
 
 
 def test_copied_rows_memory_is_bounded(tmp_path):
-    # holding every row's text (13 MB), or the spans of all rows at once as
-    # Python ints (3 MB or more), would exceed one block of text plus the spans
+    # save_dataset writes each block's own arrays: joining the blocks
+    # (ms.stacked()) would copy every feature, 5.1 MB here
     blobs = generate_blobs(10, 16, 5000, 0.3, np.random.default_rng(13))
-    path = tmp_path / "clean.txt"
+    path = tmp_path / "clean.bin"
     save_dataset(path, MultisourceDataset([SourceBlock(0, blobs.features, blobs.labels)], 10, 16))
     specs = source_specs(10, 5000, [(TemplateKind.UNIFORM, 0.3, 35000)], len(blobs))
     ms, _ = build_multisource(as_clean_dataset(load_dataset(path)), specs, 13)
-    longest = max(int(np.max(np.diff(blk.text.spans, axis=1))) for blk in ms.sources)
     tracemalloc.start()
     try:
-        save_dataset(tmp_path / "weak.txt", ms)
+        save_dataset(tmp_path / "weak.bin", ms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < datagen.IO_BLOCK_ROWS * longest + 16 * len(ms)
-    assert [len(b) for b in load_dataset(tmp_path / "weak.txt").sources] == [5000, 35000]
+    assert peak < 10 * len(ms)  # one block's source ids, 8 bytes a row
+    assert [len(b) for b in load_dataset(tmp_path / "weak.bin").sources] == [5000, 35000]
 
 
-# c = 3, d = 2, n = 4; line 1 is the header, rows are lines 2-5
-VALID = "3 2 4\n0 0 0.5 -1.25\n0 2 1e-05 3.0\n1 1 -0.0 2.5\n1 0 7.0 8.0\n"
+def test_the_same_dataset_saves_to_the_same_bytes_at_the_path_given(tmp_path):
+    blobs = generate_blobs(4, 3, 30, 0.3, np.random.default_rng(8))
+    ms, _ = build_multisource(blobs, source_specs(4, 40, [(TemplateKind.UNIFORM, 0.4, 50)], 120), 8)
+    save_dataset(tmp_path / "a.txt", ms)
+    save_dataset(str(tmp_path / "b.txt"), ms)
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]  # no suffix added
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
 def test_valid_fixture_loads(tmp_path):
-    path = tmp_path / "data.txt"
-    path.write_text(VALID)
+    path = tmp_path / "data.bin"
+    path.write_bytes(VALID_DATASET)
     ms = load_dataset(path)
     assert [len(b) for b in ms.sources] == [2, 2]
-    assert ms.block(0).labels.tolist() == [0, 2]
+    assert ms.block(0).labels.tolist() == [0, 2] and ms.block(1).labels.tolist() == [1, 0]
+    assert ms.block(0).origin.tolist() == [4, 0] and ms.block(1).origin.tolist() == [-1, 2]
+    assert ms.block(1).features.tobytes() == np.array([[-0.0, 2.5], [7.0, 8.0]]).tobytes()
 
 
-@pytest.mark.parametrize("text, line, message", [
-    ("3 2\n", 1, "not three integers"),
-    ("3 2 x\n", 1, "not three integers"),
-    ("3 0 4\n", 1, "d >= 1"),
-    (VALID.replace("0 2 1e-05 3.0", "0 2 1e-05"), 3, "expected 4 fields"),
-    (VALID.replace("0 2 1e-05 3.0", "0 2 1e-05 3.0 4.0"), 3, "found 5"),
-    (VALID.replace("\n1 1 -0.0", "\n\n1 1 -0.0"), 4, "found 0"),
-    (VALID.replace("1 1 -0.0", "1 3.5 -0.0"), 4, "label '3.5' is not an integer"),
-    (VALID.replace("1 1 -0.0", "a 1 -0.0"), 4, "source id 'a' is not an integer"),
-    (VALID.replace("1 1 -0.0", "1 1 zero"), 4, "unreadable row"),
-    (VALID.replace("1 1 -0.0", "1 3 -0.0"), 4, r"label outside \[0, 3\): 3"),
-    (VALID.replace("1 1 -0.0", "1 -1 -0.0"), 4, r"label outside \[0, 3\): -1"),
-    (VALID.replace("1 1 -0.0", "-1 1 -0.0"), 4, "negative source id"),
-    (VALID + "1 0 1.0 1.0\n", 6, "more rows than the header's n = 4"),
-    # one row more than the file holds: rows longer than the shortest pass the
-    # room check, so the reading finds the missing one
-    (VALID.replace("3 2 4", "3 2 5"), 6, "file ends after 4 rows"),
-    (VALID[:-1], 5, "does not end with a newline"),
-    # numpy would ask for 745 GiB and 1.46 TiB before reading a row
-    ("10 16 99999999999\n0 1 0.5\n", 1, "asks for 99999999999 rows of 18 fields"),
-    ("10 99999999999 2\n0 1 0.5\n", 1, "asks for 2 rows of 100000000001 fields"),
-    # no rows pass the room check, but no numpy row dtype holds that many features
-    ("10 99999999999 0\n", 1, "d = 99999999999 features per row are too many"),
-    (f"{MAX_CLASSES + 1} 2 0\n", 1, f"c = {MAX_CLASSES + 1} classes, above the limit"),
-    (b"3 2 4\xff\n" + VALID.encode()[6:], 1, "byte 0xff is not UTF-8 text$"),
-    (VALID.encode().replace(b"0 2 1e-05", b"0 2 1e-05\xff"), 3, "byte 0xff is not UTF-8 text$"),
-    # a lead byte without its continuation byte, in a file with CR line ends
-    (VALID.encode().replace(b"\n", b"\r").replace(b"7.0", b"7.\xc30"), 5,
-     "byte 0xc3 is not UTF-8 text$"),
-], ids=["short_header", "bad_header", "zero_d", "dropped_field", "extra_field", "blank_line",
-        "float_label", "bad_source", "bad_feature", "label_c", "negative_label",
-        "negative_source", "extra_row", "missing_row", "truncated_row", "huge_n", "huge_d",
-        "huge_d_no_rows", "too_many_classes", "not_utf8_header", "not_utf8_row",
-        "not_utf8_cr_line_ends"])
-def test_load_dataset_names_the_bad_line(tmp_path, text, line, message):
-    path = tmp_path / "data.txt"
-    path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    with pytest.raises(ValueError, match=f"data.txt, line {line}: .*{message}"):
+@pytest.mark.parametrize("data, message", [case[1:] for case in BAD_DATASET_FILES],
+                         ids=[case[0] for case in BAD_DATASET_FILES])
+def test_load_dataset_names_the_bad_line(tmp_path, data, message):
+    # the file and the field, with the row of a bad row value
+    path = tmp_path / "data.bin"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as err:
         load_dataset(path)
-
-
-def test_load_dataset_names_a_byte_that_is_not_utf8_past_the_first_block(tmp_path):
-    rows = "".join(f"0 1 {i}.5\n" for i in range(9)).encode()
-    path = tmp_path / "data.txt"
-    path.write_bytes(b"2 1 9\n" + rows.replace(b"0 1 6.5", b"0 1 6.5\xff"))
-    with mock.patch.object(datagen, "IO_BLOCK_ROWS", 4):
-        with pytest.raises(ValueError, match="data.txt, line 8: byte 0xff is not UTF-8 text"):
-            load_dataset(path)
-
-
-def test_load_dataset_room_check_is_exact_at_the_shortest_rows(tmp_path):
-    path = tmp_path / "data.txt"
-    rows = "0 1 5\n" * 3  # d = 1: the shortest rows, 2(d + 2) = 6 bytes each
-    path.write_text("2 1 3\n" + rows)
-    assert len(load_dataset(path).block(0)) == 3
-    path.write_text("2 1 4\n" + rows)
-    with pytest.raises(ValueError, match="data.txt, line 1: header '2 1 4' asks for 4 rows "
-                                         "of 3 fields, at least 24 bytes, but 18 bytes"):
-        load_dataset(path)
-
-
-@settings(max_examples=80, deadline=None)
-@given(cut=st.integers(0, len(VALID) - 1))
-def test_load_dataset_rejects_every_truncation(cut):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "data.txt"
-        path.write_text(VALID[:cut])
-        with pytest.raises(ValueError, match="data.txt, line"):
-            load_dataset(path)
+    assert str(err.value) == f"{path}{message}"
 
 
 def test_load_dataset_names_a_bad_line_past_the_first_block(tmp_path):
-    rows = "".join(f"0 1 {i}.5\n" for i in range(9))
-    path = tmp_path / "data.txt"
-    path.write_text("2 1 9\n" + rows.replace("0 1 6.5", "0 1 6.5 1.0"))
-    with mock.patch.object(datagen, "IO_BLOCK_ROWS", 4):
-        with pytest.raises(ValueError, match="line 8: expected 3 fields"):
+    # the row named is the file's, also in a file whose sources interleave
+    # and are reordered after the check
+    src = np.array([2, 0, 2, 1, 0, 1, 0, 2, 1])
+    labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2])
+    labels[7] = 3
+    path = tmp_path / "data.bin"
+    write_rows(path, 3, src, labels, np.zeros((9, 2)))
+    with pytest.raises(ValueError, match=r"data.bin, row 7: label 3 outside \[0, 3\)$"):
+        load_dataset(path)
+
+
+def test_load_dataset_refuses_a_huge_n_before_allocating(tmp_path):
+    path = tmp_path / "data.bin"
+    path.write_bytes(struct.pack("<8s3q", DATASET_MAGIC, 3, 2, 10**12).ljust(100, b"\0"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="100 bytes, but the header's n = 1000000000000 rows"):
+            load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_load_dataset_refuses_a_pipe():
+    # a pipe's length is unknown until it has been read
+    read_end, write_end = os.pipe()
+    os.write(write_end, VALID_DATASET)
+    os.close(write_end)
+    try:
+        with pytest.raises(ValueError, match=f"^/dev/fd/{read_end}: not a regular file"):
+            load_dataset(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+def test_load_dataset_room_check_is_exact_at_the_shortest_rows(tmp_path):
+    # d = 1: the shortest rows, 4 x 8 = 32 bytes each
+    path = tmp_path / "data.bin"
+    rows = dataset_bytes(2, 1, [0] * 3, [1] * 3, [-1] * 3, [[5.0]] * 3)
+    path.write_bytes(rows)
+    assert len(load_dataset(path).block(0)) == 3
+    for data in (rows[:-1], rows + b"\0"):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"data.bin: {len(data)} bytes, but the header's "
+                                             f"n = 3 rows of d = 1 features take 128$"):
+            load_dataset(path)
+
+
+def test_load_dataset_rejects_every_truncation(tmp_path):
+    # every proper prefix of a small saved file
+    saved = tmp_path / "saved.bin"
+    save_dataset(saved, MultisourceDataset([
+        SourceBlock(0, np.array([[0.5, -1.25], [1e-05, 3.0]]), np.array([0, 2]), np.array([4, 0])),
+        SourceBlock(1, np.array([[-0.0, 2.5], [7.0, 8.0]]), np.array([1, 0]))], 3, 2))
+    data = saved.read_bytes()
+    path = tmp_path / "data.bin"
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=f"^{path}: {cut} bytes, (shorter than the 32-byte "
+                                             f"header|but the header's n = 4 rows)"):
             load_dataset(path)
 
 
@@ -463,18 +399,17 @@ def test_stacked_view_consistent():
     assert np.array_equal(labels[30:], ms.block(1).labels)
 
 
-def write_rows(path, c, src, labels, features):
-    """A dataset text file with rows in the given order (any source order)."""
-    with open(path, "w") as fh:
-        fh.write(f"{c} {features.shape[1]} {len(src)}\n")
-        for s, label, row in zip(src, labels, features):
-            fh.write(f"{s} {label} {' '.join(map(repr, row.tolist()))}\n")
+def write_rows(path, c, src, labels, features, origin=None):
+    """A dataset file with rows in the given order (any source order)."""
+    origin = np.full(len(src), -1) if origin is None else origin
+    path.write_bytes(dataset_bytes(c, features.shape[1], src, labels, origin, features))
 
 
-def mask_reference(src, labels, features):
-    """(source id, features, labels) per source by boolean masks, as
-    load_dataset built its blocks before they became views."""
-    return [(int(s), features[src == s], labels[src == s]) for s in np.unique(src)]
+def mask_reference(src, labels, features, origin):
+    """(source id, features, labels, origin) per source by boolean masks,
+    as load_dataset built its blocks before they became views."""
+    return [(int(s), features[src == s], labels[src == s], origin[src == s])
+            for s in np.unique(src)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -487,22 +422,24 @@ def test_load_dataset_blocks_are_views_of_one_buffer(data, order):
         src = np.sort(src) if order == "sorted" else np.sort(src)[::-1].copy()
     labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
                       dtype=np.int64)
+    origin = np.array(data.draw(st.lists(st.integers(-1, 99), min_size=n, max_size=n)),
+                      dtype=np.int64)
     features = np.array(data.draw(st.lists(st.floats(allow_nan=False, width=64),
                                            min_size=n * d, max_size=n * d))).reshape(n, d)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "data.txt"
-        write_rows(path, 3, src, labels, features)
-        with mock.patch.object(datagen, "IO_BLOCK_ROWS", 4):
-            ms = load_dataset(path)
-    ref = mask_reference(src, labels, features)
-    assert [b.source_id for b in ms.sources] == [sid for sid, _, _ in ref]
-    for blk, (_, feats, labs) in zip(ms.sources, ref):
+        path = Path(tmp) / "data.bin"
+        write_rows(path, 3, src, labels, features, origin)
+        ms = load_dataset(path)
+    ref = mask_reference(src, labels, features, origin)
+    assert [b.source_id for b in ms.sources] == [sid for sid, _, _, _ in ref]
+    for blk, (_, feats, labs, orig) in zip(ms.sources, ref):
         assert blk.features.tobytes() == feats.tobytes()
         assert blk.labels.dtype == np.int64 and np.array_equal(blk.labels, labs)
-    for blk in ms.sources:  # slices of one (n, d) and one (n,) array
-        assert blk.features.base is ms.sources[0].features.base
-        assert blk.labels.base is ms.sources[0].labels.base
-        assert np.shares_memory(blk.features, blk.features.base)
+        assert blk.origin.dtype == np.int64 and np.array_equal(blk.origin, orig)
+    for blk in ms.sources:  # slices of one (n, d) and one (n,) array each
+        for field in ("features", "labels", "origin"):
+            part, first = getattr(blk, field), getattr(ms.sources[0], field)
+            assert part.base is first.base and np.shares_memory(part, part.base)
     if ms.sources:
         assert ms.sources[0].features.base.shape == (n, d)
 
@@ -511,8 +448,8 @@ def test_load_dataset_keeps_a_grouped_file_in_place(tmp_path):
     rng = np.random.default_rng(3)
     src = np.repeat([2, 0, 1], [3, 4, 2])
     features = rng.standard_normal((9, 2))
-    write_rows(tmp_path / "data.txt", 3, src, np.zeros(9, dtype=np.int64), features)
-    ms = load_dataset(tmp_path / "data.txt")
+    write_rows(tmp_path / "data.bin", 3, src, np.zeros(9, dtype=np.int64), features)
+    ms = load_dataset(tmp_path / "data.bin")
     assert [b.source_id for b in ms.sources] == [0, 1, 2]
     # each block is the slice of its file rows in one (9, 2) buffer
     base = ms.block(2).features.base
@@ -529,8 +466,8 @@ def test_stacked_joins_the_blocks_in_source_order(tmp_path):
     labels = rng.integers(3, size=9)
     for order in ([0, 1, 2], [2, 0, 1]):
         src = np.repeat(order, [3, 4, 2])
-        write_rows(tmp_path / "data.txt", 3, src, labels, features)
-        ms = load_dataset(tmp_path / "data.txt")
+        write_rows(tmp_path / "data.bin", 3, src, labels, features)
+        ms = load_dataset(tmp_path / "data.bin")
         feats, labs, ids = ms.stacked()
         assert np.array_equal(feats, np.concatenate([b.features for b in ms.sources]))
         assert np.array_equal(labs, np.concatenate([b.labels for b in ms.sources]))
@@ -546,9 +483,37 @@ def test_as_clean_dataset_of_one_source_is_a_view():
     assert clean.features is blk.features and clean.labels is blk.labels
 
 
+def readme_snippet(marker):
+    """The README's python code block that holds marker."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
+    return next(block for block in blocks if marker in block)
+
+
+def test_readme_text_conversion_snippet_runs(tmp_path, monkeypatch):
+    # the README's conversion of a text file, run on one in the text format
+    # of earlier versions with sources out of order
+    src = np.array([1, 0, 1, 2, 0])
+    labels = np.array([2, 0, 1, 1, 2])
+    features = np.random.default_rng(5).standard_normal((5, 3))
+    monkeypatch.chdir(tmp_path)
+    with open("dataset.txt", "w") as fh:
+        fh.write("3 3 5\n")
+        for s, label, row in zip(src, labels, features):
+            fh.write(f"{s} {label} {' '.join(map(repr, row.tolist()))}\n")
+    exec(readme_snippet("np.loadtxt"), {})
+    ms = load_dataset("dataset.bin")
+    assert (ms.c, ms.d) == (3, 3) and [blk.source_id for blk in ms.sources] == [0, 1, 2]
+    for blk in ms.sources:
+        rows = src == blk.source_id
+        assert blk.features.tobytes() == features[rows].tobytes()
+        assert np.array_equal(blk.labels, labels[rows]) and (blk.origin == -1).all()
+
+
 def dict_report(ms, original):
     """The feature-bytes dictionary and per-row loop that corruption_report
-    used before it sorted the original (last duplicate wins)."""
+    used before it matched rows by origin; the two agree while the
+    original holds no row twice."""
     lookup = {original.features[i].tobytes(): int(original.labels[i])
               for i in range(len(original))}
     report = {}
@@ -563,62 +528,82 @@ def dict_report(ms, original):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), block_rows=st.integers(1, 4))
-def test_corruption_report_matches_dict_reference(data, block_rows):
+@given(data=st.data())
+def test_corruption_report_matches_dict_reference(data):
     c = data.draw(st.integers(2, 4))
     d = data.draw(st.integers(1, 3))
-    m = data.draw(st.integers(1, 20))
-    # few distinct values, so rows repeat (with different labels) and 0.0 and
-    # -0.0 rows must stay apart
+    # few distinct values, so rows share values; 0.0 and -0.0 rows are one
+    # row for unique=, so no row is held twice by its bytes either
     values = st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf])
-    features = np.array(data.draw(st.lists(values, min_size=m * d, max_size=m * d)))
-    original = Dataset(features.reshape(m, d),
+    rows = data.draw(st.lists(st.tuples(*[values] * d), min_size=1, max_size=20, unique=True))
+    m = len(rows)
+    original = Dataset(np.array(rows, dtype=np.float64).reshape(m, d),
                        np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=m,
                                                    max_size=m)), dtype=np.int64), c)
     blocks = []
     for sid in range(data.draw(st.integers(1, 3))):
-        rows = data.draw(st.lists(st.integers(0, m - 1), max_size=12))
-        labels = data.draw(st.lists(st.integers(0, c - 1), min_size=len(rows),
-                                    max_size=len(rows)))
-        blocks.append(SourceBlock(sid, original.features[rows].reshape(len(rows), d),
-                                  np.array(labels, dtype=np.int64)))
+        drawn = data.draw(st.lists(st.integers(0, m - 1), max_size=12))
+        labels = data.draw(st.lists(st.integers(0, c - 1), min_size=len(drawn),
+                                    max_size=len(drawn)))
+        blocks.append(SourceBlock(sid, original.features[drawn].reshape(len(drawn), d),
+                                  np.array(labels, dtype=np.int64),
+                                  np.array(drawn, dtype=np.int64)))
     ms = MultisourceDataset(blocks, c, d)
-    with mock.patch.object(datagen, "MATCH_BLOCK_ROWS", block_rows):
-        got = corruption_report(ms, original)
+    got = corruption_report(ms, original)
     want = dict_report(ms, original)
     assert list(got) == list(want)
     for sid in want:
         assert got[sid].tobytes() == want[sid].tobytes()
 
 
+def test_corruption_report_matches_a_duplicate_row_to_its_own_origin():
+    # the original holds one feature row twice, as classes 0 and 1; matched
+    # by bytes, both block rows took the label of the last duplicate
+    original = Dataset(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([0, 1]), 2)
+    blk = SourceBlock(1, original.features.copy(), np.array([0, 0]), np.array([0, 1]))
+    report = corruption_report(MultisourceDataset([blk], 2, 2), original)
+    assert report[1].tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    assert dict_report(MultisourceDataset([blk], 2, 2), original)[1].tolist() == [[0.0, 0.0],
+                                                                                  [1.0, 0.0]]
+
+
 def test_corruption_report_names_a_row_missing_from_the_original():
     original = Dataset(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0, 1]), 2)
-    weak = SourceBlock(3, np.array([[2.0, 3.0], [-0.0, 1.0]]), np.array([1, 1]))
-    ms = MultisourceDataset([SourceBlock(0, original.features[:1], np.array([0])), weak], 2, 2)
-    with pytest.raises(ValueError, match="source 3, row 1: features not found in the original"):
-        corruption_report(ms, original)  # -0.0 is not 0.0: bytes are matched exactly
-    # all-zero bytes sort before every row of the original
-    below = SourceBlock(1, np.array([[2.0, 3.0], [0.0, 0.0]]), np.array([1, 1]))
-    with pytest.raises(ValueError, match="source 1, row 1: features not found"):
-        corruption_report(MultisourceDataset([below], 2, 2), original)
+    clean = SourceBlock(0, original.features[:1], np.array([0]), np.array([0]))
+    for blk, message in [
+            (SourceBlock(3, original.features[::-1], np.array([1, 1]), np.array([1, -1])),
+             "source 3, row 1: origin -1, not one of the original dataset's 2 rows"),
+            (SourceBlock(2, original.features, np.array([1, 1])),  # no origins at all
+             "source 2, row 0: origin -1, not one of the original dataset's 2 rows"),
+            (SourceBlock(3, original.features, np.array([1, 1]), np.array([0, 2])),
+             "source 3, row 1: origin 2, not one of the original dataset's 2 rows"),
+            # bits are compared: -0.0 is not 0.0
+            (SourceBlock(1, np.array([[2.0, 3.0], [-0.0, 1.0]]), np.array([1, 1]),
+                         np.array([1, 0])),
+             "source 1, row 1: features differ from the original dataset's row 0, its origin")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            corruption_report(MultisourceDataset([clean, blk], 2, 2), original)
     empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
-    with pytest.raises(ValueError, match="source 0, row 0: features not found in the original"):
-        corruption_report(ms, empty)
+    with pytest.raises(ValueError, match="source 0, row 0: origin 0, not one of the "
+                                         "original dataset's 0 rows$"):
+        corruption_report(MultisourceDataset([clean], 2, 2), empty)
     assert corruption_report(MultisourceDataset([], 2, 2), empty) == {}
 
 
 def test_corruption_report_rejects_bad_widths_and_labels():
     original = Dataset(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0, 1]), 2)
-    wide = SourceBlock(1, np.zeros((1, 3)), np.array([0]))
+    wide = SourceBlock(1, np.zeros((1, 3)), np.array([0]), np.array([0]))
     with pytest.raises(ValueError, match="source 1: 3 features per row, the original has 2"):
         corruption_report(MultisourceDataset([wide], 2, 3), original)
-    bad = SourceBlock(1, original.features.copy(), np.array([0, 2]))
+    bad = SourceBlock(1, original.features.copy(), np.array([0, 2]), np.array([0, 1]))
     with pytest.raises(ValueError, match=r"source 1, row 1: label 2 outside \[0, 2\)"):
         corruption_report(MultisourceDataset([bad], 2, 2), original)
 
 
 def test_corruption_report_memory_is_bounded():
-    # the dictionary of 128-byte row keys and the per-row loop peaked at about 42 MB
+    # the dictionary of 128-byte row keys and the per-row loop peaked at about
+    # 42 MB; gathering the original rows of the 150k-row block at once would
+    # hold 19.2 MB
     blobs = generate_blobs(10, 16, 20_000, 0.3, np.random.default_rng(12))
     specs = [SourceSpec(0, identity_matrix(10), 10_000),
              SourceSpec(1, make_template(TemplateKind.UNIFORM, 10, 0.3), 150_000)]

@@ -268,7 +268,7 @@ def test_parse_matrix_names_the_bad_line(text, message):
 @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                                  "\u2029"])
 def test_matrix_lines_break_only_at_lf_crlf_and_cr(tmp_path, sep):
-    # inside a line these are blanks between fields, as load_dataset reads them
+    # inside a line these are blanks between fields, as str.split reads them
     assert parse_matrix(f"2\n0.5{sep}0.5\n0 1\n").entries.tolist() == [[0.5, 0.5], [0, 1]]
     with pytest.raises(ValueError, match="line 3: expected 2 numbers, found 3"):
         parse_matrix(f"2\n1 0\n0 1{sep}x\n")

@@ -189,10 +189,25 @@ def build_multisource(dataset: Dataset, specs: list, seed: int):
     return ms, test
 
 
+def check_rows(where: str, rows: int, values, what: str) -> None:
+    """Raise ValueError unless values holds one entry per feature row,
+    naming `where`, the first row that only one of the two has, and the
+    entries as `what` (labels, origins)."""
+    if len(values) != rows:
+        raise ValueError(f"{where}, row {min(len(values), rows)}: {rows} feature rows but "
+                         f"{len(values)} {what}")
+
+
 def _bits(values: np.ndarray) -> np.ndarray:
-    """A column of float64 values as int64 bit patterns, so that -0.0 and
-    0.0 differ and a NaN equals itself."""
+    """Float64 values as int64 bit patterns of the same shape, so that -0.0
+    and 0.0 differ and a NaN equals itself."""
     return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+# rows that corruption_report compares and that load_dataset reads into
+# their sorted places per step: bounds the working memory either holds
+# beyond its inputs and outputs, whatever the row count
+BLOCK_ROWS = 4096
 
 
 def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
@@ -202,12 +217,15 @@ def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
     stay all-zero. A block row's true label is the original's at its
     origin, so a feature row the original holds twice is matched to the
     one it was drawn from. Its features must equal that row's bit for bit,
-    checked a column at a time: memory grows with rows, not rows x width.
+    checked BLOCK_ROWS rows at a time against the original rows gathered
+    for them: memory beyond the arrays of a block's length is one such
+    block of rows, whatever the row count.
 
     Raises ValueError naming the source id (and block row) of a block of
-    another width than the original's, a row whose origin (-1 when it has
-    none) is not a row of the original or whose features differ from that
-    row's, and a label (or original label) outside [0, c).
+    another width than the original's, with other than one label and one
+    origin per feature row, a row whose origin (-1 when it has none) is
+    not a row of the original or whose features differ from that row's,
+    and a label (or original label) outside [0, c).
     """
     c = ms.c
     report = {}
@@ -217,18 +235,21 @@ def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
             raise ValueError(f"{where}: {blk.features.shape[1]} features per row, the original "
                              f"has {original.d}")
         origin = np.full(len(blk), -1) if blk.origin is None else blk.origin
+        check_rows(where, len(blk), blk.labels, "labels")
+        check_rows(where, len(blk), origin, "origins")
         bad = (origin < 0) | (origin >= len(original))
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"{where}, row {i}: origin {int(origin[i])}, not one of the "
                              f"original dataset's {len(original)} rows")
-        differs = np.zeros(len(blk), dtype=bool)
-        for j in range(original.d):
-            differs |= _bits(original.features[:, j].take(origin)) != _bits(blk.features[:, j])
-        if differs.any():
-            i = int(np.argmax(differs))
-            raise ValueError(f"{where}, row {i}: features differ from the original dataset's "
-                             f"row {int(origin[i])}, its origin")
+        for start in range(0, len(blk), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            drawn = original.features.take(origin[rows], axis=0)
+            differs = (_bits(drawn) != _bits(blk.features[rows])).any(axis=1)
+            if differs.any():
+                i = start + int(np.argmax(differs))
+                raise ValueError(f"{where}, row {i}: features differ from the original "
+                                 f"dataset's row {int(origin[i])}, its origin")
         labels = check_labels(blk.labels, c, where)
         true = check_labels(original.labels[origin], c, f"{where} (label in the original)")
         counts = np.bincount(true * c + labels, minlength=c * c).reshape(c, c)
@@ -273,8 +294,10 @@ def load_dataset(path) -> MultisourceDataset:
     """Read a file that save_dataset wrote.
 
     The rows go into one (n, d) feature array and one label and one origin
-    array; each source's block is a view of them, in source-id order, after
-    one stable reorder by source id if the file's sources interleave.
+    array; each source's block is a view of them, in source-id order. If
+    the file's sources interleave, the rows are put in one stable order by
+    source id: the features are read BLOCK_ROWS rows at a time straight
+    into their sorted rows, so they are held once.
 
     Raises ValueError naming the file and the field at fault for a magic
     other than DATASET_MAGIC (as in the text files of earlier versions), a
@@ -307,18 +330,27 @@ def load_dataset(path) -> MultisourceDataset:
             raise ValueError(f"{path}: {info.st_size} bytes, but the header's n = {n} rows of "
                              f"d = {d} features take {expected}")
         labels, src, origin = (_read(fh, path, "<i8", n) for _ in range(3))
-        features = _read(fh, path, "<f8", (n, d))
-    checks = ((f"label {{}} outside [0, {c})", labels, (labels < 0) | (labels >= c)),
-              ("negative source id {}", src, src < 0), ("origin {} below -1", origin, origin < -1))
-    for what, values, bad in checks:
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"{path}, row {i}: " + what.format(int(values[i])))
-    starts = _run_starts(src)
-    if len(np.unique(src[starts])) < len(starts):  # a source id in two runs
-        order = np.argsort(src, kind="stable")  # file order kept within a source
-        src, labels, origin, features = src[order], labels[order], origin[order], features[order]
+        checks = ((f"label {{}} outside [0, {c})", labels, (labels < 0) | (labels >= c)),
+                  ("negative source id {}", src, src < 0),
+                  ("origin {} below -1", origin, origin < -1))
+        for what, values, bad in checks:
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"{path}, row {i}: " + what.format(int(values[i])))
         starts = _run_starts(src)
+        if len(np.unique(src[starts])) == len(starts):  # each source id in one run
+            features = _read(fh, path, "<f8", (n, d))
+        else:
+            order = np.argsort(src, kind="stable")  # file order kept within a source
+            src, labels, origin = src[order], labels[order], origin[order]
+            starts = _run_starts(src)
+            place = np.empty_like(order)  # the sorted row of each file row
+            place[order] = np.arange(n)
+            del order
+            features = np.empty((n, d))
+            for start in range(0, n, BLOCK_ROWS):
+                rows = place[start:start + BLOCK_ROWS]
+                features[rows] = _read(fh, path, "<f8", (len(rows), d))
     bounds = np.append(starts, n).tolist()
     blocks = sorted((SourceBlock(int(src[a]), features[a:b], labels[a:b], origin[a:b])
                      for a, b in zip(bounds, bounds[1:])), key=lambda blk: blk.source_id)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datagen import Dataset, MultisourceDataset
+from .datagen import Dataset, MultisourceDataset, check_rows
 from .labelspace import TransitionMatrix, check_labels
 from .model import ModelParameters, TrainConfig, predict_batch, train
 
@@ -47,9 +47,7 @@ def confusion_counts(baseline: ModelParameters, blocks: list, c: int) -> np.ndar
         if blk.features.shape[1] != baseline.d:
             raise ValueError(f"{where}: {blk.features.shape[1]} features per row, but the "
                              f"baseline takes {baseline.d}")
-        if len(blk.labels) != len(blk):
-            raise ValueError(f"{where}, row {min(len(blk.labels), len(blk))}: {len(blk)} "
-                             f"feature rows but {len(blk.labels)} labels")
+        check_rows(where, len(blk), blk.labels, "labels")
         labels = check_labels(blk.labels, c, where)
         counts += np.bincount(predict_batch(baseline, blk.features) * c + labels,
                               minlength=c * c)

@@ -26,11 +26,12 @@ def _cmd_run(args) -> int:
     harness.check_out_dir(args.out)  # before training, not after
     report = harness.run_experiment(config)
     harness.write_run_dir(report, args.out)
+    width = max(len(row.strategy) for row in report.rows)
     for row in report.rows:
         eta = "-" if row.eta is None else f"{row.eta:g}"
         mean = "failed" if row.mean_oa is None else f"{row.mean_oa:.4f}"
         std = "" if row.std_oa is None else f" ({row.std_oa:.4f})"
-        print(f"{row.strategy:9s} {row.loss_family:4s} eta={eta:4s} best OA {mean}{std}")
+        print(f"{row.strategy:{width}s} {row.loss_family:4s} eta={eta:4s} best OA {mean}{std}")
     print(f"report written to {args.out}")
     return 0
 

@@ -3,12 +3,15 @@
 An experiment sweeps (strategy, loss) combinations over error rates and
 seeds on a synthetic multisource dataset. Per seed: generate the data,
 train a baseline on the clean source, estimate per-source transition
-matrices (T-hat) with it, and train one model per combination. Every
-model, the baseline too, takes one path that records its test accuracy
-each epoch in a Cell, failed if the model diverged or lacked the T-hat of
-a diverged baseline. A report row aggregates a combination's Cells to the
-mean and unbiased (n-1) std of their best accuracies across seeds, and
-counts the failed Cells it leaves out. Re-running a config reproduces the
+matrices (T-hat) with it, and train one model per combination. A
+combination's strategy token suffixed @true corrects with the true
+matrices of its (seed, eta) instead of T-hat, which tells what the
+estimate costs. Every model, the baseline too, takes one path that
+records its test accuracy each epoch in a Cell, failed if the model
+diverged or lacked the T-hat of a diverged baseline. A report row
+aggregates a combination's Cells to the mean and unbiased (n-1) std of
+their best accuracies across seeds, and counts the failed Cells it
+leaves out. Re-running a config reproduces the
 report files byte for byte.
 """
 
@@ -27,7 +30,8 @@ from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single,
 from .labelspace import (TemplateKind, TransitionMatrix, check_utf8, identity_matrix,
                          satisfies_diagonal_dominance, save_matrix)
 from .losses import LossSpec
-from .model import ModelParameters, TrainConfig, TrainingDiverged, predict_batch, save_params, train
+from .model import (STRATEGIES, ModelParameters, TrainConfig, TrainingDiverged, predict_batch,
+                    save_params, train)
 
 
 @dataclass
@@ -52,14 +56,14 @@ class ExperimentConfig:
     weak_sources: list = field(default_factory=lambda: [
         WeakSource(TemplateKind.MIXED_CLASS_DEPENDENT, 9.0)])
     etas: list[float] = field(default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5])
-    # (strategy, loss family) names; every model takes the train.loss hyperparameters
+    # (strategy token, loss family) names, a token from COMBO_STRATEGIES; every
+    # model takes the train.loss hyperparameters
     combinations: list[tuple[str, str]] = field(default_factory=lambda: [
         ("vanilla", "cce"), ("proposed", "cce")])
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     train: TrainConfig = field(default_factory=TrainConfig)  # seed and strategy set per model
     baseline_epoch_cap: int = 0          # cap baseline epochs when > 0
     use_clean_in_training: bool = True   # False: drop the clean source from training
-    estimated_vs_true_matrices: bool = False  # True: correction uses the true matrices
     smoothing: float = DEFAULT_SMOOTHING
 
     def __post_init__(self):
@@ -102,6 +106,9 @@ class ExperimentConfig:
         if not self.weak_sources:
             raise ValueError("[sources] weak: need at least one weak source")
         for w in self.weak_sources:
+            if not np.isfinite(w.multiplier):  # count() would raise on it
+                raise ValueError(f"[sources] weak: weak kind {w.kind.value}: multiplier must be "
+                                 f"finite and > 0, got {w.multiplier:g}")
             if w.count(self.clean_count) < 1:
                 raise ValueError(f"[sources] weak: weak kind {w.kind.value} with multiplier "
                                  f"{w.multiplier:g}: round({w.multiplier:g} x clean_count "
@@ -197,10 +204,28 @@ class RunReport:
         raise KeyError(f"no row for ({strategy}, {loss_family}, eta={eta})")
 
 
+# the tokens of a combination's strategy, `strategy[@true]`: a model.STRATEGIES
+# name, or a correction suffixed @true, which takes the true matrices of its
+# (seed, eta) in place of T-hat (vanilla takes no matrices)
+TRUE_SUFFIX = "@true"
+COMBO_STRATEGIES = (*STRATEGIES, *(s + TRUE_SUFFIX for s in STRATEGIES if s != "vanilla"))
+
+
+def strategy_token(token: str) -> str:
+    """Parser of a combination's strategy token: a suffix other than a
+    correction's @true raises ValueError naming the token; TrainConfig
+    checks the name without a suffix."""
+    if "@" in token and token not in COMBO_STRATEGIES:
+        raise ValueError(f"unknown strategy {token!r}, expected one of "
+                         f"{', '.join(COMBO_STRATEGIES)}")
+    return token
+
+
 def model_config(train: TrainConfig, strategy: str, family: str, seed: int) -> TrainConfig:
     """The TrainConfig of one combination's model in a sweep: train with
-    the strategy, the seed and the loss family; TrainConfig and LossSpec
-    reject an unknown name."""
+    the strategy token less @true, the seed and the loss family;
+    strategy_token, TrainConfig and LossSpec reject an unknown name."""
+    strategy = strategy_token(strategy).removesuffix(TRUE_SUFFIX)
     return replace(train, strategy=strategy, seed=seed, loss=replace(train.loss, family=family))
 
 
@@ -230,13 +255,18 @@ def _train_cell(key: tuple, test: Dataset, fit, *args, **kwargs):
     return cell, best["params"]
 
 
-def _strategy_matrices(estimated: dict, src: np.ndarray, c: int) -> dict:
-    """strategy -> transition matrices, from one (seed, eta)'s T-hat and the
-    source ids; without a T-hat only vanilla, which takes none, can train."""
-    if not estimated:
-        return {"vanilla": None}
-    return {"vanilla": None, "proposed": {**estimated, 0: identity_matrix(c)},
-            "forward": {int(s): estimated["single"] for s in np.unique(src)}}
+def _strategy_matrices(estimated: dict, true: dict, src: np.ndarray, c: int) -> dict:
+    """strategy token -> transition matrices of one (seed, eta), from its
+    T-hat (estimated) and its true matrices, each {source id or "single":
+    matrix}, and the source ids: a token suffixed @true takes the true ones.
+    Without a T-hat, the unsuffixed corrections are missing."""
+    table = {"vanilla": None}
+    ids = np.unique(src)
+    for suffix, matrices in (("", estimated), (TRUE_SUFFIX, true)):
+        if matrices:
+            table["proposed" + suffix] = {**matrices, 0: identity_matrix(c)}
+            table["forward" + suffix] = {int(s): matrices["single"] for s in ids}
+    return table
 
 
 def _blend_true_matrices(specs: list) -> TransitionMatrix:
@@ -284,19 +314,16 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             true = dict({s.id: s.matrix for s in specs[eta][1:]},
                         single=_blend_true_matrices(specs[eta]))
             estimated = {}  # stays empty when the baseline diverged: no T-hat
-            if config.estimated_vs_true_matrices:
-                estimated = true
-            elif seed in baselines:
+            if seed in baselines:
                 estimated = dict(estimate_per_source(baselines[seed], ms, config.smoothing),
                                  single=estimate_single(baselines[seed], ms, config.smoothing))
-            if estimated:
                 estimates[(seed, eta)] = estimated
-            errors.extend((seed, eta, key, *_estimate_error(matrix, true[key]))
-                          for key, matrix in estimated.items())
+                errors.extend((seed, eta, key, *_estimate_error(matrix, true[key]))
+                              for key, matrix in estimated.items())
 
             kept = [b for b in ms.sources if config.use_clean_in_training or b.source_id != 0]
             feats, labels, src = replace(ms, sources=kept).stacked()
-            matrices = _strategy_matrices(estimated, src, c)
+            matrices = _strategy_matrices(estimated, true, src, c)
             for strategy, family in config.combinations:
                 if strategy not in matrices:  # no T-hat to correct with
                     cells.append(Cell(strategy, family, eta, seed, []))
@@ -472,8 +499,7 @@ CONFIG_SCHEMA = {
     "train": _fields(TrainConfig, "epochs", "batch_size", "learning_rate", "momentum",
                      "weight_decay", "hidden"),
     "run": _fields(ExperimentConfig, "seeds", "use_clean_in_training", "baseline_epoch_cap",
-                   "estimated_vs_true_matrices", "smoothing",
-                   combos=tokens({"strategy": str, "family": str})),
+                   "smoothing", combos=tokens({"strategy": strategy_token, "family": str})),
 }
 
 

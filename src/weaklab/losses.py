@@ -56,12 +56,14 @@ class LossSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown loss family {self.family!r}, expected one of "
                              f"{', '.join(FAMILIES)}")
+        # written so that NaN fails each check
         if not 0.0 < self.q <= 1.0:
-            raise ValueError("q must lie in (0, 1]")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-        if self.A >= 0:
-            raise ValueError("A must be negative")
+            raise ValueError(f"q must lie in (0, 1], got {self.q}")
+        for name in ("alpha", "beta"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not -np.inf < self.A < 0.0:
+            raise ValueError(f"A must be finite and < 0, got {self.A}")
         for name, value in (("q_minus_one", self.q - 1.0), ("minus_alpha", -self.alpha),
                             ("beta_times_a", self.beta * self.A)):
             object.__setattr__(self, name, scalar_operand(value))

@@ -11,9 +11,10 @@ contracts it against d h / d theta, reading the batch row-major, (m,
 d + 1), with a last column of ones; through the ones its products give
 each layer's bias gradient beside its weight gradient.
 Training computes omega with one kernel, batch_weighting, from a
-per-sample transition column C[:, i] = T_{s_i}[:, y_i] built once before
-the epoch loop; the vanilla strategy is the same kernel with one-hot
-(identity) columns, so the three strategies share one code path.
+per-sample transition column T_{s_i}[:, y_i], built once before the
+epoch loop as row i of an (n, c) array (transition_columns); the
+vanilla strategy is the same kernel with one-hot (identity) columns, so
+the three strategies share one code path.
 correction.weight_proposed, the chain-rule form over softmax_grad, is
 its independent per-sample reference.
 
@@ -355,7 +356,8 @@ def _softmax_columns(scores: np.ndarray, buf: BatchBuffers) -> np.ndarray:
 
 def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
                        matrices=None) -> np.ndarray:
-    """Per-sample columns C[:, i] = T_{s_i}[:, y_i], shape (c, n).
+    """Per-sample transition columns as the rows that Minibatches takes:
+    row i is T_{s_i}[:, y_i], shape (n, c).
 
     matrices maps source id -> TransitionMatrix or c x c array, each read
     with np.asarray; None gives one-hot columns, the identity columns of
@@ -364,9 +366,9 @@ def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
     """
     labels = np.asarray(labels, dtype=np.int64)
     if matrices is None:
-        return np.eye(c)[:, labels]
+        return np.eye(c)[labels]
     source_ids = np.asarray(source_ids, dtype=np.int64)
-    cols = np.empty((c, labels.shape[0]))
+    rows = np.empty((labels.shape[0], c))
     for s in np.unique(source_ids):
         s = int(s)
         try:
@@ -378,8 +380,8 @@ def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
             raise ValueError(f"transition matrix of source id {s} has shape "
                              f"{entries.shape}, expected {c} x {c}")
         sel = source_ids == s
-        cols[:, sel] = entries[:, labels[sel]]
-    return cols
+        rows[sel] = entries.T[labels[sel]]
+    return rows
 
 
 def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale,
@@ -388,8 +390,9 @@ def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale,
     omega_i = scale * f'(ut_i) * (C_i * u_i - ut_i * u_i), ut_i = C_i . u_i,
     with sample i in column i.
 
-    u is the (c, m) softmax output and cols the matching columns of
-    transition_columns; scale = 1/m gives the mean-loss weighting.
+    u is the (c, m) softmax output and cols the matching (c, m) columns,
+    the transposed rows of transition_columns; scale = 1/m gives the
+    mean-loss weighting.
     loss_derivative clamps ut to [PROB_FLOOR, 1] before evaluating f', so
     early-training underflow cannot produce non-finite weights. buf holds
     m samples, must not hold u or cols, and receives omega.
@@ -493,9 +496,8 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
     labels = check_labels(labels, c, "labels")
     if config.strategy != "vanilla" and matrices is None:
         raise ValueError(f"strategy {config.strategy!r} needs per-source transition matrices")
-    # the (c, n) columns are freed before Minibatches allocates its buffers
-    col_rows = np.ascontiguousarray(transition_columns(
-        labels, source_ids, c, None if config.strategy == "vanilla" else matrices).T)
+    col_rows = transition_columns(labels, source_ids, c,
+                                  None if config.strategy == "vanilla" else matrices)
     minibatches = Minibatches(features, col_rows, config.batch_size, config.hidden)
 
     rng = np.random.default_rng(config.seed)

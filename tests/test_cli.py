@@ -78,9 +78,14 @@ def test_gen_template_rejects_bad_eta(capsys):
     ("[train] extra words\nepochs = 7\n",
      "exp.ini, line 1: '[train] extra words' is not a [section] header or a key = value line"),
     ("[train]\nlearning_rat = 5.0\n", "exp.ini, line 2: unknown key 'learning_rat'"),
+    # int(round(inf)) would end the run with an OverflowError traceback and exit 1
+    ("[sources]\nweak = mixed:inf\n",
+     "[sources] weak: weak kind mixed: multiplier must be finite and > 0, got inf"),
+    ("[run]\ncombos = proposed@tru:cce\n",
+     "exp.ini, line 2: [run] combos token 'proposed@tru:cce': unknown strategy 'proposed@tru'"),
 ], ids=["dataset", "train", "missing_file", "repeated_key", "key_before_header",
         "line_without_equals", "not_utf8", "colon", "continuation", "continuation_after_blank",
-        "text_after_header", "unknown_key"])
+        "text_after_header", "unknown_key", "infinite_multiplier", "true_suffix"])
 def test_run_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     cfg = tmp_path / "exp.ini"
     if text is not None:
@@ -351,6 +356,17 @@ def test_run_command_writes_report(tmp_path, capsys):
     text = (out / "report.csv").read_text()
     assert text.splitlines()[0].startswith("strategy,loss,eta")
     assert "proposed,cce,0.2" in text
+
+
+def test_run_table_lines_up_the_longest_strategy_token(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(RUN_CONFIG.replace("epochs = 3", "epochs = 1")
+                   .replace("combos = vanilla:cce proposed:cce",
+                            "combos = vanilla:cce proposed@true:cce forward:cce"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    assert [row.split()[0] for row in rows] == ["baseline", "vanilla", "proposed@true", "forward"]
+    assert len({row.index(" eta=") for row in rows}) == 1, rows
 
 
 def test_run_records_a_diverged_baseline_and_goes_on(tmp_path, capsys):

@@ -86,9 +86,8 @@ def test_run_experiment_report_shape():
 def test_run_experiment_identity_weak_source_reduction():
     # with a perfectly clean weak source and the true (identity) matrices,
     # both corrected objectives coincide with the vanilla one, epoch by epoch
-    combos = [(s, "cce") for s in ("vanilla", "proposed", "forward")]
-    cfg = tiny_config(etas=[0.0], estimated_vs_true_matrices=True, seeds=[0, 1],
-                      combinations=combos)
+    combos = [(s, "cce") for s in ("vanilla", "proposed@true", "forward@true")]
+    cfg = tiny_config(etas=[0.0], seeds=[0, 1], combinations=combos)
     report = run_experiment(cfg)
     for seed in cfg.seeds:
         van, prop, fwd = (cell.curve for cell in report.cells
@@ -96,20 +95,84 @@ def test_run_experiment_identity_weak_source_reduction():
         assert van and van == prop == fwd
 
 
-@pytest.mark.parametrize("true_matrices", [False, True], ids=["estimated", "true"])
-def test_run_experiment_goes_on_past_a_diverged_baseline(monkeypatch, true_matrices):
+@pytest.mark.parametrize("matrices", ["", "@true"], ids=["estimated", "true"])
+def test_run_experiment_goes_on_past_a_diverged_baseline(monkeypatch, matrices):
     def diverge(*args, **kwargs):
         raise TrainingDiverged("non-finite parameters after epoch 1")
     monkeypatch.setattr(harness, "train_baseline", diverge)
-    combos = [(s, "cce") for s in ("vanilla", "proposed", "forward")]
-    report = run_experiment(tiny_config(seeds=[0], combinations=combos,
-                                        estimated_vs_true_matrices=true_matrices))
+    trained, fit = [], harness.train
+
+    def train(*args, **kwargs):  # records the TrainConfig strategy of each model
+        trained.append(args[4].strategy)
+        return fit(*args, **kwargs)
+    monkeypatch.setattr(harness, "train", train)
+    combos = [(s, "cce") for s in ("vanilla", "proposed" + matrices, "forward" + matrices)]
+    report = run_experiment(tiny_config(seeds=[0], combinations=combos))
     failed = {cell.strategy: cell.failed for cell in report.cells}
     # without a baseline there is no T-hat, so only the true matrices can correct
+    corrected_fails = not matrices
     assert failed == {"baseline": True, "vanilla": False,
-                      "proposed": not true_matrices, "forward": not true_matrices}
-    assert report.baselines == {}
-    assert bool(report.estimates) is bool(report.errors) is true_matrices
+                      "proposed" + matrices: corrected_fails,
+                      "forward" + matrices: corrected_fails}
+    # the TrainConfig strategy of an @true model has no suffix; the T-hat
+    # models never reach train
+    assert trained == (["vanilla"] if corrected_fails else ["vanilla", "proposed", "forward"])
+    assert report.baselines == {} and report.estimates == {} and report.errors == []
+
+
+def test_every_combo_strategy_names_its_matrices():
+    # _strategy_matrices is the one table of a token's matrices: each token
+    # has an entry, and each entry is a token
+    c, src = 3, np.array([0, 1, 1, 2])
+    estimated = {1: np.eye(c), 2: np.eye(c), "single": np.eye(c)}
+    true = {1: np.full((c, c), 1 / c), 2: np.full((c, c), 1 / c), "single": np.eye(c)}
+    table = harness._strategy_matrices(estimated, true, src, c)
+    assert sorted(table) == sorted(harness.COMBO_STRATEGIES)
+    assert table["vanilla"] is None
+    assert table["proposed"][1] is estimated[1] and table["proposed@true"][1] is true[1]
+    assert table["forward@true"] == {s: true["single"] for s in (0, 1, 2)}
+    assert sorted(harness._strategy_matrices({}, true, src, c)) == [
+        "forward@true", "proposed@true", "vanilla"]
+
+
+def test_true_tokens_leave_the_estimates_as_they_are(tmp_path):
+    # an @true model trains beside the T-hat models and writes no matrix:
+    # estimates.csv and the T_hat files hold the estimate, byte for byte
+    combos = [("vanilla", "cce"), ("proposed", "cce")]
+    for name, extra in (("plain", []), ("true", [("proposed@true", "cce"),
+                                                 ("forward@true", "cce")])):
+        report = run_experiment(tiny_config(combinations=combos + extra))
+        write_run_dir(report, tmp_path / name)
+    plain, true = tmp_path / "plain", tmp_path / "true"
+    files = sorted(p.relative_to(plain) for p in plain.rglob("*")
+                   if p.name == "estimates.csv" or p.name.startswith("T_hat_"))
+    assert len(files) == 1 + 2 * 2  # estimates.csv, and 2 seeds x (source 1, single)
+    assert files == sorted(p.relative_to(true) for p in true.rglob("*")
+                           if p.name == "estimates.csv" or p.name.startswith("T_hat_"))
+    for name in files:
+        assert (plain / name).read_bytes() == (true / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("strategy", ["vanilla@true", "proposed@tru", "proposed@true@true"])
+def test_only_a_correction_takes_the_true_suffix(tmp_path, strategy):
+    # vanilla takes no matrices, and no other suffix exists
+    message = (f"[run] combos token '{strategy}:cce': unknown strategy '{strategy}', expected "
+               f"one of vanilla, forward, proposed, forward@true, proposed@true")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tiny_config(combinations=[(strategy, "cce")])
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[run]\nseeds = 0\ncombos = vanilla:cce {strategy}:cce\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 3: {message}')}$"):
+        load_config(path)
+
+
+def test_the_removed_true_matrices_key_is_refused(tmp_path):
+    # the true matrices are a combos token now, so the run-wide switch is gone
+    path = tmp_path / "exp.ini"
+    path.write_text("[run]\nseeds = 0\nestimated_vs_true_matrices = false\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 3: unknown key "
+                                         f"'estimated_vs_true_matrices' in section \\[run\\]"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("diverges", [False, True], ids=["trained", "diverged"])
@@ -250,15 +313,6 @@ def test_estimates_csv_equals_a_recomputation_from_the_saved_matrices(tmp_path):
     assert (tmp_path / "estimates.csv").read_text().splitlines() == expected
 
 
-def test_estimates_csv_is_zero_under_the_true_matrices(tmp_path):
-    cfg = tiny_config(estimated_vs_true_matrices=True)
-    write_run_dir(run_experiment(cfg), tmp_path)
-    rows = (tmp_path / "estimates.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[:3] for row in rows] == [
-        ["0", "0.2", "1"], ["0", "0.2", "single"], ["1", "0.2", "1"], ["1", "0.2", "single"]]
-    assert all(row.split(",")[3:] == ["0", "0"] for row in rows)
-
-
 def _all_rows(path):
     """The rows of an emitted report.csv as dicts by column: the `all` rows
     keyed by (strategy, eta), and every row."""
@@ -332,7 +386,6 @@ seeds = 0 1
 combos = vanilla:cce proposed:gce
 use_clean_in_training = true
 baseline_epoch_cap = 2
-estimated_vs_true_matrices = false
 smoothing = 0.25
 """
 
@@ -422,6 +475,18 @@ def test_load_config_rejects_source_weight(tmp_path):
      r"weak kind uniform with multiplier -1: .* = -500 instances"),
     ("[sources]\nweak = uniform:0.0001\n",
      r"weak kind uniform with multiplier 0.0001: round\(0.0001 x clean_count 500\) = 0 "),
+    ("[sources]\nweak = mixed:inf\n",
+     r"^\[sources\] weak: weak kind mixed: multiplier must be finite and > 0, got inf$"),
+    ("[sources]\nweak = mixed:1e400\n",
+     r"^\[sources\] weak: weak kind mixed: multiplier must be finite and > 0, got inf$"),
+    ("[sources]\nweak = uniform:3 mixed:nan\n",
+     r"^\[sources\] weak: weak kind mixed: multiplier must be finite and > 0, got nan$"),
+    ("[loss]\nalpha = nan\n", r"^\[loss\] alpha must be finite and > 0, got nan$"),
+    ("[loss]\nalpha = 0\n", r"^\[loss\] alpha must be finite and > 0, got 0.0$"),
+    ("[loss]\nbeta = inf\n", r"^\[loss\] beta must be finite and > 0, got inf$"),
+    ("[loss]\nA = nan\n", r"^\[loss\] A must be finite and < 0, got nan$"),
+    ("[loss]\nA = -inf\n", r"^\[loss\] A must be finite and < 0, got -inf$"),
+    ("[loss]\nq = nan\n", r"^\[loss\] q must lie in \(0, 1\], got nan$"),
     ("[train]\nlearning_rate = -1\n", r"\[train\] learning_rate must be finite and > 0, got -1"),
     ("[train]\nlearning_rate = nan\n", r"\[train\] learning_rate must be finite and > 0, got nan"),
     ("[train]\nmomentum = 1\n", r"\[train\] momentum must lie in \[0, 1\), got 1"),
@@ -453,6 +518,8 @@ def test_load_config_rejects_source_weight(tmp_path):
         "combos_no_family", "combos_family", "dead_seed", "dead_strategy", "int_value",
         "bool_value", "float_list_value", "weak_multiplier", "negative_hidden", "eta_range",
         "ten_class_kind", "zero_multiplier", "negative_multiplier", "multiplier_rounds_to_0",
+        "infinite_multiplier", "overflowing_multiplier", "nan_multiplier", "nan_alpha",
+        "zero_alpha", "infinite_beta", "nan_A", "minus_infinite_A", "nan_q",
         "negative_learning_rate", "nan_learning_rate", "momentum_of_1", "nan_weight_decay",
         "nan_eta", "empty_etas", "empty_weak", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
         "removed_scale", "nan_spread", "dim_of_1", "repeated_seed", "repeated_eta",

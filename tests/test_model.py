@@ -196,7 +196,7 @@ def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
     x = rng.standard_normal((m, d))
     labels = rng.integers(c, size=m)
     src = rng.integers(sources, size=m)
-    cols = transition_columns(labels, src, c, None if strategy == "vanilla" else mats)
+    cols = transition_columns(labels, src, c, None if strategy == "vanilla" else mats).T
     buf = BatchBuffers(m, c, hidden)
     xb = class_major(x)
     for spec in SPECS:
@@ -319,23 +319,34 @@ def plain_train(features, labels, source_ids, c, config, matrices):
 @pytest.mark.parametrize("hidden", [0, 32])
 def test_train_equals_the_plain_formulas(rng, hidden, spec):
     # pins the output bits of train to the formulas at the shapes run here:
-    # 301 rows (nine batches of 32 and one of 13), d 2 with c 3, and d 4
-    # with c 10. A kernel rewrite (other products, reductions, gathers or
-    # update order) that moves a bit at these shapes fails here, which a
-    # reference built on the kernels cannot show. Sums over 3 classes round
-    # alike in any order that adds left to right, so 10 classes pin the
-    # class sums too. It does not pin train at other shapes: at d 16 and
-    # c 10 the two differ in the last bits for, among others, 20, 258 to
-    # 260, 265, 276, 284 and 500 rows (the size of the shipped baselines)
+    # 301 rows (nine batches of 32 and one of 13) at d 2 with c 3, d 4 with
+    # c 10 and d 16 with c 10, and 5000 rows (156 batches of 32 and one of
+    # 8) at d 16 with c 10, the size of the sweep's models. A kernel
+    # rewrite (other products, reductions, gathers or update order) that
+    # moves a bit at these shapes fails here, which a reference built on
+    # the kernels cannot show. Sums over 3 classes round alike in any order
+    # that adds left to right, so 10 classes pin the class sums too. On the
+    # default OpenBLAS kernel of an AVX-512 Xeon the two differ in the last
+    # bits exactly when the last batch holds m > 1 rows with m mod 8 in
+    # {1, 2, 3, 4} (a product rounds its last m mod 8 columns apart, see
+    # predict_batch): so the 500 rows of the shipped baselines, whose last
+    # batch holds 20, are checked to 1e-15 (1.1e-16 measured). Under
+    # OPENBLAS_CORETYPE=Haswell all three sizes came out bit for bit
     feats, labels = _toy_training_data(rng, n=301)
     cfg = TrainConfig(epochs=2, hidden=hidden, seed=6, strategy="proposed", loss=spec)
     assert len(labels) % cfg.batch_size != 0
-    for c, x, y in [(3, feats, labels),
-                    (10, rng.standard_normal((301, 4)), rng.integers(10, size=301))]:
-        src = rng.integers(3, size=301)
+    cases = [(3, feats, labels), (10, rng.standard_normal((301, 4)), rng.integers(10, size=301))]
+    cases += [(10, rng.standard_normal((n, 16)), rng.integers(10, size=n)) for n in (301, 5000)]
+    for c, x, y in cases:
+        src = rng.integers(3, size=len(y))
         mats = {s: random_row_stochastic(rng, c) for s in range(3)}
         trained = train(x, y, src, c, cfg, matrices=mats)
-        assert np.array_equal(trained.flat, plain_train(x, y, src, c, cfg, mats)), c
+        assert np.array_equal(trained.flat, plain_train(x, y, src, c, cfg, mats)), x.shape
+    x, y = rng.standard_normal((500, 16)), rng.integers(10, size=500)
+    src = rng.integers(3, size=500)
+    mats = {s: random_row_stochastic(rng, 10) for s in range(3)}
+    np.testing.assert_allclose(train(x, y, src, 10, cfg, matrices=mats).flat,
+                               plain_train(x, y, src, 10, cfg, mats), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("hidden", [0, 32])

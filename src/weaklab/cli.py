@@ -113,15 +113,17 @@ def _same_file(a, b) -> bool:
 
 
 def _cmd_corrupt(args) -> int:
+    # (flag, path, what the file holds): the two inputs, then the outputs in
+    # the order written; an output may be none of the files before it, and
     # any other existing file is overwritten
-    paths = {"--load-dataset": args.load_dataset, "--emit-dataset": args.emit_dataset,
-             "--emit-test": args.emit_test}
-    for flag, other in (("--emit-dataset", "--load-dataset"), ("--emit-test", "--load-dataset"),
-                        ("--emit-test", "--emit-dataset")):
-        if paths[flag] is not None and _same_file(paths[other], paths[flag]):
-            lost = "the input" if other == "--load-dataset" else "the corrupted dataset"
-            raise ValueError(f"{flag} {paths[flag]} is the {other} file {paths[other]}; writing "
-                             f"it would replace {lost}")
+    files = [("--load-dataset", args.load_dataset, "the input"), ("--spec", args.spec, "the spec"),
+             ("--emit-dataset", args.emit_dataset, "the corrupted dataset"),
+             ("--emit-test", args.emit_test, "the test split")]
+    for i, (flag, path, _) in enumerate(files[2:], start=2):
+        for other, earlier, lost in files[:i]:
+            if path is not None and _same_file(earlier, path):
+                raise ValueError(f"{flag} {path} is the {other} file {earlier}; writing it would "
+                                 f"replace {lost}")
     clean_count, weak = _parse_corrupt_spec(args.spec)
     ms_in = datagen.load_dataset(args.load_dataset)
     clean = datagen.as_clean_dataset(ms_in)  # input labels are trusted as true

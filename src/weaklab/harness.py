@@ -29,7 +29,7 @@ from .datagen import (Dataset, as_clean_dataset, build_multisource, check_blobs,
 from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single, train_baseline
 from .labelspace import (TemplateKind, TransitionMatrix, check_utf8, identity_matrix,
                          satisfies_diagonal_dominance, save_matrix)
-from .losses import LossSpec
+from .losses import FAMILIES, LossSpec
 from .model import (STRATEGIES, ModelParameters, TrainConfig, TrainingDiverged, predict_batch,
                     save_params, train)
 
@@ -85,7 +85,8 @@ class ExperimentConfig:
             raise ValueError("[run] combos: need at least one (strategy, loss) combination")
         for strategy, family in self.combinations:
             try:
-                model_config(self.train, strategy, family, self.seeds[0])
+                strategy_token(strategy)
+                loss_family(family)
             except ValueError as err:
                 raise ValueError(f"[run] combos token '{strategy}:{family}': {err}") from None
         # the sweep sets each model's seed and strategy, so a value here would be lost
@@ -204,21 +205,12 @@ class RunReport:
         raise KeyError(f"no row for ({strategy}, {loss_family}, eta={eta})")
 
 
-# the tokens of a combination's strategy, `strategy[@true]`: a model.STRATEGIES
-# name, or a correction suffixed @true, which takes the true matrices of its
-# (seed, eta) in place of T-hat (vanilla takes no matrices)
+# the tokens of a combination's strategy, `strategy[@true]`, that
+# strategy_token accepts: a model.STRATEGIES name, or a correction suffixed
+# @true, which takes the true matrices of its (seed, eta) in place of T-hat
+# (vanilla takes no matrices)
 TRUE_SUFFIX = "@true"
 COMBO_STRATEGIES = (*STRATEGIES, *(s + TRUE_SUFFIX for s in STRATEGIES if s != "vanilla"))
-
-
-def strategy_token(token: str) -> str:
-    """Parser of a combination's strategy token: a suffix other than a
-    correction's @true raises ValueError naming the token; TrainConfig
-    checks the name without a suffix."""
-    if "@" in token and token not in COMBO_STRATEGIES:
-        raise ValueError(f"unknown strategy {token!r}, expected one of "
-                         f"{', '.join(COMBO_STRATEGIES)}")
-    return token
 
 
 def model_config(train: TrainConfig, strategy: str, family: str, seed: int) -> TrainConfig:
@@ -459,6 +451,9 @@ def choice(what: str, names, convert=str):
 
 
 template_kind = choice("template kind", [k.value for k in TemplateKind], TemplateKind)
+# the two names of a [run] combos token, checked by the reader and by ExperimentConfig
+strategy_token = choice("strategy", COMBO_STRATEGIES)
+loss_family = choice("loss family", FAMILIES)
 
 
 def tokens(fields: dict, defaults: tuple = ()):
@@ -499,7 +494,7 @@ CONFIG_SCHEMA = {
     "train": _fields(TrainConfig, "epochs", "batch_size", "learning_rate", "momentum",
                      "weight_decay", "hidden"),
     "run": _fields(ExperimentConfig, "seeds", "use_clean_in_training", "baseline_epoch_cap",
-                   "smoothing", combos=tokens({"strategy": strategy_token, "family": str})),
+                   "smoothing", combos=tokens({"strategy": strategy_token, "family": loss_family})),
 }
 
 

@@ -83,9 +83,16 @@ def test_gen_template_rejects_bad_eta(capsys):
      "[sources] weak: weak kind mixed: multiplier must be finite and > 0, got inf"),
     ("[run]\ncombos = proposed@tru:cce\n",
      "exp.ini, line 2: [run] combos token 'proposed@tru:cce': unknown strategy 'proposed@tru'"),
+    ("[run]\ncombos = propsed:cce\n",
+     "exp.ini, line 2: [run] combos token 'propsed:cce': unknown strategy 'propsed', expected "
+     "one of vanilla, forward, proposed, forward@true, proposed@true\n"),
+    ("[run]\ncombos = proposed:xce\n",
+     "exp.ini, line 2: [run] combos token 'proposed:xce': unknown loss family 'xce', expected "
+     "one of cce, mae, gce, sl\n"),
 ], ids=["dataset", "train", "missing_file", "repeated_key", "key_before_header",
         "line_without_equals", "not_utf8", "colon", "continuation", "continuation_after_blank",
-        "text_after_header", "unknown_key", "infinite_multiplier", "true_suffix"])
+        "text_after_header", "unknown_key", "infinite_multiplier", "true_suffix",
+        "unknown_strategy", "unknown_family"])
 def test_run_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     cfg = tmp_path / "exp.ini"
     if text is not None:
@@ -241,23 +248,39 @@ def test_corrupt_round_trip(tmp_path, capsys):
     assert abs(np.mean(true != blk.labels) - 0.3) < 0.05
 
 
-@pytest.mark.parametrize("emit", ["clean.txt", "./clean.txt", "sub/../clean.txt", "link.txt"])
-def test_corrupt_refuses_to_overwrite_its_input(tmp_path, monkeypatch, capsys, emit):
+# a spec the reader would refuse, so a refusal that names another file
+# shows that it came before the spec was read
+UNREAD_SPEC = "[sources]\nclean_count = 0\n"
+
+
+@pytest.mark.parametrize("emit, other", [
+    ("clean.txt", "--load-dataset file clean.txt; writing it would replace the input"),
+    ("./clean.txt", "--load-dataset file clean.txt; writing it would replace the input"),
+    ("sub/../clean.txt", "--load-dataset file clean.txt; writing it would replace the input"),
+    ("link.txt", "--load-dataset file clean.txt; writing it would replace the input"),
+    ("spec.ini", "--spec file spec.ini; writing it would replace the spec"),
+    ("./spec.ini", "--spec file spec.ini; writing it would replace the spec"),
+    ("spec_link.ini", "--spec file spec.ini; writing it would replace the spec"),
+], ids=["clean.txt", "./clean.txt", "sub/../clean.txt", "link.txt", "spec.ini", "./spec.ini",
+        "spec_link.ini"])
+def test_corrupt_refuses_to_overwrite_its_input(tmp_path, monkeypatch, capsys, emit, other):
     blobs = generate_blobs(5, 2, 4, 0.3, np.random.default_rng(0))
     monkeypatch.chdir(tmp_path)
     save_dataset("clean.txt", MultisourceDataset([SourceBlock(0, blobs.features, blobs.labels)],
                                                  5, 2))
+    (tmp_path / "spec.ini").write_text(UNREAD_SPEC)
     (tmp_path / "sub").mkdir()
     (tmp_path / "link.txt").symlink_to(tmp_path / "clean.txt")
-    before = (tmp_path / "clean.txt").read_bytes()
-    # the spec does not exist: the refusal comes before it is read
-    assert main(["corrupt", "--load-dataset", "clean.txt", "--spec", "missing.ini",
+    (tmp_path / "spec_link.ini").symlink_to(tmp_path / "spec.ini")
+    before = {name: (tmp_path / name).read_bytes() for name in ("clean.txt", "spec.ini")}
+    assert main(["corrupt", "--load-dataset", "clean.txt", "--spec", "spec.ini",
                  "--emit-dataset", emit]) == 2
     captured = capsys.readouterr()
-    assert captured.err == (f"weaklab corrupt: --emit-dataset {emit} is the --load-dataset "
-                            f"file clean.txt; writing it would replace the input\n")
+    assert captured.err == f"weaklab corrupt: --emit-dataset {emit} is the {other}\n"
     assert captured.out == ""
-    assert (tmp_path / "clean.txt").read_bytes() == before
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "clean.txt", "link.txt", "spec.ini", "spec_link.ini", "sub"]
 
 
 def test_corrupt_overwrites_another_existing_file(tmp_path, capsys):
@@ -311,25 +334,31 @@ def test_corrupt_emit_test_writes_the_rows_no_source_drew(tmp_path, capsys):
     ("clean.bin", "--load-dataset file clean.bin; writing it would replace the input"),
     ("./clean.bin", "--load-dataset file clean.bin; writing it would replace the input"),
     ("link.bin", "--load-dataset file clean.bin; writing it would replace the input"),
+    ("sources.ini", "--spec file sources.ini; writing it would replace the spec"),
+    ("./sources.ini", "--spec file sources.ini; writing it would replace the spec"),
+    ("spec_link.ini", "--spec file sources.ini; writing it would replace the spec"),
     # weak.bin does not exist yet: the paths are compared
     ("weak.bin", "--emit-dataset file weak.bin; writing it would replace the corrupted dataset"),
     ("sub/../weak.bin", "--emit-dataset file weak.bin; writing it would replace the corrupted "
                         "dataset"),
-], ids=["input", "input_dot", "input_link", "output", "output_dotdot"])
+], ids=["input", "input_dot", "input_link", "spec", "spec_dot", "spec_link", "output",
+        "output_dotdot"])
 def test_corrupt_refuses_an_emit_test_that_is_its_input_or_output(tmp_path, monkeypatch, capsys,
                                                                   emit_test, other):
     monkeypatch.chdir(tmp_path)
-    corrupt_input(tmp_path)
+    corrupt_input(tmp_path)[2].write_text(UNREAD_SPEC)
     (tmp_path / "sub").mkdir()
     (tmp_path / "link.bin").symlink_to(tmp_path / "clean.bin")
-    before = (tmp_path / "clean.bin").read_bytes()
-    # the spec does not exist: the refusal comes before it is read
-    assert main(["corrupt", "--load-dataset", "clean.bin", "--spec", "missing.ini",
+    (tmp_path / "spec_link.ini").symlink_to(tmp_path / "sources.ini")
+    before = {name: (tmp_path / name).read_bytes() for name in ("clean.bin", "sources.ini")}
+    assert main(["corrupt", "--load-dataset", "clean.bin", "--spec", "sources.ini",
                  "--emit-dataset", "weak.bin", "--emit-test", emit_test]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"weaklab corrupt: --emit-test {emit_test} is the {other}\n"
-    assert captured.out == "" and not (tmp_path / "weak.bin").exists()
-    assert (tmp_path / "clean.bin").read_bytes() == before
+    assert captured.out == ""
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "clean.bin", "link.bin", "sources.ini", "spec_link.ini", "sub"]
 
 
 def test_corrupt_twice_writes_the_same_bytes(tmp_path, capsys):

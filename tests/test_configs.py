@@ -16,10 +16,13 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import weaklab
+from conftest import LEGACY_TEXT
 from weaklab.cli import _parse_corrupt_spec
+from weaklab.datagen import load_dataset
 from weaklab.harness import load_config, run_experiment, write_run_dir
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,7 +32,8 @@ RUN_CONFIGS = [p for p in CONFIGS if p.name != CORRUPT_SPEC]
 GOLDEN = ROOT / "tests" / "golden" / "digests.txt"
 MODULES = {m.name: importlib.import_module(f"weaklab.{m.name}")
            for m in pkgutil.iter_modules(weaklab.__path__)}
-README_NAMES = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+README = (ROOT / "README.md").read_text()
+README_NAMES = re.findall(r"`([^`\n]+)`", README)
 
 
 def test_configs_are_shipped():
@@ -37,8 +41,8 @@ def test_configs_are_shipped():
             "strategy_comparison.ini", "three_source_comparison.ini",
             "clean_source_ablation_with_clean.ini",
             "clean_source_ablation_without_clean.ini", "estimation_accuracy_full.ini",
-            "estimation_accuracy_cap3.ini", "estimation_accuracy_cap2.ini"} <= {
-        p.name for p in CONFIGS}
+            "estimation_accuracy_cap3.ini", "estimation_accuracy_cap2.ini",
+            "estimation_cost.ini"} <= {p.name for p in CONFIGS}
 
 
 def test_corrupt_spec_loads():
@@ -112,6 +116,24 @@ def test_readme_camel_case_names_resolve():
     missing = sorted(name for name in camel if not hasattr(builtins, name)
                      and not any(hasattr(module, name) for module in MODULES.values()))
     assert not missing, f"README cites names that are no weaklab attribute or builtin: {missing}"
+
+
+def test_readme_dataset_conversion_runs(tmp_path, monkeypatch):
+    # the README's snippet is the documented way to bring in a text table
+    snippet, = [block for block in re.findall(r"```python\n(.*?)```", README, re.S)
+                if "np.loadtxt" in block]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dataset.txt").write_bytes(LEGACY_TEXT)
+    exec(snippet, {})
+    ms = load_dataset(tmp_path / "dataset.bin")
+    # LEGACY_TEXT's rows: source id, label, features; -0.0 keeps its sign bit
+    want = {0: ([0, 2], [[0.5, -1.25], [1e-05, 3.0]]), 1: ([1, 0], [[-0.0, 2.5], [7.0, 8.0]])}
+    assert (ms.c, ms.d) == (3, 2) and [b.source_id for b in ms.sources] == list(want)
+    for block in ms.sources:
+        labels, features = want[block.source_id]
+        assert block.labels.tolist() == labels
+        assert block.features.tobytes() == np.array(features).tobytes()
+        assert block.origin.tolist() == [-1, -1]
 
 
 if __name__ == "__main__":

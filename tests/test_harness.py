@@ -153,15 +153,24 @@ def test_true_tokens_leave_the_estimates_as_they_are(tmp_path):
         assert (plain / name).read_bytes() == (true / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("strategy", ["vanilla@true", "proposed@tru", "proposed@true@true"])
-def test_only_a_correction_takes_the_true_suffix(tmp_path, strategy):
+STRATEGY_NAMES = "expected one of vanilla, forward, proposed, forward@true, proposed@true"
+
+
+@pytest.mark.parametrize("strategy, family, message", [
+    ("propsed", "cce", f"unknown strategy 'propsed', {STRATEGY_NAMES}"),
+    ("proposed", "xce", "unknown loss family 'xce', expected one of cce, mae, gce, sl"),
     # vanilla takes no matrices, and no other suffix exists
-    message = (f"[run] combos token '{strategy}:cce': unknown strategy '{strategy}', expected "
-               f"one of vanilla, forward, proposed, forward@true, proposed@true")
+    ("vanilla@true", "cce", f"unknown strategy 'vanilla@true', {STRATEGY_NAMES}"),
+    ("proposed@tru", "cce", f"unknown strategy 'proposed@tru', {STRATEGY_NAMES}"),
+    ("proposed@true@true", "cce", f"unknown strategy 'proposed@true@true', {STRATEGY_NAMES}"),
+], ids=["propsed", "xce", "vanilla@true", "proposed@tru", "proposed@true@true"])
+def test_a_bad_combos_name_gets_one_message(tmp_path, strategy, family, message):
+    # a Python-built config and a file give the same text; the file's names its line
+    message = f"[run] combos token '{strategy}:{family}': {message}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        tiny_config(combinations=[(strategy, "cce")])
+        tiny_config(combinations=[(strategy, family)])
     path = tmp_path / "exp.ini"
-    path.write_text(f"[run]\nseeds = 0\ncombos = vanilla:cce {strategy}:cce\n")
+    path.write_text(f"[run]\nseeds = 0\ncombos = vanilla:cce {strategy}:{family}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 3: {message}')}$"):
         load_config(path)
 
@@ -638,8 +647,9 @@ def test_model_config_names_are_checked_by_their_owners():
     train = TrainConfig(epochs=4, hidden=0)
     tconf = model_config(train, "proposed", "gce", 7)
     assert (tconf.strategy, tconf.loss.family, tconf.seed, tconf.epochs) == ("proposed", "gce", 7, 4)
-    with pytest.raises(ValueError, match=r"^unknown strategy 'propsed', expected one of vanilla, "
-                                         r"forward, proposed$"):
+    assert model_config(train, "proposed@true", "cce", 7).strategy == "proposed"
+    # strategy_token checks the strategy token, and LossSpec the family
+    with pytest.raises(ValueError, match=f"^unknown strategy 'propsed', {STRATEGY_NAMES}$"):
         model_config(train, "propsed", "cce", 0)
     with pytest.raises(ValueError, match=r"^unknown loss family 'xce', expected one of cce, mae, "
                                          r"gce, sl$"):

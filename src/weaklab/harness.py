@@ -3,7 +3,8 @@
 An experiment sweeps (strategy, loss) combinations over error rates and
 seeds on a synthetic multisource dataset. Per seed: generate the data,
 train a baseline on the clean source, estimate per-source transition
-matrices (T-hat) with it, and train one model per combination. A
+matrices (T-hat) with it as trained, after its last epoch, and train
+one model per combination; no test label reaches a trained model. A
 combination's strategy token suffixed @true corrects with the true
 matrices of its (seed, eta) instead of T-hat, which tells what the
 estimate costs. Every model, the baseline too, takes one path that
@@ -94,8 +95,9 @@ class ExperimentConfig:
             value = getattr(self.train, name)
             if value != getattr(TrainConfig, name):
                 raise ValueError(f"[train] {name} is set per model from {key}, got {value!r}")
-        # a repeated value would train the same models twice; etas compare as printed
-        axes = {"[run] seeds": self.seeds, "[sources] etas": [f"{eta:g}" for eta in self.etas],
+        # a repeated value would train the same models twice; etas compare as printed, -0 as 0
+        axes = {"[run] seeds": self.seeds,
+                "[sources] etas": [f"{eta + 0.0:g}" for eta in self.etas],
                 "[run] combos": [f"{s}:{f}" for s, f in self.combinations]}
         for key, names in axes.items():
             twice = [name for i, name in enumerate(names) if name in names[:i]]
@@ -196,7 +198,7 @@ class RunReport:
     cells: list        # every trained model's Cell, in training order
     errors: list       # (seed, eta, source_id or "single", mean_row_l1, max_abs_error)
     estimates: dict    # (seed, eta) -> {source_id or "single": TransitionMatrix}
-    baselines: dict    # seed -> best-epoch ModelParameters
+    baselines: dict    # seed -> the baseline's ModelParameters after its last epoch
 
     def row(self, strategy: str, loss_family: str, eta=None) -> ReportRow:
         for r in self.rows:
@@ -230,21 +232,18 @@ def overall_accuracy(params: ModelParameters, test: Dataset) -> float:
 
 def _train_cell(key: tuple, test: Dataset, fit, *args, **kwargs):
     """Train one model of a sweep by fit(*args, **kwargs) and return its Cell,
-    keyed by key = (strategy, loss family, eta, seed), with the parameters of
-    its best_epoch; a model whose training diverges is a failed Cell, with None."""
+    keyed by key = (strategy, loss family, eta, seed), with what fit returns, the
+    parameters after its last epoch; a model that diverges is a failed Cell, with None."""
     cell = Cell(*key, [])
-    best = {}
 
     def callback(epoch, params):
         cell.curve.append((epoch, overall_accuracy(params, test)))
-        if cell.best_epoch == epoch:
-            best["params"] = params.copy()
 
     try:
-        fit(*args, epoch_callback=callback, **kwargs)
+        params = fit(*args, epoch_callback=callback, **kwargs)
     except TrainingDiverged:
         return Cell(*key, []), None
-    return cell, best["params"]
+    return cell, params
 
 
 def _strategy_matrices(estimated: dict, true: dict, src: np.ndarray, c: int) -> dict:

@@ -258,6 +258,9 @@ def test_criterion_8_estimation_fidelity():
                    f"baseline OA {degraded_oa:.4f} (~0.65), column argmaxes preserved {argmax_ok}")
 
 
+ETAS = (0.1, 0.2, 0.3, 0.4, 0.5)  # the sweep's error rates
+
+
 @pytest.fixture(scope="session")
 def sweep():
     """The shipped headline study, configs/single_source_sweep.ini: single
@@ -269,12 +272,9 @@ def sweep():
     return report, time.perf_counter() - start
 
 
-def test_criterion_9_error_rate_trend(sweep):
-    report, elapsed = sweep
-    baseline = report.row("baseline", "cce").mean_oa
-    van = {eta: report.row("vanilla", "cce", eta).mean_oa for eta in (0.1, 0.2, 0.3, 0.4, 0.5)}
-    prop = {eta: report.row("proposed", "cce", eta).mean_oa for eta in (0.1, 0.2, 0.3, 0.4, 0.5)}
-
+def _trend(baseline, van, prop):
+    """Criterion 9's checks (i)-(iii) on an accuracy of the baseline and of
+    vanilla and proposed by eta: (i_ok, ii_ok, iii_ok, prop_drop, van_drop)."""
     i_ok = van[0.1] > baseline and prop[0.1] > baseline
     ii_ok = (van[0.5] < baseline
              and abs(prop[0.5] - prop[0.1]) <= 0.03
@@ -285,6 +285,15 @@ def test_criterion_9_error_rate_trend(sweep):
     van_drop = van[0.1] - van[0.5]
     iii_ok = prop_drop <= 0.05 and (max(prop.values()) - min(prop.values())) <= 0.05 \
         and van_drop >= 0.15
+    return i_ok, ii_ok, iii_ok, prop_drop, van_drop
+
+
+def test_criterion_9_error_rate_trend(sweep):
+    report, elapsed = sweep
+    baseline = report.row("baseline", "cce").mean_oa
+    van = {eta: report.row("vanilla", "cce", eta).mean_oa for eta in ETAS}
+    prop = {eta: report.row("proposed", "cce", eta).mean_oa for eta in ETAS}
+    i_ok, ii_ok, iii_ok, prop_drop, van_drop = _trend(baseline, van, prop)
     time_ok = elapsed < 300.0
 
     ok = i_ok and ii_ok and iii_ok and time_ok
@@ -318,6 +327,38 @@ def test_criterion_10_strategy_orderings(sweep, ablation):
     ok = forward_ok and ablation_ok
     _result(10, ok, f"eta=0.5 ordering vanilla {van:.3f} < forward {fwd:.3f} < proposed "
                     f"{prop:.3f}: {forward_ok}; clean-source ablation {wo:.3f} < {w:.3f}: {ablation_ok}")
+
+
+def test_orderings_hold_on_final_epoch_accuracy(sweep, ablation):
+    # best_oa picks each model's epoch by its test accuracy, which flatters
+    # a model that peaks early and then memorises its noise (vanilla at eta
+    # 0.5 most); criteria 9-10's orderings must hold without that choice
+    report, _ = sweep
+    with_clean, without_clean = ablation
+
+    def final(run, strategy, family, eta=None):
+        """seed -> the row's test accuracy after the last epoch"""
+        return {cell.seed: cell.curve[-1][1] for cell in run.row(strategy, family, eta).per_seed}
+
+    baseline = final(report, "baseline", "cce")
+    van, fwd, prop = (final(report, s, "cce", 0.5) for s in ("vanilla", "forward", "proposed"))
+    w, wo = final(with_clean, "proposed", "gce", 0.3), final(without_clean, "proposed", "gce", 0.3)
+    for seed in baseline:
+        assert van[seed] < fwd[seed] < prop[seed] and prop[seed] > baseline[seed], (
+            f"seed {seed} at eta 0.5: vanilla {van[seed]:.3f} < forward {fwd[seed]:.3f} < "
+            f"proposed {prop[seed]:.3f}, proposed > baseline {baseline[seed]:.3f}")
+    for seed in w:
+        assert wo[seed] < w[seed], f"seed {seed}: ablation {wo[seed]:.3f} < {w[seed]:.3f}"
+
+    def mean(oas):
+        return float(np.mean(list(oas.values())))
+    van_mean = {eta: mean(final(report, "vanilla", "cce", eta)) for eta in ETAS}
+    prop_mean = {eta: mean(final(report, "proposed", "cce", eta)) for eta in ETAS}
+    i_ok, ii_ok, iii_ok, prop_drop, van_drop = _trend(mean(baseline), van_mean, prop_mean)
+    assert i_ok and ii_ok and iii_ok, (
+        f"criterion 9 on final-epoch means: (i) {i_ok} (ii) {ii_ok} (iii) {iii_ok}; baseline "
+        f"{mean(baseline):.3f}, vanilla {van_mean}, proposed {prop_mean}, drops prop "
+        f"{prop_drop * 100:.1f}pt van {van_drop * 100:.1f}pt")
 
 
 def test_criterion_11_byte_identical_reports(tmp_path):

@@ -89,10 +89,12 @@ def test_gen_template_rejects_bad_eta(capsys):
     ("[run]\ncombos = proposed:xce\n",
      "exp.ini, line 2: [run] combos token 'proposed:xce': unknown loss family 'xce', expected "
      "one of cce, mae, gce, sl\n"),
+    # -0 and 0 are one eta to the sweep, which would train its models twice
+    ("[sources]\netas = 0 -0\n", "weaklab run: [sources] etas: 0 given twice\n"),
 ], ids=["dataset", "train", "missing_file", "repeated_key", "key_before_header",
         "line_without_equals", "not_utf8", "colon", "continuation", "continuation_after_blank",
         "text_after_header", "unknown_key", "infinite_multiplier", "true_suffix",
-        "unknown_strategy", "unknown_family"])
+        "unknown_strategy", "unknown_family", "negative_zero_eta"])
 def test_run_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     cfg = tmp_path / "exp.ini"
     if text is not None:

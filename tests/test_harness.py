@@ -1,6 +1,7 @@
 import configparser
 import re
 import tempfile
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -185,7 +186,7 @@ def test_the_removed_true_matrices_key_is_refused(tmp_path):
 
 
 @pytest.mark.parametrize("diverges", [False, True], ids=["trained", "diverged"])
-def test_train_cell_keeps_the_parameters_of_its_best_epoch(monkeypatch, diverges):
+def test_train_cell_returns_what_fit_returns(monkeypatch, diverges):
     oas = iter([0.5, 0.75, 0.625, 0.75])
     monkeypatch.setattr(harness, "overall_accuracy", lambda params, test: next(oas))
 
@@ -204,7 +205,43 @@ def test_train_cell_keeps_the_parameters_of_its_best_epoch(monkeypatch, diverges
     else:
         assert cell == Cell("vanilla", "cce", 0.2, 3, [(1, 0.5), (2, 0.75), (3, 0.625),
                                                         (4, 0.75)])
-        assert params.tolist() == [2.0, 2.0]  # a copy of the first of the tied maxima
+        assert params.tolist() == [4.0, 4.0]  # the last epoch's, not the best epoch's
+
+
+def test_no_test_label_reaches_training(monkeypatch):
+    # the test split only scores models: permuting its labels moves the
+    # curves, but not one bit of a trained model or of T-hat
+    config = tiny_config(seeds=[0], combinations=[("proposed", "cce")],
+                         train=TrainConfig(epochs=20, batch_size=16, hidden=0,
+                                           learning_rate=0.1))
+    split, fit = harness.build_multisource, harness.train
+
+    def run(shuffle):
+        def build_multisource(*args):
+            ms, test = split(*args)
+            if shuffle:
+                labels = np.random.default_rng(1).permutation(test.labels)
+                test = replace(test, labels=labels)
+            return ms, test
+
+        trained = []
+
+        def train(*args, **kwargs):
+            params = fit(*args, **kwargs)
+            trained.append(params.flat.tobytes())
+            return params
+        monkeypatch.setattr(harness, "build_multisource", build_multisource)
+        monkeypatch.setattr(harness, "train", train)
+        report = run_experiment(config)
+        estimates = {key: {s: m.entries.tobytes() for s, m in mats.items()}
+                     for key, mats in report.estimates.items()}
+        baselines = {seed: p.flat.tobytes() for seed, p in report.baselines.items()}
+        return trained, estimates, baselines, [cell.curve for cell in report.cells]
+
+    plain, shuffled = run(False), run(True)
+    assert len(plain[0]) == 1 and set(plain[2]) == {0}
+    assert plain[:3] == shuffled[:3]
+    assert plain[3] != shuffled[3]  # the permuted labels did reach the scores
 
 
 def test_cell_best_epoch_is_the_first_of_tied_maxima():
@@ -514,6 +551,7 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[run]\nseeds = 0 1 0\n", r"^\[run\] seeds: 0 given twice"),
     ("[sources]\netas = 0.2 0.2\n", r"^\[sources\] etas: 0.2 given twice"),
     ("[sources]\netas = 0.2 0.3 0.2000001\n", r"^\[sources\] etas: 0.2 given twice"),
+    ("[sources]\netas = 0 -0\n", r"^\[sources\] etas: 0 given twice"),
     ("[run]\ncombos = vanilla:cce proposed:cce vanilla:cce\n",
      r"^\[run\] combos: vanilla:cce given twice"),
     ("[sources]\nclean_count = 0\n", r"^\[sources\] clean_count must be >= 1, got 0"),
@@ -532,8 +570,8 @@ def test_load_config_rejects_source_weight(tmp_path):
         "negative_learning_rate", "nan_learning_rate", "momentum_of_1", "nan_weight_decay",
         "nan_eta", "empty_etas", "empty_weak", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
         "removed_scale", "nan_spread", "dim_of_1", "repeated_seed", "repeated_eta",
-        "etas_printed_alike", "repeated_combo", "zero_clean_count", "negative_clean_count",
-        "negative_seed", "negative_baseline_epoch_cap", "empty_test_split"])
+        "etas_printed_alike", "negative_zero_eta", "repeated_combo", "zero_clean_count",
+        "negative_clean_count", "negative_seed", "negative_baseline_epoch_cap", "empty_test_split"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)

@@ -1,19 +1,19 @@
 """Experiment orchestration: sweeps, accuracy tracking and CSV reports.
 
-An experiment sweeps (strategy, loss) combinations over error rates and
-seeds on a synthetic multisource dataset. Per seed: generate the data,
-train a baseline on the clean source, estimate per-source transition
-matrices (T-hat) with it as trained, after its last epoch, and train
-one model per combination; no test label reaches a trained model. A
-combination's strategy token suffixed @true corrects with the true
-matrices of its (seed, eta) instead of T-hat, which tells what the
-estimate costs. Every model, the baseline too, takes one path that
-records its test accuracy each epoch in a Cell, failed if the model
-diverged or lacked the T-hat of a diverged baseline. A report row
-aggregates a combination's Cells to the mean and unbiased (n-1) std of
-their best accuracies across seeds, and counts the failed Cells it
-leaves out. Re-running a config reproduces the
-report files byte for byte.
+An experiment sweeps (strategy, loss) combinations over error rates and seeds
+on a synthetic multisource dataset. Per seed: generate the data and draw each
+eta's sources from it once. Each draw holds the same clean block and test
+split, so the baseline trained on the first draw's clean block serves every
+eta: as trained, after its last epoch, it estimates each draw's transition
+matrices (T-hat). One model per combination trains on each draw's training
+pool; no test label reaches a trained model. A strategy token suffixed @true
+corrects with the true matrices of its (seed, eta) instead of T-hat, which
+tells what the estimate costs. Every model, the baseline too, is trained by
+model.train on one path that records its test accuracy each epoch in a Cell,
+failed if the model diverged or lacked the T-hat of a diverged baseline. A
+report row aggregates a combination's Cells to the mean and unbiased (n-1)
+std of their best accuracies across seeds, and counts the failed Cells it
+leaves out. Re-running a config reproduces the report files byte for byte.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import (Dataset, as_clean_dataset, build_multisource, check_blobs, generate_blobs,
-                      source_specs, split_sizes)
-from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single, train_baseline
+from .datagen import (Dataset, build_multisource, check_blobs, generate_blobs, source_specs,
+                      split_sizes)
+from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single
 from .labelspace import (TemplateKind, TransitionMatrix, check_utf8, identity_matrix,
                          satisfies_diagonal_dominance, save_matrix)
 from .losses import FAMILIES, LossSpec
@@ -95,9 +95,10 @@ class ExperimentConfig:
             value = getattr(self.train, name)
             if value != getattr(TrainConfig, name):
                 raise ValueError(f"[train] {name} is set per model from {key}, got {value!r}")
-        # a repeated value would train the same models twice; etas compare as printed, -0 as 0
+        self.etas = [eta + 0.0 for eta in self.etas]  # -0 trains, and is written, as 0
+        # a repeated value would train the same models twice; etas compare as printed
         axes = {"[run] seeds": self.seeds,
-                "[sources] etas": [f"{eta + 0.0:g}" for eta in self.etas],
+                "[sources] etas": [f"{eta:g}" for eta in self.etas],
                 "[run] combos": [f"{s}:{f}" for s, f in self.combinations]}
         for key, names in axes.items():
             twice = [name for i, name in enumerate(names) if name in names[:i]]
@@ -230,17 +231,17 @@ def overall_accuracy(params: ModelParameters, test: Dataset) -> float:
     return float(np.mean(predict_batch(params, test.features) == test.labels))
 
 
-def _train_cell(key: tuple, test: Dataset, fit, *args, **kwargs):
-    """Train one model of a sweep by fit(*args, **kwargs) and return its Cell,
-    keyed by key = (strategy, loss family, eta, seed), with what fit returns, the
-    parameters after its last epoch; a model that diverges is a failed Cell, with None."""
+def _train_cell(key: tuple, test: Dataset, *args, **kwargs):
+    """Train one model of a sweep by train(*args, **kwargs) and return its Cell,
+    keyed by key = (strategy, loss family, eta, seed), with the parameters after
+    its last epoch; a model that diverges is a failed Cell, with None."""
     cell = Cell(*key, [])
 
     def callback(epoch, params):
         cell.curve.append((epoch, overall_accuracy(params, test)))
 
     try:
-        params = fit(*args, epoch_callback=callback, **kwargs)
+        params = train(*args, epoch_callback=callback, **kwargs)
     except TrainingDiverged:
         return Cell(*key, []), None
     return cell, params
@@ -290,38 +291,36 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     for seed in config.seeds:
         blobs = generate_blobs(c, config.dim, config.n_per_class, config.spread,
                                np.random.default_rng(seed))
-        # the clean block and the test split do not depend on the weak
-        # sources, so one baseline per seed serves every eta
-        clean, test = build_multisource(blobs, specs[config.etas[0]][:1], seed)
-        bconf = replace(config.train, seed=seed, epochs=bepochs)
-        cell, params = _train_cell(("baseline", bconf.loss.family, None, seed), test,
-                                   train_baseline, as_clean_dataset(clean), bconf)
-        cells.append(cell)
-        if not cell.failed:
-            baselines[seed] = params
-
         for eta in config.etas:
-            ms, _ = build_multisource(blobs, specs[eta], seed)
+            ms, test = build_multisource(blobs, specs[eta], seed)
+            if eta == config.etas[0]:  # every eta's draw holds this clean block and test split
+                bconf = replace(config.train, seed=seed, epochs=bepochs)
+                cell, params = _train_cell(("baseline", bconf.loss.family, None, seed), test,
+                                           *replace(ms, sources=ms.sources[:1]).stacked(), c, bconf)
+                cells.append(cell)
+                if not cell.failed:
+                    baselines[seed] = params
+            pool_specs = [s for s in specs[eta] if config.use_clean_in_training or s.id != 0]
+            pool = replace(ms, sources=[ms.block(s.id) for s in pool_specs])  # the training pool
             true = dict({s.id: s.matrix for s in specs[eta][1:]},
-                        single=_blend_true_matrices(specs[eta]))
+                        single=_blend_true_matrices(pool_specs))
             estimated = {}  # stays empty when the baseline diverged: no T-hat
             if seed in baselines:
-                estimated = dict(estimate_per_source(baselines[seed], ms, config.smoothing),
-                                 single=estimate_single(baselines[seed], ms, config.smoothing))
+                estimated = dict(estimate_per_source(baselines[seed], pool, config.smoothing),
+                                 single=estimate_single(baselines[seed], pool, config.smoothing))
                 estimates[(seed, eta)] = estimated
                 errors.extend((seed, eta, key, *_estimate_error(matrix, true[key]))
                               for key, matrix in estimated.items())
 
-            kept = [b for b in ms.sources if config.use_clean_in_training or b.source_id != 0]
-            feats, labels, src = replace(ms, sources=kept).stacked()
+            feats, labels, src = pool.stacked()
             matrices = _strategy_matrices(estimated, true, src, c)
             for strategy, family in config.combinations:
                 if strategy not in matrices:  # no T-hat to correct with
                     cells.append(Cell(strategy, family, eta, seed, []))
                     continue
                 tconf = model_config(config.train, strategy, family, seed)
-                cells.append(_train_cell((strategy, family, eta, seed), test, train, feats, labels,
-                                         src, c, tconf, matrices=matrices[strategy])[0])
+                cells.append(_train_cell((strategy, family, eta, seed), test, feats, labels, src,
+                                         c, tconf, matrices=matrices[strategy])[0])
 
     rows = {}  # (strategy, loss family, eta) -> ReportRow, in the first seed's order
     for cell in cells:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaklab import harness
+from weaklab.estimation import estimate_single
 from weaklab.harness import (CONFIG_SCHEMA, CSV_HEADER, Cell, ExperimentConfig, ReportRow,
                              RunReport, WeakSource, emit_csv, emit_curves, load_config,
                              model_config, overall_accuracy, read_ini, run_experiment,
@@ -98,14 +99,13 @@ def test_run_experiment_identity_weak_source_reduction():
 
 @pytest.mark.parametrize("matrices", ["", "@true"], ids=["estimated", "true"])
 def test_run_experiment_goes_on_past_a_diverged_baseline(monkeypatch, matrices):
-    def diverge(*args, **kwargs):
-        raise TrainingDiverged("non-finite parameters after epoch 1")
-    monkeypatch.setattr(harness, "train_baseline", diverge)
     trained, fit = [], harness.train
 
-    def train(*args, **kwargs):  # records the TrainConfig strategy of each model
-        trained.append(args[4].strategy)
-        return fit(*args, **kwargs)
+    def train(features, labels, source_ids, c, config, **kwargs):
+        if not source_ids.any():  # the baseline, on the clean source alone, diverges
+            raise TrainingDiverged("non-finite parameters after epoch 1")
+        trained.append(config.strategy)  # the TrainConfig strategy of each other model
+        return fit(features, labels, source_ids, c, config, **kwargs)
     monkeypatch.setattr(harness, "train", train)
     combos = [(s, "cce") for s in ("vanilla", "proposed" + matrices, "forward" + matrices)]
     report = run_experiment(tiny_config(seeds=[0], combinations=combos))
@@ -199,7 +199,8 @@ def test_train_cell_returns_what_fit_returns(monkeypatch, diverges):
             raise TrainingDiverged("non-finite parameters after epoch 4")
         return params
 
-    cell, params = harness._train_cell(("vanilla", "cce", 0.2, 3), None, fit, 2)
+    monkeypatch.setattr(harness, "train", fit)
+    cell, params = harness._train_cell(("vanilla", "cce", 0.2, 3), None, 2)
     if diverges:
         assert cell == Cell("vanilla", "cce", 0.2, 3, []) and params is None
     else:
@@ -239,9 +240,83 @@ def test_no_test_label_reaches_training(monkeypatch):
         return trained, estimates, baselines, [cell.curve for cell in report.cells]
 
     plain, shuffled = run(False), run(True)
-    assert len(plain[0]) == 1 and set(plain[2]) == {0}
+    assert len(plain[0]) == 2 and set(plain[2]) == {0}  # the baseline and the proposed model
     assert plain[:3] == shuffled[:3]
     assert plain[3] != shuffled[3]  # the permuted labels did reach the scores
+
+
+def test_one_draw_per_seed_and_eta_trains_every_model(monkeypatch):
+    # each (seed, eta) draws its sources once, and every model, the baseline
+    # too, is trained by harness.train on a draw's rows
+    config = tiny_config(etas=[0.2, 0.4], seeds=[0, 1])
+    split, fit = harness.build_multisource, harness.train
+    draws, trained = [], []
+
+    def build_multisource(blobs, specs, seed):
+        ms, test = split(blobs, specs, seed)
+        draws.append((seed, [(s.id, s.count, s.matrix.entries.tobytes()) for s in specs], test))
+        return ms, test
+
+    def train(features, labels, source_ids, c, config, **kwargs):
+        params = fit(features, labels, source_ids, c, config, **kwargs)
+        trained.append((np.unique(source_ids).tolist(), config.seed, params))
+        return params
+    monkeypatch.setattr(harness, "build_multisource", build_multisource)
+    monkeypatch.setattr(harness, "train", train)
+    report = run_experiment(config)
+    assert [draw[:2] for draw in draws] == [
+        (seed, [(s.id, s.count, s.matrix.entries.tobytes()) for s in config.sources(eta)])
+        for seed in config.seeds for eta in config.etas]
+    assert len(trained) == len(report.cells) == 2 * (1 + 2 * 2)
+    baselines = [(seed, params) for ids, seed, params in trained if ids == [0]]
+    assert [seed for seed, _ in baselines] == config.seeds
+    for seed, params in baselines:
+        # the baseline's Cell scores the parameters of that call on its seed's test split
+        cell = next(cell for cell in report.cells if cell.strategy == "baseline" and
+                    cell.seed == seed)
+        test = next(test for s, _, test in draws if s == seed)
+        assert report.baselines[seed] is params
+        assert cell.curve[-1] == (config.train.epochs, overall_accuracy(params, test))
+
+
+def test_the_pooled_matrices_cover_the_training_pool(monkeypatch):
+    # without the clean source, forward's one matrix, true or estimated, is
+    # the weak source's alone: the noise of the labels the models train on
+    config = tiny_config(seeds=[0], combinations=[("forward@true", "cce")],
+                         use_clean_in_training=False)
+    split, fit = harness.build_multisource, harness.train
+    draws, taken = [], []
+
+    def build_multisource(*args):
+        draws.append(split(*args))
+        return draws[-1]
+
+    def train(*args, matrices=None, **kwargs):
+        taken.append(matrices)
+        return fit(*args, matrices=matrices, **kwargs)
+    monkeypatch.setattr(harness, "build_multisource", build_multisource)
+    monkeypatch.setattr(harness, "train", train)
+    report = run_experiment(config)
+    template = make_template(TemplateKind.UNIFORM, 5, 0.2).entries
+    forward, = (matrices for matrices in taken if matrices is not None)
+    assert list(forward) == [1] and forward[1].entries.tobytes() == template.tobytes()
+    ms, _ = draws[-1]
+    weak = estimate_single(report.baselines[0], replace(ms, sources=[ms.block(1)]),
+                           config.smoothing)
+    assert report.estimates[(0, 0.2)]["single"].entries.tobytes() == weak.entries.tobytes()
+
+
+def test_negative_zero_eta_writes_the_run_directory_of_zero(tmp_path):
+    for name, eta in (("minus", -0.0), ("plus", 0.0)):
+        config = tiny_config(etas=[eta], seeds=[0], train=TrainConfig(epochs=2, hidden=0))
+        assert str(config.etas) == "[0.0]"
+        write_run_dir(run_experiment(config), tmp_path / name)
+    minus, plus = tmp_path / "minus", tmp_path / "plus"
+    files = sorted(p.relative_to(plus) for p in plus.rglob("*") if p.is_file())
+    assert Path("runs/seed0/eta0/T_hat_single.txt") in files
+    assert files == sorted(p.relative_to(minus) for p in minus.rglob("*") if p.is_file())
+    for name in files:
+        assert (minus / name).read_bytes() == (plus / name).read_bytes(), name
 
 
 def test_cell_best_epoch_is_the_first_of_tied_maxima():

@@ -7,7 +7,8 @@ sources and resamples each weak source's labels through its transition
 matrix. Same seed, same bytes. Every row it hands out keeps its origin,
 its index in the dataset it was drawn from, where corruption_report
 finds its true label. save_dataset and load_dataset keep a multisource
-dataset in one binary file, laid out as save_dataset describes.
+dataset in one binary file, laid out as save_dataset describes, in which
+each source's rows form one run.
 """
 
 from __future__ import annotations
@@ -59,11 +60,20 @@ class SourceBlock:
 
 @dataclass(eq=False)
 class MultisourceDataset:
-    """Union of per-source sample blocks over a shared feature space."""
+    """Union of per-source sample blocks over a shared feature space; a
+    negative or repeated source id raises ValueError naming it."""
 
     sources: list
     c: int
     d: int
+
+    def __post_init__(self) -> None:
+        seen = set()
+        for blk in self.sources:
+            if blk.source_id < 0 or blk.source_id in seen:
+                raise ValueError(f"source id {blk.source_id}: " + (
+                    "negative" if blk.source_id < 0 else "given twice; an id names one source"))
+            seen.add(blk.source_id)
 
     def block(self, source_id: int) -> SourceBlock:
         for blk in self.sources:
@@ -204,9 +214,8 @@ def _bits(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
-# rows that corruption_report compares and that load_dataset reads into
-# their sorted places per step: bounds the working memory either holds
-# beyond its inputs and outputs, whatever the row count
+# rows that corruption_report compares per step: bounds the working
+# memory it holds beyond its inputs and outputs, whatever the row count
 BLOCK_ROWS = 4096
 
 
@@ -268,7 +277,27 @@ def save_dataset(path, ms: MultisourceDataset) -> None:
     block without origin), then their row-major float64 features, all
     little-endian. Each field holds one block's rows after another, in
     ms.sources order, from the blocks' own arrays. Same dataset, same bytes.
+
+    Raises ValueError, before the path is opened, for a dataset that
+    load_dataset would refuse: a c or d that the header cannot hold, and,
+    naming the source (and row), a block of another width than ms.d, with
+    other than one label and one origin per feature row, or with a label
+    outside [0, c) or an origin below -1.
     """
+    _check_header(path, ms.c, ms.d)
+    for blk in ms.sources:
+        where = f"source {blk.source_id}"
+        if blk.features.shape[1] != ms.d:
+            raise ValueError(f"{where}: {blk.features.shape[1]} features per row, the dataset "
+                             f"has d = {ms.d}")
+        check_rows(where, len(blk), blk.labels, "labels")
+        check_labels(blk.labels, ms.c, where)
+        if blk.origin is not None:
+            check_rows(where, len(blk), blk.origin, "origins")
+            below = np.asarray(blk.origin) < -1
+            if below.any():
+                i = int(np.argmax(below))
+                raise ValueError(f"{where}, row {i}: origin {int(blk.origin[i])} below -1")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(DATASET_MAGIC, ms.c, ms.d, len(ms)))
         for blk in ms.sources:
@@ -282,6 +311,17 @@ def save_dataset(path, ms: MultisourceDataset) -> None:
             fh.write(np.ascontiguousarray(blk.features, dtype="<f8"))
 
 
+def _check_header(path, c: int, d: int) -> None:
+    """Raise ValueError naming path for a c or d that a dataset file's
+    header must not hold: c outside [1, MAX_CLASSES], d below 1 or too
+    large for an array row."""
+    if not 1 <= c <= MAX_CLASSES:
+        raise ValueError(f"{path}: header c = {c} classes, expected 1 to {MAX_CLASSES}")
+    if not 1 <= d <= np.iinfo(np.intp).max // 8:  # bytes of one float64 row
+        raise ValueError(f"{path}: header d = {d} features per row, expected at least 1 "
+                         f"and few enough for an array row")
+
+
 def _read(fh, path, dtype: str, shape) -> np.ndarray:
     """The next array of dtype and shape in fh."""
     values = np.empty(shape, dtype=dtype)
@@ -293,19 +333,18 @@ def _read(fh, path, dtype: str, shape) -> np.ndarray:
 def load_dataset(path) -> MultisourceDataset:
     """Read a file that save_dataset wrote.
 
-    The rows go into one (n, d) feature array and one label and one origin
-    array; each source's block is a view of them, in source-id order. If
-    the file's sources interleave, the rows are put in one stable order by
-    source id: the features are read BLOCK_ROWS rows at a time straight
-    into their sorted rows, so they are held once.
+    Each source's rows form one run of the file. They go into one (n, d)
+    feature array and one label and one origin array, each read once;
+    each source's block is a view of its run, and the blocks are listed
+    in source-id order, whatever their order in the file.
 
     Raises ValueError naming the file and the field at fault for a magic
     other than DATASET_MAGIC (as in the text files of earlier versions), a
     short header, a c outside [1, MAX_CLASSES], a d below 1 or too large
     for an array row, an n below 0, and, before any array is allocated, a
     file that is not regular or not exactly as long as the header's rows;
-    naming the row, too, for a label outside [0, c), a negative source id
-    and an origin below -1.
+    naming the row, too, for a label outside [0, c), a negative source id,
+    an origin below -1 and a source id again after another source's rows.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -316,11 +355,7 @@ def load_dataset(path) -> MultisourceDataset:
             raise ValueError(f"{path}: {len(head)} bytes, shorter than the {_HEADER.size}-byte "
                              f"header (magic, c, d, n)")
         _, c, d, n = _HEADER.unpack(head)
-        if not 1 <= c <= MAX_CLASSES:
-            raise ValueError(f"{path}: header c = {c} classes, expected 1 to {MAX_CLASSES}")
-        if not 1 <= d <= np.iinfo(np.intp).max // 8:  # bytes of one float64 row
-            raise ValueError(f"{path}: header d = {d} features per row, expected at least 1 "
-                             f"and few enough for an array row")
+        _check_header(path, c, d)
         if n < 0:
             raise ValueError(f"{path}: header n = {n} rows, expected at least 0")
         info, expected = os.fstat(fh.fileno()), _HEADER.size + 8 * n * (3 + d)
@@ -330,36 +365,24 @@ def load_dataset(path) -> MultisourceDataset:
             raise ValueError(f"{path}: {info.st_size} bytes, but the header's n = {n} rows of "
                              f"d = {d} features take {expected}")
         labels, src, origin = (_read(fh, path, "<i8", n) for _ in range(3))
+        starts = np.flatnonzero(np.diff(src, prepend=-1))  # each run's first row, if ids >= 0
+        again = np.zeros(n, dtype=bool)  # the first row of each run after an id's first
+        again[starts] = True
+        again[starts[np.unique(src[starts], return_index=True)[1]]] = False
         checks = ((f"label {{}} outside [0, {c})", labels, (labels < 0) | (labels >= c)),
                   ("negative source id {}", src, src < 0),
-                  ("origin {} below -1", origin, origin < -1))
+                  ("origin {} below -1", origin, origin < -1),
+                  ("source id {} again after another source's rows: each source's rows "
+                   "must be one run", src, again))
         for what, values, bad in checks:
             if bad.any():
                 i = int(np.argmax(bad))
                 raise ValueError(f"{path}, row {i}: " + what.format(int(values[i])))
-        starts = _run_starts(src)
-        if len(np.unique(src[starts])) == len(starts):  # each source id in one run
-            features = _read(fh, path, "<f8", (n, d))
-        else:
-            order = np.argsort(src, kind="stable")  # file order kept within a source
-            src, labels, origin = src[order], labels[order], origin[order]
-            starts = _run_starts(src)
-            place = np.empty_like(order)  # the sorted row of each file row
-            place[order] = np.arange(n)
-            del order
-            features = np.empty((n, d))
-            for start in range(0, n, BLOCK_ROWS):
-                rows = place[start:start + BLOCK_ROWS]
-                features[rows] = _read(fh, path, "<f8", (len(rows), d))
+        features = _read(fh, path, "<f8", (n, d))
     bounds = np.append(starts, n).tolist()
     blocks = sorted((SourceBlock(int(src[a]), features[a:b], labels[a:b], origin[a:b])
                      for a, b in zip(bounds, bounds[1:])), key=lambda blk: blk.source_id)
     return MultisourceDataset(blocks, c, d)
-
-
-def _run_starts(src: np.ndarray) -> np.ndarray:
-    """First row of every run of equal source ids (ids are nonnegative)."""
-    return np.flatnonzero(np.diff(src, prepend=-1))
 
 
 def as_clean_dataset(ms: MultisourceDataset) -> Dataset:

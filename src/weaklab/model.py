@@ -526,9 +526,23 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
 _ARCH_LINEAR, _ARCH_HIDDEN = 0, 1
 
 
+def _check_finite(path, params: ModelParameters) -> ModelParameters:
+    """params; ValueError naming path and the first layer that holds a
+    non-finite weight or bias."""
+    for i, layer in enumerate(params.layers, start=1):
+        if not np.isfinite(layer).all():
+            raise ValueError(f"{path}: layer {i} of {len(params.layers)} holds a non-finite "
+                             f"weight or bias")
+    return params
+
+
 def save_params(path, params: ModelParameters) -> None:
     """Flat binary checkpoint: little-endian int32 header (arch, d, H, c)
-    followed by little-endian float64 arrays per layer: W row-major, then b."""
+    followed by little-endian float64 arrays per layer: W row-major, then b.
+
+    Parameters that are not all finite raise ValueError, as in load_params,
+    before the path is opened."""
+    _check_finite(path, params)
     arch = _ARCH_LINEAR if params.hidden == 0 else _ARCH_HIDDEN
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4i", arch, params.d, params.hidden, params.c))
@@ -542,7 +556,8 @@ def load_params(path) -> ModelParameters:
 
     Raises ValueError naming the file when the arch code is not 0 or 1,
     d or c is not positive, hidden is nonzero for arch 0 or not positive
-    for arch 1, or the file is not exactly the header's byte length.
+    for arch 1, or the file is not exactly the header's byte length; and
+    naming the layer, too, when a weight or bias is not finite.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -571,4 +586,4 @@ def load_params(path) -> ModelParameters:
         offset += rows * cols
         biases.append(flat[offset:offset + rows])
         offset += rows
-    return ModelParameters(weights, biases)
+    return _check_finite(path, ModelParameters(weights, biases))

@@ -158,6 +158,10 @@ BAD_DATASET_FILES = [
     ("bad_source", _patched(VALID_DATASET, 80, struct.pack("<d", -1.0)),
      ", row 2: negative source id -4616189618054758400"),
     ("origin_below_minus_one", _patched(VALID_DATASET, 120, _q(-2)), ", row 3: origin -2 below -1"),
+    # source ids [0, 1, 0, 1]: source 0 again after source 1's rows
+    ("interleaved_source", _patched(_patched(VALID_DATASET, 72, _q(1)), 80, _q(0)),
+     ", row 2: source id 0 again after another source's rows: each source's rows must be one "
+     "run"),
     _wrong_magic("blank_line", LEGACY_TEXT.replace(b"\n1 1", b"\n\n1 1")),
     _wrong_magic("bad_feature", LEGACY_TEXT.replace(b"1 1 -0.0", b"1 1 zero")),
     _wrong_magic("not_utf8_header", LEGACY_TEXT.replace(b"3 2 4", b"3 2 4\xff", 1)),

@@ -328,7 +328,7 @@ def test_corrupt_emit_test_writes_the_rows_no_source_drew(tmp_path, capsys):
     assert sorted(np.concatenate(origins).tolist()) == list(range(len(blobs)))  # disjoint, all
     assert split.features.tobytes() == blobs.features[split.origin].tobytes()
     assert np.array_equal(split.labels, blobs.labels[split.origin])  # true labels
-    _, expected = build_multisource(blobs, [SourceSpec(0, identity_matrix(5), 40)] * 3, 3)
+    _, expected = build_multisource(blobs, [SourceSpec(0, identity_matrix(5), 160)], 3)
     assert np.array_equal(split.origin, expected.origin)  # the split of the same shuffle
 
 

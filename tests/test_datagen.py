@@ -171,6 +171,27 @@ def test_same_seed_same_bytes():
     assert np.array_equal(t1.features, t2.features)
 
 
+@pytest.mark.parametrize("ids, message", [
+    ([0, 1, 1], "source id 1: given twice; an id names one source"),
+    ([0, 2, 1, 0], "source id 0: given twice; an id names one source"),
+    ([0, -1], "source id -1: negative"),
+], ids=["repeated", "repeated_later", "negative"])
+def test_a_source_id_names_one_source(ids, message):
+    blocks = [SourceBlock(sid, np.zeros((1, 2)), np.zeros(1, dtype=np.int64)) for sid in ids]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MultisourceDataset(blocks, 2, 2)
+
+
+def test_build_multisource_refuses_two_sources_of_one_id():
+    # the two would share one transition-matrix estimate
+    blobs = generate_blobs(4, 3, 50, 0.3, np.random.default_rng(9))
+    specs = [SourceSpec(0, identity_matrix(4), 30),
+             SourceSpec(1, make_template(TemplateKind.UNIFORM, 4, 0.1), 60),
+             SourceSpec(1, make_template(TemplateKind.UNIFORM, 4, 0.6), 60)]
+    with pytest.raises(ValueError, match="^source id 1: given twice"):
+        build_multisource(blobs, specs, 9)
+
+
 def test_requires_clean_first():
     blobs = generate_blobs(10, 4, 100, 0.3, np.random.default_rng(1))
     weak = SourceSpec(1, make_template(TemplateKind.UNIFORM, 10, 0.2), 10)
@@ -303,6 +324,40 @@ def test_the_same_dataset_saves_to_the_same_bytes_at_the_path_given(tmp_path):
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
+def _block(sid=1, rows=3, width=2, labels=None, origin=None):
+    """A block of zero features, zero labels unless given, and origins if given."""
+    return SourceBlock(sid, np.zeros((rows, width)),
+                       np.zeros(rows, dtype=np.int64) if labels is None else np.array(labels),
+                       None if origin is None else np.array(origin))
+
+
+@pytest.mark.parametrize("ms, message", [
+    (MultisourceDataset([_block(labels=[0, 1])], 2, 2),
+     "source 1, row 2: 3 feature rows but 2 labels"),
+    (MultisourceDataset([_block(origin=[0, 1, 2, 3])], 2, 2),
+     "source 1, row 3: 3 feature rows but 4 origins"),
+    (MultisourceDataset([_block(0), _block(1, width=3)], 2, 2),
+     "source 1: 3 features per row, the dataset has d = 2"),
+    (MultisourceDataset([_block(labels=[0, 5, 1])], 2, 2),
+     "source 1, row 1: label 5 outside [0, 2)"),
+    (MultisourceDataset([_block(labels=[0, -1, 1])], 2, 2),
+     "source 1, row 1: label -1 outside [0, 2)"),
+    (MultisourceDataset([_block(origin=[-1, 0, -2])], 2, 2), "source 1, row 2: origin -2 below -1"),
+    (MultisourceDataset([], 0, 2), "data.bin: header c = 0 classes, expected 1 to "
+                                   f"{MAX_CLASSES}"),
+    (MultisourceDataset([_block(width=0)], 2, 0), "data.bin: header d = 0 features per row, "
+                                                  "expected at least 1 and few enough for an "
+                                                  "array row"),
+], ids=["short_labels", "long_origins", "width", "label_c", "negative_label",
+        "origin_below_minus_one", "zero_c", "zero_d"])
+def test_save_dataset_refuses_what_load_dataset_would(tmp_path, ms, message):
+    # before the path is opened: a refused dataset leaves no file behind
+    with pytest.raises(ValueError) as err:
+        save_dataset(tmp_path / "data.bin", ms)
+    assert str(err.value).removeprefix(f"{tmp_path}/") == message
+    assert os.listdir(tmp_path) == []
+
+
 def test_valid_fixture_loads(tmp_path):
     path = tmp_path / "data.bin"
     path.write_bytes(VALID_DATASET)
@@ -325,9 +380,9 @@ def test_load_dataset_names_the_bad_line(tmp_path, data, message):
 
 
 def test_load_dataset_names_a_bad_line_past_the_first_block(tmp_path):
-    # the row named is the file's, also in a file whose sources interleave
-    # and are reordered after the check
-    src = np.array([2, 0, 2, 1, 0, 1, 0, 2, 1])
+    # the row named is the file's, also where the file's blocks are not in
+    # source-id order (row 7 is source 1's second row, the fifth by id)
+    src = np.repeat([2, 0, 1], 3)
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2])
     labels[7] = 3
     path = tmp_path / "data.bin"
@@ -407,6 +462,16 @@ def write_rows(path, c, src, labels, features, origin=None):
     path.write_bytes(dataset_bytes(c, features.shape[1], src, labels, origin, features))
 
 
+def first_row_of_a_repeated_run(src):
+    """The first row whose source id an earlier run of other ids held, or None."""
+    seen = set()
+    for i, sid in enumerate(src.tolist()):
+        if i and sid != src[i - 1] and sid in seen:
+            return i
+        seen.add(sid)
+    return None
+
+
 def mask_reference(src, labels, features, origin):
     """(source id, features, labels, origin) per source by boolean masks,
     as load_dataset built its blocks before they became views."""
@@ -415,9 +480,8 @@ def mask_reference(src, labels, features, origin):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), order=st.sampled_from(["as_drawn", "sorted", "grouped_descending"]),
-       block_rows=st.integers(1, 3))
-def test_load_dataset_blocks_are_views_of_one_buffer(data, order, block_rows):
+@given(data=st.data(), order=st.sampled_from(["as_drawn", "sorted", "grouped_descending"]))
+def test_load_dataset_blocks_are_views_of_one_buffer(data, order):
     n = data.draw(st.integers(0, 12))
     d = data.draw(st.integers(1, 3))
     src = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
@@ -429,11 +493,18 @@ def test_load_dataset_blocks_are_views_of_one_buffer(data, order, block_rows):
                       dtype=np.int64)
     features = np.array(data.draw(st.lists(st.floats(allow_nan=False, width=64),
                                            min_size=n * d, max_size=n * d))).reshape(n, d)
+    again = first_row_of_a_repeated_run(src)
+    assert again is None or order == "as_drawn"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.bin"
         write_rows(path, 3, src, labels, features, origin)
-        with mock.patch.object(datagen, "BLOCK_ROWS", block_rows):  # interleaved rows in blocks
-            ms = load_dataset(path)
+        if again is not None:  # the ids interleave: refused, whatever the features
+            with pytest.raises(ValueError) as err:
+                load_dataset(path)
+            assert str(err.value) == (f"{path}, row {again}: source id {src[again]} again after "
+                                      f"another source's rows: each source's rows must be one run")
+            return
+        ms = load_dataset(path)
     ref = mask_reference(src, labels, features, origin)
     assert [b.source_id for b in ms.sources] == [sid for sid, _, _, _ in ref]
     for blk, (_, feats, labs, orig) in zip(ms.sources, ref):
@@ -462,26 +533,6 @@ def test_load_dataset_keeps_a_grouped_file_in_place(tmp_path):
                for b in ms.sources)
     assert np.array_equal(ms.block(0).features, features[3:7])
     assert np.array_equal(ms.block(2).features, features[:3])
-
-
-def test_load_dataset_holds_interleaved_features_once(tmp_path):
-    # sorting the features read (features[order]) held them twice: a traced
-    # peak of 2.5 times their bytes on these rows
-    n, d = 200_000, 16
-    rng = np.random.default_rng(15)
-    src = np.arange(n) % 4  # every row starts a run
-    features = rng.standard_normal((n, d))
-    write_rows(tmp_path / "data.bin", 10, src, rng.integers(0, 10, n), features, np.arange(n))
-    del features
-    tracemalloc.start()
-    try:
-        ms = load_dataset(tmp_path / "data.bin")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.8 * n * d * 8
-    for blk in ms.sources:  # file order within a source
-        assert np.array_equal(blk.origin, np.arange(blk.source_id, n, 4))
 
 
 def test_stacked_joins_the_blocks_in_source_order(tmp_path):

@@ -627,17 +627,22 @@ def test_params_binary_round_trip(tmp_path, rng, hidden):
     assert int.from_bytes(raw[12:16], "little") == 4
 
 
+def checkpoint_bytes(params):
+    """The checkpoint built by hand: the int32 header, then per layer W
+    row-major and b, each as little-endian float64."""
+    data = struct.pack("<4i", 0 if params.hidden == 0 else 1, params.d, params.hidden, params.c)
+    for w, b in zip(params.weights, params.biases):
+        data += struct.pack(f"<{w.size}d", *np.ascontiguousarray(w).ravel())
+        data += struct.pack(f"<{b.size}d", *b)
+    return data
+
+
 @pytest.mark.parametrize("hidden", [0, 5])
 def test_save_params_writes_the_checkpoint_format(tmp_path, rng, hidden):
-    # the bytes built by hand: the int32 header, then per layer W row-major
-    # and b, each as little-endian float64
     params = make_params(rng, 6, 4, hidden)
     for b in params.biases:
         b[:] = rng.standard_normal(b.size)
-    expected = struct.pack("<4i", 0 if hidden == 0 else 1, 6, hidden, 4)
-    for w, b in zip(params.weights, params.biases):
-        expected += struct.pack(f"<{w.size}d", *np.ascontiguousarray(w).ravel())
-        expected += struct.pack(f"<{b.size}d", *b)
+    expected = checkpoint_bytes(params)
     path = tmp_path / "model.params"
     save_params(path, params)
     assert path.read_bytes() == expected
@@ -666,6 +671,27 @@ def test_load_params_rejects_bad_checkpoints(tmp_path, rng, header, tail, messag
     path.write_bytes(raw)
     with pytest.raises(ValueError, match=f"model.params: .*{message}"):
         load_params(path)
+
+
+@pytest.mark.parametrize("hidden, part, layer, index, value", [
+    (0, "weights", 0, (2, 5), np.nan),
+    (5, "biases", 1, 3, np.inf),
+    (5, "weights", 0, (0, 0), -np.inf),
+], ids=["nan_weight", "inf_output_bias", "inf_hidden_weight"])
+def test_checkpoints_hold_only_finite_parameters(tmp_path, rng, hidden, part, layer, index,
+                                                 value):
+    params = make_params(rng, 6, 4, hidden)
+    getattr(params, part)[layer][index] = value
+    message = (f"model.params: layer {layer + 1} of {len(params.layers)} holds a non-finite "
+               f"weight or bias$")
+    path = tmp_path / "model.params"
+    path.write_bytes(checkpoint_bytes(params))
+    with pytest.raises(ValueError, match=message):
+        load_params(path)
+    path.unlink()
+    with pytest.raises(ValueError, match=message):  # before the path is opened
+        save_params(path, params)
+    assert not path.exists()
 
 
 def test_load_params_rejects_a_file_shorter_than_the_header(tmp_path):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labelspace import (MAX_CLASSES, SourceSpec, check_labels, identity_matrix, make_template,
-                         sample_weak_labels)
+from .labelspace import (MAX_CLASSES, SourceSpec, check_labels, check_rows, identity_matrix,
+                         make_template, refuse_rows, sample_weak_labels)
 
 
 @dataclass(eq=False)
@@ -47,12 +47,20 @@ class Dataset:
 class SourceBlock:
     """Instances assigned to one source, with that source's labels; origin,
     when known, each row's index in the dataset it was drawn from (-1 for
-    a row of a file that does not know it)."""
+    a row of a file that does not know it). Other than one label, and one
+    origin >= -1 if any, per feature row raises ValueError naming the row."""
 
     source_id: int
     features: np.ndarray
     labels: np.ndarray
     origin: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        where = f"source {self.source_id}"
+        check_rows(where, len(self), self.labels, "labels")
+        if self.origin is not None:
+            check_rows(where, len(self), self.origin, "origins")
+            refuse_rows(where, np.asarray(self.origin) < -1, "origin {} below -1", self.origin)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -61,7 +69,9 @@ class SourceBlock:
 @dataclass(eq=False)
 class MultisourceDataset:
     """Union of per-source sample blocks over a shared feature space; a
-    negative or repeated source id raises ValueError naming it."""
+    source id not whole, negative or given twice raises ValueError naming
+    it, and a block's width other than d or label outside [0, c), naming
+    the source (and row). A block keeps the labels check_labels returns."""
 
     sources: list
     c: int
@@ -70,10 +80,15 @@ class MultisourceDataset:
     def __post_init__(self) -> None:
         seen = set()
         for blk in self.sources:
-            if blk.source_id < 0 or blk.source_id in seen:
-                raise ValueError(f"source id {blk.source_id}: " + (
-                    "negative" if blk.source_id < 0 else "given twice; an id names one source"))
-            seen.add(blk.source_id)
+            sid = blk.source_id
+            if sid < 0 or sid in seen or not float(sid).is_integer():
+                raise ValueError(f"source id {sid}: " + ("negative" if sid < 0 else "given twice; "
+                                 "an id names one source" if sid in seen else "not a whole number"))
+            seen.add(sid)
+            if blk.features.shape[1] != self.d:
+                raise ValueError(f"source {sid}: {blk.features.shape[1]} features per row, the "
+                                 f"dataset has d = {self.d}")
+            blk.labels = check_labels(blk.labels, self.c, f"source {sid}")
 
     def block(self, source_id: int) -> SourceBlock:
         for blk in self.sources:
@@ -199,15 +214,6 @@ def build_multisource(dataset: Dataset, specs: list, seed: int):
     return ms, test
 
 
-def check_rows(where: str, rows: int, values, what: str) -> None:
-    """Raise ValueError unless values holds one entry per feature row,
-    naming `where`, the first row that only one of the two has, and the
-    entries as `what` (labels, origins)."""
-    if len(values) != rows:
-        raise ValueError(f"{where}, row {min(len(values), rows)}: {rows} feature rows but "
-                         f"{len(values)} {what}")
-
-
 def _bits(values: np.ndarray) -> np.ndarray:
     """Float64 values as int64 bit patterns of the same shape, so that -0.0
     and 0.0 differ and a NaN equals itself."""
@@ -231,10 +237,9 @@ def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
     block of rows, whatever the row count.
 
     Raises ValueError naming the source id (and block row) of a block of
-    another width than the original's, with other than one label and one
-    origin per feature row, a row whose origin (-1 when it has none) is
-    not a row of the original or whose features differ from that row's,
-    and a label (or original label) outside [0, c).
+    another width than the original's, a row whose origin (-1 when it has
+    none) is not a row of the original or whose features differ from that
+    row's, and an original label outside [0, c) (the dataset checked its own).
     """
     c = ms.c
     report = {}
@@ -244,13 +249,8 @@ def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
             raise ValueError(f"{where}: {blk.features.shape[1]} features per row, the original "
                              f"has {original.d}")
         origin = np.full(len(blk), -1) if blk.origin is None else blk.origin
-        check_rows(where, len(blk), blk.labels, "labels")
-        check_rows(where, len(blk), origin, "origins")
-        bad = (origin < 0) | (origin >= len(original))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"{where}, row {i}: origin {int(origin[i])}, not one of the "
-                             f"original dataset's {len(original)} rows")
+        refuse_rows(where, (origin < 0) | (origin >= len(original)),
+                    f"origin {{}}, not one of the original dataset's {len(original)} rows", origin)
         for start in range(0, len(blk), BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
             drawn = original.features.take(origin[rows], axis=0)
@@ -259,9 +259,8 @@ def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
                 i = start + int(np.argmax(differs))
                 raise ValueError(f"{where}, row {i}: features differ from the original "
                                  f"dataset's row {int(origin[i])}, its origin")
-        labels = check_labels(blk.labels, c, where)
         true = check_labels(original.labels[origin], c, f"{where} (label in the original)")
-        counts = np.bincount(true * c + labels, minlength=c * c).reshape(c, c)
+        counts = np.bincount(true * c + blk.labels, minlength=c * c).reshape(c, c)
         sums = counts.sum(axis=1, keepdims=True)
         report[blk.source_id] = np.divide(counts, sums, out=np.zeros((c, c)), where=sums > 0)
     return report
@@ -278,26 +277,10 @@ def save_dataset(path, ms: MultisourceDataset) -> None:
     little-endian. Each field holds one block's rows after another, in
     ms.sources order, from the blocks' own arrays. Same dataset, same bytes.
 
-    Raises ValueError, before the path is opened, for a dataset that
-    load_dataset would refuse: a c or d that the header cannot hold, and,
-    naming the source (and row), a block of another width than ms.d, with
-    other than one label and one origin per feature row, or with a label
-    outside [0, c) or an origin below -1.
+    The dataset refused the rows load_dataset would when it was built; a c
+    or d the header cannot hold raises ValueError naming path before opening it.
     """
     _check_header(path, ms.c, ms.d)
-    for blk in ms.sources:
-        where = f"source {blk.source_id}"
-        if blk.features.shape[1] != ms.d:
-            raise ValueError(f"{where}: {blk.features.shape[1]} features per row, the dataset "
-                             f"has d = {ms.d}")
-        check_rows(where, len(blk), blk.labels, "labels")
-        check_labels(blk.labels, ms.c, where)
-        if blk.origin is not None:
-            check_rows(where, len(blk), blk.origin, "origins")
-            below = np.asarray(blk.origin) < -1
-            if below.any():
-                i = int(np.argmax(below))
-                raise ValueError(f"{where}, row {i}: origin {int(blk.origin[i])} below -1")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(DATASET_MAGIC, ms.c, ms.d, len(ms)))
         for blk in ms.sources:
@@ -365,19 +348,15 @@ def load_dataset(path) -> MultisourceDataset:
             raise ValueError(f"{path}: {info.st_size} bytes, but the header's n = {n} rows of "
                              f"d = {d} features take {expected}")
         labels, src, origin = (_read(fh, path, "<i8", n) for _ in range(3))
+        check_labels(labels, c, path)
         starts = np.flatnonzero(np.diff(src, prepend=-1))  # each run's first row, if ids >= 0
         again = np.zeros(n, dtype=bool)  # the first row of each run after an id's first
         again[starts] = True
         again[starts[np.unique(src[starts], return_index=True)[1]]] = False
-        checks = ((f"label {{}} outside [0, {c})", labels, (labels < 0) | (labels >= c)),
-                  ("negative source id {}", src, src < 0),
-                  ("origin {} below -1", origin, origin < -1),
-                  ("source id {} again after another source's rows: each source's rows "
-                   "must be one run", src, again))
-        for what, values, bad in checks:
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(f"{path}, row {i}: " + what.format(int(values[i])))
+        refuse_rows(path, src < 0, "negative source id {}", src)
+        refuse_rows(path, origin < -1, "origin {} below -1", origin)
+        refuse_rows(path, again, "source id {} again after another source's rows: each "
+                    "source's rows must be one run", src)
         features = _read(fh, path, "<f8", (n, d))
     bounds = np.append(starts, n).tolist()
     blocks = sorted((SourceBlock(int(src[a]), features[a:b], labels[a:b], origin[a:b])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datagen import Dataset, MultisourceDataset, check_rows
+from .datagen import Dataset, MultisourceDataset
 from .labelspace import TransitionMatrix, check_labels
 from .model import ModelParameters, TrainConfig, predict_batch, train
 
@@ -34,8 +34,8 @@ def confusion_counts(baseline: ModelParameters, blocks: list, c: int) -> np.ndar
 
     Raises ValueError when the baseline predicts other than c classes, when
     no block has rows, when a block's feature width is not the baseline's,
-    and on a length mismatch or a label outside [0, c), naming the source
-    and the row within its block.
+    and on a label outside [0, c) or not whole, naming the source and the
+    row within its block (each block checked its row count when built).
     """
     if baseline.c != c:
         raise ValueError(f"baseline predicts {baseline.c} classes, expected c = {c}")
@@ -47,7 +47,6 @@ def confusion_counts(baseline: ModelParameters, blocks: list, c: int) -> np.ndar
         if blk.features.shape[1] != baseline.d:
             raise ValueError(f"{where}: {blk.features.shape[1]} features per row, but the "
                              f"baseline takes {baseline.d}")
-        check_rows(where, len(blk), blk.labels, "labels")
         labels = check_labels(blk.labels, c, where)
         counts += np.bincount(predict_batch(baseline, blk.features) * c + labels,
                               minlength=c * c)

@@ -196,15 +196,38 @@ def satisfies_diagonal_dominance(matrix: TransitionMatrix) -> bool:
     return bool(np.all(diag > off.max(axis=1)))
 
 
-def check_labels(labels, c: int, what: str) -> np.ndarray:
-    """The labels as an int64 array; raises ValueError naming `what` and
-    the first row whose label lies outside [0, c)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    bad = (labels < 0) | (labels >= c)
+def check_rows(where: str, rows: int, values, what: str) -> None:
+    """Raise ValueError unless values holds one entry per feature row, naming
+    `where`, the first row that only one of the two has, and `what` they are."""
+    if len(values) != rows:
+        raise ValueError(f"{where}, row {min(len(values), rows)}: {rows} feature rows but "
+                         f"{len(values)} {what}")
+
+
+def refuse_rows(where: str, bad: np.ndarray, what: str, values) -> None:
+    """Raise ValueError naming `where`, the first row bad marks and what.format(its value)."""
     if bad.any():
         row = int(np.argmax(bad))
-        raise ValueError(f"{what}, row {row}: label {labels[row]} outside [0, {c})")
-    return labels
+        raise ValueError(f"{where}, row {row}: " + what.format(values[row]))
+
+
+def check_whole(values, what: str, name: str) -> np.ndarray:
+    """The values as an int64 array (an int64 array itself, not a copy);
+    raises ValueError naming `what`, the first row and its value (as `name`)
+    where it is negative, or not whole (a NaN, an infinity) or past int64."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # the values that the cast warns of are refused below
+        ints = values.astype(np.int64, copy=False)
+    refuse_rows(what, (ints != values) | (ints < 0), name + " {} is not a whole number", values)
+    return ints
+
+
+def check_labels(labels, c: int, what: str) -> np.ndarray:
+    """The labels as check_whole returns them; raises ValueError naming
+    `what` and the first row whose label is outside [0, c) or not whole."""
+    labels = np.asarray(labels)  # compared before the cast, which would truncate or wrap
+    refuse_rows(what, (labels < 0) | (labels >= c), f"label {{}} outside [0, {c})", labels)
+    return check_whole(labels, what, "label")
 
 
 # rows whose (rows, c) comparison sample_weak_labels makes per step:

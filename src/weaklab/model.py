@@ -82,7 +82,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labelspace import check_labels
+from .labelspace import check_labels, check_rows, check_whole
 from .losses import PROB_FLOOR, LossSpec, loss_derivative, scalar_operand
 
 STRATEGIES = ("vanilla", "forward", "proposed")
@@ -364,10 +364,8 @@ def transition_columns(labels: np.ndarray, source_ids: np.ndarray, c: int,
     the uncorrected loss. Raises ValueError naming the source id when a
     source in source_ids has no matrix or one that is not c x c.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     if matrices is None:
         return np.eye(c)[labels]
-    source_ids = np.asarray(source_ids, dtype=np.int64)
     rows = np.empty((labels.shape[0], c))
     for s in np.unique(source_ids):
         s = int(s)
@@ -482,7 +480,8 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
     Bit-deterministic given (config, inputs).
 
     Raises ValueError when there are no rows, when labels or source_ids
-    do not have one entry per feature row, or on a label outside [0, c).
+    do not have one entry per feature row, on a label outside [0, c) and
+    on a label or source id that is not a whole number, naming the row.
     Overflow in an epoch's steps is not warned about: it leaves the
     parameters non-finite, which raises TrainingDiverged.
     """
@@ -491,9 +490,9 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
     if n == 0:
         raise ValueError("training data is empty")
     for what, values in (("labels", labels), ("source ids", source_ids)):
-        if len(values) != n:
-            raise ValueError(f"{n} feature rows but {len(values)} {what}")
+        check_rows(what, n, values, what)
     labels = check_labels(labels, c, "labels")
+    source_ids = check_whole(source_ids, "source ids", "source id")
     if config.strategy != "vanilla" and matrices is None:
         raise ValueError(f"strategy {config.strategy!r} needs per-source transition matrices")
     col_rows = transition_columns(labels, source_ids, c,

@@ -175,11 +175,21 @@ def test_same_seed_same_bytes():
     ([0, 1, 1], "source id 1: given twice; an id names one source"),
     ([0, 2, 1, 0], "source id 0: given twice; an id names one source"),
     ([0, -1], "source id -1: negative"),
-], ids=["repeated", "repeated_later", "negative"])
+    ([0, 1.5], "source id 1.5: not a whole number"),
+    ([0, np.nan], "source id nan: not a whole number"),
+], ids=["repeated", "repeated_later", "negative", "fraction", "nan"])
 def test_a_source_id_names_one_source(ids, message):
     blocks = [SourceBlock(sid, np.zeros((1, 2)), np.zeros(1, dtype=np.int64)) for sid in ids]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MultisourceDataset(blocks, 2, 2)
+
+
+def test_a_dataset_refuses_a_label_that_is_not_whole():
+    # a cast would read [0.7, 1.9] as [0, 1]; whole floats are kept as int64
+    with pytest.raises(ValueError, match=r"^source 1, row 0: label 0\.7 is not a whole number$"):
+        MultisourceDataset([SourceBlock(1, np.zeros((2, 2)), np.array([0.7, 1.9]))], 2, 2)
+    ms = MultisourceDataset([SourceBlock(1, np.zeros((2, 2)), np.array([1.0, 0.0]))], 2, 2)
+    assert ms.block(1).labels.dtype == np.int64 and ms.block(1).labels.tolist() == [1, 0]
 
 
 def test_build_multisource_refuses_two_sources_of_one_id():
@@ -269,6 +279,53 @@ def test_dataset_file_matches_reference_writer_and_round_trips(ms):
         assert np.array_equal(a.origin, np.full(len(b), -1) if b.origin is None else b.origin)
 
 
+# entries a caller may hand the constructors: whole and not, in range and not
+ROUGH_LABELS = st.integers(-1, 3) | st.sampled_from([0.0, 1.0, 0.7, -0.0, np.nan, np.inf])
+ROUGH_IDS = st.integers(-1, 4) | st.sampled_from([1.0, 2.0, 1.5, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_dataset_the_constructors_accept_round_trips(data):
+    # the contract that replaces save_dataset's own row checks: what
+    # SourceBlock and MultisourceDataset accept, load_dataset reads back as
+    # it was given, with -1 for a missing origin
+    c = data.draw(st.integers(1, MAX_CLASSES), label="c")
+    d = data.draw(st.integers(1, 3), label="d")
+    handed = []  # (source id, labels, origins, feature bytes) as handed to SourceBlock
+    try:
+        blocks = []
+        for _ in range(data.draw(st.integers(0, 3), label="sources")):
+            rows = data.draw(st.integers(0, 3), label="rows")
+            count = st.sampled_from([rows, rows, rows, max(rows - 1, 0), rows + 1])
+            n = data.draw(count, label="labels per block")
+            labels = data.draw(st.lists(ROUGH_LABELS, min_size=n, max_size=n), label="labels")
+            n = data.draw(count, label="origins per block")
+            origin = data.draw(st.none() | st.lists(st.integers(-2, 99), min_size=n, max_size=n),
+                               label="origin")
+            width = data.draw(st.sampled_from([d, d, d, d + 1]), label="width")
+            feats = data.draw(st.lists(FLOATS | SPECIAL_FLOATS, min_size=rows * width,
+                                       max_size=rows * width), label="features")
+            blocks.append(SourceBlock(data.draw(ROUGH_IDS, label="id"),
+                                      np.array(feats, dtype=np.float64).reshape(rows, width),
+                                      np.array(labels), None if origin is None else
+                                      np.array(origin, dtype=np.int64)))
+            handed.append((blocks[-1].source_id, labels, origin, blocks[-1].features.tobytes()))
+        ms = MultisourceDataset(blocks, c, d)
+    except ValueError:
+        return  # refused when built: nothing to write
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(Path(tmp) / "data.bin", ms)
+        back = load_dataset(Path(tmp) / "data.bin")
+    kept = sorted((g for g in handed if g[1]), key=lambda g: g[0])  # an empty source has no rows
+    assert (back.c, back.d, len(back)) == (c, d, sum(len(g[1]) for g in kept))
+    assert [b.source_id for b in back.sources] == [g[0] for g in kept]
+    for b, (_, labels, origin, feats) in zip(back.sources, kept):
+        assert b.labels.tolist() == labels
+        assert b.origin.tolist() == ([-1] * len(labels) if origin is None else origin)
+        assert b.features.tobytes() == feats
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_copied_rows_match_the_reference_writer(data):
@@ -331,29 +388,38 @@ def _block(sid=1, rows=3, width=2, labels=None, origin=None):
                        None if origin is None else np.array(origin))
 
 
-@pytest.mark.parametrize("ms, message", [
-    (MultisourceDataset([_block(labels=[0, 1])], 2, 2),
+@pytest.mark.parametrize("build, message", [
+    (lambda: MultisourceDataset([_block(labels=[0, 1])], 2, 2),
      "source 1, row 2: 3 feature rows but 2 labels"),
-    (MultisourceDataset([_block(origin=[0, 1, 2, 3])], 2, 2),
+    (lambda: MultisourceDataset([_block(origin=[0, 1, 2, 3])], 2, 2),
      "source 1, row 3: 3 feature rows but 4 origins"),
-    (MultisourceDataset([_block(0), _block(1, width=3)], 2, 2),
+    (lambda: MultisourceDataset([_block(0), _block(1, width=3)], 2, 2),
      "source 1: 3 features per row, the dataset has d = 2"),
-    (MultisourceDataset([_block(labels=[0, 5, 1])], 2, 2),
+    (lambda: MultisourceDataset([_block(labels=[0, 5, 1])], 2, 2),
      "source 1, row 1: label 5 outside [0, 2)"),
-    (MultisourceDataset([_block(labels=[0, -1, 1])], 2, 2),
+    (lambda: MultisourceDataset([_block(labels=[0, -1, 1])], 2, 2),
      "source 1, row 1: label -1 outside [0, 2)"),
-    (MultisourceDataset([_block(origin=[-1, 0, -2])], 2, 2), "source 1, row 2: origin -2 below -1"),
-    (MultisourceDataset([], 0, 2), "data.bin: header c = 0 classes, expected 1 to "
-                                   f"{MAX_CLASSES}"),
-    (MultisourceDataset([_block(width=0)], 2, 0), "data.bin: header d = 0 features per row, "
-                                                  "expected at least 1 and few enough for an "
-                                                  "array row"),
+    (lambda: MultisourceDataset([_block(origin=[-1, 0, -2])], 2, 2),
+     "source 1, row 2: origin -2 below -1"),
+    (lambda: MultisourceDataset([], 0, 2), "data.bin: header c = 0 classes, expected 1 to "
+                                           f"{MAX_CLASSES}"),
+    (lambda: MultisourceDataset([_block(width=0)], 2, 0), "data.bin: header d = 0 features per "
+                                                          "row, expected at least 1 and few "
+                                                          "enough for an array row"),
 ], ids=["short_labels", "long_origins", "width", "label_c", "negative_label",
         "origin_below_minus_one", "zero_c", "zero_d"])
-def test_save_dataset_refuses_what_load_dataset_would(tmp_path, ms, message):
-    # before the path is opened: a refused dataset leaves no file behind
-    with pytest.raises(ValueError) as err:
-        save_dataset(tmp_path / "data.bin", ms)
+def test_save_dataset_refuses_what_load_dataset_would(tmp_path, build, message):
+    # a block or dataset that load_dataset would refuse is refused when it is
+    # built; a header the file cannot hold, by save_dataset before it opens
+    # the path, so a refused dataset leaves no file behind
+    path = tmp_path / "data.bin"
+    if message.startswith("data.bin:"):
+        ms = build()
+        with pytest.raises(ValueError) as err:
+            save_dataset(path, ms)
+    else:
+        with pytest.raises(ValueError) as err:
+            build()
     assert str(err.value).removeprefix(f"{tmp_path}/") == message
     assert os.listdir(tmp_path) == []
 
@@ -690,11 +756,11 @@ def test_corruption_report_names_a_differing_row_in_a_later_block():
     ([0, 1, 0], [0, 1, 0, 1], "source 1, row 3: 3 feature rows but 4 origins"),
 ], ids=["short_labels", "long_labels", "short_origins", "one_origin", "long_origins"])
 def test_corruption_report_refuses_a_length_mismatch(labels, origin, message):
-    original = Dataset(np.zeros((2, 2)), np.array([0, 1]), 2)
-    blk = SourceBlock(1, np.zeros((3, 2)), np.array(labels, dtype=np.int64),
-                      np.array(origin, dtype=np.int64))
+    # corruption_report takes only built blocks, and the block refuses the
+    # mismatch when it is built
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        corruption_report(MultisourceDataset([blk], 2, 2), original)
+        SourceBlock(1, np.zeros((3, 2)), np.array(labels, dtype=np.int64),
+                    np.array(origin, dtype=np.int64))
 
 
 def test_corruption_report_rejects_bad_widths_and_labels():
@@ -702,9 +768,10 @@ def test_corruption_report_rejects_bad_widths_and_labels():
     wide = SourceBlock(1, np.zeros((1, 3)), np.array([0]), np.array([0]))
     with pytest.raises(ValueError, match="source 1: 3 features per row, the original has 2"):
         corruption_report(MultisourceDataset([wide], 2, 3), original)
+    # a label outside [0, c) is refused when the dataset is built
     bad = SourceBlock(1, original.features.copy(), np.array([0, 2]), np.array([0, 1]))
     with pytest.raises(ValueError, match=r"source 1, row 1: label 2 outside \[0, 2\)"):
-        corruption_report(MultisourceDataset([bad], 2, 2), original)
+        MultisourceDataset([bad], 2, 2)
 
 
 def test_corruption_report_memory_is_bounded():

@@ -86,18 +86,26 @@ def test_confusion_counts_oracle_on_weak_source_matches_template():
     ((5, 2), [(1, 4, [0, 1, 2, 0])], "^baseline predicts 5 classes, expected c = 3"),
     ((3, 4), [(0, 2, [0, 1]), (2, 3, [0, 2, 1])],
      "^source 0: 2 features per row, but the baseline takes 4"),
+    ((3, 2), [(1, 2, [0.7, 1.9])], r"^source 1, row 0: label 0\.7 is not a whole number$"),
 ], ids=["label_c_plus_1", "negative_label", "short_labels", "long_labels", "empty",
         "all_blocks_empty", "row_within_second_block", "baseline_of_fewer_classes",
-        "baseline_of_more_classes", "baseline_of_another_width"])
+        "baseline_of_more_classes", "baseline_of_another_width", "fractional_labels"])
 def test_confusion_counts_rejects_bad_labels(shape, blocks, message):
     # a zero linear model predicts class 0 for every row; label 4 on such a
     # row would land in cell (1, 1) of the flat c x c count
     classes, width = shape
     params = ModelParameters([np.zeros((classes, width))], [np.zeros(classes)])
-    blocks = [SourceBlock(sid, np.zeros((rows, 2)), np.array(labels, dtype=np.int64))
-              for sid, rows, labels in blocks]
-    with pytest.raises(ValueError, match=message):
-        confusion_counts(params, blocks, 3)
+
+    def build():
+        return [SourceBlock(sid, np.zeros((rows, 2)), np.array(labels))
+                for sid, rows, labels in blocks]
+    if "feature rows but" in message:  # a block refuses a length mismatch when it is built
+        with pytest.raises(ValueError, match=message):
+            build()
+    else:
+        built = build()
+        with pytest.raises(ValueError, match=message):
+            confusion_counts(params, built, 3)
 
 
 def test_estimate_transition_identity_counts():

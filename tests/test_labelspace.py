@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from weaklab import labelspace
 from weaklab.labelspace import (MAX_CLASSES, SourceSpec, TemplateKind, TransitionMatrix,
-                                balanced_error_rate, format_matrix, identity_matrix,
+                                balanced_error_rate, check_labels, check_whole,
+                                format_matrix, identity_matrix,
                                 load_matrix, make_template, mean_row_entropy, parse_matrix,
                                 sample_weak_labels,
                                 satisfies_diagonal_dominance, save_matrix)
@@ -190,6 +192,47 @@ def test_sample_weak_label_rejects_bad_label(rng):
         sample_weak_labels(identity_matrix(4), np.array([4]), rng)
     with pytest.raises(ValueError):
         sample_weak_labels(identity_matrix(4), np.array([-1]), rng)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0, 0.7, 1.9], "labels, row 1: label 0.7 is not a whole number"),
+    ([1, np.nan], "labels, row 1: label nan is not a whole number"),
+    ([np.inf, 0], "labels, row 0: label inf outside [0, 2)"),
+    ([0, -np.inf], "labels, row 1: label -inf outside [0, 2)"),
+    ([1e30], "labels, row 0: label 1e+30 outside [0, 2)"),
+    ([0, 5], "labels, row 1: label 5 outside [0, 2)"),
+    ([-1, 0], "labels, row 0: label -1 outside [0, 2)"),
+], ids=["fraction", "nan", "inf", "minus_inf", "past_int64", "label_c", "negative"])
+def test_check_labels_refuses_what_the_cast_would_change(labels, message):
+    # a cast to int64 would truncate 0.7 to 0 and turn NaN into a number;
+    # the refusal raises no numpy cast warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            check_labels(np.array(labels), 2, "labels")
+    assert str(err.value) == message
+
+
+def test_check_labels_takes_whole_floats_and_keeps_an_int64_array():
+    got = check_labels(np.array([1.0, 0.0, -0.0]), 2, "labels")
+    assert got.dtype == np.int64 and got.tolist() == [1, 0, 0]
+    labels = np.array([0, 1, 1])
+    assert check_labels(labels, 2, "labels") is labels  # not copied
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0, 0.2, 1.7], "source ids, row 1: source id 0.2 is not a whole number"),
+    ([0, -1], "source ids, row 1: source id -1 is not a whole number"),
+    ([np.nan], "source ids, row 0: source id nan is not a whole number"),
+    ([2.0 ** 63], "source ids, row 0: source id 9.223372036854776e+18 is not a whole number"),
+], ids=["fraction", "negative", "nan", "past_int64"])
+def test_check_whole_names_the_row_and_the_value(values, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            check_whole(np.array(values), "source ids", "source id")
+    assert str(err.value) == message
+    assert check_whole(np.array([3.0, 0.0]), "source ids", "source id").tolist() == [3, 0]
 
 
 def test_sampling_deterministic_given_seed():

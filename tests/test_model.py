@@ -435,19 +435,23 @@ def test_step_allocates_nothing(rng):
 
 @pytest.mark.parametrize("rows, labels, sources, message", [
     (0, [], [], "^training data is empty"),
-    (4, [0, 1, 2], [0, 0, 0, 0], "^4 feature rows but 3 labels"),
-    (4, [0, 1, 2, 0, 1], [0, 0, 0, 0], "^4 feature rows but 5 labels"),
+    (4, [0, 1, 2], [0, 0, 0, 0], "^labels, row 3: 4 feature rows but 3 labels"),
+    (4, [0, 1, 2, 0, 1], [0, 0, 0, 0], "^labels, row 4: 4 feature rows but 5 labels"),
     (4, [0, -1, 2, 0], [0, 0, 0, 0], r"^labels, row 1: label -1 outside \[0, 3\)"),
     (4, [0, 1, 2, 3], [0, 0, 0, 0], r"^labels, row 3: label 3 outside \[0, 3\)"),
-    (4, [0, 1, 2, 0], [0, 1, 1], "^4 feature rows but 3 source ids"),
+    (4, [0, 1, 2, 0], [0, 1, 1], "^source ids, row 3: 4 feature rows but 3 source ids"),
+    (2, [0.7, 1.9], [0, 1], r"^labels, row 0: label 0\.7 is not a whole number$"),
+    (4, [0, 1, 2, 0], [0, 0.2, 1.7, 1], r"^source ids, row 1: source id 0\.2 is not a whole "
+                                        "number$"),
+    (4, [0, 1, 2, 0], [0, 1, -1, 1], "^source ids, row 2: source id -1 is not a whole number$"),
 ], ids=["no_rows", "short_labels", "long_labels", "negative_label", "label_c",
-        "short_source_ids"])
+        "short_source_ids", "fractional_labels", "fractional_source_ids",
+        "negative_source_id"])
 @pytest.mark.parametrize("strategy", ["vanilla", "proposed"])
 def test_train_rejects_input_it_would_mis_train_on(rows, labels, sources, message, strategy):
     mats = {0: np.eye(3), 1: np.full((3, 3), 1 / 3)}
     with pytest.raises(ValueError, match=message):
-        train(np.zeros((rows, 2)), np.array(labels, dtype=np.int64),
-              np.array(sources, dtype=np.int64), 3,
+        train(np.zeros((rows, 2)), np.array(labels), np.array(sources), 3,
               TrainConfig(epochs=1, strategy=strategy), matrices=mats)
 
 

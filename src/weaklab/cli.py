@@ -91,16 +91,20 @@ def _cmd_validate_gradients(args) -> int:
 
 # section -> key -> parser of a corrupt spec file; anything else is an error
 CORRUPT_SPEC_SCHEMA = {"sources": {"clean_count": harness.count, "weak": harness.tokens(
-    {"kind": harness.template_kind, "eta": harness.typed(float), "count": harness.count})}}
+    lambda token: harness.weak_token(token, swept=False))}}
 
 
 def _parse_corrupt_spec(path):
-    src = harness.read_ini(path, CORRUPT_SPEC_SCHEMA).get("sources")
+    lines = {}
+    src = harness.read_ini(path, CORRUPT_SPEC_SCHEMA, lines).get("sources")
     if src is None:
         raise ValueError(f"corrupt spec {path}: missing the [sources] section")
     if "clean_count" not in src:
         raise ValueError(f"corrupt spec {path}: missing [sources] clean_count")
-    return src["clean_count"], src.get("weak", [])
+    try:  # the (kind, eta, count) of each weak source
+        return src["clean_count"], harness.weak_tuples(src.get("weak", []), src["clean_count"])
+    except ValueError as err:
+        raise ValueError(f"{lines['sources', 'weak']}: {err}") from None
 
 
 def _same_file(a, b) -> bool:

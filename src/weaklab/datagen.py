@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labelspace import (MAX_CLASSES, SourceSpec, check_labels, check_rows, identity_matrix,
-                         make_template, refuse_rows, sample_weak_labels)
+from .labelspace import (MAX_CLASSES, SourceSpec, check_labels, check_rows, check_whole,
+                         identity_matrix, make_template, refuse_rows, sample_weak_labels)
 
 
 @dataclass(eq=False)
@@ -43,12 +43,13 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SourceBlock:
     """Instances assigned to one source, with that source's labels; origin,
     when known, each row's index in the dataset it was drawn from (-1 for
     a row of a file that does not know it). Other than one label, and one
-    origin >= -1 if any, per feature row raises ValueError naming the row."""
+    whole origin >= -1 if any, per feature row raises ValueError naming the
+    row. Frozen: in-place writes to its arrays are the caller's responsibility."""
 
     source_id: int
     features: np.ndarray
@@ -61,6 +62,7 @@ class SourceBlock:
         if self.origin is not None:
             check_rows(where, len(self), self.origin, "origins")
             refuse_rows(where, np.asarray(self.origin) < -1, "origin {} below -1", self.origin)
+            check_whole(self.origin, where, "origin", low=-1)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -88,7 +90,7 @@ class MultisourceDataset:
             if blk.features.shape[1] != self.d:
                 raise ValueError(f"source {sid}: {blk.features.shape[1]} features per row, the "
                                  f"dataset has d = {self.d}")
-            blk.labels = check_labels(blk.labels, self.c, f"source {sid}")
+            object.__setattr__(blk, "labels", check_labels(blk.labels, self.c, f"source {sid}"))
 
     def block(self, source_id: int) -> SourceBlock:
         for blk in self.sources:

@@ -37,14 +37,42 @@ from .model import (STRATEGIES, ModelParameters, TrainConfig, TrainingDiverged, 
 
 @dataclass
 class WeakSource:
-    """Template descriptor of one weak source in a sweep; its sample count
-    is multiplier x clean_count, rounded to the nearest integer."""
+    """One weak source, the `[sources] weak` token `kind[:eta]:size` of a
+    run config or a corrupt spec: a template kind, an eta (None: the swept
+    etas) and a size, rows if given, else a multiple of clean_count; token
+    spells it back."""
 
     kind: TemplateKind
-    multiplier: float
+    multiplier: float | None
+    eta: float | None = None
+    rows: int | None = None
+
+    @property
+    def token(self) -> str:
+        eta = "" if self.eta is None else f":{self.eta:g}"
+        return f"{self.kind.value}{eta}:" + (f"x{self.multiplier:g}" if self.rows is None
+                                             else str(self.rows))
 
     def count(self, clean_count: int) -> int:
-        return int(round(self.multiplier * clean_count))
+        """The source's rows, or round(multiplier x clean_count); ValueError
+        naming the token unless a multiplier finite and > 0 and >= 1 row."""
+        where = f"[sources] weak token {self.token!r}"
+        if self.rows is not None:
+            n, rule = self.rows, ""
+        elif 0.0 < self.multiplier < np.inf:  # written so that NaN fails
+            n = int(round(self.multiplier * clean_count))
+            rule = f"round({self.multiplier:g} x clean_count {clean_count}) = "
+        else:
+            raise ValueError(f"{where}: multiplier must be finite and > 0, got {self.multiplier:g}")
+        if n < 1:
+            raise ValueError(f"{where}: {rule}{n} rows, need at least 1")
+        return n
+
+
+def weak_tuples(weak: list, clean_count: int, eta: float | None = None) -> list:
+    """The (kind, eta, count) of each WeakSource, as datagen.source_specs
+    takes them: a source without an eta of its own takes eta."""
+    return [(w.kind, eta if w.eta is None else w.eta, w.count(clean_count)) for w in weak]
 
 
 @dataclass
@@ -109,15 +137,11 @@ class ExperimentConfig:
         # with no weak source every combination trains the baseline's model again
         if not self.weak_sources:
             raise ValueError("[sources] weak: need at least one weak source")
-        for w in self.weak_sources:
-            if not np.isfinite(w.multiplier):  # count() would raise on it
-                raise ValueError(f"[sources] weak: weak kind {w.kind.value}: multiplier must be "
-                                 f"finite and > 0, got {w.multiplier:g}")
-            if w.count(self.clean_count) < 1:
-                raise ValueError(f"[sources] weak: weak kind {w.kind.value} with multiplier "
-                                 f"{w.multiplier:g}: round({w.multiplier:g} x clean_count "
-                                 f"{self.clean_count}) = {w.count(self.clean_count)} instances, "
-                                 f"need at least 1")
+        weak_tuples(self.weak_sources, self.clean_count)  # WeakSource.count checks each size
+        # with every eta fixed, each swept eta would train the same models again
+        if len(self.etas) > 1 and all(w.eta is not None for w in self.weak_sources):
+            raise ValueError(f"[sources] etas: {len(self.etas)} etas, but every weak source "
+                             f"fixes its own eta, so each would train the same models")
         if not 0.0 <= self.smoothing < np.inf:  # written so that NaN fails
             raise ValueError(f"[run] smoothing must be finite and >= 0, got {self.smoothing}")
         rows = self.classes * self.n_per_class
@@ -134,12 +158,13 @@ class ExperimentConfig:
                                  f"{err}") from None
 
     def sources(self, eta: float) -> list:
-        """The SourceSpecs at one eta: datagen.source_specs for the generated rows."""
-        weak = [(w.kind, eta, w.count(self.clean_count)) for w in self.weak_sources]
-        return source_specs(self.classes, self.clean_count, weak, self.classes * self.n_per_class)
+        """The SourceSpecs at one swept eta: datagen.source_specs for the generated rows."""
+        return source_specs(self.classes, self.clean_count,
+                            weak_tuples(self.weak_sources, self.clean_count, eta),
+                            self.classes * self.n_per_class)
 
     def source_layout(self) -> str:
-        return "+".join(f"{w.kind.value}:x{w.multiplier:g}" for w in self.weak_sources)
+        return "+".join(w.token for w in self.weak_sources)
 
 
 @dataclass
@@ -454,26 +479,40 @@ strategy_token = choice("strategy", COMBO_STRATEGIES)
 loss_family = choice("loss family", FAMILIES)
 
 
-def tokens(fields: dict, defaults: tuple = ()):
-    """Parser of space-separated `field:field...` tokens into tuples.
-
-    fields maps each field name to its parser; the last len(defaults)
-    fields may be left out and take these defaults. Errors name the token.
-    """
-    required = len(fields) - len(defaults)
-    names = list(fields)
-    grammar = ":".join(names[:required]) + "".join(f"[:{name}]" for name in names[required:])
-
-    def parse(token):
-        parts = token.split(":")
-        if not required <= len(parts) <= len(fields):
-            raise ValueError(f"token {token!r}: expected {grammar}")
+def tokens(parse):
+    """Parser of space-separated tokens, each read by parse; errors name the token."""
+    def read(token):
         try:
-            values = [read(text) for read, text in zip(fields.values(), parts)]
+            return parse(token)
         except ValueError as err:
             raise ValueError(f"token {token!r}: {err}") from None
-        return (*values, *defaults[len(parts) - required:])
-    return lambda text: [parse(token) for token in text.split()]
+    return lambda text: [read(token) for token in text.split()]
+
+
+def combo(token: str) -> tuple:
+    """(strategy, loss family) of a `[run] combos` token `strategy[@true]:family`."""
+    strategy, *family = token.split(":")
+    if len(family) != 1:
+        raise ValueError("expected strategy:family")
+    return strategy_token(strategy), loss_family(family[0])
+
+
+def weak_token(token: str, swept: bool) -> WeakSource:
+    """The WeakSource of a `[sources] weak` token `kind[:eta]:size`, its
+    size `xM` or a whole row count N; a size without an eta must be `xM`.
+    With swept (a run config) the eta may be left to the swept etas; a
+    corrupt spec has no eta axis. An eta of -0 is kept, and spelled, as 0;
+    WeakSource.count checks the size."""
+    kind, *eta = token.split(":")
+    size = eta.pop() if eta else ""
+    kind = template_kind(kind)
+    if len(eta) > 1 or not (eta or swept and size.startswith("x")):
+        hint = f"; a size without an eta is xM, as in {kind.value}:x{size or 1}"
+        raise ValueError(f"expected kind{'[:eta]' if swept else ':eta'}:size"
+                         + (hint if swept and not eta else ""))
+    multiplier, rows = ((typed(float)(size[1:]), None) if size.startswith("x")
+                        else (None, typed(int)(size)))
+    return WeakSource(kind, multiplier, typed(float)(eta[0]) + 0.0 if eta else None, rows)
 
 
 def _fields(cls, *names, **parsers) -> dict:
@@ -487,12 +526,12 @@ def _fields(cls, *names, **parsers) -> dict:
 CONFIG_SCHEMA = {
     "dataset": _fields(ExperimentConfig, "classes", "dim", "n_per_class", "spread"),
     "sources": _fields(ExperimentConfig, "clean_count", "etas", weak=tokens(
-        {"kind": template_kind, "multiplier": typed(float)}, (1.0,))),
+        lambda token: weak_token(token, swept=True))),
     "loss": _fields(LossSpec, "family", "q", "alpha", "beta", "A"),
     "train": _fields(TrainConfig, "epochs", "batch_size", "learning_rate", "momentum",
                      "weight_decay", "hidden"),
     "run": _fields(ExperimentConfig, "seeds", "use_clean_in_training", "baseline_epoch_cap",
-                   "smoothing", combos=tokens({"strategy": strategy_token, "family": loss_family})),
+                   "smoothing", combos=tokens(combo)),
 }
 
 
@@ -500,10 +539,11 @@ CONFIG_SCHEMA = {
 _COMMENT = re.compile(r"(?:^|\s)[#;]")
 
 
-def read_ini(path, schema: dict) -> dict:
+def read_ini(path, schema: dict, lines: dict | None = None) -> dict:
     """Read a UTF-8 section/key-value file into {section: {key: value}}
     for the sections it holds, each value read by its parser in the
-    schema (section -> key -> parser). Each line stands alone: blank, a
+    schema (section -> key -> parser), and into lines, if given, each
+    (section, key) -> `path, line N`. Each line stands alone: blank, a
     comment, a `[section]` header or `key = value`, its outer blanks and
     comment left out. A byte that is not UTF-8, a line of another form, a
     key before the first header, a repeated or unknown section or key, or
@@ -542,6 +582,8 @@ def read_ini(path, schema: dict) -> dict:
                 values[section][key] = schema[section][key](text)
             except ValueError as err:
                 raise ValueError(f"{where}: [{section}] {key} {err}") from None
+            if lines is not None:
+                lines[section, key] = where
     return values
 
 
@@ -559,12 +601,17 @@ def load_config(path) -> ExperimentConfig:
     the defaults of ExperimentConfig; [run] combos sets its combinations.
     Unknown names and bad values raise ValueError.
     """
-    values = {section: {} for section in CONFIG_SCHEMA} | read_ini(path, CONFIG_SCHEMA)
+    lines = {}
+    values = {section: {} for section in CONFIG_SCHEMA} | read_ini(path, CONFIG_SCHEMA, lines)
     loss = _construct("loss", LossSpec, **{"family": "cce", **values["loss"]})
     train = _construct("train", TrainConfig, loss=loss, **values["train"])
     sources, run = values["sources"], values["run"]
-    if "weak" in sources:
-        sources["weak_sources"] = [WeakSource(*token) for token in sources.pop("weak")]
+    if "weak" in sources:  # a size's range needs clean_count: checked here to name the line
+        weak = sources["weak_sources"] = sources.pop("weak")
+        try:
+            weak_tuples(weak, sources.get("clean_count", ExperimentConfig.clean_count))
+        except ValueError as err:
+            raise ValueError(f"{lines['sources', 'weak']}: {err}") from None
     if "combos" in run:
         run["combinations"] = run.pop("combos")
     return ExperimentConfig(**values["dataset"], **sources, **run, train=train)

@@ -211,14 +211,14 @@ def refuse_rows(where: str, bad: np.ndarray, what: str, values) -> None:
         raise ValueError(f"{where}, row {row}: " + what.format(values[row]))
 
 
-def check_whole(values, what: str, name: str) -> np.ndarray:
+def check_whole(values, what: str, name: str, low: int = 0) -> np.ndarray:
     """The values as an int64 array (an int64 array itself, not a copy);
     raises ValueError naming `what`, the first row and its value (as `name`)
-    where it is negative, or not whole (a NaN, an infinity) or past int64."""
+    where it is below low, or not whole (a NaN, an infinity) or past int64."""
     values = np.asarray(values)
     with np.errstate(invalid="ignore"):  # the values that the cast warns of are refused below
         ints = values.astype(np.int64, copy=False)
-    refuse_rows(what, (ints != values) | (ints < 0), name + " {} is not a whole number", values)
+    refuse_rows(what, (ints != values) | (ints < low), name + " {} is not a whole number", values)
     return ints
 
 

@@ -20,7 +20,7 @@ spread = 0.25
 
 [sources]
 clean_count = 40
-weak = uniform:3
+weak = uniform:x3
 etas = 0.2
 
 [train]
@@ -79,8 +79,24 @@ def test_gen_template_rejects_bad_eta(capsys):
      "exp.ini, line 1: '[train] extra words' is not a [section] header or a key = value line"),
     ("[train]\nlearning_rat = 5.0\n", "exp.ini, line 2: unknown key 'learning_rat'"),
     # int(round(inf)) would end the run with an OverflowError traceback and exit 1
-    ("[sources]\nweak = mixed:inf\n",
-     "[sources] weak: weak kind mixed: multiplier must be finite and > 0, got inf"),
+    ("[sources]\nweak = mixed:xinf\n",
+     "exp.ini, line 2: [sources] weak token 'mixed:xinf': multiplier must be finite and > 0, "
+     "got inf\n"),
+    # every refused weak token is named with its line; an old size gets its new spelling
+    ("[sources]\nweak = mixed:9\n", "exp.ini, line 2: [sources] weak token 'mixed:9': expected "
+     "kind[:eta]:size; a size without an eta is xM, as in mixed:x9\n"),
+    ("[sources]\nweak = mixed\n", "exp.ini, line 2: [sources] weak token 'mixed': expected "
+     "kind[:eta]:size; a size without an eta is xM, as in mixed:x1\n"),
+    ("[sources]\nweak = mixed:x0\n", "exp.ini, line 2: [sources] weak token 'mixed:x0': "
+     "multiplier must be finite and > 0, got 0\n"),
+    ("[sources]\nweak = mixed:xnan\n", "exp.ini, line 2: [sources] weak token 'mixed:xnan': "
+     "multiplier must be finite and > 0, got nan\n"),
+    ("[sources]\nclean_count = 500\nweak = mixed:x0.0001\n", "exp.ini, line 3: [sources] weak "
+     "token 'mixed:x0.0001': round(0.0001 x clean_count 500) = 0 rows, need at least 1\n"),
+    ("[sources]\nweak = mixed:0.3:0\n", "exp.ini, line 2: [sources] weak token 'mixed:0.3:0': "
+     "0 rows, need at least 1\n"),
+    ("[sources]\nweak = mixed:0.3:2.5\n", "exp.ini, line 2: [sources] weak token "
+     "'mixed:0.3:2.5': value '2.5' is not of type int\n"),
     ("[run]\ncombos = proposed@tru:cce\n",
      "exp.ini, line 2: [run] combos token 'proposed@tru:cce': unknown strategy 'proposed@tru'"),
     ("[run]\ncombos = propsed:cce\n",
@@ -93,8 +109,9 @@ def test_gen_template_rejects_bad_eta(capsys):
     ("[sources]\netas = 0 -0\n", "weaklab run: [sources] etas: 0 given twice\n"),
 ], ids=["dataset", "train", "missing_file", "repeated_key", "key_before_header",
         "line_without_equals", "not_utf8", "colon", "continuation", "continuation_after_blank",
-        "text_after_header", "unknown_key", "infinite_multiplier", "true_suffix",
-        "unknown_strategy", "unknown_family", "negative_zero_eta"])
+        "text_after_header", "unknown_key", "infinite_multiplier", "old_size", "bare_kind",
+        "zero_multiplier", "nan_multiplier", "rounds_to_0", "zero_rows", "fractional_rows",
+        "true_suffix", "unknown_strategy", "unknown_family", "negative_zero_eta"])
 def test_run_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     cfg = tmp_path / "exp.ini"
     if text is not None:
@@ -130,7 +147,7 @@ def test_run_rejects_sources_beyond_the_training_pool_before_training(tmp_path, 
     for module in (harness, estimation):
         monkeypatch.setattr(module, "train", lambda *args, **kwargs: trained.append(args))
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(RUN_CONFIG.replace("weak = uniform:3", "weak = uniform:9"))
+    cfg.write_text(RUN_CONFIG.replace("weak = uniform:x3", "weak = uniform:x9"))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -377,6 +394,35 @@ def test_corrupt_twice_writes_the_same_bytes(tmp_path, capsys):
         "clean.bin", "sources.ini", "test_a.txt", "test_b.txt", "weak_a.txt", "weak_b.txt"]
 
 
+def test_corrupt_reads_both_sizes_as_one_dataset(tmp_path, capsys):
+    # x5 of clean_count 20 is the 100 rows that `weaklab run` would size it to
+    clean_path, _, spec_path = corrupt_input(tmp_path)
+    runs = []
+    for size in ("100", "x5"):
+        spec_path.write_text(f"[sources]\nclean_count = 20\nweak = uniform:0.3:{size}\n")
+        out, test = tmp_path / f"weak_{size}.bin", tmp_path / f"test_{size}.bin"
+        assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
+                     "--emit-dataset", str(out), "--emit-test", str(test), "--seed", "7"]) == 0
+        runs.append((out.read_bytes(), test.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("weak, message", [
+    ("uniform:x5", "line 3: [sources] weak token 'uniform:x5': expected kind:eta:size"),
+    ("uniform:0.3:x0.01", "line 3: [sources] weak token 'uniform:0.3:x0.01': round(0.01 x "
+                          "clean_count 20) = 0 rows, need at least 1"),
+], ids=["no_eta", "rounds_to_0"])
+def test_corrupt_reports_a_bad_weak_token_in_one_line(tmp_path, capsys, weak, message):
+    clean_path, _, spec_path = corrupt_input(tmp_path)
+    spec_path.write_text(f"[sources]\nclean_count = 20\nweak = {weak}\n")
+    out = tmp_path / "weak.bin"
+    assert main(["corrupt", "--load-dataset", str(clean_path), "--spec", str(spec_path),
+                 "--emit-dataset", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"weaklab corrupt: {spec_path}, {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_run_command_writes_report(tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(RUN_CONFIG)
@@ -531,9 +577,11 @@ def test_corrupt_accepts_a_file_too_small_for_a_test_split(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("weak, message", [
-    ("mixed:0.3", r"'mixed:0.3': expected kind:eta:count"),
+    ("mixed:0.3", r"'mixed:0.3': expected kind:eta:size$"),
+    # a corrupt spec has no eta axis to take
+    ("mixed:x9", r"'mixed:x9': expected kind:eta:size$"),
     ("mixd:0.3:900", r"'mixd:0.3:900': unknown template kind 'mixd', expected one of mixed"),
-], ids=["field_count", "unknown_kind"])
+], ids=["field_count", "no_eta", "unknown_kind"])
 def test_corrupt_spec_names_the_bad_token(tmp_path, weak, message):
     spec_path = tmp_path / "sources.ini"
     spec_path.write_text(f"[sources]\nclean_count = 100\nweak = uniform:0.3:900 {weak}\n")
@@ -549,7 +597,7 @@ def test_corrupt_spec_names_the_bad_token(tmp_path, weak, message):
     ("[sources]\nweak = uniform:0.3:900\n", r"missing \[sources\] clean_count"),
     ("[sources]\nclean_count = 0\n", r"\[sources\] clean_count value 0 is below 1"),
     ("[sources]\nclean_count = 5\nweak = uniform:0.3:0\n",
-     r"\[sources\] weak token 'uniform:0.3:0': value 0 is below 1"),
+     r"line 3: \[sources\] weak token 'uniform:0.3:0': 0 rows, need at least 1$"),
 ], ids=["key", "section", "missing_sources", "missing_clean_count", "zero_clean_count",
         "zero_weak_count"])
 def test_corrupt_spec_rejects_unknown_names(tmp_path, text, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import struct
@@ -401,13 +402,18 @@ def _block(sid=1, rows=3, width=2, labels=None, origin=None):
      "source 1, row 1: label -1 outside [0, 2)"),
     (lambda: MultisourceDataset([_block(origin=[-1, 0, -2])], 2, 2),
      "source 1, row 2: origin -2 below -1"),
+    # a fractional origin would be truncated in the file
+    (lambda: MultisourceDataset([_block(origin=[-1, 0.5, 1.7])], 2, 2),
+     "source 1, row 1: origin 0.5 is not a whole number"),
+    (lambda: MultisourceDataset([_block(origin=[0, 1, np.nan])], 2, 2),
+     "source 1, row 2: origin nan is not a whole number"),
     (lambda: MultisourceDataset([], 0, 2), "data.bin: header c = 0 classes, expected 1 to "
                                            f"{MAX_CLASSES}"),
     (lambda: MultisourceDataset([_block(width=0)], 2, 0), "data.bin: header d = 0 features per "
                                                           "row, expected at least 1 and few "
                                                           "enough for an array row"),
 ], ids=["short_labels", "long_origins", "width", "label_c", "negative_label",
-        "origin_below_minus_one", "zero_c", "zero_d"])
+        "origin_below_minus_one", "fractional_origin", "nan_origin", "zero_c", "zero_d"])
 def test_save_dataset_refuses_what_load_dataset_would(tmp_path, build, message):
     # a block or dataset that load_dataset would refuse is refused when it is
     # built; a header the file cannot hold, by save_dataset before it opens
@@ -422,6 +428,17 @@ def test_save_dataset_refuses_what_load_dataset_would(tmp_path, build, message):
             build()
     assert str(err.value).removeprefix(f"{tmp_path}/") == message
     assert os.listdir(tmp_path) == []
+
+
+def test_a_block_cannot_be_reassigned_after_its_dataset_checked_it(tmp_path):
+    # a reassigned label would reach a file that load_dataset refuses
+    ms = MultisourceDataset([_block(labels=[0, 1, 1])], 2, 2)
+    for name, value in [("labels", np.array([0, 7, 1])), ("origin", np.arange(3)),
+                        ("features", np.ones((3, 2))), ("source_id", 0)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ms.sources[0], name, value)
+    save_dataset(tmp_path / "data.bin", ms)
+    assert load_dataset(tmp_path / "data.bin").sources[0].labels.tolist() == [0, 1, 1]
 
 
 def test_valid_fixture_loads(tmp_path):

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weaklab import harness
 from weaklab.estimation import estimate_single
+from weaklab.cli import CORRUPT_SPEC_SCHEMA
 from weaklab.harness import (CONFIG_SCHEMA, CSV_HEADER, Cell, ExperimentConfig, ReportRow,
                              RunReport, WeakSource, emit_csv, emit_curves, load_config,
                              model_config, overall_accuracy, read_ini, run_experiment,
@@ -68,6 +69,14 @@ def test_config_validation():
     # with no weak source every combination would train the baseline's model
     with pytest.raises(ValueError, match=r"^\[sources\] weak: need at least one weak source"):
         tiny_config(weak_sources=[])
+    # a WeakSource built in Python gets the size checks of a file's token, without the line
+    for source, message in [
+            (WeakSource(TemplateKind.UNIFORM, 0.0), "token 'uniform:x0': multiplier must be "
+                                                    "finite and > 0, got 0"),
+            (WeakSource(TemplateKind.UNIFORM, None, 0.1, 0), "token 'uniform:0.1:0': 0 rows, "
+                                                             "need at least 1")]:
+        with pytest.raises(ValueError, match=f"^{re.escape('[sources] weak ' + message)}$"):
+            tiny_config(weak_sources=[source])
 
 
 def test_run_experiment_report_shape():
@@ -484,7 +493,7 @@ spread = 0.25
 
 [sources]
 clean_count = 40
-weak = uniform:3
+weak = uniform:x3
 etas = 0.1 0.3
 
 [loss]
@@ -555,19 +564,63 @@ def test_load_config_defaults(tmp_path):
     assert cfg.combinations == ExperimentConfig().combinations
 
 
+def test_a_weak_source_with_its_own_eta_keeps_it_at_every_swept_eta(tmp_path):
+    # uniform keeps eta 0.1 while mixed takes each swept eta; 1500 rows is x3 of 500
+    path = tmp_path / "exp.ini"
+    for weak in ("uniform:0.1:x3 mixed:x3", "uniform:0.1:1500 mixed:x3"):
+        path.write_text(f"[sources]\nweak = {weak}\netas = 0.2 0.4\n")
+        cfg = load_config(path)
+        assert cfg.source_layout() == weak.replace(" ", "+")
+        for eta in cfg.etas:
+            specs = cfg.sources(eta)
+            assert [s.count for s in specs] == [500, 1500, 1500]
+            assert np.array_equal(specs[1].matrix.entries,
+                                  make_template(TemplateKind.UNIFORM, 10, 0.1).entries)
+            assert np.array_equal(specs[2].matrix.entries,
+                                  make_template(TemplateKind.MIXED_CLASS_DEPENDENT, 10, eta).entries)
+    # with one eta, every source may fix its own; -0 is spelled as 0, as in etas
+    path.write_text("[sources]\nweak = uniform:-0:x3 mixed:0.2:2000\netas = 0.3\n")
+    cfg = load_config(path)
+    assert [s.count for s in cfg.sources(0.3)] == [500, 1500, 2000]
+    assert cfg.source_layout() == "uniform:0:x3+mixed:0.2:2000"
+
+
+# a float of at most 6 significant digits, which `:g` prints exactly
+SIX_DIGITS = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(1, 999999), st.integers(-9, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(TemplateKind), eta=st.none() | st.just(0.0) | SIX_DIGITS,
+       size=st.one_of(SIX_DIGITS.map(lambda m: f"x{m!r}"),
+                      st.builds(lambda m, k: str(m * 10 ** k), st.integers(1, 999999),
+                                st.integers(0, 6))))
+def test_a_weak_token_parses_back_from_its_spelling(kind, eta, size):
+    # a row count needs an eta; a corrupt spec needs an eta for every token
+    assume(eta is not None or size.startswith("x"))
+    text = kind.value + ("" if eta is None else f":{eta!r}") + f":{size}"
+    parsers = [CONFIG_SCHEMA["sources"]["weak"]] + (
+        [CORRUPT_SPEC_SCHEMA["sources"]["weak"]] if eta is not None else [])
+    for parse in parsers:
+        source, = parse(text)
+        assert source == (WeakSource(kind, float(size[1:]), eta) if size.startswith("x")
+                          else WeakSource(kind, None, eta, int(size)))
+        assert parse(source.token) == [source]
+
+
 def test_load_config_rejects_source_weight(tmp_path):
     # a third token field (a per-source weight) would never reach training
     path = tmp_path / "exp.ini"
-    path.write_text("[sources]\nweak = uniform:3 mixed:9:2\n")
-    with pytest.raises(ValueError, match="mixed:9:2"):
+    path.write_text("[sources]\nweak = uniform:x3 mixed:x9:2\n")
+    with pytest.raises(ValueError, match=r"line 2: \[sources\] weak token 'mixed:x9:2': value "
+                                         r"'x9' is not of type float$"):
         load_config(path)
 
 
 @pytest.mark.parametrize("text, message", [
     ("[train]\nlearning_rat = 5.0\n", r"'learning_rat' in section \[train\]"),
-    ("[sourcez]\nweak = mixed:9\n", r"section \[sourcez\]"),
+    ("[sourcez]\nweak = mixed:x9\n", r"section \[sourcez\]"),
     ("[DEFAULT]\nepochs = 3\n", r"section \[DEFAULT\]"),
-    ("[sources]\nweak = uniform:3 mixd:9\n", r"'mixd:9'.*expected one of mixed, uniform"),
+    ("[sources]\nweak = uniform:x3 mixd:x9\n", r"'mixd:x9'.*expected one of mixed, uniform"),
     ("[run]\ncombos = vanilla:cce propsed:cce\n",
      r"\[run\] combos token 'propsed:cce': unknown strategy 'propsed', expected one of vanilla"),
     ("[run]\ncombos = proposed\n", r"\[run\] combos token 'proposed': expected strategy:family"),
@@ -579,29 +632,35 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[run]\nuse_clean_in_training = maybe\n",
      r"\[run\] use_clean_in_training value 'maybe' is not of type bool"),
     ("[sources]\netas = 0.1 x\n", r"\[sources\] etas value 'x' is not of type float"),
-    ("[sources]\nweak = mixed:nine\n",
-     r"\[sources\] weak token 'mixed:nine': value 'nine' is not of type float"),
+    ("[sources]\nweak = mixed:xnine\n",
+     r"\[sources\] weak token 'mixed:xnine': value 'nine' is not of type float"),
     ("[train]\nhidden = -1\n", r"\[train\] hidden must be >= 0, got -1"),
     # 500 + 3 x 500 + 5 x 500 rows fit the pool of 5000, so only the eta is at fault
-    ("[sources]\nweak = uniform:3 mixed:5\netas = 0.1 0.85\n",
+    ("[sources]\nweak = uniform:x3 mixed:x5\netas = 0.1 0.85\n",
      r"^\[sources\] clean_count, weak, etas at eta 0.85, \[dataset\] classes 10 x n_per_class "
      r"625: eta = 0.85 outside \[0, 0.8\) for mixed$"),
     ("[dataset]\nclasses = 5\n",
      r"^\[sources\] clean_count, weak, etas at eta 0.1, \[dataset\] classes 5 x n_per_class "
      r"625: mixed template is defined only for c = 10$"),
-    ("[sources]\nweak = uniform:0\n",
-     r"weak kind uniform with multiplier 0: round\(0 x clean_count 500\) = 0 instances, need "
-     r"at least 1"),
-    ("[sources]\nweak = mixed:9 uniform:-1\n",
-     r"weak kind uniform with multiplier -1: .* = -500 instances"),
-    ("[sources]\nweak = uniform:0.0001\n",
-     r"weak kind uniform with multiplier 0.0001: round\(0.0001 x clean_count 500\) = 0 "),
-    ("[sources]\nweak = mixed:inf\n",
-     r"^\[sources\] weak: weak kind mixed: multiplier must be finite and > 0, got inf$"),
-    ("[sources]\nweak = mixed:1e400\n",
-     r"^\[sources\] weak: weak kind mixed: multiplier must be finite and > 0, got inf$"),
-    ("[sources]\nweak = uniform:3 mixed:nan\n",
-     r"^\[sources\] weak: weak kind mixed: multiplier must be finite and > 0, got nan$"),
+    ("[sources]\nweak = uniform:x0\n",
+     r"exp\.ini, line 2: \[sources\] weak token 'uniform:x0': multiplier must be finite and > 0, "
+     r"got 0$"),
+    ("[sources]\nweak = mixed:x9 uniform:x-1\n",
+     r"exp\.ini, line 2: \[sources\] weak token 'uniform:x-1': multiplier must be finite and "
+     r"> 0, got -1$"),
+    ("[sources]\nweak = uniform:x0.0001\n",
+     r"exp\.ini, line 2: \[sources\] weak token 'uniform:x0.0001': round\(0.0001 x clean_count "
+     r"500\) = 0 rows, need at least 1$"),
+    ("[sources]\nweak = mixed:xinf\n",
+     r"exp\.ini, line 2: \[sources\] weak token 'mixed:xinf': multiplier must be finite and > 0, "
+     r"got inf$"),
+    # a size error names the token as parsed: 1e400 is inf
+    ("[sources]\nweak = mixed:x1e400\n",
+     r"exp\.ini, line 2: \[sources\] weak token 'mixed:xinf': multiplier must be finite and > 0, "
+     r"got inf$"),
+    ("[sources]\nweak = uniform:x3 mixed:xnan\n",
+     r"exp\.ini, line 2: \[sources\] weak token 'mixed:xnan': multiplier must be finite and > 0, "
+     r"got nan$"),
     ("[loss]\nalpha = nan\n", r"^\[loss\] alpha must be finite and > 0, got nan$"),
     ("[loss]\nalpha = 0\n", r"^\[loss\] alpha must be finite and > 0, got 0.0$"),
     ("[loss]\nbeta = inf\n", r"^\[loss\] beta must be finite and > 0, got inf$"),
@@ -617,6 +676,10 @@ def test_load_config_rejects_source_weight(tmp_path):
      r"625: eta = nan outside \[0, 0.8\) for mixed$"),
     ("[sources]\netas =\n", r"^\[sources\] etas: need at least one eta"),
     ("[sources]\nweak =\n", r"^\[sources\] weak: need at least one weak source"),
+    # with every eta fixed, each swept eta would train the same models again
+    ("[sources]\nweak = uniform:0.1:x3 mixed:0.2:2000\netas = 0.2 0.4\n",
+     r"^\[sources\] etas: 2 etas, but every weak source fixes its own eta, so each would train "
+     r"the same models$"),
     ("[run]\nsmoothing = nan\n", r"^\[run\] smoothing must be finite and >= 0, got nan"),
     ("[run]\nsmoothing = -0.4\n", r"^\[run\] smoothing must be finite and >= 0, got -0.4"),
     ("[run]\nsmoothing = inf\n", r"^\[run\] smoothing must be finite and >= 0, got inf"),
@@ -634,7 +697,7 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[run]\nseeds = 0 -1\n", r"^\[run\] seeds must be >= 0, got -1"),
     ("[run]\nbaseline_epoch_cap = -3\n", r"^\[run\] baseline_epoch_cap must be >= 0"),
     ("[dataset]\nclasses = 2\nn_per_class = 2\ndim = 2\n[sources]\nclean_count = 1\n"
-     "weak = uniform:1\n",
+     "weak = uniform:x1\n",
      r"^\[dataset\] classes 2 x n_per_class 2 = 4 rows leave 0 test rows$"),
 ], ids=["key", "section", "default_section", "template_kind", "combos_strategy",
         "combos_no_family", "combos_family", "dead_seed", "dead_strategy", "int_value",
@@ -643,7 +706,7 @@ def test_load_config_rejects_source_weight(tmp_path):
         "infinite_multiplier", "overflowing_multiplier", "nan_multiplier", "nan_alpha",
         "zero_alpha", "infinite_beta", "nan_A", "minus_infinite_A", "nan_q",
         "negative_learning_rate", "nan_learning_rate", "momentum_of_1", "nan_weight_decay",
-        "nan_eta", "empty_etas", "empty_weak", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
+        "nan_eta", "empty_etas", "empty_weak", "every_eta_fixed", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
         "removed_scale", "nan_spread", "dim_of_1", "repeated_seed", "repeated_eta",
         "etas_printed_alike", "negative_zero_eta", "repeated_combo", "zero_clean_count",
         "negative_clean_count", "negative_seed", "negative_baseline_epoch_cap", "empty_test_split"])

@@ -101,10 +101,8 @@ def _parse_corrupt_spec(path):
         raise ValueError(f"corrupt spec {path}: missing the [sources] section")
     if "clean_count" not in src:
         raise ValueError(f"corrupt spec {path}: missing [sources] clean_count")
-    try:  # the (kind, eta, count) of each weak source
-        return src["clean_count"], harness.weak_tuples(src.get("weak", []), src["clean_count"])
-    except ValueError as err:
-        raise ValueError(f"{lines['sources', 'weak']}: {err}") from None
+    return src["clean_count"], harness.weak_line(lines, harness.weak_tuples, src.get("weak", []),
+                                                 src["clean_count"])
 
 
 def _same_file(a, b) -> bool:

@@ -37,42 +37,44 @@ from .model import (STRATEGIES, ModelParameters, TrainConfig, TrainingDiverged, 
 
 @dataclass
 class WeakSource:
-    """One weak source, the `[sources] weak` token `kind[:eta]:size` of a
-    run config or a corrupt spec: a template kind, an eta (None: the swept
-    etas) and a size, rows if given, else a multiple of clean_count; token
-    spells it back."""
+    """One weak source, a `[sources] weak` token: a template kind, an eta
+    (None in a run config, which sweeps it) and a size, exactly one of a
+    multiple of clean_count and a row count; token spells it back."""
 
     kind: TemplateKind
     multiplier: float | None
     eta: float | None = None
     rows: int | None = None
 
+    def __post_init__(self):
+        if (self.multiplier is None) == (self.rows is None):
+            raise ValueError(f"weak kind {self.kind.value}: need one of multiplier and rows")
+
     @property
     def token(self) -> str:
         eta = "" if self.eta is None else f":{self.eta:g}"
-        return f"{self.kind.value}{eta}:" + (f"x{self.multiplier:g}" if self.rows is None
-                                             else str(self.rows))
+        return f"{self.kind.value}{eta}:" + (str(self.rows) if self.multiplier is None
+                                             else f"x{self.multiplier:g}")
 
     def count(self, clean_count: int) -> int:
-        """The source's rows, or round(multiplier x clean_count); ValueError
-        naming the token unless a multiplier finite and > 0 and >= 1 row."""
+        """The rows, else round(multiplier x clean_count); ValueError naming the
+        token unless the multiplier is finite and > 0 and gives >= 1 row."""
+        if self.rows is not None:  # checked by their parser, count
+            return self.rows
         where = f"[sources] weak token {self.token!r}"
-        if self.rows is not None:
-            n, rule = self.rows, ""
-        elif 0.0 < self.multiplier < np.inf:  # written so that NaN fails
-            n = int(round(self.multiplier * clean_count))
-            rule = f"round({self.multiplier:g} x clean_count {clean_count}) = "
-        else:
+        if not 0.0 < self.multiplier < np.inf:  # written so that NaN fails
             raise ValueError(f"{where}: multiplier must be finite and > 0, got {self.multiplier:g}")
+        n = int(round(self.multiplier * clean_count))
         if n < 1:
-            raise ValueError(f"{where}: {rule}{n} rows, need at least 1")
+            raise ValueError(f"{where}: round({self.multiplier:g} x clean_count {clean_count}) = "
+                             f"{n} rows, need at least 1")
         return n
 
 
 def weak_tuples(weak: list, clean_count: int, eta: float | None = None) -> list:
     """The (kind, eta, count) of each WeakSource, as datagen.source_specs
-    takes them: a source without an eta of its own takes eta."""
-    return [(w.kind, eta if w.eta is None else w.eta, w.count(clean_count)) for w in weak]
+    takes them: eta if given (a run config's swept eta), else the source's."""
+    return [(w.kind, w.eta if eta is None else eta, w.count(clean_count)) for w in weak]
 
 
 @dataclass
@@ -137,11 +139,10 @@ class ExperimentConfig:
         # with no weak source every combination trains the baseline's model again
         if not self.weak_sources:
             raise ValueError("[sources] weak: need at least one weak source")
+        for w in self.weak_sources:  # a run sweeps each eta, as weak_token reads a run config
+            if w.eta is not None or w.rows is not None:
+                raise ValueError(f"[sources] weak token {w.token!r}: expected kind:xM")
         weak_tuples(self.weak_sources, self.clean_count)  # WeakSource.count checks each size
-        # with every eta fixed, each swept eta would train the same models again
-        if len(self.etas) > 1 and all(w.eta is not None for w in self.weak_sources):
-            raise ValueError(f"[sources] etas: {len(self.etas)} etas, but every weak source "
-                             f"fixes its own eta, so each would train the same models")
         if not 0.0 <= self.smoothing < np.inf:  # written so that NaN fails
             raise ValueError(f"[run] smoothing must be finite and >= 0, got {self.smoothing}")
         rows = self.classes * self.n_per_class
@@ -158,10 +159,9 @@ class ExperimentConfig:
                                  f"{err}") from None
 
     def sources(self, eta: float) -> list:
-        """The SourceSpecs at one swept eta: datagen.source_specs for the generated rows."""
-        return source_specs(self.classes, self.clean_count,
-                            weak_tuples(self.weak_sources, self.clean_count, eta),
-                            self.classes * self.n_per_class)
+        """The SourceSpecs at one eta: datagen.source_specs for the generated rows."""
+        weak = weak_tuples(self.weak_sources, self.clean_count, eta)
+        return source_specs(self.classes, self.clean_count, weak, self.classes * self.n_per_class)
 
     def source_layout(self) -> str:
         return "+".join(w.token for w in self.weak_sources)
@@ -498,21 +498,28 @@ def combo(token: str) -> tuple:
 
 
 def weak_token(token: str, swept: bool) -> WeakSource:
-    """The WeakSource of a `[sources] weak` token `kind[:eta]:size`, its
-    size `xM` or a whole row count N; a size without an eta must be `xM`.
-    With swept (a run config) the eta may be left to the swept etas; a
-    corrupt spec has no eta axis. An eta of -0 is kept, and spelled, as 0;
-    WeakSource.count checks the size."""
+    """The WeakSource of a `[sources] weak` token: `kind:xM` in a run config
+    (swept), `kind:eta:size` in a corrupt spec; a size `xM` is round(M x
+    clean_count) rows, checked by WeakSource.count, else a row count N >= 1."""
     kind, *eta = token.split(":")
-    size = eta.pop() if eta else ""
-    kind = template_kind(kind)
-    if len(eta) > 1 or not (eta or swept and size.startswith("x")):
-        hint = f"; a size without an eta is xM, as in {kind.value}:x{size or 1}"
-        raise ValueError(f"expected kind{'[:eta]' if swept else ':eta'}:size"
-                         + (hint if swept and not eta else ""))
-    multiplier, rows = ((typed(float)(size[1:]), None) if size.startswith("x")
-                        else (None, typed(int)(size)))
-    return WeakSource(kind, multiplier, typed(float)(eta[0]) + 0.0 if eta else None, rows)
+    kind, size = template_kind(kind), eta.pop() if eta else ""
+    if swept and (eta or size[:1] != "x"):
+        raise ValueError("expected kind:xM" + ("; each eta comes from [sources] etas" if eta
+                                               else f", as in {kind.value}:x{size or 1}"))
+    if not swept and len(eta) != 1:
+        raise ValueError("expected kind:eta:size")
+    multiplier, rows = (typed(float)(size[1:]), None) if size[:1] == "x" else (None, count(size))
+    return WeakSource(kind, multiplier, typed(float)(eta[0]) if eta else None, rows)
+
+
+def weak_line(lines: dict, make, *args, **kwargs):
+    """make(*args, **kwargs); a weak size that only clean_count refuses names its line."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        if not str(err).startswith("[sources] weak token"):
+            raise
+        raise ValueError(f"{lines['sources', 'weak']}: {err}") from None
 
 
 def _fields(cls, *names, **parsers) -> dict:
@@ -606,12 +613,8 @@ def load_config(path) -> ExperimentConfig:
     loss = _construct("loss", LossSpec, **{"family": "cce", **values["loss"]})
     train = _construct("train", TrainConfig, loss=loss, **values["train"])
     sources, run = values["sources"], values["run"]
-    if "weak" in sources:  # a size's range needs clean_count: checked here to name the line
-        weak = sources["weak_sources"] = sources.pop("weak")
-        try:
-            weak_tuples(weak, sources.get("clean_count", ExperimentConfig.clean_count))
-        except ValueError as err:
-            raise ValueError(f"{lines['sources', 'weak']}: {err}") from None
+    if "weak" in sources:
+        sources["weak_sources"] = sources.pop("weak")
     if "combos" in run:
         run["combinations"] = run.pop("combos")
-    return ExperimentConfig(**values["dataset"], **sources, **run, train=train)
+    return weak_line(lines, ExperimentConfig, **values["dataset"], **sources, **run, train=train)

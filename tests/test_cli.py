@@ -84,19 +84,20 @@ def test_gen_template_rejects_bad_eta(capsys):
      "got inf\n"),
     # every refused weak token is named with its line; an old size gets its new spelling
     ("[sources]\nweak = mixed:9\n", "exp.ini, line 2: [sources] weak token 'mixed:9': expected "
-     "kind[:eta]:size; a size without an eta is xM, as in mixed:x9\n"),
+     "kind:xM, as in mixed:x9\n"),
     ("[sources]\nweak = mixed\n", "exp.ini, line 2: [sources] weak token 'mixed': expected "
-     "kind[:eta]:size; a size without an eta is xM, as in mixed:x1\n"),
+     "kind:xM, as in mixed:x1\n"),
     ("[sources]\nweak = mixed:x0\n", "exp.ini, line 2: [sources] weak token 'mixed:x0': "
      "multiplier must be finite and > 0, got 0\n"),
     ("[sources]\nweak = mixed:xnan\n", "exp.ini, line 2: [sources] weak token 'mixed:xnan': "
      "multiplier must be finite and > 0, got nan\n"),
     ("[sources]\nclean_count = 500\nweak = mixed:x0.0001\n", "exp.ini, line 3: [sources] weak "
      "token 'mixed:x0.0001': round(0.0001 x clean_count 500) = 0 rows, need at least 1\n"),
+    # a run config takes each eta from [sources] etas, so its token has no eta
     ("[sources]\nweak = mixed:0.3:0\n", "exp.ini, line 2: [sources] weak token 'mixed:0.3:0': "
-     "0 rows, need at least 1\n"),
+     "expected kind:xM; each eta comes from [sources] etas\n"),
     ("[sources]\nweak = mixed:0.3:2.5\n", "exp.ini, line 2: [sources] weak token "
-     "'mixed:0.3:2.5': value '2.5' is not of type int\n"),
+     "'mixed:0.3:2.5': expected kind:xM; each eta comes from [sources] etas\n"),
     ("[run]\ncombos = proposed@tru:cce\n",
      "exp.ini, line 2: [run] combos token 'proposed@tru:cce': unknown strategy 'proposed@tru'"),
     ("[run]\ncombos = propsed:cce\n",
@@ -110,8 +111,9 @@ def test_gen_template_rejects_bad_eta(capsys):
 ], ids=["dataset", "train", "missing_file", "repeated_key", "key_before_header",
         "line_without_equals", "not_utf8", "colon", "continuation", "continuation_after_blank",
         "text_after_header", "unknown_key", "infinite_multiplier", "old_size", "bare_kind",
-        "zero_multiplier", "nan_multiplier", "rounds_to_0", "zero_rows", "fractional_rows",
-        "true_suffix", "unknown_strategy", "unknown_family", "negative_zero_eta"])
+        "zero_multiplier", "nan_multiplier", "rounds_to_0", "eta_and_zero_rows",
+        "eta_and_fractional_rows", "true_suffix", "unknown_strategy", "unknown_family",
+        "negative_zero_eta"])
 def test_run_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     cfg = tmp_path / "exp.ini"
     if text is not None:
@@ -597,7 +599,7 @@ def test_corrupt_spec_names_the_bad_token(tmp_path, weak, message):
     ("[sources]\nweak = uniform:0.3:900\n", r"missing \[sources\] clean_count"),
     ("[sources]\nclean_count = 0\n", r"\[sources\] clean_count value 0 is below 1"),
     ("[sources]\nclean_count = 5\nweak = uniform:0.3:0\n",
-     r"line 3: \[sources\] weak token 'uniform:0.3:0': 0 rows, need at least 1$"),
+     r"\[sources\] weak token 'uniform:0.3:0': value 0 is below 1"),
 ], ids=["key", "section", "missing_sources", "missing_clean_count", "zero_clean_count",
         "zero_weak_count"])
 def test_corrupt_spec_rejects_unknown_names(tmp_path, text, message):

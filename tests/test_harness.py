@@ -69,14 +69,24 @@ def test_config_validation():
     # with no weak source every combination would train the baseline's model
     with pytest.raises(ValueError, match=r"^\[sources\] weak: need at least one weak source"):
         tiny_config(weak_sources=[])
-    # a WeakSource built in Python gets the size checks of a file's token, without the line
+    # a WeakSource built in Python gets the checks of a file's token, without the line:
+    # a run sweeps each source's eta and sizes it by clean_count
     for source, message in [
             (WeakSource(TemplateKind.UNIFORM, 0.0), "token 'uniform:x0': multiplier must be "
                                                     "finite and > 0, got 0"),
-            (WeakSource(TemplateKind.UNIFORM, None, 0.1, 0), "token 'uniform:0.1:0': 0 rows, "
-                                                             "need at least 1")]:
+            (WeakSource(TemplateKind.UNIFORM, 3.0, 0.1), "token 'uniform:0.1:x3': expected "
+                                                         "kind:xM"),
+            (WeakSource(TemplateKind.UNIFORM, None, 0.1, 1500), "token 'uniform:0.1:1500': "
+                                                                "expected kind:xM"),
+            (WeakSource(TemplateKind.UNIFORM, None, rows=1500), "token 'uniform:1500': "
+                                                                "expected kind:xM")]:
         with pytest.raises(ValueError, match=f"^{re.escape('[sources] weak ' + message)}$"):
             tiny_config(weak_sources=[source])
+    # a source has exactly one size
+    for multiplier, rows in [(None, None), (9.0, 100)]:
+        with pytest.raises(ValueError, match=r"^weak kind uniform: need one of multiplier and "
+                                             r"rows$"):
+            WeakSource(TemplateKind.UNIFORM, multiplier, 0.1, rows)
 
 
 def test_run_experiment_report_shape():
@@ -564,25 +574,15 @@ def test_load_config_defaults(tmp_path):
     assert cfg.combinations == ExperimentConfig().combinations
 
 
-def test_a_weak_source_with_its_own_eta_keeps_it_at_every_swept_eta(tmp_path):
-    # uniform keeps eta 0.1 while mixed takes each swept eta; 1500 rows is x3 of 500
+def test_a_run_config_sweeps_every_eta(tmp_path):
+    # a source of its own eta, or of a row count, is a corrupt spec's token, not a run's
     path = tmp_path / "exp.ini"
-    for weak in ("uniform:0.1:x3 mixed:x3", "uniform:0.1:1500 mixed:x3"):
-        path.write_text(f"[sources]\nweak = {weak}\netas = 0.2 0.4\n")
-        cfg = load_config(path)
-        assert cfg.source_layout() == weak.replace(" ", "+")
-        for eta in cfg.etas:
-            specs = cfg.sources(eta)
-            assert [s.count for s in specs] == [500, 1500, 1500]
-            assert np.array_equal(specs[1].matrix.entries,
-                                  make_template(TemplateKind.UNIFORM, 10, 0.1).entries)
-            assert np.array_equal(specs[2].matrix.entries,
-                                  make_template(TemplateKind.MIXED_CLASS_DEPENDENT, 10, eta).entries)
-    # with one eta, every source may fix its own; -0 is spelled as 0, as in etas
-    path.write_text("[sources]\nweak = uniform:-0:x3 mixed:0.2:2000\netas = 0.3\n")
-    cfg = load_config(path)
-    assert [s.count for s in cfg.sources(0.3)] == [500, 1500, 2000]
-    assert cfg.source_layout() == "uniform:0:x3+mixed:0.2:2000"
+    for weak in ("uniform:0.1:x3", "uniform:0.1:1500", "uniform:0.1:0", "uniform:-0:x3"):
+        path.write_text(f"[sources]\nweak = {weak} mixed:x3\netas = 0.2 0.4\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 2: \\[sources\\] weak "
+                                             f"token '{weak}': expected kind:xM; each eta comes "
+                                             f"from \\[sources\\] etas$"):
+            load_config(path)
 
 
 # a float of at most 6 significant digits, which `:g` prints exactly
@@ -595,24 +595,22 @@ SIX_DIGITS = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(1, 999999), s
                       st.builds(lambda m, k: str(m * 10 ** k), st.integers(1, 999999),
                                 st.integers(0, 6))))
 def test_a_weak_token_parses_back_from_its_spelling(kind, eta, size):
-    # a row count needs an eta; a corrupt spec needs an eta for every token
+    # a run config's token is kind:xM, a corrupt spec's kind:eta:size
     assume(eta is not None or size.startswith("x"))
     text = kind.value + ("" if eta is None else f":{eta!r}") + f":{size}"
-    parsers = [CONFIG_SCHEMA["sources"]["weak"]] + (
-        [CORRUPT_SPEC_SCHEMA["sources"]["weak"]] if eta is not None else [])
-    for parse in parsers:
-        source, = parse(text)
-        assert source == (WeakSource(kind, float(size[1:]), eta) if size.startswith("x")
-                          else WeakSource(kind, None, eta, int(size)))
-        assert parse(source.token) == [source]
+    parse = (CONFIG_SCHEMA if eta is None else CORRUPT_SPEC_SCHEMA)["sources"]["weak"]
+    source, = parse(text)
+    assert source == (WeakSource(kind, float(size[1:]), eta) if size.startswith("x")
+                      else WeakSource(kind, None, eta, int(size)))
+    assert parse(source.token) == [source]
 
 
 def test_load_config_rejects_source_weight(tmp_path):
     # a third token field (a per-source weight) would never reach training
     path = tmp_path / "exp.ini"
     path.write_text("[sources]\nweak = uniform:x3 mixed:x9:2\n")
-    with pytest.raises(ValueError, match=r"line 2: \[sources\] weak token 'mixed:x9:2': value "
-                                         r"'x9' is not of type float$"):
+    with pytest.raises(ValueError, match=r"line 2: \[sources\] weak token 'mixed:x9:2': expected "
+                                         r"kind:xM; each eta comes from \[sources\] etas$"):
         load_config(path)
 
 
@@ -676,10 +674,6 @@ def test_load_config_rejects_source_weight(tmp_path):
      r"625: eta = nan outside \[0, 0.8\) for mixed$"),
     ("[sources]\netas =\n", r"^\[sources\] etas: need at least one eta"),
     ("[sources]\nweak =\n", r"^\[sources\] weak: need at least one weak source"),
-    # with every eta fixed, each swept eta would train the same models again
-    ("[sources]\nweak = uniform:0.1:x3 mixed:0.2:2000\netas = 0.2 0.4\n",
-     r"^\[sources\] etas: 2 etas, but every weak source fixes its own eta, so each would train "
-     r"the same models$"),
     ("[run]\nsmoothing = nan\n", r"^\[run\] smoothing must be finite and >= 0, got nan"),
     ("[run]\nsmoothing = -0.4\n", r"^\[run\] smoothing must be finite and >= 0, got -0.4"),
     ("[run]\nsmoothing = inf\n", r"^\[run\] smoothing must be finite and >= 0, got inf"),
@@ -694,6 +688,9 @@ def test_load_config_rejects_source_weight(tmp_path):
      r"^\[run\] combos: vanilla:cce given twice"),
     ("[sources]\nclean_count = 0\n", r"^\[sources\] clean_count must be >= 1, got 0"),
     ("[sources]\nclean_count = -5\n", r"^\[sources\] clean_count must be >= 1, got -5"),
+    # clean_count is at fault, not the size it would scale
+    ("[sources]\nclean_count = 0\nweak = mixed:x9\n",
+     r"^\[sources\] clean_count must be >= 1, got 0"),
     ("[run]\nseeds = 0 -1\n", r"^\[run\] seeds must be >= 0, got -1"),
     ("[run]\nbaseline_epoch_cap = -3\n", r"^\[run\] baseline_epoch_cap must be >= 0"),
     ("[dataset]\nclasses = 2\nn_per_class = 2\ndim = 2\n[sources]\nclean_count = 1\n"
@@ -706,10 +703,11 @@ def test_load_config_rejects_source_weight(tmp_path):
         "infinite_multiplier", "overflowing_multiplier", "nan_multiplier", "nan_alpha",
         "zero_alpha", "infinite_beta", "nan_A", "minus_infinite_A", "nan_q",
         "negative_learning_rate", "nan_learning_rate", "momentum_of_1", "nan_weight_decay",
-        "nan_eta", "empty_etas", "empty_weak", "every_eta_fixed", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
+        "nan_eta", "empty_etas", "empty_weak", "nan_smoothing", "negative_smoothing", "infinite_smoothing",
         "removed_scale", "nan_spread", "dim_of_1", "repeated_seed", "repeated_eta",
         "etas_printed_alike", "negative_zero_eta", "repeated_combo", "zero_clean_count",
-        "negative_clean_count", "negative_seed", "negative_baseline_epoch_cap", "empty_test_split"])
+        "negative_clean_count", "zero_clean_count_with_weak", "negative_seed",
+        "negative_baseline_epoch_cap", "empty_test_split"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
     path = tmp_path / "exp.ini"
     path.write_text(text)

@@ -31,8 +31,8 @@ from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single
 from .labelspace import (TemplateKind, TransitionMatrix, check_utf8, identity_matrix,
                          satisfies_diagonal_dominance, save_matrix)
 from .losses import FAMILIES, LossSpec
-from .model import (STRATEGIES, ModelParameters, TrainConfig, TrainingDiverged, predict_batch,
-                    save_params, train)
+from .model import (ModelParameters, TrainConfig, TrainingDiverged, predict_batch, save_params,
+                    train)
 
 
 @dataclass
@@ -234,19 +234,11 @@ class RunReport:
 
 
 # the tokens of a combination's strategy, `strategy[@true]`, that
-# strategy_token accepts: a model.STRATEGIES name, or a correction suffixed
-# @true, which takes the true matrices of its (seed, eta) in place of T-hat
-# (vanilla takes no matrices)
+# strategy_token accepts, each a key of _strategy_matrices: a correction
+# suffixed @true takes the true matrices of its (seed, eta) in place of
+# T-hat (vanilla takes no matrices)
 TRUE_SUFFIX = "@true"
-COMBO_STRATEGIES = (*STRATEGIES, *(s + TRUE_SUFFIX for s in STRATEGIES if s != "vanilla"))
-
-
-def model_config(train: TrainConfig, strategy: str, family: str, seed: int) -> TrainConfig:
-    """The TrainConfig of one combination's model in a sweep: train with
-    the strategy token less @true, the seed and the loss family;
-    strategy_token, TrainConfig and LossSpec reject an unknown name."""
-    strategy = strategy_token(strategy).removesuffix(TRUE_SUFFIX)
-    return replace(train, strategy=strategy, seed=seed, loss=replace(train.loss, family=family))
+COMBO_STRATEGIES = ("vanilla", "forward", "proposed", "forward@true", "proposed@true")
 
 
 def overall_accuracy(params: ModelParameters, test: Dataset) -> float:
@@ -343,7 +335,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 if strategy not in matrices:  # no T-hat to correct with
                     cells.append(Cell(strategy, family, eta, seed, []))
                     continue
-                tconf = model_config(config.train, strategy, family, seed)
+                tconf = replace(config.train, seed=seed,
+                                strategy="vanilla" if matrices[strategy] is None else "proposed",
+                                loss=replace(config.train.loss, family=family))
                 cells.append(_train_cell((strategy, family, eta, seed), test, feats, labels, src,
                                          c, tconf, matrices=matrices[strategy])[0])
 

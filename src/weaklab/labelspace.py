@@ -28,14 +28,14 @@ class TemplateKind(Enum):
     """Error-pattern families for synthetic weak sources.
 
     MIXED_CLASS_DEPENDENT, LAND_COVER_CHANGE and INTERCLASS_SIMILARITY are
-    fixed 10-class layouts; UNIFORM and IDENTITY work for any class count.
+    fixed 10-class layouts; UNIFORM works for any class count, and at eta 0
+    is the identity.
     """
 
     MIXED_CLASS_DEPENDENT = "mixed"
     UNIFORM = "uniform"
     LAND_COVER_CHANGE = "landcover"
     INTERCLASS_SIMILARITY = "interclass"
-    IDENTITY = "identity"
 
 
 @dataclass(eq=False)
@@ -155,10 +155,6 @@ def make_template(kind: TemplateKind, c: int, eta: float) -> TransitionMatrix:
         raise ValueError("templates need at least 2 classes")
     if c > MAX_CLASSES:
         raise ValueError(f"templates take at most {MAX_CLASSES} classes, got {c}")
-    if kind is TemplateKind.IDENTITY:
-        if eta != 0.0:
-            raise ValueError("identity template requires eta = 0")
-        return identity_matrix(c)
     if not 0.0 <= eta < _ETA_LIMIT[kind]:  # written so that NaN fails
         raise ValueError(f"eta = {eta:g} outside [0, {_ETA_LIMIT[kind]:g}) for {kind.value}")
     if kind is TemplateKind.UNIFORM:

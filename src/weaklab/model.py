@@ -14,7 +14,7 @@ Training computes omega with one kernel, batch_weighting, from a
 per-sample transition column T_{s_i}[:, y_i], built once before the
 epoch loop as row i of an (n, c) array (transition_columns); the
 vanilla strategy is the same kernel with one-hot (identity) columns, so
-the three strategies share one code path.
+every strategy shares one code path.
 correction.weight_proposed, the chain-rule form over softmax_grad, is
 its independent per-sample reference.
 
@@ -85,7 +85,7 @@ import numpy as np
 from .labelspace import check_labels, check_rows, check_whole
 from .losses import PROB_FLOOR, LossSpec, loss_derivative, scalar_operand
 
-STRATEGIES = ("vanilla", "forward", "proposed")
+STRATEGIES = ("vanilla", "proposed")
 
 _ZERO, _PROB_FLOOR = scalar_operand(0.0), scalar_operand(PROB_FLOOR)
 
@@ -161,9 +161,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.hidden < 0:
             raise ValueError(f"hidden must be >= 0, got {self.hidden}")
         # written so that NaN fails each check
@@ -473,9 +473,9 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
           epoch_callback=None) -> ModelParameters:
     """Train a classifier on weak-labelled data.
 
-    matrices maps source id -> TransitionMatrix or c x c array and is
-    required unless the strategy is vanilla, which ignores it and trains
-    with identity columns. epoch_callback is invoked as
+    The vanilla strategy trains with identity columns; proposed corrects
+    each row with its source's matrix, matrices mapping source id ->
+    TransitionMatrix or c x c array. epoch_callback is invoked as
     callback(epoch, params) after each epoch (epochs count from 1).
     Bit-deterministic given (config, inputs).
 

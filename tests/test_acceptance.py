@@ -329,6 +329,28 @@ def test_criterion_10_strategy_orderings(sweep, ablation):
                     f"{prop:.3f}: {forward_ok}; clean-source ablation {wo:.3f} < {w:.3f}: {ablation_ok}")
 
 
+def test_orderings_hold_on_every_seed(sweep):
+    # within a seed every model sees the same test split, initial parameters
+    # and batch order, so strategies compare seed by seed on their best
+    # accuracy: proposed beats the baseline at every eta, and at eta 0.5
+    # vanilla < forward < proposed
+    report, _ = sweep
+
+    def best(strategy, eta=None):
+        """seed -> the row's best test accuracy"""
+        return {cell.seed: cell.best_oa for cell in report.row(strategy, "cce", eta).per_seed}
+
+    baseline = best("baseline")
+    van, fwd, prop = (best(s, 0.5) for s in ("vanilla", "forward", "proposed"))
+    gaps = {"proposed - baseline, every eta": min(best("proposed", eta)[seed] - baseline[seed]
+                                                  for eta in ETAS for seed in baseline),
+            "forward - vanilla, eta 0.5": min(fwd[seed] - van[seed] for seed in baseline),
+            "proposed - forward, eta 0.5": min(prop[seed] - fwd[seed] for seed in baseline)}
+    ok = all(gap > 0 for gap in gaps.values())
+    _result("10 per seed", ok, "smallest gap over seeds: " + "; ".join(
+        f"{name} {gap:+.3f}" for name, gap in gaps.items()))
+
+
 def test_orderings_hold_on_final_epoch_accuracy(sweep, ablation):
     # best_oa picks each model's epoch by its test accuracy, which flatters
     # a model that peaks early and then memorises its noise (vanilla at eta

@@ -51,6 +51,15 @@ def test_gen_template_to_file(tmp_path):
     assert t.entries[0, 0] == pytest.approx(0.5)
 
 
+def test_gen_template_offers_no_identity_kind(capsys):
+    # uniform at eta 0 is the identity, so the kind has one name
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-template", "--kind", "identity", "--eta", "0"])
+    assert exc.value.code == 2
+    assert "argument --kind: invalid choice: 'identity'" in capsys.readouterr().err
+    assert [kind.value for kind in TemplateKind] == ["mixed", "uniform", "landcover", "interclass"]
+
+
 def test_gen_template_rejects_bad_eta(capsys):
     assert main(["gen-template", "--kind", "mixed", "--eta", "0.9"]) == 2
     assert capsys.readouterr().err == "weaklab gen-template: eta = 0.9 outside [0, 0.8) for mixed\n"
@@ -413,7 +422,9 @@ def test_corrupt_reads_both_sizes_as_one_dataset(tmp_path, capsys):
     ("uniform:x5", "line 3: [sources] weak token 'uniform:x5': expected kind:eta:size"),
     ("uniform:0.3:x0.01", "line 3: [sources] weak token 'uniform:0.3:x0.01': round(0.01 x "
                           "clean_count 20) = 0 rows, need at least 1"),
-], ids=["no_eta", "rounds_to_0"])
+    ("identity:0:500", "line 3: [sources] weak token 'identity:0:500': unknown template kind "
+                       "'identity', expected one of mixed, uniform, landcover, interclass"),
+], ids=["no_eta", "rounds_to_0", "identity_kind"])
 def test_corrupt_reports_a_bad_weak_token_in_one_line(tmp_path, capsys, weak, message):
     clean_path, _, spec_path = corrupt_input(tmp_path)
     spec_path.write_text(f"[sources]\nclean_count = 20\nweak = {weak}\n")

@@ -15,8 +15,7 @@ from weaklab.estimation import estimate_single
 from weaklab.cli import CORRUPT_SPEC_SCHEMA
 from weaklab.harness import (CONFIG_SCHEMA, CSV_HEADER, Cell, ExperimentConfig, ReportRow,
                              RunReport, WeakSource, emit_csv, emit_curves, load_config,
-                             model_config, overall_accuracy, read_ini, run_experiment,
-                             write_run_dir)
+                             overall_accuracy, read_ini, run_experiment, write_run_dir)
 from weaklab.labelspace import TemplateKind, load_matrix, make_template
 from weaklab.model import ModelParameters, TrainConfig, TrainingDiverged
 
@@ -134,9 +133,9 @@ def test_run_experiment_goes_on_past_a_diverged_baseline(monkeypatch, matrices):
     assert failed == {"baseline": True, "vanilla": False,
                       "proposed" + matrices: corrected_fails,
                       "forward" + matrices: corrected_fails}
-    # the TrainConfig strategy of an @true model has no suffix; the T-hat
-    # models never reach train
-    assert trained == (["vanilla"] if corrected_fails else ["vanilla", "proposed", "forward"])
+    # a model given matrices trains as proposed, forward's one shared matrix
+    # too; the T-hat models never reach train
+    assert trained == (["vanilla"] if corrected_fails else ["vanilla", "proposed", "proposed"])
     assert report.baselines == {} and report.estimates == {} and report.errors == []
 
 
@@ -262,6 +261,33 @@ def test_no_test_label_reaches_training(monkeypatch):
     assert len(plain[0]) == 2 and set(plain[2]) == {0}  # the baseline and the proposed model
     assert plain[:3] == shuffled[:3]
     assert plain[3] != shuffled[3]  # the permuted labels did reach the scores
+
+
+def test_a_cell_depends_only_on_its_own_seed_eta_and_combination():
+    # a Cell's curve and its (seed, eta)'s T-hat come out the same in a
+    # sweep over a subset of the seeds, etas and combinations, given in
+    # another order: no model reads what the rest of the sweep trained
+    combos = [("vanilla", "cce"), ("proposed", "gce"), ("forward", "cce"),
+              ("proposed@true", "cce")]
+    full = run_experiment(tiny_config(etas=[0.2, 0.3, 0.4], seeds=[0, 1], combinations=combos))
+    part = run_experiment(tiny_config(etas=[0.4, 0.2], seeds=[1],
+                                      combinations=combos[:0:-1]))
+
+    def curves(report):
+        return {(cell.strategy, cell.loss_family, cell.eta, cell.seed): cell.curve
+                for cell in report.cells}
+
+    def estimates(report):
+        return {key: {s: m.entries.tobytes() for s, m in mats.items()}
+                for key, mats in report.estimates.items()}
+
+    whole, subset = curves(full), curves(part)
+    assert len(subset) == 1 + 2 * 3  # the baseline, and 3 combinations at 2 etas
+    assert all(curve for curve in subset.values())
+    assert subset == {key: whole[key] for key in subset}
+    assert estimates(part) == {key: mats for key, mats in estimates(full).items()
+                               if key in part.estimates}
+    assert part.baselines[1].flat.tobytes() == full.baselines[1].flat.tobytes()
 
 
 def test_one_draw_per_seed_and_eta_trains_every_model(monkeypatch):
@@ -815,19 +841,6 @@ def test_read_ini_reads_indented_lines(tmp_path):
     path.write_text("  [train]\n\tepochs = 7   # seven\n  [run] ; seeds\n  seeds = 3\n")
     cfg = load_config(path)
     assert cfg.train.epochs == 7 and cfg.seeds == [3]
-
-
-def test_model_config_names_are_checked_by_their_owners():
-    train = TrainConfig(epochs=4, hidden=0)
-    tconf = model_config(train, "proposed", "gce", 7)
-    assert (tconf.strategy, tconf.loss.family, tconf.seed, tconf.epochs) == ("proposed", "gce", 7, 4)
-    assert model_config(train, "proposed@true", "cce", 7).strategy == "proposed"
-    # strategy_token checks the strategy token, and LossSpec the family
-    with pytest.raises(ValueError, match=f"^unknown strategy 'propsed', {STRATEGY_NAMES}$"):
-        model_config(train, "propsed", "cce", 0)
-    with pytest.raises(ValueError, match=r"^unknown loss family 'xce', expected one of cce, mae, "
-                                         r"gce, sl$"):
-        model_config(train, "vanilla", "xce", 0)
 
 
 def test_readme_config_table_lists_the_allowed_keys():

@@ -48,13 +48,9 @@ def test_uniform_template_layout():
     assert t.entries[0, 0] == pytest.approx(0.8)
     off = t.entries[~np.eye(10, dtype=bool)]
     assert np.allclose(off, 0.2 / 9)
-
-
-def test_identity_template():
-    t = make_template(TemplateKind.IDENTITY, 5, 0.0)
-    assert np.array_equal(t.entries, np.eye(5))
-    with pytest.raises(ValueError):
-        make_template(TemplateKind.IDENTITY, 5, 0.1)
+    # at eta 0 it is exactly the identity, the clean source's matrix
+    for c in (2, 5, 10):
+        assert np.array_equal(make_template(TemplateKind.UNIFORM, c, 0.0).entries, np.eye(c))
 
 
 def test_mixed_template_layout_at_eta_04():
@@ -76,7 +72,7 @@ def test_template_eta_range_rejected():
             make_template(kind, 10, -0.1)
     with pytest.raises(ValueError):
         make_template(TemplateKind.MIXED_CLASS_DEPENDENT, 9, 0.2)
-    for kind in [*ETA_LIMITS, TemplateKind.IDENTITY]:
+    for kind in ETA_LIMITS:
         with pytest.raises(ValueError, match="eta"):
             make_template(kind, 10, float("nan"))
 
@@ -84,9 +80,9 @@ def test_template_eta_range_rejected():
 def test_template_class_count_is_bounded():
     assert make_template(TemplateKind.UNIFORM, MAX_CLASSES, 0.1).c == MAX_CLASSES
     # refused before the c x c matrix (8 TB here) is allocated
-    for kind, eta in ((TemplateKind.UNIFORM, 0.1), (TemplateKind.IDENTITY, 0.0)):
+    for eta in (0.1, 0.0):
         with pytest.raises(ValueError, match=f"at most {MAX_CLASSES} classes, got 1000000"):
-            make_template(kind, 1_000_000, eta)
+            make_template(TemplateKind.UNIFORM, 1_000_000, eta)
 
 
 @given(st.sampled_from(list(ETA_LIMITS)), st.floats(0.0, 0.999))

@@ -178,16 +178,18 @@ def test_step_equals_the_plain_formulas(rng, momentum):
 
 
 @pytest.mark.parametrize("hidden", [0, 32])
-@pytest.mark.parametrize("strategy", ["vanilla", "forward", "proposed"])
-def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
+@pytest.mark.parametrize("token", ["vanilla", "forward", "proposed"])
+def test_trained_gradient_matches_per_sample_oracle(rng, token, hidden):
     # the batched chain train() runs (transition_columns, batch_weighting,
     # backward_batch, with the 1/m scale and one set of buffers reused for
     # every loss) on one minibatch, against the mean over its samples of
-    # the chain-rule reference weight_proposed contracted one at a time
+    # the chain-rule reference weight_proposed contracted one at a time;
+    # with the matrices of each harness token: none (one-hot columns), one
+    # shared matrix, one matrix per source
     d, c, m, sources = 6, 5, 16, 3
-    if strategy == "vanilla":
+    if token == "vanilla":
         mats = {s: np.eye(c) for s in range(sources)}
-    elif strategy == "forward":
+    elif token == "forward":
         single = random_row_stochastic(rng, c)
         mats = {s: single for s in range(sources)}
     else:
@@ -196,7 +198,7 @@ def test_trained_gradient_matches_per_sample_oracle(rng, strategy, hidden):
     x = rng.standard_normal((m, d))
     labels = rng.integers(c, size=m)
     src = rng.integers(sources, size=m)
-    cols = transition_columns(labels, src, c, None if strategy == "vanilla" else mats).T
+    cols = transition_columns(labels, src, c, None if token == "vanilla" else mats).T
     buf = BatchBuffers(m, c, hidden)
     xb = class_major(x)
     for spec in SPECS:
@@ -468,15 +470,19 @@ def test_train_names_a_source_whose_transition_matrix_has_the_wrong_shape(rng):
     src = rng.integers(3, size=len(labels))
     mats = {0: np.eye(3), 1: np.eye(3), 2: np.eye(4)}
     with pytest.raises(ValueError, match=r"source id 2 has shape \(4, 4\), expected 3 x 3"):
-        train(feats, labels, src, 3, TrainConfig(epochs=1, strategy="forward"), matrices=mats)
+        train(feats, labels, src, 3, TrainConfig(epochs=1, strategy="proposed"), matrices=mats)
 
 
-@pytest.mark.parametrize("strategy", ["forward", "proposed"])
-def test_train_reads_a_transition_matrix_as_its_entries(rng, strategy):
+@pytest.mark.parametrize("token", ["forward", "proposed"])
+def test_train_reads_a_transition_matrix_as_its_entries(rng, token):
+    # the matrices of each harness token: one shared by every source, or
+    # one per source
     feats, labels = _toy_training_data(rng)
     src = rng.integers(3, size=len(labels))
-    mats = {s: TransitionMatrix(random_row_stochastic(rng, 3)) for s in range(3)}
-    cfg = TrainConfig(epochs=2, hidden=4, seed=3, strategy=strategy)
+    shared = TransitionMatrix(random_row_stochastic(rng, 3))
+    mats = {s: shared if token == "forward" else TransitionMatrix(random_row_stochastic(rng, 3))
+            for s in range(3)}
+    cfg = TrainConfig(epochs=2, hidden=4, seed=3, strategy="proposed")
     trained = train(feats, labels, src, 3, cfg, matrices=mats)
     arrays = {s: m.entries for s, m in mats.items()}
     assert np.array_equal(trained.flat, train(feats, labels, src, 3, cfg, matrices=arrays).flat)
@@ -706,13 +712,16 @@ def test_load_params_rejects_a_file_shorter_than_the_header(tmp_path):
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(strategy="backward")
+    # the model knows two strategies; forward is a harness token whose
+    # model trains as proposed with one shared matrix
+    for strategy in ("backward", "forward"):
+        with pytest.raises(ValueError, match=f"unknown strategy '{strategy}', expected one of "
+                                             f"vanilla, proposed$"):
+            TrainConfig(strategy=strategy)
     for field, value, message in [
+            ("epochs", 0, "epochs must be >= 1, got 0"),
+            ("batch_size", 0, "batch_size must be >= 1, got 0"),
+            ("batch_size", -3, "batch_size must be >= 1, got -3"),
             ("learning_rate", 0.0, "learning_rate must be finite and > 0, got 0.0"),
             ("learning_rate", -1.0, "learning_rate must be finite and > 0, got -1.0"),
             ("learning_rate", float("nan"), "learning_rate must be finite and > 0, got nan"),

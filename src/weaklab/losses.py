@@ -35,6 +35,8 @@ def scalar_operand(value: float) -> np.ndarray:
 
 
 _ONE, _MINUS_ONE = scalar_operand(1.0), scalar_operand(-1.0)
+_maximum, _minimum = np.maximum, np.minimum  # given out= by keyword, see the model module
+_divide, _power, _negative = np.divide, np.power, np.negative  # given out by position
 
 
 @dataclass(frozen=True)
@@ -110,16 +112,16 @@ def loss_derivative(spec: LossSpec, uk, floor: float | None = None, out=None):
     else:
         if out is None:
             out = np.empty(np.shape(uk))
-        u = np.maximum(uk, floor, out=out)  # maximum and minimum propagate NaN
-        np.minimum(u, _ONE, out=u)
+        u = _maximum(uk, floor, out=out)  # maximum and minimum propagate NaN
+        _minimum(u, _ONE, out=u)
     if spec.family == "cce":
-        np.divide(_MINUS_ONE, u, out=out)
+        _divide(_MINUS_ONE, u, out)
     elif spec.family == "mae":
         out.fill(-2.0)
     elif spec.family == "gce":
-        np.power(u, spec.q_minus_one, out=out)
-        np.negative(out, out=out)
+        _power(u, spec.q_minus_one, out)
+        _negative(out, out)
     else:  # sl
-        np.divide(spec.minus_alpha, u, out=out)
+        _divide(spec.minus_alpha, u, out)
         out += spec.beta_times_a
     return float(out) if out.ndim == 0 else out

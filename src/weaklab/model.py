@@ -45,34 +45,32 @@ BLAS's transposed path, which rounds differently. The step allocates no
 array of its own; what remains is the iterator buffer numpy takes for
 each of the four ufuncs that broadcast a per-sample (m,) vector over the
 class rows (the softmax shift and scale, ut * u and omega *= fprime),
-3.7 KB each at c 10 and m 32. Every kernel takes its buffers as a
-required argument, each array shaped for exactly the batch it is given;
-predict_batch makes one ForwardBuffers, the arrays forward_batch writes,
-per block. backward_batch reads the hidden activations that
-forward_batch left in buf.a. Inside the kernels every product is
-ndarray.dot(..., out=): the same BLAS call as np.dot, so the same bits,
-without the dispatch np.dot and np.matmul add on these shapes. The
-per-sample reductions run over axis 0, the classes: the softmax
-denominator and the corrected probability ut are products with a
-length-c ones vector, the column maxima a direct np.maximum.reduce.
-Each gives a plain (m,) vector that broadcasts over the class rows,
-cheaper per call than a (rows, 1) column over row-major scores.
-loss_derivative clamps the corrected probability to [PROB_FLOOR, 1] once
-instead of range-checking it, and the 1/m mean-loss scale rides on the
-per-sample f'. Every scalar that a step
-gives a ufunc (the ReLU's 0, the clamp's floor, 1/m, and step's rates)
-is a read-only 0-d array made once (losses.scalar_operand).
+3.7 KB each at c 10 and m 32. A kernel takes the arrays it touches:
+forward_batch and backward_batch a ModelParameters' layers, step its
+flat vectors, which train looks up once per call, as it does the
+kernels and the loss; and its buffers, each shaped for exactly the
+batch it is given. Every product is ndarray.dot, the BLAS call of
+np.dot (so the same bits) without the dispatch np.dot and np.matmul add
+on these shapes, and every ufunc is read through a module-level name
+(_multiply = np.multiply). Both take out positionally, which numpy
+parses faster than out=, but for np.maximum and np.minimum: numpy 2.4
+deprecates a positional out there, and such a call is over twice as
+slow and warns. The per-sample reductions run over axis 0, the classes
+(the softmax denominator and ut are ones-vector products, the column
+maxima np.maximum.reduce): an (m,) vector broadcasts over the class rows
+more cheaply than a (rows, 1) column over row-major scores.
+loss_derivative clamps ut to [PROB_FLOOR, 1] once instead of
+range-checking it; the 1/m mean-loss scale rides on the per-sample f'.
+Every scalar a step gives a ufunc (the ReLU's 0, the clamp's floor, 1/m,
+step's rates) is a read-only 0-d array made once by scalar_operand.
 
 Parameters, velocity, lookahead point and gradient are each one flat
 float64 vector in the layout of ModelParameters. Optimisation is
 minibatch SGD with Nesterov momentum: the gradient is evaluated at the
-lookahead point look = theta + mu * v, then v <- mu * v - lr * (g + wd *
-theta) and theta <- theta + v, each a whole-vector operation. The
-velocity buffer holds mu * v, which both formulas read, and step writes
-the next lookahead into its own buffer; the bracket is built, in that
-order, in a scratch vector that train allocates beside the velocity, so
-step allocates nothing. TrainConfig holds the hyperparameters;
-step_rates turns the three that step reads into its operands.
+lookahead look = theta + mu * v, then v <- mu * v - lr * (g + wd *
+theta) and theta <- theta + v, whole-vector operations that step makes
+without allocating. TrainConfig holds the hyperparameters; step_rates
+turns the three that step reads into its operands.
 """
 
 from __future__ import annotations
@@ -88,6 +86,8 @@ from .losses import PROB_FLOOR, LossSpec, loss_derivative, scalar_operand
 STRATEGIES = ("vanilla", "proposed")
 
 _ZERO, _PROB_FLOOR = scalar_operand(0.0), scalar_operand(PROB_FLOOR)
+_multiply, _subtract, _add, _exp, _sign = np.multiply, np.subtract, np.add, np.exp, np.sign
+_maximum, _max_reduce = np.maximum, np.maximum.reduce
 
 
 class TrainingDiverged(RuntimeError):
@@ -160,6 +160,9 @@ class TrainConfig:
     hidden: int = 32
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "hidden"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -218,14 +221,15 @@ class BatchBuffers(ForwardBuffers):
 
     Beyond the ForwardBuffers: _softmax_columns writes the column maxima
     and then the column sums into col; batch_weighting writes tu, ut,
-    fprime and omega; backward_batch reads a and writes dh and mask. dh is
-    (H + 1, m): its first H rows, dh_hidden, are the hidden delta, and its
-    last row is unused. The (m,) class sums are products with class_ones
-    (length c).
+    fprime and omega; backward_batch reads a through its transpose a_t
+    and writes dh and mask. dh is (H + 1, m): its first H rows, dh_hidden,
+    are the hidden delta, and its last row is unused. The (m,) class sums
+    are products with class_ones (length c).
     """
 
     def __init__(self, m: int, c: int, hidden: int):
         super().__init__(m, c, hidden)
+        self.a_t = self.a.T
         self.dh = np.empty((hidden + 1, m))
         self.dh_hidden = self.dh[:hidden]
         self.mask = np.empty((hidden, m))
@@ -237,42 +241,39 @@ class BatchBuffers(ForwardBuffers):
         self.class_ones = np.ones(c)
 
 
-def forward_batch(params: ModelParameters, x: np.ndarray,
-                  buf: ForwardBuffers) -> np.ndarray:
-    """Scores buf.scores, (c, m), of a class-major float64 batch x,
-    (d + 1, m) with a last row of ones; buf holds m samples and also
-    receives the hidden activations, in buf.a."""
-    layers = params.layers
+def forward_batch(layers: list, x: np.ndarray, buf: ForwardBuffers) -> np.ndarray:
+    """Scores buf.scores, (c, m), that the layers of a ModelParameters give
+    a class-major float64 batch x, (d + 1, m) with a last row of ones; buf
+    holds m samples and also receives the hidden activations, in buf.a."""
     a = x  # the input of the output layer
     if len(layers) == 2:
-        z = layers[0].dot(x, out=buf.a_hidden)
-        np.maximum(z, _ZERO, out=z)
+        z = layers[0].dot(x, buf.a_hidden)
+        _maximum(z, _ZERO, out=z)
         a = buf.a
-    return layers[-1].dot(a, out=buf.scores)
+    return layers[-1].dot(a, buf.scores)
 
 
-def backward_batch(params: ModelParameters, x_rows: np.ndarray, delta: np.ndarray,
-                   out: ModelParameters, buf: BatchBuffers) -> ModelParameters:
+def backward_batch(layers: list, x_rows: np.ndarray, delta: np.ndarray, out_layers: list,
+                   buf: BatchBuffers) -> None:
     """Contract the weighting vectors in the columns of delta, (c, m),
-    against d h / d theta and sum over the samples (scale delta by 1/m
-    first for a mean-loss gradient); linear in delta. Written into out,
-    which is returned. x_rows, (m, d + 1), is the batch of the
-    forward_batch call that made delta's scores, row-major: the transpose
-    of its x, with a last column of ones. buf holds that call's buffers:
-    the hidden activations are read from buf.a, and buf receives the
-    hidden delta and the ReLU mask. The ones column of x_rows and the ones
-    row of buf.a make each product's last column a bias gradient."""
-    layers = params.layers
+    against d h / d theta at a ModelParameters' layers and sum over the
+    samples (scale delta by 1/m first for a mean-loss gradient); linear in
+    delta. Written into out_layers, those of another. x_rows, (m, d + 1),
+    is the batch of the forward_batch call that made delta's scores,
+    row-major: the transpose of its x, with a last column of ones. buf
+    holds that call's buffers: the hidden activations are read from buf.a,
+    and buf receives the hidden delta and the ReLU mask. The ones column
+    of x_rows and the ones row of buf.a make each product's last column a
+    bias gradient."""
     hidden = len(layers) == 2
-    delta.dot(buf.a.T if hidden else x_rows, out=out.layers[-1])
+    delta.dot(buf.a_t if hidden else x_rows, out_layers[-1])
     if hidden:
-        layers[1].T.dot(delta, out=buf.dh)  # [W1 | b1]^T delta; row H is unused
+        layers[1].T.dot(delta, buf.dh)  # [W1 | b1]^T delta; row H is unused
         d_hidden = buf.dh_hidden
         # a = max(z, 0) >= 0, so sign(a) is the 0/1 derivative of the ReLU
         # at the pre-activation z
-        d_hidden *= np.sign(buf.a_hidden, out=buf.mask)
-        d_hidden.dot(x_rows, out=out.layers[0])
-    return out
+        d_hidden *= _sign(buf.a_hidden, buf.mask)
+        d_hidden.dot(x_rows, out_layers[0])
 
 
 def step_rates(config: TrainConfig) -> tuple:
@@ -282,25 +283,24 @@ def step_rates(config: TrainConfig) -> tuple:
                  (config.momentum, config.learning_rate, config.weight_decay))
 
 
-def step(params: ModelParameters, grads: ModelParameters, velocity: np.ndarray,
+def step(theta: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
          scratch: np.ndarray, look: np.ndarray, rates: tuple) -> None:
-    """One SGD update with Nesterov momentum, in place on flat vectors,
-    with the momentum mu, learning rate lr and weight decay wd in rates
-    (step_rates): v <- mu * v - lr * (g + wd * theta), theta <- theta + v.
-    velocity holds mu * v before and after; grads holds the gradient at
-    the lookahead point theta + mu * v, and look receives the next one.
-    velocity, scratch and look are flat vectors of the parameter size; the
+    """One SGD update with Nesterov momentum, in place on a ModelParameters'
+    flat vector theta, with the momentum mu, learning rate lr and weight
+    decay wd in rates (step_rates): v <- mu * v - lr * (g + wd * theta),
+    theta <- theta + v. velocity holds mu * v before and after; grads holds
+    the gradient at the lookahead point theta + mu * v, and look receives
+    the next one. All five are flat vectors of the parameter size; the
     bracket is built in scratch, in the formula's order, so nothing is
-    allocated.
-    """
+    allocated."""
     mu, lr, wd = rates
-    update = np.multiply(params.flat, wd, out=scratch)
-    update += grads.flat
+    update = _multiply(theta, wd, scratch)
+    update += grads
     update *= lr
     velocity -= update  # now v
-    params.flat += velocity
+    theta += velocity
     velocity *= mu
-    np.add(params.flat, velocity, out=look)
+    _add(theta, velocity, look)
 
 
 # most rows per forward pass in predict_batch: one block's arrays take about
@@ -337,8 +337,8 @@ def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
 def _predict_block(params: ModelParameters, x: np.ndarray, out: np.ndarray) -> None:
     """Argmax class of each row of x into out, through buffers that live
     only for this call."""
-    scores = forward_batch(params, class_major(x), ForwardBuffers(len(x), params.c,
-                                                                  params.hidden))
+    scores = forward_batch(params.layers, class_major(x),
+                           ForwardBuffers(len(x), params.c, params.hidden))
     scores.argmax(axis=0, out=out)
 
 
@@ -346,10 +346,10 @@ def _softmax_columns(scores: np.ndarray, buf: BatchBuffers) -> np.ndarray:
     """Softmax of each column of scores, (c, m), computed in place; buf
     holds m samples, and its col receives the column maxima and then the
     column sums."""
-    col = np.maximum.reduce(scores, axis=0, out=buf.col)
+    col = _max_reduce(scores, 0, None, buf.col)
     scores -= col
-    np.exp(scores, out=scores)
-    buf.class_ones.dot(scores, out=col)
+    _exp(scores, scores)
+    buf.class_ones.dot(scores, col)
     scores /= col
     return scores
 
@@ -395,12 +395,12 @@ def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale,
     early-training underflow cannot produce non-finite weights. buf holds
     m samples, must not hold u or cols, and receives omega.
     """
-    tu = np.multiply(cols, u, out=buf.tu)
-    ut = buf.class_ones.dot(tu, out=buf.ut)
-    fprime = loss_derivative(spec, ut, floor=_PROB_FLOOR, out=buf.fprime)
+    tu = _multiply(cols, u, buf.tu)
+    ut = buf.class_ones.dot(tu, buf.ut)
+    fprime = loss_derivative(spec, ut, _PROB_FLOOR, buf.fprime)
     fprime *= scale
-    omega = np.multiply(ut, u, out=buf.omega)
-    np.subtract(tu, omega, out=omega)
+    omega = _multiply(ut, u, buf.omega)
+    _subtract(tu, omega, omega)
     omega *= fprime
     return omega
 
@@ -501,20 +501,21 @@ def train(features: np.ndarray, labels: np.ndarray, source_ids: np.ndarray,
 
     rng = np.random.default_rng(config.seed)
     params = init_parameters(d, c, config.hidden, rng)
-    grads = params.zeros_like()
-    velocity, scratch = np.zeros_like(params.flat), np.empty_like(params.flat)
-    look = params.copy()  # the lookahead theta + mu * v, at v = 0
-    rates = step_rates(config)
+    grads, look = params.zeros_like(), params.copy()  # look: theta + mu * v, at v = 0
+    theta, velocity, scratch = params.flat, np.zeros_like(params.flat), np.empty_like(params.flat)
+    # bound per call, not at import, so that a wrapper set on a kernel's name sees every call
+    forward, softmax, weighting, backward, update = (
+        forward_batch, _softmax_columns, batch_weighting, backward_batch, step)
+    spec, rates = config.loss, step_rates(config)
+    look_layers, grad_layers, grad, lookahead = look.layers, grads.layers, grads.flat, look.flat
 
     for epoch in range(1, config.epochs + 1):
         minibatches.load(rng.permutation(n))
         with np.errstate(over="ignore", invalid="ignore"):
             for xb, x_rows, cb, buf, scale in minibatches.batches:
-                scores = forward_batch(look, xb, buf)
-                u = _softmax_columns(scores, buf)
-                omega = batch_weighting(u, cb, config.loss, scale, buf)
-                backward_batch(look, x_rows, omega, grads, buf)
-                step(params, grads, velocity, scratch, look.flat, rates)
+                omega = weighting(softmax(forward(look_layers, xb, buf), buf), cb, spec, scale, buf)
+                backward(look_layers, x_rows, omega, grad_layers, buf)
+                update(theta, grad, velocity, scratch, lookahead, rates)
         if not params.all_finite():
             raise TrainingDiverged(f"non-finite parameters after epoch {epoch}")
         if epoch_callback is not None:

@@ -75,7 +75,7 @@ def per_parameter_fd(params, scalar_fn, step=1e-6):
 
 def scores_of(params, x):
     """Score vector of one sample: forward_batch on a one-sample batch."""
-    return forward_batch(params, class_major(x[None, :]),
+    return forward_batch(params.layers, class_major(x[None, :]),
                          BatchBuffers(1, params.c, params.hidden))[:, 0]
 
 

@@ -64,7 +64,7 @@ def test_criterion_1_gradient_oracle_suite():
         params = init_parameters(d, c, hidden, rng)
         x = rng.standard_normal(d)
         xb = class_major(x[None, :])
-        scores = forward_batch(params, xb, buf(c, hidden))
+        scores = forward_batch(params.layers, xb, buf(c, hidden))
         u = softmax(scores[:, 0])
         if float(forward_correct(t, u)[k]) < 1e-3 or u[k] < 1e-3:
             continue
@@ -75,8 +75,9 @@ def test_criterion_1_gradient_oracle_suite():
             column = np.eye(c)[k]
             scalar = lambda p: loss_value(spec, softmax(scores_of(p, x))[k])
         omega = batch_weighting(u[:, None], column[:, None], spec, 1.0, buf(c, hidden))
-        exact = backward_batch(params, xb.T, omega, params.zeros_like(),
-                               buf(c, hidden)).flat
+        grads = params.zeros_like()
+        backward_batch(params.layers, xb.T, omega, grads.layers, buf(c, hidden))
+        exact = grads.flat
         numeric = per_parameter_fd(params, scalar)
         rel = np.linalg.norm(exact - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst_backward = max(worst_backward, rel)

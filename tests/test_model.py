@@ -30,9 +30,10 @@ def one_row_gradient(params, x, omega):
     """backward_batch on a one-sample batch, as a flat gradient vector."""
     buf = fresh_buffers(params, 1)
     xb = class_major(x[None, :])
-    forward_batch(params, xb, buf)
-    return backward_batch(params, xb.T, np.asarray(omega)[:, None], params.zeros_like(),
-                          buf).flat
+    forward_batch(params.layers, xb, buf)
+    grads = params.zeros_like()
+    backward_batch(params.layers, xb.T, np.asarray(omega)[:, None], grads.layers, buf)
+    return grads.flat
 
 
 def optimizer_vectors(params):
@@ -70,7 +71,7 @@ def test_forward_matches_straight_line_reimplementation(rng):
 def test_forward_rejects_wrong_length(rng):
     params = make_params(rng, 5, 3, 0)
     with pytest.raises(ValueError):
-        forward_batch(params, class_major(np.zeros((1, 4))), fresh_buffers(params, 1))
+        forward_batch(params.layers, class_major(np.zeros((1, 4))), fresh_buffers(params, 1))
 
 
 def test_backward_zero_omega_gives_zero_grads(rng):
@@ -120,7 +121,7 @@ def test_step_plain_sgd_when_momentum_zero(rng):
     before = params.copy()
     config = TrainConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
     grads = ModelParameters([np.ones((2, 3))], [np.ones(2)])
-    step(params, grads, *optimizer_vectors(params), step_rates(config))
+    step(params.flat, grads.flat, *optimizer_vectors(params), step_rates(config))
     assert np.allclose(params.weights[0], before.weights[0] - 0.1)
     assert np.allclose(params.biases[0], before.biases[0] - 0.1)
 
@@ -133,7 +134,7 @@ def test_step_velocity_approaches_geometric_limit(rng):
     g = ModelParameters([np.full((2, 3), 2.0)], [np.full(2, 2.0)])
     # v_t = -lr * g * (1 - mu^t) / (1 - mu), limit magnitude lr * g / (1 - mu)
     for t in range(1, 30):
-        step(params, g, velocity.flat, scratch, look, step_rates(config))
+        step(params.flat, g.flat, velocity.flat, scratch, look, step_rates(config))
         expected = -0.1 * 2.0 * (1 - 0.9 ** t) / (1 - 0.9)
         assert np.allclose(velocity.weights[0], 0.9 * expected, rtol=1e-12)
     assert abs(velocity.weights[0][0, 0]) < 0.9 * 0.1 * 2.0 / (1 - 0.9)
@@ -143,7 +144,8 @@ def test_step_noop_on_zero_gradient(rng):
     params = make_params(rng, 3, 2, 0)
     before = params.copy()
     config = TrainConfig(learning_rate=0.5, momentum=0.9, weight_decay=0.0)
-    step(params, params.zeros_like(), *optimizer_vectors(params), step_rates(config))
+    step(params.flat, params.zeros_like().flat, *optimizer_vectors(params),
+         step_rates(config))
     assert np.array_equal(params.weights[0], before.weights[0])
     assert np.array_equal(params.biases[0], before.biases[0])
 
@@ -151,7 +153,8 @@ def test_step_noop_on_zero_gradient(rng):
 def test_step_applies_weight_decay(rng):
     params = ModelParameters([np.full((2, 2), 10.0)], [np.zeros(2)])
     config = TrainConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.5)
-    step(params, params.zeros_like(), *optimizer_vectors(params), step_rates(config))
+    step(params.flat, params.zeros_like().flat, *optimizer_vectors(params),
+         step_rates(config))
     # g = 0 + 0.5 * 10 = 5, theta <- 10 - 0.1 * 5
     assert np.allclose(params.weights[0], 9.5)
 
@@ -169,7 +172,7 @@ def test_step_equals_the_plain_formulas(rng, momentum):
     mu, lr, wd = config.momentum, config.learning_rate, config.weight_decay
     for _ in range(50):
         grads.flat[:] = rng.standard_normal(grads.flat.size)
-        step(params, grads, velocity, scratch, look, step_rates(config))
+        step(params.flat, grads.flat, velocity, scratch, look, step_rates(config))
         v = mu * v - lr * (grads.flat + wd * theta)
         theta = theta + v
         assert np.array_equal(params.flat, theta)
@@ -202,9 +205,11 @@ def test_trained_gradient_matches_per_sample_oracle(rng, token, hidden):
     buf = BatchBuffers(m, c, hidden)
     xb = class_major(x)
     for spec in SPECS:
-        scores = forward_batch(look, xb, buf)
+        scores = forward_batch(look.layers, xb, buf)
         omega = batch_weighting(_softmax_columns(scores, buf), cols, spec, 1.0 / m, buf)
-        batched = backward_batch(look, xb.T, omega, look.zeros_like(), buf).flat
+        grads = look.zeros_like()
+        backward_batch(look.layers, xb.T, omega, grads.layers, buf)
+        batched = grads.flat
         oracle = np.mean([one_row_gradient(look, x[i], weight_proposed(
             spec, mats[src[i]], labels[i], softmax(scores_of(look, x[i]))))
             for i in range(m)], axis=0)
@@ -227,9 +232,11 @@ def test_vanilla_is_proposed_with_identity_matrices(rng, hidden):
 def buffered_step(params, x, cols, spec, buf):
     """One class-major minibatch through the kernels, writing into buf:
     (omega, gradient)."""
-    scores = forward_batch(params, x, buf)
+    scores = forward_batch(params.layers, x, buf)
     omega = batch_weighting(_softmax_columns(scores, buf), cols, spec, 1.0 / x.shape[1], buf)
-    return omega, backward_batch(params, x.T, omega, params.zeros_like(), buf)
+    grads = params.zeros_like()
+    backward_batch(params.layers, x.T, omega, grads.layers, buf)
+    return omega, grads
 
 
 def fresh_step(params, x, cols, spec):
@@ -379,7 +386,7 @@ def test_step_allocates_nothing(rng):
     tracemalloc.start()
     try:
         for _ in range(500):
-            step(params, grads, velocity, scratch, look, rates)
+            step(params.flat, grads.flat, velocity, scratch, look, rates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -424,11 +431,11 @@ def test_step_allocates_nothing(rng):
             tracemalloc.start()
             try:
                 for spec in SPECS:
-                    scores = forward_batch(params, x, buf)
+                    scores = forward_batch(params.layers, x, buf)
                     u = _softmax_columns(scores, buf)
                     omega = batch_weighting(u, cb, spec, scale, buf)
-                    backward_batch(params, x_rows, omega, grads, buf)
-                    step(params, grads, velocity, scratch, look, rates)
+                    backward_batch(params.layers, x_rows, omega, grads.layers, buf)
+                    step(params.flat, grads.flat, velocity, scratch, look, rates)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -520,7 +527,7 @@ def test_predict_batch_blocks_equal_one_whole_pass(rng, hidden):
     b = model.PREDICT_BLOCK_ROWS
     x = rng.standard_normal((2 * b + 3, 16))
     for n in (0, 1, b - 1, b, b + 1, 2 * b + 3):
-        scores = forward_batch(params, class_major(x[:n]), fresh_buffers(params, n))
+        scores = forward_batch(params.layers, class_major(x[:n]), fresh_buffers(params, n))
         preds = predict_batch(params, x[:n])
         assert preds.dtype == np.int64 and preds.shape == (n,)
         assert np.array_equal(preds, scores.argmax(axis=0))
@@ -539,7 +546,7 @@ def test_predict_batch_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    scores = forward_batch(params, class_major(x[:1000]), fresh_buffers(params, 1000))
+    scores = forward_batch(params.layers, class_major(x[:1000]), fresh_buffers(params, 1000))
     assert np.array_equal(preds[:1000], scores.argmax(axis=0))
 
 
@@ -557,7 +564,7 @@ def test_predict_batch_allocates_only_the_forward_buffers(rng):
     finally:
         tracemalloc.stop()
     assert peak < 0.5e6
-    scores = forward_batch(params, class_major(x), fresh_buffers(params, len(x)))
+    scores = forward_batch(params.layers, class_major(x), fresh_buffers(params, len(x)))
     assert np.array_equal(preds, scores.argmax(axis=0))
 
 
@@ -720,6 +727,10 @@ def test_train_config_validation():
             TrainConfig(strategy=strategy)
     for field, value, message in [
             ("epochs", 0, "epochs must be >= 1, got 0"),
+            ("epochs", 2.5, "^epochs must be an integer, got 2.5$"),
+            ("batch_size", 16.5, "^batch_size must be an integer, got 16.5$"),
+            ("hidden", 2.5, "^hidden must be an integer, got 2.5$"),
+            ("hidden", float("nan"), "^hidden must be an integer, got nan$"),
             ("batch_size", 0, "batch_size must be >= 1, got 0"),
             ("batch_size", -3, "batch_size must be >= 1, got -3"),
             ("learning_rate", 0.0, "learning_rate must be finite and > 0, got 0.0"),

@@ -39,12 +39,10 @@ def _cmd_run(args) -> int:
 def _cmd_gen_template(args) -> int:
     kind = TemplateKind(args.kind)
     matrix = make_template(kind, args.classes, args.eta)
-    text = labelspace.format_matrix(matrix)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        labelspace.save_matrix(args.out, matrix)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(labelspace.format_matrix(matrix))
     return 0
 
 

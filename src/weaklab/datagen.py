@@ -61,7 +61,6 @@ class SourceBlock:
         check_rows(where, len(self), self.labels, "labels")
         if self.origin is not None:
             check_rows(where, len(self), self.origin, "origins")
-            refuse_rows(where, np.asarray(self.origin) < -1, "origin {} below -1", self.origin)
             check_whole(self.origin, where, "origin", low=-1)
 
     def __len__(self) -> int:
@@ -356,7 +355,7 @@ def load_dataset(path) -> MultisourceDataset:
         again[starts] = True
         again[starts[np.unique(src[starts], return_index=True)[1]]] = False
         refuse_rows(path, src < 0, "negative source id {}", src)
-        refuse_rows(path, origin < -1, "origin {} below -1", origin)
+        check_whole(origin, path, "origin", low=-1)
         refuse_rows(path, again, "source id {} again after another source's rows: each "
                     "source's rows must be one run", src)
         features = _read(fh, path, "<f8", (n, d))

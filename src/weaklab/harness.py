@@ -58,13 +58,16 @@ class WeakSource:
 
     def count(self, clean_count: int) -> int:
         """The rows, else round(multiplier x clean_count); ValueError naming the
-        token unless the multiplier is finite and > 0 and gives >= 1 row."""
+        token unless the multiplier is finite and > 0 and the product finite and >= 1 row."""
         if self.rows is not None:  # checked by their parser, count
             return self.rows
         where = f"[sources] weak token {self.token!r}"
         if not 0.0 < self.multiplier < np.inf:  # written so that NaN fails
             raise ValueError(f"{where}: multiplier must be finite and > 0, got {self.multiplier:g}")
-        n = int(round(self.multiplier * clean_count))
+        n = self.multiplier * clean_count
+        if n == np.inf:  # round(inf) would raise OverflowError
+            raise ValueError(f"{where}: {self.multiplier:g} x clean_count {clean_count} overflows")
+        n = int(round(n))
         if n < 1:
             raise ValueError(f"{where}: round({self.multiplier:g} x clean_count {clean_count}) = "
                              f"{n} rows, need at least 1")

@@ -208,13 +208,14 @@ def refuse_rows(where: str, bad: np.ndarray, what: str, values) -> None:
 
 
 def check_whole(values, what: str, name: str, low: int = 0) -> np.ndarray:
-    """The values as an int64 array (an int64 array itself, not a copy);
-    raises ValueError naming `what`, the first row and its value (as `name`)
-    where it is below low, or not whole (a NaN, an infinity) or past int64."""
+    """The values as an int64 array (an int64 array itself, not a copy); raises
+    ValueError naming `what`, the first row and its value (as `name`) where the raw
+    value is below low (a NaN is not), else where it is not whole or past int64."""
     values = np.asarray(values)
+    refuse_rows(what, values < low, f"{name} {{}} below {low}", values)
     with np.errstate(invalid="ignore"):  # the values that the cast warns of are refused below
         ints = values.astype(np.int64, copy=False)
-    refuse_rows(what, (ints != values) | (ints < low), name + " {} is not a whole number", values)
+    refuse_rows(what, ints != values, name + " {} is not a whole number", values)
     return ints
 
 
@@ -272,7 +273,7 @@ def parse_matrix(text: str, source: str = "matrix") -> TransitionMatrix:
     """Read the format_matrix text form. Raises ValueError naming `source`
     (the file, for load_matrix) and the 1-based line when the first line is
     not a positive class count c, a row does not hold c numbers, or there
-    are other than c rows."""
+    are other than c rows; naming `source` alone when TransitionMatrix does."""
     lines = [(i, ln) for i, ln in _numbered_lines(text) if ln.strip()]
     if not lines:
         raise ValueError(f"{source}: empty, expected a class count line")
@@ -297,7 +298,10 @@ def parse_matrix(text: str, source: str = "matrix") -> TransitionMatrix:
         except ValueError:
             raise ValueError(f"{source}, line {lineno}: {ln.strip()!r} holds a "
                              "non-number") from None
-    return TransitionMatrix(np.array(rows))
+    try:
+        return TransitionMatrix(np.array(rows))
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from None
 
 
 def save_matrix(path, matrix: TransitionMatrix) -> None:

@@ -329,17 +329,10 @@ def predict_batch(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     out = np.empty(n, dtype=np.int64)
     for start in range(0, max(n, 1), PREDICT_BLOCK_ROWS):  # an empty input makes one pass
-        stop = min(start + PREDICT_BLOCK_ROWS, n)
-        _predict_block(params, x[start:stop], out[start:stop])
+        block = slice(start, start + PREDICT_BLOCK_ROWS)
+        forward_batch(params.layers, class_major(x[block]), ForwardBuffers(
+            len(x[block]), params.c, params.hidden)).argmax(axis=0, out=out[block])
     return out
-
-
-def _predict_block(params: ModelParameters, x: np.ndarray, out: np.ndarray) -> None:
-    """Argmax class of each row of x into out, through buffers that live
-    only for this call."""
-    scores = forward_batch(params.layers, class_major(x),
-                           ForwardBuffers(len(x), params.c, params.hidden))
-    scores.argmax(axis=0, out=out)
 
 
 def _softmax_columns(scores: np.ndarray, buf: BatchBuffers) -> np.ndarray:

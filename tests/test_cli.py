@@ -8,8 +8,8 @@ from weaklab import correction, estimation, harness
 from weaklab.cli import _parse_corrupt_spec, main
 from weaklab.datagen import (DATASET_MAGIC, MultisourceDataset, SourceBlock, build_multisource,
                              generate_blobs, load_dataset, save_dataset)
-from weaklab.labelspace import (MAX_CLASSES, SourceSpec, TemplateKind, identity_matrix,
-                                make_template, parse_matrix)
+from weaklab.labelspace import (MAX_CLASSES, SourceSpec, TemplateKind, format_matrix,
+                                identity_matrix, make_template, parse_matrix)
 
 RUN_CONFIG = """
 [dataset]
@@ -49,6 +49,9 @@ def test_gen_template_to_file(tmp_path):
                  "--classes", "10", "--out", str(path)]) == 0
     t = parse_matrix(path.read_text())
     assert t.entries[0, 0] == pytest.approx(0.5)
+    # the bytes of every run's T_hat_*.txt: save_matrix writes both
+    assert path.read_bytes() == format_matrix(
+        make_template(TemplateKind("mixed"), 10, 0.4)).encode()
 
 
 def test_gen_template_offers_no_identity_kind(capsys):
@@ -96,6 +99,9 @@ def test_gen_template_rejects_bad_eta(capsys):
      "kind:xM, as in mixed:x9\n"),
     ("[sources]\nweak = mixed\n", "exp.ini, line 2: [sources] weak token 'mixed': expected "
      "kind:xM, as in mixed:x1\n"),
+    # a finite multiplier whose product with clean_count overflows: round(inf) again
+    ("[sources]\nweak = mixed:x1e308\n", "exp.ini, line 2: [sources] weak token 'mixed:x1e+308': "
+     "1e+308 x clean_count 500 overflows\n"),
     ("[sources]\nweak = mixed:x0\n", "exp.ini, line 2: [sources] weak token 'mixed:x0': "
      "multiplier must be finite and > 0, got 0\n"),
     ("[sources]\nweak = mixed:xnan\n", "exp.ini, line 2: [sources] weak token 'mixed:xnan': "
@@ -120,9 +126,9 @@ def test_gen_template_rejects_bad_eta(capsys):
 ], ids=["dataset", "train", "missing_file", "repeated_key", "key_before_header",
         "line_without_equals", "not_utf8", "colon", "continuation", "continuation_after_blank",
         "text_after_header", "unknown_key", "infinite_multiplier", "old_size", "bare_kind",
-        "zero_multiplier", "nan_multiplier", "rounds_to_0", "eta_and_zero_rows",
-        "eta_and_fractional_rows", "true_suffix", "unknown_strategy", "unknown_family",
-        "negative_zero_eta"])
+        "overflowing_multiplier", "zero_multiplier", "nan_multiplier", "rounds_to_0",
+        "eta_and_zero_rows", "eta_and_fractional_rows", "true_suffix", "unknown_strategy",
+        "unknown_family", "negative_zero_eta"])
 def test_run_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     cfg = tmp_path / "exp.ini"
     if text is not None:
@@ -422,9 +428,11 @@ def test_corrupt_reads_both_sizes_as_one_dataset(tmp_path, capsys):
     ("uniform:x5", "line 3: [sources] weak token 'uniform:x5': expected kind:eta:size"),
     ("uniform:0.3:x0.01", "line 3: [sources] weak token 'uniform:0.3:x0.01': round(0.01 x "
                           "clean_count 20) = 0 rows, need at least 1"),
+    ("mixed:0.3:x1e308", "line 3: [sources] weak token 'mixed:0.3:x1e+308': 1e+308 x "
+                         "clean_count 20 overflows"),
     ("identity:0:500", "line 3: [sources] weak token 'identity:0:500': unknown template kind "
                        "'identity', expected one of mixed, uniform, landcover, interclass"),
-], ids=["no_eta", "rounds_to_0", "identity_kind"])
+], ids=["no_eta", "rounds_to_0", "overflowing_multiplier", "identity_kind"])
 def test_corrupt_reports_a_bad_weak_token_in_one_line(tmp_path, capsys, weak, message):
     clean_path, _, spec_path = corrupt_input(tmp_path)
     spec_path.write_text(f"[sources]\nclean_count = 20\nweak = {weak}\n")

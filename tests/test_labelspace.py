@@ -218,7 +218,7 @@ def test_check_labels_takes_whole_floats_and_keeps_an_int64_array():
 
 @pytest.mark.parametrize("values, message", [
     ([0, 0.2, 1.7], "source ids, row 1: source id 0.2 is not a whole number"),
-    ([0, -1], "source ids, row 1: source id -1 is not a whole number"),
+    ([0, -1], "source ids, row 1: source id -1 below 0"),
     ([np.nan], "source ids, row 0: source id nan is not a whole number"),
     ([2.0 ** 63], "source ids, row 0: source id 9.223372036854776e+18 is not a whole number"),
 ], ids=["fraction", "negative", "nan", "past_int64"])
@@ -322,6 +322,18 @@ def test_load_matrix_names_the_file(tmp_path):
     path.write_text("2\n\n1 0\n0 1 0\n")
     with pytest.raises(ValueError, match="t.txt, line 4: expected 2 numbers, found 3"):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n0.5 0.4\n0 1\n", "rows must sum to 1 (max deviation 0.1)"),
+    ("2\n1.5 -0.5\n0 1\n", "entries must be finite and lie in [0, 1]"),
+], ids=["row_sum", "out_of_range"])
+def test_load_matrix_names_the_file_of_a_bad_matrix(tmp_path, text, message):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_matrix(path)
+    assert str(err.value) == f"{path}: transition matrix {message}"
 
 
 @pytest.mark.parametrize("data, message", [

@@ -452,7 +452,7 @@ def test_step_allocates_nothing(rng):
     (2, [0.7, 1.9], [0, 1], r"^labels, row 0: label 0\.7 is not a whole number$"),
     (4, [0, 1, 2, 0], [0, 0.2, 1.7, 1], r"^source ids, row 1: source id 0\.2 is not a whole "
                                         "number$"),
-    (4, [0, 1, 2, 0], [0, 1, -1, 1], "^source ids, row 2: source id -1 is not a whole number$"),
+    (4, [0, 1, 2, 0], [0, 1, -1, 1], "^source ids, row 2: source id -1 below 0$"),
 ], ids=["no_rows", "short_labels", "long_labels", "negative_label", "label_c",
         "short_source_ids", "fractional_labels", "fractional_source_ids",
         "negative_source_id"])

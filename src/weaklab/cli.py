@@ -99,8 +99,8 @@ def _parse_corrupt_spec(path):
         raise ValueError(f"corrupt spec {path}: missing the [sources] section")
     if "clean_count" not in src:
         raise ValueError(f"corrupt spec {path}: missing [sources] clean_count")
-    return src["clean_count"], harness.weak_line(lines, harness.weak_tuples, src.get("weak", []),
-                                                 src["clean_count"])
+    with harness.config_refusal(path, lines):
+        return src["clean_count"], harness.weak_tuples(src.get("weak", []), src["clean_count"])
 
 
 def _same_file(a, b) -> bool:
@@ -127,11 +127,9 @@ def _cmd_corrupt(args) -> int:
     clean_count, weak = _parse_corrupt_spec(args.spec)
     ms_in = datagen.load_dataset(args.load_dataset)
     clean = datagen.as_clean_dataset(ms_in)  # input labels are trusted as true
-    try:
+    with labelspace.refused_at(f"{args.spec}: [sources] clean_count, weak with "
+                               f"{args.load_dataset}:"):
         specs = datagen.source_specs(clean.c, clean_count, weak, len(clean))
-    except ValueError as err:
-        raise ValueError(f"{args.spec}: [sources] clean_count, weak with {args.load_dataset}: "
-                         f"{err}") from None
     ms, test = datagen.build_multisource(clean, specs, args.seed)
     datagen.save_dataset(args.emit_dataset, ms)
     sizes = ", ".join(f"source {b.source_id}: {len(b)}" for b in ms.sources)

@@ -88,7 +88,7 @@ def weight_proposed(spec: LossSpec, matrix, k: int, u) -> np.ndarray:
     acc = np.zeros_like(u)
     for j in range(u.shape[0]):
         acc += t[j, k] * softmax_grad(u, j)
-    fprime = loss_derivative(spec, min(ut_k, 1.0))
+    fprime = loss_derivative(spec, ut_k)
     return fprime * acc
 
 

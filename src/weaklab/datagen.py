@@ -79,12 +79,12 @@ class MultisourceDataset:
     d: int
 
     def __post_init__(self) -> None:
+        check_whole([blk.source_id for blk in self.sources], "source ids", "source id")
         seen = set()
         for blk in self.sources:
             sid = blk.source_id
-            if sid < 0 or sid in seen or not float(sid).is_integer():
-                raise ValueError(f"source id {sid}: " + ("negative" if sid < 0 else "given twice; "
-                                 "an id names one source" if sid in seen else "not a whole number"))
+            if sid in seen:
+                raise ValueError(f"source id {sid}: given twice; an id names one source")
             seen.add(sid)
             if blk.features.shape[1] != self.d:
                 raise ValueError(f"source {sid}: {blk.features.shape[1]} features per row, the "
@@ -354,7 +354,7 @@ def load_dataset(path) -> MultisourceDataset:
         again = np.zeros(n, dtype=bool)  # the first row of each run after an id's first
         again[starts] = True
         again[starts[np.unique(src[starts], return_index=True)[1]]] = False
-        refuse_rows(path, src < 0, "negative source id {}", src)
+        check_whole(src, path, "source id")
         check_whole(origin, path, "origin", low=-1)
         refuse_rows(path, again, "source id {} again after another source's rows: each "
                     "source's rows must be one run", src)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -28,7 +29,7 @@ import numpy as np
 from .datagen import (Dataset, build_multisource, check_blobs, generate_blobs, source_specs,
                       split_sizes)
 from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single
-from .labelspace import (TemplateKind, TransitionMatrix, check_utf8, identity_matrix,
+from .labelspace import (TemplateKind, TransitionMatrix, check_utf8, identity_matrix, refused_at,
                          satisfies_diagonal_dominance, save_matrix)
 from .losses import FAMILIES, LossSpec
 from .model import (ModelParameters, TrainConfig, TrainingDiverged, predict_batch, save_params,
@@ -102,10 +103,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # each error starts with the config file section and key it is about
-        try:
+        with refused_at("[dataset]"):
             check_blobs(self.classes, self.dim, self.n_per_class, self.spread)
-        except ValueError as err:
-            raise ValueError(f"[dataset] {err}") from None
         if not self.seeds:
             raise ValueError("[run] seeds: need at least one seed")
         if min(self.seeds) < 0:
@@ -118,11 +117,9 @@ class ExperimentConfig:
         if not self.combinations:
             raise ValueError("[run] combos: need at least one (strategy, loss) combination")
         for strategy, family in self.combinations:
-            try:
+            with refused_at(f"[run] combos token '{strategy}:{family}':"):
                 strategy_token(strategy)
                 loss_family(family)
-            except ValueError as err:
-                raise ValueError(f"[run] combos token '{strategy}:{family}': {err}") from None
         # the sweep sets each model's seed and strategy, so a value here would be lost
         for name, key in (("seed", "[run] seeds"), ("strategy", "[run] combos")):
             value = getattr(self.train, name)
@@ -154,12 +151,9 @@ class ExperimentConfig:
                              f"{self.n_per_class} = {rows} rows leave 0 test rows")
         # build_multisource would refuse the sources only after the baseline trained
         for eta in self.etas:
-            try:
+            with refused_at(f"[sources] clean_count, weak, etas at eta {eta:g}, [dataset] classes "
+                            f"{self.classes} x n_per_class {self.n_per_class}:"):
                 self.sources(eta)
-            except ValueError as err:
-                raise ValueError(f"[sources] clean_count, weak, etas at eta {eta:g}, [dataset] "
-                                 f"classes {self.classes} x n_per_class {self.n_per_class}: "
-                                 f"{err}") from None
 
     def sources(self, eta: float) -> list:
         """The SourceSpecs at one eta: datagen.source_specs for the generated rows."""
@@ -471,7 +465,7 @@ def choice(what: str, names, convert=str):
 
 
 template_kind = choice("template kind", [k.value for k in TemplateKind], TemplateKind)
-# the two names of a [run] combos token, checked by the reader and by ExperimentConfig
+# the two names of a [run] combos token, checked by ExperimentConfig
 strategy_token = choice("strategy", COMBO_STRATEGIES)
 loss_family = choice("loss family", FAMILIES)
 
@@ -479,19 +473,17 @@ loss_family = choice("loss family", FAMILIES)
 def tokens(parse):
     """Parser of space-separated tokens, each read by parse; errors name the token."""
     def read(token):
-        try:
+        with refused_at(f"token {token!r}:"):
             return parse(token)
-        except ValueError as err:
-            raise ValueError(f"token {token!r}: {err}") from None
     return lambda text: [read(token) for token in text.split()]
 
 
 def combo(token: str) -> tuple:
-    """(strategy, loss family) of a `[run] combos` token `strategy[@true]:family`."""
+    """(strategy, loss family) names of a `[run] combos` token `strategy[@true]:family`."""
     strategy, *family = token.split(":")
     if len(family) != 1:
         raise ValueError("expected strategy:family")
-    return strategy_token(strategy), loss_family(family[0])
+    return strategy, family[0]
 
 
 def weak_token(token: str, swept: bool) -> WeakSource:
@@ -509,16 +501,6 @@ def weak_token(token: str, swept: bool) -> WeakSource:
     return WeakSource(kind, multiplier, typed(float)(eta[0]) if eta else None, rows)
 
 
-def weak_line(lines: dict, make, *args, **kwargs):
-    """make(*args, **kwargs); a weak size that only clean_count refuses names its line."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as err:
-        if not str(err).startswith("[sources] weak token"):
-            raise
-        raise ValueError(f"{lines['sources', 'weak']}: {err}") from None
-
-
 def _fields(cls, *names, **parsers) -> dict:
     """Schema entries: the plain keys that set the same-named fields of
     cls, parsed by the field types, then the keys with their own parsers."""
@@ -531,7 +513,7 @@ CONFIG_SCHEMA = {
     "dataset": _fields(ExperimentConfig, "classes", "dim", "n_per_class", "spread"),
     "sources": _fields(ExperimentConfig, "clean_count", "etas", weak=tokens(
         lambda token: weak_token(token, swept=True))),
-    "loss": _fields(LossSpec, "family", "q", "alpha", "beta", "A"),
+    "loss": {"family": loss_family, **_fields(LossSpec, "q", "alpha", "beta", "A")},
     "train": _fields(TrainConfig, "epochs", "batch_size", "learning_rate", "momentum",
                      "weight_decay", "hidden"),
     "run": _fields(ExperimentConfig, "seeds", "use_clean_in_training", "baseline_epoch_cap",
@@ -582,20 +564,25 @@ def read_ini(path, schema: dict, lines: dict | None = None) -> dict:
                                  f"one of {', '.join(schema[section])}")
             if key in values[section]:
                 raise ValueError(f"{where}: [{section}] {key} given twice")
-            try:
+            with refused_at(f"{where}: [{section}] {key}"):
                 values[section][key] = schema[section][key](text)
-            except ValueError as err:
-                raise ValueError(f"{where}: [{section}] {key} {err}") from None
             if lines is not None:
                 lines[section, key] = where
     return values
 
 
-def _construct(section: str, cls, **kwargs):
+@contextmanager
+def config_refusal(path, lines: dict, section: str = ""):
+    """Re-raise a ValueError of the block, led by `[section]` if given, with the `path, line N`
+    that read_ini's lines hold for the `[section] key` it starts with, else, for a message
+    about several keys or a key that the file does not set, with path alone."""
     try:
-        return cls(**kwargs)
+        yield
     except ValueError as err:
-        raise ValueError(f"[{section}] {err}") from None
+        message = f"[{section}] {err}" if section else str(err)
+        key = re.match(r"\[(\w+)\] (\w+)[ :]", message)
+        where = lines.get(key.groups(), path) if key else path
+        raise ValueError(f"{where}: {message}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -603,15 +590,18 @@ def load_config(path) -> ExperimentConfig:
 
     The sections and keys are those of CONFIG_SCHEMA, all optional, with
     the defaults of ExperimentConfig; [run] combos sets its combinations.
-    Unknown names and bad values raise ValueError.
+    Unknown names and bad values raise ValueError naming the file (config_refusal).
     """
     lines = {}
     values = {section: {} for section in CONFIG_SCHEMA} | read_ini(path, CONFIG_SCHEMA, lines)
-    loss = _construct("loss", LossSpec, **{"family": "cce", **values["loss"]})
-    train = _construct("train", TrainConfig, loss=loss, **values["train"])
+    with config_refusal(path, lines, "loss"):
+        loss = LossSpec(**{"family": "cce", **values["loss"]})
+    with config_refusal(path, lines, "train"):
+        train = TrainConfig(loss=loss, **values["train"])
     sources, run = values["sources"], values["run"]
     if "weak" in sources:
         sources["weak_sources"] = sources.pop("weak")
     if "combos" in run:
         run["combinations"] = run.pop("combos")
-    return weak_line(lines, ExperimentConfig, **values["dataset"], **sources, **run, train=train)
+    with config_refusal(path, lines):
+        return ExperimentConfig(**values["dataset"], **sources, **run, train=train)

@@ -12,6 +12,7 @@ and writes matrices as text.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,7 +85,7 @@ class SourceSpec:
 
     def __post_init__(self):
         if self.id < 0:
-            raise ValueError("source id must be nonnegative")
+            raise ValueError(f"source id {self.id} below 0")
         if self.id == 0 and not self.matrix.is_identity():
             raise ValueError("source 0 is the clean source and must have the identity matrix")
         if self.count < 0:
@@ -190,6 +191,16 @@ def satisfies_diagonal_dominance(matrix: TransitionMatrix) -> bool:
     off = e.copy()
     np.fill_diagonal(off, -np.inf)
     return bool(np.all(diag > off.max(axis=1)))
+
+
+@contextmanager
+def refused_at(prefix: str):
+    """Re-raise a ValueError of the block as a ValueError reading `prefix message`,
+    the one way a caller tells where a refusal comes from."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{prefix} {err}") from None
 
 
 def check_rows(where: str, rows: int, values, what: str) -> None:
@@ -298,10 +309,8 @@ def parse_matrix(text: str, source: str = "matrix") -> TransitionMatrix:
         except ValueError:
             raise ValueError(f"{source}, line {lineno}: {ln.strip()!r} holds a "
                              "non-number") from None
-    try:
+    with refused_at(f"{source}:"):
         return TransitionMatrix(np.array(rows))
-    except ValueError as err:
-        raise ValueError(f"{source}: {err}") from None
 
 
 def save_matrix(path, matrix: TransitionMatrix) -> None:

@@ -17,10 +17,9 @@ import numpy as np
 
 FAMILIES = ("cce", "mae", "gce", "sl")
 
-# floor of the clamp to [PROB_FLOOR, 1] that the training kernel asks of
-# loss_derivative (its floor= keyword) so that early-training underflow
-# cannot give non-finite weights; without floor=, loss_value and
-# loss_derivative reject out-of-range input instead of clamping
+# floor of the clamp to [PROB_FLOOR, 1] that loss_derivative applies to its
+# input, so that early-training underflow cannot give non-finite weights;
+# loss_value rejects out-of-range input instead
 PROB_FLOOR = 1e-12
 
 
@@ -34,7 +33,7 @@ def scalar_operand(value: float) -> np.ndarray:
     return a
 
 
-_ONE, _MINUS_ONE = scalar_operand(1.0), scalar_operand(-1.0)
+_ONE, _MINUS_ONE, _FLOOR = scalar_operand(1.0), scalar_operand(-1.0), scalar_operand(PROB_FLOOR)
 _maximum, _minimum = np.maximum, np.minimum  # given out= by keyword, see the model module
 _divide, _power, _negative = np.divide, np.power, np.negative  # given out by position
 
@@ -95,25 +94,15 @@ def loss_value(spec: LossSpec, uk):
     return float(out) if out.ndim == 0 else out
 
 
-def loss_derivative(spec: LossSpec, uk, floor: float | None = None, out=None):
-    """d loss / d uk. Negative everywhere on (0, 1] for every family.
-
-    Without floor, uk must lie in (0, 1] (ValueError otherwise; NaN
-    passes). With floor, uk is clamped to [floor, 1] instead of checked,
-    NaN still passing through: the training kernel's path, which clamps
-    once and checks nothing. out, a float64 array of uk's shape, receives
-    the result (and, with floor, the clamped uk first); by default a new
-    array is returned, or a float for a scalar uk.
-    """
-    if floor is None:
-        u = _check_range(uk)
-        if out is None:
-            out = np.empty_like(u)
-    else:
-        if out is None:
-            out = np.empty(np.shape(uk))
-        u = _maximum(uk, floor, out=out)  # maximum and minimum propagate NaN
-        _minimum(u, _ONE, out=u)
+def loss_derivative(spec: LossSpec, uk, out=None):
+    """d loss / d uk at uk clamped to [PROB_FLOOR, 1], NaN passing through:
+    negative for every family. out, a float64 array of uk's shape, receives
+    the clamped uk and then the result; by default a new array is returned,
+    or a float for a scalar uk."""
+    if out is None:
+        out = np.empty(np.shape(uk))
+    u = _maximum(uk, _FLOOR, out=out)  # maximum and minimum propagate NaN
+    _minimum(u, _ONE, out=u)
     if spec.family == "cce":
         _divide(_MINUS_ONE, u, out)
     elif spec.family == "mae":

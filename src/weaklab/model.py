@@ -81,11 +81,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labelspace import check_labels, check_rows, check_whole
-from .losses import PROB_FLOOR, LossSpec, loss_derivative, scalar_operand
+from .losses import LossSpec, loss_derivative, scalar_operand
 
 STRATEGIES = ("vanilla", "proposed")
 
-_ZERO, _PROB_FLOOR = scalar_operand(0.0), scalar_operand(PROB_FLOOR)
+_ZERO = scalar_operand(0.0)
 _multiply, _subtract, _add, _exp, _sign = np.multiply, np.subtract, np.add, np.exp, np.sign
 _maximum, _max_reduce = np.maximum, np.maximum.reduce
 
@@ -390,7 +390,7 @@ def batch_weighting(u: np.ndarray, cols: np.ndarray, spec: LossSpec, scale,
     """
     tu = _multiply(cols, u, buf.tu)
     ut = buf.class_ones.dot(tu, buf.ut)
-    fprime = loss_derivative(spec, ut, _PROB_FLOOR, buf.fprime)
+    fprime = loss_derivative(spec, ut, buf.fprime)
     fprime *= scale
     omega = _multiply(ut, u, buf.omega)
     _subtract(tu, omega, omega)

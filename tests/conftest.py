@@ -154,9 +154,9 @@ BAD_DATASET_FILES = [
     ("negative_label", _patched(VALID_DATASET, 48, _q(-1)), ", row 2: label -1 outside [0, 3)"),
     ("float_label", _patched(VALID_DATASET, 48, struct.pack("<d", 1.0)),
      ", row 2: label 4607182418800017408 outside [0, 3)"),
-    ("negative_source", _patched(VALID_DATASET, 80, _q(-1)), ", row 2: negative source id -1"),
+    ("negative_source", _patched(VALID_DATASET, 80, _q(-1)), ", row 2: source id -1 below 0"),
     ("bad_source", _patched(VALID_DATASET, 80, struct.pack("<d", -1.0)),
-     ", row 2: negative source id -4616189618054758400"),
+     ", row 2: source id -4616189618054758400 below 0"),
     ("origin_below_minus_one", _patched(VALID_DATASET, 120, _q(-2)), ", row 3: origin -2 below -1"),
     # source ids [0, 1, 0, 1]: source 0 again after source 1's rows
     ("interleaved_source", _patched(_patched(VALID_DATASET, 72, _q(1)), 80, _q(0)),

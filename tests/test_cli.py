@@ -73,10 +73,16 @@ def test_gen_template_rejects_bad_eta(capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("[dataset]\nspread = nan\n", "[dataset] spread must be finite and > 0, got nan"),
-    ("[train]\nepochs = 0\n", "[train] epochs"),
+    ("[dataset]\nspread = nan\n", "exp.ini, line 2: [dataset] spread must be finite and > 0, "
+     "got nan\n"),
+    ("[train]\nepochs = 0\n", "exp.ini, line 2: [train] epochs must be >= 1, got 0\n"),
+    ("[run]\nseeds = -1\n", "exp.ini, line 2: [run] seeds must be >= 0, got -1\n"),
+    # about several keys, so the file alone
+    ("[sources]\netas = 0.1 0.9\n", "exp.ini: [sources] clean_count, weak, etas at eta 0.9, "
+     "[dataset] classes 10 x n_per_class 625: eta = 0.9 outside [0, 0.8) for mixed\n"),
     (None, "No such file or directory"),
-    ("[train]\nepochs = 3\nhidden = 0\nepochs = 4\n", "exp.ini, line 4: [train] epochs given twice"),
+    ("[train]\nepochs = 3\nhidden = 0\nepochs = 4\n",
+     "exp.ini, line 4: [train] epochs given twice"),
     ("epochs = 3\n[train]\n", "exp.ini, line 1: 'epochs = 3' comes before any [section] header"),
     ("[train]\nepochs 3\n",
      "exp.ini, line 2: 'epochs 3' is not a [section] header or a key = value line"),
@@ -122,10 +128,10 @@ def test_gen_template_rejects_bad_eta(capsys):
      "exp.ini, line 2: [run] combos token 'proposed:xce': unknown loss family 'xce', expected "
      "one of cce, mae, gce, sl\n"),
     # -0 and 0 are one eta to the sweep, which would train its models twice
-    ("[sources]\netas = 0 -0\n", "weaklab run: [sources] etas: 0 given twice\n"),
-], ids=["dataset", "train", "missing_file", "repeated_key", "key_before_header",
-        "line_without_equals", "not_utf8", "colon", "continuation", "continuation_after_blank",
-        "text_after_header", "unknown_key", "infinite_multiplier", "old_size", "bare_kind",
+    ("[sources]\netas = 0 -0\n", "exp.ini, line 2: [sources] etas: 0 given twice\n"),
+], ids=["dataset", "train", "negative_seed", "eta_outside_template", "missing_file",
+        "repeated_key", "key_before_header", "line_without_equals", "not_utf8", "colon",
+        "continuation", "continuation_after_blank", "text_after_header", "unknown_key", "infinite_multiplier", "old_size", "bare_kind",
         "overflowing_multiplier", "zero_multiplier", "nan_multiplier", "rounds_to_0",
         "eta_and_zero_rows", "eta_and_fractional_rows", "true_suffix", "unknown_strategy",
         "unknown_family", "negative_zero_eta"])
@@ -168,7 +174,7 @@ def test_run_rejects_sources_beyond_the_training_pool_before_training(tmp_path, 
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("weaklab run: [sources] clean_count, weak, etas at eta 0.2, "
+    assert captured.err == (f"weaklab run: {cfg}: [sources] clean_count, weak, etas at eta 0.2, "
                             "[dataset] classes 5 x n_per_class 75: 2 sources request 400 "
                             "instances, but the training pool has 300: 375 rows, less 75 test "
                             "rows\n")
@@ -520,7 +526,7 @@ def test_a_class_count_above_the_limit_is_one_error_line(tmp_path, capsys, comma
                      "--emit-dataset", str(tmp_path / "weak.bin")],
                     f"{clean_path}: header c = 1000000 classes, expected 1 to {MAX_CLASSES}"),
         "run": (["--config", str(cfg), "--out", str(tmp_path / "out")],
-                f"[dataset] classes must be <= {MAX_CLASSES}, got 1000000"),
+                f"{cfg}, line 2: [dataset] classes must be <= {MAX_CLASSES}, got 1000000"),
     }[command]
     assert main([command, *argv]) == 2
     captured = capsys.readouterr()

@@ -175,9 +175,9 @@ def test_same_seed_same_bytes():
 @pytest.mark.parametrize("ids, message", [
     ([0, 1, 1], "source id 1: given twice; an id names one source"),
     ([0, 2, 1, 0], "source id 0: given twice; an id names one source"),
-    ([0, -1], "source id -1: negative"),
-    ([0, 1.5], "source id 1.5: not a whole number"),
-    ([0, np.nan], "source id nan: not a whole number"),
+    ([0, -1], "source ids, row 1: source id -1 below 0"),
+    ([0, 1.5], "source ids, row 1: source id 1.5 is not a whole number"),
+    ([0, np.nan], "source ids, row 1: source id nan is not a whole number"),
 ], ids=["repeated", "repeated_later", "negative", "fraction", "nan"])
 def test_a_source_id_names_one_source(ids, message):
     blocks = [SourceBlock(sid, np.zeros((1, 2)), np.zeros(1, dtype=np.int64)) for sid in ids]

@@ -14,8 +14,8 @@ from weaklab import harness
 from weaklab.estimation import estimate_single
 from weaklab.cli import CORRUPT_SPEC_SCHEMA
 from weaklab.harness import (CONFIG_SCHEMA, CSV_HEADER, Cell, ExperimentConfig, ReportRow,
-                             RunReport, WeakSource, emit_csv, emit_curves, load_config,
-                             overall_accuracy, read_ini, run_experiment, write_run_dir)
+                             RunReport, WeakSource, emit_csv, load_config, overall_accuracy,
+                             read_ini, run_experiment, write_run_dir)
 from weaklab.labelspace import TemplateKind, load_matrix, make_template
 from weaklab.model import ModelParameters, TrainConfig, TrainingDiverged
 
@@ -658,14 +658,17 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[sources]\netas = 0.1 x\n", r"\[sources\] etas value 'x' is not of type float"),
     ("[sources]\nweak = mixed:xnine\n",
      r"\[sources\] weak token 'mixed:xnine': value 'nine' is not of type float"),
+    ("[loss]\nfamily = xce\n",
+     r"exp\.ini, line 2: \[loss\] family unknown loss family 'xce', expected one of cce, mae, "
+     r"gce, sl$"),
     ("[train]\nhidden = -1\n", r"\[train\] hidden must be >= 0, got -1"),
     # 500 + 3 x 500 + 5 x 500 rows fit the pool of 5000, so only the eta is at fault
     ("[sources]\nweak = uniform:x3 mixed:x5\netas = 0.1 0.85\n",
-     r"^\[sources\] clean_count, weak, etas at eta 0.85, \[dataset\] classes 10 x n_per_class "
-     r"625: eta = 0.85 outside \[0, 0.8\) for mixed$"),
+     r"exp\.ini: \[sources\] clean_count, weak, etas at eta 0.85, \[dataset\] classes 10 x "
+     r"n_per_class 625: eta = 0.85 outside \[0, 0.8\) for mixed$"),
     ("[dataset]\nclasses = 5\n",
-     r"^\[sources\] clean_count, weak, etas at eta 0.1, \[dataset\] classes 5 x n_per_class "
-     r"625: mixed template is defined only for c = 10$"),
+     r"exp\.ini: \[sources\] clean_count, weak, etas at eta 0.1, \[dataset\] classes 5 x "
+     r"n_per_class 625: mixed template is defined only for c = 10$"),
     ("[sources]\nweak = uniform:x0\n",
      r"exp\.ini, line 2: \[sources\] weak token 'uniform:x0': multiplier must be finite and > 0, "
      r"got 0$"),
@@ -685,46 +688,55 @@ def test_load_config_rejects_source_weight(tmp_path):
     ("[sources]\nweak = uniform:x3 mixed:xnan\n",
      r"exp\.ini, line 2: \[sources\] weak token 'mixed:xnan': multiplier must be finite and > 0, "
      r"got nan$"),
-    ("[loss]\nalpha = nan\n", r"^\[loss\] alpha must be finite and > 0, got nan$"),
-    ("[loss]\nalpha = 0\n", r"^\[loss\] alpha must be finite and > 0, got 0.0$"),
-    ("[loss]\nbeta = inf\n", r"^\[loss\] beta must be finite and > 0, got inf$"),
-    ("[loss]\nA = nan\n", r"^\[loss\] A must be finite and < 0, got nan$"),
-    ("[loss]\nA = -inf\n", r"^\[loss\] A must be finite and < 0, got -inf$"),
-    ("[loss]\nq = nan\n", r"^\[loss\] q must lie in \(0, 1\], got nan$"),
+    ("[loss]\nalpha = nan\n", r"exp\.ini, line 2: \[loss\] alpha must be finite and > 0, got nan$"),
+    ("[loss]\nalpha = 0\n", r"exp\.ini, line 2: \[loss\] alpha must be finite and > 0, got 0.0$"),
+    ("[loss]\nbeta = inf\n", r"exp\.ini, line 2: \[loss\] beta must be finite and > 0, got inf$"),
+    ("[loss]\nA = nan\n", r"exp\.ini, line 2: \[loss\] A must be finite and < 0, got nan$"),
+    ("[loss]\nA = -inf\n", r"exp\.ini, line 2: \[loss\] A must be finite and < 0, got -inf$"),
+    ("[loss]\nq = nan\n", r"exp\.ini, line 2: \[loss\] q must lie in \(0, 1\], got nan$"),
     ("[train]\nlearning_rate = -1\n", r"\[train\] learning_rate must be finite and > 0, got -1"),
     ("[train]\nlearning_rate = nan\n", r"\[train\] learning_rate must be finite and > 0, got nan"),
     ("[train]\nmomentum = 1\n", r"\[train\] momentum must lie in \[0, 1\), got 1"),
     ("[train]\nweight_decay = nan\n", r"\[train\] weight_decay must be finite and >= 0, got nan"),
     ("[sources]\netas = nan\n",
-     r"^\[sources\] clean_count, weak, etas at eta nan, \[dataset\] classes 10 x n_per_class "
-     r"625: eta = nan outside \[0, 0.8\) for mixed$"),
-    ("[sources]\netas =\n", r"^\[sources\] etas: need at least one eta"),
-    ("[sources]\nweak =\n", r"^\[sources\] weak: need at least one weak source"),
-    ("[run]\nsmoothing = nan\n", r"^\[run\] smoothing must be finite and >= 0, got nan"),
-    ("[run]\nsmoothing = -0.4\n", r"^\[run\] smoothing must be finite and >= 0, got -0.4"),
-    ("[run]\nsmoothing = inf\n", r"^\[run\] smoothing must be finite and >= 0, got inf"),
+     r"exp\.ini: \[sources\] clean_count, weak, etas at eta nan, \[dataset\] classes 10 x "
+     r"n_per_class 625: eta = nan outside \[0, 0.8\) for mixed$"),
+    ("[sources]\netas =\n", r"exp\.ini, line 2: \[sources\] etas: need at least one eta"),
+    ("[sources]\nweak =\n", r"exp\.ini, line 2: \[sources\] weak: need at least one weak source"),
+    ("[run]\nsmoothing = nan\n",
+     r"exp\.ini, line 2: \[run\] smoothing must be finite and >= 0, got nan"),
+    ("[run]\nsmoothing = -0.4\n",
+     r"exp\.ini, line 2: \[run\] smoothing must be finite and >= 0, got -0.4"),
+    ("[run]\nsmoothing = inf\n",
+     r"exp\.ini, line 2: \[run\] smoothing must be finite and >= 0, got inf"),
     ("[dataset]\nscale = 1.0\n", r"'scale' in section \[dataset\]"),
-    ("[dataset]\nspread = nan\n", r"^\[dataset\] spread must be finite and > 0, got nan"),
-    ("[dataset]\ndim = 1\n", r"^\[dataset\] dim must be >= 2, got 1"),
-    ("[run]\nseeds = 0 1 0\n", r"^\[run\] seeds: 0 given twice"),
-    ("[sources]\netas = 0.2 0.2\n", r"^\[sources\] etas: 0.2 given twice"),
-    ("[sources]\netas = 0.2 0.3 0.2000001\n", r"^\[sources\] etas: 0.2 given twice"),
-    ("[sources]\netas = 0 -0\n", r"^\[sources\] etas: 0 given twice"),
+    ("[dataset]\nspread = nan\n",
+     r"exp\.ini, line 2: \[dataset\] spread must be finite and > 0, got nan"),
+    ("[dataset]\ndim = 1\n", r"exp\.ini, line 2: \[dataset\] dim must be >= 2, got 1"),
+    ("[run]\nseeds = 0 1 0\n", r"exp\.ini, line 2: \[run\] seeds: 0 given twice"),
+    ("[sources]\netas = 0.2 0.2\n", r"exp\.ini, line 2: \[sources\] etas: 0.2 given twice"),
+    ("[sources]\netas = 0.2 0.3 0.2000001\n",
+     r"exp\.ini, line 2: \[sources\] etas: 0.2 given twice"),
+    ("[sources]\netas = 0 -0\n", r"exp\.ini, line 2: \[sources\] etas: 0 given twice"),
     ("[run]\ncombos = vanilla:cce proposed:cce vanilla:cce\n",
-     r"^\[run\] combos: vanilla:cce given twice"),
-    ("[sources]\nclean_count = 0\n", r"^\[sources\] clean_count must be >= 1, got 0"),
-    ("[sources]\nclean_count = -5\n", r"^\[sources\] clean_count must be >= 1, got -5"),
+     r"exp\.ini, line 2: \[run\] combos: vanilla:cce given twice"),
+    ("[sources]\nclean_count = 0\n",
+     r"exp\.ini, line 2: \[sources\] clean_count must be >= 1, got 0"),
+    ("[sources]\nclean_count = -5\n",
+     r"exp\.ini, line 2: \[sources\] clean_count must be >= 1, got -5"),
     # clean_count is at fault, not the size it would scale
     ("[sources]\nclean_count = 0\nweak = mixed:x9\n",
-     r"^\[sources\] clean_count must be >= 1, got 0"),
-    ("[run]\nseeds = 0 -1\n", r"^\[run\] seeds must be >= 0, got -1"),
-    ("[run]\nbaseline_epoch_cap = -3\n", r"^\[run\] baseline_epoch_cap must be >= 0"),
+     r"exp\.ini, line 2: \[sources\] clean_count must be >= 1, got 0"),
+    ("[run]\nseeds = 0 -1\n", r"exp\.ini, line 2: \[run\] seeds must be >= 0, got -1"),
+    ("[run]\nbaseline_epoch_cap = -3\n",
+     r"exp\.ini, line 2: \[run\] baseline_epoch_cap must be >= 0"),
     ("[dataset]\nclasses = 2\nn_per_class = 2\ndim = 2\n[sources]\nclean_count = 1\n"
      "weak = uniform:x1\n",
-     r"^\[dataset\] classes 2 x n_per_class 2 = 4 rows leave 0 test rows$"),
+     r"exp\.ini, line 2: \[dataset\] classes 2 x n_per_class 2 = 4 rows leave 0 test rows$"),
 ], ids=["key", "section", "default_section", "template_kind", "combos_strategy",
         "combos_no_family", "combos_family", "dead_seed", "dead_strategy", "int_value",
-        "bool_value", "float_list_value", "weak_multiplier", "negative_hidden", "eta_range",
+        "bool_value", "float_list_value", "weak_multiplier", "loss_family", "negative_hidden",
+        "eta_range",
         "ten_class_kind", "zero_multiplier", "negative_multiplier", "multiplier_rounds_to_0",
         "infinite_multiplier", "overflowing_multiplier", "nan_multiplier", "nan_alpha",
         "zero_alpha", "infinite_beta", "nan_A", "minus_infinite_A", "nan_q",
@@ -735,10 +747,12 @@ def test_load_config_rejects_source_weight(tmp_path):
         "negative_clean_count", "zero_clean_count_with_weak", "negative_seed",
         "negative_baseline_epoch_cap", "empty_test_split"])
 def test_load_config_rejects_unknown_names(tmp_path, text, message):
+    # every refusal starts with the file, so that no key gets past the locator
     path = tmp_path / "exp.ini"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as err:
         load_config(path)
+    assert str(err.value).startswith(f"{path}")
 
 
 # each value parses to its own text, so the reader and configparser are

@@ -41,6 +41,9 @@ def test_source_zero_must_be_clean():
     with pytest.raises(ValueError):
         SourceSpec(0, make_template(TemplateKind.UNIFORM, 4, 0.1), 10)
     assert SourceSpec(0, identity_matrix(4), 10).count == 10
+    # worded as check_whole words a source id below 0 for train and the dataset
+    with pytest.raises(ValueError, match=r"^source id -1 below 0$"):
+        SourceSpec(-1, identity_matrix(4), 10)
 
 
 def test_uniform_template_layout():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaklab.losses import FAMILIES, LossSpec, loss_derivative, loss_value
+from weaklab.losses import FAMILIES, PROB_FLOOR, LossSpec, loss_derivative, loss_value
 
 
 def finite_difference(spec, uk, step=1e-6):
@@ -27,39 +27,38 @@ def test_out_of_range_probability_rejected():
     for family in FAMILIES:
         spec = LossSpec(family)
         for bad in (0.0, -0.1, 1.0 + 1e-9):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"target-class probability must lie in "
+                                                 r"\(0, 1\]"):
                 loss_value(spec, bad)
-            with pytest.raises(ValueError):
-                loss_derivative(spec, bad)
 
 
 def test_range_check_passes_nan_and_empty():
     # NaN passes so that divergence surfaces as TrainingDiverged, not here
     for family in FAMILIES:
         spec = LossSpec(family)
-        assert loss_derivative(spec, np.array([np.nan, 0.5])).shape == (2,)
-        loss_derivative(spec, np.nan)
+        assert loss_value(spec, np.array([np.nan, 0.5])).shape == (2,)
+        loss_value(spec, np.nan)
+        assert loss_value(spec, np.array([])).shape == (0,)
         assert loss_derivative(spec, np.array([])).shape == (0,)
         for bad in (0.0, -0.1, 1.1):
             with pytest.raises(ValueError):
-                loss_derivative(spec, bad)
-            with pytest.raises(ValueError):
-                loss_derivative(spec, np.array([[0.5, np.nan], [bad, 0.5]]))
+                loss_value(spec, np.array([[0.5, np.nan], [bad, 0.5]]))
 
 
 def test_floor_clamps_instead_of_checking():
-    # the training kernel's call: values are clamped to [floor, 1], not
-    # rejected, and a NaN still passes through
-    floor = 1e-12
+    # values are clamped to [PROB_FLOOR, 1], not rejected, and a NaN still
+    # passes through, so that divergence surfaces as TrainingDiverged
+    floor = PROB_FLOOR
     uk = np.array([-0.5, 0.0, 1e-15, floor, 0.3, 1.0, 1.0 + 1e-9, 7.0, np.nan])
     clamped = np.array([floor, floor, floor, floor, 0.3, 1.0, 1.0, 1.0, np.nan])
     for family in FAMILIES:
         spec = LossSpec(family)
-        got = loss_derivative(spec, uk, floor=floor)
+        got = loss_derivative(spec, uk)
         assert np.array_equal(got, loss_derivative(spec, clamped), equal_nan=True)
         assert np.isnan(got[-1]) or family == "mae"  # mae's derivative is constant
-        assert loss_derivative(spec, 0.0, floor=floor) == loss_derivative(spec, floor)
-        assert loss_derivative(spec, 3.0, floor=floor) == loss_derivative(spec, 1.0)
+        assert np.isnan(loss_derivative(spec, np.nan)) or family == "mae"
+        assert loss_derivative(spec, 0.0) == loss_derivative(spec, floor)
+        assert loss_derivative(spec, 3.0) == loss_derivative(spec, 1.0)
 
 
 def test_out_receives_the_result_and_the_input_is_kept():
@@ -68,22 +67,13 @@ def test_out_receives_the_result_and_the_input_is_kept():
     for family in FAMILIES:
         spec = LossSpec(family)
         out = np.empty_like(uk)
-        assert loss_derivative(spec, uk, floor=1e-12, out=out) is out
-        assert np.array_equal(out, loss_derivative(spec, np.clip(uk, 1e-12, 1.0)))
+        assert loss_derivative(spec, uk, out=out) is out
+        assert np.array_equal(out, loss_derivative(spec, np.clip(uk, PROB_FLOOR, 1.0)))
         assert np.array_equal(uk, before)
         inside = np.array([0.5, 1.0])
         out = np.empty(2)
         assert loss_derivative(spec, inside, out=out) is out
         assert np.array_equal(out, loss_derivative(spec, inside))
-
-
-def test_unclamped_call_still_names_the_range():
-    for family in FAMILIES:
-        spec = LossSpec(family)
-        for bad in (0.0, -1e-300, 1.0 + 1e-12, np.array([0.5, 1.5])):
-            with pytest.raises(ValueError, match=r"target-class probability must lie in "
-                                                 r"\(0, 1\]"):
-                loss_derivative(spec, bad)
 
 
 def test_cce_values():

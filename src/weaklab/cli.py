@@ -52,6 +52,7 @@ def _cmd_gen_template(args) -> int:
 # a relative error above the default tolerance; the error is measured
 # relative to max(norm, floor) instead.
 GRADIENT_NORM_FLOOR = 1e-2
+_SIZES = np.array([2, 5, 10])  # _SIZES[rng.integers(3)] draws what rng.choice([2, 5, 10]) did
 
 
 def _random_stochastic(rng, c):
@@ -68,7 +69,7 @@ def _cmd_validate_gradients(args) -> int:
     checked = 0
     while checked < args.cases:
         spec = specs[checked % len(specs)]
-        c = int(rng.choice([2, 5, 10]))
+        c = int(_SIZES[rng.integers(3)])
         t = _random_stochastic(rng, c)
         h = rng.standard_normal(c)
         k = int(rng.integers(c))
@@ -77,7 +78,8 @@ def _cmd_validate_gradients(args) -> int:
             continue
         analytic = correction.weight_proposed(spec, t, k, u)
         numeric = correction.numerical_score_gradient(spec, t, k, h)
-        rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), GRADIENT_NORM_FLOOR)
+        diff = analytic - numeric  # np.sqrt(v.dot(v)) is np.linalg.norm(v) for a 1-D float v
+        rel = np.sqrt(diff.dot(diff)) / max(np.sqrt(numeric.dot(numeric)), GRADIENT_NORM_FLOOR)
         worst = max(worst, rel)
         checked += 1
     ok = worst <= args.tolerance

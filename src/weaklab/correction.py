@@ -8,11 +8,11 @@ corrected per-sample loss contributes f'(u_tilde_k) * sum_j T[j, k] *
 grad_h(u_j): a single weak label simultaneously optimises every class j
 the source could have flipped into k, weighted by T's k-th column.
 Training computes that weighting with one kernel, model.batch_weighting;
-weight_proposed is its independent chain-rule reference (a sum of
-softmax_grad terms); this module imports nothing from model, so it cannot
-call the kernel it checks. optimized_classes and l1_discrepancy are the
-diagnostics. Matrices are read with np.asarray: a TransitionMatrix or an
-array.
+weight_proposed is its independent chain-rule reference, T's column k
+contracted with the softmax Jacobian; this module imports nothing from
+model, so it cannot call the kernel it checks. optimized_classes and
+l1_discrepancy are the diagnostics. Matrices are read with np.asarray: a
+TransitionMatrix or an array.
 """
 
 from __future__ import annotations
@@ -33,18 +33,16 @@ def softmax(scores) -> np.ndarray:
     An (m, c) stack of score rows gives the (m, c) stack of their softmaxes,
     each row equal to the call on that row alone."""
     h = np.asarray(scores, dtype=np.float64)
-    shifted = h - h.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(h - np.maximum.reduce(h, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
-def softmax_grad(u, j: int) -> np.ndarray:
-    """Gradient of softmax component j with respect to the scores:
-    u_j * (e^j - u)."""
+def softmax_jacobian(u) -> np.ndarray:
+    """Jacobian of the softmax with respect to the scores, at probabilities u:
+    row j is the gradient of component j, u_j * (e^j - u)."""
     u = np.asarray(u, dtype=np.float64)
-    g = u[j] * (-u)
-    g[j] += u[j]
-    return g
+    return np.diag(u) - np.multiply.outer(u, u)
 
 
 def forward_correct(matrix, u) -> np.ndarray:
@@ -75,7 +73,7 @@ def corrected_loss(spec: LossSpec, matrix, k: int, u):
 
 def weight_proposed(spec: LossSpec, matrix, k: int, u) -> np.ndarray:
     """Score-gradient of the forward-corrected loss:
-    f'(u_tilde_k) * sum_j T[j, k] * softmax_grad(u, j).
+    f'(u_tilde_k) * sum_j T[j, k] * softmax_jacobian(u)[j], one vector-matrix product.
 
     With the identity matrix this is the uncorrected loss's
     f'(u_k) * u_k (e^k - u).
@@ -85,11 +83,7 @@ def weight_proposed(spec: LossSpec, matrix, k: int, u) -> np.ndarray:
     ut_k = float(forward_correct(t, u)[k])
     if ut_k <= 0.0:
         raise DegenerateColumnError(f"corrected probability of class {k} is zero")
-    acc = np.zeros_like(u)
-    for j in range(u.shape[0]):
-        acc += t[j, k] * softmax_grad(u, j)
-    fprime = loss_derivative(spec, ut_k)
-    return fprime * acc
+    return loss_derivative(spec, ut_k) * (t[:, k] @ softmax_jacobian(u))
 
 
 def optimized_classes(matrix, k: int, u) -> set:
@@ -125,6 +119,10 @@ def numerical_score_gradient(spec: LossSpec, matrix, k: int, h,
     """
     h = np.asarray(h, dtype=np.float64)
     c = h.shape[0]
-    shift = step * np.eye(c)
-    losses = corrected_loss(spec, matrix, k, softmax(np.concatenate((h + shift, h - shift))))
+    rows = np.empty((2 * c, c))
+    rows[:] = h
+    flat = rows.reshape(-1)  # the diagonals of the two c-row halves are strided views
+    flat[:c * c:c + 1] += step
+    flat[c * c::c + 1] -= step
+    losses = corrected_loss(spec, matrix, k, softmax(rows))
     return (losses[:c] - losses[c:]) / (2.0 * step)

@@ -222,11 +222,20 @@ def check_whole(values, what: str, name: str, low: int = 0) -> np.ndarray:
     """The values as an int64 array (an int64 array itself, not a copy); raises
     ValueError naming `what`, the first row and its value (as `name`) where the raw
     value is below low (a NaN is not), else where it is not whole or past int64."""
-    values = np.asarray(values)
+    given, values = values, np.asarray(values)
     refuse_rows(what, values < low, f"{name} {{}} below {low}", values)
     with np.errstate(invalid="ignore"):  # the values that the cast warns of are refused below
-        ints = values.astype(np.int64, copy=False)
-    refuse_rows(what, ints != values, name + " {} is not a whole number", values)
+        try:
+            ints = values.astype(np.int64, copy=False)
+        except OverflowError:  # an int past uint64 makes values an object array
+            ints = np.minimum(values, 2 ** 63 - 1).astype(np.int64)
+    bad = ints != values
+    if bad.any():
+        row = int(np.argmax(bad))
+        # a list's own element: [1, 2**63] reads as float64, which rounds the integer
+        value = values[row] if isinstance(given, np.ndarray) else given[row]
+        fault = "past int64" if isinstance(value, (int, np.integer)) else "is not a whole number"
+        raise ValueError(f"{what}, row {row}: {name} {value} {fault}")
     return ints
 
 

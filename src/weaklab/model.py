@@ -15,8 +15,8 @@ per-sample transition column T_{s_i}[:, y_i], built once before the
 epoch loop as row i of an (n, c) array (transition_columns); the
 vanilla strategy is the same kernel with one-hot (identity) columns, so
 every strategy shares one code path.
-correction.weight_proposed, the chain-rule form over softmax_grad, is
-its independent per-sample reference.
+correction.weight_proposed, the chain-rule form through the softmax
+Jacobian, is its independent per-sample reference.
 
 A minibatch step is about thirty numpy calls on matrices of about
 16 x 32, so its cost is call overhead, not arithmetic. train allocates

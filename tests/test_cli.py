@@ -269,6 +269,19 @@ def test_validate_gradients_catches_a_relative_error_of_1e_4(monkeypatch, capsys
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed, worst", [(0, {"3.899e-08", "3.417e-08"}),
+                                         (301, {"4.764e-08", "3.715e-08"}),
+                                         (305, {"4.820e-08"})], ids=["0", "301", "305"])
+def test_validate_gradients_prints_the_same_line(capsys, seed, worst):
+    # pins the cases' random stream and the printed format. forward_correct's
+    # matrix-vector products run in BLAS, whose kernel decides the last bits of
+    # the finite differences: the first value is the default OpenBLAS kernel's
+    # on an AVX-512 core, the second OPENBLAS_CORETYPE=Haswell's
+    assert main(["validate-gradients", "--cases", "1000", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out in {f"PASS: 1000 cases, max relative gradient error {value} "
+                                       "(tolerance 1e-06)\n" for value in worst}
+
+
 def test_corrupt_round_trip(tmp_path, capsys):
     blobs = generate_blobs(10, 4, 200, 0.3, np.random.default_rng(3))
     clean_ms, _ = build_multisource(blobs, [SourceSpec(0, identity_matrix(10), 1600)], 3)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from weaklab.correction import (DegenerateColumnError, corrected_loss, forward_correct,
                                 l1_discrepancy, numerical_score_gradient, optimized_classes,
-                                softmax, softmax_grad, weight_proposed)
+                                softmax, softmax_jacobian, weight_proposed)
 from weaklab.labelspace import TransitionMatrix
-from weaklab.losses import LossSpec
+from weaklab.losses import LossSpec, loss_derivative
 
 from conftest import (SPECS, fd_score_gradient, kernel_weighting, random_case,
                       random_row_stochastic)
@@ -41,14 +41,15 @@ def test_softmax_shift_invariance(rng):
 
 
 def test_softmax_grad_hand_value():
-    u = np.full(3, 1 / 3)
-    assert softmax_grad(u, 0) == pytest.approx([2 / 9, -1 / 9, -1 / 9])
-    assert softmax_grad(u, 1) == pytest.approx([-1 / 9, 2 / 9, -1 / 9])
+    # row j of the Jacobian is the gradient of softmax component j
+    jac = softmax_jacobian(np.full(3, 1 / 3))
+    assert jac[0] == pytest.approx([2 / 9, -1 / 9, -1 / 9])
+    assert jac[1] == pytest.approx([-1 / 9, 2 / 9, -1 / 9])
 
 
 def test_softmax_grad_saturated_is_zero():
     u = np.array([0.0, 1.0, 0.0])
-    assert np.all(softmax_grad(u, 1) == 0.0)
+    assert np.all(softmax_jacobian(u)[1] == 0.0)
 
 
 def test_softmax_grad_matches_finite_differences(rng):
@@ -56,7 +57,7 @@ def test_softmax_grad_matches_finite_differences(rng):
         c = int(rng.choice([2, 5, 10]))
         h = rng.standard_normal(c)
         j = int(rng.integers(c))
-        exact = softmax_grad(softmax(h), j)
+        exact = softmax_jacobian(softmax(h))[j]
         approx = fd_score_gradient(lambda hh: softmax(hh)[j], h)
         assert np.abs(exact - approx).max() < 1e-8
 
@@ -67,7 +68,7 @@ def test_softmax_grad_components_sum_to_zero(c, seed):
     rng = np.random.default_rng(seed)
     u = softmax(rng.standard_normal(c))
     j = int(rng.integers(c))
-    assert abs(softmax_grad(u, j).sum()) < 1e-15
+    assert abs(softmax_jacobian(u)[j].sum()) < 1e-15
 
 
 def test_forward_correct_identity_and_uniform():
@@ -164,6 +165,20 @@ def test_numerical_score_gradient_matches_per_component_differences(rng, spec, c
                                    rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("c", [2, 5, 10])
+def test_numerical_score_gradient_is_the_shift_and_concatenate_construction(rng, c):
+    # the shifted rows, written in place, are the bits of h + step e^i and h - step e^i
+    for spec in SPECS:
+        for _ in range(25):
+            t = random_row_stochastic(rng, c)
+            h = rng.standard_normal(c)
+            k = int(rng.integers(c))
+            shift = 1e-6 * np.eye(c)
+            losses = corrected_loss(spec, t, k, softmax(np.concatenate((h + shift, h - shift))))
+            expected = (losses[:c] - losses[c:]) / (2.0 * 1e-6)
+            assert np.array_equal(numerical_score_gradient(spec, t, k, h), expected)
+
+
 def test_weight_proposed_matches_finite_differences(rng):
     worst = 0.0
     for _ in range(400):
@@ -174,6 +189,22 @@ def test_weight_proposed_matches_finite_differences(rng):
         rel = np.linalg.norm(exact - approx) / max(np.linalg.norm(approx), 1e-12)
         worst = max(worst, rel)
     assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+def test_weight_proposed_equals_the_per_row_chain_rule_sum(rng, spec):
+    # the one vector-matrix product against f'(u_tilde_k) * sum_j T[j, k] * jac[j],
+    # added one row at a time
+    for _ in range(300):
+        _, t, k, h = random_case(rng, specs=[spec])
+        u = softmax(h)
+        jac = softmax_jacobian(u)
+        per_row = np.zeros_like(u)
+        for j in range(u.shape[0]):
+            per_row += t[j, k] * jac[j]
+        per_row *= loss_derivative(spec, float(forward_correct(t, u)[k]))
+        got = weight_proposed(spec, t, k, u)
+        assert np.abs(got - per_row).max() <= 1e-13 * np.abs(got).max()
 
 
 def test_weight_proposed_identity_reduction(rng):

@@ -178,7 +178,9 @@ def test_same_seed_same_bytes():
     ([0, -1], "source ids, row 1: source id -1 below 0"),
     ([0, 1.5], "source ids, row 1: source id 1.5 is not a whole number"),
     ([0, np.nan], "source ids, row 1: source id nan is not a whole number"),
-], ids=["repeated", "repeated_later", "negative", "fraction", "nan"])
+    # an int past uint64 makes an object array, which the int64 cast overflows on
+    ([2 ** 70], "source ids, row 0: source id 1180591620717411303424 past int64"),
+], ids=["repeated", "repeated_later", "negative", "fraction", "nan", "past_int64"])
 def test_a_source_id_names_one_source(ids, message):
     blocks = [SourceBlock(sid, np.zeros((1, 2)), np.zeros(1, dtype=np.int64)) for sid in ids]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -234,6 +234,13 @@ def test_check_whole_names_the_row_and_the_value(values, message):
     assert check_whole(np.array([3.0, 0.0]), "source ids", "source id").tolist() == [3, 0]
 
 
+def test_check_whole_names_an_integer_past_int64():
+    # the list reads as float64, so the row's own element is named, not 9.22e+18
+    with pytest.raises(ValueError) as err:
+        check_whole([1, 2 ** 63], "source ids", "source id")
+    assert str(err.value) == "source ids, row 1: source id 9223372036854775808 past int64"
+
+
 def test_sampling_deterministic_given_seed():
     t = make_template(TemplateKind.UNIFORM, 10, 0.4)
     labels = np.arange(10).repeat(50)

@@ -102,7 +102,15 @@ class ExperimentConfig:
     smoothing: float = DEFAULT_SMOOTHING
 
     def __post_init__(self):
-        # each error starts with the config file section and key it is about
+        # each error starts with the config file section and key it is about;
+        # a file's counts are integers by typed(int), a Python caller's are checked here
+        counts = [("[dataset] classes", self.classes), ("[dataset] dim", self.dim),
+                  ("[dataset] n_per_class", self.n_per_class),
+                  ("[sources] clean_count", self.clean_count),
+                  ("[run] baseline_epoch_cap", self.baseline_epoch_cap)]
+        for key, value in counts + [("[run] seeds", seed) for seed in self.seeds]:
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key}: {value} is not an integer")
         with refused_at("[dataset]"):
             check_blobs(self.classes, self.dim, self.n_per_class, self.spread)
         if not self.seeds:

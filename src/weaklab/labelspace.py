@@ -5,13 +5,12 @@ T where T[j, k] is the probability that an instance whose true class is j
 receives label k. A clean source has the identity matrix. This module
 builds the parametric template family used by the synthetic benchmarks,
 computes matrix diagnostics (balanced error rate, mean row entropy,
-diagonal dominance), draws weak labels from the matrix rows and reads
-and writes matrices as text.
+diagonal dominance), draws weak labels from the matrix rows and writes
+matrices as text.
 """
 
 from __future__ import annotations
 
-import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -218,33 +217,40 @@ def refuse_rows(where: str, bad: np.ndarray, what: str, values) -> None:
         raise ValueError(f"{where}, row {row}: " + what.format(values[row]))
 
 
-def check_whole(values, what: str, name: str, low: int = 0) -> np.ndarray:
+def check_whole(values, what: str, name: str, low: int = 0,
+                high: int | None = None) -> np.ndarray:
     """The values as an int64 array (an int64 array itself, not a copy); raises
     ValueError naming `what`, the first row and its value (as `name`) where the raw
-    value is below low (a NaN is not), else where it is not whole or past int64."""
+    value is below low, or outside [low, high) when high is given (a NaN is neither),
+    else where it is not whole or past int64. A list's rows are named by its own
+    elements: [1, 2**63] reads as float64, which rounds the integer."""
     given, values = values, np.asarray(values)
-    refuse_rows(what, values < low, f"{name} {{}} below {low}", values)
-    with np.errstate(invalid="ignore"):  # the values that the cast warns of are refused below
+    shown = values if isinstance(given, np.ndarray) else given
+    # a NaN beside an int past uint64 makes an object array, whose compares warn;
+    # the values that the cast warns of are refused below
+    with np.errstate(invalid="ignore"):
+        if high is None:
+            refuse_rows(what, values < low, f"{name} {{}} below {low}", shown)
+        else:
+            refuse_rows(what, (values < low) | (values >= high),
+                        f"{name} {{}} outside [{low}, {high})", shown)
         try:
             ints = values.astype(np.int64, copy=False)
-        except OverflowError:  # an int past uint64 makes values an object array
-            ints = np.minimum(values, 2 ** 63 - 1).astype(np.int64)
-    bad = ints != values
+        except (OverflowError, ValueError):  # an object array: an int past uint64, or a NaN
+            ints = np.array([int(v) if -2 ** 63 <= v < 2 ** 63 else 0 for v in values.tolist()])
+        bad = ints != values
     if bad.any():
         row = int(np.argmax(bad))
-        # a list's own element: [1, 2**63] reads as float64, which rounds the integer
-        value = values[row] if isinstance(given, np.ndarray) else given[row]
+        value = shown[row]
         fault = "past int64" if isinstance(value, (int, np.integer)) else "is not a whole number"
         raise ValueError(f"{what}, row {row}: {name} {value} {fault}")
     return ints
 
 
 def check_labels(labels, c: int, what: str) -> np.ndarray:
-    """The labels as check_whole returns them; raises ValueError naming
-    `what` and the first row whose label is outside [0, c) or not whole."""
-    labels = np.asarray(labels)  # compared before the cast, which would truncate or wrap
-    refuse_rows(what, (labels < 0) | (labels >= c), f"label {{}} outside [0, {c})", labels)
-    return check_whole(labels, what, "label")
+    """check_whole of the labels in [0, c), named `label`: the range is checked
+    before the cast, which would truncate or wrap."""
+    return check_whole(labels, what, "label", 0, c)
 
 
 # rows whose (rows, c) comparison sample_weak_labels makes per step:
@@ -282,46 +288,6 @@ def format_matrix(matrix: TransitionMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _numbered_lines(text: str):
-    """(1-based number, line) of each line of text, split only at LF, CR LF
-    and CR like the package's other text readers (str.splitlines would also
-    split at \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029)."""
-    return enumerate(io.StringIO(text, newline=""), start=1)
-
-
-def parse_matrix(text: str, source: str = "matrix") -> TransitionMatrix:
-    """Read the format_matrix text form. Raises ValueError naming `source`
-    (the file, for load_matrix) and the 1-based line when the first line is
-    not a positive class count c, a row does not hold c numbers, or there
-    are other than c rows; naming `source` alone when TransitionMatrix does."""
-    lines = [(i, ln) for i, ln in _numbered_lines(text) if ln.strip()]
-    if not lines:
-        raise ValueError(f"{source}: empty, expected a class count line")
-    lineno, first = lines[0]
-    try:
-        c = int(first)
-    except ValueError:
-        raise ValueError(f"{source}, line {lineno}: class count {first.strip()!r} "
-                         "is not an integer") from None
-    if c < 1:
-        raise ValueError(f"{source}, line {lineno}: class count {c} is not positive")
-    if len(lines) != c + 1:
-        raise ValueError(f"{source}: expected {c} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for lineno, ln in lines[1:]:
-        fields = ln.split()
-        if len(fields) != c:
-            raise ValueError(f"{source}, line {lineno}: expected {c} numbers, "
-                             f"found {len(fields)}")
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError:
-            raise ValueError(f"{source}, line {lineno}: {ln.strip()!r} holds a "
-                             "non-number") from None
-    with refused_at(f"{source}:"):
-        return TransitionMatrix(np.array(rows))
-
-
 def save_matrix(path, matrix: TransitionMatrix) -> None:
     with open(path, "w") as fh:
         fh.write(format_matrix(matrix))
@@ -330,17 +296,10 @@ def save_matrix(path, matrix: TransitionMatrix) -> None:
 def check_utf8(path, lineno: int, line: str) -> None:
     """Raise ValueError naming the file, the 1-based line and the byte if
     line, read with errors="surrogateescape", holds a byte that is not UTF-8
-    (every text reader of the package reads its files this way)."""
+    (harness.read_ini, the package's one text reader, reads its files this way)."""
     try:
         line.encode("utf-8")
     except UnicodeEncodeError as err:  # the escapes of bad bytes are lone surrogates
         raise ValueError(f"{path}, line {lineno}: byte 0x{ord(line[err.start]) - 0xDC00:02x} is "
                          f"not UTF-8 text") from None
 
-
-def load_matrix(path) -> TransitionMatrix:
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        text = fh.read()
-    for lineno, line in _numbered_lines(text):  # the lines parse_matrix counts
-        check_utf8(path, lineno, line)
-    return parse_matrix(text, str(path))

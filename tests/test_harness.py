@@ -16,7 +16,7 @@ from weaklab.cli import CORRUPT_SPEC_SCHEMA
 from weaklab.harness import (CONFIG_SCHEMA, CSV_HEADER, Cell, ExperimentConfig, ReportRow,
                              RunReport, WeakSource, emit_csv, load_config, overall_accuracy,
                              read_ini, run_experiment, write_run_dir)
-from weaklab.labelspace import TemplateKind, load_matrix, make_template
+from weaklab.labelspace import TemplateKind, make_template
 from weaklab.model import ModelParameters, TrainConfig, TrainingDiverged
 
 
@@ -86,6 +86,26 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"^weak kind uniform: need one of multiplier and "
                                              r"rows$"):
             WeakSource(TemplateKind.UNIFORM, multiplier, 0.1, rows)
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("classes", 5.0, "[dataset] classes: 5.0"),
+    ("dim", 16.0, "[dataset] dim: 16.0"),
+    ("n_per_class", 75.5, "[dataset] n_per_class: 75.5"),
+    ("clean_count", 40.0, "[sources] clean_count: 40.0"),
+    ("baseline_epoch_cap", 2.5, "[run] baseline_epoch_cap: 2.5"),
+    ("seeds", [0, 0.5], "[run] seeds: 0.5"),
+    ("seeds", [np.float64(1.0)], "[run] seeds: 1.0"),
+], ids=["classes", "dim", "n_per_class", "clean_count", "baseline_epoch_cap", "seed",
+        "numpy_float_seed"])
+def test_a_count_that_is_not_an_integer_is_refused_at_construction(key, value, shown):
+    # a file's value is refused by typed(int); a Python caller's would fail
+    # only inside run_experiment, naming no key
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)} is not an integer$"):
+        tiny_config(**{key: value})
+    # a numpy integer is an integer
+    tiny_config(classes=np.int64(5), dim=np.int64(4), seeds=[np.int64(0)],
+                baseline_epoch_cap=np.int64(2))
 
 
 def test_run_experiment_report_shape():
@@ -445,8 +465,8 @@ def test_write_run_dir_layout(tmp_path):
     assert {p.name for p in (out / "runs" / "seed0").iterdir()} == {"baseline.params", "eta0.2"}
     cell = out / "runs" / "seed0" / "eta0.2"
     assert {p.name for p in cell.iterdir()} == {"T_hat_source1.txt", "T_hat_single.txt"}
-    t = load_matrix(cell / "T_hat_source1.txt")
-    assert np.array_equal(t.entries, report.estimates[(0, 0.2)][1].entries)
+    t = np.loadtxt(cell / "T_hat_source1.txt", skiprows=1, ndmin=2)
+    assert np.array_equal(t, report.estimates[(0, 0.2)][1].entries)
     # a second report never lands beside the first
     files = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
     with pytest.raises(ValueError, match=f"output directory {re.escape(str(out))} exists and "
@@ -473,7 +493,7 @@ def test_estimates_csv_equals_a_recomputation_from_the_saved_matrices(tmp_path):
         cell = tmp_path / "runs" / f"seed{seed}" / f"eta{eta:g}"
         files = ["T_hat_source1.txt", "T_hat_source2.txt", "T_hat_single.txt"]
         for source, name, truth in zip(["1", "2", "single"], files, true[1:]):
-            diff = np.abs(load_matrix(cell / name).entries - truth)
+            diff = np.abs(np.loadtxt(cell / name, skiprows=1, ndmin=2) - truth)
             expected.append(f"{seed},{eta:g},{source},{diff.sum(axis=1).mean():.6g},"
                             f"{diff.max():.6g}")
     assert (tmp_path / "estimates.csv").read_text().splitlines() == expected

@@ -131,14 +131,13 @@ def _cmd_corrupt(args) -> int:
     clean = datagen.as_clean_dataset(ms_in)  # input labels are trusted as true
     with labelspace.refused_at(f"{args.spec}: [sources] clean_count, weak with "
                                f"{args.load_dataset}:"):
-        specs = datagen.source_specs(clean.c, clean_count, weak, len(clean))
+        specs = datagen.source_specs(ms_in.c, clean_count, weak, len(clean))
     ms, test = datagen.build_multisource(clean, specs, args.seed)
     datagen.save_dataset(args.emit_dataset, ms)
     sizes = ", ".join(f"source {b.source_id}: {len(b)}" for b in ms.sources)
     print(f"wrote {args.emit_dataset} ({sizes})")
     if args.emit_test is not None:
-        datagen.save_dataset(args.emit_test, datagen.MultisourceDataset(
-            [datagen.SourceBlock(0, test.features, test.labels, test.origin)], test.c, test.d))
+        datagen.save_dataset(args.emit_test, datagen.MultisourceDataset([test], ms.c, ms.d))
         print(f"wrote {args.emit_test} (test split: {len(test)})")
     return 0
 

@@ -1,10 +1,12 @@
 """Synthetic clean data, multisource weak-label corruption, and the dataset file.
 
-generate_blobs supplies a clean classification dataset (Gaussian blobs
-around class means on a sphere); build_multisource shuffles it, splits off
-a test set, assigns disjoint chunks of the training pool to the configured
-sources and resamples each weak source's labels through its transition
-matrix. Same seed, same bytes. Every row it hands out keeps its origin,
+A SourceBlock holds one source's labelled rows. Source 0's labels are
+true, so a clean dataset is a source-0 block: generate_blobs makes one
+(Gaussian blobs around class means on a sphere), and build_multisource
+shuffles one, splits off a test set, a source-0 block too, assigns
+disjoint chunks of the training pool to the configured sources and
+resamples each weak source's labels through its transition matrix. Same
+seed, same bytes. Every row it hands out keeps its origin,
 its index in the dataset it was drawn from, where corruption_report
 finds its true label. save_dataset and load_dataset keep a multisource
 dataset in one binary file, laid out as save_dataset describes, in which
@@ -24,32 +26,15 @@ from .labelspace import (MAX_CLASSES, SourceSpec, check_labels, check_rows, chec
                          identity_matrix, make_template, refuse_rows, sample_weak_labels)
 
 
-@dataclass(eq=False)
-class Dataset:
-    """A plain labelled dataset: features (n, d) and integer labels (n,);
-    origin, when known, each row's index in the dataset it was drawn from."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    c: int
-    means: np.ndarray | None = None  # class means when synthetically generated
-    origin: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
-
 @dataclass(eq=False, frozen=True)
 class SourceBlock:
     """Instances assigned to one source, with that source's labels; origin,
     when known, each row's index in the dataset it was drawn from (-1 for
-    a row of a file that does not know it). Other than one label, and one
-    whole origin >= -1 if any, per feature row raises ValueError naming the
-    row. Frozen: in-place writes to its arrays are the caller's responsibility."""
+    a row of a file that does not know it). Source 0's labels are true, so
+    a clean dataset and a test split are source-0 blocks. Other than one
+    label, and one whole origin >= -1 if any, per feature row raises
+    ValueError naming the row. Frozen: in-place writes to its arrays are
+    the caller's responsibility."""
 
     source_id: int
     features: np.ndarray
@@ -131,12 +116,12 @@ def check_blobs(classes: int, dim: int, n_per_class: int, spread: float) -> None
 
 
 def generate_blobs(c: int, d: int, n_per_class: int, spread: float,
-                   rng: np.random.Generator) -> Dataset:
+                   rng: np.random.Generator) -> SourceBlock:
     """Isotropic Gaussian blobs around seeded class means on the unit sphere.
 
     Means are seeded random unit directions, so some class pairs sit
     closer than others; features are mean + spread * standard normal
-    noise. Labels are the generating component. Arguments out of range
+    noise. A source-0 block: labels are the generating component. Arguments out of range
     raise ValueError through check_blobs.
 
     The noise is drawn into the features array and scaled and shifted in
@@ -151,7 +136,7 @@ def generate_blobs(c: int, d: int, n_per_class: int, spread: float,
     features = rng.standard_normal((labels.shape[0], d))
     features *= spread
     features.reshape(c, n_per_class, d)[...] += means[:, None, :]  # class j's rows are block j
-    return Dataset(features, labels, c, means=means)
+    return SourceBlock(0, features, labels)
 
 
 def split_sizes(m: int) -> tuple[int, int]:
@@ -179,19 +164,25 @@ def source_specs(c: int, clean_count: int, weak: list, m: int) -> list:
     return specs
 
 
-def build_multisource(dataset: Dataset, specs: list, seed: int):
-    """Split a clean dataset and corrupt it into per-source weak-label blocks.
+def build_multisource(dataset: SourceBlock, specs: list, seed: int):
+    """Split a clean source-0 block and corrupt it into per-source weak-label blocks.
 
     The dataset is shuffled with the seed and split 80/20 into a training
     pool and a test set (test size floor(0.2 m), remainder to the pool).
     Sources draw disjoint consecutive chunks of the shuffled pool, so no
     instance is labelled by two sources; every source s >= 1 redraws its
-    labels from its transition matrix rows. Each block's and the test
-    set's origin holds the dataset rows they drew. Returns
-    (MultisourceDataset, test Dataset).
+    labels from its transition matrix rows. c is the clean source's matrix
+    size: a source of another size raises ValueError naming it before any
+    label is drawn. Each block's and the test set's origin holds the
+    dataset rows they drew. Returns (MultisourceDataset, test SourceBlock 0).
     """
     if not specs or specs[0].id != 0:
         raise ValueError("specs[0] must be the clean source (id 0)")
+    c = specs[0].matrix.c
+    for spec in specs[1:]:
+        if spec.matrix.c != c:
+            raise ValueError(f"source {spec.id}: transition matrix is {spec.matrix.c} x "
+                             f"{spec.matrix.c}, the clean source's is {c} x {c}")
     m = len(dataset)
     m_train = _fitting_pool(specs, m)
 
@@ -209,10 +200,8 @@ def build_multisource(dataset: Dataset, specs: list, seed: int):
         true = dataset.labels[idx]
         labs = true.copy() if spec.id == 0 else sample_weak_labels(spec.matrix, true, rng)
         blocks.append(SourceBlock(spec.id, feats, labs, idx))
-    ms = MultisourceDataset(blocks, dataset.c, dataset.d)
-    test = Dataset(dataset.features[test_idx], dataset.labels[test_idx].copy(), dataset.c,
-                   origin=test_idx)
-    return ms, test
+    ms = MultisourceDataset(blocks, c, dataset.features.shape[1])
+    return ms, SourceBlock(0, dataset.features[test_idx], dataset.labels[test_idx].copy(), test_idx)
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -226,7 +215,7 @@ def _bits(values: np.ndarray) -> np.ndarray:
 BLOCK_ROWS = 4096
 
 
-def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
+def corruption_report(ms: MultisourceDataset, original: SourceBlock) -> dict:
     """Per-source empirical flip matrices (true label -> assigned label).
 
     Rows are normalised to frequencies; rows of classes a source never saw
@@ -246,9 +235,9 @@ def corruption_report(ms: MultisourceDataset, original: Dataset) -> dict:
     report = {}
     for blk in ms.sources:
         where = f"source {blk.source_id}"
-        if blk.features.shape[1] != original.d:
+        if blk.features.shape[1] != original.features.shape[1]:
             raise ValueError(f"{where}: {blk.features.shape[1]} features per row, the original "
-                             f"has {original.d}")
+                             f"has {original.features.shape[1]}")
         origin = np.full(len(blk), -1) if blk.origin is None else blk.origin
         refuse_rows(where, (origin < 0) | (origin >= len(original)),
                     f"origin {{}}, not one of the original dataset's {len(original)} rows", origin)
@@ -365,8 +354,8 @@ def load_dataset(path) -> MultisourceDataset:
     return MultisourceDataset(blocks, c, d)
 
 
-def as_clean_dataset(ms: MultisourceDataset) -> Dataset:
-    """Flatten a multisource dataset into a plain one, trusting its labels;
+def as_clean_dataset(ms: MultisourceDataset) -> SourceBlock:
+    """Flatten a multisource dataset into a source-0 block, trusting its labels;
     a single source's arrays are used as they are, without a copy."""
     features, labels, _ = ms.stacked()
-    return Dataset(features, labels, ms.c)
+    return SourceBlock(0, features, labels)

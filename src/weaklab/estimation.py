@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datagen import Dataset, MultisourceDataset
+from .datagen import MultisourceDataset, SourceBlock
 from .labelspace import TransitionMatrix, check_labels
 from .model import ModelParameters, TrainConfig, predict_batch, train
 
 DEFAULT_SMOOTHING = 0.5
 
 
-def train_baseline(clean: Dataset, config: TrainConfig, epoch_callback=None) -> ModelParameters:
-    """Train the baseline classifier on clean-source data (vanilla only:
-    given no transition matrices, train rejects any other strategy)."""
+def train_baseline(clean: SourceBlock, c: int, config: TrainConfig,
+                   epoch_callback=None) -> ModelParameters:
+    """Train the baseline classifier of c classes on clean-source data (vanilla
+    only: given no transition matrices, train rejects any other strategy)."""
     source_ids = np.zeros(len(clean), dtype=np.int64)
-    return train(clean.features, clean.labels, source_ids, clean.c, config,
+    return train(clean.features, clean.labels, source_ids, c, config,
                  epoch_callback=epoch_callback)
 
 

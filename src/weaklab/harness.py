@@ -26,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import (Dataset, build_multisource, check_blobs, generate_blobs, source_specs,
-                      split_sizes)
+from .datagen import (SourceBlock, build_multisource, check_blobs, generate_blobs,
+                      source_specs, split_sizes)
 from .estimation import DEFAULT_SMOOTHING, estimate_per_source, estimate_single
-from .labelspace import (TemplateKind, TransitionMatrix, check_utf8, identity_matrix, refused_at,
+from .labelspace import (TemplateKind, TransitionMatrix, identity_matrix, refused_at,
                          satisfies_diagonal_dominance, save_matrix)
 from .losses import FAMILIES, LossSpec
 from .model import (ModelParameters, TrainConfig, TrainingDiverged, predict_batch, save_params,
@@ -246,14 +246,14 @@ TRUE_SUFFIX = "@true"
 COMBO_STRATEGIES = ("vanilla", "forward", "proposed", "forward@true", "proposed@true")
 
 
-def overall_accuracy(params: ModelParameters, test: Dataset) -> float:
+def overall_accuracy(params: ModelParameters, test: SourceBlock) -> float:
     """Fraction of test instances whose predicted class matches the label."""
     if len(test) == 0:
         raise ValueError("test set is empty")
     return float(np.mean(predict_batch(params, test.features) == test.labels))
 
 
-def _train_cell(key: tuple, test: Dataset, *args, **kwargs):
+def _train_cell(key: tuple, test: SourceBlock, *args, **kwargs):
     """Train one model of a sweep by train(*args, **kwargs) and return its Cell,
     keyed by key = (strategy, loss family, eta, seed), with the parameters after
     its last epoch; a model that diverges is a failed Cell, with None."""
@@ -533,10 +533,21 @@ CONFIG_SCHEMA = {
 _COMMENT = re.compile(r"(?:^|\s)[#;]")
 
 
-def read_ini(path, schema: dict, lines: dict | None = None) -> dict:
+def check_utf8(path, lineno: int, line: str) -> None:
+    """Raise ValueError naming the file, the 1-based line and the byte if
+    line, read with errors="surrogateescape" as read_ini reads its files,
+    holds a byte that is not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as err:  # the escapes of bad bytes are lone surrogates
+        raise ValueError(f"{path}, line {lineno}: byte 0x{ord(line[err.start]) - 0xDC00:02x} is "
+                         f"not UTF-8 text") from None
+
+
+def read_ini(path, schema: dict, lines: dict) -> dict:
     """Read a UTF-8 section/key-value file into {section: {key: value}}
     for the sections it holds, each value read by its parser in the
-    schema (section -> key -> parser), and into lines, if given, each
+    schema (section -> key -> parser), and into lines each
     (section, key) -> `path, line N`. Each line stands alone: blank, a
     comment, a `[section]` header or `key = value`, its outer blanks and
     comment left out. A byte that is not UTF-8, a line of another form, a
@@ -574,8 +585,7 @@ def read_ini(path, schema: dict, lines: dict | None = None) -> dict:
                 raise ValueError(f"{where}: [{section}] {key} given twice")
             with refused_at(f"{where}: [{section}] {key}"):
                 values[section][key] = schema[section][key](text)
-            if lines is not None:
-                lines[section, key] = where
+            lines[section, key] = where
     return values
 
 

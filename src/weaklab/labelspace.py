@@ -222,26 +222,27 @@ def check_whole(values, what: str, name: str, low: int = 0,
     """The values as an int64 array (an int64 array itself, not a copy); raises
     ValueError naming `what`, the first row and its value (as `name`) where the raw
     value is below low, or outside [low, high) when high is given (a NaN is neither),
-    else where it is not whole or past int64. A list's rows are named by its own
-    elements: [1, 2**63] reads as float64, which rounds the integer."""
-    given, values = values, np.asarray(values)
-    shown = values if isinstance(given, np.ndarray) else given
-    # a NaN beside an int past uint64 makes an object array, whose compares warn;
-    # the values that the cast warns of are refused below
+    else where it is not whole or past int64. An array is checked in one vectorised
+    pass; any other input is read exactly, element by element, as an object array:
+    as an array, [2**53 + 1, 0.0] would be float64, which rounds the integer."""
+    if not isinstance(values, np.ndarray):
+        values = np.array(values, dtype=object)
+    # an object array's compares warn of a NaN; the values that the cast warns
+    # of are refused below
     with np.errstate(invalid="ignore"):
         if high is None:
-            refuse_rows(what, values < low, f"{name} {{}} below {low}", shown)
+            refuse_rows(what, values < low, f"{name} {{}} below {low}", values)
         else:
             refuse_rows(what, (values < low) | (values >= high),
-                        f"{name} {{}} outside [{low}, {high})", shown)
+                        f"{name} {{}} outside [{low}, {high})", values)
         try:
             ints = values.astype(np.int64, copy=False)
-        except (OverflowError, ValueError):  # an object array: an int past uint64, or a NaN
+        except (OverflowError, ValueError):  # an object array: an int past int64, or a NaN
             ints = np.array([int(v) if -2 ** 63 <= v < 2 ** 63 else 0 for v in values.tolist()])
         bad = ints != values
     if bad.any():
         row = int(np.argmax(bad))
-        value = shown[row]
+        value = values[row]
         fault = "past int64" if isinstance(value, (int, np.integer)) else "is not a whole number"
         raise ValueError(f"{what}, row {row}: {name} {value} {fault}")
     return ints
@@ -291,15 +292,4 @@ def format_matrix(matrix: TransitionMatrix) -> str:
 def save_matrix(path, matrix: TransitionMatrix) -> None:
     with open(path, "w") as fh:
         fh.write(format_matrix(matrix))
-
-
-def check_utf8(path, lineno: int, line: str) -> None:
-    """Raise ValueError naming the file, the 1-based line and the byte if
-    line, read with errors="surrogateescape", holds a byte that is not UTF-8
-    (harness.read_ini, the package's one text reader, reads its files this way)."""
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError as err:  # the escapes of bad bytes are lone surrogates
-        raise ValueError(f"{path}, line {lineno}: byte 0x{ord(line[err.start]) - 0xDC00:02x} is "
-                         f"not UTF-8 text") from None
 

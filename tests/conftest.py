@@ -79,6 +79,13 @@ def scores_of(params, x):
                          BatchBuffers(1, params.c, params.hidden))[:, 0]
 
 
+def blob_means(c, d, rng):
+    """The class means that generate_blobs draws first from rng: c seeded
+    random unit directions in d dimensions, one per row."""
+    directions = rng.standard_normal((d, c))
+    return (directions / np.linalg.norm(directions, axis=0)).T
+
+
 def dataset_bytes(c, d, src, labels, origin, features, n=None, magic=DATASET_MAGIC):
     """A dataset file packed one value at a time, independently of
     save_dataset: the header (magic, c, d, n; n the row count unless

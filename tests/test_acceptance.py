@@ -10,7 +10,7 @@ import pytest
 
 from weaklab.correction import (corrected_loss, forward_correct, l1_discrepancy,
                                 optimized_classes, softmax, weight_proposed)
-from weaklab.datagen import Dataset, build_multisource, corruption_report, generate_blobs
+from weaklab.datagen import build_multisource, corruption_report, generate_blobs
 from weaklab.estimation import estimate_per_source, train_baseline
 from weaklab.harness import (ExperimentConfig, WeakSource, load_config, overall_accuracy,
                              run_experiment, write_run_dir)
@@ -21,7 +21,7 @@ from weaklab.losses import LossSpec, loss_value
 from weaklab.model import (BatchBuffers, TrainConfig, backward_batch, batch_weighting,
                            class_major, forward_batch, init_parameters)
 
-from conftest import (SPECS, fd_score_gradient, kernel_weighting, per_parameter_fd,
+from conftest import (SPECS, blob_means, fd_score_gradient, kernel_weighting, per_parameter_fd,
                       random_case, random_row_stochastic, scores_of)
 
 MIXED = TemplateKind.MIXED_CLASS_DEPENDENT
@@ -228,7 +228,7 @@ def test_criterion_8_estimation_fidelity():
     # oracle baseline: nearest-mean classifier built from the true means
     from weaklab.model import ModelParameters
     oracle_blobs = generate_blobs(10, 16, 2600, 0.1, np.random.default_rng(0))
-    oracle = ModelParameters([oracle_blobs.means.copy()], [np.zeros(10)])
+    oracle = ModelParameters([blob_means(10, 16, np.random.default_rng(0))], [np.zeros(10)])
     t03 = make_template(MIXED, 10, 0.3)
     specs = [SourceSpec(0, identity_matrix(10), 500), SourceSpec(1, t03, 20_000)]
     ms_oracle, _ = build_multisource(oracle_blobs, specs, 0)
@@ -242,10 +242,8 @@ def test_criterion_8_estimation_fidelity():
         t = make_template(MIXED, 10, eta)
         ms, test = build_multisource(
             blobs, [SourceSpec(0, identity_matrix(10), 500), SourceSpec(1, t, 20_000)], 0)
-        blk = ms.block(0)
-        clean = Dataset(blk.features, blk.labels, 10)
         degraded = train_baseline(
-            clean, TrainConfig(epochs=2, batch_size=24, learning_rate=0.03, seed=0))
+            ms.block(0), 10, TrainConfig(epochs=2, batch_size=24, learning_rate=0.03, seed=0))
         degraded_oa = overall_accuracy(degraded, test)
         est_deg = estimate_per_source(degraded, ms)[1]
         for k in range(10):

@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_DATASET_FILES, VALID_DATASET, dataset_bytes
+from conftest import BAD_DATASET_FILES, VALID_DATASET, blob_means, dataset_bytes
 from weaklab import datagen
-from weaklab.datagen import (DATASET_MAGIC, Dataset, MultisourceDataset, SourceBlock,
-                             as_clean_dataset, build_multisource, corruption_report,
-                             generate_blobs, load_dataset, save_dataset, source_specs,
-                             split_sizes)
+from weaklab.datagen import (DATASET_MAGIC, MultisourceDataset, SourceBlock, as_clean_dataset,
+                             build_multisource, corruption_report, generate_blobs,
+                             load_dataset, save_dataset, source_specs, split_sizes)
 from weaklab.labelspace import (MAX_CLASSES, SourceSpec, TemplateKind, identity_matrix,
                                 make_template)
 from weaklab.model import TrainConfig, train
@@ -35,15 +34,14 @@ def test_generate_blobs_shapes_and_determinism():
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
     assert np.bincount(a.labels).tolist() == [50] * 10
-    assert np.allclose(np.linalg.norm(a.means, axis=1), 1.0)
+    assert isinstance(a, SourceBlock) and a.source_id == 0 and a.origin is None
 
 
 def reference_blobs(c, d, n_per_class, spread, rng):
-    """The one-expression generator: means[labels] + spread * noise."""
-    directions = rng.standard_normal((d, c))
-    means = (directions / np.linalg.norm(directions, axis=0)).T
+    """The one-expression generator: (labels, means[labels] + spread * noise)."""
+    means = blob_means(c, d, rng)
     labels = np.repeat(np.arange(c), n_per_class)
-    return means, labels, means[labels] + spread * rng.standard_normal((labels.shape[0], d))
+    return labels, means[labels] + spread * rng.standard_normal((labels.shape[0], d))
 
 
 @settings(max_examples=80, deadline=None)
@@ -51,12 +49,10 @@ def reference_blobs(c, d, n_per_class, spread, rng):
        spread=st.floats(1e-6, 1e3), seed=st.integers(0, 2**32 - 1))
 def test_generate_blobs_matches_the_reference_bytes(c, d, n_per_class, spread, seed):
     got = generate_blobs(c, d, n_per_class, spread, np.random.default_rng(seed))
-    means, labels, features = reference_blobs(c, d, n_per_class, spread,
-                                              np.random.default_rng(seed))
+    labels, features = reference_blobs(c, d, n_per_class, spread, np.random.default_rng(seed))
     assert got.features.dtype == features.dtype and got.features.shape == features.shape
     assert got.features.tobytes() == features.tobytes()
     assert got.labels.dtype == labels.dtype and got.labels.tobytes() == labels.tobytes()
-    assert got.means.tobytes() == means.tobytes()
 
 
 def test_generate_blobs_memory_is_its_output():
@@ -109,6 +105,7 @@ def test_split_sizes_and_disjointness():
     specs = [SourceSpec(0, identity_matrix(10), 100),
              SourceSpec(1, make_template(TemplateKind.UNIFORM, 10, 0.3), 400)]
     ms, test = build_multisource(blobs, specs, 1)
+    assert isinstance(test, SourceBlock) and test.source_id == 0
     assert len(test) == 200  # 0.2 * 1000 exactly
     assert len(ms.block(0)) == 100 and len(ms.block(1)) == 400
     train_bytes = {ms.block(s).features[i].tobytes()
@@ -205,6 +202,21 @@ def test_build_multisource_refuses_two_sources_of_one_id():
         build_multisource(blobs, specs, 9)
 
 
+@pytest.mark.parametrize("weak_classes", [5, 12], ids=["smaller", "larger"])
+def test_build_multisource_names_a_source_whose_matrix_is_another_size(weak_classes):
+    # the class count is the clean source's matrix size; a weak source of
+    # another size is refused before any label is drawn
+    blobs = generate_blobs(10, 4, 100, 0.3, np.random.default_rng(1))
+    specs = [SourceSpec(0, identity_matrix(10), 100),
+             SourceSpec(1, make_template(TemplateKind.UNIFORM, 10, 0.2), 100),
+             SourceSpec(2, make_template(TemplateKind.UNIFORM, weak_classes, 0.2), 100)]
+    message = (f"source 2: transition matrix is {weak_classes} x {weak_classes}, the clean "
+               f"source's is 10 x 10")
+    with mock.patch.object(datagen, "sample_weak_labels", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_multisource(blobs, specs, 1)
+
+
 def test_requires_clean_first():
     blobs = generate_blobs(10, 4, 100, 0.3, np.random.default_rng(1))
     weak = SourceSpec(1, make_template(TemplateKind.UNIFORM, 10, 0.2), 10)
@@ -229,7 +241,7 @@ def test_dataset_file_round_trip(tmp_path):
         assert np.array_equal(back.block(s).labels, ms.block(s).labels)
         assert np.array_equal(back.block(s).origin, ms.block(s).origin)
     clean = as_clean_dataset(back)
-    assert isinstance(clean, Dataset) and len(clean) == 90
+    assert isinstance(clean, SourceBlock) and clean.source_id == 0 and len(clean) == 90
 
 
 def reference_save(path, ms):
@@ -697,9 +709,9 @@ def test_corruption_report_matches_dict_reference(data, block_rows):
     values = st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf])
     rows = data.draw(st.lists(st.tuples(*[values] * d), min_size=1, max_size=20, unique=True))
     m = len(rows)
-    original = Dataset(np.array(rows, dtype=np.float64).reshape(m, d),
-                       np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=m,
-                                                   max_size=m)), dtype=np.int64), c)
+    original = SourceBlock(0, np.array(rows, dtype=np.float64).reshape(m, d),
+                           np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=m,
+                                                       max_size=m)), dtype=np.int64))
     blocks = []
     for sid in range(data.draw(st.integers(1, 3))):
         drawn = data.draw(st.lists(st.integers(0, m - 1), max_size=12))
@@ -720,7 +732,7 @@ def test_corruption_report_matches_dict_reference(data, block_rows):
 def test_corruption_report_matches_a_duplicate_row_to_its_own_origin():
     # the original holds one feature row twice, as classes 0 and 1; matched
     # by bytes, both block rows took the label of the last duplicate
-    original = Dataset(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([0, 1]), 2)
+    original = SourceBlock(0, np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([0, 1]))
     blk = SourceBlock(1, original.features.copy(), np.array([0, 0]), np.array([0, 1]))
     report = corruption_report(MultisourceDataset([blk], 2, 2), original)
     assert report[1].tolist() == [[1.0, 0.0], [1.0, 0.0]]
@@ -729,7 +741,7 @@ def test_corruption_report_matches_a_duplicate_row_to_its_own_origin():
 
 
 def test_corruption_report_names_a_row_missing_from_the_original():
-    original = Dataset(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0, 1]), 2)
+    original = SourceBlock(0, np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0, 1]))
     clean = SourceBlock(0, original.features[:1], np.array([0]), np.array([0]))
     for blk, message in [
             (SourceBlock(3, original.features[::-1], np.array([1, 1]), np.array([1, -1])),
@@ -744,7 +756,7 @@ def test_corruption_report_names_a_row_missing_from_the_original():
              "source 1, row 1: features differ from the original dataset's row 0, its origin")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             corruption_report(MultisourceDataset([clean, blk], 2, 2), original)
-    empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
+    empty = SourceBlock(0, np.empty((0, 2)), np.empty(0, dtype=np.int64))
     with pytest.raises(ValueError, match="source 0, row 0: origin 0, not one of the "
                                          "original dataset's 0 rows$"):
         corruption_report(MultisourceDataset([clean], 2, 2), empty)
@@ -754,7 +766,7 @@ def test_corruption_report_names_a_row_missing_from_the_original():
 def test_corruption_report_names_a_differing_row_in_a_later_block():
     # with blocks of 3 rows, row 4 is the second row of the second block:
     # -0.0 there against the original's 0.0 is named by its global row
-    original = Dataset(np.zeros((7, 2)), np.zeros(7, dtype=np.int64), 2)
+    original = SourceBlock(0, np.zeros((7, 2)), np.zeros(7, dtype=np.int64))
     features = np.zeros((7, 2))
     features[4, 1] = -0.0
     blk = SourceBlock(4, features, np.zeros(7, dtype=np.int64), np.arange(7)[::-1].copy())
@@ -783,7 +795,7 @@ def test_corruption_report_refuses_a_length_mismatch(labels, origin, message):
 
 
 def test_corruption_report_rejects_bad_widths_and_labels():
-    original = Dataset(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0, 1]), 2)
+    original = SourceBlock(0, np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0, 1]))
     wide = SourceBlock(1, np.zeros((1, 3)), np.array([0]), np.array([0]))
     with pytest.raises(ValueError, match="source 1: 3 features per row, the original has 2"):
         corruption_report(MultisourceDataset([wide], 2, 3), original)

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weaklab.datagen import (Dataset, SourceBlock, build_multisource, generate_blobs,
-                             load_dataset, save_dataset)
+from conftest import blob_means
+from weaklab.datagen import (SourceBlock, build_multisource, generate_blobs, load_dataset,
+                             save_dataset)
 from weaklab.estimation import (confusion_counts, estimate_per_source, estimate_single,
                                 estimate_transition, train_baseline)
 from weaklab.harness import overall_accuracy
@@ -12,10 +13,11 @@ from weaklab.labelspace import SourceSpec, TemplateKind, identity_matrix, make_t
 from weaklab.model import ModelParameters, TrainConfig
 
 
-def oracle_params(blobs: Dataset) -> ModelParameters:
-    """Nearest-mean classifier from the generator's own means; at small
-    spread this predicts the true labels essentially always."""
-    return ModelParameters([blobs.means.copy()], [np.zeros(blobs.c)])
+def oracle_params(seed) -> ModelParameters:
+    """Nearest-mean classifier from the means of generate_blobs(10, 16, ...)
+    at the seed; at small spread this predicts the true labels essentially
+    always."""
+    return ModelParameters([blob_means(10, 16, np.random.default_rng(seed))], [np.zeros(10)])
 
 
 def oracle_setup(n_weak, eta, kind=TemplateKind.MIXED_CLASS_DEPENDENT, seed=11, spread=0.1):
@@ -23,52 +25,48 @@ def oracle_setup(n_weak, eta, kind=TemplateKind.MIXED_CLASS_DEPENDENT, seed=11, 
                            np.random.default_rng(seed))
     t = make_template(kind, 10, eta)
     specs = [SourceSpec(0, identity_matrix(10), 500), SourceSpec(1, t, n_weak)]
-    ms, test = build_multisource(blobs, specs, seed)
-    return blobs, t, ms, test
+    ms, _ = build_multisource(blobs, specs, seed)
+    return oracle_params(seed), t, ms, blobs
 
 
 def test_train_baseline_reaches_high_accuracy_on_separable_data():
     blobs = generate_blobs(10, 16, 200, 0.05, np.random.default_rng(1))
     specs = [SourceSpec(0, identity_matrix(10), 800)]
     ms, test = build_multisource(blobs, specs, 1)
-    blk = ms.block(0)
-    clean = Dataset(blk.features, blk.labels, 10)
-    params = train_baseline(clean, TrainConfig(epochs=20, seed=1))
+    params = train_baseline(ms.block(0), 10, TrainConfig(epochs=20, seed=1))
     assert overall_accuracy(params, test) >= 0.95
 
 
 def test_train_baseline_deterministic():
     blobs = generate_blobs(5, 8, 50, 0.2, np.random.default_rng(2))
-    clean = Dataset(blobs.features, blobs.labels, 5)
     cfg = TrainConfig(epochs=3, seed=9)
-    a = train_baseline(clean, cfg)
-    b = train_baseline(clean, cfg)
+    a = train_baseline(blobs, 5, cfg)
+    b = train_baseline(blobs, 5, cfg)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
 
 def test_train_baseline_validation():
     blobs = generate_blobs(5, 8, 10, 0.2, np.random.default_rng(2))
-    clean = Dataset(blobs.features, blobs.labels, 5)
     # train rejects a non-vanilla strategy given no transition matrices
     with pytest.raises(ValueError, match="strategy 'proposed' needs per-source transition"):
-        train_baseline(clean, TrainConfig(strategy="proposed"))
+        train_baseline(blobs, 5, TrainConfig(strategy="proposed"))
     with pytest.raises(ValueError):
-        train_baseline(Dataset(np.empty((0, 8)), np.empty(0, dtype=int), 5), TrainConfig())
+        train_baseline(SourceBlock(0, np.empty((0, 8)), np.empty(0, dtype=int)), 5, TrainConfig())
 
 
 def test_confusion_counts_oracle_on_clean_source():
-    blobs, _, ms, _ = oracle_setup(2000, 0.3)
+    oracle, _, ms, _ = oracle_setup(2000, 0.3)
     blk = ms.block(0)
-    counts = confusion_counts(oracle_params(blobs), [blk], 10)
+    counts = confusion_counts(oracle, [blk], 10)
     assert counts.sum() == len(blk)
     assert np.all(counts == np.diag(np.diag(counts)))  # diagonal only
 
 
 def test_confusion_counts_oracle_on_weak_source_matches_template():
-    blobs, t, ms, _ = oracle_setup(20_000, 0.3)
+    oracle, t, ms, _ = oracle_setup(20_000, 0.3)
     blk = ms.block(1)
-    counts = confusion_counts(oracle_params(blobs), [blk], 10)
+    counts = confusion_counts(oracle, [blk], 10)
     assert counts.sum() == len(blk)
     freq = counts / counts.sum(axis=1, keepdims=True)
     assert np.abs(freq - t.entries).max() <= 0.03
@@ -139,8 +137,8 @@ def test_estimate_transition_row_stochastic_for_random_counts(rng):
 
 
 def test_full_pipeline_recovers_template():
-    blobs, t, ms, _ = oracle_setup(20_000, 0.3)
-    est = estimate_per_source(oracle_params(blobs), ms)
+    oracle, t, ms, _ = oracle_setup(20_000, 0.3)
+    est = estimate_per_source(oracle, ms)
     assert set(est) == {1}
     assert np.abs(est[1].entries - t.entries).max() <= 0.03
 
@@ -148,8 +146,8 @@ def test_full_pipeline_recovers_template():
 def test_estimation_error_shrinks_with_sample_size():
     errs = {}
     for n in (2000, 20_000):
-        blobs, t, ms, _ = oracle_setup(n, 0.3, seed=13)
-        est = estimate_per_source(oracle_params(blobs), ms, smoothing=0.0)
+        oracle, t, ms, _ = oracle_setup(n, 0.3, seed=13)
+        est = estimate_per_source(oracle, ms, smoothing=0.0)
         errs[n] = np.abs(est[1].entries - t.entries).max()
     assert errs[2000] >= 2.0 * errs[20_000]
 
@@ -161,16 +159,16 @@ def test_estimate_single_mixture_identity():
     t = make_template(TemplateKind.MIXED_CLASS_DEPENDENT, 10, 0.4)
     specs = [SourceSpec(0, identity_matrix(10), 2000), SourceSpec(1, t, 18_000)]
     ms, _ = build_multisource(blobs, specs, 15)
-    single = estimate_single(oracle_params(blobs), ms, smoothing=0.0)
+    single = estimate_single(oracle_params(15), ms, smoothing=0.0)
     expected = 0.1 * np.eye(10) + 0.9 * t.entries
     assert np.abs(single.entries - expected).max() <= 0.03
 
 
 def test_estimate_single_clean_only_is_identity():
-    blobs, _, _, _ = oracle_setup(2000, 0.3)
+    oracle, _, _, blobs = oracle_setup(2000, 0.3)
     specs = [SourceSpec(0, identity_matrix(10), 2000)]
     ms, _ = build_multisource(blobs, specs, 11)
-    single = estimate_single(oracle_params(blobs), ms, smoothing=0.0)
+    single = estimate_single(oracle, ms, smoothing=0.0)
     assert np.array_equal(single.entries, np.eye(10))
 
 
@@ -186,7 +184,7 @@ def test_estimate_single_on_a_loaded_file_does_not_copy_the_rows(tmp_path):
     save_dataset(tmp_path / "data.txt", ms)
     loaded = load_dataset(tmp_path / "data.txt")
     assert len(loaded) == 160_000 and len(loaded.sources) == 4
-    baseline = ModelParameters([blobs.means.copy()], [np.zeros(10)])
+    baseline = oracle_params(21)
     tracemalloc.start()
     try:
         single = estimate_single(baseline, loaded)

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weaklab import harness
+from weaklab.datagen import SourceBlock
 from weaklab.estimation import estimate_single
 from weaklab.cli import CORRUPT_SPEC_SCHEMA
 from weaklab.harness import (CONFIG_SCHEMA, CSV_HEADER, Cell, ExperimentConfig, ReportRow,
@@ -33,14 +34,13 @@ def tiny_config(**overrides):
 
 
 def test_overall_accuracy_counting():
-    from weaklab.datagen import Dataset
     params = ModelParameters([np.eye(2)], [np.zeros(2)])  # predicts argmax feature
     feats = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     labels = np.array([0, 0, 1, 0])
-    assert overall_accuracy(params, Dataset(feats, labels, 2)) == 0.75
-    assert overall_accuracy(params, Dataset(feats, np.array([0, 0, 1, 1]), 2)) == 1.0
+    assert overall_accuracy(params, SourceBlock(0, feats, labels)) == 0.75
+    assert overall_accuracy(params, SourceBlock(0, feats, np.array([0, 0, 1, 1]))) == 1.0
     with pytest.raises(ValueError):
-        overall_accuracy(params, Dataset(np.empty((0, 2)), np.empty(0, dtype=int), 2))
+        overall_accuracy(params, SourceBlock(0, np.empty((0, 2)), np.empty(0, dtype=int)))
 
 
 def test_config_validation():
@@ -825,7 +825,7 @@ def test_read_ini_reads_the_documented_grammar_as_configparser_does(text):
         with open(path, encoding="utf-8") as fh:
             oracle.read_file(line.replace(";", "#") for line in fh)
         assert ({name: {key: value.replace(";", "#") for key, value in keys.items()}
-                 for name, keys in read_ini(path, TOY_SCHEMA).items()}
+                 for name, keys in read_ini(path, TOY_SCHEMA, {}).items()}
                 == {name: dict(oracle[name]) for name in oracle.sections()})
 
 
@@ -839,7 +839,9 @@ def test_read_ini_ends_a_value_at_its_first_comment(tmp_path, line, value):
     # '# #', 'a;; ;c' and 'a## #c'
     path = tmp_path / "toy.ini"
     path.write_text(f"[gamma]\n{line}\n")
-    assert read_ini(path, TOY_SCHEMA) == {"gamma": {"z": value}}
+    lines = {}
+    assert read_ini(path, TOY_SCHEMA, lines) == {"gamma": {"z": value}}
+    assert lines == {("gamma", "z"): f"{path}, line 2"}
 
 
 def test_bool_values_take_the_configparser_spellings():
@@ -866,7 +868,7 @@ def test_read_ini_names_the_line_of_every_error(tmp_path, text, line, message):
     path = tmp_path / "exp.ini"
     path.write_bytes(text.encode())
     with pytest.raises(ValueError) as err:
-        read_ini(path, CONFIG_SCHEMA)
+        read_ini(path, CONFIG_SCHEMA, {})
     assert str(err.value) == f"{path}, line {line}: {message}"
 
 

@@ -245,11 +245,24 @@ def test_check_whole_names_the_row_and_the_value(values, message):
     assert check_whole(np.array([3.0, 0.0]), "source ids", "source id").tolist() == [3, 0]
 
 
-def test_check_whole_names_an_integer_past_int64():
-    # the list reads as float64, so the row's own element is named, not 9.22e+18
-    with pytest.raises(ValueError) as err:
-        check_whole([1, 2 ** 63], "source ids", "source id")
-    assert str(err.value) == "source ids, row 1: source id 9223372036854775808 past int64"
+@pytest.mark.parametrize("values, expected", [
+    ([1, 2 ** 63], "source ids, row 1: source id 9223372036854775808 past int64"),
+    # as float64, the first two would round 2**53 + 1 and 2**63 - 1, and the
+    # third would name row 0
+    ([2 ** 53 + 1, 0.0], [9007199254740993, 0]),
+    ([2 ** 63 - 1, 1.0], [9223372036854775807, 1]),
+    ([2 ** 63 - 1, 0.5], "source ids, row 1: source id 0.5 is not a whole number"),
+], ids=["2_63", "2_53_plus_1_then_float", "int64_max_then_float", "int64_max_then_fraction"])
+def test_check_whole_names_an_integer_past_int64(values, expected):
+    # a list is read element by element, so its integers are kept exactly
+    # and a row is named by its own element
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            check_whole(values, "source ids", "source id")
+        assert str(err.value) == expected
+    else:
+        got = check_whole(values, "source ids", "source id")
+        assert got.dtype == np.int64 and got.tolist() == expected
 
 
 def test_sampling_deterministic_given_seed():
